@@ -16,11 +16,12 @@ from .counting import (
     count_rhom_t,
     count_unit_distances,
     par_t_profile,
+    rhombus_directions,
 )
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
 from .fourier import check_circle_decay
-from .geometry import PointSet, circle, full_plane, gen_random_set, intersect_shift
+from .geometry import PointSet, full_plane, gen_random_set
 from .report import BoundReport, make_report
 from .rng import SplitMix64
 
@@ -129,12 +130,11 @@ def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     if t % q == 0:
         raise InvalidRadius("rhombus relation requires t != 0")
     t %= q
-    rhom = count_rhom_t(ctx, E1, E2, E3, E4, t, method="fast").value
+    rhom = 0
     sum_prod = 0
     sum_sqrt = 0.0
-    for x in circle(ctx, t).elements:
-        a = len(intersect_shift(ctx, E1, E2, x))
-        b = len(intersect_shift(ctx, E3, E4, x))
+    for a, b, rhom_x in rhombus_directions(ctx, E1, E2, E3, E4, t):
+        rhom += rhom_x
         sum_prod += a * b
         sum_sqrt += math.sqrt(a * b)
     lhs = abs(rhom - sum_prod / q)

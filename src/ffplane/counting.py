@@ -3,7 +3,8 @@
 Every quantity has at least two independent routes:
 
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
-* ``fast``   -- difference tables / circle probing, the workhorse;
+* ``fast``   -- certified FFT difference tables and vectorized circle
+  probing on the sets' indicator arrays, the workhorse;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion, restricted to q <= 31.
 
@@ -28,10 +29,23 @@ import numpy as np
 from .errors import ToleranceExceeded
 from .field import PrimeFieldCtx
 from .fourier import transform
-from .geometry import PointSet, circle, difference_table, intersect_shift
+from .geometry import (
+    PointSet,
+    circle,
+    difference_table,
+    norm_classes,
+    periodic,
+    shift_meet,
+)
 
 FOURIER_Q_CAP = 31
 ROUND_TOL = 1e-6
+
+# Sums of table products are at most |E1||E2||E3||E4|; from this size on
+# they are accumulated in Python ints instead of int64.
+INT64_LIMIT = 2**63
+# Point-offset probes held in memory at once by the circle-probing routes.
+_PROBE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,6 +94,21 @@ def _require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
             raise ValueError("point sets and field context disagree on q")
 
 
+def _probe_count(q: int, points, target: np.ndarray, offsets) -> int:
+    """#{(p, s) : target[p + s]} over coordinate arrays, in bounded chunks."""
+    p1, p2 = points
+    s1, s2 = offsets
+    if not len(p1) or not len(s1):
+        return 0
+    flat_target = target.ravel()
+    step = max(1, _PROBE_CHUNK // len(s1))
+    total = 0
+    for i in range(0, len(p1), step):
+        flat = ((p1[i:i + step, None] + s1) % q) * q + (p2[i:i + step, None] + s2) % q
+        total += int(np.count_nonzero(flat_target[flat]))
+    return total
+
+
 # -- unit distances ----------------------------------------------------------
 
 def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
@@ -98,13 +127,8 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
                     total += 1
     elif method == "fast":
         # v is at form-distance t from u iff v in u + S_t (S_t = -S_t).
-        members = V.member_set()
-        st = circle(ctx, t).elements
-        total = 0
-        for u1, u2 in U.elements:
-            for s1, s2 in st:
-                if ((u1 + s1) % q, (u2 + s2) % q) in members:
-                    total += 1
+        st = np.nonzero(circle(ctx, t).indicator)
+        total = _probe_count(q, np.nonzero(U.indicator), V.indicator, st)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountResult(total, method, q, t, (len(U), len(V)))
@@ -130,9 +154,8 @@ def count_par_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast") -> CountResul
                         if (z1 - w1) % q == v1 and (z2 - w2) % q == v2:
                             total += 1
     elif method == "fast":
-        d12 = difference_table(ctx, E1, E2)
-        d34 = difference_table(ctx, E3, E4)
-        total = sum(d12.count(v) * d34.count(v) for v in circle(ctx, t).elements)
+        prod = _products(ctx, E1, E2, E3, E4)
+        total = int(prod[circle(ctx, t).indicator].sum())
     elif method == "fourier":
         total = par_t_fourier(ctx, E1, E2, E3, E4, t).value
     else:
@@ -145,9 +168,7 @@ def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     if method == "fast":
-        d12 = difference_table(ctx, E1, E2)
-        d34 = difference_table(ctx, E3, E4)
-        total = sum(c * d34.count(v) for v, c in d12.counts.items())
+        total = int(_products(ctx, E1, E2, E3, E4).sum())
     elif method == "oracle":
         # Enumerate (x, y, z) and test the forced 4th vertex w = z - (x - y).
         members = E4.member_set()
@@ -165,6 +186,32 @@ def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
                        (len(E1), len(E2), len(E3), len(E4)))
 
 
+def table_products(d12, d34) -> np.ndarray:
+    """D12(v) * D34(v) for every v, exactly.
+
+    Every sum of these products is at most the total mass
+    d12.total * d34.total = |E1||E2||E3||E4|.  While that stays below 2^63
+    the products are int64; beyond it they are Python ints (object dtype),
+    so no sum over them can wrap.
+    """
+    a, b = d12.table, d34.table
+    if d12.total * d34.total >= INT64_LIMIT:
+        a, b = a.astype(object), b.astype(object)
+    return a * b
+
+
+def norm_class_sums(ctx, values: np.ndarray) -> list:
+    """[sum of values[v] over |v| = t for t in F_q], in the dtype of values."""
+    acc = np.zeros(ctx.q, dtype=values.dtype)
+    np.add.at(acc, norm_classes(ctx).ravel(), values.ravel())
+    return [int(v) for v in acc]
+
+
+def _products(ctx, E1, E2, E3, E4) -> np.ndarray:
+    return table_products(difference_table(ctx, E1, E2),
+                          difference_table(ctx, E3, E4))
+
+
 def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
     """One-side-length counts for every t at once, from one table pass.
 
@@ -172,15 +219,7 @@ def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
     all-parallelograms count.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
-    q = ctx.q
-    d12 = difference_table(ctx, E1, E2)
-    d34 = difference_table(ctx, E3, E4)
-    profile = {t: 0 for t in range(q)}
-    for (v1, v2), c in d12.counts.items():
-        other = d34.count((v1, v2))
-        if other:
-            profile[(v1 * v1 + v2 * v2) % q] += c * other
-    return profile
+    return dict(enumerate(norm_class_sums(ctx, _products(ctx, E1, E2, E3, E4))))
 
 
 # -- rhombi -------------------------------------------------------------------
@@ -207,11 +246,7 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
                     if (d1 * d1 + d2 * d2) % q == t:
                         total += 1
     elif method == "fast":
-        total = 0
-        for x in circle(ctx, t).elements:
-            e12 = intersect_shift(ctx, E1, E2, x)
-            e34 = intersect_shift(ctx, E3, E4, x)
-            total += count_unit_distances(ctx, e12, e34, t, method="fast").value
+        total = sum(r for _, _, r in rhombus_directions(ctx, E1, E2, E3, E4, t))
     else:
         raise ValueError(f"unknown method {method!r}")
     if exclude_degenerate:
@@ -219,19 +254,40 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
     return CountResult(total, method, q, t, (len(E1), len(E2), len(E3), len(E4)))
 
 
+def rhombus_directions(ctx, E1, E2, E3, E4, t: int) -> list:
+    """Per-direction rhombus terms, one tuple per x on S_t in circle order.
+
+    Each tuple is (|E12^x|, |E34^x|, rhom_x) with E12^x = E1 n (E2 - x),
+    E34^x = E3 n (E4 - x) and rhom_x the pairs (u, v) in E12^x x E34^x
+    with |u - v| = t, counted by probing E34^x on u + S_t.
+    """
+    _require_same_q(ctx, E1, E2, E3, E4)
+    q = ctx.q
+    st_set = circle(ctx, t % q)
+    st = np.nonzero(st_set.indicator)
+    terms = []
+    i1, i3 = E1.indicator, E3.indicator
+    t2, t4 = periodic(E2.indicator), periodic(E4.indicator)
+    for x in st_set.elements:
+        e12 = shift_meet(i1, t2, x)
+        e34 = shift_meet(i3, t4, x)
+        rhom_x = _probe_count(q, np.nonzero(e12), e34, st)
+        terms.append((int(np.count_nonzero(e12)), int(np.count_nonzero(e34)), rhom_x))
+    return terms
+
+
 def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int) -> CountResult:
     """Rhombus tuples with v = u + x (the collapsed-diagonal case)."""
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
+    i1, i3 = E1.indicator, E3.indicator
+    t2, t4 = periodic(E2.indicator), periodic(E4.indicator)
     total = 0
     for x in circle(ctx, t).elements:
-        e12 = intersect_shift(ctx, E1, E2, x)
-        members = intersect_shift(ctx, E3, E4, x).member_set()
-        x1, x2 = x
-        for u1, u2 in e12.elements:
-            if ((u1 + x1) % q, (u2 + x2) % q) in members:
-                total += 1
+        e12 = shift_meet(i1, t2, x)
+        e34 = shift_meet(i3, t4, x)
+        total += int(np.count_nonzero(shift_meet(e12, periodic(e34), x)))
     return CountResult(total, "fast", q, t, (len(E1), len(E2), len(E3), len(E4)))
 
 

@@ -11,21 +11,28 @@ import functools
 import json
 import os
 
+import numpy as np
+
 from .errors import PointSetFormatError
 from .field import PrimeFieldCtx
-from .rng import SplitMix64
+from .rng import splitmix64_floats
 
 Point = tuple
+
+# Pairwise differences held in memory at once by the exact table route.
+_EXACT_CHUNK = 1 << 20
 
 
 class PointSet:
     """Immutable set of distinct points with O(1) membership.
 
-    Keeps both the ordered element tuple (for deterministic iteration) and a
-    hash-set indicator (for membership probes in the counters).
+    Keeps the ordered element tuple (for deterministic iteration, the
+    oracles and file I/O), a hash-set of the members, and a read-only
+    q x q bool ``indicator`` (for the array-backed counters).  The member
+    set and the indicator are built on first use.
     """
 
-    __slots__ = ("q", "elements", "_members")
+    __slots__ = ("q", "elements", "_members", "_indicator")
 
     def __init__(self, q: int, points):
         pts = tuple((int(p[0]), int(p[1])) for p in points)
@@ -38,6 +45,33 @@ class PointSet:
         self.q = q
         self.elements = pts
         self._members = members
+        self._indicator = None
+
+    @classmethod
+    def _from_indicator(cls, q: int, indicator: np.ndarray) -> "PointSet":
+        """Trusted constructor: the points of a q x q bool array, row-major.
+
+        Skips validation; the array must not be written to afterwards.
+        """
+        self = cls.__new__(cls)
+        rows, cols = np.nonzero(indicator)
+        self.q = q
+        self.elements = tuple(zip(rows.tolist(), cols.tolist()))
+        self._members = None
+        indicator.flags.writeable = False
+        self._indicator = indicator
+        return self
+
+    @property
+    def indicator(self) -> np.ndarray:
+        """Read-only q x q bool array with True at the members."""
+        if self._indicator is None:
+            arr = np.zeros((self.q, self.q), dtype=bool)
+            if self.elements:
+                arr[tuple(np.array(self.elements).T)] = True
+            arr.flags.writeable = False
+            self._indicator = arr
+        return self._indicator
 
     @property
     def size(self) -> int:
@@ -50,37 +84,44 @@ class PointSet:
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in self._members
+        return p in self.member_set()
 
     def member_set(self) -> frozenset:
+        if self._members is None:
+            self._members = frozenset(self.elements)
         return self._members
 
     def __eq__(self, other):
         return (
             isinstance(other, PointSet)
             and self.q == other.q
-            and self._members == other._members
+            and self.member_set() == other.member_set()
         )
 
     def __hash__(self):
-        return hash((self.q, self._members))
+        return hash((self.q, self.member_set()))
 
     def __repr__(self):
         return f"PointSet(q={self.q}, size={len(self.elements)})"
 
 
 class DifferenceTable:
-    """Counts D(v) = #{(a, b) in A x B : a - b = v}; total mass |A|*|B|."""
+    """D(v) = #{(a, b) in A x B : a - b = v}; total mass |A|*|B|.
 
-    __slots__ = ("q", "counts", "total")
+    ``table`` is a read-only q x q int64 array indexed by v; ``route``
+    names how it was computed ("fft" or "exact").
+    """
 
-    def __init__(self, q: int, counts: dict, total: int):
+    __slots__ = ("q", "table", "total", "route")
+
+    def __init__(self, q: int, table: np.ndarray, total: int, route: str):
         self.q = q
-        self.counts = counts
+        self.table = table
         self.total = total
+        self.route = route
 
     def count(self, v) -> int:
-        return self.counts.get(v, 0)
+        return int(self.table[v[0], v[1]])
 
 
 def norm(ctx: PrimeFieldCtx, p) -> int:
@@ -89,10 +130,21 @@ def norm(ctx: PrimeFieldCtx, p) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _norm_classes_cached(q: int) -> np.ndarray:
+    idx = np.arange(q, dtype=np.int64)
+    arr = (idx[:, None] * idx[:, None] + idx[None, :] * idx[None, :]) % q
+    arr.flags.writeable = False
+    return arr
+
+
+def norm_classes(ctx: PrimeFieldCtx) -> np.ndarray:
+    """Read-only q x q int64 array of |p| over the plane.  Cached per q."""
+    return _norm_classes_cached(ctx.q)
+
+
+@functools.lru_cache(maxsize=None)
 def _circle_cached(q: int, j: int) -> PointSet:
-    pts = [(x1, x2) for x1 in range(q) for x2 in range(q)
-           if (x1 * x1 + x2 * x2) % q == j]
-    return PointSet(q, pts)
+    return PointSet._from_indicator(q, _norm_classes_cached(q) == j)
 
 
 def circle(ctx: PrimeFieldCtx, j: int) -> PointSet:
@@ -102,28 +154,71 @@ def circle(ctx: PrimeFieldCtx, j: int) -> PointSet:
 
 def full_plane(ctx: PrimeFieldCtx) -> PointSet:
     """The whole plane F_q^2 (q^2 points, row-major order)."""
-    q = ctx.q
-    return PointSet(q, [(x1, x2) for x1 in range(q) for x2 in range(q)])
+    return PointSet._from_indicator(ctx.q, np.ones((ctx.q, ctx.q), dtype=bool))
+
+
+def _certified(raw: np.ndarray, table: np.ndarray, total: int, overlap: int) -> bool:
+    """Integer invariants and rounding margin of a float-derived table."""
+    return (
+        float(np.abs(raw - table).max()) < 0.25
+        and int(table.sum()) == total
+        and int(table[0, 0]) == overlap
+        and int(table.min()) >= 0
+    )
+
+
+def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
+    """D by an integer bincount of the pairwise differences, in chunks."""
+    a1, a2 = np.nonzero(A.indicator)
+    b1, b2 = np.nonzero(B.indicator)
+    counts = np.zeros(q * q, dtype=np.int64)
+    step = max(1, _EXACT_CHUNK // max(len(b1), 1))
+    for i in range(0, len(a1), step):
+        flat = ((a1[i:i + step, None] - b1) % q) * q + (a2[i:i + step, None] - b2) % q
+        counts += np.bincount(flat.ravel(), minlength=q * q)
+    return counts.reshape(q, q)
 
 
 def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet) -> DifferenceTable:
-    """Tabulate a - b over A x B.  O(|A|*|B|)."""
+    """Tabulate a - b over A x B as the correlation 1_A * 1_B.
+
+    Computed by FFT and rounded, then certified: rounding residual < 1/4,
+    mass |A||B|, D(0) = |A n B| and D >= 0.  If any check fails the table
+    is recomputed exactly by a chunked integer bincount.
+    """
     q = ctx.q
-    counts: dict = {}
-    for a1, a2 in A.elements:
-        for b1, b2 in B.elements:
-            v = ((a1 - b1) % q, (a2 - b2) % q)
-            counts[v] = counts.get(v, 0) + 1
-    return DifferenceTable(q, counts, len(A) * len(B))
+    ia, ib = A.indicator, B.indicator
+    total = len(A) * len(B)
+    spectrum = np.fft.rfft2(ia) * np.conj(np.fft.rfft2(ib))
+    raw = np.fft.irfft2(spectrum, s=(q, q))
+    table = np.rint(raw).astype(np.int64)
+    route = "fft"
+    if not _certified(raw, table, total, int(np.count_nonzero(ia & ib))):
+        table, route = _exact_differences(q, A, B), "exact"
+    table.flags.writeable = False
+    return DifferenceTable(q, table, total, route)
+
+
+def periodic(ind: np.ndarray) -> np.ndarray:
+    """The 2q x 2q tiling of a q x q array, for shifted views (shift_meet)."""
+    return np.tile(ind, (2, 2))
+
+
+def shift_meet(ind_i: np.ndarray, tiled_j: np.ndarray, x) -> np.ndarray:
+    """Indicator of {u : ind_i[u] and ind_j[u + x]}, i.e. ind_i & roll(ind_j, -x).
+
+    ``tiled_j`` is periodic(ind_j); its window at x is the rolled array as a
+    view, so no copy of ind_j is made per shift.  x must be canonical.
+    """
+    q = ind_i.shape[0]
+    return ind_i & tiled_j[x[0]:x[0] + q, x[1]:x[1] + q]
 
 
 def intersect_shift(ctx: PrimeFieldCtx, Ei: PointSet, Ej: PointSet, x) -> PointSet:
-    """The set Ei shifted against Ej: {u in Ei : u + x in Ej}."""
+    """The set Ei shifted against Ej: {u in Ei : u + x in Ej}, row-major."""
     q = ctx.q
-    x1, x2 = x
-    members = Ej.member_set()
-    kept = [u for u in Ei.elements if ((u[0] + x1) % q, (u[1] + x2) % q) in members]
-    return PointSet(q, kept)
+    meet = shift_meet(Ei.indicator, periodic(Ej.indicator), (x[0] % q, x[1] % q))
+    return PointSet._from_indicator(q, meet)
 
 
 def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
@@ -142,16 +237,14 @@ def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
 def gen_random_set(ctx: PrimeFieldCtx, density: float, seed: int) -> PointSet:
     """Bernoulli(density) sample of the plane, row-major scan order.
 
-    Driven by splitmix64, so the result is a pure function of
-    (q, density, seed).
+    Driven by splitmix64 (the k-th draw decides cell k - 1 in row-major
+    order), so the result is a pure function of (q, density, seed).
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     q = ctx.q
-    rng = SplitMix64(seed)
-    pts = [(x1, x2) for x1 in range(q) for x2 in range(q)
-           if rng.next_float() < density]
-    return PointSet(q, pts)
+    draws = splitmix64_floats(seed, q * q).reshape(q, q)
+    return PointSet._from_indicator(q, draws < density)
 
 
 # -- file formats -----------------------------------------------------------

@@ -7,6 +7,8 @@ has no hidden global state, and makes instances reproducible from a single
 reports so consumers can tell which algorithm produced a fixture.
 """
 
+import numpy as np
+
 ALGORITHM = "splitmix64"
 
 _MASK = (1 << 64) - 1
@@ -49,3 +51,16 @@ class SplitMix64:
     def fork(self) -> "SplitMix64":
         """Derive an independent child stream (one draw of this stream)."""
         return SplitMix64(self.next_u64())
+
+
+def splitmix64_floats(seed: int, n: int) -> np.ndarray:
+    """The first n ``next_float()`` draws of ``SplitMix64(seed)`` as one array.
+
+    The k-th state is seed + k * gamma mod 2^64, so every draw is computed
+    at once; uint64 arithmetic wraps exactly as the scalar generator masks.
+    """
+    z = np.uint64(seed & _MASK) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53

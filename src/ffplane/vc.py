@@ -15,13 +15,11 @@ remaining exhaustive.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidRadius, NotSubset
 from .field import PrimeFieldCtx
 from .geometry import PointSet, circle
-from .parallel import thread_budget
 from .rng import SplitMix64
 
 
@@ -154,18 +152,9 @@ def find_shattered(sys: DistanceSystem, d: int):
 def _exists_shattered(sys: DistanceSystem, d: int) -> bool:
     if d == 0:
         return len(sys.E) > 0
-    candidates = _candidate_index_subsets(sys, d)
     masks, universe = sys._masks, sys._universe
-    workers = min(thread_budget(), 8)
-    if workers > 1 and len(candidates) > 4096:
-        chunks = [candidates[i::workers] for i in range(workers)]
-
-        def scan(chunk):
-            return any(_shattered_by_masks(masks, universe, xs) for xs in chunk)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return any(pool.map(scan, chunks))
-    return any(_shattered_by_masks(masks, universe, xs) for xs in candidates)
+    return any(_shattered_by_masks(masks, universe, xs)
+               for xs in _candidate_index_subsets(sys, d))
 
 
 def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:

@@ -1,18 +1,29 @@
+import numpy as np
 import pytest
 
 from conftest import random_quadruple
 from ffplane.counting import (
     FOURIER_Q_CAP,
+    INT64_LIMIT,
     count_degenerate_rhom,
     count_par_all,
     count_par_t,
     count_rhom_t,
     count_unit_distances,
     par_t_fourier,
+    norm_class_sums,
     par_t_profile,
+    table_products,
 )
 from ffplane.field import PrimeFieldCtx
-from ffplane.geometry import PointSet, full_plane, gen_random_set
+from ffplane.geometry import (
+    DifferenceTable,
+    PointSet,
+    circle,
+    full_plane,
+    gen_random_set,
+    norm_classes,
+)
 
 
 def test_unit_distances_fixed_cases(ctx3):
@@ -164,3 +175,77 @@ def test_mismatched_q_rejected(ctx5):
     E = PointSet(7, [(0, 0)])
     with pytest.raises(ValueError):
         count_unit_distances(ctx5, E, E, 1)
+
+
+def _degenerate_reference(ctx, E1, E2, E3, E4, t):
+    """Literal count of (u, x) with |x| = t, u in E1, u + x in E2 n E3, u + 2x in E4."""
+    q = ctx.q
+    total = 0
+    for x1 in range(q):
+        for x2 in range(q):
+            if (x1 * x1 + x2 * x2) % q != t:
+                continue
+            for u1, u2 in E1:
+                v = ((u1 + x1) % q, (u2 + x2) % q)
+                if v in E2 and v in E3 and ((v[0] + x1) % q, (v[1] + x2) % q) in E4:
+                    total += 1
+    return total
+
+
+def _boundary_quadruples():
+    ctx13 = PrimeFieldCtx(13)
+    i = 5  # 5^2 = -1 mod 13
+    line = PointSet(13, [(a, i * a % 13) for a in range(13)])
+    circ = circle(ctx13, 1)
+    yield ctx13, [PointSet(13, [])] * 4
+    yield ctx13, [PointSet(13, [(3, 8)])] * 4
+    yield ctx13, [circ] * 4
+    yield ctx13, [line] * 4
+    yield ctx13, [line, circ, line, circ]
+    ctx7 = PrimeFieldCtx(7)
+    yield ctx7, [full_plane(ctx7)] * 4
+
+
+def test_fast_matches_oracle_on_boundary_sets():
+    for ctx, sets in _boundary_quadruples():
+        q = ctx.q
+        profile = par_t_profile(ctx, *sets)
+        assert count_par_all(ctx, *sets, "fast").value == \
+            count_par_all(ctx, *sets, "oracle").value == sum(profile.values())
+        for t in (0, 1, q - 1):
+            assert count_unit_distances(ctx, *sets[:2], t, "fast").value == \
+                count_unit_distances(ctx, *sets[:2], t, "oracle").value
+            assert count_par_t(ctx, *sets, t, "fast").value == \
+                count_par_t(ctx, *sets, t, "oracle").value == profile[t]
+            assert count_rhom_t(ctx, *sets, t, "fast").value == \
+                count_rhom_t(ctx, *sets, t, "oracle").value
+            assert count_degenerate_rhom(ctx, *sets, t).value == \
+                _degenerate_reference(ctx, *sets, t)
+
+
+def test_isotropic_line_parallelograms_all_have_norm_zero():
+    ctx = PrimeFieldCtx(13)
+    line = PointSet(13, [(a, 5 * a % 13) for a in range(13)])
+    profile = par_t_profile(ctx, *[line] * 4)
+    assert profile[0] == 13**3
+    assert all(profile[t] == 0 for t in range(1, 13))
+
+
+def test_table_products_sum_in_python_ints_past_int64():
+    ctx = PrimeFieldCtx(3)
+    big = 3 * 2**31 + 7
+    a = np.full((3, 3), big, dtype=np.int64)
+    b = np.arange(1, 10, dtype=np.int64).reshape(3, 3) * big
+    d12 = DifferenceTable(3, a, int(a.sum()), "fft")
+    d34 = DifferenceTable(3, b, int(b.sum()), "fft")
+    assert d12.total * d34.total >= INT64_LIMIT
+    expected = [0] * 3
+    norms = norm_classes(ctx)
+    for v1 in range(3):
+        for v2 in range(3):
+            expected[int(norms[v1, v2])] += int(a[v1, v2]) * int(b[v1, v2])
+    prod = table_products(d12, d34)
+    assert int(prod.sum()) == sum(expected) >= INT64_LIMIT
+    profile = norm_class_sums(ctx, prod)
+    assert profile == expected
+    assert all(type(v) is int for v in profile)

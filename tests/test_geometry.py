@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffplane import geometry
 from ffplane.errors import PointSetFormatError
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -19,6 +21,7 @@ from ffplane.geometry import (
     point_set_from_text,
     save_point_set,
 )
+from ffplane.rng import SplitMix64
 
 
 def test_norm_examples(ctx3, ctx5, ctx7):
@@ -84,10 +87,64 @@ def test_difference_table_mass_and_reflection(q, seed):
     B = gen_random_set(ctx, 0.6, seed + 1)
     dab = difference_table(ctx, A, B)
     dba = difference_table(ctx, B, A)
-    assert sum(dab.counts.values()) == len(A) * len(B)
+    assert dab.table.sum() == len(A) * len(B)
     for v1 in range(q):
         for v2 in range(q):
             assert dab.count((v1, v2)) == dba.count(((-v1) % q, (-v2) % q))
+
+
+def test_difference_table_exact_fallback(monkeypatch):
+    ctx = PrimeFieldCtx(11)
+    A = gen_random_set(ctx, 0.4, 5)
+    B = gen_random_set(ctx, 0.7, 6)
+    fft = difference_table(ctx, A, B)
+    assert fft.route == "fft"
+    # Shift every float entry by 0.6, so rounding lands one off everywhere
+    # and the certificate has to reject the table.
+    irfft2 = np.fft.irfft2
+    monkeypatch.setattr(np.fft, "irfft2", lambda *a, **k: irfft2(*a, **k) + 0.6)
+    exact = difference_table(ctx, A, B)
+    assert exact.route == "exact"
+    assert exact.table.dtype == np.int64
+    assert np.array_equal(exact.table, fft.table)
+    for v in full_plane(ctx):
+        brute = sum(1 for a in A for b in B
+                    if ((a[0] - b[0]) % 11, (a[1] - b[1]) % 11) == v)
+        assert exact.count(v) == brute
+
+
+def test_difference_table_certificate_rejects_each_invariant():
+    table = np.array([[2, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=np.int64)
+    raw = table + 0.1
+    assert geometry._certified(raw, table, 4, 2)
+    assert not geometry._certified(table + 0.3, table, 4, 2)   # residual
+    assert not geometry._certified(raw, table, 5, 2)           # mass
+    assert not geometry._certified(raw, table, 4, 1)           # D(0)
+    negative = table.copy()
+    negative[2, 2] = -1
+    negative[0, 1] = 2
+    assert not geometry._certified(negative + 0.1, negative, 4, 2)  # D >= 0
+
+
+@pytest.mark.parametrize("q", [3, 13, 31])
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_random_set_matches_scalar_stream(q, density):
+    ctx = PrimeFieldCtx(q)
+    for seed in (0, 99, 2**64 - 1):
+        rng = SplitMix64(seed)
+        ref = tuple((x1, x2) for x1 in range(q) for x2 in range(q)
+                    if rng.next_float() < density)
+        assert gen_random_set(ctx, density, seed).elements == ref
+
+
+def test_indicator_matches_elements_and_is_read_only(ctx7):
+    for ps in (PointSet(7, [(6, 0), (1, 2)]), gen_random_set(ctx7, 0.5, 3),
+               circle(ctx7, 2), full_plane(ctx7), PointSet(7, [])):
+        ind = ps.indicator
+        assert ind.shape == (7, 7) and ind.dtype == bool
+        assert set(zip(*map(np.ndarray.tolist, np.nonzero(ind)))) == set(ps)
+        with pytest.raises(ValueError):
+            ind[0, 0] = True
 
 
 @settings(max_examples=25, deadline=None)
