@@ -3,10 +3,10 @@
 Subcommands: count, bounds, fourier, vc, witness, bench, gen.  Reports are
 JSON-lines on stdout (CSV available where tables make sense); diagnostics go
 to stderr.  Exit codes: 0 success, 1 mathematical failure (a violated
-asserted bound, a float count too far from an integer, a cross-method value
-disagreement), 2 usage error.  Every report echoes the run configuration
-and the PRNG algorithm identifier so streams are reproducible bit-for-bit
-apart from elapsed_ms fields.
+asserted bound, a float count too far from an integer or past its error
+bound, a cross-method value disagreement), 2 usage error.  Every report
+echoes the run configuration and the PRNG algorithm identifier so streams
+are reproducible bit-for-bit apart from elapsed_ms fields.
 """
 
 import argparse
@@ -113,41 +113,61 @@ def _parse_sets(ctx, spec: str, nslots: int, default_seed: int) -> list:
             for slot, tok in enumerate(tokens)]
 
 
-# -- count ----------------------------------------------------------------------
+# -- count / bench -------------------------------------------------------------
 
-QUANTITIES = ("n_t", "par_t", "par", "rhom_t", "degenerate")
+# quantity -> (counter name in ffplane.counting, set slots, methods, t rule),
+# where the t rule is None (no radius), "any" or "nonzero".  Counters are
+# looked up by name at call time, so a rebinding of counting's attributes
+# (as a tracer does) reaches every command.
+QUANTITY_TABLE = {
+    "n_t": ("count_unit_distances", 2, ("oracle", "fast"), "any"),
+    "par_t": ("count_par_t", 4, ("oracle", "fast", "fourier"), "any"),
+    "par": ("count_par_all", 4, ("oracle", "fast"), None),
+    "rhom_t": ("count_rhom_t", 4, ("oracle", "fast"), "nonzero"),
+    "degenerate": ("count_degenerate_rhom", 4, ("fast",), "nonzero"),
+}
+QUANTITIES = tuple(QUANTITY_TABLE)
+METHODS = ("oracle", "fast", "fourier")
+
+
+def _quantity_t(ctx, quantity: str, t):
+    """The radius reduced mod q, or None for a quantity without one."""
+    rule = QUANTITY_TABLE[quantity][3]
+    if rule is None:
+        return None
+    if t is None:
+        raise UsageError(f"--t is required for quantity {quantity}")
+    t %= ctx.q
+    if rule == "nonzero" and t == 0:
+        raise UsageError(f"quantity {quantity} requires t != 0")
+    return t
+
+
+def _check_method(quantity: str, method: str) -> None:
+    if method not in METHODS:
+        raise UsageError(f"unknown method {method!r}")
+    if method not in QUANTITY_TABLE[quantity][2]:
+        having = [name for name, entry in QUANTITY_TABLE.items() if method in entry[2]]
+        raise UsageError(f"{method} method applies to {', '.join(having)} only")
+
+
+def _run_counter(ctx, quantity: str, sets, t, method: str, **extra):
+    name, _, _, rule = QUANTITY_TABLE[quantity]
+    radius = () if rule is None else (t,)
+    return getattr(counting, name)(ctx, *sets, *radius, method=method, **extra)
 
 
 def _cmd_count(args) -> int:
     ctx = _make_ctx(args.q)
     quantity = args.quantity
-    nslots = 2 if quantity == "n_t" else 4
-    sets = _parse_sets(ctx, args.set, nslots, args.seed)
-    t = args.t
-    if quantity != "par":
-        if t is None:
-            raise UsageError(f"--t is required for quantity {quantity}")
-        t %= ctx.q
-        if quantity in ("rhom_t", "degenerate") and t == 0:
-            raise UsageError(f"quantity {quantity} requires t != 0")
-    method = args.method
-    if quantity == "par_t" and method == "fourier" and ctx.q > counting.FOURIER_Q_CAP:
-        raise UsageError(f"fourier method is capped at q <= {counting.FOURIER_Q_CAP}")
-    if method == "fourier" and quantity != "par_t":
-        raise UsageError("fourier method applies to par_t only")
+    sets = _parse_sets(ctx, args.set, QUANTITY_TABLE[quantity][1], args.seed)
+    t = _quantity_t(ctx, quantity, args.t)
+    _check_method(quantity, args.method)
+    extra = ({"exclude_degenerate": args.exclude_degenerate}
+             if quantity == "rhom_t" else {})
 
     start = time.perf_counter()
-    if quantity == "n_t":
-        result = counting.count_unit_distances(ctx, *sets, t, method=method)
-    elif quantity == "par_t":
-        result = counting.count_par_t(ctx, *sets, t, method=method)
-    elif quantity == "par":
-        result = counting.count_par_all(ctx, *sets, method=method)
-    elif quantity == "rhom_t":
-        result = counting.count_rhom_t(ctx, *sets, t, method=method,
-                                       exclude_degenerate=args.exclude_degenerate)
-    else:
-        result = counting.count_degenerate_rhom(ctx, *sets, t)
+    result = _run_counter(ctx, quantity, sets, t, args.method, **extra)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     obj = result.to_json_obj(quantity)
@@ -266,6 +286,8 @@ def _cmd_vc(args) -> int:
     t = args.t % ctx.q
     if t == 0:
         raise UsageError("--t must be nonzero")
+    if args.cap < 0:
+        raise UsageError("--cap must be nonnegative")
     E = _parse_one_set(ctx, args.set, args.seed, 0)
     config = _config_echo(args)
     sys_ = vc.build_system(ctx, E, t)
@@ -306,19 +328,15 @@ def _cmd_witness(args) -> int:
 
 def _cmd_bench(args) -> int:
     ctx = _make_ctx(args.q)
-    t = args.t % ctx.q
-    if t == 0:
-        raise UsageError("--t must be nonzero")
+    if args.runs < 1:
+        raise UsageError("--runs must be at least 1")
+    quantity = args.quantity
+    t = _quantity_t(ctx, quantity, args.t)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("oracle", "fast", "fourier"):
-            raise UsageError(f"unknown method {m!r}")
-    if args.quantity == "rhom_t" and "fourier" in methods:
-        raise UsageError("fourier method applies to par_t only")
-    if "fourier" in methods and ctx.q > counting.FOURIER_Q_CAP:
-        raise UsageError(f"fourier method is capped at q <= {counting.FOURIER_Q_CAP}")
+        _check_method(quantity, m)
     spec = args.set if args.set else f"random:{args.density}"
-    sets = _parse_sets(ctx, spec, 4, args.seed)
+    sets = _parse_sets(ctx, spec, QUANTITY_TABLE[quantity][1], args.seed)
 
     results = []
     for method in methods:
@@ -326,12 +344,8 @@ def _cmd_bench(args) -> int:
         value = None
         for _ in range(args.runs):
             start = time.perf_counter()
-            if args.quantity == "par_t":
-                res = counting.count_par_t(ctx, *sets, t, method=method)
-            else:
-                res = counting.count_rhom_t(ctx, *sets, t, method=method)
+            value = _run_counter(ctx, quantity, sets, t, method).value
             times.append((time.perf_counter() - start) * 1000.0)
-            value = res.value
         results.append({
             "method": method,
             "value": value,
@@ -346,7 +360,7 @@ def _cmd_bench(args) -> int:
 
     config = _config_echo(args)
     obj = {
-        "quantity": args.quantity,
+        "quantity": quantity,
         "q": ctx.q,
         "t": t,
         "set_sizes": [len(s) for s in sets],
@@ -359,7 +373,7 @@ def _cmd_bench(args) -> int:
         _print_csv(rows, ("method", "value", "median_ms"))
     elif args.format == "human":
         for r in results:
-            print(f"{args.quantity} {r['method']}: value={r['value']} "
+            print(f"{quantity} {r['method']}: value={r['value']} "
                   f"median={r['median_ms']} ms")
     else:
         _emit(obj, config)
@@ -403,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True,
                    help="comma-separated slots: full | random:D[:SEED] | "
                         "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)")
-    p.add_argument("--method", choices=("oracle", "fast", "fourier"),
-                   default="fast")
+    p.add_argument("--method", choices=METHODS, default="fast")
     p.add_argument("--exclude-degenerate", action="store_true")
     p.set_defaults(func=_cmd_count)
 
@@ -446,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time counter methods on one instance")
     add_common(p)
-    p.add_argument("--quantity", choices=("par_t", "rhom_t"), default="par_t")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
+    p.add_argument("--t", type=int, default=None)
     p.add_argument("--methods", default="oracle,fast")
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--set", default=None)

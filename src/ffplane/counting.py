@@ -6,10 +6,12 @@ Every quantity has at least two independent routes:
 * ``fast``   -- certified FFT difference tables and vectorized circle
   probing on the sets' indicator arrays, the workhorse;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
-  of the character-sum expansion, restricted to q <= 31.
+  of the character-sum expansion as one cyclic convolution of frequency
+  tables, independent of the difference tables the fast route uses.
 
 All counts are exact integers.  The only float-derived value is the fourier
-total, which must land within 1e-6 of an integer or the call raises.
+total; it carries a derived rounding-error bound, and the call raises unless
+that bound is below 1e-6 and the total lands within 1e-6 of an integer.
 
 Conventions (ordered tuples throughout):
 
@@ -21,7 +23,6 @@ Conventions (ordered tuples throughout):
   are counted unless explicitly excluded.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .geometry import (
     shift_meet,
 )
 
-FOURIER_Q_CAP = 31
 ROUND_TOL = 1e-6
 
 # Sums of table products are at most |E1||E2||E3||E4|; from this size on
@@ -76,7 +76,9 @@ class FourierSplit:
     contribution normalized with the idealized circle mass 1/q, which makes
     it equal to (all-parallelograms count)/q and independent of t; the small
     correction from the true circle mass |S_t|/q^2 is carried by
-    ``term_ii`` together with the off-diagonal terms.
+    ``term_ii`` together with the off-diagonal terms.  ``error_bound`` is
+    the bound on the float error of ``total`` that certifies its rounding to
+    ``value`` (see ``par_t_fourier``).
     """
 
     term_i: complex
@@ -86,6 +88,7 @@ class FourierSplit:
     q: int
     t: int
     set_sizes: tuple
+    error_bound: float
 
 
 def _require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
@@ -276,8 +279,15 @@ def rhombus_directions(ctx, E1, E2, E3, E4, t: int) -> list:
     return terms
 
 
-def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int) -> CountResult:
-    """Rhombus tuples with v = u + x (the collapsed-diagonal case)."""
+def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
+                          method: str = "fast") -> CountResult:
+    """Rhombus tuples with v = u + x (the collapsed-diagonal case).
+
+    Only the fast route exists; ``method`` is accepted so that all five
+    counters share one call signature.
+    """
+    if method != "fast":
+        raise ValueError(f"unknown method {method!r}")
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
@@ -293,38 +303,39 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int) -> CountResult:
 
 # -- character-sum evaluation --------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
-def _neg_sum_flat_index(q: int) -> np.ndarray:
-    """Flat index of (-(m1+n1) mod q, -(m2+n2) mod q) over all frequency pairs.
-
-    Shape (q^2, q^2): row = flattened m, column = flattened n.
-    """
-    idx = np.arange(q)
-    neg = np.mod(-(idx[:, None] + idx[None, :]), q)  # neg[a, b] = -(a+b) mod q
-    rows = neg[:, None, :, None]
-    cols = neg[None, :, None, :]
-    return (rows * q + cols).reshape(q * q, q * q)
-
-
 def _negated(coeffs: np.ndarray, q: int) -> np.ndarray:
     negi = np.mod(-np.arange(q), q)
     return coeffs[np.ix_(negi, negi)]
 
 
+def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)(k) = sum_m a(m) b(k - m) over Z_q^2."""
+    return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
+
+
 def par_t_fourier(ctx, E1, E2, E3, E4, t: int) -> FourierSplit:
     """Evaluate the frequency-side expansion of the one-side-length count.
 
-    total  = q^6 * sum_{m,n} ehat1(-m) ehat2(m) ehat3(-n) ehat4(n) shat_t(-m-n)
-    term_i = q^5 * sum_m ehat1(-m) ehat2(m) ehat3(m) ehat4(-m)
+    total  = q^6 * sum_{m,n} a(m) b(n) shat_t(-m-n)
+           = q^6 * sum_k shat_t(-k) (a * b)(k),
+    with a(m) = ehat1(-m) ehat2(m), b(n) = ehat3(-n) ehat4(n) and * the
+    cyclic convolution on the frequency plane, taken by FFT in O(q^2) memory;
+    term_i = q^5 * sum_m ehat1(-m) ehat2(m) ehat3(m) ehat4(-m).
 
     term_i is the diagonal n = -m normalized with circle mass 1/q, hence
     equals Par/q and carries no t dependence; term_ii = total - term_i.
-    Raises ToleranceExceeded when total is not within 1e-6 of an integer.
+
+    error_bound = 4 * eps * log2(q^2) * M, where M is the same sum over
+    absolute values, q^6 * sum_k |shat_t(-k)| (|a| * |b|)(k).  FFT rounding
+    error grows as eps * log2(n) times the magnitude of what is summed; over
+    full, dense, sparse, strip, circle and mixed sets at q <= 307 the error
+    reached at most 1.07 eps * log2(q^2) * M, and the factor 4 leaves room
+    above that.  Raises ToleranceExceeded when the bound is not below 1e-6,
+    so rounding cannot be certified, or when total is not within 1e-6 of an
+    integer.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    if q > FOURIER_Q_CAP:
-        raise ValueError(f"fourier counter is restricted to q <= {FOURIER_Q_CAP}")
     t %= q
 
     e1 = transform(ctx, E1).coeffs
@@ -336,20 +347,26 @@ def par_t_fourier(ctx, E1, E2, E3, E4, t: int) -> FourierSplit:
     # Writing the count as sum_v S_t(v) * sum_{x,y} E1(x)E2(x-v)E3(y)E4(y-v)
     # and expanding E2, E4 by inversion pairs E1 with E2 on one frequency and
     # E3 with E4 on the other.
-    a = (_negated(e1, q) * e2).reshape(-1)          # a[m] = ehat1(-m) ehat2(m)
-    b = (_negated(e3, q) * e4).reshape(-1)          # b[n] = ehat3(-n) ehat4(n)
-    st_flat = st.reshape(-1)
+    a = _negated(e1, q) * e2                        # a[m] = ehat1(-m) ehat2(m)
+    b = _negated(e3, q) * e4                        # b[n] = ehat3(-n) ehat4(n)
+    st_neg = _negated(st, q)                        # shat_t(-k)
 
-    pair_idx = _neg_sum_flat_index(q)
-    total = complex(q**6 * (a[:, None] * b[None, :] * st_flat[pair_idx]).sum())
+    total = complex(q**6 * (st_neg * _cyclic_convolution(a, b)).sum())
+    magnitude = q**6 * float(
+        (np.abs(st_neg) * _cyclic_convolution(np.abs(a), np.abs(b)).real).sum())
+    error_bound = 4 * np.finfo(float).eps * np.log2(q * q) * magnitude
 
-    b_neg = (_negated(e4, q) * e3).reshape(-1)      # b[-m] = ehat3(m) ehat4(-m)
+    b_neg = _negated(e4, q) * e3                    # b[-m] = ehat3(m) ehat4(-m)
     term_i = complex(q**5 * (a * b_neg).sum())
     term_ii = total - term_i
 
+    if error_bound >= ROUND_TOL:
+        raise ToleranceExceeded(
+            f"fourier error bound {error_bound:.3g} at q={q} cannot certify "
+            f"rounding to within {ROUND_TOL}")
     nearest = round(total.real)
     if abs(total - nearest) > ROUND_TOL:
         raise ToleranceExceeded(
             f"fourier total {total!r} is not within {ROUND_TOL} of an integer")
     return FourierSplit(term_i, term_ii, total, int(nearest), q, t,
-                        (len(E1), len(E2), len(E3), len(E4)))
+                        (len(E1), len(E2), len(E3), len(E4)), error_bound)

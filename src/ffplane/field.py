@@ -1,4 +1,4 @@
-"""Prime-field context: modular arithmetic, characters, and the Gauss sum.
+"""Prime-field context: the modular inverse, characters, and the Gauss sum.
 
 Field elements are plain Python ints in canonical residue form 0..q-1.
 A ``PrimeFieldCtx`` owns the modulus and two precomputed character tables:
@@ -47,34 +47,12 @@ class PrimeFieldCtx:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat: a^(q-2) mod q."""
         a %= self.q
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
         return pow(a, self.q - 2, self.q)
-
-    def arith(self, a: int, b: int, op: str) -> int:
-        """Dispatch form of add/sub/mul, handy for table-driven tests."""
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        raise ValueError(f"unknown op {op!r}")
 
     # -- characters ---------------------------------------------------------
 

@@ -5,35 +5,19 @@ bilinear form x.m = x1*m1 + x2*m2, so inversion reads
 f(x) = sum_m chi(m.x) * fhat(m) and Plancherel reads
 sum_m |fhat(m)|^2 = q^-2 * sum_x |f(x)|^2.
 
-Two transform paths are provided: a separated row-column pass in O(q^3)
-(the workhorse) and a literal O(q^4) double loop (the oracle); they must
-agree to 1e-9 and the test suite holds them to that.
+Under this convention q^2 * fhat is numpy's forward 2-D DFT,
+sum_x f(x) * exp(-2*pi*i*x.m/q), so the workhorse transform is fft2 / q^2
+and the inversion is q^2 * ifft2.  A literal O(q^4) double loop is kept as
+the oracle; the two must agree to 1e-9 and the test suite holds them to that.
 """
-
-import functools
 
 import numpy as np
 
 from .field import PrimeFieldCtx
-from .geometry import PointSet, circle, norm
+from .geometry import PointSet, circle, norm, norm_classes
 from .report import BoundReport, make_report, safe_ratio
 
 TOLERANCE = 1e-9
-
-
-@functools.lru_cache(maxsize=None)
-def _char_matrix(q: int) -> np.ndarray:
-    """W[a, b] = chi(-a*b) = exp(-2*pi*i*a*b/q), symmetric q x q."""
-    idx = np.arange(q)
-    prod = np.mod(np.outer(idx, idx), q)
-    return np.exp(-2j * np.pi * prod / q)
-
-
-def indicator_array(ps: PointSet) -> np.ndarray:
-    arr = np.zeros((ps.q, ps.q), dtype=np.float64)
-    for x1, x2 in ps.elements:
-        arr[x1, x2] = 1.0
-    return arr
 
 
 class Spectrum:
@@ -56,7 +40,7 @@ def _as_array(ctx: PrimeFieldCtx, f) -> np.ndarray:
     if isinstance(f, PointSet):
         if f.q != ctx.q:
             raise ValueError("point set and field context disagree on q")
-        return indicator_array(f)
+        return f.indicator
     arr = np.asarray(f, dtype=np.float64)
     if arr.shape != (ctx.q, ctx.q):
         raise ValueError(f"expected a {ctx.q}x{ctx.q} table, got {arr.shape}")
@@ -66,15 +50,13 @@ def _as_array(ctx: PrimeFieldCtx, f) -> np.ndarray:
 def transform(ctx: PrimeFieldCtx, f, method: str = "fast") -> Spectrum:
     """Fourier transform of a real table or point-set indicator.
 
-    method="fast" separates the two axes (two q x q matrix products);
+    method="fast" is numpy's 2-D FFT scaled by q^-2;
     method="oracle" evaluates every coefficient by the direct double sum.
     """
     q = ctx.q
     arr = _as_array(ctx, f)
     if method == "fast":
-        w = _char_matrix(q)
-        coeffs = (w @ arr @ w) / (q * q)
-        return Spectrum(q, coeffs)
+        return Spectrum(q, np.fft.fft2(arr) / (q * q))
     if method == "oracle":
         chi = ctx.chi_table
         coeffs = np.empty((q, q), dtype=np.complex128)
@@ -95,8 +77,7 @@ def transform(ctx: PrimeFieldCtx, f, method: str = "fast") -> Spectrum:
 def inverse(ctx: PrimeFieldCtx, spec: Spectrum) -> np.ndarray:
     """Inversion: f(x) = sum_m chi(m.x) * coeffs(m).  Returns a complex table."""
     q = ctx.q
-    wc = np.conj(_char_matrix(q))
-    return wc @ spec.coeffs @ wc
+    return (q * q) * np.fft.ifft2(spec.coeffs)
 
 
 def circle_spectrum_closed(ctx: PrimeFieldCtx, j: int, m) -> complex:
@@ -134,8 +115,7 @@ def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:
     spec = transform(ctx, circle(ctx, j), method="fast")
     mags = np.abs(spec.coeffs)
 
-    idx = np.arange(q)
-    norms = np.mod(np.add.outer(idx * idx, idx * idx), q)
+    norms = norm_classes(ctx)
     nonzero_mode = np.ones((q, q), dtype=bool)
     nonzero_mode[0, 0] = False
 

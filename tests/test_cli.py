@@ -47,8 +47,11 @@ def test_count_broadcasts_single_set_token(capsys):
      "bad set spec"),
     (["count", "--q", "5", "--t", "1", "--quantity", "rhom_t",
       "--method", "fourier", "--set", "full"], "par_t only"),
-    (["bench", "--q", "37", "--t", "1", "--methods", "fourier",
-      "--density", "0.1"], "capped"),
+    (["count", "--q", "5", "--t", "1", "--quantity", "degenerate",
+      "--method", "oracle", "--set", "full"], "oracle method applies to"),
+    (["vc", "--q", "7", "--t", "1", "--set", "full", "--cap", "-1"],
+     "--cap must be nonnegative"),
+    (["bench", "--q", "5", "--t", "1", "--runs", "0"], "--runs must be at least 1"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = run_cli(capsys, argv)
@@ -224,6 +227,29 @@ def test_bench_empty_sets(capsys):
     obj = json_lines(out)[0]
     assert all(r["value"] == 0 for r in obj["results"])
     assert obj["set_sizes"] == [0, 0, 0, 0]
+
+
+def test_fourier_past_its_error_bound_exits_1(capsys):
+    rc, out, err = run_cli(capsys, [
+        "count", "--q", "41", "--t", "1", "--quantity", "par_t",
+        "--method", "fourier", "--set", "full"])
+    assert rc == 1
+    assert "tolerance failure" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("quantity,methods", [
+    ("n_t", "oracle,fast"), ("par_t", "oracle,fast,fourier"),
+    ("par", "oracle,fast"), ("rhom_t", "oracle,fast"), ("degenerate", "fast")])
+def test_bench_covers_every_quantity(capsys, quantity, methods):
+    rc, out, _ = run_cli(capsys, [
+        "bench", "--q", "5", "--t", "1", "--quantity", quantity,
+        "--methods", methods, "--density", "0.5", "--runs", "1", "--seed", "3"])
+    assert rc == 0
+    obj = json_lines(out)[0]
+    assert obj["quantity"] == quantity
+    assert len(obj["set_sizes"]) == (2 if quantity == "n_t" else 4)
+    assert [r["method"] for r in obj["results"]] == methods.split(",")
 
 
 def test_bench_fourier_allowed_at_cap_boundary(capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_quadruple
 from ffplane.counting import (
-    FOURIER_Q_CAP,
     INT64_LIMIT,
     count_degenerate_rhom,
     count_par_all,
@@ -15,6 +14,7 @@ from ffplane.counting import (
     par_t_profile,
     table_products,
 )
+from ffplane.errors import ToleranceExceeded
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
     DifferenceTable,
@@ -153,6 +153,7 @@ def test_fourier_split_invariants(q):
         term_is = []
         for t in range(1, q):
             split = par_t_fourier(ctx, *sets, t)
+            assert abs(split.total - split.value) <= split.error_bound
             assert abs(split.total - (split.term_i + split.term_ii)) < 1e-6
             assert abs(split.total.imag) < 1e-6
             assert abs(split.term_i.imag) < 1e-6
@@ -163,12 +164,17 @@ def test_fourier_split_invariants(q):
         assert all(abs(x - base) < 1e-6 for x in term_is)
 
 
-def test_fourier_counter_is_capped():
+def test_fourier_error_bound_refuses_full_planes_past_q37():
+    # For four full planes M = Par_t = q^4 |S_t|, so the bound grows as q^5 log q.
     ctx = PrimeFieldCtx(37)
-    assert ctx.q > FOURIER_Q_CAP
-    E = PointSet(37, [(0, 0)])
-    with pytest.raises(ValueError):
-        par_t_fourier(ctx, E, E, E, E, 1)
+    plane = full_plane(ctx)
+    split = par_t_fourier(ctx, plane, plane, plane, plane, 1)
+    assert split.value == 37**4 * 36
+    assert abs(split.total - split.value) <= split.error_bound < 1e-6
+    ctx = PrimeFieldCtx(41)
+    plane = full_plane(ctx)
+    with pytest.raises(ToleranceExceeded):
+        par_t_fourier(ctx, plane, plane, plane, plane, 1)
 
 
 def test_mismatched_q_rejected(ctx5):
