@@ -189,6 +189,8 @@ ASSERTED_CHECKS = {"unit-distance", "par-vs-mean", "par-pairs",
 
 def _cmd_bounds(args) -> int:
     ctx = _make_ctx(args.q)
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     if args.density == "auto":
         density = None
     else:
@@ -333,6 +335,8 @@ def _cmd_bench(args) -> int:
     quantity = args.quantity
     t = _quantity_t(ctx, quantity, args.t)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise UsageError("--methods must name at least one method")
     for m in methods:
         _check_method(quantity, m)
     spec = args.set if args.set else f"random:{args.density}"

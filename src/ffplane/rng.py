@@ -42,10 +42,18 @@ class SplitMix64:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> list:
-        """In-place Fisher-Yates shuffle; returns the list for chaining."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle; returns the list for chaining.
+
+        Swap i (from the top down) uses ``next_below(i + 1)``; the draws are
+        taken at once, so the stream advances exactly as the scalar loop.
+        """
+        n = len(items)
+        if n > 1:
+            draws = splitmix64_u64(self.state, n - 1)
+            self.state = (self.state + (n - 1) * _GAMMA) & _MASK
+            picks = draws % np.arange(n, 1, -1, dtype=np.uint64)
+            for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
+                items[i], items[j] = items[j], items[i]
         return items
 
     def fork(self) -> "SplitMix64":
@@ -53,8 +61,8 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
-def splitmix64_floats(seed: int, n: int) -> np.ndarray:
-    """The first n ``next_float()`` draws of ``SplitMix64(seed)`` as one array.
+def splitmix64_u64(seed: int, n: int) -> np.ndarray:
+    """The first n ``next_u64()`` draws of ``SplitMix64(seed)`` as one array.
 
     The k-th state is seed + k * gamma mod 2^64, so every draw is computed
     at once; uint64 arithmetic wraps exactly as the scalar generator masks.
@@ -62,5 +70,9 @@ def splitmix64_floats(seed: int, n: int) -> np.ndarray:
     z = np.uint64(seed & _MASK) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix64_floats(seed: int, n: int) -> np.ndarray:
+    """The first n ``next_float()`` draws of ``SplitMix64(seed)`` as one array."""
+    return (splitmix64_u64(seed, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53

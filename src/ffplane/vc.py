@@ -11,15 +11,36 @@ The exhaustive VC search leans on one geometric fact: a shattered X (of any
 positive size) must realize the full trace X itself, so X sits inside a
 single neighborhood N(z).  Candidate subsets are therefore drawn from
 neighborhoods only, which keeps the size-4 refutation tractable while
-remaining exhaustive.
+remaining exhaustive.  Three more facts make it fast:
+
+* Fail fast.  A candidate's trace patterns are tested in order of falling
+  popcount, and the full pattern is skipped because z realizes it.  Two
+  distinct radius-t circles meet in at most 2 points, so a set of 3 or more
+  points lies in at most one neighborhood: no z' != z is adjacent to three
+  points of N(z), and a 4-set is refuted by its first popcount-3 pattern.
+  The same fact means the existence scan meets each 4-set exactly once
+  when it walks the neighborhoods one by one.
+* Symmetry.  The translations G = {g : E + g = E} are detected from E's
+  self-difference table (E + g = E iff D(g) = |E|).  Since
+  N(z + g) = N(z) + g, a set is shattered iff its translates are, so the
+  existence scan tests only candidates that hold the chosen representative
+  of some coset of G in E: one point for the full plane, one per line
+  b = const of a line-ap strip {(a, b) : b in X}.
+* find_shattered keeps the canonical scan in sorted order, merged lazily
+  from the sorted per-neighborhood streams, so it stops at the first hit.
 """
 
+import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidRadius, NotSubset
 from .field import PrimeFieldCtx
-from .geometry import PointSet, circle
+from .geometry import (PointSet, circle, difference_table, norm_classes,
+                       periodic, shift_meet)
 from .rng import SplitMix64
 
 
@@ -111,31 +132,55 @@ def shatters(sys: DistanceSystem, X) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=None)
+def _fail_fast_patterns(d: int) -> tuple:
+    """Trace patterns of a d-set as (inside, outside) position tuples, in
+    order of falling popcount, without the full pattern 2^d - 1."""
+    order = sorted(range((1 << d) - 1), key=lambda p: -p.bit_count())
+    return tuple((tuple(k for k in range(d) if p >> k & 1),
+                  tuple(k for k in range(d) if not p >> k & 1)) for p in order)
+
+
 def _shattered_by_masks(masks, universe, xs) -> bool:
-    """Bitmask equivalent of shatters() for index tuples (internal)."""
-    for pattern in range(1 << len(xs)):
+    """Bitmask equivalent of shatters() for a candidate index tuple (internal).
+
+    Precondition: xs lies inside some neighborhood N(z), so z realizes the
+    full pattern and it is not tested.  The others go most-populated first:
+    a pattern that asks for common neighbors of many points is the one a
+    failing set misses, so a failing set is refuted after a few patterns.
+    """
+    for inside, outside in _fail_fast_patterns(len(xs)):
         m = universe
-        for k, xi in enumerate(xs):
-            m &= masks[xi] if (pattern >> k) & 1 else universe ^ masks[xi]
-            if not m:
-                break
+        for k in inside:
+            m &= masks[xs[k]]
+        for k in outside:
+            m &= ~masks[xs[k]]
         if not m:
             return False
     return True
 
 
-def _candidate_index_subsets(sys: DistanceSystem, d: int) -> list:
-    """All d-subsets of E that lie inside at least one neighborhood.
+def _iter_candidates(sys: DistanceSystem, d: int):
+    """All d-subsets of E that lie inside at least one neighborhood, as
+    sorted index tuples in increasing order, each once.
 
     A shattered d-set (d >= 1) must itself be a realized trace, i.e. sit
     inside some N(z); no other subsets can qualify, so this enumeration is
-    exhaustive.  Returned sorted for deterministic scan order.
+    exhaustive.  The per-neighborhood combination streams are each sorted
+    and are merged lazily, so a scan that stops early builds no global list.
     """
-    seen = set()
-    for nbrs in sys._nbr_indices:
-        if len(nbrs) >= d:
-            seen.update(itertools.combinations(nbrs, d))
-    return sorted(seen)
+    streams = [itertools.combinations(nbrs, d)
+               for nbrs in sys._nbr_indices if len(nbrs) >= d]
+    last = None
+    for xs in heapq.merge(*streams):
+        if xs != last:
+            last = xs
+            yield xs
+
+
+def _candidate_index_subsets(sys: DistanceSystem, d: int) -> list:
+    """The candidates of _iter_candidates as one sorted list."""
+    return list(_iter_candidates(sys, d))
 
 
 def find_shattered(sys: DistanceSystem, d: int):
@@ -143,18 +188,56 @@ def find_shattered(sys: DistanceSystem, d: int):
     if d == 0:
         return () if len(sys.E) > 0 else None
     masks, universe = sys._masks, sys._universe
-    for xs in _candidate_index_subsets(sys, d):
+    for xs in _iter_candidates(sys, d):
         if _shattered_by_masks(masks, universe, xs):
             return tuple(sys._points[i] for i in xs)
     return None
 
 
-def _exists_shattered(sys: DistanceSystem, d: int) -> bool:
-    if d == 0:
-        return len(sys.E) > 0
+def translation_stabilizer(ctx: PrimeFieldCtx, E: PointSet) -> tuple:
+    """The translations g with E + g = E, row-major, (0, 0) first.
+
+    Detected, not assumed: D(g) = |E n (E + g)| in E's self-difference
+    table, so E + g = E exactly when D(g) = |E|.
+    """
+    table = difference_table(ctx, E, E).table
+    return tuple(map(tuple, np.argwhere(table == len(E)).tolist()))
+
+
+def _coset_representatives(sys: DistanceSystem, stabilizer) -> frozenset:
+    """Indices of the first point (in sorted order) of each coset x + G in E."""
+    q = sys.E.q
+    covered = set()
+    reps = []
+    for i, (p1, p2) in enumerate(sys._points):
+        if (p1, p2) not in covered:
+            reps.append(i)
+            covered.update(((p1 + g1) % q, (p2 + g2) % q) for g1, g2 in stabilizer)
+    return frozenset(reps)
+
+
+def _representative_candidates(sys: DistanceSystem, d: int, reps: frozenset):
+    """Per neighborhood, its d-subsets (d >= 1) that hold a representative.
+
+    Each is enumerated from its first representative r: r plus d - 1 points
+    drawn from the later points and the earlier non-representatives.  With
+    every point a representative this is itertools.combinations over the
+    neighborhood.
+    """
+    for nbrs in sys._nbr_indices:
+        skipped = ()
+        for k, r in enumerate(nbrs):
+            if r not in reps:
+                skipped += (r,)
+                continue
+            for rest in itertools.combinations(skipped + nbrs[k + 1:], d - 1):
+                yield (r,) + rest
+
+
+def _exists_shattered(sys: DistanceSystem, d: int, reps: frozenset) -> bool:
     masks, universe = sys._masks, sys._universe
     return any(_shattered_by_masks(masks, universe, xs)
-               for xs in _candidate_index_subsets(sys, d))
+               for xs in _representative_candidates(sys, d, reps))
 
 
 def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:
@@ -162,14 +245,16 @@ def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:
 
     Searches sizes in increasing order and stops at the first size with no
     shattered set (shattering is monotone under subsets, so no larger set
-    can be shattered either).
+    can be shattered either).  Each size scans only the candidates holding
+    a representative of a coset of E's translation stabilizer.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if len(sys.E) == 0:
         return -1
+    reps = _coset_representatives(sys, translation_stabilizer(sys.ctx, sys.E))
     d = 0
-    while d < cap and _exists_shattered(sys, d + 1):
+    while d < cap and _exists_shattered(sys, d + 1, reps):
         d += 1
     return d
 
@@ -231,8 +316,35 @@ def _add(p, s, q):
     return ((p[0] + s[0]) % q, (p[1] + s[1]) % q)
 
 
-def _sub(p, s, q):
-    return ((p[0] - s[0]) % q, (p[1] - s[1]) % q)
+def _points(ind: np.ndarray) -> list:
+    """The True cells of a q x q bool array as point tuples, row-major."""
+    rows, cols = np.nonzero(ind)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _first_point(ind: np.ndarray):
+    """The first row-major True cell of a q x q bool array, or None."""
+    flat = int(np.argmax(ind))
+    return divmod(flat, ind.shape[1]) if ind.flat[flat] else None
+
+
+def _mark(q: int, pts: np.ndarray) -> np.ndarray:
+    """The q x q bool indicator of an (n, 2) array of points."""
+    ind = np.zeros((q, q), dtype=bool)
+    ind[pts[:, 0], pts[:, 1]] = True
+    return ind
+
+
+def _first_side_t_pair(ax, dx, forbidden, q: int, t: int):
+    """The first (a, v) of ax x dx, a-major, with |a - v| = t and a - v not
+    in forbidden; or None."""
+    for a1, a2 in ax:
+        for v1, v2 in dx:
+            d1 = (a1 - v1) % q
+            d2 = (a2 - v2) % q
+            if (d1 * d1 + d2 * d2) % q == t and (d1, d2) not in forbidden:
+                return (a1, a2), (v1, v2)
+    return None
 
 
 def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
@@ -240,14 +352,19 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
 
     Steps: (1) keep vertices whose degree lies in [|E|/2q, 2|E|/q];
     (2) pick the direction u with |u| = t maximizing |E' n (E' - u)|
-    (lexicographic tie-break); (3) split that intersection E_u into three
-    round-robin parts A, B, C over a seeded shuffle, with D the rest of E'
-    (falling back to a four-way split of E_u when nothing is left over, as
-    happens for the full plane); (4) scan for a side-t rhombus
+    (first maximum in circle order); (3) split that intersection E_u into
+    three round-robin parts A, B, C over a seeded shuffle, with D the rest
+    of E' (falling back to a four-way split of E_u when nothing is left
+    over, as happens for the full plane); (4) scan for a side-t rhombus
     (x1, y123, x3, y13) in A x B x C x D whose three constrained pair
     differences avoid {u, -u}; (5) derive y12 = x1 + u, x2 = y123 + u,
     y23 = x3 + u; (6) pick per-vertex private neighbors y1, y2, y3 and an
     isolated y0.  Deterministic given (E, t, seed).
+
+    Every step runs on q x q indicators: degrees sum shifted views of 1_E,
+    the meets of step (2) and the per-direction parts of step (4) are
+    shift_meet windows, and step (6) takes the first row-major point of
+    1_E cut by circles around the x's.  Row-major order is sorted order.
     """
     q = ctx.q
     t %= q
@@ -256,64 +373,50 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     if len(E) < 11:
         return FailureReason("Pruned-empty",
                              f"need at least 11 points, set has {len(E)}")
-    sys = build_system(ctx, E, t)
+    ind = E.indicator
+    st = circle(ctx, t).elements
 
-    lo = len(E) / (2 * q)
-    hi = 2 * len(E) / q
-    kept = [x for x in sorted(E.elements)
-            if lo <= len(sys.neighborhoods[x]) <= hi]
-    if not kept:
+    tiled = periodic(ind)
+    degree = np.zeros((q, q), dtype=np.int64)
+    for s1, s2 in st:
+        degree += tiled[s1:s1 + q, s2:s2 + q]
+    kept = ind & (degree >= len(E) / (2 * q)) & (degree <= 2 * len(E) / q)
+    if not kept.any():
         return FailureReason("Pruned-empty", "degree window removed every vertex")
-    kset = frozenset(kept)
 
+    tiled_kept = periodic(kept)
     best_u, best_size = None, -1
-    for u in circle(ctx, t).elements:
-        size = sum(1 for x in kept if _add(x, u, q) in kset)
+    for u in st:
+        size = int(np.count_nonzero(shift_meet(kept, tiled_kept, u)))
         if size > best_size:
             best_u, best_size = u, size
     if best_size <= 0:
         return FailureReason("No-direction",
                              "no direction on the circle overlaps the pruned set")
     u = best_u
-    e_u = [x for x in kept if _add(x, u, q) in kset]
+    e_u = shift_meet(kept, tiled_kept, u)
 
-    rng = SplitMix64(seed)
-    order = rng.shuffle(list(e_u))
-    eu_set = frozenset(e_u)
-    part_d = [x for x in kept if x not in eu_set]
-    if part_d:
-        part_a, part_b, part_c = order[0::3], order[1::3], order[2::3]
+    order = np.array(SplitMix64(seed).shuffle(_points(e_u)), dtype=np.int64)
+    ind_d = kept & ~e_u
+    if ind_d.any():
+        ind_a, ind_b, ind_c = (_mark(q, order[k::3]) for k in range(3))
     else:
-        part_a, part_b, part_c, part_d = (order[0::4], order[1::4],
-                                          order[2::4], order[3::4])
+        ind_a, ind_b, ind_c, ind_d = (_mark(q, order[k::4]) for k in range(4))
 
-    excl = frozenset((u, (-u[0] % q, -u[1] % q)))
-    bmem = frozenset(part_b)
-    cmem = frozenset(part_c)
+    excl = (u, (-u[0] % q, -u[1] % q))
+    tiled_b, tiled_c = periodic(ind_b), periodic(ind_c)
     found = None
-    for x in circle(ctx, t).elements:
+    for x in st:
         if x in excl:
             continue
-        ax = sorted(a for a in part_a if _add(a, x, q) in bmem)
-        dx = sorted(v for v in part_d if _add(v, x, q) in cmem)
-        if not ax or not dx:
-            continue
-        for a in ax:
-            for v in dx:
-                d1 = (a[0] - v[0]) % q
-                d2 = (a[1] - v[1]) % q
-                if (d1 * d1 + d2 * d2) % q != t:
-                    continue
-                y123 = _add(a, x, q)
-                if _sub(y123, v, q) in excl:
-                    continue
-                if (d1, d2) in excl:
-                    continue
-                found = (a, y123, _add(v, x, q), v)
-                break
-            if found:
-                break
-        if found:
+        ax = np.argwhere(shift_meet(ind_a, tiled_b, x)).tolist()
+        dx = np.argwhere(shift_meet(ind_d, tiled_c, x)).tolist()
+        # y123 - v = (a - v) + x, so both exclusions are conditions on a - v.
+        forbidden = excl + tuple(((e1 - x[0]) % q, (e2 - x[1]) % q) for e1, e2 in excl)
+        pair = _first_side_t_pair(ax, dx, forbidden, q, t)
+        if pair:
+            a, v = pair
+            found = (a, _add(a, x, q), _add(v, x, q), v)
             break
     if found is None:
         return FailureReason("No-rhombus",
@@ -324,21 +427,12 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     y23 = _add(x3, u, q)
 
     xs = (x1, x2, x3)
+    on_circle = norm_classes(ctx) == t
+    adj = [np.roll(on_circle, xi, axis=(0, 1)) for xi in xs]
     privates = []
-    for i, xi in enumerate(xs):
-        others = [xs[j] for j in range(3) if j != i]
-        pick = None
-        for cand in sorted(sys.neighborhoods[xi]):
-            ok = True
-            for o in others:
-                d1 = (cand[0] - o[0]) % q
-                d2 = (cand[1] - o[1]) % q
-                if (d1 * d1 + d2 * d2) % q == t:
-                    ok = False
-                    break
-            if ok:
-                pick = cand
-                break
+    for i in range(3):
+        j, k = (m for m in range(3) if m != i)
+        pick = _first_point(ind & adj[i] & ~adj[j] & ~adj[k])
         if pick is None:
             return FailureReason(
                 "No-private-neighbor",
@@ -346,12 +440,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
         privates.append(pick)
     y1, y2, y3 = privates
 
-    n1, n2, n3 = (sys.neighborhoods[x] for x in xs)
-    y0 = None
-    for cand in sorted(E.elements):
-        if cand not in n1 and cand not in n2 and cand not in n3:
-            y0 = cand
-            break
+    y0 = _first_point(ind & ~(adj[0] | adj[1] | adj[2]))
     if y0 is None:
         return FailureReason("No-isolated-point",
                              "every point is adjacent to one of x1, x2, x3")

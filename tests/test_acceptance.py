@@ -246,7 +246,7 @@ def test_c08_line_ap_scaling():
 def test_c09_vc_dimension_exhaustive():
     ok = True
     with Timer() as tm:
-        for q in (7, 11):
+        for q in (7, 11, 13):
             ctx = PrimeFieldCtx(q)
             sys_ = build_system(ctx, full_plane(ctx), 1)
             if vc_dimension(sys_, cap=4) != 3:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -52,6 +53,10 @@ def test_count_broadcasts_single_set_token(capsys):
     (["vc", "--q", "7", "--t", "1", "--set", "full", "--cap", "-1"],
      "--cap must be nonnegative"),
     (["bench", "--q", "5", "--t", "1", "--runs", "0"], "--runs must be at least 1"),
+    (["bounds", "--q", "5", "--check", "unit-distance", "--trials", "-2"],
+     "--trials must be at least 1"),
+    (["bench", "--q", "5", "--t", "1", "--methods", ","],
+     "--methods must name at least one method"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = run_cli(capsys, argv)
@@ -173,6 +178,17 @@ def test_vc_subcommand(capsys):
     obj = json_lines(out)[0]
     assert obj["vc_dim"] == 3
     assert len(obj["shattered_example"]) == 3
+
+
+def test_vc_full_plane_q31_is_exhaustive_within_a_minute(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, ["vc", "--q", "31", "--t", "1", "--set", "full"])
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    obj = json_lines(out)[0]
+    assert obj["vc_dim"] == 3 and obj["size"] == 961
+    assert len(obj["shattered_example"]) == 3
+    assert elapsed < 60
 
 
 def test_witness_subcommand(capsys):

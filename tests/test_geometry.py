@@ -137,6 +137,18 @@ def test_random_set_matches_scalar_stream(q, density):
         assert gen_random_set(ctx, density, seed).elements == ref
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
+def test_shuffle_matches_scalar_stream(n):
+    for seed in (0, 99, 2**64 - 1):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        expected = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref.next_below(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        assert rng.shuffle(list(range(n))) == expected
+        assert rng.next_u64() == ref.next_u64()
+
+
 def test_indicator_matches_elements_and_is_read_only(ctx7):
     for ps in (PointSet(7, [(6, 0), (1, 2)]), gen_random_set(ctx7, 0.5, 3),
                circle(ctx7, 2), full_plane(ctx7), PointSet(7, [])):

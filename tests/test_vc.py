@@ -6,18 +6,31 @@ from hypothesis import strategies as st
 
 from ffplane.errors import InvalidRadius, NotSubset
 from ffplane.field import PrimeFieldCtx
-from ffplane.geometry import PointSet, circle, full_plane, gen_random_set
+from ffplane.geometry import (
+    PointSet,
+    circle,
+    full_plane,
+    gen_example_line_ap,
+    gen_random_set,
+)
 from ffplane.vc import (
+    WITNESS_LABELS,
     FailureReason,
     Witness,
     build_system,
     find_shattered,
     find_witness,
     shatters,
+    translation_stabilizer,
     vc_dimension,
     verify_witness,
 )
-from ffplane.vc import _candidate_index_subsets, _shattered_by_masks
+from ffplane.vc import (
+    _candidate_index_subsets,
+    _coset_representatives,
+    _representative_candidates,
+    _shattered_by_masks,
+)
 
 
 def naive_vc_dimension(sys, cap):
@@ -31,6 +44,12 @@ def naive_vc_dimension(sys, cap):
             return best
         best = d
     return best
+
+
+def naive_find_shattered(sys, d):
+    """Unpruned reference: the first shattered d-subset of sorted E."""
+    return next((xs for xs in itertools.combinations(sorted(sys.E.elements), d)
+                 if shatters(sys, xs)), None)
 
 
 def test_build_system_basics(ctx3):
@@ -122,6 +141,57 @@ def test_vc_dimension_of_full_plane_is_three(q):
     assert vc_dimension(sys_, cap=4) == 3
 
 
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([5, 7]),
+       kind=st.sampled_from(["random", "full", "strip", "column"]),
+       density=st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 2**32),
+       t=st.integers(1, 6))
+def test_search_agrees_with_naive_oracle(q, kind, density, seed, t):
+    ctx = PrimeFieldCtx(q)
+    if kind == "full":
+        E = full_plane(ctx)
+    elif kind == "strip":
+        E = gen_example_line_ap(ctx, range(1 + seed % (q - 1)))
+    elif kind == "column":
+        strip = gen_example_line_ap(ctx, range(1 + seed % (q - 1)))
+        E = PointSet(q, [(b, a) for a, b in strip])
+    else:
+        E = gen_random_set(ctx, density, seed)
+    sys_ = build_system(ctx, E, t % q or 1)
+    # The naive size-4 refutation enumerates every 4-subset; keep it to q = 5.
+    cap = 4 if q == 5 else 3
+    dim = vc_dimension(sys_, cap=cap)
+    assert dim == naive_vc_dimension(sys_, cap)
+    for d in range(1, min(dim + 1, cap) + 1):
+        assert find_shattered(sys_, d) == naive_find_shattered(sys_, d)
+
+
+def test_translation_stabilizer_is_detected():
+    ctx = PrimeFieldCtx(11)
+    assert translation_stabilizer(ctx, gen_random_set(ctx, 0.5, 3)) == ((0, 0),)
+    plane = translation_stabilizer(ctx, full_plane(ctx))
+    assert plane == tuple((a, b) for a in range(11) for b in range(11))
+    strip = gen_example_line_ap(ctx, [0, 1, 2, 5])
+    assert translation_stabilizer(ctx, strip) == tuple((a, 0) for a in range(11))
+
+
+@pytest.mark.parametrize("kind", ["random", "full", "strip", "column"])
+def test_representative_scan_meets_each_candidate_once(kind):
+    ctx = PrimeFieldCtx(7)
+    strip = gen_example_line_ap(ctx, [0, 1, 3])
+    E = {"random": gen_random_set(ctx, 0.6, 5), "full": full_plane(ctx),
+         "strip": strip, "column": PointSet(7, [(b, a) for a, b in strip])}[kind]
+    sys_ = build_system(ctx, E, 1)
+    reps = _coset_representatives(sys_, translation_stabilizer(ctx, E))
+    for d in (1, 2, 3, 4):
+        scanned = [tuple(sorted(xs))
+                   for xs in _representative_candidates(sys_, d, reps)]
+        assert set(scanned) == {xs for xs in _candidate_index_subsets(sys_, d)
+                                if reps.intersection(xs)}
+        if d >= 3:  # a 3-set lies in at most one neighborhood
+            assert len(scanned) == len(set(scanned))
+
+
 def test_find_shattered_returns_canonical_witness(ctx7):
     sys_ = build_system(ctx7, full_plane(ctx7), 1)
     found = find_shattered(sys_, 3)
@@ -157,6 +227,93 @@ def test_witness_pipeline_on_full_plane(q):
     assert ok, violations
     sys_ = build_system(ctx, E, 1)
     assert shatters(sys_, [w.x1, w.x2, w.x3])
+
+
+def _golden_set(ctx, kind, seed):
+    if kind == "full":
+        return full_plane(ctx)
+    if kind == "random":
+        return gen_random_set(ctx, 0.5, seed)
+    if kind == "strip":
+        return gen_example_line_ap(ctx, range(6))
+    shifted = [((p[0] + 1) % ctx.q, (p[1] + 2) % ctx.q) for p in circle(ctx, 1)]
+    return PointSet(ctx.q, shifted)
+
+
+# find_witness(ctx, set, 1, seed) as the set-based search (neighborhood
+# frozensets, sorted scans) computed it: the eleven labeled points in
+# WITNESS_LABELS order then u, or the failure's (step, detail).
+WITNESS_GOLDEN = {
+    (("full", 11), 0):
+        ((1, 10), (2, 0), (7, 7), (1, 0), (6, 7), (7, 8),
+         (2, 10), (0, 10), (2, 1), (1, 4), (0, 0), (0, 1)),
+    (("full", 11), 1):
+        ((1, 3), (2, 4), (8, 0), (1, 4), (7, 0), (8, 1),
+         (2, 3), (0, 3), (2, 5), (0, 5), (0, 0), (0, 1)),
+    (("full", 11), 7):
+        ((3, 4), (4, 5), (1, 9), (3, 5), (0, 9), (1, 10),
+         (4, 4), (0, 10), (1, 0), (1, 8), (0, 0), (0, 1)),
+    (("full", 17), 0):
+        ((1, 14), (2, 15), (15, 8), (1, 15), (14, 8), (15, 9),
+         (2, 14), (0, 14), (2, 16), (1, 5), (0, 0), (0, 1)),
+    (("full", 17), 1):
+        ((2, 3), (3, 4), (7, 9), (2, 4), (6, 9), (7, 10),
+         (3, 3), (1, 3), (0, 1), (1, 5), (0, 0), (0, 1)),
+    (("full", 17), 7):
+        ((2, 11), (3, 12), (6, 8), (2, 12), (5, 8), (6, 9),
+         (3, 11), (1, 11), (0, 9), (0, 4), (0, 0), (0, 1)),
+    (("full", 61), 0):
+        ((0, 4), (1, 5), (16, 56), (0, 5), (15, 56), (16, 57),
+         (1, 4), (0, 3), (1, 6), (1, 47), (0, 0), (0, 1)),
+    (("full", 61), 1):
+        ((0, 8), (1, 9), (16, 17), (0, 9), (15, 17), (16, 18),
+         (1, 8), (0, 7), (1, 10), (1, 26), (0, 0), (0, 1)),
+    (("full", 61), 7):
+        ((0, 1), (1, 2), (53, 47), (0, 2), (52, 47), (53, 48),
+         (1, 1), (0, 0), (1, 3), (1, 32), (0, 1), (0, 1)),
+    (("random", 53), 0):
+        ((6, 26), (25, 35), (14, 46), (25, 34), (14, 45), (33, 1),
+         (6, 27), (1, 46), (4, 49), (1, 9), (0, 1), (19, 8)),
+    (("random", 53), 1):
+        ((2, 48), (3, 49), (16, 32), (2, 49), (15, 32), (16, 33),
+         (3, 48), (6, 36), (3, 50), (2, 11), (0, 3), (0, 1)),
+    (("random", 53), 7):
+        ((4, 39), (5, 40), (20, 0), (5, 39), (20, 52), (21, 0),
+         (4, 40), (0, 27), (0, 7), (0, 5), (0, 0), (1, 0)),
+    (("random", 101), 0):
+        ((1, 38), (25, 82), (0, 39), (25, 81), (0, 38), (24, 82),
+         (1, 39), (6, 66), (2, 30), (5, 11), (0, 1), (24, 43)),
+    (("random", 101), 1):
+        ((1, 73), (29, 79), (33, 20), (29, 78), (33, 19), (61, 25),
+         (1, 74), (2, 73), (1, 84), (1, 67), (0, 3), (28, 5)),
+    (("random", 101), 7):
+        ((0, 6), (39, 62), (28, 2), (39, 61), (28, 1), (67, 57),
+         (0, 7), (0, 5), (7, 15), (1, 24), (0, 0), (39, 55)),
+    (("strip", 29), 0):
+        ("No-rhombus", "no side-t rhombus satisfies the direction exclusions"),
+    (("strip", 29), 1):
+        ("No-rhombus", "no side-t rhombus satisfies the direction exclusions"),
+    (("strip", 29), 7):
+        ("No-rhombus", "no side-t rhombus satisfies the direction exclusions"),
+    (("rigid", 13), 0):
+        ("Pruned-empty", "degree window removed every vertex"),
+    (("rigid", 13), 1):
+        ("Pruned-empty", "degree window removed every vertex"),
+    (("rigid", 13), 7):
+        ("Pruned-empty", "degree window removed every vertex"),
+}
+
+
+@pytest.mark.parametrize("case,seed", list(WITNESS_GOLDEN))
+def test_witness_matches_golden(case, seed):
+    kind, q = case
+    ctx = PrimeFieldCtx(q)
+    res = find_witness(ctx, _golden_set(ctx, kind, seed), 1, seed=seed)
+    if isinstance(res, Witness):
+        got = tuple(getattr(res, label) for label in WITNESS_LABELS) + (res.u,)
+    else:
+        got = (res.step, res.detail)
+    assert got == WITNESS_GOLDEN[case, seed]
 
 
 def test_witness_is_deterministic(ctx11):
