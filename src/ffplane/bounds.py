@@ -41,13 +41,39 @@ def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
     if t % q == 0:
         raise InvalidRadius("unit-distance check requires t != 0")
     n_t = count_unit_distances(ctx, U, V, t, method="fast").value
-    mean = len(U) * len(V) / q
+    return _unit_distance_report(q, t % q, n_t, [len(U), len(V)])
+
+
+# The verdicts of the three checks below are exact: multiplied by q and
+# squared, each inequality compares integers.  lhs, rhs, ratio and slack are
+# reported as floats.
+
+def unit_distance_holds(q: int, n_t: int, size_u: int, size_v: int) -> bool:
+    """|n_t - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), as
+    (q n_t - |U||V|)^2 <= 4 q^3 |U||V|."""
+    uv = size_u * size_v
+    return (q * n_t - uv) ** 2 <= 4 * q**3 * uv
+
+
+def par_mean_holds(q: int, par_t: int, par_all: int, prod: int) -> bool:
+    """|Par_t - Par/q| <= sqrt(q) sqrt(prod), as (q Par_t - Par)^2 <= q^3 prod."""
+    return (q * par_t - par_all) ** 2 <= q**3 * prod
+
+
+def par_pair_holds(q: int, par_t: int, par_t2: int, prod: int) -> bool:
+    """|Par_t - Par_t'| <= sqrt(q) sqrt(prod), as (Par_t - Par_t')^2 <= q prod."""
+    return (par_t - par_t2) ** 2 <= q * prod
+
+
+def _unit_distance_report(q, t, n_t, sizes) -> BoundReport:
+    mean = sizes[0] * sizes[1] / q
     lhs = abs(n_t - mean)
-    rhs = 2.0 * math.sqrt(q) * math.sqrt(len(U) * len(V))
+    rhs = 2.0 * math.sqrt(q) * math.sqrt(sizes[0] * sizes[1])
     return make_report(
         "unit-distance", lhs, rhs,
-        inputs={"q": q, "t": t % q, "sizes": [len(U), len(V)]},
+        inputs={"q": q, "t": t, "sizes": sizes},
         extra={"count": n_t, "mean": mean},
+        holds=unit_distance_holds(q, n_t, *sizes),
     )
 
 
@@ -58,6 +84,7 @@ def _par_mean_report(q, t, par_t, par_all, sizes) -> BoundReport:
         "par-vs-mean", lhs, rhs,
         inputs={"q": q, "t": t, "sizes": sizes},
         extra={"par_t": par_t, "par_all": par_all},
+        holds=par_mean_holds(q, par_t, par_all, math.prod(sizes)),
     )
 
 
@@ -88,6 +115,7 @@ def _par_pair_report(q, t, t2, par_t, par_t2, sizes) -> BoundReport:
         "par-pairs", lhs, rhs,
         inputs={"q": q, "t": t, "t2": t2, "sizes": sizes},
         extra={"par_t": par_t, "par_t2": par_t2},
+        holds=par_pair_holds(q, par_t, par_t2, math.prod(sizes)),
     )
 
 

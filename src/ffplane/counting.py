@@ -3,8 +3,10 @@
 Every quantity has at least two independent routes:
 
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
-* ``fast``   -- certified FFT difference tables and vectorized circle
-  probing on the sets' indicator arrays, the workhorse;
+* ``fast``   -- certified FFT difference tables for ``par_t`` and ``par``;
+  for ``n_t``, ``rhom_t`` and ``degenerate``, gathers of point lists on the
+  2q x 2q tiling of the indicator arrays (``periodic``), where a point plus
+  a circle offset is one flat index with no reduction mod q;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.
@@ -36,7 +38,6 @@ from .geometry import (
     difference_table,
     norm_classes,
     periodic,
-    shift_meet,
 )
 
 ROUND_TOL = 1e-6
@@ -97,18 +98,24 @@ def _require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
             raise ValueError("point sets and field context disagree on q")
 
 
-def _probe_count(q: int, points, target: np.ndarray, offsets) -> int:
-    """#{(p, s) : target[p + s]} over coordinate arrays, in bounded chunks."""
-    p1, p2 = points
-    s1, s2 = offsets
-    if not len(p1) or not len(s1):
+def _tiled_points(ind: np.ndarray) -> np.ndarray:
+    """Flat indices row * 2q + col of the True cells of a q x q array.
+
+    They index the flattened periodic() tiling, where a point p and an
+    offset s, both canonical, meet at p + s without reduction mod q.
+    """
+    rows, cols = np.nonzero(ind)
+    return rows * (2 * ind.shape[0]) + cols
+
+
+def _probe_count(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> int:
+    """#{(p, s) : tiled[p + s]} over flat tiled indices, in bounded chunks."""
+    if not len(points) or not len(offsets):
         return 0
-    flat_target = target.ravel()
-    step = max(1, _PROBE_CHUNK // len(s1))
+    step = max(1, _PROBE_CHUNK // len(offsets))
     total = 0
-    for i in range(0, len(p1), step):
-        flat = ((p1[i:i + step, None] + s1) % q) * q + (p2[i:i + step, None] + s2) % q
-        total += int(np.count_nonzero(flat_target[flat]))
+    for i in range(0, len(points), step):
+        total += int(np.count_nonzero(tiled[points[i:i + step, None] + offsets]))
     return total
 
 
@@ -130,8 +137,9 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
                     total += 1
     elif method == "fast":
         # v is at form-distance t from u iff v in u + S_t (S_t = -S_t).
-        st = np.nonzero(circle(ctx, t).indicator)
-        total = _probe_count(q, np.nonzero(U.indicator), V.indicator, st)
+        total = _probe_count(periodic(V.indicator).ravel(),
+                             _tiled_points(U.indicator),
+                             _tiled_points(circle(ctx, t).indicator))
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountResult(total, method, q, t, (len(U), len(V)))
@@ -262,26 +270,40 @@ def rhombus_directions(ctx, E1, E2, E3, E4, t: int) -> list:
 
     Each tuple is (|E12^x|, |E34^x|, rhom_x) with E12^x = E1 n (E2 - x),
     E34^x = E3 n (E4 - x) and rhom_x the pairs (u, v) in E12^x x E34^x
-    with |u - v| = t, counted by probing E34^x on u + S_t.
+    with |u - v| = t.  Both meets are gathers over the point lists of E1
+    and E3; rhom_x marks the four tiled copies of the larger meet in one
+    reusable 2q x 2q array and probes the smaller one on p + S_t, which
+    counts the same pairs because S_t = -S_t.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    st_set = circle(ctx, t % q)
-    st = np.nonzero(st_set.indicator)
+    st = _tiled_points(circle(ctx, t % q).indicator)
+    p1, p3 = _tiled_points(E1.indicator), _tiled_points(E3.indicator)
+    t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
+    # p + s reaches every quadrant of the tiling, so a marked point is
+    # marked in all four of its tiled copies.
+    marks = np.zeros(4 * q * q, dtype=bool)
+    copies = np.array([0, q, 2 * q * q, 2 * q * q + q])
     terms = []
-    i1, i3 = E1.indicator, E3.indicator
-    t2, t4 = periodic(E2.indicator), periodic(E4.indicator)
-    for x in st_set.elements:
-        e12 = shift_meet(i1, t2, x)
-        e34 = shift_meet(i3, t4, x)
-        rhom_x = _probe_count(q, np.nonzero(e12), e34, st)
-        terms.append((int(np.count_nonzero(e12)), int(np.count_nonzero(e34)), rhom_x))
+    for x in st.tolist():
+        e12 = p1[t2[p1 + x]]
+        e34 = p3[t4[p3 + x]]
+        probe, marked = (e12, e34) if len(e12) <= len(e34) else (e34, e12)
+        cells = (marked[:, None] + copies).ravel()
+        marks[cells] = True
+        rhom_x = _probe_count(marks, probe, st)
+        marks[cells] = False
+        terms.append((len(e12), len(e34), rhom_x))
     return terms
 
 
 def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
                           method: str = "fast") -> CountResult:
     """Rhombus tuples with v = u + x (the collapsed-diagonal case).
+
+    With y = u + x these are the pairs (y, x) with y in E2 n E3, |x| = t,
+    y - x in E1 and y + x in E4: two tiled gathers per pair, taking -x
+    from the negated circle offsets, in chunks of directions.
 
     Only the fast route exists; ``method`` is accepted so that all five
     counters share one call signature.
@@ -291,13 +313,16 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
-    i1, i3 = E1.indicator, E3.indicator
-    t2, t4 = periodic(E2.indicator), periodic(E4.indicator)
+    ys = _tiled_points(E2.indicator & E3.indicator)
+    rows, cols = np.nonzero(circle(ctx, t).indicator)
+    plus = rows * (2 * q) + cols
+    minus = (-rows % q) * (2 * q) + (-cols % q)
+    t1, t4 = periodic(E1.indicator).ravel(), periodic(E4.indicator).ravel()
+    step = max(1, _PROBE_CHUNK // max(len(ys), 1))
     total = 0
-    for x in circle(ctx, t).elements:
-        e12 = shift_meet(i1, t2, x)
-        e34 = shift_meet(i3, t4, x)
-        total += int(np.count_nonzero(shift_meet(e12, periodic(e34), x)))
+    for i in range(0, len(plus), step):
+        hit = t1[ys[:, None] + minus[i:i + step]] & t4[ys[:, None] + plus[i:i + step]]
+        total += int(np.count_nonzero(hit))
     return CountResult(total, "fast", q, t, (len(E1), len(E2), len(E3), len(E4)))
 
 

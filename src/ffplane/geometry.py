@@ -142,13 +142,15 @@ def norm_classes(ctx: PrimeFieldCtx) -> np.ndarray:
     return _norm_classes_cached(ctx.q)
 
 
-@functools.lru_cache(maxsize=None)
+# An all-t sweep at large q would otherwise keep q circles of q x q cells.
+@functools.lru_cache(maxsize=64)
 def _circle_cached(q: int, j: int) -> PointSet:
     return PointSet._from_indicator(q, _norm_classes_cached(q) == j)
 
 
 def circle(ctx: PrimeFieldCtx, j: int) -> PointSet:
-    """All points at form-value j from the origin.  Cached per (q, j)."""
+    """All points at form-value j from the origin.  The 64 most recently
+    used (q, j) are cached."""
     return _circle_cached(ctx.q, j % ctx.q)
 
 
@@ -200,7 +202,12 @@ def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet) -> Difference
 
 
 def periodic(ind: np.ndarray) -> np.ndarray:
-    """The 2q x 2q tiling of a q x q array, for shifted views (shift_meet)."""
+    """The 2q x 2q tiling of a q x q array.
+
+    It serves shifted views (shift_meet) and flat probes: flattened, it is
+    indexed by row * 2q + col, so canonical p and s meet at p + s with no
+    reduction mod q.
+    """
     return np.tile(ind, (2, 2))
 
 

@@ -53,13 +53,14 @@ class BoundReport:
 
 
 def make_report(name: str, lhs: float, rhs: float, inputs: dict,
-                extra: dict | None = None) -> BoundReport:
-    """Build a report with the standard verdict rule lhs <= rhs + eps."""
+                extra: dict | None = None, holds: bool | None = None) -> BoundReport:
+    """Build a report; the verdict is ``holds`` when given (an exact
+    comparison), otherwise the standard rule lhs <= rhs + eps."""
     return BoundReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs + VERDICT_EPS,
+        holds=lhs <= rhs + VERDICT_EPS if holds is None else holds,
         ratio=safe_ratio(lhs, rhs),
         inputs=inputs,
         extra=extra or {},

@@ -460,8 +460,9 @@ def verify_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, w: Witness):
     t %= q
     violations = []
     pts = w.labeled_points()
+    ind = E.indicator
     for label, p in pts.items():
-        if p not in E:
+        if not (0 <= p[0] < q and 0 <= p[1] < q and ind[p[0], p[1]]):
             violations.append(f"membership:{label}")
 
     xs = [("x1", w.x1), ("x2", w.x2), ("x3", w.x3)]

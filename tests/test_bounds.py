@@ -4,6 +4,9 @@ import pytest
 
 from conftest import random_quadruple
 from ffplane.bounds import (
+    _par_mean_report,
+    _par_pair_report,
+    _unit_distance_report,
     check_par_mean,
     check_par_mean_all,
     check_par_pair,
@@ -12,11 +15,15 @@ from ffplane.bounds import (
     check_rhom_relation,
     check_unit_distance,
     extreme_case_reports,
+    par_mean_holds,
+    par_pair_holds,
     sweep,
+    unit_distance_holds,
 )
 from ffplane.errors import InvalidPair, InvalidRadius
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import PointSet, full_plane
+from ffplane.report import VERDICT_EPS
 
 
 def test_unit_distance_fixture(ctx3):
@@ -146,3 +153,46 @@ def test_sweep_pinned_radius(ctx7):
 def test_extreme_cases_all_hold(ctx5):
     for rep in extreme_case_reports(ctx5, 1):
         assert rep.holds, rep
+
+
+# Synthetic integers at q = 3 with the right-hand side a perfect square, so
+# each inequality meets equality at an integer count: equality and one step
+# toward the centre hold, one step past fails.  k = 2^30 puts the counts
+# past 2^53, where float sides cannot tell the three apart.
+@pytest.mark.parametrize("k", [1, 2, 7, 2**30])
+def test_unit_distance_verdict_is_exact(k):
+    q, sizes = 3, [3 * k, k]                # 4 q^3 |U||V| = (18k)^2
+    edge = k * k + 6 * k                    # q n_t - |U||V| = 18k
+    assert unit_distance_holds(q, edge, *sizes)
+    assert unit_distance_holds(q, edge - 1, *sizes)
+    assert not unit_distance_holds(q, edge + 1, *sizes)
+    assert _unit_distance_report(q, 1, edge, sizes).holds
+    assert not _unit_distance_report(q, 1, edge + 1, sizes).holds
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 2**30])
+def test_par_mean_verdict_is_exact(k):
+    q, sizes = 3, [3 * k, k, 1, 1]          # q^3 prod = (9k)^2
+    par_all = 3 * 2**62
+    for edge, inward in ((2**62 + 3 * k, -1), (2**62 - 3 * k, 1)):
+        assert par_mean_holds(q, edge, par_all, 3 * k * k)
+        assert par_mean_holds(q, edge + inward, par_all, 3 * k * k)
+        assert not par_mean_holds(q, edge - inward, par_all, 3 * k * k)
+        rep = _par_mean_report(q, 1, edge, par_all, sizes)
+        assert rep.holds
+        if k == 2**30:
+            # sqrt(q) * sqrt(prod) rounds below 9k: the float rule fails here.
+            assert rep.lhs > rep.rhs + VERDICT_EPS
+        assert not _par_mean_report(q, 1, edge - inward, par_all, sizes).holds
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 2**30])
+def test_par_pair_verdict_is_exact(k):
+    q, sizes = 3, [3 * k, k, 1, 1]          # q prod = (3k)^2
+    base = 2**62
+    assert par_pair_holds(q, base + 3 * k, base, 3 * k * k)
+    assert par_pair_holds(q, base + 3 * k - 1, base, 3 * k * k)
+    assert not par_pair_holds(q, base + 3 * k + 1, base, 3 * k * k)
+    assert not par_pair_holds(q, base, base + 3 * k + 1, 3 * k * k)
+    assert _par_pair_report(q, 1, 2, base + 3 * k, base, sizes).holds
+    assert not _par_pair_report(q, 1, 2, base + 3 * k + 1, base, sizes).holds

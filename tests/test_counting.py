@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_quadruple
+from ffplane import counting
 from ffplane.counting import (
     INT64_LIMIT,
     count_degenerate_rhom,
@@ -12,6 +15,7 @@ from ffplane.counting import (
     par_t_fourier,
     norm_class_sums,
     par_t_profile,
+    rhombus_directions,
     table_products,
 )
 from ffplane.errors import ToleranceExceeded
@@ -20,6 +24,7 @@ from ffplane.geometry import (
     DifferenceTable,
     PointSet,
     circle,
+    difference_table,
     full_plane,
     gen_random_set,
     norm_classes,
@@ -255,3 +260,78 @@ def test_table_products_sum_in_python_ints_past_int64():
     profile = norm_class_sums(ctx, prod)
     assert profile == expected
     assert all(type(v) is int for v in profile)
+
+
+def _rhombus_direction_reference(ctx, E1, E2, E3, E4, t):
+    """Literal per-direction loop: (|E12^x|, |E34^x|, rhom_x) over S_t."""
+    q = ctx.q
+    terms = []
+    for x1, x2 in circle(ctx, t).elements:
+        e12 = [u for u in E1 if ((u[0] + x1) % q, (u[1] + x2) % q) in E2]
+        e34 = [v for v in E3 if ((v[0] + x1) % q, (v[1] + x2) % q) in E4]
+        rhom_x = sum(1 for u in e12 for v in e34
+                     if ((u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2) % q == t)
+        terms.append((len(e12), len(e34), rhom_x))
+    return terms
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_rhombus_directions_match_tables_and_literal_loop(q):
+    ctx = PrimeFieldCtx(q)
+    for seed in range(3):
+        sets = random_quadruple(ctx, seed * 31 + q, lo=0.1, hi=0.8)
+        d21 = difference_table(ctx, sets[1], sets[0])
+        d43 = difference_table(ctx, sets[3], sets[2])
+        for t in (0, 1, q - 1):
+            terms = rhombus_directions(ctx, *sets, t)
+            directions = circle(ctx, t).elements
+            assert [a for a, _, _ in terms] == [d21.count(x) for x in directions]
+            assert [b for _, b, _ in terms] == [d43.count(x) for x in directions]
+            assert terms == _rhombus_direction_reference(ctx, *sets, t)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_probe_chunking_does_not_change_counts(monkeypatch, q, chunk):
+    ctx = PrimeFieldCtx(q)
+    sets = random_quadruple(ctx, 4 * q + 1, lo=0.3, hi=0.9)
+    monkeypatch.setattr(counting, "_PROBE_CHUNK", chunk)
+    for t in (0, 1, q - 1):
+        assert count_unit_distances(ctx, *sets[:2], t, "fast").value == \
+            count_unit_distances(ctx, *sets[:2], t, "oracle").value
+        assert count_rhom_t(ctx, *sets, t, "fast").value == \
+            count_rhom_t(ctx, *sets, t, "oracle").value
+        assert count_degenerate_rhom(ctx, *sets, t).value == \
+            _degenerate_reference(ctx, *sets, t)
+
+
+def _boundary_or_random_set(q):
+    ctx = PrimeFieldCtx(q)
+    fixed = [PointSet(q, []), PointSet(q, [(1, q - 2)]), full_plane(ctx),
+             circle(ctx, 1)]
+    if q == 13:
+        fixed.append(PointSet(13, [(a, 5 * a % 13) for a in range(13)]))
+    random_sets = st.builds(lambda d, seed: gen_random_set(ctx, d, seed),
+                            st.floats(0.0, 0.6), st.integers(0, 2**32))
+    return st.one_of(st.sampled_from(fixed), random_sets)
+
+
+@st.composite
+def _rhombus_instances(draw):
+    q = draw(st.sampled_from([5, 7, 13]))
+    sets = [draw(_boundary_or_random_set(q)) for _ in range(4)]
+    return PrimeFieldCtx(q), sets, draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rhombus_instances())
+def test_rhombus_layer_fast_matches_oracle(instance):
+    ctx, sets, t = instance
+    assert count_unit_distances(ctx, *sets[:2], t, "fast").value == \
+        count_unit_distances(ctx, *sets[:2], t, "oracle").value
+    rhom = count_rhom_t(ctx, *sets, t, "oracle").value
+    deg = _degenerate_reference(ctx, *sets, t)
+    assert count_rhom_t(ctx, *sets, t, "fast").value == rhom
+    assert count_rhom_t(ctx, *sets, t, "fast",
+                        exclude_degenerate=True).value == rhom - deg
+    assert count_degenerate_rhom(ctx, *sets, t).value == deg

@@ -238,3 +238,12 @@ def test_json_format_errors(tmp_path):
     path.write_text('{"q": 5}')
     with pytest.raises(PointSetFormatError):
         load_point_set(str(path))
+
+
+def test_circle_cache_is_bounded():
+    limit = geometry._circle_cached.cache_info().maxsize
+    assert limit is not None
+    ctx = PrimeFieldCtx(101)
+    sizes = {len(geometry.circle(ctx, j)) for j in range(1, 101)}
+    assert sizes == {101 - ctx.eta(-1)}
+    assert 0 < geometry._circle_cached.cache_info().currsize <= limit < 101

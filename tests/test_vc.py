@@ -367,3 +367,18 @@ def test_verify_witness_flags_membership(ctx11):
     small = PointSet(11, [p for p in E.elements if p != w.y0])
     ok, violations = verify_witness(ctx11, small, 1, w)
     assert not ok and "membership:y0" in violations
+
+
+def test_verify_witness_flags_unreduced_points(ctx11):
+    # On the full plane every reduced point is a member, so a negative
+    # coordinate must not wrap round to one and an index past q must not raise.
+    E = full_plane(ctx11)
+    w = find_witness(ctx11, E, 1, seed=0)
+    import dataclasses
+    bad = dataclasses.replace(w, y0=(w.y0[0] - 11, w.y0[1]),
+                              y1=(w.y1[0], w.y1[1] + 11))
+    ok, violations = verify_witness(ctx11, E, 1, bad)
+    assert not ok
+    assert "membership:y0" in violations and "membership:y1" in violations
+    assert not any(v.startswith("membership:") and v not in
+                   ("membership:y0", "membership:y1") for v in violations)
