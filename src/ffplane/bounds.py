@@ -188,7 +188,7 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """Lower-bound scale for the rhombus count (recorded, never asserted).
 
     Reports ratio = Rhom_t * q^4 / (|E1||E2||E3||E4|) with the hypothesis
-    flag prod >= q^7; the verdict is merely ratio > 0 under the hypothesis
+    flag prod >= q^7; the verdict is merely Rhom_t > 0 under the hypothesis
     since the statement hides a constant.
     """
     q = ctx.q
@@ -206,7 +206,7 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
         name="rhom-lower",
         lhs=lhs,
         rhs=rhs,
-        holds=(ratio > 0.0) if hyp else True,
+        holds=rhom > 0 if hyp else True,
         ratio=ratio,
         inputs={"q": q, "t": t, "sizes": sizes},
         extra={"rhom_t": rhom, "hypothesis": hyp},

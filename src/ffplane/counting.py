@@ -38,6 +38,7 @@ from .geometry import (
     difference_table,
     norm_classes,
     periodic,
+    tiled_points,
 )
 
 ROUND_TOL = 1e-6
@@ -98,16 +99,6 @@ def _require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
             raise ValueError("point sets and field context disagree on q")
 
 
-def _tiled_points(ind: np.ndarray) -> np.ndarray:
-    """Flat indices row * 2q + col of the True cells of a q x q array.
-
-    They index the flattened periodic() tiling, where a point p and an
-    offset s, both canonical, meet at p + s without reduction mod q.
-    """
-    rows, cols = np.nonzero(ind)
-    return rows * (2 * ind.shape[0]) + cols
-
-
 def _probe_count(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> int:
     """#{(p, s) : tiled[p + s]} over flat tiled indices, in bounded chunks."""
     if not len(points) or not len(offsets):
@@ -138,8 +129,8 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
     elif method == "fast":
         # v is at form-distance t from u iff v in u + S_t (S_t = -S_t).
         total = _probe_count(periodic(V.indicator).ravel(),
-                             _tiled_points(U.indicator),
-                             _tiled_points(circle(ctx, t).indicator))
+                             tiled_points(U.indicator),
+                             tiled_points(circle(ctx, t).indicator))
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountResult(total, method, q, t, (len(U), len(V)))
@@ -277,8 +268,8 @@ def rhombus_directions(ctx, E1, E2, E3, E4, t: int) -> list:
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    st = _tiled_points(circle(ctx, t % q).indicator)
-    p1, p3 = _tiled_points(E1.indicator), _tiled_points(E3.indicator)
+    st = tiled_points(circle(ctx, t % q).indicator)
+    p1, p3 = tiled_points(E1.indicator), tiled_points(E3.indicator)
     t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
     # p + s reaches every quadrant of the tiling, so a marked point is
     # marked in all four of its tiled copies.
@@ -313,7 +304,7 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
-    ys = _tiled_points(E2.indicator & E3.indicator)
+    ys = tiled_points(E2.indicator & E3.indicator)
     rows, cols = np.nonzero(circle(ctx, t).indicator)
     plus = rows * (2 * q) + cols
     minus = (-rows % q) * (2 * q) + (-cols % q)

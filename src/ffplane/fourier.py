@@ -128,6 +128,7 @@ def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:
 
     rhs = 2.0 * q**-1.5
     strict_rhs = q**-1.5
+    # lhs is a float FFT modulus with no integer form, so verdicts keep the 1e-9 guard.
     extra = {
         "strict_rhs": strict_rhs,
         "holds_strict": max_regular <= strict_rhs + 1e-9,

@@ -211,6 +211,16 @@ def periodic(ind: np.ndarray) -> np.ndarray:
     return np.tile(ind, (2, 2))
 
 
+def tiled_points(ind: np.ndarray) -> np.ndarray:
+    """Flat indices row * 2q + col of the True cells of a q x q array.
+
+    They index the flattened periodic() tiling, where a point p and an
+    offset s, both canonical, meet at p + s without reduction mod q.
+    """
+    rows, cols = np.nonzero(ind)
+    return rows * (2 * ind.shape[0]) + cols
+
+
 def shift_meet(ind_i: np.ndarray, tiled_j: np.ndarray, x) -> np.ndarray:
     """Indicator of {u : ind_i[u] and ind_j[u + x]}, i.e. ind_i & roll(ind_j, -x).
 

@@ -10,22 +10,18 @@ subsets occurs as N(x) intersected with X for some x in E.
 The exhaustive VC search leans on one geometric fact: a shattered X (of any
 positive size) must realize the full trace X itself, so X sits inside a
 single neighborhood N(z).  Candidate subsets are therefore drawn from
-neighborhoods only, which keeps the size-4 refutation tractable while
-remaining exhaustive.  Three more facts make it fast:
+neighborhoods only, which keeps the search exhaustive.  Three more facts
+make it fast:
 
+* Certificate.  For x in a shattered X, the trace X minus {x} is realized by
+  some z' != z, so |X| - 1 <= |N(z) n N(z')| <= m, where
+  m = max over d != 0 of |S_t n (S_t + d)|.  No set of size m + 2 is
+  shattered, whatever E is, so the scan stops at size m + 1.  m is read
+  from the certified self-difference table of the circle S_t, never
+  assumed; it is 2, as two distinct radius-t circles meet in at most 2
+  points, so sizes beyond 3 are never scanned.
 * Fail fast.  A candidate's trace patterns are tested in order of falling
-  popcount, and the full pattern is skipped because z realizes it.  Two
-  distinct radius-t circles meet in at most 2 points, so a set of 3 or more
-  points lies in at most one neighborhood: no z' != z is adjacent to three
-  points of N(z), and a 4-set is refuted by its first popcount-3 pattern.
-  The same fact means the existence scan meets each 4-set exactly once
-  when it walks the neighborhoods one by one.
-* Symmetry.  The translations G = {g : E + g = E} are detected from E's
-  self-difference table (E + g = E iff D(g) = |E|).  Since
-  N(z + g) = N(z) + g, a set is shattered iff its translates are, so the
-  existence scan tests only candidates that hold the chosen representative
-  of some coset of G in E: one point for the full plane, one per line
-  b = const of a line-ap strip {(a, b) : b in X}.
+  popcount, and the full pattern is skipped because z realizes it.
 * find_shattered keeps the canonical scan in sorted order, merged lazily
   from the sorted per-neighborhood streams, so it stops at the first hit.
 """
@@ -40,64 +36,75 @@ import numpy as np
 from .errors import InvalidRadius, NotSubset
 from .field import PrimeFieldCtx
 from .geometry import (PointSet, circle, difference_table, norm_classes,
-                       periodic, shift_meet)
+                       periodic, shift_meet, tiled_points)
 from .rng import SplitMix64
+
+# Adjacency cells (rows x |E|) unpacked at once while packing the bitmasks.
+_MASK_CHUNK = 1 << 22
 
 
 class DistanceSystem:
     """Neighborhood family over E at radius t, with bitmask indexes.
 
-    ``neighborhoods`` maps each point of E to its frozen neighbor set.
-    Internally the points are held in sorted order with one adjacency
-    bitmask per point (bit j of mask i set iff point j lies in N(point i)),
-    which the subset searches use.
+    The points of E are held in sorted order.  ``nbr`` is build_system's
+    (|E|, |S_t|) array whose row i holds the index of point i + s for each
+    circle offset s, or -1 where that point is not in E.  From it come the
+    sorted neighbor indices of each point and one adjacency bitmask per
+    point (bit j of mask i set iff point j lies in N(point i)), which the
+    subset searches use.
     """
 
-    __slots__ = ("ctx", "E", "t", "neighborhoods",
-                 "_points", "_index", "_masks", "_universe", "_nbr_indices")
+    __slots__ = ("ctx", "E", "t", "_points", "_masks", "_universe", "_nbr_indices")
 
-    def __init__(self, ctx, E: PointSet, t: int, neighborhoods: dict):
+    def __init__(self, ctx, E: PointSet, t: int, nbr: np.ndarray):
         self.ctx = ctx
         self.E = E
         self.t = t
-        self.neighborhoods = neighborhoods
         self._points = tuple(sorted(E.elements))
-        self._index = {p: i for i, p in enumerate(self._points)}
+        n = len(self._points)
+        # -1 sorts first, so each row's neighbors follow its absent slots.
+        absent = np.count_nonzero(nbr < 0, axis=1).tolist()
+        self._nbr_indices = [tuple(row[k:]) for row, k in
+                             zip(np.sort(nbr, axis=1).tolist(), absent)]
         masks = []
-        nbr_indices = []
-        for p in self._points:
-            m = 0
-            idxs = []
-            for nb in neighborhoods[p]:
-                j = self._index[nb]
-                m |= 1 << j
-                idxs.append(j)
-            masks.append(m)
-            nbr_indices.append(tuple(sorted(idxs)))
+        step = max(1, _MASK_CHUNK // (n + 1))
+        for i in range(0, n, step):
+            block = nbr[i:i + step]
+            # Column n is a sink for the -1 (absent) entries and is dropped.
+            adj = np.zeros((len(block), n + 1), dtype=bool)
+            adj[np.arange(len(block))[:, None], block] = True
+            packed = np.packbits(adj[:, :n], axis=1, bitorder="little")
+            masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
         self._masks = masks
-        self._nbr_indices = nbr_indices
-        self._universe = (1 << len(self._points)) - 1
+        self._universe = (1 << n) - 1
 
-    def degree(self, x) -> int:
-        return len(self.neighborhoods[x])
+    @property
+    def neighborhoods(self) -> dict:
+        """Each point of E mapped to its frozen neighbor set (built on access)."""
+        pts = self._points
+        return {p: frozenset(pts[j] for j in nbrs)
+                for p, nbrs in zip(pts, self._nbr_indices)}
 
     def __repr__(self):
         return f"DistanceSystem(q={self.E.q}, t={self.t}, size={len(self.E)})"
 
 
 def build_system(ctx: PrimeFieldCtx, E: PointSet, t: int) -> DistanceSystem:
-    """Neighborhoods via circle probing: N(x) = (x + S_t) intersect E."""
+    """Neighborhoods via circle probing: N(x) = (x + S_t) intersect E.
+
+    One gather on the 2q x 2q tiling of E's rank array (the sorted index of
+    each member, -1 elsewhere) reads the neighbor index of every (x, s).
+    """
     q = ctx.q
     t %= q
     if t == 0:
         raise InvalidRadius("neighborhood radius must be nonzero")
-    st = circle(ctx, t).elements
-    members = E.member_set()
-    nbh = {}
-    for x1, x2 in E.elements:
-        ns = [((x1 + s1) % q, (x2 + s2) % q) for s1, s2 in st]
-        nbh[(x1, x2)] = frozenset(p for p in ns if p in members)
-    return DistanceSystem(ctx, E, t, nbh)
+    ind = E.indicator
+    rank = np.full((q, q), -1, dtype=np.int64)
+    rank[ind] = np.arange(len(E))
+    offsets = tiled_points(circle(ctx, t).indicator)
+    nbr = periodic(rank).ravel()[tiled_points(ind)[:, None] + offsets]
+    return DistanceSystem(ctx, E, t, nbr)
 
 
 def shatters(sys: DistanceSystem, X) -> bool:
@@ -106,6 +113,8 @@ def shatters(sys: DistanceSystem, X) -> bool:
     Collects the trace patterns {N(z) cut down to X : z in E} and stops as
     soon as all 2^|X| of them have appeared.  X = empty set is shattered
     exactly when E is nonempty (a realizing neighborhood must exist).
+    Adjacency is decided from the distance form itself, so this oracle
+    shares no code with build_system.
     """
     pts = [tuple(p) for p in X]
     if len(set(pts)) != len(pts):
@@ -116,14 +125,13 @@ def shatters(sys: DistanceSystem, X) -> bool:
     d = len(pts)
     if d == 0:
         return len(sys.E) > 0
+    q, t = sys.E.q, sys.t
     target = 1 << d
     seen = set()
-    nbh = sys.neighborhoods
-    for z in sys.E.elements:
-        nz = nbh[z]
+    for z1, z2 in sys.E.elements:
         pattern = 0
-        for k, x in enumerate(pts):
-            if x in nz:
+        for k, (x1, x2) in enumerate(pts):
+            if ((x1 - z1) ** 2 + (x2 - z2) ** 2) % q == t:
                 pattern |= 1 << k
         if pattern not in seen:
             seen.add(pattern)
@@ -194,50 +202,23 @@ def find_shattered(sys: DistanceSystem, d: int):
     return None
 
 
-def translation_stabilizer(ctx: PrimeFieldCtx, E: PointSet) -> tuple:
-    """The translations g with E + g = E, row-major, (0, 0) first.
-
-    Detected, not assumed: D(g) = |E n (E + g)| in E's self-difference
-    table, so E + g = E exactly when D(g) = |E|.
-    """
-    table = difference_table(ctx, E, E).table
-    return tuple(map(tuple, np.argwhere(table == len(E)).tolist()))
-
-
-def _coset_representatives(sys: DistanceSystem, stabilizer) -> frozenset:
-    """Indices of the first point (in sorted order) of each coset x + G in E."""
-    q = sys.E.q
-    covered = set()
-    reps = []
-    for i, (p1, p2) in enumerate(sys._points):
-        if (p1, p2) not in covered:
-            reps.append(i)
-            covered.update(((p1 + g1) % q, (p2 + g2) % q) for g1, g2 in stabilizer)
-    return frozenset(reps)
+def _max_circle_meet(ctx: PrimeFieldCtx, t: int) -> int:
+    """m = max over d != 0 of |S_t n (S_t + d)|, the (0, 0)-zeroed maximum
+    of S_t's certified self-difference table."""
+    s_t = circle(ctx, t)
+    table = difference_table(ctx, s_t, s_t).table.copy()
+    table[0, 0] = 0
+    return int(table.max())
 
 
-def _representative_candidates(sys: DistanceSystem, d: int, reps: frozenset):
-    """Per neighborhood, its d-subsets (d >= 1) that hold a representative.
-
-    Each is enumerated from its first representative r: r plus d - 1 points
-    drawn from the later points and the earlier non-representatives.  With
-    every point a representative this is itertools.combinations over the
-    neighborhood.
-    """
-    for nbrs in sys._nbr_indices:
-        skipped = ()
-        for k, r in enumerate(nbrs):
-            if r not in reps:
-                skipped += (r,)
-                continue
-            for rest in itertools.combinations(skipped + nbrs[k + 1:], d - 1):
-                yield (r,) + rest
-
-
-def _exists_shattered(sys: DistanceSystem, d: int, reps: frozenset) -> bool:
+def _exists_shattered(sys: DistanceSystem, d: int) -> bool:
+    """Whether some d-subset (d >= 1) of a neighborhood is shattered.  Two
+    distinct circles meet in at most 2 points, so a candidate of 3 or more
+    points lies in one neighborhood and is met once."""
     masks, universe = sys._masks, sys._universe
     return any(_shattered_by_masks(masks, universe, xs)
-               for xs in _representative_candidates(sys, d, reps))
+               for nbrs in sys._nbr_indices
+               for xs in itertools.combinations(nbrs, d))
 
 
 def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:
@@ -245,16 +226,16 @@ def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:
 
     Searches sizes in increasing order and stops at the first size with no
     shattered set (shattering is monotone under subsets, so no larger set
-    can be shattered either).  Each size scans only the candidates holding
-    a representative of a coset of E's translation stabilizer.
+    can be shattered either), or after size m + 1, past which the module's
+    certificate rules shattering out.  The answer is exhaustive up to cap.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if len(sys.E) == 0:
         return -1
-    reps = _coset_representatives(sys, translation_stabilizer(sys.ctx, sys.E))
+    limit = min(cap, _max_circle_meet(sys.ctx, sys.t) + 1)
     d = 0
-    while d < cap and _exists_shattered(sys, d + 1, reps):
+    while d < limit and _exists_shattered(sys, d + 1):
         d += 1
     return d
 

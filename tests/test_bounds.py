@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import random_quadruple
+from ffplane import bounds
 from ffplane.bounds import (
     _par_mean_report,
     _par_pair_report,
@@ -20,6 +21,7 @@ from ffplane.bounds import (
     sweep,
     unit_distance_holds,
 )
+from ffplane.counting import CountResult
 from ffplane.errors import InvalidPair, InvalidRadius
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import PointSet, full_plane
@@ -103,6 +105,21 @@ def test_rhom_lower_empty(ctx5):
     empty = PointSet(5, [])
     rep = check_rhom_lower(ctx5, empty, empty, empty, empty, 1)
     assert rep.ratio == 0 and not rep.extra["hypothesis"] and rep.holds
+
+
+@pytest.mark.parametrize("e4_size,rhom,holds", [
+    (5, 0, False),  # prod = 25^3 * 5 = q^7: the hypothesis holds
+    (5, 1, True),
+    (4, 0, True),   # prod < q^7: no hypothesis, so no verdict
+])
+def test_rhom_lower_verdict_is_exact(monkeypatch, ctx5, e4_size, rhom, holds):
+    monkeypatch.setattr(bounds, "count_rhom_t",
+                        lambda ctx, *sets, **kw: CountResult(rhom, "fast", 5, 1, ()))
+    plane = full_plane(ctx5)
+    E4 = PointSet(5, [(0, b) for b in range(e4_size)])
+    rep = check_rhom_lower(ctx5, plane, plane, plane, E4, 1)
+    assert rep.extra["hypothesis"] is (e4_size == 5)
+    assert rep.holds is holds
 
 
 @pytest.mark.parametrize("q", [5, 7])

@@ -180,15 +180,23 @@ def test_vc_subcommand(capsys):
     assert len(obj["shattered_example"]) == 3
 
 
-def test_vc_full_plane_q31_is_exhaustive_within_a_minute(capsys):
+def _check_vc_full_plane(capsys, q, seconds):
     start = time.perf_counter()
-    rc, out, _ = run_cli(capsys, ["vc", "--q", "31", "--t", "1", "--set", "full"])
+    rc, out, _ = run_cli(capsys, ["vc", "--q", str(q), "--t", "1", "--set", "full"])
     elapsed = time.perf_counter() - start
     assert rc == 0
     obj = json_lines(out)[0]
-    assert obj["vc_dim"] == 3 and obj["size"] == 961
+    assert obj["vc_dim"] == 3 and obj["size"] == q * q
     assert len(obj["shattered_example"]) == 3
-    assert elapsed < 60
+    assert elapsed < seconds
+
+
+def test_vc_full_plane_q31_is_exhaustive_within_a_minute(capsys):
+    _check_vc_full_plane(capsys, 31, 60)
+
+
+def test_vc_full_plane_q101_is_exhaustive_within_20s(capsys):
+    _check_vc_full_plane(capsys, 101, 20)
 
 
 def test_witness_subcommand(capsys):

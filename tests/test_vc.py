@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffplane import vc
 from ffplane.errors import InvalidRadius, NotSubset
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -21,14 +22,12 @@ from ffplane.vc import (
     find_shattered,
     find_witness,
     shatters,
-    translation_stabilizer,
     vc_dimension,
     verify_witness,
 )
 from ffplane.vc import (
     _candidate_index_subsets,
-    _coset_representatives,
-    _representative_candidates,
+    _max_circle_meet,
     _shattered_by_masks,
 )
 
@@ -72,6 +71,26 @@ def test_neighborhood_symmetry_and_no_self_loops(q, seed):
         assert x not in sys_.neighborhoods[x]
         for y in sys_.neighborhoods[x]:
             assert x in sys_.neighborhoods[y]
+
+
+@pytest.mark.parametrize("chunk", [1, 200, 1 << 22])
+def test_build_system_matches_literal_neighborhoods(monkeypatch, chunk):
+    # chunk sets the rows packed per bitmask block: 1, 3 and all of them.
+    monkeypatch.setattr(vc, "_MASK_CHUNK", chunk)
+    ctx = PrimeFieldCtx(11)
+    pts = list(gen_random_set(ctx, 0.5, 9).elements)
+    E = PointSet(11, pts[::-1])  # elements out of sorted order
+    order = sorted(pts)
+    index = {p: i for i, p in enumerate(order)}
+    for t in (1, 3):
+        sys_ = build_system(ctx, E, t)
+        ref = {x: frozenset(y for y in pts
+                            if ((x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2) % 11 == t)
+               for x in pts}
+        assert sys_.neighborhoods == ref
+        assert sys_._nbr_indices == [tuple(sorted(index[y] for y in ref[x]))
+                                     for x in order]
+        assert sys_._masks == [sum(1 << index[y] for y in ref[x]) for x in order]
 
 
 def test_shatters_empty_set_rules(ctx5):
@@ -166,30 +185,28 @@ def test_search_agrees_with_naive_oracle(q, kind, density, seed, t):
         assert find_shattered(sys_, d) == naive_find_shattered(sys_, d)
 
 
-def test_translation_stabilizer_is_detected():
-    ctx = PrimeFieldCtx(11)
-    assert translation_stabilizer(ctx, gen_random_set(ctx, 0.5, 3)) == ((0, 0),)
-    plane = translation_stabilizer(ctx, full_plane(ctx))
-    assert plane == tuple((a, b) for a in range(11) for b in range(11))
-    strip = gen_example_line_ap(ctx, [0, 1, 2, 5])
-    assert translation_stabilizer(ctx, strip) == tuple((a, 0) for a in range(11))
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 29])
+def test_circle_meet_certificate_is_two(q):
+    # q = 1 and q = 3 mod 4 alike: two distinct radius-t circles meet in at
+    # most 2 points, and some pair meets in exactly 2.
+    ctx = PrimeFieldCtx(q)
+    assert [_max_circle_meet(ctx, t) for t in range(1, q)] == [2] * (q - 1)
 
 
-@pytest.mark.parametrize("kind", ["random", "full", "strip", "column"])
-def test_representative_scan_meets_each_candidate_once(kind):
-    ctx = PrimeFieldCtx(7)
-    strip = gen_example_line_ap(ctx, [0, 1, 3])
-    E = {"random": gen_random_set(ctx, 0.6, 5), "full": full_plane(ctx),
-         "strip": strip, "column": PointSet(7, [(b, a) for a, b in strip])}[kind]
+@pytest.mark.parametrize("q,spec", [
+    (11, "full"), (13, "full"), (23, "random:0.5"), (19, "line-ap:0:1:6"),
+])
+def test_no_four_set_is_shattered(q, spec):
+    # Audits the certificate that stops vc_dimension at size m + 1 = 3: the
+    # exhaustive size-4 scan over every candidate finds nothing.
+    ctx = PrimeFieldCtx(q)
+    E = {"full": full_plane(ctx), "random:0.5": gen_random_set(ctx, 0.5, 0),
+         "line-ap:0:1:6": gen_example_line_ap(ctx, range(6))}[spec]
     sys_ = build_system(ctx, E, 1)
-    reps = _coset_representatives(sys_, translation_stabilizer(ctx, E))
-    for d in (1, 2, 3, 4):
-        scanned = [tuple(sorted(xs))
-                   for xs in _representative_candidates(sys_, d, reps)]
-        assert set(scanned) == {xs for xs in _candidate_index_subsets(sys_, d)
-                                if reps.intersection(xs)}
-        if d >= 3:  # a 3-set lies in at most one neighborhood
-            assert len(scanned) == len(set(scanned))
+    candidates = _candidate_index_subsets(sys_, 4)
+    assert candidates
+    assert not any(_shattered_by_masks(sys_._masks, sys_._universe, xs)
+                   for xs in candidates)
 
 
 def test_find_shattered_returns_canonical_witness(ctx7):
