@@ -7,17 +7,17 @@ relation with its factor-2 constant) are asserted by the test suite on
 every instance; order-of-magnitude statements are recorded as ratios with
 their hypothesis flags and never hard-asserted, because they hide
 unspecified constants.
+
+Checkers and sweeps derive reports through one per-instance path.  A sweep
+draws each trial's sets once, U, V, E3, E4; a check on k sets draws its
+radii from a copy of the trial stream after the k-th set, so its reports do
+not depend on the checks run beside it.
 """
 
 import dataclasses
 import math
 
-from .counting import (
-    count_rhom_t,
-    count_unit_distances,
-    par_t_profile,
-    rhombus_directions,
-)
+from .counting import count_unit_distances, par_t_profile, rhombus_directions
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
 from .fourier import check_circle_decay
@@ -34,14 +34,20 @@ CHECK_NAMES = (
     "circle-decay",
 )
 
+# Sets a check reads per sweep trial; every other check reads E1..E4.
+_SET_COUNT = {"unit-distance": 2, "circle-decay": 0}
+
+
+def _radius(ctx, t: int, what: str) -> int:
+    if t % ctx.q == 0:
+        raise InvalidRadius(f"{what} requires t != 0")
+    return t % ctx.q
+
 
 def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
     """|N_t(U,V) - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), any nonzero t."""
-    q = ctx.q
-    if t % q == 0:
-        raise InvalidRadius("unit-distance check requires t != 0")
-    n_t = count_unit_distances(ctx, U, V, t, method="fast").value
-    return _unit_distance_report(q, t % q, n_t, [len(U), len(V)])
+    t = _radius(ctx, t, "unit-distance check")
+    return _reports(ctx, "unit-distance", (U, V), [t], {})[0]
 
 
 # The verdicts of the three checks below are exact: multiplied by q and
@@ -90,22 +96,13 @@ def _par_mean_report(q, t, par_t, par_all, sizes) -> BoundReport:
 
 def check_par_mean(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """|Par_t - Par/q| <= sqrt(q) * sqrt(|E1||E2||E3||E4|), unconditional."""
-    q = ctx.q
-    if t % q == 0:
-        raise InvalidRadius("one-side-length check requires t != 0")
-    profile = par_t_profile(ctx, E1, E2, E3, E4)
-    sizes = [len(E1), len(E2), len(E3), len(E4)]
-    return _par_mean_report(q, t % q, profile[t % q], sum(profile.values()), sizes)
+    t = _radius(ctx, t, "one-side-length check")
+    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), [t], {})[0]
 
 
 def check_par_mean_all(ctx, E1, E2, E3, E4) -> list:
     """Mean-concentration reports for every nonzero t, one table pass."""
-    q = ctx.q
-    profile = par_t_profile(ctx, E1, E2, E3, E4)
-    par_all = sum(profile.values())
-    sizes = [len(E1), len(E2), len(E3), len(E4)]
-    return [_par_mean_report(q, t, profile[t], par_all, sizes)
-            for t in range(1, q)]
+    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q), {})
 
 
 def _par_pair_report(q, t, t2, par_t, par_t2, sizes) -> BoundReport:
@@ -121,55 +118,29 @@ def _par_pair_report(q, t, t2, par_t, par_t2, sizes) -> BoundReport:
 
 def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
     """|Par_t - Par_t'| <= sqrt(q) * sqrt(|E1||E2||E3||E4|) for t != t'."""
-    q = ctx.q
-    t %= q
-    t2 %= q
-    if t == t2:
+    if (t - t2) % ctx.q == 0:
         raise InvalidPair("the two radii must differ")
-    if t == 0 or t2 == 0:
-        raise InvalidRadius("pair check requires both radii nonzero")
-    profile = par_t_profile(ctx, E1, E2, E3, E4)
-    sizes = [len(E1), len(E2), len(E3), len(E4)]
-    return _par_pair_report(q, t, t2, profile[t], profile[t2], sizes)
+    pair = (_radius(ctx, t, "pair check"), _radius(ctx, t2, "pair check"))
+    return _reports(ctx, "par-pairs", (E1, E2, E3, E4), [pair], {})[0]
 
 
 def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
     """Pair reports for every unordered {t, t'} in F_q*, one table pass."""
-    q = ctx.q
-    profile = par_t_profile(ctx, E1, E2, E3, E4)
-    sizes = [len(E1), len(E2), len(E3), len(E4)]
-    return [
-        _par_pair_report(q, t, t2, profile[t], profile[t2], sizes)
-        for t in range(1, q)
-        for t2 in range(t + 1, q)
-    ]
+    return _reports(ctx, "par-pairs", (E1, E2, E3, E4),
+                    _radii(ctx, "par-pairs", all_t=True), {})
 
 
-def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
-    """Two-tier rhombus-vs-parallelogram relation at side-length t.
-
-    Tier A (asserted): the per-direction form with the factor-2 constant,
-    |Rhom_t - sum_x |E12^x||E34^x| / q| <= 2 sqrt(q) sum_x sqrt(|E12^x||E34^x|)
-    summing over |x| = t.  Tier B (recorded in ``extra``): the sharper
-    display sqrt(q) sqrt(|E1||E2|/q) sqrt(|E3||E4|/q), meaningful under the
-    density hypothesis |E1||E2|, |E3||E4| >= q^3.
-    """
-    q = ctx.q
-    if t % q == 0:
-        raise InvalidRadius("rhombus relation requires t != 0")
-    t %= q
-    rhom = 0
-    sum_prod = 0
+def _rhom_relation_report(q, t, sizes, terms) -> BoundReport:
+    rhom = sum_prod = 0
     sum_sqrt = 0.0
-    for a, b, rhom_x in rhombus_directions(ctx, E1, E2, E3, E4, t):
+    for a, b, rhom_x in terms:
         rhom += rhom_x
         sum_prod += a * b
         sum_sqrt += math.sqrt(a * b)
     lhs = abs(rhom - sum_prod / q)
     rhs = 2.0 * math.sqrt(q) * sum_sqrt
-    sizes = [len(E1), len(E2), len(E3), len(E4)]
-    p12 = len(E1) * len(E2)
-    p34 = len(E3) * len(E4)
+    p12 = sizes[0] * sizes[1]
+    p34 = sizes[2] * sizes[3]
     rhs_sharp = math.sqrt(q) * math.sqrt(p12 / q) * math.sqrt(p34 / q)
     return make_report(
         "rhom-vs-par", lhs, rhs,
@@ -184,6 +155,30 @@ def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     )
 
 
+def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
+    """Two-tier rhombus-vs-parallelogram relation at side-length t.
+
+    Tier A (asserted): the per-direction form with the factor-2 constant,
+    |Rhom_t - sum_x |E12^x||E34^x| / q| <= 2 sqrt(q) sum_x sqrt(|E12^x||E34^x|)
+    summing over |x| = t.  Tier B (recorded in ``extra``): the sharper
+    display sqrt(q) sqrt(|E1||E2|/q) sqrt(|E3||E4|/q), meaningful under the
+    density hypothesis |E1||E2|, |E3||E4| >= q^3.
+    """
+    t = _radius(ctx, t, "rhombus relation")
+    return _reports(ctx, "rhom-vs-par", (E1, E2, E3, E4), [t], {})[0]
+
+
+def _rhom_lower_report(q, t, sizes, rhom) -> BoundReport:
+    prod = math.prod(sizes)
+    hyp = prod >= q**7
+    return make_report(
+        "rhom-lower", float(rhom * q**4), float(prod),
+        inputs={"q": q, "t": t, "sizes": sizes},
+        extra={"rhom_t": rhom, "hypothesis": hyp},
+        holds=rhom > 0 if hyp else True,
+    )
+
+
 def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """Lower-bound scale for the rhombus count (recorded, never asserted).
 
@@ -191,26 +186,34 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     flag prod >= q^7; the verdict is merely Rhom_t > 0 under the hypothesis
     since the statement hides a constant.
     """
+    t = _radius(ctx, t, "rhombus lower check")
+    return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {})[0]
+
+
+def _reports(ctx, check: str, sets, radii, memo: dict) -> list:
+    """One check's reports on one instance, one per radius (radius pair for
+    par-pairs); ``memo`` keeps the profile and per-t rhombus terms of E1..E4."""
     q = ctx.q
-    if t % q == 0:
-        raise InvalidRadius("rhombus lower check requires t != 0")
-    t %= q
-    rhom = count_rhom_t(ctx, E1, E2, E3, E4, t, method="fast").value
-    sizes = [len(E1), len(E2), len(E3), len(E4)]
-    prod = math.prod(sizes)
-    hyp = prod >= q**7
-    lhs = float(rhom * q**4)
-    rhs = float(prod)
-    ratio = lhs / rhs if rhs else 0.0
-    return BoundReport(
-        name="rhom-lower",
-        lhs=lhs,
-        rhs=rhs,
-        holds=rhom > 0 if hyp else True,
-        ratio=ratio,
-        inputs={"q": q, "t": t, "sizes": sizes},
-        extra={"rhom_t": rhom, "hypothesis": hyp},
-    )
+    sizes = [len(s) for s in sets]
+    if check == "unit-distance":
+        counts = [count_unit_distances(ctx, *sets, t).value for t in radii]
+        return [_unit_distance_report(q, t, n, sizes) for t, n in zip(radii, counts)]
+    if check in ("par-vs-mean", "par-pairs"):
+        if "profile" not in memo:
+            memo["profile"] = par_t_profile(ctx, *sets)
+        profile = memo["profile"]
+        if check == "par-pairs":
+            return [_par_pair_report(q, t, t2, profile[t], profile[t2], sizes)
+                    for t, t2 in radii]
+        par_all = sum(profile.values())
+        return [_par_mean_report(q, t, profile[t], par_all, sizes) for t in radii]
+    for t in radii:
+        if t not in memo:
+            memo[t] = rhombus_directions(ctx, *sets, t)
+    if check == "rhom-vs-par":
+        return [_rhom_relation_report(q, t, sizes, memo[t]) for t in radii]
+    return [_rhom_lower_report(q, t, sizes, sum(r for _, _, r in memo[t]))
+            for t in radii]
 
 
 # -- seeded sweeps -------------------------------------------------------------
@@ -224,63 +227,60 @@ def _draw_t(ctx, rng: SplitMix64) -> int:
     return 1 + rng.next_below(ctx.q - 1)
 
 
-def sweep(ctx: PrimeFieldCtx, check: str, trials: int, density,
+def _radii(ctx, check: str, all_t: bool, rng=None, t=None) -> list:
+    """Every radius under all_t (every pair t < t' for par-pairs), else the
+    pinned t or a draw from rng, paired with another draw for par-pairs."""
+    if all_t and check == "par-pairs":
+        return [(a, b) for a in range(1, ctx.q) for b in range(a + 1, ctx.q)]
+    if all_t and check != "unit-distance":
+        return range(1, ctx.q)
+    ta = _draw_t(ctx, rng) if t is None else t
+    if check != "par-pairs":
+        return [ta]
+    tb = ta
+    while tb == ta:
+        tb = _draw_t(ctx, rng)
+    return [(ta, tb)]
+
+
+def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
           seed: int, all_t: bool = False, t: int | None = None) -> list:
-    """Run ``trials`` seeded random instances of a named check.
+    """Run ``trials`` seeded random instances of one named check or of a
+    sequence of them; the reports come check by check, in that order.
 
-    density may be a float in [0, 1] or None to draw a fresh density per
-    trial.  The radius defaults to a fresh draw per trial; pass ``t`` to pin
-    it, or all_t to cover every nonzero radius (and every pair for the pair
-    check).  The report stream is a pure function of all the arguments.
+    density is a float in [0, 1], or None to draw one per set.  A trial's
+    radius is drawn unless ``t`` pins it; all_t takes every radius (every
+    pair for par-pairs) except in unit-distance.  circle-decay reports each
+    j, or the pinned t.  Each trial forks SplitMix64(seed) once and draws U,
+    V, E3, E4 once (U, V alone if no check needs more); unit-distance draws
+    its radius from a copy of that stream after V, the rest after E4.  So a
+    check's reports do not depend on which checks run with it.
     """
-    if check not in CHECK_NAMES:
-        raise ValueError(f"unknown check {check!r}; pick one of {CHECK_NAMES}")
-    if t is not None and t % ctx.q == 0:
-        raise InvalidRadius("pinned radius must be nonzero")
+    names = [check] if isinstance(check, str) else list(check)
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise ValueError(f"unknown check {name!r}; pick one of {CHECK_NAMES}")
+    if t is not None:
+        t = _radius(ctx, t, "pinned radius")
+    set_counts = [_SET_COUNT.get(name, 4) for name in names]
+    js = range(ctx.q) if t is None else [t]
+    batches = [[check_circle_decay(ctx, j) for j in js] if k == 0 else []
+               for k in set_counts]
     master = SplitMix64(seed)
-    reports = []
-
-    if check == "circle-decay":
-        js = range(ctx.q) if t is None else [t % ctx.q]
-        for j in js:
-            reports.append(check_circle_decay(ctx, j))
-        return reports
-
-    def pick_t(rng):
-        return t % ctx.q if t is not None else _draw_t(ctx, rng)
-
-    for trial in range(trials):
+    for trial in range(trials if any(set_counts) else 0):
         rng = master.fork()
-        if check == "unit-distance":
-            U = _draw_set(ctx, rng, density)
-            V = _draw_set(ctx, rng, density)
-            batch = [check_unit_distance(ctx, U, V, pick_t(rng))]
-        else:
-            sets = [_draw_set(ctx, rng, density) for _ in range(4)]
-            if check == "par-vs-mean":
-                if all_t:
-                    batch = check_par_mean_all(ctx, *sets)
-                else:
-                    batch = [check_par_mean(ctx, *sets, pick_t(rng))]
-            elif check == "par-pairs":
-                if all_t:
-                    batch = check_par_all_pairs(ctx, *sets)
-                else:
-                    ta = pick_t(rng)
-                    tb = ta
-                    while tb == ta:
-                        tb = _draw_t(ctx, rng)
-                    batch = [check_par_pair(ctx, *sets, ta, tb)]
-            elif check == "rhom-vs-par":
-                ts = range(1, ctx.q) if all_t else [pick_t(rng)]
-                batch = [check_rhom_relation(ctx, *sets, tv) for tv in ts]
-            else:  # rhom-lower
-                ts = range(1, ctx.q) if all_t else [pick_t(rng)]
-                batch = [check_rhom_lower(ctx, *sets, tv) for tv in ts]
-        for rep in batch:
-            reports.append(dataclasses.replace(
-                rep, inputs={**rep.inputs, "trial": trial, "seed": seed}))
-    return reports
+        sets, states = [], []
+        for _ in range(max(set_counts)):
+            sets.append(_draw_set(ctx, rng, density))
+            states.append(rng.state)
+        memo = {}
+        for name, k, batch in zip(names, set_counts, batches):
+            if k:
+                radii = _radii(ctx, name, all_t, SplitMix64(states[k - 1]), t)
+                for rep in _reports(ctx, name, sets[:k], radii, memo):
+                    inputs = {**rep.inputs, "trial": trial, "seed": seed}
+                    batch.append(dataclasses.replace(rep, inputs=inputs))
+    return [rep for batch in batches for rep in batch]
 
 
 def extreme_case_reports(ctx: PrimeFieldCtx, t: int) -> list:

@@ -200,11 +200,10 @@ def _cmd_bounds(args) -> int:
             raise UsageError(f"bad density {args.density!r}") from exc
         if not 0.0 <= density <= 1.0:
             raise UsageError("density must lie in [0, 1] (or 'auto')")
+    if args.check != "all" and args.check not in bounds_mod.CHECK_NAMES:
+        raise UsageError(f"unknown check {args.check!r}; "
+                         f"pick from {bounds_mod.CHECK_NAMES} or all")
     checks = list(bounds_mod.CHECK_NAMES) if args.check == "all" else [args.check]
-    for c in checks:
-        if c not in bounds_mod.CHECK_NAMES:
-            raise UsageError(
-                f"unknown check {c!r}; pick from {bounds_mod.CHECK_NAMES} or all")
 
     t = None
     if args.t is not None:
@@ -212,24 +211,21 @@ def _cmd_bounds(args) -> int:
         if t == 0:
             raise UsageError("--t must be nonzero")
     config = _config_echo(args)
+    by_check = {check: [] for check in checks}
+    for rep in bounds_mod.sweep(ctx, checks, args.trials, density,
+                                args.seed, all_t=args.all_t, t=t):
+        by_check[rep.name].append(rep)
     exit_code = 0
     rows = []
-    for check in checks:
-        reports = bounds_mod.sweep(ctx, check, args.trials, density,
-                                   args.seed, all_t=args.all_t, t=t)
-        violations = 0
-        min_slack = None
+    for check, reports in by_check.items():
         for rep in reports:
-            obj = rep.to_json_obj()
-            rows.append(obj)
+            rows.append(rep.to_json_obj())
             if args.format == "json":
-                _emit(obj, config)
-            if not rep.holds:
-                violations += 1
-                if check in ASSERTED_CHECKS:
-                    exit_code = 1
-            if min_slack is None or rep.slack < min_slack:
-                min_slack = rep.slack
+                _emit(rows[-1], config)
+        violations = sum(1 for rep in reports if not rep.holds)
+        if violations and check in ASSERTED_CHECKS:
+            exit_code = 1
+        min_slack = min((rep.slack for rep in reports), default=None)
         summary = {
             "summary": True,
             "check": check,

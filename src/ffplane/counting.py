@@ -173,7 +173,7 @@ def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
         total = int(_products(ctx, E1, E2, E3, E4).sum())
     elif method == "oracle":
         # Enumerate (x, y, z) and test the forced 4th vertex w = z - (x - y).
-        members = E4.member_set()
+        members = set(E4.elements)
         total = 0
         for x1, x2 in E1.elements:
             for y1, y2 in E2.elements:
@@ -233,8 +233,8 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
     q = ctx.q
     t %= q
     if method == "oracle":
-        m2 = E2.member_set()
-        m4 = E4.member_set()
+        m2 = set(E2.elements)
+        m4 = set(E4.elements)
         total = 0
         for s1, s2 in circle(ctx, t).elements:
             for u1, u2 in E1.elements:

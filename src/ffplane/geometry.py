@@ -9,6 +9,7 @@ size are unrelated to Euclidean intuition.
 
 import functools
 import json
+import operator
 import os
 
 import numpy as np
@@ -27,24 +28,21 @@ class PointSet:
     """Immutable set of distinct points with O(1) membership.
 
     Keeps the ordered element tuple (for deterministic iteration, the
-    oracles and file I/O), a hash-set of the members, and a read-only
-    q x q bool ``indicator`` (for the array-backed counters).  The member
-    set and the indicator are built on first use.
+    oracles and file I/O) and a read-only q x q bool ``indicator``, built
+    on first use, which membership, equality and hashing read.
     """
 
-    __slots__ = ("q", "elements", "_members", "_indicator")
+    __slots__ = ("q", "elements", "_indicator")
 
     def __init__(self, q: int, points):
         pts = tuple((int(p[0]), int(p[1])) for p in points)
-        members = frozenset(pts)
-        if len(members) != len(pts):
+        if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in point set")
         for x1, x2 in pts:
             if not (0 <= x1 < q and 0 <= x2 < q):
                 raise ValueError(f"point {(x1, x2)} not reduced mod {q}")
         self.q = q
         self.elements = pts
-        self._members = members
         self._indicator = None
 
     @classmethod
@@ -57,7 +55,6 @@ class PointSet:
         rows, cols = np.nonzero(indicator)
         self.q = q
         self.elements = tuple(zip(rows.tolist(), cols.tolist()))
-        self._members = None
         indicator.flags.writeable = False
         self._indicator = indicator
         return self
@@ -84,22 +81,22 @@ class PointSet:
         return iter(self.elements)
 
     def __contains__(self, p):
-        return p in self.member_set()
-
-    def member_set(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(self.elements)
-        return self._members
+        """Only a pair of integers in [0, q) can be a member; no index wraps."""
+        try:
+            x1, x2 = map(operator.index, p)
+        except (TypeError, ValueError):
+            return False
+        return 0 <= x1 < self.q and 0 <= x2 < self.q and bool(self.indicator[x1, x2])
 
     def __eq__(self, other):
         return (
             isinstance(other, PointSet)
             and self.q == other.q
-            and self.member_set() == other.member_set()
+            and np.array_equal(self.indicator, other.indicator)
         )
 
     def __hash__(self):
-        return hash((self.q, self.member_set()))
+        return hash((self.q, self.indicator.tobytes()))
 
     def __repr__(self):
         return f"PointSet(q={self.q}, size={len(self.elements)})"
@@ -275,21 +272,27 @@ def point_set_to_json_obj(ps: PointSet) -> dict:
     return {"q": ps.q, "points": [[p[0], p[1]] for p in ps.elements]}
 
 
+def _is_json_int(value) -> bool:
+    """JSON integers only: floats, bools, strings and null are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def point_set_from_json_obj(obj) -> PointSet:
     try:
-        q = int(obj["q"])
+        q = obj["q"]
         raw = obj["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise PointSetFormatError(f"bad point-set JSON: {exc}") from exc
+    if not _is_json_int(q):
+        raise PointSetFormatError(f"'q' must be an integer, got {q!r}")
     if not isinstance(raw, list):
         raise PointSetFormatError("'points' must be a list")
-    pts = []
     for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and all(map(_is_json_int, entry))):
             raise PointSetFormatError(f"bad point entry {entry!r}")
-        pts.append((int(entry[0]), int(entry[1])))
     try:
-        return PointSet(q, pts)
+        return PointSet(q, raw)
     except ValueError as exc:
         raise PointSetFormatError(str(exc)) from exc
 

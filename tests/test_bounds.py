@@ -1,12 +1,16 @@
+import collections
 import math
+import random
 
 import pytest
 
 from conftest import random_quadruple
 from ffplane import bounds
 from ffplane.bounds import (
+    CHECK_NAMES,
     _par_mean_report,
     _par_pair_report,
+    _rhom_lower_report,
     _unit_distance_report,
     check_par_mean,
     check_par_mean_all,
@@ -21,7 +25,6 @@ from ffplane.bounds import (
     sweep,
     unit_distance_holds,
 )
-from ffplane.counting import CountResult
 from ffplane.errors import InvalidPair, InvalidRadius
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import PointSet, full_plane
@@ -112,12 +115,8 @@ def test_rhom_lower_empty(ctx5):
     (5, 1, True),
     (4, 0, True),   # prod < q^7: no hypothesis, so no verdict
 ])
-def test_rhom_lower_verdict_is_exact(monkeypatch, ctx5, e4_size, rhom, holds):
-    monkeypatch.setattr(bounds, "count_rhom_t",
-                        lambda ctx, *sets, **kw: CountResult(rhom, "fast", 5, 1, ()))
-    plane = full_plane(ctx5)
-    E4 = PointSet(5, [(0, b) for b in range(e4_size)])
-    rep = check_rhom_lower(ctx5, plane, plane, plane, E4, 1)
+def test_rhom_lower_verdict_is_exact(e4_size, rhom, holds):
+    rep = _rhom_lower_report(5, 1, [25, 25, 25, e4_size], rhom)
     assert rep.extra["hypothesis"] is (e4_size == 5)
     assert rep.holds is holds
 
@@ -165,6 +164,46 @@ def test_sweep_pinned_radius(ctx7):
     assert all(r.inputs["t"] == 3 for r in reports)
     with pytest.raises(InvalidRadius):
         sweep(ctx7, "rhom-vs-par", 1, 0.5, 4, t=0)
+
+
+def _check_orders():
+    orders = [list(CHECK_NAMES), ["rhom-lower", "unit-distance"], ["unit-distance"]]
+    shuffler = random.Random(7)
+    for _ in range(3):
+        orders.append(shuffler.sample(CHECK_NAMES, len(CHECK_NAMES)))
+    return orders
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("density", [None, 0.3, 1.0])
+@pytest.mark.parametrize("all_t,t", [(False, None), (True, None), (False, 2), (True, 2)])
+def test_sweep_of_several_checks_is_their_sweeps_joined(q, density, all_t, t):
+    ctx = PrimeFieldCtx(q)
+    for names in _check_orders():
+        joined = [rep for name in names
+                  for rep in sweep(ctx, name, 2, density, 11, all_t=all_t, t=t)]
+        assert sweep(ctx, names, 2, density, 11, all_t=all_t, t=t) == joined
+
+
+def test_sweep_of_all_checks_computes_each_primitive_once(monkeypatch, ctx7):
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(bounds, name, wrapper)
+
+    for name in ("gen_random_set", "par_t_profile", "rhombus_directions",
+                 "count_unit_distances"):
+        counted(name)
+    reports = sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True)
+    # Per trial: four sets, one profile, one rhombus pass per nonzero t.
+    assert calls == {"gen_random_set": 12, "par_t_profile": 3,
+                     "rhombus_directions": 18, "count_unit_distances": 3}
+    assert len(reports) == 3 * (1 + 6 + 15 + 6 + 6) + 7
 
 
 def test_extreme_cases_all_hold(ctx5):

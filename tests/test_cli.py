@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from ffplane.bounds import CHECK_NAMES
 from ffplane.cli import main
 
 
@@ -148,6 +149,28 @@ def test_bounds_all_checks_run(capsys):
     checks = {l["check"] for l in json_lines(out) if l.get("summary")}
     assert checks == {"unit-distance", "par-vs-mean", "par-pairs",
                       "rhom-vs-par", "rhom-lower", "circle-decay"}
+
+
+@pytest.mark.parametrize("extra", [[], ["--all-t", "--density", "auto"], ["--t", "3"]])
+def test_bounds_all_is_the_single_checks_joined(capsys, extra):
+    def stream(check):
+        rc, out, _ = run_cli(capsys, ["bounds", "--q", "7", "--trials", "3",
+                                      "--seed", "5", "--check", check] + extra)
+        assert rc == 0
+        lines = json_lines(out)
+        for obj in lines:
+            obj["config"].pop("check")
+        return lines
+
+    assert stream("all") == [obj for check in CHECK_NAMES for obj in stream(check)]
+
+
+def test_malformed_json_set_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"q": 5, "points": [[null, 1]]}')
+    rc, out, err = run_cli(capsys, ["count", "--q", "5", "--t", "1", "--quantity",
+                                    "n_t", "--set", f"file:{path}"])
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 def test_fourier_dump_circle(capsys):

@@ -240,6 +240,34 @@ def test_json_format_errors(tmp_path):
         load_point_set(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    '{"q": 5, "points": [["a", 1]]}',
+    '{"q": 5, "points": [[null, 1]]}',
+    '{"q": 5, "points": [[1.7, 2]]}',
+    '{"q": 5, "points": [[true, 3]]}',
+    '{"q": 5.9, "points": [[1, 2]]}',
+    '{"q": "5", "points": [[1, 2]]}',
+    '{"q": true, "points": []}',
+])
+def test_json_accepts_only_integers(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(PointSetFormatError):
+        load_point_set(str(path))
+
+
+def test_membership_reads_the_indicator_without_wrapping():
+    ps = PointSet(5, [(0, 0), (4, 4), (2, 3)])
+    for p in [(0, 0), (4, 4), (2, 3), [2, 3], (np.int64(2), np.int64(3))]:
+        assert p in ps
+    for p in [(-1, -1), (4, -1), (-3, 3), (5, 0), (0, 5), (9, 8), (3, 2),
+              (2, 3, 0), (2,), (), None, 7, "ab", (2.5, 3), ("2", "3")]:
+        assert p not in ps
+    same = PointSet(5, [(2, 3), (4, 4), (0, 0)])
+    assert ps == same and hash(ps) == hash(same)
+    assert ps != PointSet(7, ps.elements) and ps != PointSet(5, [(0, 0)])
+
+
 def test_circle_cache_is_bounded():
     limit = geometry._circle_cached.cache_info().maxsize
     assert limit is not None
