@@ -41,6 +41,13 @@ class UsageError(Exception):
     pass
 
 
+def _check_seed(seed: int, what: str) -> None:
+    """splitmix64 takes its seed mod 2^64, so a seed outside [0, 2^64) would
+    silently alias one inside it; such seeds are refused instead."""
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{what} must lie in [0, 2^64), got {seed}")
+
+
 def _emit(obj, config):
     payload = dict(obj)
     payload["config"] = config
@@ -74,6 +81,7 @@ def _parse_one_set(ctx, token: str, default_seed: int, slot: int) -> PointSet:
             raise UsageError(f"bad set spec {token!r}: {exc}") from exc
         if not 0.0 <= density <= 1.0:
             raise UsageError("density must lie in [0, 1]")
+        _check_seed(seed, f"the seed of set {token!r} in slot {slot}")
         return gen_random_set(ctx, density, seed)
     if token.startswith("line-ap:"):
         parts = token.split(":")
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--q", type=int, required=True, help="odd prime modulus")
-        p.add_argument("--seed", type=int, default=0, help="64-bit PRNG seed")
+        p.add_argument("--seed", type=int, default=0, help="PRNG seed in [0, 2^64)")
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default="json")
 
@@ -482,6 +490,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seed(args.seed, "--seed")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,12 @@
 Every quantity has at least two independent routes:
 
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
-* ``fast``   -- certified FFT difference tables for ``par_t`` and ``par``;
-  for ``n_t``, ``rhom_t`` and ``degenerate``, gathers of point lists on the
-  2q x 2q tiling of the indicator arrays (``periodic``), where a point plus
-  a circle offset is one flat index with no reduction mod q;
+* ``fast``   -- difference tables for ``par_t`` and ``par``, counted pair by
+  pair up to 16 q^2 pairs and by certified FFT past that
+  (``geometry.difference_table``); for ``n_t``, ``rhom_t`` and
+  ``degenerate``, gathers of point lists on the 2q x 2q tiling of the
+  indicator arrays (``periodic``).  On that tiling a point plus an offset
+  is one flat index with no reduction mod q;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.

@@ -17,9 +17,10 @@ make it fast:
   some z' != z, so |X| - 1 <= |N(z) n N(z')| <= m, where
   m = max over d != 0 of |S_t n (S_t + d)|.  No set of size m + 2 is
   shattered, whatever E is, so the scan stops at size m + 1.  m is read
-  from the certified self-difference table of the circle S_t, never
-  assumed; it is 2, as two distinct radius-t circles meet in at most 2
-  points, so sizes beyond 3 are never scanned.
+  from the exact self-difference table of the circle S_t (its ~q^2 pairs
+  are counted one by one), never assumed; it is 2, as two distinct
+  radius-t circles meet in at most 2 points, so sizes beyond 3 are never
+  scanned.
 * Fail fast.  A candidate's trace patterns are tested in order of falling
   popcount, and the full pattern is skipped because z realizes it.
 * find_shattered keeps the canonical scan in sorted order, merged lazily
@@ -204,7 +205,7 @@ def find_shattered(sys: DistanceSystem, d: int):
 
 def _max_circle_meet(ctx: PrimeFieldCtx, t: int) -> int:
     """m = max over d != 0 of |S_t n (S_t + d)|, the (0, 0)-zeroed maximum
-    of S_t's certified self-difference table."""
+    of S_t's exact self-difference table."""
     s_t = circle(ctx, t)
     table = difference_table(ctx, s_t, s_t).table.copy()
     table[0, 0] = 0

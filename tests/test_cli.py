@@ -58,12 +58,40 @@ def test_count_broadcasts_single_set_token(capsys):
      "--trials must be at least 1"),
     (["bench", "--q", "5", "--t", "1", "--methods", ","],
      "--methods must name at least one method"),
+    (["gen", "--q", "7", "--set", "random:0.5:18446744073709551616"],
+     "the seed of set 'random:0.5:18446744073709551616' in slot 0 must lie in"),
+    (["gen", "--q", "7", "--set", "random:0.5:-3"], "must lie in [0, 2^64)"),
+    (["count", "--q", "5", "--t", "1", "--quantity", "par_t",
+      "--set", "random:0.5", "--seed", "18446744073709551613"],
+     "the seed of set 'random:0.5' in slot 3 must lie in [0, 2^64)"),
+    (["gen", "--q", "7", "--seed", "18446744073709551616"],
+     "--seed must lie in [0, 2^64), got 18446744073709551616"),
+    (["bounds", "--q", "5", "--trials", "1", "--seed", "-1"], "--seed must lie in"),
+    (["vc", "--q", "7", "--t", "1", "--set", "full", "--seed", "-1"],
+     "--seed must lie in"),
+    (["witness", "--q", "7", "--t", "1", "--set", "full", "--seed", "-1"],
+     "--seed must lie in"),
+    (["fourier", "--q", "5", "--circle", "1", "--seed", "-1"], "--seed must lie in"),
+    (["bench", "--q", "5", "--t", "1", "--seed", "-1"], "--seed must lie in"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2
     assert fragment in err
     assert out == ""
+
+
+def test_seeds_at_the_ends_of_their_range_are_kept(capsys):
+    top = 2**64 - 1
+    _, by_token, _ = run_cli(capsys, ["gen", "--q", "7", "--set", f"random:0.5:{top}"])
+    _, by_slot, _ = run_cli(capsys, [
+        "gen", "--q", "7", "--set", "random:0.5", "--seed", str(top)])
+    _, zero, _ = run_cli(capsys, ["gen", "--q", "7", "--set", "random:0.5:0"])
+    assert by_token == by_slot != zero
+    rc, _, _ = run_cli(capsys, [
+        "count", "--q", "5", "--t", "1", "--quantity", "par_t",
+        "--set", "random:0.5", "--seed", str(top - 3)])
+    assert rc == 0
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -126,6 +126,94 @@ def test_difference_table_certificate_rejects_each_invariant():
     assert not geometry._certified(negative + 0.1, negative, 4, 2)  # D >= 0
 
 
+def _brute_differences(q, A, B):
+    """D by a literal loop over the pairs."""
+    table = np.zeros((q, q), dtype=np.int64)
+    for a in A:
+        for b in B:
+            table[(a[0] - b[0]) % q, (a[1] - b[1]) % q] += 1
+    return table
+
+
+# Pairs per cell that force each route: at 0 every nonempty pair of sets
+# takes the (certified) FFT, at 10**9 every pair is counted exactly.
+_FORCED_ROUTES = ((0, "fft"), (10**9, "exact"))
+
+
+def _assert_routes_match_brute_force(ctx, A, B):
+    brute = _brute_differences(ctx.q, A, B)
+    for per_cell, route in _FORCED_ROUTES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_EXACT_PAIRS_PER_CELL", per_cell)
+            d = difference_table(ctx, A, B)
+        assert d.route == (route if len(A) * len(B) else "exact")
+        assert d.table.dtype == np.int64 and not d.table.flags.writeable
+        assert np.array_equal(d.table, brute)
+        assert d.total == len(A) * len(B)
+
+
+def _boundary_sets(q):
+    ctx = PrimeFieldCtx(q)
+    sets = [PointSet(q, []), PointSet(q, [(1, q - 2)]), full_plane(ctx),
+            circle(ctx, 1)]
+    if q == 13:
+        sets.append(PointSet(13, [(a, 5 * a % 13) for a in range(13)]))
+    return sets
+
+
+@st.composite
+def _set_pairs(draw):
+    q = draw(st.sampled_from([3, 5, 7, 13]))
+    ctx = PrimeFieldCtx(q)
+    sets = st.one_of(
+        st.sampled_from(_boundary_sets(q)),
+        st.builds(lambda d, seed: gen_random_set(ctx, d, seed),
+                  st.floats(0.0, 1.0), st.integers(0, 2**64 - 1)))
+    return ctx, draw(sets), draw(sets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_set_pairs())
+def test_each_route_matches_brute_force(pair):
+    _assert_routes_match_brute_force(*pair)
+
+
+def test_each_route_matches_brute_force_on_boundary_sets(ctx13):
+    # Empty, singleton, full plane, a circle and the isotropic line
+    # {(a, 5a)} (5^2 = -1 mod 13), every ordered pair of them.
+    sets = _boundary_sets(13)
+    for A in sets:
+        for B in sets:
+            _assert_routes_match_brute_force(ctx13, A, B)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_exact_chunking_does_not_change_tables(monkeypatch, q, chunk):
+    ctx = PrimeFieldCtx(q)
+    monkeypatch.setattr(geometry, "_EXACT_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "_EXACT_PAIRS_PER_CELL", 10**9)
+    for seed in range(3):
+        A = gen_random_set(ctx, 0.6, 2 * seed)
+        B = gen_random_set(ctx, 0.3, 2 * seed + 1)
+        d = difference_table(ctx, A, B)
+        assert d.route == "exact"
+        assert np.array_equal(d.table, _brute_differences(q, A, B))
+
+
+@pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
+def test_exact_route_is_taken_exactly_up_to_its_pair_count(monkeypatch, ctx7, per_cell):
+    if per_cell is not None:
+        monkeypatch.setattr(geometry, "_EXACT_PAIRS_PER_CELL", per_cell)
+    limit = geometry._EXACT_PAIRS_PER_CELL * 7 * 7
+    plane = full_plane(ctx7)
+    for k in range(50):
+        part = PointSet(7, plane.elements[:k])
+        for A, B in ((plane, part), (part, plane)):
+            route = difference_table(ctx7, A, B).route
+            assert (route == "exact") == (len(A) * len(B) <= limit)
+
+
 @pytest.mark.parametrize("q", [3, 13, 31])
 @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
 def test_random_set_matches_scalar_stream(q, density):
