@@ -14,7 +14,6 @@ radii from a copy of the trial stream after the k-th set, so its reports do
 not depend on the checks run beside it.
 """
 
-import dataclasses
 import math
 
 from .counting import count_unit_distances, par_t_profile, rhombus_directions
@@ -71,24 +70,24 @@ def par_pair_holds(q: int, par_t: int, par_t2: int, prod: int) -> bool:
     return (par_t - par_t2) ** 2 <= q * prod
 
 
-def _unit_distance_report(q, t, n_t, sizes) -> BoundReport:
+def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
     mean = sizes[0] * sizes[1] / q
     lhs = abs(n_t - mean)
     rhs = 2.0 * math.sqrt(q) * math.sqrt(sizes[0] * sizes[1])
     return make_report(
         "unit-distance", lhs, rhs,
-        inputs={"q": q, "t": t, "sizes": sizes},
+        inputs={"q": q, "t": t, "sizes": sizes, **tag},
         extra={"count": n_t, "mean": mean},
         holds=unit_distance_holds(q, n_t, *sizes),
     )
 
 
-def _par_mean_report(q, t, par_t, par_all, sizes) -> BoundReport:
+def _par_mean_report(q, t, par_t, par_all, sizes, **tag) -> BoundReport:
     lhs = abs(par_t - par_all / q)
     rhs = math.sqrt(q) * math.sqrt(math.prod(sizes))
     return make_report(
         "par-vs-mean", lhs, rhs,
-        inputs={"q": q, "t": t, "sizes": sizes},
+        inputs={"q": q, "t": t, "sizes": sizes, **tag},
         extra={"par_t": par_t, "par_all": par_all},
         holds=par_mean_holds(q, par_t, par_all, math.prod(sizes)),
     )
@@ -105,12 +104,12 @@ def check_par_mean_all(ctx, E1, E2, E3, E4) -> list:
     return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q), {})
 
 
-def _par_pair_report(q, t, t2, par_t, par_t2, sizes) -> BoundReport:
+def _par_pair_report(q, t, t2, par_t, par_t2, sizes, **tag) -> BoundReport:
     lhs = abs(par_t - par_t2)
     rhs = math.sqrt(q) * math.sqrt(math.prod(sizes))
     return make_report(
         "par-pairs", lhs, rhs,
-        inputs={"q": q, "t": t, "t2": t2, "sizes": sizes},
+        inputs={"q": q, "t": t, "t2": t2, "sizes": sizes, **tag},
         extra={"par_t": par_t, "par_t2": par_t2},
         holds=par_pair_holds(q, par_t, par_t2, math.prod(sizes)),
     )
@@ -130,7 +129,7 @@ def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
                     _radii(ctx, "par-pairs", all_t=True), {})
 
 
-def _rhom_relation_report(q, t, sizes, terms) -> BoundReport:
+def _rhom_relation_report(q, t, sizes, terms, **tag) -> BoundReport:
     rhom = sum_prod = 0
     sum_sqrt = 0.0
     for a, b, rhom_x in terms:
@@ -144,7 +143,7 @@ def _rhom_relation_report(q, t, sizes, terms) -> BoundReport:
     rhs_sharp = math.sqrt(q) * math.sqrt(p12 / q) * math.sqrt(p34 / q)
     return make_report(
         "rhom-vs-par", lhs, rhs,
-        inputs={"q": q, "t": t, "sizes": sizes},
+        inputs={"q": q, "t": t, "sizes": sizes, **tag},
         extra={
             "rhom_t": rhom,
             "par_t": sum_prod,
@@ -168,12 +167,12 @@ def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     return _reports(ctx, "rhom-vs-par", (E1, E2, E3, E4), [t], {})[0]
 
 
-def _rhom_lower_report(q, t, sizes, rhom) -> BoundReport:
+def _rhom_lower_report(q, t, sizes, rhom, **tag) -> BoundReport:
     prod = math.prod(sizes)
     hyp = prod >= q**7
     return make_report(
         "rhom-lower", float(rhom * q**4), float(prod),
-        inputs={"q": q, "t": t, "sizes": sizes},
+        inputs={"q": q, "t": t, "sizes": sizes, **tag},
         extra={"rhom_t": rhom, "hypothesis": hyp},
         holds=rhom > 0 if hyp else True,
     )
@@ -190,29 +189,32 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {})[0]
 
 
-def _reports(ctx, check: str, sets, radii, memo: dict) -> list:
+def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> list:
     """One check's reports on one instance, one per radius (radius pair for
-    par-pairs); ``memo`` keeps the profile and per-t rhombus terms of E1..E4."""
+    par-pairs); ``memo`` keeps the profile and per-t rhombus terms of E1..E4,
+    and ``tag`` (a sweep's trial and seed) joins every report's inputs."""
     q = ctx.q
     sizes = [len(s) for s in sets]
     if check == "unit-distance":
         counts = [count_unit_distances(ctx, *sets, t).value for t in radii]
-        return [_unit_distance_report(q, t, n, sizes) for t, n in zip(radii, counts)]
+        return [_unit_distance_report(q, t, n, sizes, **tag)
+                for t, n in zip(radii, counts)]
     if check in ("par-vs-mean", "par-pairs"):
         if "profile" not in memo:
             memo["profile"] = par_t_profile(ctx, *sets)
         profile = memo["profile"]
         if check == "par-pairs":
-            return [_par_pair_report(q, t, t2, profile[t], profile[t2], sizes)
+            return [_par_pair_report(q, t, t2, profile[t], profile[t2], sizes, **tag)
                     for t, t2 in radii]
         par_all = sum(profile.values())
-        return [_par_mean_report(q, t, profile[t], par_all, sizes) for t in radii]
-    for t in radii:
-        if t not in memo:
-            memo[t] = rhombus_directions(ctx, *sets, t)
+        return [_par_mean_report(q, t, profile[t], par_all, sizes, **tag)
+                for t in radii]
+    missing = [t for t in radii if t not in memo]
+    if missing:
+        memo.update(rhombus_directions(ctx, *sets, missing))
     if check == "rhom-vs-par":
-        return [_rhom_relation_report(q, t, sizes, memo[t]) for t in radii]
-    return [_rhom_lower_report(q, t, sizes, sum(r for _, _, r in memo[t]))
+        return [_rhom_relation_report(q, t, sizes, memo[t], **tag) for t in radii]
+    return [_rhom_lower_report(q, t, sizes, sum(r for _, _, r in memo[t]), **tag)
             for t in radii]
 
 
@@ -250,7 +252,8 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
 
     density is a float in [0, 1], or None to draw one per set.  A trial's
     radius is drawn unless ``t`` pins it; all_t takes every radius (every
-    pair for par-pairs) except in unit-distance.  circle-decay reports each
+    pair for par-pairs) except in unit-distance, which reports one drawn (or
+    pinned) radius per trial either way.  circle-decay reports each
     j, or the pinned t.  Each trial forks SplitMix64(seed) once and draws U,
     V, E3, E4 once (U, V alone if no check needs more); unit-distance draws
     its radius from a copy of that stream after V, the rest after E4.  So a
@@ -277,9 +280,8 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
         for name, k, batch in zip(names, set_counts, batches):
             if k:
                 radii = _radii(ctx, name, all_t, SplitMix64(states[k - 1]), t)
-                for rep in _reports(ctx, name, sets[:k], radii, memo):
-                    inputs = {**rep.inputs, "trial": trial, "seed": seed}
-                    batch.append(dataclasses.replace(rep, inputs=inputs))
+                batch += _reports(ctx, name, sets[:k], radii, memo,
+                                  trial=trial, seed=seed)
     return [rep for batch in batches for rep in batch]
 
 

@@ -48,11 +48,20 @@ def _check_seed(seed: int, what: str) -> None:
         raise UsageError(f"{what} must lie in [0, 2^64), got {seed}")
 
 
-def _emit(obj, config):
+# One encoder for every report line; the same output as json.dumps(...,
+# sort_keys=True) without building an encoder per line.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _json_line(obj, config) -> str:
     payload = dict(obj)
     payload["config"] = config
     payload["prng"] = PRNG_ALGORITHM
-    print(json.dumps(payload, sort_keys=True))
+    return _ENCODER.encode(payload) + "\n"
+
+
+def _emit(obj, config):
+    sys.stdout.write(_json_line(obj, config))
 
 
 def _config_echo(args) -> dict:
@@ -93,6 +102,9 @@ def _parse_one_set(ctx, token: str, default_seed: int, slot: int) -> PointSet:
             raise UsageError(f"bad set spec {token!r}: {exc}") from exc
         if length < 0:
             raise UsageError("line-ap length must be nonnegative")
+        if length > ctx.q:
+            # q residues at most are distinct; refuse before building any.
+            raise UsageError("X must consist of distinct residues")
         xs = [(start + i * step) % ctx.q for i in range(length)]
         try:
             return gen_example_line_ap(ctx, xs)
@@ -225,11 +237,12 @@ def _cmd_bounds(args) -> int:
         by_check[rep.name].append(rep)
     exit_code = 0
     rows = []
+    lines = []
     for check, reports in by_check.items():
         for rep in reports:
             rows.append(rep.to_json_obj())
             if args.format == "json":
-                _emit(rows[-1], config)
+                lines.append(_json_line(rows[-1], config))
         violations = sum(1 for rep in reports if not rep.holds)
         if violations and check in ASSERTED_CHECKS:
             exit_code = 1
@@ -242,19 +255,19 @@ def _cmd_bounds(args) -> int:
             "min_slack": min_slack,
         }
         if args.format == "json":
-            _emit(summary, config)
+            lines.append(_json_line(summary, config))
         elif args.format == "human":
-            print(f"{check}: {len(reports)} instances, {violations} violations, "
-                  f"min slack {min_slack}")
+            lines.append(f"{check}: {len(reports)} instances, {violations} "
+                         f"violations, min slack {min_slack}\n")
     if args.format == "csv":
-        _print_csv(rows, ("name", "lhs", "rhs", "holds", "ratio", "slack"))
+        lines = _csv_lines(rows, ("name", "lhs", "rhs", "holds", "ratio", "slack"))
+    sys.stdout.write("".join(lines))
     return exit_code
 
 
-def _print_csv(rows, columns):
-    print(",".join(columns))
-    for row in rows:
-        print(",".join(str(row.get(col, "")) for col in columns))
+def _csv_lines(rows, columns) -> list:
+    return [",".join(columns) + "\n"] + [
+        ",".join(str(row.get(col, "")) for col in columns) + "\n" for row in rows]
 
 
 # -- fourier ----------------------------------------------------------------------
@@ -378,7 +391,7 @@ def _cmd_bench(args) -> int:
     if args.format == "csv":
         rows = [{"method": r["method"], "value": r["value"],
                  "median_ms": r["median_ms"]} for r in results]
-        _print_csv(rows, ("method", "value", "median_ms"))
+        sys.stdout.write("".join(_csv_lines(rows, ("method", "value", "median_ms"))))
     elif args.format == "human":
         for r in results:
             print(f"{quantity} {r['method']}: value={r['value']} "
@@ -397,7 +410,7 @@ def _cmd_gen(args) -> int:
         save_point_set(ps, args.out)
         print(f"wrote {len(ps)} points to {args.out}", file=sys.stderr)
     elif args.json:
-        print(json.dumps(point_set_to_json_obj(ps), sort_keys=True))
+        print(_ENCODER.encode(point_set_to_json_obj(ps)))
     else:
         sys.stdout.write(point_set_to_text(ps))
     return 0
@@ -439,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", default="0.5",
                    help="set density in [0,1], or 'auto' to draw per trial")
     p.add_argument("--all-t", action="store_true",
-                   help="cover every nonzero radius (and every pair)")
+                   help="cover every nonzero radius (and every pair); "
+                        "unit-distance still reports one drawn radius per trial")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("fourier", help="dump a spectrum or a decay report")

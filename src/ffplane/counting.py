@@ -8,7 +8,9 @@ Every quantity has at least two independent routes:
   (``geometry.difference_table``); for ``n_t``, ``rhom_t`` and
   ``degenerate``, gathers of point lists on the 2q x 2q tiling of the
   indicator arrays (``periodic``).  On that tiling a point plus an offset
-  is one flat index with no reduction mod q;
+  is one flat index with no reduction mod q.  The rhombus terms of any list
+  of radii come from one pass (``rhombus_directions``) that takes each
+  circle's directions in blocks bounded by fixed budgets;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.
@@ -50,6 +52,8 @@ ROUND_TOL = 1e-6
 INT64_LIMIT = 2**63
 # Point-offset probes held in memory at once by the circle-probing routes.
 _PROBE_CHUNK = 1 << 16
+# Mark cells (4 q^2 per direction) of one block of rhombus directions.
+_MARK_CELLS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,8 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
                     if (d1 * d1 + d2 * d2) % q == t:
                         total += 1
     elif method == "fast":
-        total = sum(r for _, _, r in rhombus_directions(ctx, E1, E2, E3, E4, t))
+        terms = rhombus_directions(ctx, E1, E2, E3, E4, [t])[t]
+        total = sum(r for _, _, r in terms)
     else:
         raise ValueError(f"unknown method {method!r}")
     if exclude_degenerate:
@@ -258,36 +263,85 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
     return CountResult(total, method, q, t, (len(E1), len(E2), len(E3), len(E4)))
 
 
-def rhombus_directions(ctx, E1, E2, E3, E4, t: int) -> list:
-    """Per-direction rhombus terms, one tuple per x on S_t in circle order.
+def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
+    """Per-direction rhombus terms for every radius in ``radii`` at once.
 
-    Each tuple is (|E12^x|, |E34^x|, rhom_x) with E12^x = E1 n (E2 - x),
-    E34^x = E3 n (E4 - x) and rhom_x the pairs (u, v) in E12^x x E34^x
-    with |u - v| = t.  Both meets are gathers over the point lists of E1
-    and E3; rhom_x marks the four tiled copies of the larger meet in one
-    reusable 2q x 2q array and probes the smaller one on p + S_t, which
-    counts the same pairs because S_t = -S_t.
+    Returns {t: [(|E12^x|, |E34^x|, rhom_x) for x on S_t in circle order]}
+    with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
+    (u, v) in E12^x x E34^x with |u - v| = t.
+
+    The point lists and tilings of E1..E4 are built once per call.  Each
+    radius's directions go in blocks: the meets of a block are one 2-D
+    gather over the point lists of E1 and E3, and direction i of the block
+    owns plane i of a scratch mark array.  The larger family of meets is
+    marked in all four tiled copies of each point, and the smaller one is
+    probed on p + S_t, which counts the same pairs because S_t = -S_t.
+    Several directions share a block only while their mark planes fit in
+    _MARK_CELLS cells and their probes in one gather of _PROBE_CHUNK: at
+    q = 13 a whole circle is one block, and on large dense or sparse inputs
+    a block is one direction, whose probes are chunked as in _probe_count.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    st = tiled_points(circle(ctx, t % q).indicator)
+    plane = 4 * q * q
     p1, p3 = tiled_points(E1.indicator), tiled_points(E3.indicator)
     t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
+    circles = {t: tiled_points(circle(ctx, t % q).indicator) for t in radii}
+    # A direction probes at most min(|E1|, |E3|) points.
+    probed = max(1, min(len(p1), len(p3)))
+    blocks = {t: max(1, min(len(st), _MARK_CELLS // plane,
+                            _PROBE_CHUNK // (probed * len(st))))
+              for t, st in circles.items()}
+    most = max(blocks.values(), default=1)
+    # Flat cells of every point of E1 (E3) in each plane of a block.
+    planes = np.arange(most)[:, None] * plane
+    cells1, cells3 = (planes + p1).ravel(), (planes + p3).ravel()
+    marks = np.zeros(most * plane, dtype=bool)
     # p + s reaches every quadrant of the tiling, so a marked point is
     # marked in all four of its tiled copies.
-    marks = np.zeros(4 * q * q, dtype=bool)
     copies = np.array([0, q, 2 * q * q, 2 * q * q + q])
-    terms = []
-    for x in st.tolist():
-        e12 = p1[t2[p1 + x]]
-        e34 = p3[t4[p3 + x]]
-        probe, marked = (e12, e34) if len(e12) <= len(e34) else (e34, e12)
-        cells = (marked[:, None] + copies).ravel()
-        marks[cells] = True
-        rhom_x = _probe_count(marks, probe, st)
-        marks[cells] = False
-        terms.append((len(e12), len(e34), rhom_x))
+    terms = {}
+    for t, st in circles.items():
+        k = blocks[t]
+        out = terms[t] = []
+        for lo in range(0, len(st), k):
+            if k == 1:
+                # Scalar offsets: cheaper per direction than 1-row blocks.
+                x = st[lo]
+                e12, e34 = p1[t2[p1 + x]], p3[t4[p3 + x]]
+                a, b = [len(e12)], [len(e34)]
+            else:
+                x = st[lo:lo + k, None]
+                m12, m34 = t2[p1 + x], t4[p3 + x]
+                e12 = cells1[:m12.size][m12.ravel()]
+                e34 = cells3[:m34.size][m34.ravel()]
+                a, b = m12.sum(axis=1).tolist(), m34.sum(axis=1).tolist()
+            out += zip(a, b, _pair_counts(marks, copies, st, e12, e34, a, b))
     return terms
+
+
+def _pair_counts(marks, copies, st, e12, e34, a, b) -> list:
+    """rhom_x per direction of a block, from its meets as flat mark cells.
+
+    a and b are the meet sizes per direction, and the cells of each
+    direction are consecutive.  The larger family is marked at every offset
+    in ``copies``, the smaller one probed, and the marks are cleared again.
+    A lone direction is probed in chunks; a block of several fits one gather.
+    """
+    probe, marked, runs = (e12, e34, a) if len(e12) <= len(e34) else (e34, e12, b)
+    cells = (marked[:, None] + copies).ravel()
+    marks[cells] = True
+    if len(runs) == 1:
+        counts = [_probe_count(marks, probe, st)]
+    else:
+        # Each direction's probes are a run of rows of the gather, cut at
+        # the cumulative row counts.
+        hits = marks[probe[:, None] + st].ravel()
+        ends = (np.cumsum(runs) * len(st)).tolist()
+        counts = [int(np.count_nonzero(hits[lo:hi]))
+                  for lo, hi in zip([0, *ends], ends)]
+    marks[cells] = False
+    return counts
 
 
 def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,

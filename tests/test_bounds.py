@@ -200,9 +200,9 @@ def test_sweep_of_all_checks_computes_each_primitive_once(monkeypatch, ctx7):
                  "count_unit_distances"):
         counted(name)
     reports = sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True)
-    # Per trial: four sets, one profile, one rhombus pass per nonzero t.
+    # Per trial: four sets, one profile, one rhombus pass for every radius.
     assert calls == {"gen_random_set": 12, "par_t_profile": 3,
-                     "rhombus_directions": 18, "count_unit_distances": 3}
+                     "rhombus_directions": 3, "count_unit_distances": 3}
     assert len(reports) == 3 * (1 + 6 + 15 + 6 + 6) + 7
 
 

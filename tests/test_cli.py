@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -335,3 +336,53 @@ def test_bench_fourier_allowed_at_cap_boundary(capsys):
     obj = json_lines(out)[0]
     values = {r["method"]: r["value"] for r in obj["results"]}
     assert values["fast"] == values["fourier"]
+
+
+def test_line_ap_longer_than_q_exits_2_before_building(capsys):
+    start = time.perf_counter()
+    rc, _, err = run_cli(capsys, ["gen", "--q", "7", "--set", f"line-ap:0:1:{10**12}"])
+    assert rc == 2
+    assert "X must consist of distinct residues" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of whole stdout streams, recorded from the implementation before
+# the one-pass rhombus terms and the single-write report path, which must
+# leave every byte unchanged.
+_BOUNDS_ALL = ["bounds", "--q", "13", "--check", "all", "--all-t",
+               "--density", "auto", "--trials", "2", "--seed", "0"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (_BOUNDS_ALL,
+     "01f05016e201d0fb85221bad2288578dfbd307747066c02f4bf34fc5cd18723a"),
+    (_BOUNDS_ALL + ["--format", "csv"],
+     "a5fecc75f4df3e22992a8e1b440e409e507a6f110ecfe7134b673afb4713fa89"),
+    (["bounds", "--q", "7", "--check", "rhom-vs-par", "--trials", "3", "--seed", "4"],
+     "c35a96b77858a0039e2fe18a3d5fa85cdc93496c94f7224a5b5c33a59c370294"),
+], ids=["all-json", "all-csv", "rhom-vs-par"])
+def test_bounds_stream_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["count", "--q", "13", "--quantity", "rhom_t", "--t", "1",
+      "--set", "random:0.5", "--seed", "0"],
+     "20f36682b3c154b2b30044f9cede8f6db1f4958d5ec7c098aa9deb0b0917b5aa"),
+    (["count", "--q", "31", "--quantity", "rhom_t", "--t", "2",
+      "--set", "random:0.5", "--seed", "3"],
+     "88b8febaf95bd96f14b7364c84c3069503f8c7bbd727ba32c16a5d086034f64d"),
+], ids=["q13", "q31"])
+def test_count_rhom_stream_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    objs = json_lines(out)
+    for obj in objs:
+        del obj["elapsed_ms"]
+    assert _sha256("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs)) == digest

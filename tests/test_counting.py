@@ -282,12 +282,53 @@ def test_rhombus_directions_match_tables_and_literal_loop(q):
         sets = random_quadruple(ctx, seed * 31 + q, lo=0.1, hi=0.8)
         d21 = difference_table(ctx, sets[1], sets[0])
         d43 = difference_table(ctx, sets[3], sets[2])
+        by_radius = rhombus_directions(ctx, *sets, [0, 1, q - 1])
+        assert list(by_radius) == [0, 1, q - 1]
         for t in (0, 1, q - 1):
-            terms = rhombus_directions(ctx, *sets, t)
+            terms = by_radius[t]
             directions = circle(ctx, t).elements
             assert [a for a, _, _ in terms] == [d21.count(x) for x in directions]
             assert [b for _, b, _ in terms] == [d43.count(x) for x in directions]
             assert terms == _rhombus_direction_reference(ctx, *sets, t)
+
+
+@st.composite
+def _multi_radius_instances(draw):
+    """q, four boundary or random sets, and unique radii that include 0."""
+    q = draw(st.sampled_from([5, 7, 13]))
+    sets = [draw(_boundary_or_random_set(q)) for _ in range(4)]
+    radii = draw(st.lists(st.integers(1, q - 1), max_size=2, unique=True))
+    radii.insert(draw(st.integers(0, len(radii))), 0)
+    return PrimeFieldCtx(q), sets, radii
+
+
+# Budgets as {name: value} overrides of counting's module constants, each
+# as a function of q: the defaults, one direction per block (from the mark
+# budget, and from a probe budget small enough to chunk each direction's
+# probes), blocks of three directions with a partial last block, and every
+# circle in a single block.
+_BLOCK_BUDGETS = {
+    "default": lambda q: {},
+    "one-direction": lambda q: {"_MARK_CELLS": 1},
+    "chunked-probes": lambda q: {"_PROBE_CHUNK": 7},
+    "three-directions": lambda q: {"_MARK_CELLS": 3 * 4 * q * q,
+                                   "_PROBE_CHUNK": 2**40},
+    "single-block": lambda q: {"_MARK_CELLS": 2**40, "_PROBE_CHUNK": 2**40},
+}
+
+
+@pytest.mark.parametrize("budget", list(_BLOCK_BUDGETS))
+@settings(max_examples=20, deadline=None)
+@given(_multi_radius_instances())
+def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
+    ctx, sets, radii = instance
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _BLOCK_BUDGETS[budget](ctx.q).items():
+            mp.setattr(counting, name, value)
+        by_radius = rhombus_directions(ctx, *sets, radii)
+    assert list(by_radius) == radii
+    for t in radii:
+        assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
