@@ -53,15 +53,26 @@ def _check_seed(seed: int, what: str) -> None:
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _json_line(obj, config) -> str:
-    payload = dict(obj)
-    payload["config"] = config
-    payload["prng"] = PRNG_ALGORITHM
-    return _ENCODER.encode(payload) + "\n"
+def _line_encoder(config):
+    """obj -> its report line: obj plus config and the PRNG name, one line
+    of sorted-key JSON.
+
+    config is encoded once.  A line whose keys all sort after "config"
+    starts with it, so the encoded config is spliced before the rest of
+    the line; any other line is encoded whole.
+    """
+    head = '{"config": ' + _ENCODER.encode(config) + ", "
+
+    def line(obj) -> str:
+        if min(obj, default="prng") > "config":
+            return head + _ENCODER.encode({**obj, "prng": PRNG_ALGORITHM})[1:] + "\n"
+        return _ENCODER.encode({**obj, "config": config, "prng": PRNG_ALGORITHM}) + "\n"
+
+    return line
 
 
 def _emit(obj, config):
-    sys.stdout.write(_json_line(obj, config))
+    sys.stdout.write(_line_encoder(config)(obj))
 
 
 def _config_echo(args) -> dict:
@@ -129,8 +140,19 @@ def _parse_sets(ctx, spec: str, nslots: int, default_seed: int) -> list:
         tokens = tokens * nslots
     if len(tokens) != nslots:
         raise UsageError(f"expected {nslots} set slots, got {len(tokens)}")
-    return [_parse_one_set(ctx, tok, default_seed, slot)
-            for slot, tok in enumerate(tokens)]
+    # Each distinct token is built once, so slots naming one set share one
+    # PointSet.  An unseeded random:D draws seed + slot, so its slot is part
+    # of what it names.
+    built = {}
+    sets = []
+    for slot, tok in enumerate(tokens):
+        key = tok.strip()
+        if key.startswith("random:") and key.count(":") == 1:
+            key = (key, slot)
+        if key not in built:
+            built[key] = _parse_one_set(ctx, tok, default_seed, slot)
+        sets.append(built[key])
+    return sets
 
 
 # -- count / bench -------------------------------------------------------------
@@ -230,7 +252,7 @@ def _cmd_bounds(args) -> int:
         t = args.t % ctx.q
         if t == 0:
             raise UsageError("--t must be nonzero")
-    config = _config_echo(args)
+    json_line = _line_encoder(_config_echo(args))
     by_check = {check: [] for check in checks}
     for rep in bounds_mod.sweep(ctx, checks, args.trials, density,
                                 args.seed, all_t=args.all_t, t=t):
@@ -242,7 +264,7 @@ def _cmd_bounds(args) -> int:
         for rep in reports:
             rows.append(rep.to_json_obj())
             if args.format == "json":
-                lines.append(_json_line(rows[-1], config))
+                lines.append(json_line(rows[-1]))
         violations = sum(1 for rep in reports if not rep.holds)
         if violations and check in ASSERTED_CHECKS:
             exit_code = 1
@@ -255,7 +277,7 @@ def _cmd_bounds(args) -> int:
             "min_slack": min_slack,
         }
         if args.format == "json":
-            lines.append(_json_line(summary, config))
+            lines.append(json_line(summary))
         elif args.format == "human":
             lines.append(f"{check}: {len(reports)} instances, {violations} "
                          f"violations, min slack {min_slack}\n")

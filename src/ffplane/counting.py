@@ -216,8 +216,10 @@ def norm_class_sums(ctx, values: np.ndarray) -> list:
 
 
 def _products(ctx, E1, E2, E3, E4) -> np.ndarray:
-    return table_products(difference_table(ctx, E1, E2),
-                          difference_table(ctx, E3, E4))
+    """D12 * D34, with D12 reused as D34 when (E3, E4) equals (E1, E2)."""
+    d12 = difference_table(ctx, E1, E2)
+    d34 = d12 if E3 == E1 and E4 == E2 else difference_table(ctx, E3, E4)
+    return table_products(d12, d34)
 
 
 def par_t_profile(ctx, E1, E2, E3, E4) -> dict:

@@ -9,6 +9,7 @@ size are unrelated to Euclidean intuition.
 
 import functools
 import json
+import math
 import operator
 import os
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import PointSetFormatError
 from .field import PrimeFieldCtx
-from .rng import splitmix64_floats
+from .rng import splitmix64_u64
 
 Point = tuple
 
@@ -29,14 +30,16 @@ _EXACT_CHUNK = 1 << 16
 
 
 class PointSet:
-    """Immutable set of distinct points with O(1) membership.
+    """Immutable set of distinct points, stored as its q x q indicator.
 
-    Keeps the ordered element tuple (for deterministic iteration, the
-    oracles and file I/O) and a read-only q x q bool ``indicator``, built
-    on first use, which membership, equality and hashing read.
+    The read-only bool array ``indicator`` is the set: size, membership,
+    equality and hashing read it.  ``elements``, the ordered tuple of point
+    tuples that the oracles, the VC layer, file output and iteration read,
+    is derived on first read and cached.  It is row-major for a set built
+    from an indicator and in the given order for ``PointSet(q, points)``.
     """
 
-    __slots__ = ("q", "elements", "_indicator")
+    __slots__ = ("q", "indicator", "_size", "_elements")
 
     def __init__(self, q: int, points):
         pts = tuple((int(p[0]), int(p[1])) for p in points)
@@ -45,41 +48,44 @@ class PointSet:
         for x1, x2 in pts:
             if not (0 <= x1 < q and 0 <= x2 < q):
                 raise ValueError(f"point {(x1, x2)} not reduced mod {q}")
+        arr = np.zeros((q, q), dtype=bool)
+        if pts:
+            arr[tuple(np.array(pts).T)] = True
+        arr.flags.writeable = False
         self.q = q
-        self.elements = pts
-        self._indicator = None
+        self.indicator = arr
+        self._size = len(pts)
+        self._elements = pts
 
     @classmethod
     def _from_indicator(cls, q: int, indicator: np.ndarray) -> "PointSet":
-        """Trusted constructor: the points of a q x q bool array, row-major.
+        """Trusted constructor: the True cells of a q x q bool array.
 
-        Skips validation; the array must not be written to afterwards.
+        Skips validation and builds no point tuples; the array is made
+        read-only and must not be written to through another reference.
         """
         self = cls.__new__(cls)
-        rows, cols = np.nonzero(indicator)
-        self.q = q
-        self.elements = tuple(zip(rows.tolist(), cols.tolist()))
         indicator.flags.writeable = False
-        self._indicator = indicator
+        self.q = q
+        self.indicator = indicator
+        self._size = int(np.count_nonzero(indicator))
+        self._elements = None
         return self
 
     @property
-    def indicator(self) -> np.ndarray:
-        """Read-only q x q bool array with True at the members."""
-        if self._indicator is None:
-            arr = np.zeros((self.q, self.q), dtype=bool)
-            if self.elements:
-                arr[tuple(np.array(self.elements).T)] = True
-            arr.flags.writeable = False
-            self._indicator = arr
-        return self._indicator
+    def elements(self) -> tuple:
+        """The points as (x1, x2) tuples, built on first read."""
+        if self._elements is None:
+            rows, cols = np.nonzero(self.indicator)
+            self._elements = tuple(zip(rows.tolist(), cols.tolist()))
+        return self._elements
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self._size
 
     def __len__(self):
-        return len(self.elements)
+        return self._size
 
     def __iter__(self):
         return iter(self.elements)
@@ -93,7 +99,7 @@ class PointSet:
         return 0 <= x1 < self.q and 0 <= x2 < self.q and bool(self.indicator[x1, x2])
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PointSet)
             and self.q == other.q
             and np.array_equal(self.indicator, other.indicator)
@@ -103,7 +109,7 @@ class PointSet:
         return hash((self.q, self.indicator.tobytes()))
 
     def __repr__(self):
-        return f"PointSet(q={self.q}, size={len(self.elements)})"
+        return f"PointSet(q={self.q}, size={self._size})"
 
 
 class DifferenceTable:
@@ -267,16 +273,20 @@ def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
 
 
 def gen_random_set(ctx: PrimeFieldCtx, density: float, seed: int) -> PointSet:
-    """Bernoulli(density) sample of the plane, row-major scan order.
+    """Bernoulli(density) sample of the plane, as an indicator.
 
-    Driven by splitmix64 (the k-th draw decides cell k - 1 in row-major
-    order), so the result is a pure function of (q, density, seed).
+    Driven by splitmix64: the k-th draw decides cell k - 1 in row-major
+    order, so the result is a pure function of (q, density, seed).  A cell
+    is in when ``next_float() < density``.  With m the top 53 bits of the
+    draw, next_float() is m * 2^-53 and scaling density by 2^53 is exact, so
+    that holds exactly when m < ceil(density * 2^53): one shift and one
+    integer compare per cell, and no float conversion.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     q = ctx.q
-    draws = splitmix64_floats(seed, q * q).reshape(q, q)
-    return PointSet._from_indicator(q, draws < density)
+    top = splitmix64_u64(seed, q * q).reshape(q, q) >> np.uint64(11)
+    return PointSet._from_indicator(q, top < np.uint64(math.ceil(density * 2.0**53)))
 
 
 # -- file formats -----------------------------------------------------------

@@ -71,8 +71,3 @@ def splitmix64_u64(seed: int, n: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
-
-
-def splitmix64_floats(seed: int, n: int) -> np.ndarray:
-    """The first n ``next_float()`` draws of ``SplitMix64(seed)`` as one array."""
-    return (splitmix64_u64(seed, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from ffplane.bounds import CHECK_NAMES
-from ffplane.cli import main
+from ffplane.cli import _line_encoder, _parse_sets, main
+from ffplane.field import PrimeFieldCtx
+from ffplane.geometry import gen_random_set
 
 
 def run_cli(capsys, argv):
@@ -35,6 +37,33 @@ def test_count_broadcasts_single_set_token(capsys):
         "count", "--q", "3", "--t", "1", "--quantity", "n_t", "--set", "full"])
     assert rc == 0
     assert json_lines(out)[0]["value"] == 36
+
+
+def test_repeated_set_tokens_build_one_set():
+    ctx = PrimeFieldCtx(7)
+    sets = _parse_sets(ctx, "random:0.5:3,full, random:0.5:3 ,full", 4, 0)
+    assert sets[0] is sets[2] and sets[1] is sets[3] and sets[0] != sets[1]
+    for token in ("full", "line-ap:0:-1:3", "random:0.5:3"):
+        sets = _parse_sets(ctx, token, 4, 0)
+        assert all(s is sets[0] for s in sets)
+    # Unseeded, slot k draws seed + k, so the slots stay distinct sets.
+    unseeded = _parse_sets(ctx, "random:0.5,random:0.5", 2, 9)
+    assert unseeded[0] is not unseeded[1]
+    assert unseeded == [gen_random_set(ctx, 0.5, 9), gen_random_set(ctx, 0.5, 10)]
+
+
+@pytest.mark.parametrize("token", ["full", "line-ap:0:1:3", "random:0.5:3", "random:0.5"])
+@pytest.mark.parametrize("quantity", ["par_t", "par", "rhom_t", "degenerate"])
+def test_broadcast_token_prints_the_spelled_out_line(capsys, token, quantity):
+    lines = []
+    for spec in (token, ",".join([token] * 4)):
+        argv = ["count", "--q", "11", "--quantity", quantity, "--set", spec, "--seed", "5"]
+        rc, out, _ = run_cli(capsys, argv + ([] if quantity == "par" else ["--t", "2"]))
+        assert rc == 0
+        obj = json_lines(out)[0]
+        del obj["elapsed_ms"], obj["config"]["set"]
+        lines.append(obj)
+    assert lines[0] == lines[1]
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -344,6 +373,17 @@ def test_line_ap_longer_than_q_exits_2_before_building(capsys):
     assert rc == 2
     assert "X must consist of distinct residues" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("obj", [
+    {}, {"holds": True, "inputs": {"z": 1, "a": [2.5, None]}, "name": "x"},
+    {"check": "a", "summary": True}, {"config": 1, "lhs": 2}, {"prng": "other"},
+    {"confid": 0, "d": 1}, {"configs": "", "é": "ü"},
+])
+def test_report_line_is_sorted_json_with_config_and_prng(obj):
+    config = {"set": "full", "q": 7, "nested": {"b": 1, "a": 2}}
+    payload = {**obj, "config": config, "prng": "splitmix64"}
+    assert _line_encoder(config)(obj) == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def _sha256(text):

@@ -376,3 +376,66 @@ def test_rhombus_layer_fast_matches_oracle(instance):
     assert count_rhom_t(ctx, *sets, t, "fast",
                         exclude_degenerate=True).value == rhom - deg
     assert count_degenerate_rhom(ctx, *sets, t).value == deg
+
+
+def _small_set(q):
+    """Boundary or random sets small enough for the par_t oracle at q = 13."""
+    ctx = PrimeFieldCtx(q)
+    fixed = [PointSet(q, []), PointSet(q, [(1, q - 2)]), circle(ctx, 1)]
+    if q == 13:
+        fixed.append(PointSet(13, [(a, 5 * a % 13) for a in range(13)]))
+    else:
+        fixed.append(full_plane(ctx))
+    random_sets = st.builds(lambda d, seed: gen_random_set(ctx, d, seed),
+                            st.floats(0.0, 0.25 if q == 13 else 0.6),
+                            st.integers(0, 2**32))
+    return st.one_of(st.sampled_from(fixed), random_sets)
+
+
+@st.composite
+def _equal_pair_instances(draw):
+    """(E1, E2) and an equal (E3, E4): the same objects or equal copies."""
+    q = draw(st.sampled_from([5, 7, 13]))
+    e1, e2 = draw(_small_set(q)), draw(_small_set(q))
+    if draw(st.booleans()):
+        e3, e4 = e1, e2
+    else:
+        e3 = PointSet._from_indicator(q, e1.indicator.copy())
+        e4 = PointSet(q, reversed(e2.elements))
+    return PrimeFieldCtx(q), [e1, e2, e3, e4], draw(st.integers(0, q - 1))
+
+
+def _count_tables(mp):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return difference_table(*args)
+
+    mp.setattr(counting, "difference_table", counted)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(_equal_pair_instances())
+def test_equal_pairs_share_one_difference_table(instance):
+    ctx, sets, t = instance
+    par_t = count_par_t(ctx, *sets, t, "oracle").value
+    par = count_par_all(ctx, *sets, "oracle").value
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_tables(mp)
+        assert count_par_t(ctx, *sets, t, "fast").value == par_t
+        assert count_par_all(ctx, *sets, "fast").value == par
+        profile = par_t_profile(ctx, *sets)
+    assert profile[t] == par_t and sum(profile.values()) == par
+    assert len(calls) == 3
+
+
+def test_unequal_pairs_build_two_difference_tables(monkeypatch, ctx7):
+    a, b = gen_random_set(ctx7, 0.5, 1), gen_random_set(ctx7, 0.5, 2)
+    calls = _count_tables(monkeypatch)
+    for sets in ([a, b, b, a], [a, b, a, a], [a, a, a, b]):
+        calls.clear()
+        value = count_par_all(ctx7, *sets).value
+        assert value == count_par_all(ctx7, *sets, "oracle").value
+        assert len(calls) == 2

@@ -214,15 +214,25 @@ def test_exact_route_is_taken_exactly_up_to_its_pair_count(monkeypatch, ctx7, pe
             assert (route == "exact") == (len(A) * len(B) <= limit)
 
 
-@pytest.mark.parametrize("q", [3, 13, 31])
-@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
-def test_random_set_matches_scalar_stream(q, density):
+def _assert_matches_scalar_stream(q, density):
     ctx = PrimeFieldCtx(q)
     for seed in (0, 99, 2**64 - 1):
         rng = SplitMix64(seed)
         ref = tuple((x1, x2) for x1 in range(q) for x2 in range(q)
                     if rng.next_float() < density)
         assert gen_random_set(ctx, density, seed).elements == ref
+
+
+# 2^-53 and 1 - 2^-53 are the densities next to the ends of the draws'
+# range, where the integer threshold ceil(d * 2^53) is 1 and 2^53 - 1.
+@pytest.mark.parametrize("q", [3, 13, 31])
+@pytest.mark.parametrize("density", [0.0, 2.0**-53, 0.25, 0.3, 0.5, 1 - 2.0**-53, 1.0])
+def test_random_set_matches_scalar_stream(q, density):
+    _assert_matches_scalar_stream(q, density)
+
+
+def test_random_set_matches_scalar_stream_at_q211():
+    _assert_matches_scalar_stream(211, 0.01)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
@@ -245,6 +255,49 @@ def test_indicator_matches_elements_and_is_read_only(ctx7):
         assert set(zip(*map(np.ndarray.tolist, np.nonzero(ind)))) == set(ps)
         with pytest.raises(ValueError):
             ind[0, 0] = True
+
+
+def _indicator_sets(q):
+    """Fresh indicator-built sets: empty, singleton, full plane, a circle,
+    and at q = 13 the isotropic line {(a, 5a)}."""
+    idx = np.arange(q)
+    empty = np.zeros((q, q), dtype=bool)
+    single = empty.copy()
+    single[1, q - 2] = True
+    sets = [empty, single, np.ones((q, q), dtype=bool),
+            (idx[:, None] ** 2 + idx[None, :] ** 2) % q == 1]
+    if q == 13:
+        line = empty.copy()
+        line[idx, 5 * idx % 13] = True
+        sets.append(line)
+    return [PointSet._from_indicator(q, ind) for ind in sets]
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_indicator_set_builds_its_points_only_when_read(q):
+    ctx = PrimeFieldCtx(q)
+    for ps, twin in zip(_indicator_sets(q), _indicator_sets(q)):
+        ind = ps.indicator
+        size = int(ind.sum())
+        assert len(ps) == ps.size == size and repr(ps).endswith(f"size={size})")
+        assert all(((a, b) in ps) == ind[a, b] for a in range(q) for b in range(q))
+        assert ps == twin and hash(ps) == hash(twin)
+        assert ps != PointSet(q, [(0, 1)])
+        assert ps._elements is None and twin._elements is None
+        row_major = tuple((a, b) for a in range(q) for b in range(q) if ind[a, b])
+        assert ps.elements == row_major and ps.elements is ps.elements
+        assert tuple(twin) == row_major
+        assert ps == PointSet(q, reversed(row_major))
+    assert full_plane(ctx)._elements is None
+
+
+def test_point_list_set_keeps_its_order(ctx7):
+    pts = [(6, 0), (1, 2), (3, 3), (0, 5)]
+    ps = PointSet(7, pts)
+    assert ps.elements == tuple(pts) and list(ps) == pts
+    assert ps == PointSet._from_indicator(7, np.array(ps.indicator))
+    strip = gen_example_line_ap(ctx7, [0, -1, -2])
+    assert strip.elements[:4] == ((0, 0), (0, 6), (0, 5), (1, 0))
 
 
 @settings(max_examples=25, deadline=None)
