@@ -49,9 +49,9 @@ def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
     return _reports(ctx, "unit-distance", (U, V), [t], {})[0]
 
 
-# The verdicts of the three checks below are exact: multiplied by q and
-# squared, each inequality compares integers.  lhs, rhs, ratio and slack are
-# reported as floats.
+# The verdicts below are exact: multiplied by q and squared, each
+# inequality compares integers.  lhs, rhs, ratio and slack are reported as
+# floats.
 
 def unit_distance_holds(q: int, n_t: int, size_u: int, size_v: int) -> bool:
     """|n_t - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), as
@@ -68,6 +68,12 @@ def par_mean_holds(q: int, par_t: int, par_all: int, prod: int) -> bool:
 def par_pair_holds(q: int, par_t: int, par_t2: int, prod: int) -> bool:
     """|Par_t - Par_t'| <= sqrt(q) sqrt(prod), as (Par_t - Par_t')^2 <= q prod."""
     return (par_t - par_t2) ** 2 <= q * prod
+
+
+def rhom_sharp_holds(q: int, rhom: int, sum_prod: int, p12: int, p34: int) -> bool:
+    """|Rhom_t - sum_prod/q| <= sqrt(q) sqrt(p12/q) sqrt(p34/q), as
+    (q Rhom_t - sum_prod)^2 <= q p12 p34."""
+    return (q * rhom - sum_prod) ** 2 <= q * p12 * p34
 
 
 def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
@@ -148,7 +154,7 @@ def _rhom_relation_report(q, t, sizes, terms, **tag) -> BoundReport:
             "rhom_t": rhom,
             "par_t": sum_prod,
             "sharp_rhs": rhs_sharp,
-            "sharp_holds": lhs <= rhs_sharp + 1e-9,
+            "sharp_holds": rhom_sharp_holds(q, rhom, sum_prod, p12, p34),
             "sharp_hypothesis": p12 >= q**3 and p34 >= q**3,
         },
     )

@@ -440,12 +440,30 @@ def _cmd_gen(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order the full parser lists them.
+COMMANDS = ("count", "bounds", "fourier", "vc", "witness", "bench", "gen")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ffplane parser with the subparser of ``command`` only, or with
+    all of them when ``command`` is None.
+
+    ``main`` builds one subparser when the first argument names a
+    subcommand, and the full parser for no arguments, top-level help and
+    errors.  The one-subcommand parser lists every name in its usage line,
+    so its top-level error messages read as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="ffplane",
         description="Configuration counts, spectral checks, and VC audits "
                     "for point sets in the plane over a prime field.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # Only a partial parser needs the names spelled out; the full one
+    # derives the same text from its subparsers.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    def wanted(name):
+        return command is None or command == name
 
     def add_common(p):
         p.add_argument("--q", type=int, required=True, help="odd prime modulus")
@@ -453,78 +471,86 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default="json")
 
-    p = sub.add_parser("count", help="run one exact counter")
-    add_common(p)
-    p.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--set", required=True,
-                   help="comma-separated slots: full | random:D[:SEED] | "
-                        "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)")
-    p.add_argument("--method", choices=METHODS, default="fast")
-    p.add_argument("--exclude-degenerate", action="store_true")
-    p.set_defaults(func=_cmd_count)
+    if wanted("count"):
+        p = sub.add_parser("count", help="run one exact counter")
+        add_common(p)
+        p.add_argument("--quantity", choices=QUANTITIES, required=True)
+        p.add_argument("--t", type=int, default=None)
+        p.add_argument("--set", required=True,
+                       help="comma-separated slots: full | random:D[:SEED] | "
+                            "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)")
+        p.add_argument("--method", choices=METHODS, default="fast")
+        p.add_argument("--exclude-degenerate", action="store_true")
+        p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("bounds", help="run a named inequality check or all")
-    add_common(p)
-    p.add_argument("--check", default="all",
-                   help=f"one of {bounds_mod.CHECK_NAMES} or all")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--t", type=int, default=None,
-                   help="pin the radius (default: drawn per trial)")
-    p.add_argument("--density", default="0.5",
-                   help="set density in [0,1], or 'auto' to draw per trial")
-    p.add_argument("--all-t", action="store_true",
-                   help="cover every nonzero radius (and every pair); "
-                        "unit-distance still reports one drawn radius per trial")
-    p.set_defaults(func=_cmd_bounds)
+    if wanted("bounds"):
+        p = sub.add_parser("bounds", help="run a named inequality check or all")
+        add_common(p)
+        p.add_argument("--check", default="all",
+                       help=f"one of {bounds_mod.CHECK_NAMES} or all")
+        p.add_argument("--trials", type=int, default=100)
+        p.add_argument("--t", type=int, default=None,
+                       help="pin the radius (default: drawn per trial)")
+        p.add_argument("--density", default="0.5",
+                       help="set density in [0,1], or 'auto' to draw per trial")
+        p.add_argument("--all-t", action="store_true",
+                       help="cover every nonzero radius (and every pair); "
+                            "unit-distance still reports one drawn radius per trial")
+        p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("fourier", help="dump a spectrum or a decay report")
-    add_common(p)
-    p.add_argument("--set", default=None)
-    p.add_argument("--circle", type=int, default=None,
-                   help="transform the circle of this radius")
-    p.add_argument("--method", choices=("fast", "oracle"), default="fast")
-    p.add_argument("--decay", action="store_true",
-                   help="emit the decay report for --circle instead")
-    p.set_defaults(func=_cmd_fourier)
+    if wanted("fourier"):
+        p = sub.add_parser("fourier", help="dump a spectrum or a decay report")
+        add_common(p)
+        p.add_argument("--set", default=None)
+        p.add_argument("--circle", type=int, default=None,
+                       help="transform the circle of this radius")
+        p.add_argument("--method", choices=("fast", "oracle"), default="fast")
+        p.add_argument("--decay", action="store_true",
+                       help="emit the decay report for --circle instead")
+        p.set_defaults(func=_cmd_fourier)
 
-    p = sub.add_parser("vc", help="exhaustive VC dimension of a set")
-    add_common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(func=_cmd_vc)
+    if wanted("vc"):
+        p = sub.add_parser("vc", help="exhaustive VC dimension of a set")
+        add_common(p)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--set", required=True)
+        p.add_argument("--cap", type=int, default=4)
+        p.set_defaults(func=_cmd_vc)
 
-    p = sub.add_parser("witness", help="construct and verify a shattering witness")
-    add_common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=_cmd_witness)
+    if wanted("witness"):
+        p = sub.add_parser("witness", help="construct and verify a shattering witness")
+        add_common(p)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--set", required=True)
+        p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("bench", help="time counter methods on one instance")
-    add_common(p)
-    p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--methods", default="oracle,fast")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--set", default=None)
-    p.add_argument("--runs", type=int, default=5)
-    p.set_defaults(func=_cmd_bench)
+    if wanted("bench"):
+        p = sub.add_parser("bench", help="time counter methods on one instance")
+        add_common(p)
+        p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
+        p.add_argument("--t", type=int, default=None)
+        p.add_argument("--methods", default="oracle,fast")
+        p.add_argument("--density", type=float, default=0.5)
+        p.add_argument("--set", default=None)
+        p.add_argument("--runs", type=int, default=5)
+        p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("gen", help="generate a point-set file")
-    add_common(p)
-    p.add_argument("--set", default="random:0.5")
-    p.add_argument("--out", default=None, help="output path (.json or text)")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON to stdout instead of text")
-    p.set_defaults(func=_cmd_gen)
+    if wanted("gen"):
+        p = sub.add_parser("gen", help="generate a point-set file")
+        add_common(p)
+        p.add_argument("--set", default="random:0.5")
+        p.add_argument("--out", default=None, help="output path (.json or text)")
+        p.add_argument("--json", action="store_true",
+                       help="emit JSON to stdout instead of text")
+        p.set_defaults(func=_cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _check_seed(args.seed, "--seed")
         return args.func(args)

@@ -412,10 +412,13 @@ def par_t_fourier(ctx, E1, E2, E3, E4, t: int) -> FourierSplit:
     q = ctx.q
     t %= q
 
-    e1 = transform(ctx, E1).coeffs
-    e2 = transform(ctx, E2).coeffs
-    e3 = transform(ctx, E3).coeffs
-    e4 = transform(ctx, E4).coeffs
+    # Slots naming one set share one PointSet, so each distinct set is
+    # transformed once.
+    spectra = {}
+    for s in (E1, E2, E3, E4):
+        if id(s) not in spectra:
+            spectra[id(s)] = transform(ctx, s).coeffs
+    e1, e2, e3, e4 = (spectra[id(s)] for s in (E1, E2, E3, E4))
     st = transform(ctx, circle(ctx, t)).coeffs
 
     # Writing the count as sum_v S_t(v) * sum_{x,y} E1(x)E2(x-v)E3(y)E4(y-v)

@@ -7,9 +7,12 @@ A ``PrimeFieldCtx`` owns the modulus and two precomputed character tables:
 * ``eta_table[a]`` in ``{-1, 0, +1}`` -- the quadratic character
   (``+1`` for nonzero squares, ``-1`` for non-squares, ``0`` at zero).
 
-Tables are built once per context because the counters evaluate the
-additive character up to q^4 times.  The context is immutable after
-construction and safe to share between threads.
+Each table is built on its first read and kept for the context's life:
+the character-sum routines (the oracle transform, the closed-form circle
+spectrum, the Gauss sum) evaluate a character up to q^4 times, while most
+commands never read one.  Apart from that one-time fill the context does
+not change, and it is safe to share between threads: two first reads at
+once build equal tables.
 """
 
 import cmath
@@ -37,13 +40,24 @@ class PrimeFieldCtx:
         if not isinstance(q, int) or not is_prime(q) or q < 3:
             raise ValueError(f"q must be an odd prime >= 3, got {q!r}")
         self.q = q
-        # chi(0) must be exactly 1+0j; cmath.exp(0) already guarantees it.
-        self.chi_table = tuple(cmath.exp(2j * cmath.pi * a / q) for a in range(q))
-        half = (q - 1) // 2
-        eta = [0] * q
-        for a in range(1, q):
-            eta[a] = 1 if pow(a, half, q) == 1 else -1
-        self.eta_table = tuple(eta)
+
+    def __getattr__(self, name):
+        # Reached only while a table's slot is still empty.
+        if name == "chi_table":
+            q = self.q
+            # chi(0) must be exactly 1+0j; cmath.exp(0) already guarantees it.
+            self.chi_table = tuple(cmath.exp(2j * cmath.pi * a / q) for a in range(q))
+            return self.chi_table
+        if name == "eta_table":
+            q = self.q
+            half = (q - 1) // 2
+            eta = [0] * q
+            for a in range(1, q):
+                eta[a] = 1 if pow(a, half, q) == 1 else -1
+            self.eta_table = tuple(eta)
+            return self.eta_table
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ from ffplane.bounds import (
     _par_mean_report,
     _par_pair_report,
     _rhom_lower_report,
+    _rhom_relation_report,
     _unit_distance_report,
     check_par_mean,
     check_par_mean_all,
@@ -87,6 +88,21 @@ def test_rhom_relation_fixture(ctx3):
     assert rep.holds
     assert rep.extra["rhom_t"] == 144 and rep.extra["par_t"] == 324
     assert rep.extra["sharp_hypothesis"]          # 81*81 >= 27
+
+
+@pytest.mark.parametrize("q,k", [(7, 1), (7, 2**27), (13, 3**17)])
+def test_rhom_relation_sharp_verdict_is_exact(q, k):
+    # Sizes (q k, k, k, k) give q p12 p34 = (q k^2)^2, so the sharp tier
+    # holds exactly when |q Rhom_t - sum ab| <= D = q k^2.  At k = 2^27 the
+    # products pass 2^53 and the float form calls D + 1 a pass.
+    sizes = (q * k, k, k, k)
+    big_d = q * k * k
+    rhom = 2 * k * k
+    for d in (big_d - 1, big_d, big_d + 1, -big_d - 1, -big_d, -big_d + 1):
+        sum_ab = q * rhom - d
+        rep = _rhom_relation_report(q, 1, sizes, [(sum_ab, 1, rhom)])
+        assert rep.extra["rhom_t"] == rhom and rep.extra["par_t"] == sum_ab
+        assert rep.extra["sharp_holds"] == (abs(d) <= big_d), d
 
 
 def test_rhom_relation_empty(ctx3):

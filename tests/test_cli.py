@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
 import time
 
 import pytest
 
+from ffplane import cli
 from ffplane.bounds import CHECK_NAMES
-from ffplane.cli import _line_encoder, _parse_sets, main
+from ffplane.cli import COMMANDS, _line_encoder, _parse_sets, build_parser, main
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import gen_random_set
 
@@ -426,3 +428,68 @@ def test_count_rhom_stream_matches_golden_digest(capsys, argv, digest):
     for obj in objs:
         del obj["elapsed_ms"]
     assert _sha256("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs)) == digest
+
+
+# -- one subparser per command -------------------------------------------------
+
+_VALID_ARGV = {
+    "count": ["count", "--q", "7", "--quantity", "par_t", "--t", "1", "--set", "full"],
+    "bounds": ["bounds", "--q", "7", "--check", "all", "--all-t", "--trials", "2"],
+    "fourier": ["fourier", "--q", "7", "--circle", "1", "--decay"],
+    "vc": ["vc", "--q", "7", "--t", "1", "--set", "full", "--cap", "3"],
+    "witness": ["witness", "--q", "13", "--t", "1", "--set", "full", "--seed", "5"],
+    "bench": ["bench", "--q", "5", "--t", "1", "--runs", "1", "--format", "csv"],
+    "gen": ["gen", "--q", "5", "--set", "line-ap:0:1:2", "--json"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subcommand_parser_parses_as_the_full_one(command):
+    argv = _VALID_ARGV[command]
+    one = vars(build_parser(command).parse_args(argv))
+    assert one == vars(build_parser().parse_args(argv))
+    assert one["command"] == command
+    assert one["func"] is getattr(cli, f"_cmd_{command}")
+
+
+def _outcome(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nope"], ["coun"], ["COUNT"], ["--q", "7", "count"],
+    *([command, "-h"] for command in COMMANDS),
+    ["count", "--nonsense"],
+    ["bounds", "--q", "7", "--trials", "2", "extra"],
+    ["count", "--q", "7", "--quantity", "bogus", "--set", "full"],
+    ["count", "--q", "x", "--quantity", "n_t", "--set", "full"],
+    ["bounds", "--q", "7", "--trials", "1", "--check", "unit-distance", "--form", "csv"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _outcome(capsys, argv)
+    full = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == _outcome(capsys, argv)
+
+
+def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(_VALID_ARGV["vc"]) == 0
+    assert built == ["vc"]
+    # Errors and top-level help go through the full parser.
+    built.clear()
+    assert _outcome(capsys, ["nope"])[0] == 2
+    assert built == list(COMMANDS)

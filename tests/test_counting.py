@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,29 @@ def test_fourier_split_invariants(q):
             term_is.append(split.term_i)
         base = term_is[0]
         assert all(abs(x - base) < 1e-6 for x in term_is)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_fourier_transforms_each_distinct_set_once(monkeypatch, capsys, distinct):
+    from ffplane.cli import main
+    calls = []
+    original = counting.transform
+
+    def traced(ctx, f, *args, **kwargs):
+        calls.append(f)
+        return original(ctx, f, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "transform", traced)
+    spec = ("random:0.5:1,random:0.5:2,random:0.5:3,full" if distinct
+            else "random:0.5:1")
+    argv = ["count", "--q", "7", "--quantity", "par_t", "--t", "2", "--set", spec]
+    values = []
+    for method in ("fourier", "fast"):
+        assert main(argv + ["--method", method]) == 0
+        values.append(json.loads(capsys.readouterr().out)["value"])
+    # The four slots plus the circle; a broadcast token is one set.
+    assert len(calls) == (5 if distinct else 2)
+    assert values[0] == values[1]
 
 
 def test_fourier_error_bound_refuses_full_planes_past_q37():

@@ -98,3 +98,20 @@ def test_gauss_sum_q3_direct():
     )
     assert abs(PrimeFieldCtx(3).gauss_sum() - expected) < 1e-12
     assert abs(expected - complex(0, math.sqrt(3))) < 1e-12
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 101])
+def test_character_tables_are_built_on_first_read(q):
+    ctx = PrimeFieldCtx(q)
+    for name in PrimeFieldCtx.__slots__[1:]:
+        with pytest.raises(AttributeError):
+            object.__getattribute__(ctx, name)
+    chi = ctx.chi_table
+    assert ctx.chi_table is chi
+    assert chi == tuple(cmath.exp(2j * cmath.pi * a / q) for a in range(q))
+    eta = ctx.eta_table
+    assert ctx.eta_table is eta
+    assert eta == tuple(0 if a == 0 else (1 if pow(a, (q - 1) // 2, q) == 1 else -1)
+                        for a in range(q))
+    with pytest.raises(AttributeError):
+        ctx.chi_tables
