@@ -19,9 +19,9 @@ import math
 from .counting import count_unit_distances, par_t_profile, rhombus_directions
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
-from .fourier import check_circle_decay
+from .fourier import check_circle_decay, circle_decay_fields
 from .geometry import PointSet, full_plane, gen_random_set
-from .report import BoundReport, make_report
+from .report import JSON_BOOL, BoundReport, make_report
 from .rng import SplitMix64
 
 CHECK_NAMES = (
@@ -50,8 +50,8 @@ def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
 
 
 # The verdicts below are exact: multiplied by q and squared, each
-# inequality compares integers.  lhs, rhs, ratio and slack are reported as
-# floats.
+# inequality compares integers; the rhombus relation, a sum of square roots,
+# is decided by interval.  lhs, rhs, ratio and slack are reported as floats.
 
 def unit_distance_holds(q: int, n_t: int, size_u: int, size_v: int) -> bool:
     """|n_t - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), as
@@ -70,11 +70,54 @@ def par_pair_holds(q: int, par_t: int, par_t2: int, prod: int) -> bool:
     return (par_t - par_t2) ** 2 <= q * prod
 
 
+def rhom_relation_holds(q: int, rhom: int, prods: list, rhs: float) -> bool:
+    """|Rhom_t - sum_x p_x/q| <= 2 sqrt(q) sum_x sqrt(p_x), p_x = |E12^x||E34^x|,
+    decided exactly as |q Rhom_t - sum p| <= 2q sum sqrt(q p).
+
+    ``rhs`` is the right side as reported, 2.0 * sqrt(q) * sum sqrt(p) summed
+    in order in floats.  q * rhs lies within (len(prods) + 5) 2^-53 of the
+    exact 2q sum sqrt(q p), so it decides whenever the left side lies
+    outside a band of (len(prods) + 8) 2^-50 q rhs around it.  Inside the
+    band, sqrt(q p 4^k) lies in [isqrt(q p 4^k), isqrt(q p 4^k) + 1] (at
+    isqrt exactly when q p is a square), and k doubles until these bounds
+    decide.  That ends: a sum of square roots with a non-square term is
+    irrational, and with square terms only the bounds are exact.
+    """
+    gap = abs(q * rhom - sum(prods))
+    band = q * rhs * (len(prods) + 8) * 2.0**-50
+    if gap < q * rhs - band:
+        return True
+    if gap > q * rhs + band:
+        return False
+    k = 1
+    while True:
+        lo = hi = 0
+        for p in prods:
+            scaled = q * p << 2 * k
+            root = math.isqrt(scaled)
+            lo += root
+            hi += root + (root * root != scaled)
+        if gap << k <= 2 * q * lo:
+            return True
+        if gap << k > 2 * q * hi:
+            return False
+        k *= 2
+
+
 def rhom_sharp_holds(q: int, rhom: int, sum_prod: int, p12: int, p34: int) -> bool:
     """|Rhom_t - sum_prod/q| <= sqrt(q) sqrt(p12/q) sqrt(p34/q), as
     (q Rhom_t - sum_prod)^2 <= q p12 p34."""
     return (q * rhom - sum_prod) ** 2 <= q * p12 * p34
 
+
+# Each builder below is followed by its line layout: a function of a swept
+# report's inputs and extra (sweep adds trial and seed to the inputs) that
+# writes both as JSON object bodies, keys sorted, ints by str and floats by
+# repr.  It returns None, or raises KeyError, when they hold another key
+# set, a count that is not an int, a flag that is not a bool or a float that
+# is not finite; the line is then encoded whole (see cli._report_writer).
+# A key added to a builder must go into its layout too: tests/test_cli.py
+# compares every written line with json.dumps.
 
 def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
     mean = sizes[0] * sizes[1] / q
@@ -88,6 +131,19 @@ def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
     )
 
 
+def _unit_distance_fields(i, e):
+    sizes = i["sizes"]
+    if len(i) != 5 or len(e) != 2 or type(sizes) is not list or len(sizes) != 2:
+        return None
+    q, t, trial, seed, (s1, s2) = i["q"], i["t"], i["trial"], i["seed"], sizes
+    n_t, mean = e["count"], e["mean"]
+    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
+            is type(n_t) is int and type(mean) is float and math.isfinite(mean)):
+        return None
+    return (f'"count": {n_t}, "mean": {mean!r}',
+            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}], "t": {t}, "trial": {trial}')
+
+
 def _par_mean_report(q, t, par_t, par_all, sizes, **tag) -> BoundReport:
     lhs = abs(par_t - par_all / q)
     rhs = math.sqrt(q) * math.sqrt(math.prod(sizes))
@@ -97,6 +153,20 @@ def _par_mean_report(q, t, par_t, par_all, sizes, **tag) -> BoundReport:
         extra={"par_t": par_t, "par_all": par_all},
         holds=par_mean_holds(q, par_t, par_all, math.prod(sizes)),
     )
+
+
+def _par_mean_fields(i, e):
+    sizes = i["sizes"]
+    if len(i) != 5 or len(e) != 2 or type(sizes) is not list or len(sizes) != 4:
+        return None
+    q, t, trial, seed, (s1, s2, s3, s4) = i["q"], i["t"], i["trial"], i["seed"], sizes
+    par_t, par_all = e["par_t"], e["par_all"]
+    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
+            is type(s3) is type(s4) is type(par_t) is type(par_all) is int):
+        return None
+    return (f'"par_all": {par_all}, "par_t": {par_t}',
+            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
+            f'"t": {t}, "trial": {trial}')
 
 
 def check_par_mean(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
@@ -121,6 +191,20 @@ def _par_pair_report(q, t, t2, par_t, par_t2, sizes, **tag) -> BoundReport:
     )
 
 
+def _par_pair_fields(i, e):
+    sizes = i["sizes"]
+    if len(i) != 6 or len(e) != 2 or type(sizes) is not list or len(sizes) != 4:
+        return None
+    q, t, t2, trial, seed = i["q"], i["t"], i["t2"], i["trial"], i["seed"]
+    (s1, s2, s3, s4), par_t, par_t2 = sizes, e["par_t"], e["par_t2"]
+    if not (type(q) is type(t) is type(t2) is type(trial) is type(seed) is type(s1)
+            is type(s2) is type(s3) is type(s4) is type(par_t) is type(par_t2) is int):
+        return None
+    return (f'"par_t": {par_t}, "par_t2": {par_t2}',
+            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
+            f'"t": {t}, "t2": {t2}, "trial": {trial}')
+
+
 def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
     """|Par_t - Par_t'| <= sqrt(q) * sqrt(|E1||E2||E3||E4|) for t != t'."""
     if (t - t2) % ctx.q == 0:
@@ -136,12 +220,15 @@ def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
 
 
 def _rhom_relation_report(q, t, sizes, terms, **tag) -> BoundReport:
-    rhom = sum_prod = 0
+    rhom = 0
     sum_sqrt = 0.0
+    prods = []
     for a, b, rhom_x in terms:
+        p = a * b
         rhom += rhom_x
-        sum_prod += a * b
-        sum_sqrt += math.sqrt(a * b)
+        prods.append(p)
+        sum_sqrt += math.sqrt(p)
+    sum_prod = sum(prods)
     lhs = abs(rhom - sum_prod / q)
     rhs = 2.0 * math.sqrt(q) * sum_sqrt
     p12 = sizes[0] * sizes[1]
@@ -157,13 +244,33 @@ def _rhom_relation_report(q, t, sizes, terms, **tag) -> BoundReport:
             "sharp_holds": rhom_sharp_holds(q, rhom, sum_prod, p12, p34),
             "sharp_hypothesis": p12 >= q**3 and p34 >= q**3,
         },
+        holds=rhom_relation_holds(q, rhom, prods, rhs),
     )
+
+
+def _rhom_relation_fields(i, e):
+    sizes = i["sizes"]
+    if len(i) != 5 or len(e) != 5 or type(sizes) is not list or len(sizes) != 4:
+        return None
+    q, t, trial, seed, (s1, s2, s3, s4) = i["q"], i["t"], i["trial"], i["seed"], sizes
+    rhom, par, sharp_rhs = e["rhom_t"], e["par_t"], e["sharp_rhs"]
+    holds, hyp = e["sharp_holds"], e["sharp_hypothesis"]
+    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
+            is type(s3) is type(s4) is type(rhom) is type(par) is int
+            and type(holds) is type(hyp) is bool
+            and type(sharp_rhs) is float and math.isfinite(sharp_rhs)):
+        return None
+    return (f'"par_t": {par}, "rhom_t": {rhom}, "sharp_holds": {JSON_BOOL[holds]}, '
+            f'"sharp_hypothesis": {JSON_BOOL[hyp]}, "sharp_rhs": {sharp_rhs!r}',
+            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
+            f'"t": {t}, "trial": {trial}')
 
 
 def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """Two-tier rhombus-vs-parallelogram relation at side-length t.
 
-    Tier A (asserted): the per-direction form with the factor-2 constant,
+    Tier A (asserted, decided exactly by rhom_relation_holds): the
+    per-direction form with the factor-2 constant,
     |Rhom_t - sum_x |E12^x||E34^x| / q| <= 2 sqrt(q) sum_x sqrt(|E12^x||E34^x|)
     summing over |x| = t.  Tier B (recorded in ``extra``): the sharper
     display sqrt(q) sqrt(|E1||E2|/q) sqrt(|E3||E4|/q), meaningful under the
@@ -184,6 +291,20 @@ def _rhom_lower_report(q, t, sizes, rhom, **tag) -> BoundReport:
     )
 
 
+def _rhom_lower_fields(i, e):
+    sizes = i["sizes"]
+    if len(i) != 5 or len(e) != 2 or type(sizes) is not list or len(sizes) != 4:
+        return None
+    q, t, trial, seed, (s1, s2, s3, s4) = i["q"], i["t"], i["trial"], i["seed"], sizes
+    rhom, hyp = e["rhom_t"], e["hypothesis"]
+    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
+            is type(s3) is type(s4) is type(rhom) is int and type(hyp) is bool):
+        return None
+    return (f'"hypothesis": {JSON_BOOL[hyp]}, "rhom_t": {rhom}',
+            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
+            f'"t": {t}, "trial": {trial}')
+
+
 def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """Lower-bound scale for the rhombus count (recorded, never asserted).
 
@@ -193,6 +314,17 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """
     t = _radius(ctx, t, "rhombus lower check")
     return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {})[0]
+
+
+# check name -> its line layout; the report writer reads it.
+LINE_LAYOUTS = {
+    "unit-distance": _unit_distance_fields,
+    "par-vs-mean": _par_mean_fields,
+    "par-pairs": _par_pair_fields,
+    "rhom-vs-par": _rhom_relation_fields,
+    "rhom-lower": _rhom_lower_fields,
+    "circle-decay": circle_decay_fields,
+}
 
 
 def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> list:

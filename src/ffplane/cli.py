@@ -11,6 +11,7 @@ are reproducible bit-for-bit apart from elapsed_ms fields.
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -34,6 +35,7 @@ from .geometry import (
     point_set_to_text,
     save_point_set,
 )
+from .report import JSON_BOOL
 from .rng import ALGORITHM as PRNG_ALGORITHM
 
 
@@ -67,6 +69,42 @@ def _line_encoder(config):
         if min(obj, default="prng") > "config":
             return head + _ENCODER.encode({**obj, "prng": PRNG_ALGORITHM})[1:] + "\n"
         return _ENCODER.encode({**obj, "config": config, "prng": PRNG_ALGORITHM}) + "\n"
+
+    return line
+
+
+def _report_writer(config):
+    """BoundReport -> its report line: the bytes of
+    _line_encoder(config)(rep.to_json_obj()), written without the encoder.
+
+    The top-level keys are literal, in sorted order, and the check's line
+    layout in bounds.LINE_LAYOUTS writes its inputs and extra.  A report
+    with no layout, or whose values the layout or this function does not
+    fit (an int or finite float lhs, finite float rhs and ratio, a bool
+    verdict), is encoded whole.
+    """
+    encode = _line_encoder(config)
+    head = '{"config": ' + _ENCODER.encode(config) + ', "extra": {'
+    prng = _ENCODER.encode(PRNG_ALGORITHM)
+
+    def line(rep) -> str:
+        layout = bounds_mod.LINE_LAYOUTS.get(rep.name)
+        try:
+            fields = layout and layout(rep.inputs, rep.extra)
+        except KeyError:
+            fields = None
+        lhs, rhs, ratio, holds = rep.lhs, rep.rhs, rep.ratio, rep.holds
+        if (not fields or type(holds) is not bool
+                or not (type(lhs) is int or type(lhs) is float)
+                or type(rhs) is not float or type(ratio) is not float):
+            return encode(rep.to_json_obj())
+        slack = rhs - lhs
+        if not math.isfinite(lhs + rhs + ratio + slack):
+            return encode(rep.to_json_obj())
+        extra, inputs = fields
+        return (f'{head}{extra}}}, "holds": {JSON_BOOL[holds]}, "inputs": {{{inputs}}}, '
+                f'"lhs": {lhs!r}, "name": "{rep.name}", "prng": {prng}, '
+                f'"ratio": {ratio!r}, "rhs": {rhs!r}, "slack": {slack!r}}}\n')
 
     return line
 
@@ -249,22 +287,23 @@ def _cmd_bounds(args) -> int:
 
     t = None
     if args.t is not None:
+        if args.all_t:
+            raise UsageError("--t and --all-t cannot be combined")
         t = args.t % ctx.q
         if t == 0:
             raise UsageError("--t must be nonzero")
-    json_line = _line_encoder(_config_echo(args))
+    config = _config_echo(args)
+    json_line = _line_encoder(config)
+    report_line = _report_writer(config)
     by_check = {check: [] for check in checks}
     for rep in bounds_mod.sweep(ctx, checks, args.trials, density,
                                 args.seed, all_t=args.all_t, t=t):
         by_check[rep.name].append(rep)
     exit_code = 0
-    rows = []
     lines = []
     for check, reports in by_check.items():
-        for rep in reports:
-            rows.append(rep.to_json_obj())
-            if args.format == "json":
-                lines.append(json_line(rows[-1]))
+        if args.format == "json":
+            lines += map(report_line, reports)
         violations = sum(1 for rep in reports if not rep.holds)
         if violations and check in ASSERTED_CHECKS:
             exit_code = 1
@@ -282,6 +321,7 @@ def _cmd_bounds(args) -> int:
             lines.append(f"{check}: {len(reports)} instances, {violations} "
                          f"violations, min slack {min_slack}\n")
     if args.format == "csv":
+        rows = [rep.to_json_obj() for reports in by_check.values() for rep in reports]
         lines = _csv_lines(rows, ("name", "lhs", "rhs", "holds", "ratio", "slack"))
     sys.stdout.write("".join(lines))
     return exit_code
@@ -301,7 +341,7 @@ def _cmd_fourier(args) -> int:
         if args.circle is None:
             raise UsageError("--decay requires --circle J")
         rep = fourier.check_circle_decay(ctx, args.circle % ctx.q)
-        _emit(rep.to_json_obj(), config)
+        sys.stdout.write(_report_writer(config)(rep))
         return 0 if rep.holds else 1
     if (args.circle is None) == (args.set is None):
         raise UsageError("provide exactly one of --set or --circle")
@@ -429,7 +469,10 @@ def _cmd_gen(args) -> int:
     ctx = _make_ctx(args.q)
     ps = _parse_one_set(ctx, args.set, args.seed, 0)
     if args.out:
-        save_point_set(ps, args.out)
+        try:
+            save_point_set(ps, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
         print(f"wrote {len(ps)} points to {args.out}", file=sys.stderr)
     elif args.json:
         print(_ENCODER.encode(point_set_to_json_obj(ps)))

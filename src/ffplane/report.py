@@ -7,6 +7,10 @@ from dataclasses import dataclass, field
 # to False on float rounding.
 VERDICT_EPS = 1e-9
 
+# A bool's JSON text, indexed by the bool; the report-line layouts write
+# flags with it.
+JSON_BOOL = ("false", "true")
+
 
 def safe_ratio(lhs: float, rhs: float) -> float:
     """lhs/rhs with 0/0 -> 0 and x/0 -> inf; never raises."""

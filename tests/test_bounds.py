@@ -1,4 +1,5 @@
 import collections
+import decimal
 import math
 import random
 
@@ -23,6 +24,7 @@ from ffplane.bounds import (
     extreme_case_reports,
     par_mean_holds,
     par_pair_holds,
+    rhom_relation_holds,
     sweep,
     unit_distance_holds,
 )
@@ -103,6 +105,47 @@ def test_rhom_relation_sharp_verdict_is_exact(q, k):
         rep = _rhom_relation_report(q, 1, sizes, [(sum_ab, 1, rhom)])
         assert rep.extra["rhom_t"] == rhom and rep.extra["par_t"] == sum_ab
         assert rep.extra["sharp_holds"] == (abs(d) <= big_d), d
+
+
+# One direction with |E12^x||E34^x| = p and Rhom_t = 0: the asserted tier
+# reads p <= 2q sqrt(q p), i.e. p <= 4q^3, with equality a perfect square
+# (q 4q^3 = (2q^2)^2).  At q = 2^20 + 7 the sides pass 2^62, far inside the
+# float band, so the isqrt bounds decide.
+@pytest.mark.parametrize("q", [7, 13, 2**20 + 7])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_rhom_relation_verdict_is_exact(q, step):
+    p = 4 * q**3 + step
+    rep = _rhom_relation_report(q, 1, [p, 1, 1, 1], [(p, 1, 0)])
+    assert rep.holds is (step <= 0)
+    # q Rhom_t on the other side of sum p: gap = q rhom - p, one term, so the
+    # tier is gap^2 <= 4 q^3 p.
+    for rhom in ((p + 2 * q * math.isqrt(q * p)) // q + d for d in (-1, 0, 1, 2)):
+        gap = q * rhom - p
+        assert rhom_relation_holds(q, rhom, [p], rep.rhs) is (gap**2 <= 4 * q**3 * p)
+
+
+def _sum_of_roots(q, prods):
+    """2q sum sqrt(q p) to 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        return 2 * q * sum(decimal.Decimal(q * p).sqrt() for p in prods)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rhom_relation_verdict_agrees_with_decimal_roots(seed):
+    # Several directions, products up to 2^80, and the left side within a
+    # few units of the right, both above and below sum p.
+    rng = random.Random(seed)
+    q = rng.choice([5, 7, 13, 61])
+    prods = [rng.randrange(2**rng.choice([10, 40, 80]))
+             for _ in range(rng.randint(1, q + 1))]
+    rhs = 2.0 * math.sqrt(q) * sum(math.sqrt(p) for p in prods)
+    right = _sum_of_roots(q, prods)
+    for sign in (1, -1):
+        centre = sum(prods) + sign * int(right)
+        for rhom in range(centre // q - 2, centre // q + 3):
+            gap = abs(q * rhom - sum(prods))
+            if rhom >= 0:
+                assert rhom_relation_holds(q, rhom, prods, rhs) is (gap <= right), (q, rhom)
 
 
 def test_rhom_relation_empty(ctx3):

@@ -5,11 +5,19 @@ import time
 
 import pytest
 
-from ffplane import cli
+from ffplane import bounds, cli
 from ffplane.bounds import CHECK_NAMES
-from ffplane.cli import COMMANDS, _line_encoder, _parse_sets, build_parser, main
+from ffplane.cli import (
+    COMMANDS,
+    _line_encoder,
+    _parse_sets,
+    _report_writer,
+    build_parser,
+    main,
+)
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import gen_random_set
+from ffplane.report import BoundReport, make_report
 
 
 def run_cli(capsys, argv):
@@ -105,6 +113,10 @@ def test_broadcast_token_prints_the_spelled_out_line(capsys, token, quantity):
      "--seed must lie in"),
     (["fourier", "--q", "5", "--circle", "1", "--seed", "-1"], "--seed must lie in"),
     (["bench", "--q", "5", "--t", "1", "--seed", "-1"], "--seed must lie in"),
+    (["gen", "--q", "7", "--set", "full", "--out", "/nonexistent/dir/x.json"],
+     "error: cannot write '/nonexistent/dir/x.json'"),
+    (["bounds", "--q", "5", "--t", "2", "--all-t", "--trials", "1"],
+     "--t and --all-t cannot be combined"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = run_cli(capsys, argv)
@@ -386,6 +398,100 @@ def test_report_line_is_sorted_json_with_config_and_prng(obj):
     config = {"set": "full", "q": 7, "nested": {"b": 1, "a": 2}}
     payload = {**obj, "config": config, "prng": "splitmix64"}
     assert _line_encoder(config)(obj) == json.dumps(payload, sort_keys=True) + "\n"
+
+
+# -- report lines from each check's layout -------------------------------------
+
+_CONFIG = {"set": "full", "q": 7, "nested": {"b": 1, "a": 2}, "t": None, "x": 0.5}
+
+
+def _encoded(rep):
+    payload = {**rep.to_json_obj(), "config": _CONFIG, "prng": "splitmix64"}
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _count_fallbacks(monkeypatch):
+    """A list that grows by one for each line the writer encodes whole."""
+    calls = []
+    to_json_obj = BoundReport.to_json_obj
+    monkeypatch.setattr(BoundReport, "to_json_obj",
+                        lambda rep: calls.append(rep.name) or to_json_obj(rep))
+    return calls
+
+
+# q = 5 and 13 are 1 mod 4, so circle-decay at j = 0 reports isotropic_max.
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+@pytest.mark.parametrize("density", [0.0, 1.0, None])
+@pytest.mark.parametrize("all_t,t", [(True, None), (False, 2)])
+def test_report_writer_prints_the_encoded_line(monkeypatch, q, density, all_t, t):
+    reports = bounds.sweep(PrimeFieldCtx(q), CHECK_NAMES, 2, density, 3, all_t=all_t, t=t)
+    assert {rep.name for rep in reports} == set(CHECK_NAMES)
+    if q % 4 == 1 and t is None:
+        assert "isotropic_max" in reports[-q].extra
+    expected = [_encoded(rep) for rep in reports]
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert [_report_writer(_CONFIG)(rep) for rep in reports] == expected
+    assert fallbacks == []
+
+
+_TAG = {"trial": 1, "seed": 2**64 - 1}
+_BIG = 2**53 + 1
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _decay(lhs, **extra):
+    extra = {"holds_strict": True, "max_all_nonzero_modes": 0.5,
+             "ratio_to_strict": 0.25, "strict_rhs": 0.125, **extra}
+    return make_report("circle-decay", lhs, 0.5, inputs={"q": 5, "j": 0}, extra=extra)
+
+
+# Builder inputs no sweep makes.  The first group fits the layouts; each of
+# the second holds a value they refuse, so its line is encoded whole.
+_FITTING = [
+    bounds._unit_distance_report(7, 1, 2**60 + 1, [2**40, 2**40 + 3], **_TAG),
+    bounds._par_mean_report(7, 3, _BIG, 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
+    bounds._par_pair_report(7, 1, 6, 2**62 + 3, _BIG, [2**30, 1, 2**30, 7], **_TAG),
+    bounds._rhom_relation_report(7, 2, [2**30, 2**30, 1, 1],
+                                 [(2**40, 2**20, _BIG), (0, 5, 0)], **_TAG),
+    bounds._rhom_lower_report(7, 2, [2**20, 2**20, 2**20, 2**20], _BIG, **_TAG),
+    bounds._unit_distance_report(7, 1, 0, [0, 0], **_TAG),
+    bounds._rhom_lower_report(7, 2, [0, 0, 0, 0], 0, **_TAG),
+    _decay(0.5, isotropic_max=-0.0),
+]
+_REFUSED = [
+    # lhs > 0 = rhs: an infinite ratio, printed as null.
+    bounds._unit_distance_report(7, 1, 3, [0, 5], **_TAG),
+    bounds._rhom_lower_report(7, 2, [0, 1, 1, 1], 1, **_TAG),
+    # Non-finite floats, and values or key sets of other types.
+    bounds._unit_distance_report(7, 1, _INF, [2, 3], **_TAG),
+    bounds._unit_distance_report(7, 1, 2, [_NAN, 3], **_TAG),
+    bounds._par_mean_report(7, 3, 2.0, 6, [1, 1, 1, 1], **_TAG),
+    bounds._rhom_lower_report(7, 2, [1, 1, 1, 1], True, **_TAG),
+    bounds._par_pair_report(7, 1, 6, 1, 2, (1, 1, 1, 1), **_TAG),
+    bounds._par_pair_report(7, 1, 6, 1, 2, [1, 1, 1, 1], trial=0, seed=None),
+    bounds._rhom_relation_report(7, 2, [1, 1, 1, 1], [(1, 1, 1)], trial=0),
+    bounds._rhom_relation_report(7, 2, [1, 1, 1, 1], [(1, 1, 1)], trial=0, sed=1),
+    bounds._rhom_lower_report(7, 2, [1, 1, 1, 1], 1),
+    _decay(_NAN),
+    _decay(0.5, isotropic_max=_INF),
+    _decay(0.5, isotropic_max=None),
+    _decay(0.5, strict_rhs=_NAN),
+    _decay(0.5, holds_strict=1),
+]
+
+
+@pytest.mark.parametrize("rep,fits", [(rep, True) for rep in _FITTING]
+                         + [(rep, False) for rep in _REFUSED])
+def test_report_writer_prints_the_encoded_line_of_any_report(monkeypatch, rep, fits):
+    expected = _encoded(rep)
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert _report_writer(_CONFIG)(rep) == expected
+    assert fallbacks == ([] if fits else [rep.name])
+
+
+def test_report_writer_writes_an_infinite_ratio_as_null():
+    line = json.loads(_report_writer(_CONFIG)(_REFUSED[0]))
+    assert line["ratio"] is None and line["lhs"] == 3.0 and line["rhs"] == 0.0
 
 
 def _sha256(text):
