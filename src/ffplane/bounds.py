@@ -180,14 +180,14 @@ def check_par_mean_all(ctx, E1, E2, E3, E4) -> list:
     return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q), {})
 
 
-def _par_pair_report(q, t, t2, par_t, par_t2, sizes, **tag) -> BoundReport:
-    lhs = abs(par_t - par_t2)
-    rhs = math.sqrt(q) * math.sqrt(math.prod(sizes))
+def _par_pair_report(q, t, t2, par_t, par_t2, sizes, prod, rhs, **tag) -> BoundReport:
+    """prod = |E1||E2||E3||E4| and rhs = sqrt(q) * sqrt(prod), which every
+    pair of an instance shares."""
     return make_report(
-        "par-pairs", lhs, rhs,
+        "par-pairs", abs(par_t - par_t2), rhs,
         inputs={"q": q, "t": t, "t2": t2, "sizes": sizes, **tag},
         extra={"par_t": par_t, "par_t2": par_t2},
-        holds=par_pair_holds(q, par_t, par_t2, math.prod(sizes)),
+        holds=par_pair_holds(q, par_t, par_t2, prod),
     )
 
 
@@ -342,8 +342,10 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> list:
             memo["profile"] = par_t_profile(ctx, *sets)
         profile = memo["profile"]
         if check == "par-pairs":
-            return [_par_pair_report(q, t, t2, profile[t], profile[t2], sizes, **tag)
-                    for t, t2 in radii]
+            prod = math.prod(sizes)
+            rhs = math.sqrt(q) * math.sqrt(prod)
+            return [_par_pair_report(q, t, t2, profile[t], profile[t2], sizes,
+                                     prod, rhs, **tag) for t, t2 in radii]
         par_all = sum(profile.values())
         return [_par_mean_report(q, t, profile[t], par_all, sizes, **tag)
                 for t in radii]

@@ -5,31 +5,35 @@ verifier.
 For a ground set E and nonzero t, each point x induces
 N(x) = {y in E : |x - y| = t}; the family of all N(x) is the set system
 under study.  A finite X inside E is shattered when every one of its 2^|X|
-subsets occurs as N(x) intersected with X for some x in E.
+subsets occurs as N(x) intersected with X for some x in E.  A shattered X
+of positive size realizes the trace X, so it lies in some N(z), z in E;
+candidates come from neighborhoods only.  deg(x) = |N(x)| also counts the
+centers adjacent to x, as adjacency is symmetric.
 
-The exhaustive VC search leans on one geometric fact: a shattered X (of any
-positive size) must realize the full trace X itself, so X sits inside a
-single neighborhood N(z).  Candidate subsets are therefore drawn from
-neighborhoods only, which keeps the search exhaustive.  Three more facts
-make it fast:
+Two-circle identity.  For a != b on z + S_t, the centers w of the plane
+with |w - a| = |w - b| = t are exactly z and z_ab = a + b - z (one point
+when a + b = 2z).  Both qualify, as |z_ab - a| = |b - z|.  Subtracting the
+two conditions leaves the line 2 w.(b - a) = |b| - |a|; along it, w0 + s v,
+the condition |v| s^2 + 2 s v.(w0 - a) + |w0 - a| - t = 0 has at most 2
+roots, since all coefficients vanishing would put w0 - a on the isotropic
+line through v, where the form is 0, not t.  By inclusion-exclusion over
+the centers, with n = |E|:
 
-* Certificate.  For x in a shattered X, the trace X minus {x} is realized by
-  some z' != z, so |X| - 1 <= |N(z) n N(z')| <= m, where
-  m = max over d != 0 of |S_t n (S_t + d)|.  No set of size m + 2 is
-  shattered, whatever E is, so the scan stops at size m + 1.  m is read
-  from the exact self-difference table of the circle S_t (its ~q^2 pairs
-  are counted one by one), never assumed; it is 2, as two distinct
-  radius-t circles meet in at most 2 points, so sizes beyond 3 are never
-  scanned.
-* Fail fast.  A candidate's trace patterns are tested in order of falling
-  popcount, and the full pattern is skipped because z realizes it.
-* find_shattered keeps the canonical scan in sorted order, merged lazily
-  from the sorted per-neighborhood streams, so it stops at the first hit.
+* {a} is shattered iff deg(a) >= 1: a itself realizes the empty trace.
+* {a, b} in N(z) is shattered iff deg(a) > c, deg(b) > c and
+  deg(a) + deg(b) - c < n, where c = |{z, z_ab} n E|.
+* {a, b, c} in N(z), whose only full-trace center is z, is shattered iff
+  each pair's other center (z_ab, z_ac, z_bc) lies in E minus {z}, every
+  degree is at least 4, and deg(a) + deg(b) + deg(c) - 5 < n.  (z_ab is
+  never at distance t from c: its circle would share a, b, c with z's.)
+* Nothing larger is: the trace X minus {x} needs a center z' != z, and
+  N(z) n N(z') would hold 3 points.  As a certificate the scan stops at
+  size m + 1, where m = max over d != 0 of |S_t n (S_t + d)| is read from
+  the exact self-difference table of S_t (it is 2).
 """
 
-import functools
-import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,62 +44,69 @@ from .geometry import (PointSet, circle, difference_table, norm_classes,
                        periodic, shift_meet, tiled_points)
 from .rng import SplitMix64
 
-# Adjacency cells (rows x |E|) unpacked at once while packing the bitmasks.
-_MASK_CHUNK = 1 << 22
+
+def _degrees(ind: np.ndarray, st) -> np.ndarray:
+    """|(x + S_t) n E| at every x of the plane: 1_E's shifted views summed
+    over the circle points st (so no count exceeds |st|)."""
+    q = ind.shape[0]
+    tiled = periodic(ind)
+    degree = np.zeros((q, q), dtype=np.min_scalar_type(len(st)))
+    for s1, s2 in st:
+        degree += tiled[s1:s1 + q, s2:s2 + q]
+    return degree
 
 
 class DistanceSystem:
-    """Neighborhood family over E at radius t, with bitmask indexes.
+    """Neighborhood family over E at radius t.
 
-    The points of E are held in sorted order.  ``nbr`` is build_system's
-    (|E|, |S_t|) array whose row i holds the index of point i + s for each
-    circle offset s, or -1 where that point is not in E.  From it come the
-    sorted neighbor indices of each point and one adjacency bitmask per
-    point (bit j of mask i set iff point j lies in N(point i)), which the
-    subset searches use.
+    Point i is E's i-th point in sorted order, with degree ``_degree[i]``.
+    ``rank`` holds i at point i and -1 off E.  A center's sorted neighbor
+    row is one gather on its 2q x 2q tiling at the circle offsets, made and
+    cached when a scan first reads it, as is each size's first shattered set.
     """
 
-    __slots__ = ("ctx", "E", "t", "_points", "_masks", "_universe", "_nbr_indices")
+    __slots__ = ("ctx", "E", "t", "_points", "_degree", "_member",
+                 "_tiled_rank", "_offsets", "_rows", "_found")
 
-    def __init__(self, ctx, E: PointSet, t: int, nbr: np.ndarray):
+    def __init__(self, ctx, E: PointSet, t: int, rank: np.ndarray, degree: list):
         self.ctx = ctx
         self.E = E
         self.t = t
-        self._points = tuple(sorted(E.elements))
-        n = len(self._points)
-        # -1 sorts first, so each row's neighbors follow its absent slots.
-        absent = np.count_nonzero(nbr < 0, axis=1).tolist()
-        self._nbr_indices = [tuple(row[k:]) for row, k in
-                             zip(np.sort(nbr, axis=1).tolist(), absent)]
-        masks = []
-        step = max(1, _MASK_CHUNK // (n + 1))
-        for i in range(0, n, step):
-            block = nbr[i:i + step]
-            # Column n is a sink for the -1 (absent) entries and is dropped.
-            adj = np.zeros((len(block), n + 1), dtype=bool)
-            adj[np.arange(len(block))[:, None], block] = True
-            packed = np.packbits(adj[:, :n], axis=1, bitorder="little")
-            masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-        self._masks = masks
-        self._universe = (1 << n) - 1
+        rows, cols = np.nonzero(E.indicator)
+        self._points = tuple(zip(rows.tolist(), cols.tolist()))
+        self._degree = degree
+        self._member = E.indicator.tobytes()
+        self._tiled_rank = periodic(rank).ravel()
+        self._offsets = tiled_points(circle(ctx, t).indicator)
+        self._rows = {}
+        self._found = {}
+
+    def _gather(self, i: int) -> list:
+        x1, x2 = self._points[i]
+        row = self._tiled_rank[x1 * 2 * self.ctx.q + x2 + self._offsets]
+        row = row[row >= 0]
+        row.sort()
+        return row.tolist()
+
+    def _row(self, i: int) -> list:
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._gather(i)
+        return row
 
     @property
     def neighborhoods(self) -> dict:
         """Each point of E mapped to its frozen neighbor set (built on access)."""
         pts = self._points
-        return {p: frozenset(pts[j] for j in nbrs)
-                for p, nbrs in zip(pts, self._nbr_indices)}
+        return {p: frozenset(pts[j] for j in self._gather(i))
+                for i, p in enumerate(pts)}
 
     def __repr__(self):
         return f"DistanceSystem(q={self.E.q}, t={self.t}, size={len(self.E)})"
 
 
 def build_system(ctx: PrimeFieldCtx, E: PointSet, t: int) -> DistanceSystem:
-    """Neighborhoods via circle probing: N(x) = (x + S_t) intersect E.
-
-    One gather on the 2q x 2q tiling of E's rank array (the sorted index of
-    each member, -1 elsewhere) reads the neighbor index of every (x, s).
-    """
+    """The system of N(x) = (x + S_t) n E over x in E."""
     q = ctx.q
     t %= q
     if t == 0:
@@ -103,9 +114,8 @@ def build_system(ctx: PrimeFieldCtx, E: PointSet, t: int) -> DistanceSystem:
     ind = E.indicator
     rank = np.full((q, q), -1, dtype=np.int64)
     rank[ind] = np.arange(len(E))
-    offsets = tiled_points(circle(ctx, t).indicator)
-    nbr = periodic(rank).ravel()[tiled_points(ind)[:, None] + offsets]
-    return DistanceSystem(ctx, E, t, nbr)
+    degree = _degrees(ind, circle(ctx, t).elements)[ind].tolist()
+    return DistanceSystem(ctx, E, t, rank, degree)
 
 
 def shatters(sys: DistanceSystem, X) -> bool:
@@ -141,66 +151,67 @@ def shatters(sys: DistanceSystem, X) -> bool:
     return False
 
 
-@functools.lru_cache(maxsize=None)
-def _fail_fast_patterns(d: int) -> tuple:
-    """Trace patterns of a d-set as (inside, outside) position tuples, in
-    order of falling popcount, without the full pattern 2^d - 1."""
-    order = sorted(range((1 << d) - 1), key=lambda p: -p.bit_count())
-    return tuple((tuple(k for k in range(d) if p >> k & 1),
-                  tuple(k for k in range(d) if not p >> k & 1)) for p in order)
+def _other_center(sys: DistanceSystem, a: int, b: int, z: int) -> bool:
+    """Whether z_ab = a + b - z, for a, b in N(z), is a point of E but z."""
+    q, pts = sys.ctx.q, sys._points
+    (a1, a2), (b1, b2), (z1, z2) = pts[a], pts[b], pts[z]
+    w1, w2 = (a1 + b1 - z1) % q, (a2 + b2 - z2) % q
+    return (w1 != z1 or w2 != z2) and bool(sys._member[w1 * q + w2])
 
 
-def _shattered_by_masks(masks, universe, xs) -> bool:
-    """Bitmask equivalent of shatters() for a candidate index tuple (internal).
+def _shattered(sys: DistanceSystem, xs: tuple, z: int) -> bool:
+    """The module's closed form for 1 to 3 point indices xs inside N(z)."""
+    if len(xs) == 1:
+        return True
+    n = len(sys._points)
+    degs = [sys._degree[x] for x in xs]
+    if len(xs) == 2:
+        c = 1 + _other_center(sys, *xs, z)
+        return min(degs) > c and sum(degs) - c < n
+    if min(degs) < 4 or sum(degs) - 5 >= n:
+        return False
+    a, b, c = xs
+    return all(_other_center(sys, x, y, z) for x, y in ((b, c), (a, b), (a, c)))
 
-    Precondition: xs lies inside some neighborhood N(z), so z realizes the
-    full pattern and it is not tested.  The others go most-populated first:
-    a pattern that asks for common neighbors of many points is the one a
-    failing set misses, so a failing set is refuted after a few patterns.
+
+def _first_shattered(sys: DistanceSystem, d: int):
+    """Sorted index tuple of the first shattered d-set, 1 <= d <= 3, or None.
+
+    First points a go in ascending order.  The candidates starting at a are
+    the d-sets of a and later points inside N(z) for a center z in N(a),
+    cut for d = 3 to later points whose pair with a has another center in
+    E; the least one that _shattered accepts, over all such z, is returned.
     """
-    for inside, outside in _fail_fast_patterns(len(xs)):
-        m = universe
-        for k in inside:
-            m &= masks[xs[k]]
-        for k in outside:
-            m &= ~masks[xs[k]]
-        if not m:
-            return False
-    return True
-
-
-def _iter_candidates(sys: DistanceSystem, d: int):
-    """All d-subsets of E that lie inside at least one neighborhood, as
-    sorted index tuples in increasing order, each once.
-
-    A shattered d-set (d >= 1) must itself be a realized trace, i.e. sit
-    inside some N(z); no other subsets can qualify, so this enumeration is
-    exhaustive.  The per-neighborhood combination streams are each sorted
-    and are merged lazily, so a scan that stops early builds no global list.
-    """
-    streams = [itertools.combinations(nbrs, d)
-               for nbrs in sys._nbr_indices if len(nbrs) >= d]
-    last = None
-    for xs in heapq.merge(*streams):
-        if xs != last:
-            last = xs
-            yield xs
-
-
-def _candidate_index_subsets(sys: DistanceSystem, d: int) -> list:
-    """The candidates of _iter_candidates as one sorted list."""
-    return list(_iter_candidates(sys, d))
+    deg = sys._degree
+    least = (0, 1, 2, 4)[d]  # the least degree of a point of a shattered d-set
+    for a in range(len(sys._points)):
+        if deg[a] < least:
+            continue
+        hits = []
+        for z in sys._row(a):
+            if deg[z] < d:
+                continue
+            nz = sys._row(z)
+            later = [b for b in nz[bisect_right(nz, a):] if deg[b] >= least
+                     and (d < 3 or _other_center(sys, a, b, z))]
+            for rest in itertools.combinations(later, d - 1):
+                if _shattered(sys, (a,) + rest, z):
+                    hits.append((a,) + rest)
+                    break
+        if hits:
+            return min(hits)
+    return None
 
 
 def find_shattered(sys: DistanceSystem, d: int):
-    """First shattered d-subset in canonical order, or None."""
+    """First shattered d-subset in canonical (sorted) order, or None;
+    cached, so vc_dimension's scan of a size is never repeated."""
     if d == 0:
         return () if len(sys.E) > 0 else None
-    masks, universe = sys._masks, sys._universe
-    for xs in _iter_candidates(sys, d):
-        if _shattered_by_masks(masks, universe, xs):
-            return tuple(sys._points[i] for i in xs)
-    return None
+    if d not in sys._found:
+        first = _first_shattered(sys, d) if d <= 3 else None
+        sys._found[d] = first and tuple(sys._points[i] for i in first)
+    return sys._found[d]
 
 
 def _max_circle_meet(ctx: PrimeFieldCtx, t: int) -> int:
@@ -212,33 +223,20 @@ def _max_circle_meet(ctx: PrimeFieldCtx, t: int) -> int:
     return int(table.max())
 
 
-def _exists_shattered(sys: DistanceSystem, d: int) -> bool:
-    """Whether some d-subset (d >= 1) of a neighborhood is shattered.  Two
-    distinct circles meet in at most 2 points, so a candidate of 3 or more
-    points lies in one neighborhood and is met once."""
-    masks, universe = sys._masks, sys._universe
-    return any(_shattered_by_masks(masks, universe, xs)
-               for nbrs in sys._nbr_indices
-               for xs in itertools.combinations(nbrs, d))
-
-
 def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:
     """Largest d <= cap with a shattered d-subset; -1 for an empty system.
 
-    Searches sizes in increasing order and stops at the first size with no
-    shattered set (shattering is monotone under subsets, so no larger set
-    can be shattered either), or after size m + 1, past which the module's
-    certificate rules shattering out.  The answer is exhaustive up to cap.
+    Scans sizes down from min(cap, m + 1), past which the module's
+    certificate rules shattering out.  Shattering is monotone under subsets,
+    so the first size with a shattered set is the answer.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if len(sys.E) == 0:
         return -1
     limit = min(cap, _max_circle_meet(sys.ctx, sys.t) + 1)
-    d = 0
-    while d < limit and _exists_shattered(sys, d + 1):
-        d += 1
-    return d
+    return next((d for d in range(limit, 0, -1)
+                 if find_shattered(sys, d) is not None), 0)
 
 
 # -- constructive witness -------------------------------------------------------
@@ -358,10 +356,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     ind = E.indicator
     st = circle(ctx, t).elements
 
-    tiled = periodic(ind)
-    degree = np.zeros((q, q), dtype=np.int64)
-    for s1, s2 in st:
-        degree += tiled[s1:s1 + q, s2:s2 + q]
+    degree = _degrees(ind, st)
     kept = ind & (degree >= len(E) / (2 * q)) & (degree <= 2 * len(E) / q)
     if not kept.any():
         return FailureReason("Pruned-empty", "degree window removed every vertex")

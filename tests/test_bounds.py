@@ -309,5 +309,6 @@ def test_par_pair_verdict_is_exact(k):
     assert par_pair_holds(q, base + 3 * k - 1, base, 3 * k * k)
     assert not par_pair_holds(q, base + 3 * k + 1, base, 3 * k * k)
     assert not par_pair_holds(q, base, base + 3 * k + 1, 3 * k * k)
-    assert _par_pair_report(q, 1, 2, base + 3 * k, base, sizes).holds
-    assert not _par_pair_report(q, 1, 2, base + 3 * k + 1, base, sizes).holds
+    rhs = math.sqrt(q) * math.sqrt(3 * k * k)
+    assert _par_pair_report(q, 1, 2, base + 3 * k, base, sizes, 3 * k * k, rhs).holds
+    assert not _par_pair_report(q, 1, 2, base + 3 * k + 1, base, sizes, 3 * k * k, rhs).holds

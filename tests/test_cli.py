@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -445,12 +446,18 @@ def _decay(lhs, **extra):
     return make_report("circle-decay", lhs, 0.5, inputs={"q": 5, "j": 0}, extra=extra)
 
 
+def _pair_report(q, t, t2, par_t, par_t2, sizes, **tag):
+    prod = math.prod(sizes)
+    return bounds._par_pair_report(q, t, t2, par_t, par_t2, sizes, prod,
+                                   math.sqrt(q) * math.sqrt(prod), **tag)
+
+
 # Builder inputs no sweep makes.  The first group fits the layouts; each of
 # the second holds a value they refuse, so its line is encoded whole.
 _FITTING = [
     bounds._unit_distance_report(7, 1, 2**60 + 1, [2**40, 2**40 + 3], **_TAG),
     bounds._par_mean_report(7, 3, _BIG, 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
-    bounds._par_pair_report(7, 1, 6, 2**62 + 3, _BIG, [2**30, 1, 2**30, 7], **_TAG),
+    _pair_report(7, 1, 6, 2**62 + 3, _BIG, [2**30, 1, 2**30, 7], **_TAG),
     bounds._rhom_relation_report(7, 2, [2**30, 2**30, 1, 1],
                                  [(2**40, 2**20, _BIG), (0, 5, 0)], **_TAG),
     bounds._rhom_lower_report(7, 2, [2**20, 2**20, 2**20, 2**20], _BIG, **_TAG),
@@ -467,8 +474,8 @@ _REFUSED = [
     bounds._unit_distance_report(7, 1, 2, [_NAN, 3], **_TAG),
     bounds._par_mean_report(7, 3, 2.0, 6, [1, 1, 1, 1], **_TAG),
     bounds._rhom_lower_report(7, 2, [1, 1, 1, 1], True, **_TAG),
-    bounds._par_pair_report(7, 1, 6, 1, 2, (1, 1, 1, 1), **_TAG),
-    bounds._par_pair_report(7, 1, 6, 1, 2, [1, 1, 1, 1], trial=0, seed=None),
+    _pair_report(7, 1, 6, 1, 2, (1, 1, 1, 1), **_TAG),
+    _pair_report(7, 1, 6, 1, 2, [1, 1, 1, 1], trial=0, seed=None),
     bounds._rhom_relation_report(7, 2, [1, 1, 1, 1], [(1, 1, 1)], trial=0),
     bounds._rhom_relation_report(7, 2, [1, 1, 1, 1], [(1, 1, 1)], trial=0, sed=1),
     bounds._rhom_lower_report(7, 2, [1, 1, 1, 1], 1),
@@ -534,6 +541,28 @@ def test_count_rhom_stream_matches_golden_digest(capsys, argv, digest):
     for obj in objs:
         del obj["elapsed_ms"]
     assert _sha256("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs)) == digest
+
+
+# Digests of `vc` stdout recorded from the bitmask subset scan, which the
+# closed-form scan replaced with every byte unchanged, shattered_example
+# included.  The last command is an exhaustive negative: no 3-set is
+# shattered, so every candidate of size 3 is refuted.
+@pytest.mark.parametrize("argv,digest", [
+    (["vc", "--q", "23", "--t", "1", "--set", "random:0.5:3"],
+     "a81689d21ac2e472587f61b6aa52aab635bcb8bff78f5dc8901ac5bd8ef3fa01"),
+    (["vc", "--q", "13", "--t", "1", "--set", "full"],
+     "48f94ff4d3285c44136329ada0d3243a919e90da98f916e10d194321dc8f0c19"),
+    (["vc", "--q", "19", "--t", "1", "--set", "line-ap:0:1:6"],
+     "78d75a3295b09e489cd19bde94e34546def31f2f65b9b68436317ce28f021ff7"),
+    (["vc", "--q", "101", "--t", "1", "--set", "full"],
+     "3c6180e3c05dd67e3957a5140fb52a49f4cc90afc8ee5ae26e5e8a99a0699e18"),
+    (["vc", "--q", "211", "--t", "1", "--set", "random:0.02:0"],
+     "70643b4206bb90c4c143513819ff35c139eb3838ad582d8094793ad292de9d86"),
+], ids=["q23-random", "q13-full", "q19-strip", "q101-full", "q211-negative"])
+def test_vc_stream_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert _sha256(out) == digest
 
 
 # -- one subparser per command -------------------------------------------------

@@ -1,10 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffplane import vc
 from ffplane.errors import InvalidRadius, NotSubset
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -25,11 +25,7 @@ from ffplane.vc import (
     vc_dimension,
     verify_witness,
 )
-from ffplane.vc import (
-    _candidate_index_subsets,
-    _max_circle_meet,
-    _shattered_by_masks,
-)
+from ffplane.vc import _max_circle_meet, _shattered
 
 
 def naive_vc_dimension(sys, cap):
@@ -73,10 +69,7 @@ def test_neighborhood_symmetry_and_no_self_loops(q, seed):
             assert x in sys_.neighborhoods[y]
 
 
-@pytest.mark.parametrize("chunk", [1, 200, 1 << 22])
-def test_build_system_matches_literal_neighborhoods(monkeypatch, chunk):
-    # chunk sets the rows packed per bitmask block: 1, 3 and all of them.
-    monkeypatch.setattr(vc, "_MASK_CHUNK", chunk)
+def test_build_system_matches_literal_neighborhoods():
     ctx = PrimeFieldCtx(11)
     pts = list(gen_random_set(ctx, 0.5, 9).elements)
     E = PointSet(11, pts[::-1])  # elements out of sorted order
@@ -88,9 +81,16 @@ def test_build_system_matches_literal_neighborhoods(monkeypatch, chunk):
                             if ((x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2) % 11 == t)
                for x in pts}
         assert sys_.neighborhoods == ref
-        assert sys_._nbr_indices == [tuple(sorted(index[y] for y in ref[x]))
-                                     for x in order]
-        assert sys_._masks == [sum(1 << index[y] for y in ref[x]) for x in order]
+        assert sys_._degree == [len(ref[x]) for x in order]
+        assert [sys_._row(i) for i in range(len(order))] == [
+            sorted(index[y] for y in ref[x]) for x in order]
+
+
+@pytest.mark.parametrize("q", [131, 257])
+def test_full_plane_degrees_fill_the_circle(q):
+    # |S_1| is 132 and 256 here, past what int8 and uint8 hold.
+    ctx = PrimeFieldCtx(q)
+    assert build_system(ctx, full_plane(ctx), 1)._degree == [len(circle(ctx, 1))] * q * q
 
 
 def test_shatters_empty_set_rules(ctx5):
@@ -160,20 +160,33 @@ def test_vc_dimension_of_full_plane_is_three(q):
     assert vc_dimension(sys_, cap=4) == 3
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([5, 7]),
-       kind=st.sampled_from(["random", "full", "strip", "column"]),
+       kind=st.sampled_from(["random", "full", "strip", "column", "empty",
+                             "singleton", "circle", "isotropic"]),
        density=st.sampled_from([0.3, 0.6, 0.9]), seed=st.integers(0, 2**32),
        t=st.integers(1, 6))
 def test_search_agrees_with_naive_oracle(q, kind, density, seed, t):
+    if kind == "isotropic":
+        q = 5  # isotropic lines need q = 1 mod 4
     ctx = PrimeFieldCtx(q)
+    k = 1 + seed % (q - 1)
     if kind == "full":
         E = full_plane(ctx)
     elif kind == "strip":
-        E = gen_example_line_ap(ctx, range(1 + seed % (q - 1)))
+        E = gen_example_line_ap(ctx, range(k))
     elif kind == "column":
-        strip = gen_example_line_ap(ctx, range(1 + seed % (q - 1)))
+        strip = gen_example_line_ap(ctx, range(k))
         E = PointSet(q, [(b, a) for a, b in strip])
+    elif kind == "empty":
+        E = PointSet(q, [])
+    elif kind == "singleton":
+        E = PointSet(q, [(seed % q, seed // q % q)])
+    elif kind == "circle":
+        E = PointSet(q, [((x + seed) % q, (y + 2 * seed) % q) for x, y in circle(ctx, k)])
+    elif kind == "isotropic":
+        # k parallel lines {(a, 2a + c)}, where 2^2 = -1 mod 5.
+        E = PointSet(q, [(a, (2 * a + c) % q) for a in range(q) for c in range(k)])
     else:
         E = gen_random_set(ctx, density, seed)
     sys_ = build_system(ctx, E, t % q or 1)
@@ -185,6 +198,22 @@ def test_search_agrees_with_naive_oracle(q, kind, density, seed, t):
         assert find_shattered(sys_, d) == naive_find_shattered(sys_, d)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_two_circle_identity(q):
+    # For a != b on S_t, the points at distance t from both are exactly 0 and
+    # a + b (one point when a + b = 0): the identity behind the closed forms.
+    idx = np.arange(q)
+    form = (idx[:, None] ** 2 + idx[None, :] ** 2) % q
+    for t in range(1, q):
+        on = form == t
+        pts = list(zip(*np.nonzero(on)))
+        assert pts
+        for a, b in itertools.permutations(pts, 2):
+            meet = np.roll(on, a, axis=(0, 1)) & np.roll(on, b, axis=(0, 1))
+            got = {(int(w1), int(w2)) for w1, w2 in zip(*np.nonzero(meet))}
+            assert got == {(0, 0), (int(a[0] + b[0]) % q, int(a[1] + b[1]) % q)}
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 29])
 def test_circle_meet_certificate_is_two(q):
     # q = 1 and q = 3 mod 4 alike: two distinct radius-t circles meet in at
@@ -193,20 +222,34 @@ def test_circle_meet_certificate_is_two(q):
     assert [_max_circle_meet(ctx, t) for t in range(1, q)] == [2] * (q - 1)
 
 
+def _neighborhood_subsets(sys_, d, centers=None):
+    """Every d-subset of the neighborhoods of centers (default: all of E),
+    each once, as sorted point tuples."""
+    nbhs = sys_.neighborhoods
+    return sorted({xs for z in (nbhs if centers is None else centers)
+                   for xs in itertools.combinations(sorted(nbhs[z]), d)})
+
+
 @pytest.mark.parametrize("q,spec", [
-    (11, "full"), (13, "full"), (23, "random:0.5"), (19, "line-ap:0:1:6"),
+    (11, "full"), (13, "full"), (19, "line-ap:0:1:6"), (7, "random:0.5"),
 ])
 def test_no_four_set_is_shattered(q, spec):
     # Audits the certificate that stops vc_dimension at size m + 1 = 3: the
-    # exhaustive size-4 scan over every candidate finds nothing.
+    # trace-collecting oracle refutes every 4-subset of a neighborhood.  A
+    # shift of the plane that maps E onto itself preserves shattering, so
+    # one center per orbit suffices: the full plane is invariant under every
+    # shift and the strip {(a, b) : b < 6} under shifts along a.
     ctx = PrimeFieldCtx(q)
-    E = {"full": full_plane(ctx), "random:0.5": gen_random_set(ctx, 0.5, 0),
-         "line-ap:0:1:6": gen_example_line_ap(ctx, range(6))}[spec]
+    E, centers = {
+        "full": (full_plane(ctx), [(0, 0)]),
+        "line-ap:0:1:6": (gen_example_line_ap(ctx, range(6)), [(0, b) for b in range(6)]),
+        "random:0.5": (gen_random_set(ctx, 0.5, 0), None),
+    }[spec]
     sys_ = build_system(ctx, E, 1)
-    candidates = _candidate_index_subsets(sys_, 4)
+    candidates = _neighborhood_subsets(sys_, 4, centers)
     assert candidates
-    assert not any(_shattered_by_masks(sys_._masks, sys_._universe, xs)
-                   for xs in candidates)
+    assert not any(shatters(sys_, xs) for xs in candidates)
+    assert find_shattered(sys_, 4) is None
 
 
 def test_find_shattered_returns_canonical_witness(ctx7):
@@ -217,18 +260,48 @@ def test_find_shattered_returns_canonical_witness(ctx7):
     assert find_shattered(sys_, 3) == found  # deterministic
 
 
+def _check_closed_form(sys_) -> set:
+    """_shattered against trace collection on every candidate of sizes 1-3,
+    with every center whose neighborhood holds it; the (size, verdict)
+    pairs seen."""
+    index = {p: i for i, p in enumerate(sorted(sys_.E.elements))}
+    nbhs = sys_.neighborhoods
+    verdicts = set()
+    for d in (1, 2, 3):
+        for xs in _neighborhood_subsets(sys_, d):
+            expected = shatters(sys_, xs)
+            verdicts.add((d, expected))
+            ids = tuple(index[p] for p in xs)
+            for z, nb in nbhs.items():
+                if set(xs) <= nb:
+                    assert _shattered(sys_, ids, index[z]) == expected, (xs, z)
+    return verdicts
+
+
 @pytest.mark.parametrize("q,seed", [(5, 11), (7, 12)])
 def test_mask_check_agrees_with_trace_collection(q, seed):
+    # The closed-form check (_shattered) decides like trace collection.
     ctx = PrimeFieldCtx(q)
-    E = gen_random_set(ctx, 0.6, seed)
-    if len(E) < 2:
-        return
-    sys_ = build_system(ctx, E, 1)
-    for d in (1, 2, 3):
-        for xs in _candidate_index_subsets(sys_, d)[:200]:
-            pts = [sys_._points[i] for i in xs]
-            assert (_shattered_by_masks(sys_._masks, sys_._universe, xs)
-                    == shatters(sys_, pts))
+    verdicts = set()
+    for E in (gen_random_set(ctx, 0.6, seed), full_plane(ctx)):
+        verdicts |= _check_closed_form(build_system(ctx, E, 1))
+    # No triple is shattered at q = 5, where the full plane has dimension 2.
+    assert verdicts >= {(1, True), (2, False), (2, True), (3, False), (3, q > 5)}
+
+
+@pytest.mark.parametrize("centers,seen", [
+    ([(0, 0), (1, 0)], {(2, False), (2, True)}),
+    ([(0, 1), (1, 0), (3, 6)], {(3, False), (3, True)}),
+], ids=["two", "three"])
+def test_closed_form_on_unions_of_circles(centers, seen):
+    # Boundary sets for the degree bounds: E is the union of the radius-1
+    # circles around centers at q = 11, with the centers, so nearly every
+    # point of E is adjacent to a candidate and some candidates meet a bound
+    # with equality.  The two centers are at distance 1; the three lie on S_1.
+    ctx = PrimeFieldCtx(11)
+    E = PointSet(11, sorted({((x + c1) % 11, (y + c2) % 11) for c1, c2 in centers
+                             for x, y in circle(ctx, 1)} | set(centers)))
+    assert _check_closed_form(build_system(ctx, E, 1)) >= seen
 
 
 # -- witness ------------------------------------------------------------------
