@@ -69,9 +69,10 @@ def test_neighborhood_symmetry_and_no_self_loops(q, seed):
             assert x in sys_.neighborhoods[y]
 
 
-def test_build_system_matches_literal_neighborhoods():
+@pytest.mark.parametrize("seed", [1, 200, 1 << 22])
+def test_build_system_matches_literal_neighborhoods(seed):
     ctx = PrimeFieldCtx(11)
-    pts = list(gen_random_set(ctx, 0.5, 9).elements)
+    pts = list(gen_random_set(ctx, 0.5, seed).elements)
     E = PointSet(11, pts[::-1])  # elements out of sorted order
     order = sorted(pts)
     index = {p: i for i, p in enumerate(order)}
