@@ -12,7 +12,6 @@ are reproducible bit-for-bit apart from elapsed_ms fields.
 import argparse
 import json
 import math
-import statistics
 import sys
 import time
 
@@ -407,6 +406,14 @@ def _cmd_witness(args) -> int:
 
 # -- bench -------------------------------------------------------------------------
 
+def _median(values: list) -> float:
+    """The middle value, or the mean of the two middle ones for an even
+    count: the float statistics.median returns, without importing it."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _cmd_bench(args) -> int:
     ctx = _make_ctx(args.q)
     if args.runs < 1:
@@ -432,7 +439,7 @@ def _cmd_bench(args) -> int:
         results.append({
             "method": method,
             "value": value,
-            "median_ms": round(statistics.median(times), 3),
+            "median_ms": round(_median(times), 3),
             "times_ms": [round(x, 3) for x in times],
         })
 

@@ -44,6 +44,9 @@ from .geometry import (PointSet, circle, difference_table, norm_classes,
                        periodic, shift_meet, tiled_points)
 from .rng import SplitMix64
 
+# Pairs one chunk of _first_pair's scan may test at once.
+_PAIR_CHUNK = 1 << 16
+
 
 def _degrees(ind: np.ndarray, st) -> np.ndarray:
     """|(x + S_t) n E| at every x of the plane: 1_E's shifted views summed
@@ -296,35 +299,44 @@ def _add(p, s, q):
     return ((p[0] + s[0]) % q, (p[1] + s[1]) % q)
 
 
-def _points(ind: np.ndarray) -> list:
-    """The True cells of a q x q bool array as point tuples, row-major."""
-    rows, cols = np.nonzero(ind)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def _first_point(ind: np.ndarray):
     """The first row-major True cell of a q x q bool array, or None."""
     flat = int(np.argmax(ind))
     return divmod(flat, ind.shape[1]) if ind.flat[flat] else None
 
 
-def _mark(q: int, pts: np.ndarray) -> np.ndarray:
-    """The q x q bool indicator of an (n, 2) array of points."""
-    ind = np.zeros((q, q), dtype=bool)
-    ind[pts[:, 0], pts[:, 1]] = True
-    return ind
+def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
+                forbidden, q: int):
+    """The first (a, v) of ax x dx, a-major, with a - v on the circle and
+    not in forbidden, as a pair of flat indices; or None.
 
-
-def _first_side_t_pair(ax, dx, forbidden, q: int, t: int):
-    """The first (a, v) of ax x dx, a-major, with |a - v| = t and a - v not
-    in forbidden; or None."""
-    for a1, a2 in ax:
-        for v1, v2 in dx:
-            d1 = (a1 - v1) % q
-            d2 = (a2 - v2) % q
-            if (d1 * d1 + d2 * d2) % q == t and (d1, d2) not in forbidden:
-                return (a1, a2), (v1, v2)
-    return None
+    ax and dx are canonical flat points row * 2q + col (tiled_points), and
+    on_circle is the flattened periodic() tiling of |p| = t.  The cell
+    a - v + 2q^2 + q of that tiling is one of the four tiled copies of
+    (a - v) mod q, so a pair's test is one subtraction and one gather.  The
+    forbidden differences are cleared in all four copies for the scan and
+    restored after it.  Rows of ax go in chunks that start at one row and
+    double up to _PAIR_CHUNK pairs: an early hit costs one row, and a full
+    plane's meets never build all their pairs at once.
+    """
+    if len(ax) == 0 or len(dx) == 0:
+        return None
+    base = 2 * q * q + q
+    cells = np.array([d1 * 2 * q + d2 for d1, d2 in forbidden], dtype=np.intp)
+    cells = (cells[:, None] + np.array([0, q, 2 * q * q, 2 * q * q + q])).ravel()
+    saved = on_circle[cells]
+    on_circle[cells] = False
+    most = max(1, _PAIR_CHUNK // len(dx))
+    lo, rows, pair = 0, 1, None
+    while lo < len(ax) and pair is None:
+        hit = on_circle[ax[lo:lo + rows, None] - dx + base]
+        k = int(np.argmax(hit))
+        if hit.flat[k]:
+            i, j = divmod(k, len(dx))
+            pair = int(ax[lo + i]), int(dx[j])
+        lo, rows = lo + rows, min(2 * rows, most)
+    on_circle[cells] = saved
+    return pair
 
 
 def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
@@ -341,10 +353,14 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     y23 = x3 + u; (6) pick per-vertex private neighbors y1, y2, y3 and an
     isolated y0.  Deterministic given (E, t, seed).
 
-    Every step runs on q x q indicators: degrees sum shifted views of 1_E,
-    the meets of step (2) and the per-direction parts of step (4) are
-    shift_meet windows, and step (6) takes the first row-major point of
-    1_E cut by circles around the x's.  Row-major order is sorted order.
+    Steps (1), (2) and (6) run on q x q indicators: degrees sum shifted
+    views of 1_E, the meets of step (2) are shift_meet windows, and step
+    (6) takes the first row-major point of 1_E cut by circles around the
+    x's.  Steps (3) and (4) run on point lists: the shuffle permutes the
+    indices of E_u's row-major points, one nonzero pass over E' lists every
+    part, and each direction's meets are gathers of A's and D's points on
+    the tiled parts, searched pairwise by _first_pair.  Row-major order is
+    sorted order.
     """
     q = ctx.q
     t %= q
@@ -373,26 +389,36 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     u = best_u
     e_u = shift_meet(kept, tiled_kept, u)
 
-    order = np.array(SplitMix64(seed).shuffle(_points(e_u)), dtype=np.int64)
-    ind_d = kept & ~e_u
-    if ind_d.any():
-        ind_a, ind_b, ind_c = (_mark(q, order[k::3]) for k in range(3))
-    else:
-        ind_a, ind_b, ind_c, ind_d = (_mark(q, order[k::4]) for k in range(4))
+    # Each point of E' gets its part's label: A, B, C, D are 1 to 4.  E_u's
+    # points are dealt round-robin over a seeded shuffle of their row-major
+    # indices; D keeps the rest of E' unless none is left.
+    kept_at = np.flatnonzero(kept)
+    eu_at = np.flatnonzero(e_u.ravel()[kept_at])
+    order = eu_at[SplitMix64(seed).shuffle(list(range(len(eu_at))))]
+    label = np.full(len(kept_at), 4, dtype=np.int8)
+    parts = 3 if len(eu_at) < len(kept_at) else 4
+    for k in range(parts):
+        label[order[k::parts]] = k + 1
+    labels = np.zeros((q, q), dtype=np.int8)
+    labels.flat[kept_at] = label
+    tiled = periodic(labels).ravel()
+    pts = kept_at + kept_at // q * q  # row * 2q + col
+    pa, pd = pts[label == 1], pts[label == 4]
 
     excl = (u, (-u[0] % q, -u[1] % q))
-    tiled_b, tiled_c = periodic(ind_b), periodic(ind_c)
+    tiled_circle = periodic(circle(ctx, t).indicator).ravel()
     found = None
     for x in st:
         if x in excl:
             continue
-        ax = np.argwhere(shift_meet(ind_a, tiled_b, x)).tolist()
-        dx = np.argwhere(shift_meet(ind_d, tiled_c, x)).tolist()
+        shift = x[0] * 2 * q + x[1]
+        ax = pa[tiled[pa + shift] == 2]
+        dx = pd[tiled[pd + shift] == 3]
         # y123 - v = (a - v) + x, so both exclusions are conditions on a - v.
         forbidden = excl + tuple(((e1 - x[0]) % q, (e2 - x[1]) % q) for e1, e2 in excl)
-        pair = _first_side_t_pair(ax, dx, forbidden, q, t)
-        if pair:
-            a, v = pair
+        pair = _first_pair(tiled_circle, ax, dx, forbidden, q)
+        if pair is not None:
+            a, v = (divmod(p, 2 * q) for p in pair)
             found = (a, _add(a, x, q), _add(v, x, q), v)
             break
     if found is None:

@@ -2,7 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from ffplane.bounds import CHECK_NAMES
 from ffplane.cli import (
     COMMANDS,
     _line_encoder,
+    _median,
     _parse_sets,
     _report_writer,
     build_parser,
@@ -382,6 +387,27 @@ def test_bench_fourier_allowed_at_cap_boundary(capsys):
     assert values["fast"] == values["fourier"]
 
 
+@pytest.mark.parametrize("times", [
+    [2.5], [3.1, 0.2], [0.3, 9.75, 1.125], [1e-3, 7.0, 7.0, 0.1],
+    [4.2, 1.7, 8.9, 3.3, 0.6], [0.1 * k for k in range(10, 0, -1)],
+])
+def test_bench_median_matches_statistics_median(times):
+    # Odd counts take the middle value, even ones the mean of the middle
+    # two; both must be the very float statistics.median returns.
+    assert _median(times) == statistics.median(times)
+    assert _median(list(reversed(times))) == statistics.median(times)
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import ffplane.cli; "
+            "print(sorted(m for m in ('statistics', 'fractions', 'decimal') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_line_ap_longer_than_q_exits_2_before_building(capsys):
     start = time.perf_counter()
     rc, _, err = run_cli(capsys, ["gen", "--q", "7", "--set", f"line-ap:0:1:{10**12}"])
@@ -560,6 +586,36 @@ def test_count_rhom_stream_matches_golden_digest(capsys, argv, digest):
      "70643b4206bb90c4c143513819ff35c139eb3838ad582d8094793ad292de9d86"),
 ], ids=["q23-random", "q13-full", "q19-strip", "q101-full", "q211-negative"])
 def test_vc_stream_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert _sha256(out) == digest
+
+
+# Digests of `witness` stdout recorded from the search that shuffled point
+# tuples and scanned q x q shifted meets, before it moved to index arrays;
+# every byte must stay unchanged.  The benchmark's four commands come first
+# (seed 1); the two sparse ones end at No-rhombus, after scanning every
+# direction, and the last one is the full plane at q = 211.
+@pytest.mark.parametrize("argv,digest", [
+    (["witness", "--q", "61", "--t", "1", "--set", "full", "--seed", "1"],
+     "31f396625ccce4dd84327c46053bc3d7ae0444e5be9ab10eac3c35c8523e82a7"),
+    (["witness", "--q", "101", "--t", "1", "--set", "random:0.5:3", "--seed", "1"],
+     "d9c0dc87d02469bef8d969a280c8c4d8fb98a6313ebb3133c9e8d28b5b11685f"),
+    (["witness", "--q", "101", "--t", "1", "--set", "random:0.5:4", "--seed", "1"],
+     "ff8fa05058c40db32287d2d9ad6adaa65ebed65c2eb72422f749039a44f7bf63"),
+    (["witness", "--q", "101", "--t", "1", "--set", "random:0.5:5", "--seed", "1"],
+     "299967eb14d2ac07087b5aa0be331a5e9e86cb6ef16d650df0ea304d1b72cede"),
+    (["witness", "--q", "101", "--t", "1", "--set", "random:0.0627:3003",
+      "--seed", "1001"],
+     "ca8bc007348a88c8cc3668416c91a0309a0024ba0b155d31b8eaf704b8badc3b"),
+    (["witness", "--q", "211", "--t", "1", "--set", "random:0.0236:3003",
+      "--seed", "1001"],
+     "7fc8e591ceef3f88a0fdeada8d9dbdb9ef3a94af285eab6f37df6ae1924eb7eb"),
+    (["witness", "--q", "211", "--t", "1", "--set", "full", "--seed", "1001"],
+     "6bd58ec631d97f0c69e02907b889e7feabec75a001208905f10d557c2cfdd0f2"),
+], ids=["q61-full", "q101-random3", "q101-random4", "q101-random5",
+        "q101-no-rhombus", "q211-no-rhombus", "q211-full"])
+def test_witness_stream_matches_golden_digest(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
     assert _sha256(out) == digest

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffplane import vc
 from ffplane.errors import InvalidRadius, NotSubset
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -13,6 +14,8 @@ from ffplane.geometry import (
     full_plane,
     gen_example_line_ap,
     gen_random_set,
+    norm_classes,
+    periodic,
 )
 from ffplane.vc import (
     WITNESS_LABELS,
@@ -25,7 +28,7 @@ from ffplane.vc import (
     vc_dimension,
     verify_witness,
 )
-from ffplane.vc import _max_circle_meet, _shattered
+from ffplane.vc import _first_pair, _max_circle_meet, _shattered
 
 
 def naive_vc_dimension(sys, cap):
@@ -405,6 +408,135 @@ def test_witness_matches_golden(case, seed):
     else:
         got = (res.step, res.detail)
     assert got == WITNESS_GOLDEN[case, seed]
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 11, 13]),
+       kind=st.sampled_from(["empty", "singleton", "full", "circle", "isotropic"]),
+       t=st.integers(1, 12), seed=st.integers(0, 2**32))
+def test_witness_on_boundary_sets_fails_or_verifies(q, kind, t, seed):
+    if kind == "isotropic" and q % 4 == 3:
+        q = 5 if q < 11 else 13  # isotropic lines need q = 1 mod 4
+    ctx = PrimeFieldCtx(q)
+    t = t % q or 1
+    k = 1 + seed % (q - 1)
+    if kind == "empty":
+        E = PointSet(q, [])
+    elif kind == "singleton":
+        E = PointSet(q, [(seed % q, seed // q % q)])
+    elif kind == "full":
+        E = full_plane(ctx)
+    elif kind == "circle":
+        # Radius 0 included: for q = 1 mod 4 that circle is two isotropic lines.
+        E = PointSet(q, [((x + seed) % q, (y + 2 * seed) % q)
+                         for x, y in circle(ctx, seed % q)])
+    else:
+        # k parallel lines {(a, i a + c)}, where i^2 = -1 mod q.
+        i = next(i for i in range(q) if (i * i + 1) % q == 0)
+        E = PointSet(q, [(a, (i * a + c) % q) for a in range(q) for c in range(k)])
+    res = find_witness(ctx, E, t, seed=seed)
+    if isinstance(res, Witness):
+        ok, violations = verify_witness(ctx, E, t, res)
+        assert ok, violations
+    else:
+        assert isinstance(res, FailureReason)
+
+
+# -- first-pair search of step (4) ----------------------------------------------
+
+
+def literal_first_side_t_pair(ax, dx, forbidden, q, t):
+    """The first (a, v) of ax x dx, a-major, with |a - v| = t and a - v not
+    in forbidden; or None.  The literal double loop."""
+    for a1, a2 in ax:
+        for v1, v2 in dx:
+            d1 = (a1 - v1) % q
+            d2 = (a2 - v2) % q
+            if (d1 * d1 + d2 * d2) % q == t and (d1, d2) not in forbidden:
+                return (a1, a2), (v1, v2)
+    return None
+
+
+def vector_first_side_t_pair(ctx, ax, dx, forbidden, t):
+    """_first_pair on point tuples; the circle tiling it clears forbidden
+    differences in must come back unchanged."""
+    q = ctx.q
+    on_circle = periodic(circle(ctx, t).indicator).ravel()
+    before = on_circle.copy()
+    flat = np.array([r * 2 * q + c for r, c in ax] + [r * 2 * q + c for r, c in dx],
+                    dtype=np.int64)
+    pair = _first_pair(on_circle, flat[:len(ax)], flat[len(ax):], forbidden, q)
+    assert np.array_equal(on_circle, before)
+    return pair and tuple(divmod(p, 2 * q) for p in pair)
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_first_pair_with_an_empty_side_is_none(q):
+    ctx = PrimeFieldCtx(q)
+    pts = [(0, 0), (0, 1), (1, 0), (3, 4)]
+    for ax, dx in (([], pts), (pts, []), ([], [])):
+        assert vector_first_side_t_pair(ctx, ax, dx, (), 1) is None
+        assert literal_first_side_t_pair(ax, dx, (), q, 1) is None
+
+
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("a,v", [((0, 0), (1, 0)), ((0, 0), (-1, 0)), ((0, 5), (1, 5)),
+                                 ((1, 5), (0, 5)), ((4, 0), (4, 1)), ((4, 1), (4, 0))])
+def test_first_pair_forbidden_difference_removes_hit(q, a, v):
+    # d = a - v is (+-1, 0) or (0, +-1), on S_1; the cases reach both tiled
+    # copies of its row and of its column.  w, with a - w also on S_1, is
+    # the hit left once d is forbidden.
+    ctx = PrimeFieldCtx(q)
+    v = (v[0] % q, v[1] % q)
+    d = ((a[0] - v[0]) % q, (a[1] - v[1]) % q)
+    w = ((a[0] - 1) % q, a[1]) if d == (0, 1) else (a[0], (a[1] - 1) % q)
+    for forbidden, dx, want in (((), [v, w], (a, v)), ((d,), [v, w], (a, w)),
+                                ((d,), [v], None), ((d, (5, 5)), [v, v, w], (a, w))):
+        assert literal_first_side_t_pair([a], dx, forbidden, q, 1) == want
+        assert vector_first_side_t_pair(ctx, [a], dx, forbidden, 1) == want
+
+
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("budget", [1, 2, 4, 6])
+@pytest.mark.parametrize("row", range(8))
+def test_first_pair_hit_at_and_past_chunk_boundaries(monkeypatch, q, budget, row):
+    # With two points in dx, a chunk of ax holds at most max(1, budget // 2)
+    # rows: chunks start at rows 0, 1, 2, ... (budget 1, 2), 0, 1, 3, 5, 7
+    # (budget 4) and 0, 1, 3, 6 (budget 6).  Row `row` is the first hit,
+    # with dx's second point only; every later row hits dx's first point,
+    # which a-major order must not prefer.
+    monkeypatch.setattr(vc, "_PAIR_CHUNK", budget)
+    ctx = PrimeFieldCtx(q)
+    norm = norm_classes(ctx)
+    v1, v2 = (0, 0), (0, 1)
+
+    def dist(p, v):
+        return norm[(p[0] - v[0]) % q, (p[1] - v[1]) % q]
+
+    plane = [(x, y) for x in range(q) for y in range(q)]
+    misses = [p for p in plane if dist(p, v1) != 1 and dist(p, v2) != 1]
+    second_only = next(p for p in plane if dist(p, v1) != 1 and dist(p, v2) == 1)
+    first = [p for p in plane if dist(p, v1) == 1]
+    ax = misses[:row] + [second_only] + first[:7 - row]
+    want = (ax[row], v2)
+    assert literal_first_side_t_pair(ax, [v1, v2], (), q, 1) == want
+    assert vector_first_side_t_pair(ctx, ax, [v1, v2], (), 1) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([7, 11, 13]), t=st.integers(1, 12),
+       budget=st.sampled_from([1, 3, 64, 1 << 16]), data=st.data())
+def test_first_pair_agrees_with_literal_loop(q, t, budget, data):
+    ctx = PrimeFieldCtx(q)
+    t = t % q or 1
+    point = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    ax = data.draw(st.lists(point, max_size=12))
+    dx = data.draw(st.lists(point, max_size=12))
+    forbidden = tuple(data.draw(st.lists(point, max_size=4)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vc, "_PAIR_CHUNK", budget)
+        got = vector_first_side_t_pair(ctx, ax, dx, forbidden, t)
+    assert got == literal_first_side_t_pair(ax, dx, forbidden, q, t)
 
 
 def test_witness_is_deterministic(ctx11):
