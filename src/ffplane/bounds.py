@@ -112,12 +112,20 @@ def rhom_sharp_holds(q: int, rhom: int, sum_prod: int, p12: int, p34: int) -> bo
 
 # Each builder below is followed by its line layout: a function of a swept
 # report's inputs and extra (sweep adds trial and seed to the inputs) that
-# writes both as JSON object bodies, keys sorted, ints by str and floats by
-# repr.  It returns None, or raises KeyError, when they hold another key
-# set, a count that is not an int, a flag that is not a bool or a float that
-# is not finite; the line is then encoded whole (see cli._report_writer).
+# writes both as JSON object bodies, keys sorted, ints by str, floats by
+# repr and flags by JSON_BOOL (cli._report_writer writes the rest of the
+# line).  A builder's counts are ints and its floats finite, and its rhs is
+# 0 only where there is nothing to count, so lhs is 0 too and no ratio is
+# infinite: every value has one of those forms.
 # A key added to a builder must go into its layout too: tests/test_cli.py
-# compares every written line with json.dumps.
+# compares every swept report's line with json.dumps.
+
+def _sized_inputs(i):
+    """The inputs of a check on E1..E4 at one radius."""
+    s1, s2, s3, s4 = i["sizes"]
+    return (f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
+            f'"t": {i["t"]}, "trial": {i["trial"]}')
+
 
 def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
     mean = sizes[0] * sizes[1] / q
@@ -132,16 +140,10 @@ def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
 
 
 def _unit_distance_fields(i, e):
-    sizes = i["sizes"]
-    if len(i) != 5 or len(e) != 2 or type(sizes) is not list or len(sizes) != 2:
-        return None
-    q, t, trial, seed, (s1, s2) = i["q"], i["t"], i["trial"], i["seed"], sizes
-    n_t, mean = e["count"], e["mean"]
-    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
-            is type(n_t) is int and type(mean) is float and math.isfinite(mean)):
-        return None
-    return (f'"count": {n_t}, "mean": {mean!r}',
-            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}], "t": {t}, "trial": {trial}')
+    s1, s2 = i["sizes"]
+    return (f'"count": {e["count"]}, "mean": {e["mean"]!r}',
+            f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{s1}, {s2}], '
+            f'"t": {i["t"]}, "trial": {i["trial"]}')
 
 
 def _par_mean_report(q, t, par_t, par_all, sizes, **tag) -> BoundReport:
@@ -156,17 +158,7 @@ def _par_mean_report(q, t, par_t, par_all, sizes, **tag) -> BoundReport:
 
 
 def _par_mean_fields(i, e):
-    sizes = i["sizes"]
-    if len(i) != 5 or len(e) != 2 or type(sizes) is not list or len(sizes) != 4:
-        return None
-    q, t, trial, seed, (s1, s2, s3, s4) = i["q"], i["t"], i["trial"], i["seed"], sizes
-    par_t, par_all = e["par_t"], e["par_all"]
-    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
-            is type(s3) is type(s4) is type(par_t) is type(par_all) is int):
-        return None
-    return (f'"par_all": {par_all}, "par_t": {par_t}',
-            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
-            f'"t": {t}, "trial": {trial}')
+    return f'"par_all": {e["par_all"]}, "par_t": {e["par_t"]}', _sized_inputs(i)
 
 
 def check_par_mean(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
@@ -192,17 +184,10 @@ def _par_pair_report(q, t, t2, par_t, par_t2, sizes, prod, rhs, **tag) -> BoundR
 
 
 def _par_pair_fields(i, e):
-    sizes = i["sizes"]
-    if len(i) != 6 or len(e) != 2 or type(sizes) is not list or len(sizes) != 4:
-        return None
-    q, t, t2, trial, seed = i["q"], i["t"], i["t2"], i["trial"], i["seed"]
-    (s1, s2, s3, s4), par_t, par_t2 = sizes, e["par_t"], e["par_t2"]
-    if not (type(q) is type(t) is type(t2) is type(trial) is type(seed) is type(s1)
-            is type(s2) is type(s3) is type(s4) is type(par_t) is type(par_t2) is int):
-        return None
-    return (f'"par_t": {par_t}, "par_t2": {par_t2}',
-            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
-            f'"t": {t}, "t2": {t2}, "trial": {trial}')
+    s1, s2, s3, s4 = i["sizes"]
+    return (f'"par_t": {e["par_t"]}, "par_t2": {e["par_t2"]}',
+            f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
+            f'"t": {i["t"]}, "t2": {i["t2"]}, "trial": {i["trial"]}')
 
 
 def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
@@ -249,21 +234,10 @@ def _rhom_relation_report(q, t, sizes, terms, **tag) -> BoundReport:
 
 
 def _rhom_relation_fields(i, e):
-    sizes = i["sizes"]
-    if len(i) != 5 or len(e) != 5 or type(sizes) is not list or len(sizes) != 4:
-        return None
-    q, t, trial, seed, (s1, s2, s3, s4) = i["q"], i["t"], i["trial"], i["seed"], sizes
-    rhom, par, sharp_rhs = e["rhom_t"], e["par_t"], e["sharp_rhs"]
-    holds, hyp = e["sharp_holds"], e["sharp_hypothesis"]
-    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
-            is type(s3) is type(s4) is type(rhom) is type(par) is int
-            and type(holds) is type(hyp) is bool
-            and type(sharp_rhs) is float and math.isfinite(sharp_rhs)):
-        return None
-    return (f'"par_t": {par}, "rhom_t": {rhom}, "sharp_holds": {JSON_BOOL[holds]}, '
-            f'"sharp_hypothesis": {JSON_BOOL[hyp]}, "sharp_rhs": {sharp_rhs!r}',
-            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
-            f'"t": {t}, "trial": {trial}')
+    return (f'"par_t": {e["par_t"]}, "rhom_t": {e["rhom_t"]}, '
+            f'"sharp_holds": {JSON_BOOL[e["sharp_holds"]]}, '
+            f'"sharp_hypothesis": {JSON_BOOL[e["sharp_hypothesis"]]}, '
+            f'"sharp_rhs": {e["sharp_rhs"]!r}', _sized_inputs(i))
 
 
 def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
@@ -292,17 +266,8 @@ def _rhom_lower_report(q, t, sizes, rhom, **tag) -> BoundReport:
 
 
 def _rhom_lower_fields(i, e):
-    sizes = i["sizes"]
-    if len(i) != 5 or len(e) != 2 or type(sizes) is not list or len(sizes) != 4:
-        return None
-    q, t, trial, seed, (s1, s2, s3, s4) = i["q"], i["t"], i["trial"], i["seed"], sizes
-    rhom, hyp = e["rhom_t"], e["hypothesis"]
-    if not (type(q) is type(t) is type(trial) is type(seed) is type(s1) is type(s2)
-            is type(s3) is type(s4) is type(rhom) is int and type(hyp) is bool):
-        return None
-    return (f'"hypothesis": {JSON_BOOL[hyp]}, "rhom_t": {rhom}',
-            f'"q": {q}, "seed": {seed}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
-            f'"t": {t}, "trial": {trial}')
+    return (f'"hypothesis": {JSON_BOOL[e["hypothesis"]]}, "rhom_t": {e["rhom_t"]}',
+            _sized_inputs(i))
 
 
 def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:

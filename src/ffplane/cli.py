@@ -11,7 +11,6 @@ are reproducible bit-for-bit apart from elapsed_ms fields.
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -56,17 +55,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 
 def _line_encoder(config):
     """obj -> its report line: obj plus config and the PRNG name, one line
-    of sorted-key JSON.
-
-    config is encoded once.  A line whose keys all sort after "config"
-    starts with it, so the encoded config is spliced before the rest of
-    the line; any other line is encoded whole.
-    """
-    head = '{"config": ' + _ENCODER.encode(config) + ", "
+    of sorted-key JSON."""
 
     def line(obj) -> str:
-        if min(obj, default="prng") > "config":
-            return head + _ENCODER.encode({**obj, "prng": PRNG_ALGORITHM})[1:] + "\n"
         return _ENCODER.encode({**obj, "config": config, "prng": PRNG_ALGORITHM}) + "\n"
 
     return line
@@ -77,33 +68,18 @@ def _report_writer(config):
     _line_encoder(config)(rep.to_json_obj()), written without the encoder.
 
     The top-level keys are literal, in sorted order, and the check's line
-    layout in bounds.LINE_LAYOUTS writes its inputs and extra.  A report
-    with no layout, or whose values the layout or this function does not
-    fit (an int or finite float lhs, finite float rhs and ratio, a bool
-    verdict), is encoded whole.
+    layout in bounds.LINE_LAYOUTS writes its inputs and extra.  The reports
+    of bounds.sweep and fourier.check_circle_decay have a finite lhs, rhs
+    and ratio, so every number is written by repr.
     """
-    encode = _line_encoder(config)
     head = '{"config": ' + _ENCODER.encode(config) + ', "extra": {'
     prng = _ENCODER.encode(PRNG_ALGORITHM)
 
     def line(rep) -> str:
-        layout = bounds_mod.LINE_LAYOUTS.get(rep.name)
-        try:
-            fields = layout and layout(rep.inputs, rep.extra)
-        except KeyError:
-            fields = None
-        lhs, rhs, ratio, holds = rep.lhs, rep.rhs, rep.ratio, rep.holds
-        if (not fields or type(holds) is not bool
-                or not (type(lhs) is int or type(lhs) is float)
-                or type(rhs) is not float or type(ratio) is not float):
-            return encode(rep.to_json_obj())
-        slack = rhs - lhs
-        if not math.isfinite(lhs + rhs + ratio + slack):
-            return encode(rep.to_json_obj())
-        extra, inputs = fields
-        return (f'{head}{extra}}}, "holds": {JSON_BOOL[holds]}, "inputs": {{{inputs}}}, '
-                f'"lhs": {lhs!r}, "name": "{rep.name}", "prng": {prng}, '
-                f'"ratio": {ratio!r}, "rhs": {rhs!r}, "slack": {slack!r}}}\n')
+        extra, inputs = bounds_mod.LINE_LAYOUTS[rep.name](rep.inputs, rep.extra)
+        return (f'{head}{extra}}}, "holds": {JSON_BOOL[rep.holds]}, "inputs": {{{inputs}}}, '
+                f'"lhs": {rep.lhs!r}, "name": "{rep.name}", "prng": {prng}, '
+                f'"ratio": {rep.ratio!r}, "rhs": {rep.rhs!r}, "slack": {rep.slack!r}}}\n')
 
     return line
 
@@ -515,15 +491,15 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     def wanted(name):
         return command is None or command == name
 
-    def add_common(p):
+    def add_common(p, formats=("json",)):
+        """--q, --seed, and --format with the formats the command writes."""
         p.add_argument("--q", type=int, required=True, help="odd prime modulus")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed in [0, 2^64)")
-        p.add_argument("--format", choices=("json", "csv", "human"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
 
     if wanted("count"):
         p = sub.add_parser("count", help="run one exact counter")
-        add_common(p)
+        add_common(p, ("json", "human"))
         p.add_argument("--quantity", choices=QUANTITIES, required=True)
         p.add_argument("--t", type=int, default=None)
         p.add_argument("--set", required=True,
@@ -535,7 +511,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if wanted("bounds"):
         p = sub.add_parser("bounds", help="run a named inequality check or all")
-        add_common(p)
+        add_common(p, ("json", "csv", "human"))
         p.add_argument("--check", default="all",
                        help=f"one of {bounds_mod.CHECK_NAMES} or all")
         p.add_argument("--trials", type=int, default=100)
@@ -576,7 +552,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if wanted("bench"):
         p = sub.add_parser("bench", help="time counter methods on one instance")
-        add_common(p)
+        add_common(p, ("json", "csv", "human"))
         p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
         p.add_argument("--t", type=int, default=None)
         p.add_argument("--methods", default="oracle,fast")

@@ -11,15 +11,11 @@ and the inversion is q^2 * ifft2.  A literal O(q^4) double loop is kept as
 the oracle; the two must agree to 1e-9 and the test suite holds them to that.
 """
 
-import math
-
 import numpy as np
 
 from .field import PrimeFieldCtx
 from .geometry import PointSet, circle, norm, norm_classes
 from .report import JSON_BOOL, BoundReport, make_report, safe_ratio
-
-TOLERANCE = 1e-9
 
 
 class Spectrum:
@@ -150,20 +146,10 @@ def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:
 
 def circle_decay_fields(i, e):
     """The line layout of a circle-decay report (see ffplane.bounds): its
-    inputs and extra as JSON object bodies, keys sorted, or None (or a
-    KeyError) when they hold other keys or values of other types.
-    isotropic_max is written when present."""
-    iso = e.get("isotropic_max", 0.0)
-    if len(i) != 2 or len(e) != 4 + ("isotropic_max" in e):
-        return None
-    j, q, holds, strict = i["j"], i["q"], e["holds_strict"], e["strict_rhs"]
-    max_all, ratio = e["max_all_nonzero_modes"], e["ratio_to_strict"]
-    if not (type(j) is type(q) is int and type(holds) is bool
-            and type(iso) is type(max_all) is type(ratio) is type(strict) is float
-            and math.isfinite(iso + max_all + ratio + strict)):
-        return None
-    iso_field = f'"isotropic_max": {iso!r}, ' if "isotropic_max" in e else ""
-    return (f'"holds_strict": {JSON_BOOL[holds]}, {iso_field}'
-            f'"max_all_nonzero_modes": {max_all!r}, "ratio_to_strict": {ratio!r}, '
-            f'"strict_rhs": {strict!r}',
-            f'"j": {j}, "q": {q}')
+    inputs and extra as JSON object bodies, keys sorted; isotropic_max is
+    written when present."""
+    iso = f'"isotropic_max": {e["isotropic_max"]!r}, ' if "isotropic_max" in e else ""
+    return (f'"holds_strict": {JSON_BOOL[e["holds_strict"]]}, {iso}'
+            f'"max_all_nonzero_modes": {e["max_all_nonzero_modes"]!r}, '
+            f'"ratio_to_strict": {e["ratio_to_strict"]!r}, "strict_rhs": {e["strict_rhs"]!r}',
+            f'"j": {i["j"]}, "q": {i["q"]}')
