@@ -303,8 +303,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _csv_lines(rows, columns) -> list:
+    """A header and one line per row; a string cell is written as is, any
+    other value as its JSON literal (true, false, null, float repr)."""
+    def cell(value):
+        return value if isinstance(value, str) else _ENCODER.encode(value)
     return [",".join(columns) + "\n"] + [
-        ",".join(str(row.get(col, "")) for col in columns) + "\n" for row in rows]
+        ",".join(cell(row.get(col, "")) for col in columns) + "\n" for row in rows]
 
 
 # -- fourier ----------------------------------------------------------------------
@@ -492,10 +496,12 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         return command is None or command == name
 
     def add_common(p, formats=("json",)):
-        """--q, --seed, and --format with the formats the command writes."""
+        """--q, --seed, and --format with the formats the command writes
+        (none for a command with no formats)."""
         p.add_argument("--q", type=int, required=True, help="odd prime modulus")
         p.add_argument("--seed", type=int, default=0, help="PRNG seed in [0, 2^64)")
-        p.add_argument("--format", choices=formats, default="json")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
 
     if wanted("count"):
         p = sub.add_parser("count", help="run one exact counter")
@@ -563,7 +569,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
     if wanted("gen"):
         p = sub.add_parser("gen", help="generate a point-set file")
-        add_common(p)
+        add_common(p, ())
         p.add_argument("--set", default="random:0.5")
         p.add_argument("--out", default=None, help="output path (.json or text)")
         p.add_argument("--json", action="store_true",

@@ -10,7 +10,9 @@ Every quantity has at least two independent routes:
   indicator arrays (``periodic``).  On that tiling a point plus an offset
   is one flat index with no reduction mod q.  The rhombus terms of any list
   of radii come from one pass (``rhombus_directions``) that takes each
-  circle's directions in blocks bounded by fixed budgets;
+  circle's directions in blocks bounded by fixed budgets; directions with
+  small meets are counted by pairs in one batch, and when E2 = E1 and
+  E4 = E3 only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.
@@ -282,6 +284,20 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     _MARK_CELLS cells and their probes in one gather of _PROBE_CHUNK: at
     q = 13 a whole circle is one block, and on large dense or sparse inputs
     a block is one direction, whose probes are chunked as in _probe_count.
+
+    Two rules skip work without changing a term:
+
+    * Where a block is one direction and 4 max(a, b) <= |S_t| for its meet
+      sizes a and b, the fixed cost of marking and probing exceeds that of
+      testing its a b pairs outright.  Such directions are deferred, and
+      all of a radius's are counted in one batch of pairs
+      (_small_pair_counts).  It counts the pairs (u, v) with u - v on S_t,
+      which are the pairs the probe finds at v = u + s, since S_t = -S_t.
+    * When E2 = E1 and E4 = E3, E12^-x = E12^x + x and E34^-x = E34^x + x:
+      the meets of -x are those of x translated by x, so the sizes and the
+      differences u - v agree.  Only one direction of each pair +-x is
+      computed (_mirrored), and its term fills both slots.  The probes
+      still use the whole circle.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
@@ -289,9 +305,14 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     p1, p3 = tiled_points(E1.indicator), tiled_points(E3.indicator)
     t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
     circles = {t: tiled_points(circle(ctx, t % q).indicator) for t in radii}
+    # Which circle positions are computed, and each position's source among
+    # them; every position is computed unless the pairs repeat.
+    paired = E2 == E1 and E4 == E3
+    mirrors = {t: _mirrored(st, q) if paired else (st, None)
+               for t, st in circles.items()}
     # A direction probes at most min(|E1|, |E3|) points.
     probed = max(1, min(len(p1), len(p3)))
-    blocks = {t: max(1, min(len(st), _MARK_CELLS // plane,
+    blocks = {t: max(1, min(len(mirrors[t][0]), _MARK_CELLS // plane,
                             _PROBE_CHUNK // (probed * len(st))))
               for t, st in circles.items()}
     most = max(blocks.values(), default=1)
@@ -304,22 +325,92 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     copies = np.array([0, q, 2 * q * q, 2 * q * q + q])
     terms = {}
     for t, st in circles.items():
+        xs, source = mirrors[t]
         k = blocks[t]
-        out = terms[t] = []
-        for lo in range(0, len(st), k):
+        out = []
+        small = {}
+        for lo in range(0, len(xs), k):
             if k == 1:
                 # Scalar offsets: cheaper per direction than 1-row blocks.
-                x = st[lo]
+                x = xs[lo]
                 e12, e34 = p1[t2[p1 + x]], p3[t4[p3 + x]]
-                a, b = [len(e12)], [len(e34)]
+                a, b = len(e12), len(e34)
+                if 4 * max(a, b) <= len(st):
+                    small[lo] = e12, e34
+                    out.append((a, b, 0))
+                    continue
+                a, b = [a], [b]
             else:
-                x = st[lo:lo + k, None]
+                x = xs[lo:lo + k, None]
                 m12, m34 = t2[p1 + x], t4[p3 + x]
                 e12 = cells1[:m12.size][m12.ravel()]
                 e34 = cells3[:m34.size][m34.ravel()]
                 a, b = m12.sum(axis=1).tolist(), m34.sum(axis=1).tolist()
             out += zip(a, b, _pair_counts(marks, copies, st, e12, e34, a, b))
+        if small:
+            on_circle = periodic(circle(ctx, t % q).indicator).ravel()
+            counts = _small_pair_counts(on_circle, q, list(small.values()))
+            for i, r in zip(small, counts):
+                out[i] = out[i][0], out[i][1], r
+        terms[t] = out if source is None else [out[i] for i in source]
     return terms
+
+
+def _negated_points(points: np.ndarray, q: int) -> np.ndarray:
+    """The canonical flat tiled indices of -p for flat tiled points p."""
+    rows, cols = np.divmod(points, 2 * q)
+    return (-rows % q) * (2 * q) + (-cols % q)
+
+
+def _mirrored(st: np.ndarray, q: int):
+    """The directions of S_t that stand for each pair +-x, and the source.
+
+    st is the circle as ascending flat tiled indices.  The first position of
+    each pair +-x (the origin is its own pair) is kept; ``source[i]`` is the
+    index among the kept ones whose term belongs at position i.
+    """
+    neg = np.searchsorted(st, _negated_points(st, q))
+    first = np.minimum(np.arange(len(st)), neg)
+    kept = np.flatnonzero(first == np.arange(len(st)))
+    return st[kept], np.searchsorted(kept, first).tolist()
+
+
+def _small_pair_counts(on_circle, q: int, meets) -> list:
+    """rhom_x for directions given by their meets (e12, e34), in one batch.
+
+    The pairs (u, v) in e12 x e34 of all directions form one ragged range,
+    direction after direction and u-major: row r is one point u, followed
+    by the b points of its direction's e34.  Pair (u, v) is tested at cell
+    u - v + 2q^2 + q of the flattened tiled circle indicator, one of the
+    four tiled copies of (u - v) mod q, as in vc._first_pair.  The range
+    goes in chunks of at most _PROBE_CHUNK pairs, which may cut a row; a
+    running count of hits, read at each direction's last pair, gives the
+    per-direction counts.
+    """
+    e12s, e34s = zip(*meets)
+    a = np.array([len(e) for e in e12s])
+    b = np.array([len(e) for e in e34s])
+    width = np.repeat(b, a)
+    ends = np.cumsum(width)
+    starts = ends - width
+    # Pair k of row r meets v[k + shift[r]].
+    shift = np.repeat(np.cumsum(b) - b, a) - starts
+    cells = np.concatenate(e12s) + (2 * q * q + q)
+    v = np.concatenate(e34s)
+    last = np.cumsum(a * b)
+    running = np.zeros(len(meets), dtype=np.int64)
+    total, seen = int(last[-1]), 0
+    for lo in range(0, total, _PROBE_CHUNK):
+        hi = min(lo + _PROBE_CHUNK, total)
+        r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
+        rows = slice(r0, r1 + 1)
+        n = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
+        k = np.arange(lo, hi) + np.repeat(shift[rows], n)
+        hits = np.cumsum(on_circle[np.repeat(cells[rows], n) - v[k]])
+        d0, d1 = np.searchsorted(last, [lo, hi], side="right")
+        running[d0:d1] = seen + hits[last[d0:d1] - lo - 1]
+        seen += int(hits[-1])
+    return np.diff(running, prepend=0).tolist()
 
 
 def _pair_counts(marks, copies, st, e12, e34, a, b) -> list:
@@ -363,9 +454,8 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
     q = ctx.q
     t %= q
     ys = tiled_points(E2.indicator & E3.indicator)
-    rows, cols = np.nonzero(circle(ctx, t).indicator)
-    plus = rows * (2 * q) + cols
-    minus = (-rows % q) * (2 * q) + (-cols % q)
+    plus = tiled_points(circle(ctx, t).indicator)
+    minus = _negated_points(plus, q)
     t1, t4 = periodic(E1.indicator).ravel(), periodic(E4.indicator).ravel()
     step = max(1, _PROBE_CHUNK // max(len(ys), 1))
     total = 0

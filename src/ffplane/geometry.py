@@ -236,10 +236,12 @@ def tiled_points(ind: np.ndarray) -> np.ndarray:
     """Flat indices row * 2q + col of the True cells of a q x q array.
 
     They index the flattened periodic() tiling, where a point p and an
-    offset s, both canonical, meet at p + s without reduction mod q.
+    offset s, both canonical, meet at p + s without reduction mod q.  They
+    come in row-major order, from the flat q x q indices f = row * q + col
+    as f + row * q.
     """
-    rows, cols = np.nonzero(ind)
-    return rows * (2 * ind.shape[0]) + cols
+    f = np.flatnonzero(ind)
+    return f + f // ind.shape[0] * ind.shape[0]
 
 
 def shift_meet(ind_i: np.ndarray, tiled_j: np.ndarray, x) -> np.ndarray:

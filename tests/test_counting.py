@@ -28,6 +28,7 @@ from ffplane.geometry import (
     circle,
     difference_table,
     full_plane,
+    gen_example_line_ap,
     gen_random_set,
     norm_classes,
 )
@@ -319,9 +320,17 @@ def test_rhombus_directions_match_tables_and_literal_loop(q):
 
 @st.composite
 def _multi_radius_instances(draw):
-    """q, four boundary or random sets, and unique radii that include 0."""
+    """q, four boundary or random sets, and unique radii that include 0.
+
+    The sets are four draws, or paired as E2 = E1 and E4 = E3: the same
+    PointSet objects, or equal but distinct ones."""
     q = draw(st.sampled_from([5, 7, 13]))
     sets = [draw(_boundary_or_random_set(q)) for _ in range(4)]
+    pairing = draw(st.sampled_from(["distinct", "shared", "copies"]))
+    if pairing == "shared":
+        sets[1], sets[3] = sets[0], sets[2]
+    elif pairing == "copies":
+        sets[1], sets[3] = (PointSet(q, s.elements) for s in sets[::2])
     radii = draw(st.lists(st.integers(1, q - 1), max_size=2, unique=True))
     radii.insert(draw(st.integers(0, len(radii))), 0)
     return PrimeFieldCtx(q), sets, radii
@@ -354,6 +363,51 @@ def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
     assert list(by_radius) == radii
     for t in radii:
         assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
+
+
+@pytest.mark.parametrize("budget", ["one-direction", "chunked-probes"])
+@pytest.mark.parametrize("pairing", ["distinct", "shared", "copies"])
+@pytest.mark.parametrize("q", [29, 31])
+def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
+    """Sparse sets whose meets fall on both sides of 4 max(a, b) <= |S_t|,
+    so some directions are counted by pairs and some by mark and probe."""
+    ctx = PrimeFieldCtx(q)
+    sets = [gen_random_set(ctx, 0.1, 5 * q + k) for k in range(4)]
+    if pairing == "shared":
+        sets[1], sets[3] = sets[0], sets[2]
+    elif pairing == "copies":
+        sets[1], sets[3] = (PointSet(q, s.elements) for s in sets[::2])
+    batched = []
+    small_pair_counts = counting._small_pair_counts
+
+    def spy(on_circle, q, meets):
+        batched.append(len(meets))
+        return small_pair_counts(on_circle, q, meets)
+
+    radii = [0, 1, q - 1]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _BLOCK_BUDGETS[budget](q).items():
+            mp.setattr(counting, name, value)
+        mp.setattr(counting, "_small_pair_counts", spy)
+        by_radius = rhombus_directions(ctx, *sets, radii)
+    computed = sum(len(circle(ctx, t)) for t in radii)
+    if pairing != "distinct":
+        computed = sum((len(circle(ctx, t)) + (t == 0)) // 2 for t in radii)
+    assert 0 < sum(batched) < computed
+    for t in radii:
+        assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
+
+
+@pytest.mark.parametrize("sets,value", [
+    (lambda ctx: [gen_random_set(ctx, 0.01, 28 + k) for k in range(4)], 14),
+    (lambda ctx: [gen_example_line_ap(ctx, range(3))] * 4, 10128),
+    (lambda ctx: [gen_example_line_ap(ctx, range(3)) for _ in range(4)], 10128),
+], ids=["random-0.01-28-31", "line-ap-0-1-3", "line-ap-0-1-3-copies"])
+def test_rhom_t_at_q211_keeps_its_values(sets, value):
+    """Values of the benchmark's sparse q = 211 rhom_t commands, recorded
+    before the pairs batch and the +-x reuse."""
+    ctx = PrimeFieldCtx(211)
+    assert count_rhom_t(ctx, *sets(ctx), 1).value == value
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])

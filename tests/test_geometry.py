@@ -273,6 +273,17 @@ def _indicator_sets(q):
     return [PointSet._from_indicator(q, ind) for ind in sets]
 
 
+@pytest.mark.parametrize("q", [3, 5, 13, 211])
+def test_tiled_points_match_the_row_col_formula(q):
+    # Empty, singleton, full plane, a circle, at q = 13 the isotropic line
+    # {(a, 5a)}, and a sparse random set: values and row-major order.
+    sets = _indicator_sets(q) + [gen_random_set(PrimeFieldCtx(q), 0.01, q)]
+    for ps in sets:
+        rows, cols = np.nonzero(ps.indicator)
+        assert geometry.tiled_points(ps.indicator).tolist() == \
+            (rows * (2 * q) + cols).tolist()
+
+
 @pytest.mark.parametrize("q", [5, 13])
 def test_indicator_set_builds_its_points_only_when_read(q):
     ctx = PrimeFieldCtx(q)
