@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PointSetFormatError
 from .field import PrimeFieldCtx
-from .rng import splitmix64_u64
+from .rng import splitmix64_blocks
 
 Point = tuple
 
@@ -25,8 +25,11 @@ Point = tuple
 # cell of the plane.  Measured at q in {61, 101, 211}, the exact route beats
 # the FFT up to ~34-47 q^2 pairs, and at 16 q^2 it is still >= 1.8x faster.
 _EXACT_PAIRS_PER_CELL = 16
-# Pairwise differences held in memory at once by the exact route.
+# Pairwise differences held in memory at once by the exact route, and
+# probes by differences_at.
 _EXACT_CHUNK = 1 << 16
+# A draw's top 53 bits are its next_float() mantissa.
+_MANTISSA_SHIFT = np.uint64(11)
 
 
 class PointSet:
@@ -222,6 +225,30 @@ def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet) -> Difference
     return DifferenceTable(q, table, total, route)
 
 
+def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
+    """D(v) = #{(a, b) in A x B : a - b = v} for each v in ``offsets``.
+
+    The offsets are canonical flat tiled indices (tiled_points), and the
+    counts come back as int64 in their order.  Each is counted by probes
+    from the smaller set: D(v) = #{b in B : b + v in A} is one gather on the
+    tiling of A per (v, b), and D(v) = #{a in A : a - v in B} one on the
+    tiling of B per (v, a).  A chunk of offsets by points is gathered at
+    once, up to _EXACT_CHUNK probes, and its rows are counted.
+    """
+    if len(A) < len(B):
+        tiled, points = periodic(B.indicator).ravel(), tiled_points(A.indicator)
+        offsets = negated_points(offsets, A.q)
+    else:
+        tiled, points = periodic(A.indicator).ravel(), tiled_points(B.indicator)
+    counts = np.zeros(len(offsets), dtype=np.int64)
+    if len(points):
+        step = max(1, _EXACT_CHUNK // len(points))
+        for i in range(0, len(offsets), step):
+            rows = tiled[offsets[i:i + step, None] + points]
+            counts[i:i + step] = np.count_nonzero(rows, axis=1)
+    return counts
+
+
 def periodic(ind: np.ndarray) -> np.ndarray:
     """The 2q x 2q tiling of a q x q array.
 
@@ -242,6 +269,12 @@ def tiled_points(ind: np.ndarray) -> np.ndarray:
     """
     f = np.flatnonzero(ind)
     return f + f // ind.shape[0] * ind.shape[0]
+
+
+def negated_points(points: np.ndarray, q: int) -> np.ndarray:
+    """The canonical flat tiled indices of -p for flat tiled points p."""
+    rows, cols = np.divmod(points, 2 * q)
+    return (-rows % q) * (2 * q) + (-cols % q)
 
 
 def shift_meet(ind_i: np.ndarray, tiled_j: np.ndarray, x) -> np.ndarray:
@@ -282,13 +315,20 @@ def gen_random_set(ctx: PrimeFieldCtx, density: float, seed: int) -> PointSet:
     is in when ``next_float() < density``.  With m the top 53 bits of the
     draw, next_float() is m * 2^-53 and scaling density by 2^53 is exact, so
     that holds exactly when m < ceil(density * 2^53): one shift and one
-    integer compare per cell, and no float conversion.
+    integer compare per cell, and no float conversion.  The draws come in
+    fixed blocks (rng.splitmix64_blocks), and each block's compare is
+    written straight into its cells of the indicator.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     q = ctx.q
-    top = splitmix64_u64(seed, q * q).reshape(q, q) >> np.uint64(11)
-    return PointSet._from_indicator(q, top < np.uint64(math.ceil(density * 2.0**53)))
+    threshold = np.uint64(math.ceil(density * 2.0**53))
+    indicator = np.empty((q, q), dtype=bool)
+    cells = indicator.reshape(-1)
+    for lo, z in splitmix64_blocks(seed, q * q):
+        np.right_shift(z, _MANTISSA_SHIFT, out=z)
+        np.less(z, threshold, out=cells[lo:lo + len(z)])
+    return PointSet._from_indicator(q, indicator)
 
 
 # -- file formats -----------------------------------------------------------

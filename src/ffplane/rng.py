@@ -15,6 +15,11 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Draws computed at once by splitmix64_blocks.
+_BLOCK = 1 << 14
+# The mixing rounds (shift, multiplier) and the final shift, as uint64.
+_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_FINAL = np.uint64(31)
 
 
 class SplitMix64:
@@ -61,13 +66,34 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
-def splitmix64_u64(seed: int, n: int) -> np.ndarray:
-    """The first n ``next_u64()`` draws of ``SplitMix64(seed)`` as one array.
+def splitmix64_blocks(seed: int, n: int):
+    """The first n ``next_u64()`` draws of ``SplitMix64(seed)``, block by block.
 
-    The k-th state is seed + k * gamma mod 2^64, so every draw is computed
-    at once; uint64 arithmetic wraps exactly as the scalar generator masks.
+    Yields ``(lo, z)`` where z holds draws lo + 1 .. lo + len(z), at most
+    _BLOCK of them.  The k-th state is seed + k * gamma mod 2^64, so a block
+    is computed at once with in-place ufuncs; uint64 arithmetic wraps
+    exactly as the scalar generator masks.  z is one reused buffer, which
+    the next block overwrites, so a caller may also write into it.
     """
-    z = np.uint64(seed & _MASK) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    size = min(n, _BLOCK)
+    steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    buf, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    for lo in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - lo)
+        z, t = buf[:m], tmp[:m]
+        np.add(steps[:m], np.uint64((seed + lo * _GAMMA) & _MASK), out=z)
+        for shift, mix in _ROUNDS:
+            np.right_shift(z, shift, out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, mix, out=z)
+        np.right_shift(z, _FINAL, out=t)
+        np.bitwise_xor(z, t, out=z)
+        yield lo, z
+
+
+def splitmix64_u64(seed: int, n: int) -> np.ndarray:
+    """The first n ``next_u64()`` draws of ``SplitMix64(seed)`` as one array."""
+    out = np.empty(n, dtype=np.uint64)
+    for lo, z in splitmix64_blocks(seed, n):
+        out[lo:lo + len(z)] = z
+    return out

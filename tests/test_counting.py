@@ -484,30 +484,150 @@ def _equal_pair_instances(draw):
     return PrimeFieldCtx(q), [e1, e2, e3, e4], draw(st.integers(0, q - 1))
 
 
-def _count_tables(mp):
+def _count_calls(mp, name):
+    """Record the arguments of each call of counting.<name>."""
     calls = []
+    wrapped = getattr(counting, name)
 
     def counted(*args):
         calls.append(args)
-        return difference_table(*args)
+        return wrapped(*args)
 
-    mp.setattr(counting, "difference_table", counted)
+    mp.setattr(counting, name, counted)
     return calls
+
+
+def _count_tables(mp):
+    return _count_calls(mp, "difference_table")
+
+
+# _PAR_T_PROBES_PER_CELL values that force each route of par_t's fast
+# route: every instance probes the circle, or every one builds tables.
+_PAR_T_ROUTES = {"probes": 10**9, "tables": -1}
 
 
 @settings(max_examples=30, deadline=None)
 @given(_equal_pair_instances())
 def test_equal_pairs_share_one_difference_table(instance):
+    """One table, or one count on the circle, serves both equal pairs."""
     ctx, sets, t = instance
     par_t = count_par_t(ctx, *sets, t, "oracle").value
     par = count_par_all(ctx, *sets, "oracle").value
     with pytest.MonkeyPatch.context() as mp:
-        calls = _count_tables(mp)
+        tables = _count_tables(mp)
+        circles = _count_calls(mp, "differences_at")
+        # At q <= 13 every equal pair takes par_t's probe route.
+        assert count_par_t(ctx, *sets, t, "fast").value == par_t
+        assert (len(circles), len(tables)) == (1, 0)
+        mp.setattr(counting, "_PAR_T_PROBES_PER_CELL", _PAR_T_ROUTES["tables"])
         assert count_par_t(ctx, *sets, t, "fast").value == par_t
         assert count_par_all(ctx, *sets, "fast").value == par
         profile = par_t_profile(ctx, *sets)
     assert profile[t] == par_t and sum(profile.values()) == par
-    assert len(calls) == 3
+    assert (len(circles), len(tables)) == (1, 3)
+
+
+@st.composite
+def _par_t_instances(draw):
+    """Four sets drawn apart, or one set broadcast to the four slots."""
+    q = draw(st.sampled_from([3, 5, 7, 13]))
+    if draw(st.booleans()):
+        sets = [draw(_small_set(q)) for _ in range(4)]
+    else:
+        sets = [draw(_small_set(q))] * 4
+    return PrimeFieldCtx(q), sets, draw(st.integers(0, q - 1))
+
+
+def _par_t_by_route(ctx, sets, t, route):
+    """count_par_t's fast value with the route forced, and the route taken."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_PAR_T_PROBES_PER_CELL", _PAR_T_ROUTES[route])
+        tables = _count_tables(mp)
+        circles = _count_calls(mp, "differences_at")
+        value = count_par_t(ctx, *sets, t, "fast").value
+    assert bool(circles) != bool(tables)
+    return value, "probes" if circles else "tables"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_par_t_instances())
+def test_par_t_routes_match_oracle(instance):
+    ctx, sets, t = instance
+    par_t = count_par_t(ctx, *sets, t, "oracle").value
+    for route in _PAR_T_ROUTES:
+        assert _par_t_by_route(ctx, sets, t, route) == (par_t, route)
+
+
+def _literal_differences(q, A, B):
+    """{v: D(v)} over A x B by a literal loop."""
+    table = {}
+    for a in A:
+        for b in B:
+            v = ((a[0] - b[0]) % q, (a[1] - b[1]) % q)
+            table[v] = table.get(v, 0) + 1
+    return table
+
+
+def test_par_t_routes_on_boundary_sets(ctx13):
+    """Every 4-tuple of empty, singleton, full plane, a circle and the
+    isotropic line {(a, 5a)}, at the radius 0 (isotropic), a square and a
+    non-square; the reference sums literal difference counts on S_t."""
+    sets = [PointSet(13, []), PointSet(13, [(1, 11)]), full_plane(ctx13),
+            circle(ctx13, 1), PointSet(13, [(a, 5 * a % 13) for a in range(13)])]
+    diffs = {(i, j): _literal_differences(13, a, b)
+             for i, a in enumerate(sets) for j, b in enumerate(sets)}
+    for t in (0, 1, 2):
+        on_circle = circle(ctx13, t).elements
+        for i1, i2, i3, i4 in np.ndindex(5, 5, 5, 5):
+            d12, d34 = diffs[i1, i2], diffs[i3, i4]
+            expected = sum(d12.get(v, 0) * d34.get(v, 0) for v in on_circle)
+            quad = [sets[i] for i in (i1, i2, i3, i4)]
+            for route in _PAR_T_ROUTES:
+                assert _par_t_by_route(ctx13, quad, t, route) == (expected, route)
+
+
+@pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
+def test_probe_route_is_taken_exactly_up_to_its_probe_count(monkeypatch, ctx7, per_cell):
+    if per_cell is not None:
+        monkeypatch.setattr(counting, "_PAR_T_PROBES_PER_CELL", per_cell)
+    per_pair = counting._PAR_T_PROBES_PER_CELL * 7 * 7
+    plane = full_plane(ctx7)
+    on_circle = len(circle(ctx7, 1))
+    for k in range(50):
+        part = PointSet(7, plane.elements[:k])
+        for sets in ([plane, part, plane, part], [part, plane, part, part],
+                     [plane, plane, part, plane], [part] * 4):
+            pairs = [sets[:2]] if sets[2:] == sets[:2] else [sets[:2], sets[2:]]
+            probes = on_circle * sum(min(len(a), len(b)) for a, b in pairs)
+            with pytest.MonkeyPatch.context() as mp:
+                tables = _count_tables(mp)
+                value = count_par_t(ctx7, *sets, 1).value
+            assert value == par_t_profile(ctx7, *sets)[1]
+            assert (not tables) == (probes <= per_pair * len(pairs))
+
+
+def test_probe_route_sums_in_python_ints_past_int64_limit(monkeypatch):
+    """With INT64_LIMIT lowered to 0 every probe-route sum takes the
+    Python-int path, and still matches the oracle."""
+    monkeypatch.setattr(counting, "INT64_LIMIT", 0)
+    exact = counting.exact_products
+    dtypes = []
+
+    def spy(*args):
+        prod = exact(*args)
+        dtypes.append(prod.dtype)
+        return prod
+
+    monkeypatch.setattr(counting, "exact_products", spy)
+    for q in (5, 7, 13):
+        ctx = PrimeFieldCtx(q)
+        quad = random_quadruple(ctx, q, lo=0.1, hi=0.3)
+        for sets in (quad, [quad[0]] * 4):
+            for t in (0, 1, q - 1):
+                dtypes.clear()
+                value = count_par_t(ctx, *sets, t, "fast").value
+                assert value == count_par_t(ctx, *sets, t, "oracle").value
+                assert dtypes == [np.dtype(object)]
 
 
 def test_unequal_pairs_build_two_difference_tables(monkeypatch, ctx7):

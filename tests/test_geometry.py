@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffplane import geometry
+from ffplane import geometry, rng
 from ffplane.errors import PointSetFormatError
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
     PointSet,
     circle,
     difference_table,
+    differences_at,
     full_plane,
     gen_example_line_ap,
     gen_random_set,
@@ -214,6 +215,44 @@ def test_exact_route_is_taken_exactly_up_to_its_pair_count(monkeypatch, ctx7, pe
             assert (route == "exact") == (len(A) * len(B) <= limit)
 
 
+def _assert_differences_at_match_brute_force(q, A, B, order):
+    """differences_at over every cell of the plane, in a shuffled order."""
+    plane = geometry.tiled_points(np.ones((q, q), dtype=bool))
+    offsets = plane[SplitMix64(order).shuffle(list(range(q * q)))]
+    brute = _brute_differences(q, A, B)
+    rows, cols = np.divmod(offsets, 2 * q)
+    counts = differences_at(A, B, offsets)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, brute[rows, cols])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_set_pairs(), st.integers(0, 2**64 - 1))
+def test_differences_at_match_brute_force(pair, order):
+    ctx, A, B = pair
+    _assert_differences_at_match_brute_force(ctx.q, A, B, order)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+def test_differences_at_match_brute_force_on_boundary_sets(monkeypatch, chunk):
+    # Every ordered pair, so both probe sides are taken; the chunk splits
+    # the offsets one per gather, mid-plane, or not at all.
+    monkeypatch.setattr(geometry, "_EXACT_CHUNK", chunk)
+    sets = _boundary_sets(13)
+    for A in sets:
+        for B in sets:
+            _assert_differences_at_match_brute_force(13, A, B, len(A) + len(B))
+
+
+def test_differences_at_take_any_offset_list(ctx7):
+    A, B = gen_random_set(ctx7, 0.5, 1), gen_random_set(ctx7, 0.2, 2)
+    offsets = geometry.tiled_points(circle(ctx7, 3).indicator)[::-1]
+    brute = _brute_differences(7, A, B)
+    rows, cols = np.divmod(offsets, 14)
+    assert differences_at(A, B, offsets).tolist() == brute[rows, cols].tolist()
+    assert differences_at(A, B, offsets[:0]).tolist() == []
+
+
 def _assert_matches_scalar_stream(q, density):
     ctx = PrimeFieldCtx(q)
     for seed in (0, 99, 2**64 - 1):
@@ -235,6 +274,15 @@ def test_random_set_matches_scalar_stream_at_q211():
     _assert_matches_scalar_stream(211, 0.01)
 
 
+@pytest.mark.parametrize("q", [3, 13, 31])
+def test_random_set_matches_scalar_stream_in_blocks_of_7(monkeypatch, q):
+    # q^2 is never a multiple of 7 here, so every stream ends in a partial
+    # block.
+    monkeypatch.setattr(rng, "_BLOCK", 7)
+    for density in (0.0, 0.3, 0.5, 1.0):
+        _assert_matches_scalar_stream(q, density)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
 def test_shuffle_matches_scalar_stream(n):
     for seed in (0, 99, 2**64 - 1):
@@ -245,6 +293,12 @@ def test_shuffle_matches_scalar_stream(n):
             expected[i], expected[j] = expected[j], expected[i]
         assert rng.shuffle(list(range(n))) == expected
         assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 50])
+def test_shuffle_matches_scalar_stream_in_blocks_of_7(monkeypatch, n):
+    monkeypatch.setattr(rng, "_BLOCK", 7)
+    test_shuffle_matches_scalar_stream(n)
 
 
 def test_indicator_matches_elements_and_is_read_only(ctx7):
