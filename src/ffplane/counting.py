@@ -3,20 +3,19 @@
 Every quantity has at least two independent routes:
 
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
-* ``fast``   -- for ``par_t``, the sum of D12(v) D34(v) over v on S_t, with
-  D(v) = #{(a, b) : a - b = v} counted at the circle's offsets alone by
-  probes from the smaller set of each pair (``geometry.differences_at``),
-  while that takes at most _PAR_T_PROBES_PER_CELL q^2 probes per pair;
-  past that, and for ``par`` and the per-t profile, whole difference
-  tables, counted pair by pair up to 16 q^2 pairs and by certified FFT
-  past that (``geometry.difference_table``); for ``n_t``, ``rhom_t`` and
-  ``degenerate``, gathers of point lists on the 2q x 2q tiling of the
-  indicator arrays (``periodic``).  On that tiling a point plus an offset
-  is one flat index with no reduction mod q.  The rhombus terms of any list
-  of radii come from one pass (``rhombus_directions``) that takes each
-  circle's directions in blocks bounded by fixed budgets; directions with
-  small meets are counted by pairs in one batch, and when E2 = E1 and
-  E4 = E3 only one of each pair +-x of directions is computed;
+* ``fast``   -- for ``par_t``, the sum of D12(v) D34(v) over v on S_t and
+  for ``par`` and the per-t profile over the whole plane, with
+  D(v) = #{(a, b) : a - b = v} from ``geometry.difference_table``: on S_t
+  each pair's D is counted at the circle's cells alone by probes from its
+  smaller set, up to 64 q^2 probes; whole tables are counted pair by pair
+  up to 16 q^2 pairs and by certified FFT past that; for ``n_t``,
+  ``rhom_t`` and ``degenerate``, gathers of point lists on the 2q x 2q
+  tiling of the indicator arrays (``periodic``).  On that tiling a point
+  plus an offset is one flat index with no reduction mod q.  The rhombus
+  terms of any list of radii come from one pass (``rhombus_directions``)
+  that takes each circle's directions in blocks bounded by fixed budgets;
+  directions with small meets are counted by pairs in one batch, and when
+  E2 = E1 and E4 = E3 only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.
@@ -46,7 +45,6 @@ from .geometry import (
     PointSet,
     circle,
     difference_table,
-    differences_at,
     negated_points,
     norm_classes,
     periodic,
@@ -58,11 +56,6 @@ ROUND_TOL = 1e-6
 # Sums of table products are at most |E1||E2||E3||E4|; from this size on
 # they are accumulated in Python ints instead of int64.
 INT64_LIMIT = 2**63
-# par_t's fast route probes the circle while each distinct pair (A, B) takes
-# at most this many probes, |S_t| min(|A|, |B|), per cell of the plane on
-# average, and builds difference tables past that.  Measured at q in
-# {61, 101, 211}, the two routes cross at ~60-65 probes per cell and pair.
-_PAR_T_PROBES_PER_CELL = 64
 # Point-offset probes held in memory at once by the circle-probing routes.
 _PROBE_CHUNK = 1 << 16
 # Mark cells (4 q^2 per direction) of one block of rhombus directions.
@@ -175,7 +168,7 @@ def count_par_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast") -> CountResul
                         if (z1 - w1) % q == v1 and (z2 - w2) % q == v2:
                             total += 1
     elif method == "fast":
-        total = _par_t_fast(ctx, E1, E2, E3, E4, t)
+        total = int(_products(ctx, E1, E2, E3, E4, circle(ctx, t)).sum())
     elif method == "fourier":
         total = par_t_fourier(ctx, E1, E2, E3, E4, t).value
     else:
@@ -206,48 +199,18 @@ def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
                        (len(E1), len(E2), len(E3), len(E4)))
 
 
-def _par_t_fast(ctx, E1, E2, E3, E4, t: int) -> int:
-    """Par_t as the sum of D12(v) D34(v) over v on S_t.
-
-    D12 and D34 are counted on the circle alone (geometry.differences_at),
-    D12 reused as D34 when (E3, E4) equals (E1, E2), while that takes at
-    most _PAR_T_PROBES_PER_CELL q^2 probes per distinct pair.  Past that,
-    whole difference tables are cheaper, and the sum is read from their
-    product.
-    """
-    q = ctx.q
-    on_circle = circle(ctx, t)
-    shared = E3 == E1 and E4 == E2
-    pairs = [(E1, E2)] if shared else [(E1, E2), (E3, E4)]
-    probes = len(on_circle) * sum(min(len(a), len(b)) for a, b in pairs)
-    if probes > _PAR_T_PROBES_PER_CELL * q * q * len(pairs):
-        return int(_products(ctx, E1, E2, E3, E4)[on_circle.indicator].sum())
-    st = tiled_points(on_circle.indicator)
-    d12 = differences_at(E1, E2, st)
-    d34 = d12 if shared else differences_at(E3, E4, st)
-    mass = len(E1) * len(E2) * len(E3) * len(E4)
-    return int(exact_products(d12, d34, mass).sum())
-
-
-def exact_products(a: np.ndarray, b: np.ndarray, mass: int) -> np.ndarray:
-    """a * b elementwise for int64 counts a, b whose sums are at most mass.
-
-    Every sum of the products is at most sum(a) * sum(b) <= mass.  While
-    mass stays below 2^63 the products are int64; beyond it they are Python
-    ints (object dtype), so no sum over them can wrap.
-    """
-    if mass >= INT64_LIMIT:
-        a, b = a.astype(object), b.astype(object)
-    return a * b
-
-
 def table_products(d12, d34) -> np.ndarray:
-    """D12(v) * D34(v) for every v, exactly (exact_products).
+    """D12(v) * D34(v) for every v of two tables on the same cells, exactly.
 
     Every sum of these products is at most the total mass
-    d12.total * d34.total = |E1||E2||E3||E4|.
+    d12.total * d34.total = |E1||E2||E3||E4|.  While that stays below
+    INT64_LIMIT the products are int64; beyond it they are Python ints
+    (object dtype), so no sum over them can wrap.
     """
-    return exact_products(d12.table, d34.table, d12.total * d34.total)
+    a, b = d12.table, d34.table
+    if d12.total * d34.total >= INT64_LIMIT:
+        a, b = a.astype(object), b.astype(object)
+    return a * b
 
 
 def norm_class_sums(ctx, values: np.ndarray) -> list:
@@ -257,10 +220,11 @@ def norm_class_sums(ctx, values: np.ndarray) -> list:
     return [int(v) for v in acc]
 
 
-def _products(ctx, E1, E2, E3, E4) -> np.ndarray:
-    """D12 * D34, with D12 reused as D34 when (E3, E4) equals (E1, E2)."""
-    d12 = difference_table(ctx, E1, E2)
-    d34 = d12 if E3 == E1 and E4 == E2 else difference_table(ctx, E3, E4)
+def _products(ctx, E1, E2, E3, E4, on: PointSet | None = None) -> np.ndarray:
+    """D12 * D34 on the whole plane, or at the cells of ``on`` in row-major
+    order, with D12 reused as D34 when (E3, E4) equals (E1, E2)."""
+    d12 = difference_table(ctx, E1, E2, on)
+    d34 = d12 if E3 == E1 and E4 == E2 else difference_table(ctx, E3, E4, on)
     return table_products(d12, d34)
 
 

@@ -28,6 +28,11 @@ _EXACT_PAIRS_PER_CELL = 16
 # Pairwise differences held in memory at once by the exact route, and
 # probes by differences_at.
 _EXACT_CHUNK = 1 << 16
+# difference_table(..., on) counts D on the cells of ``on`` alone while that
+# takes at most this many probes, |on| min(|A|, |B|), per cell of the plane.
+# Measured at q in {61, 101, 211} on circles, probes and whole tables cross
+# at ~60-65 probes per cell.
+_PROBES_PER_CELL = 64
 # A draw's top 53 bits are its next_float() mantissa.
 _MANTISSA_SHIFT = np.uint64(11)
 
@@ -118,8 +123,11 @@ class PointSet:
 class DifferenceTable:
     """D(v) = #{(a, b) in A x B : a - b = v}; total mass |A|*|B|.
 
-    ``table`` is a read-only q x q int64 array indexed by v; ``route``
-    names how it was computed ("fft" or "exact").
+    ``table`` is a read-only int64 array: q x q indexed by v, or, for a
+    table asked for on a set of cells, 1-D over those cells in row-major
+    order.  ``route`` names how it was computed ("fft", "exact", or
+    "probes", which counts the cells asked for alone).  ``count(v)`` reads
+    a q x q table.
     """
 
     __slots__ = ("q", "table", "total", "route")
@@ -201,17 +209,25 @@ def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
     return counts.reshape(2, q, 2, q).sum(axis=(0, 2))
 
 
-def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet) -> DifferenceTable:
-    """Tabulate a - b over A x B, by pairs or as the correlation 1_A * 1_B.
+def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet,
+                     on: PointSet | None = None) -> DifferenceTable:
+    """Tabulate a - b over A x B, on the whole plane or at the cells of ``on``.
 
-    Up to _EXACT_PAIRS_PER_CELL * q^2 pairs the table is counted exactly
-    (route "exact").  Past that it is computed by FFT and rounded, then
-    certified: rounding residual < 1/4, mass |A||B|, D(0) = |A n B| and
-    D >= 0 (route "fft"); if any check fails, it is counted exactly instead.
+    With ``on`` given, the table is D at its cells in row-major order.
+    While that takes at most _PROBES_PER_CELL q^2 probes, |on| min(|A|, |B|),
+    they are counted alone (differences_at, route "probes"); past that they
+    are read from the whole table.  Up to _EXACT_PAIRS_PER_CELL * q^2 pairs
+    the whole table is counted exactly (route "exact").  Past that it is
+    computed by FFT and rounded, then certified: rounding residual < 1/4,
+    mass |A||B|, D(0) = |A n B| and D >= 0 (route "fft"); if any check
+    fails, it is counted exactly instead.
     """
     q = ctx.q
     total = len(A) * len(B)
-    if total <= _EXACT_PAIRS_PER_CELL * q * q:
+    if on is not None and len(on) * min(len(A), len(B)) <= _PROBES_PER_CELL * q * q:
+        table = differences_at(A, B, tiled_points(on.indicator))
+        route = "probes"
+    elif total <= _EXACT_PAIRS_PER_CELL * q * q:
         table, route = _exact_differences(q, A, B), "exact"
     else:
         ia, ib = A.indicator, B.indicator
@@ -221,6 +237,8 @@ def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet) -> Difference
         route = "fft"
         if not _certified(raw, table, total, int(np.count_nonzero(ia & ib))):
             table, route = _exact_differences(q, A, B), "exact"
+    if on is not None and route != "probes":
+        table = table[on.indicator]
     table.flags.writeable = False
     return DifferenceTable(q, table, total, route)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_quadruple
-from ffplane import counting
+from ffplane import counting, geometry
 from ffplane.counting import (
     INT64_LIMIT,
     count_degenerate_rhom,
@@ -484,47 +484,39 @@ def _equal_pair_instances(draw):
     return PrimeFieldCtx(q), [e1, e2, e3, e4], draw(st.integers(0, q - 1))
 
 
-def _count_calls(mp, name):
-    """Record the arguments of each call of counting.<name>."""
-    calls = []
-    wrapped = getattr(counting, name)
+def _count_tables(mp):
+    """Record the route of each table that counting.difference_table returns."""
+    routes = []
 
     def counted(*args):
-        calls.append(args)
-        return wrapped(*args)
+        table = difference_table(*args)
+        routes.append(table.route)
+        return table
 
-    mp.setattr(counting, name, counted)
-    return calls
-
-
-def _count_tables(mp):
-    return _count_calls(mp, "difference_table")
+    mp.setattr(counting, "difference_table", counted)
+    return routes
 
 
-# _PAR_T_PROBES_PER_CELL values that force each route of par_t's fast
-# route: every instance probes the circle, or every one builds tables.
+# geometry._PROBES_PER_CELL values that force each route of par_t's tables:
+# every pair is counted on the circle by probes, or every one in full.
 _PAR_T_ROUTES = {"probes": 10**9, "tables": -1}
 
 
 @settings(max_examples=30, deadline=None)
 @given(_equal_pair_instances())
 def test_equal_pairs_share_one_difference_table(instance):
-    """One table, or one count on the circle, serves both equal pairs."""
     ctx, sets, t = instance
     par_t = count_par_t(ctx, *sets, t, "oracle").value
     par = count_par_all(ctx, *sets, "oracle").value
     with pytest.MonkeyPatch.context() as mp:
-        tables = _count_tables(mp)
-        circles = _count_calls(mp, "differences_at")
-        # At q <= 13 every equal pair takes par_t's probe route.
-        assert count_par_t(ctx, *sets, t, "fast").value == par_t
-        assert (len(circles), len(tables)) == (1, 0)
-        mp.setattr(counting, "_PAR_T_PROBES_PER_CELL", _PAR_T_ROUTES["tables"])
+        routes = _count_tables(mp)
         assert count_par_t(ctx, *sets, t, "fast").value == par_t
         assert count_par_all(ctx, *sets, "fast").value == par
         profile = par_t_profile(ctx, *sets)
     assert profile[t] == par_t and sum(profile.values()) == par
-    assert (len(circles), len(tables)) == (1, 3)
+    # At q <= 13, par_t's one table is counted on the circle by probes.
+    assert len(routes) == 3
+    assert routes[0] == "probes" and "probes" not in routes[1:]
 
 
 @st.composite
@@ -541,12 +533,12 @@ def _par_t_instances(draw):
 def _par_t_by_route(ctx, sets, t, route):
     """count_par_t's fast value with the route forced, and the route taken."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_PAR_T_PROBES_PER_CELL", _PAR_T_ROUTES[route])
-        tables = _count_tables(mp)
-        circles = _count_calls(mp, "differences_at")
+        mp.setattr(geometry, "_PROBES_PER_CELL", _PAR_T_ROUTES[route])
+        routes = _count_tables(mp)
         value = count_par_t(ctx, *sets, t, "fast").value
-    assert bool(circles) != bool(tables)
-    return value, "probes" if circles else "tables"
+    taken = {"probes" if r == "probes" else "tables" for r in routes}
+    assert len(taken) == 1
+    return value, taken.pop()
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,10 +579,10 @@ def test_par_t_routes_on_boundary_sets(ctx13):
 
 
 @pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
-def test_probe_route_is_taken_exactly_up_to_its_probe_count(monkeypatch, ctx7, per_cell):
+def test_probe_route_is_taken_per_pair_up_to_its_probe_count(monkeypatch, ctx7, per_cell):
     if per_cell is not None:
-        monkeypatch.setattr(counting, "_PAR_T_PROBES_PER_CELL", per_cell)
-    per_pair = counting._PAR_T_PROBES_PER_CELL * 7 * 7
+        monkeypatch.setattr(geometry, "_PROBES_PER_CELL", per_cell)
+    limit = geometry._PROBES_PER_CELL * 7 * 7
     plane = full_plane(ctx7)
     on_circle = len(circle(ctx7, 1))
     for k in range(50):
@@ -598,27 +590,29 @@ def test_probe_route_is_taken_exactly_up_to_its_probe_count(monkeypatch, ctx7, p
         for sets in ([plane, part, plane, part], [part, plane, part, part],
                      [plane, plane, part, plane], [part] * 4):
             pairs = [sets[:2]] if sets[2:] == sets[:2] else [sets[:2], sets[2:]]
-            probes = on_circle * sum(min(len(a), len(b)) for a, b in pairs)
             with pytest.MonkeyPatch.context() as mp:
-                tables = _count_tables(mp)
+                routes = _count_tables(mp)
                 value = count_par_t(ctx7, *sets, 1).value
             assert value == par_t_profile(ctx7, *sets)[1]
-            assert (not tables) == (probes <= per_pair * len(pairs))
+            assert [r == "probes" for r in routes] == [
+                on_circle * min(len(a), len(b)) <= limit for a, b in pairs]
 
 
-def test_probe_route_sums_in_python_ints_past_int64_limit(monkeypatch):
-    """With INT64_LIMIT lowered to 0 every probe-route sum takes the
-    Python-int path, and still matches the oracle."""
+@pytest.mark.parametrize("route", _PAR_T_ROUTES)
+def test_par_t_sums_in_python_ints_past_int64_limit(monkeypatch, route):
+    """With INT64_LIMIT lowered to 0 every par_t sum takes the Python-int
+    path on either route, and still matches the oracle."""
     monkeypatch.setattr(counting, "INT64_LIMIT", 0)
-    exact = counting.exact_products
+    monkeypatch.setattr(geometry, "_PROBES_PER_CELL", _PAR_T_ROUTES[route])
+    products = counting.table_products
     dtypes = []
 
-    def spy(*args):
-        prod = exact(*args)
+    def spy(d12, d34):
+        prod = products(d12, d34)
         dtypes.append(prod.dtype)
         return prod
 
-    monkeypatch.setattr(counting, "exact_products", spy)
+    monkeypatch.setattr(counting, "table_products", spy)
     for q in (5, 7, 13):
         ctx = PrimeFieldCtx(q)
         quad = random_quadruple(ctx, q, lo=0.1, hi=0.3)

@@ -151,6 +151,16 @@ def _assert_routes_match_brute_force(ctx, A, B):
         assert d.table.dtype == np.int64 and not d.table.flags.writeable
         assert np.array_equal(d.table, brute)
         assert d.total == len(A) * len(B)
+    # At a set of cells: probed alone, or read from the whole table.
+    for on in (circle(ctx, 1), A, PointSet(ctx.q, [])):
+        for per_cell in (10**9, -1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "_PROBES_PER_CELL", per_cell)
+                d = difference_table(ctx, A, B, on)
+            assert (d.route == "probes") == (per_cell > 0)
+            assert d.table.dtype == np.int64 and not d.table.flags.writeable
+            assert np.array_equal(d.table, brute[on.indicator])
+            assert d.total == len(A) * len(B)
 
 
 def _boundary_sets(q):
@@ -213,6 +223,20 @@ def test_exact_route_is_taken_exactly_up_to_its_pair_count(monkeypatch, ctx7, pe
         for A, B in ((plane, part), (part, plane)):
             route = difference_table(ctx7, A, B).route
             assert (route == "exact") == (len(A) * len(B) <= limit)
+
+
+@pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
+def test_probe_route_is_taken_exactly_up_to_its_probe_count(monkeypatch, ctx7, per_cell):
+    if per_cell is not None:
+        monkeypatch.setattr(geometry, "_PROBES_PER_CELL", per_cell)
+    limit = geometry._PROBES_PER_CELL * 7 * 7
+    plane = full_plane(ctx7)
+    for on in (circle(ctx7, 1), circle(ctx7, 0), plane):
+        for k in range(50):
+            part = PointSet(7, plane.elements[:k])
+            for A, B in ((plane, part), (part, plane)):
+                route = difference_table(ctx7, A, B, on).route
+                assert (route == "probes") == (len(on) * k <= limit)
 
 
 def _assert_differences_at_match_brute_force(q, A, B, order):
