@@ -12,10 +12,11 @@ Every quantity has at least two independent routes:
   ``rhom_t`` and ``degenerate``, gathers of point lists on the 2q x 2q
   tiling of the indicator arrays (``periodic``).  On that tiling a point
   plus an offset is one flat index with no reduction mod q.  The rhombus
-  terms of any list of radii come from one pass (``rhombus_directions``)
-  that takes each circle's directions in blocks bounded by fixed budgets;
-  directions with small meets are counted by pairs in one batch, and when
-  E2 = E1 and E4 = E3 only one of each pair +-x of directions is computed;
+  terms of any list of radii come from one call (``rhombus_directions``):
+  on small instances as float32 matrix products over E1 x E3, stacked
+  over radii, and otherwise direction by direction by mark and probe, with
+  small meets counted by pairs in one batch; when E2 = E1 and E4 = E3
+  only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.
@@ -58,8 +59,19 @@ ROUND_TOL = 1e-6
 INT64_LIMIT = 2**63
 # Point-offset probes held in memory at once by the circle-probing routes.
 _PROBE_CHUNK = 1 << 16
-# Mark cells (4 q^2 per direction) of one block of rhombus directions.
-_MARK_CELLS = 1 << 21
+# Multiply-adds max |S_t| |E1| |E3| up to which rhombus_directions counts
+# by matrix products.  Below 2^24, so every float32 partial sum, an integer
+# at most |E1| |E3|, is exact.  Products against mark and probe (min ms per
+# call, 2-vCPU VM): q=13 bounds draws over radii 1..12 (<= 0.4M) 0.49 vs
+# 2.43; q=101 density 0.02 over radii 1..100 (4.0M) 38.7 vs 69.6; q=31
+# density 0.5 (6.8M) 46.0 vs 44.0; q=61 density 0.1 (8.2M) 90 vs 71; q=211
+# density 0.01 at t=1 (37M) 9.8 vs 1.45.
+_PRODUCT_MACS = 1 << 22
+# Multiply-adds k |E1| |E3| of one product of k directions, and cells of
+# one stack of K_t: OpenBLAS's single-thread threshold (65536 x 4).  Past
+# it a (24 x 281) @ (281 x 262) float32 product took 10-16 ms in 2 of 8
+# fresh processes (0.04 ms in the others) on a 2-vCPU VM.
+_PRODUCT_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -278,85 +290,119 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
     (u, v) in E12^x x E34^x with |u - v| = t.
 
-    The point lists and tilings of E1..E4 are built once per call.  Each
-    radius's directions go in blocks: the meets of a block are one 2-D
-    gather over the point lists of E1 and E3, and direction i of the block
-    owns plane i of a scratch mark array.  The larger family of meets is
-    marked in all four tiled copies of each point, and the smaller one is
-    probed on p + S_t, which counts the same pairs because S_t = -S_t.
-    Several directions share a block only while their mark planes fit in
-    _MARK_CELLS cells and their probes in one gather of _PROBE_CHUNK: at
-    q = 13 a whole circle is one block, and on large dense or sparse inputs
-    a block is one direction, whose probes are chunked as in _probe_count.
+    The point lists and tilings of E1..E4 are built once per call, and the
+    call takes one of two routes:
 
-    Two rules skip work without changing a term:
+    * While max |S_t| |E1| |E3| <= _PRODUCT_MACS and one direction's product
+      fits _PRODUCT_CHUNK, by matrix products (_product_terms): with E1 and
+      E3 numbered, K_t[i, j] = [e1_i - e3_j on S_t], M12[x, i] =
+      [e1_i + x in E2] and M34[x, j] = [e3_j + x in E4], and
+      rhom_x = sum_j (M12 K_t)[x, j] M34[x, j].
+    * Otherwise direction by direction (_probed_terms): each direction's
+      meets are gathers over the point lists of E1 and E3; the larger is
+      marked in all four tiled copies of each point in a scratch plane, and
+      the smaller probed on p + S_t, which counts the same pairs because
+      S_t = -S_t, in chunks as in _probe_count.  Where 4 max(a, b) <= |S_t|
+      for the meet sizes a and b, the fixed cost of marking and probing
+      exceeds that of testing the a b pairs outright: such directions are
+      deferred, and all of a radius's are counted in one batch of pairs
+      (_small_pair_counts).
 
-    * Where a block is one direction and 4 max(a, b) <= |S_t| for its meet
-      sizes a and b, the fixed cost of marking and probing exceeds that of
-      testing its a b pairs outright.  Such directions are deferred, and
-      all of a radius's are counted in one batch of pairs
-      (_small_pair_counts).  It counts the pairs (u, v) with u - v on S_t,
-      which are the pairs the probe finds at v = u + s, since S_t = -S_t.
-    * When E2 = E1 and E4 = E3, E12^-x = E12^x + x and E34^-x = E34^x + x:
-      the meets of -x are those of x translated by x, so the sizes and the
-      differences u - v agree.  Only one direction of each pair +-x is
-      computed (_mirrored), and its term fills both slots.  The probes
-      still use the whole circle.
+    When E2 = E1 and E4 = E3, E12^-x = E12^x + x and E34^-x = E34^x + x:
+    the meets of -x are those of x translated by x, so the sizes and the
+    differences u - v agree.  Only one direction of each pair +-x is
+    computed (_mirrored), and its term fills both slots; K_t and the probes
+    still use the whole circle.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    plane = 4 * q * q
     p1, p3 = tiled_points(E1.indicator), tiled_points(E3.indicator)
-    t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
     circles = {t: tiled_points(circle(ctx, t % q).indicator) for t in radii}
     # Which circle positions are computed, and each position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
     mirrors = {t: _mirrored(st, q) if paired else (st, None)
                for t, st in circles.items()}
-    # A direction probes at most min(|E1|, |E3|) points.
-    probed = max(1, min(len(p1), len(p3)))
-    blocks = {t: max(1, min(len(mirrors[t][0]), _MARK_CELLS // plane,
-                            _PROBE_CHUNK // (probed * len(st))))
-              for t, st in circles.items()}
-    most = max(blocks.values(), default=1)
-    # Flat cells of every point of E1 (E3) in each plane of a block.
-    planes = np.arange(most)[:, None] * plane
-    cells1, cells3 = (planes + p1).ravel(), (planes + p3).ravel()
-    marks = np.zeros(most * plane, dtype=bool)
+    cells = len(p1) * len(p3)
+    widest = max(map(len, circles.values()), default=0)
+    if widest * cells <= _PRODUCT_MACS and cells <= _PRODUCT_CHUNK:
+        computed = _product_terms(ctx, E2, E4, p1, p3, circles, mirrors)
+    else:
+        computed = _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors)
+    return {t: out if mirrors[t][1] is None else [out[i] for i in mirrors[t][1]]
+            for t, out in computed.items()}
+
+
+def _product_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
+    """The computed directions' terms of each radius, by matrix products.
+
+    K_t is read from one gather of the tiled norm table at e1_i - e3_j
+    (cell u - v + 2q^2 + q, one of the four tiled copies of (u - v) mod q),
+    and M12 and M34 are one 2-D gather each on float32 tilings of E2 and
+    E4.  Radii whose circles have the same size go in stacks, and each
+    stack's directions in chunks, of k = _PRODUCT_CHUNK // (|E1| |E3|)
+    each, so no product exceeds _PRODUCT_CHUNK multiply-adds and no stack
+    of K_t more cells; a chunk's terms are one batched float32 ``matmul``.
+    """
+    q = ctx.q
+    n1, n3 = len(p1), len(p3)
+    k = max(1, _PRODUCT_CHUNK // max(n1 * n3, 1))
+    norms = periodic(norm_classes(ctx)).ravel()[p1[:, None] - p3 + (2 * q * q + q)]
+    f2 = periodic(E2.indicator).ravel().astype(np.float32)
+    f4 = periodic(E4.indicator).ravel().astype(np.float32)
+    groups = {}
+    for t, st in circles.items():
+        groups.setdefault(len(st), []).append(t)
+    terms = {t: [] for t in circles}
+    for radii in groups.values():
+        for lo in range(0, len(radii), k):
+            stack = radii[lo:lo + k]
+            ks = (norms == np.array(stack)[:, None, None] % q).astype(np.float32)
+            xs = np.array([mirrors[t][0] for t in stack])[:, :, None]
+            for d in range(0, xs.shape[1], k):
+                x = xs[:, d:d + k]
+                m12, m34 = f2[p1 + x], f4[p3 + x]
+                rhom = (_stacked_products(m12, ks) * m34).sum(axis=2)
+                counts = np.stack([m12.sum(axis=2), m34.sum(axis=2), rhom], axis=2)
+                for t, rows in zip(stack, counts.astype(np.int64).tolist()):
+                    terms[t] += map(tuple, rows)
+    return terms
+
+
+def _stacked_products(a, b):
+    """a @ b over a stack, in float32 (its own name, so tests can see every
+    product the route makes)."""
+    return np.matmul(a, b)
+
+
+def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
+    """The computed directions' terms of each radius, one direction at a
+    time by mark and probe, with small meets counted by pairs in one batch
+    per radius."""
+    q = ctx.q
+    t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
+    marks = np.zeros(4 * q * q, dtype=bool)
     # p + s reaches every quadrant of the tiling, so a marked point is
     # marked in all four of its tiled copies.
     copies = np.array([0, q, 2 * q * q, 2 * q * q + q])
     terms = {}
     for t, st in circles.items():
-        xs, source = mirrors[t]
-        k = blocks[t]
         out = []
         small = {}
-        for lo in range(0, len(xs), k):
-            if k == 1:
-                # Scalar offsets: cheaper per direction than 1-row blocks.
-                x = xs[lo]
-                e12, e34 = p1[t2[p1 + x]], p3[t4[p3 + x]]
-                a, b = len(e12), len(e34)
-                if 4 * max(a, b) <= len(st):
-                    small[lo] = e12, e34
-                    out.append((a, b, 0))
-                    continue
-                a, b = [a], [b]
+        for i, x in enumerate(mirrors[t][0]):
+            e12, e34 = p1[t2[p1 + x]], p3[t4[p3 + x]]
+            a, b = len(e12), len(e34)
+            if 4 * max(a, b) <= len(st):
+                small[i] = e12, e34
+                out.append((a, b, 0))
             else:
-                x = xs[lo:lo + k, None]
-                m12, m34 = t2[p1 + x], t4[p3 + x]
-                e12 = cells1[:m12.size][m12.ravel()]
-                e34 = cells3[:m34.size][m34.ravel()]
-                a, b = m12.sum(axis=1).tolist(), m34.sum(axis=1).tolist()
-            out += zip(a, b, _pair_counts(marks, copies, st, e12, e34, a, b))
+                out.append((a, b, _pair_count(marks, copies, st, e12, e34)))
         if small:
             on_circle = periodic(circle(ctx, t % q).indicator).ravel()
             counts = _small_pair_counts(on_circle, q, list(small.values()))
             for i, r in zip(small, counts):
                 out[i] = out[i][0], out[i][1], r
-        terms[t] = out if source is None else [out[i] for i in source]
+        terms[t] = out
     return terms
 
 
@@ -411,28 +457,18 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     return np.diff(running, prepend=0).tolist()
 
 
-def _pair_counts(marks, copies, st, e12, e34, a, b) -> list:
-    """rhom_x per direction of a block, from its meets as flat mark cells.
+def _pair_count(marks, copies, st, e12, e34) -> int:
+    """rhom_x of one direction from its meets as flat tiled points.
 
-    a and b are the meet sizes per direction, and the cells of each
-    direction are consecutive.  The larger family is marked at every offset
-    in ``copies``, the smaller one probed, and the marks are cleared again.
-    A lone direction is probed in chunks; a block of several fits one gather.
+    The larger meet is marked at every offset in ``copies``, the smaller
+    one probed on p + S_t in chunks, and the marks are cleared again.
     """
-    probe, marked, runs = (e12, e34, a) if len(e12) <= len(e34) else (e34, e12, b)
+    probe, marked = (e12, e34) if len(e12) <= len(e34) else (e34, e12)
     cells = (marked[:, None] + copies).ravel()
     marks[cells] = True
-    if len(runs) == 1:
-        counts = [_probe_count(marks, probe, st)]
-    else:
-        # Each direction's probes are a run of rows of the gather, cut at
-        # the cumulative row counts.
-        hits = marks[probe[:, None] + st].ravel()
-        ends = (np.cumsum(runs) * len(st)).tolist()
-        counts = [int(np.count_nonzero(hits[lo:hi]))
-                  for lo, hi in zip([0, *ends], ends)]
+    count = _probe_count(marks, probe, st)
     marks[cells] = False
-    return counts
+    return count
 
 
 def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,

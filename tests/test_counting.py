@@ -337,17 +337,20 @@ def _multi_radius_instances(draw):
 
 
 # Budgets as {name: value} overrides of counting's module constants, each
-# as a function of q: the defaults, one direction per block (from the mark
-# budget, and from a probe budget small enough to chunk each direction's
-# probes), blocks of three directions with a partial last block, and every
-# circle in a single block.
+# as a function of |E1| |E3|: the defaults; the scalar route forced, alone
+# and with a probe budget small enough to chunk each direction's probes;
+# and the product route forced with one direction per product and one
+# radius per stack (the smallest chunk that keeps the route), three of
+# each (partial last chunks), or every circle size in a single product.
 _BLOCK_BUDGETS = {
-    "default": lambda q: {},
-    "one-direction": lambda q: {"_MARK_CELLS": 1},
-    "chunked-probes": lambda q: {"_PROBE_CHUNK": 7},
-    "three-directions": lambda q: {"_MARK_CELLS": 3 * 4 * q * q,
-                                   "_PROBE_CHUNK": 2**40},
-    "single-block": lambda q: {"_MARK_CELLS": 2**40, "_PROBE_CHUNK": 2**40},
+    "default": lambda cells: {},
+    "scalar": lambda cells: {"_PRODUCT_MACS": 0},
+    "chunked-probes": lambda cells: {"_PRODUCT_MACS": 0, "_PROBE_CHUNK": 7},
+    "one-direction": lambda cells: {"_PRODUCT_MACS": 2**40,
+                                    "_PRODUCT_CHUNK": max(cells, 1)},
+    "three-directions": lambda cells: {"_PRODUCT_MACS": 2**40,
+                                       "_PRODUCT_CHUNK": 3 * max(cells, 1)},
+    "single-block": lambda cells: {"_PRODUCT_MACS": 2**40, "_PRODUCT_CHUNK": 2**40},
 }
 
 
@@ -357,7 +360,7 @@ _BLOCK_BUDGETS = {
 def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
     ctx, sets, radii = instance
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _BLOCK_BUDGETS[budget](ctx.q).items():
+        for name, value in _BLOCK_BUDGETS[budget](len(sets[0]) * len(sets[2])).items():
             mp.setattr(counting, name, value)
         by_radius = rhombus_directions(ctx, *sets, radii)
     assert list(by_radius) == radii
@@ -370,7 +373,8 @@ def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
 @pytest.mark.parametrize("q", [29, 31])
 def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
     """Sparse sets whose meets fall on both sides of 4 max(a, b) <= |S_t|,
-    so some directions are counted by pairs and some by mark and probe."""
+    so some directions are counted by pairs and some by mark and probe.
+    The sets fall under the product budget, which is set to 0 here."""
     ctx = PrimeFieldCtx(q)
     sets = [gen_random_set(ctx, 0.1, 5 * q + k) for k in range(4)]
     if pairing == "shared":
@@ -386,8 +390,9 @@ def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
 
     radii = [0, 1, q - 1]
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _BLOCK_BUDGETS[budget](q).items():
+        for name, value in _BLOCK_BUDGETS[budget](len(sets[0]) * len(sets[2])).items():
             mp.setattr(counting, name, value)
+        mp.setattr(counting, "_PRODUCT_MACS", 0)
         mp.setattr(counting, "_small_pair_counts", spy)
         by_radius = rhombus_directions(ctx, *sets, radii)
     computed = sum(len(circle(ctx, t)) for t in radii)
@@ -396,6 +401,83 @@ def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
     assert 0 < sum(batched) < computed
     for t in radii:
         assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
+
+
+def _route_spies(mp):
+    """Record the shapes of every product and every scalar-route call."""
+    products, probed = [], []
+    stacked, scalar = counting._stacked_products, counting._probed_terms
+
+    def stacked_spy(a, b):
+        products.append((a.shape, b.shape))
+        return stacked(a, b)
+
+    def scalar_spy(*args):
+        probed.append(args)
+        return scalar(*args)
+
+    mp.setattr(counting, "_stacked_products", stacked_spy)
+    mp.setattr(counting, "_probed_terms", scalar_spy)
+    return products, probed
+
+
+def _first_points(q, n):
+    return PointSet(q, [divmod(i, q) for i in range(n)])
+
+
+# (q, radii, |E1|, |E3|): at q = 31, |S_1| = 32 and |S_0| = 1.  The first of
+# each pair sits on the budget (32 * 256 * 512 = _PRODUCT_MACS, and
+# 1 * 512 * 512 = _PRODUCT_CHUNK), the second one point past it.
+@pytest.mark.parametrize("q,radii,n1,n3,product", [
+    (31, [1], 256, 512, True),
+    (31, [1], 256, 513, False),
+    (31, [0], 512, 512, True),
+    (31, [0], 512, 513, False),
+    (13, list(range(13)), 169, 169, True),
+    (13, [1, 0, 2], 100, 150, True),
+], ids=["macs-at-budget", "macs-past-budget", "chunk-at-budget", "chunk-past-budget",
+        "q13-full-every-radius", "q13-mixed-sizes"])
+def test_products_stay_within_budget_and_one_blas_thread(q, radii, n1, n3, product):
+    """No product exceeds k |E1| |E3| <= 2^18 multiply-adds (OpenBLAS's
+    single-thread threshold) and no stack of K_t more cells; the route is
+    taken while max |S_t| |E1| |E3| <= _PRODUCT_MACS < 2^24, which keeps
+    its float32 sums exact.  Values match the scalar route."""
+    ctx = PrimeFieldCtx(q)
+    sets = [_first_points(q, n1), full_plane(ctx), _first_points(q, n3),
+            gen_random_set(ctx, 0.5, q)]
+    assert counting._PRODUCT_CHUNK == 2**18
+    assert counting._PRODUCT_MACS < 2**24
+    with pytest.MonkeyPatch.context() as mp:
+        products, probed = _route_spies(mp)
+        by_radius = rhombus_directions(ctx, *sets, radii)
+    widest = max(len(circle(ctx, t)) for t in radii)
+    assert (widest * n1 * n3 <= counting._PRODUCT_MACS and
+            n1 * n3 <= counting._PRODUCT_CHUNK) == product
+    assert bool(products) == product != bool(probed)
+    for (r, k, m), (r2, m2, n) in products:
+        assert r == r2 and m == m2 == n1 and n == n3
+        assert k * n1 * n3 <= 2**18 and r * n1 * n3 <= 2**18
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_PRODUCT_MACS", 0)
+        assert rhombus_directions(ctx, *sets, radii) == by_radius
+
+
+@pytest.mark.parametrize("q,sets", [
+    (61, lambda ctx: [gen_random_set(ctx, 0.5, k) for k in range(4)]),
+    (211, lambda ctx: [gen_random_set(ctx, 0.01, 4 + k) for k in range(4)]),
+    (211, lambda ctx: [gen_example_line_ap(ctx, range(3))] * 4),
+], ids=["q61-random-0.5", "q211-random-0.01", "q211-line-ap-0-1-3"])
+def test_count_rhom_t_inputs_stay_on_the_scalar_route(q, sets):
+    """The rhom_t inputs of the count benchmark's commands (about 212M,
+    46M and 85M multiply-adds) are over ten times the product budget."""
+    ctx = PrimeFieldCtx(q)
+    sets = sets(ctx)
+    with pytest.MonkeyPatch.context() as mp:
+        products, probed = _route_spies(mp)
+        rhombus_directions(ctx, *sets, [1])
+    macs = len(circle(ctx, 1)) * len(sets[0]) * len(sets[2])
+    assert macs > 10 * counting._PRODUCT_MACS
+    assert probed and not products
 
 
 @pytest.mark.parametrize("sets,value", [
