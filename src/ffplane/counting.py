@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceExceeded
+from . import geometry
 from .field import PrimeFieldCtx
 from .fourier import transform
 from .geometry import (
@@ -57,8 +58,6 @@ ROUND_TOL = 1e-6
 # Sums of table products are at most |E1||E2||E3||E4|; from this size on
 # they are accumulated in Python ints instead of int64.
 INT64_LIMIT = 2**63
-# Point-offset probes held in memory at once by the circle-probing routes.
-_PROBE_CHUNK = 1 << 16
 # Multiply-adds max |S_t| |E1| |E3| up to which rhombus_directions counts
 # by matrix products.  Below 2^24, so every float32 partial sum, an integer
 # at most |E1| |E3|, is exact.  Products against mark and probe (min ms per
@@ -127,7 +126,7 @@ def _probe_count(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> 
     """#{(p, s) : tiled[p + s]} over flat tiled indices, in bounded chunks."""
     if not len(points) or not len(offsets):
         return 0
-    step = max(1, _PROBE_CHUNK // len(offsets))
+    step = max(1, geometry.INDEX_CHUNK // len(offsets))
     total = 0
     for i in range(0, len(points), step):
         total += int(np.count_nonzero(tiled[points[i:i + step, None] + offsets]))
@@ -152,9 +151,8 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
                     total += 1
     elif method == "fast":
         # v is at form-distance t from u iff v in u + S_t (S_t = -S_t).
-        total = _probe_count(periodic(V.indicator).ravel(),
-                             tiled_points(U.indicator),
-                             tiled_points(circle(ctx, t).indicator))
+        total = _probe_count(periodic(V.indicator).ravel(), U.points,
+                             circle(ctx, t).points)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountResult(total, method, q, t, (len(U), len(V)))
@@ -265,9 +263,12 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
         for s1, s2 in circle(ctx, t).elements:
             for u1, u2 in E1.elements:
                 for v1, v2 in E3.elements:
-                    if ((u1 + s1) % q, (u2 + s2) % q) not in m2:
+                    ux = ((u1 + s1) % q, (u2 + s2) % q)
+                    if ux not in m2:
                         continue
                     if ((v1 + s1) % q, (v2 + s2) % q) not in m4:
+                        continue
+                    if exclude_degenerate and (v1, v2) == ux:
                         continue
                     d1 = (u1 - v1) % q
                     d2 = (u2 - v2) % q
@@ -276,10 +277,10 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
     elif method == "fast":
         terms = rhombus_directions(ctx, E1, E2, E3, E4, [t])[t]
         total = sum(r for _, _, r in terms)
+        if exclude_degenerate:
+            total -= count_degenerate_rhom(ctx, E1, E2, E3, E4, t).value
     else:
         raise ValueError(f"unknown method {method!r}")
-    if exclude_degenerate:
-        total -= count_degenerate_rhom(ctx, E1, E2, E3, E4, t).value
     return CountResult(total, method, q, t, (len(E1), len(E2), len(E3), len(E4)))
 
 
@@ -316,8 +317,8 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    p1, p3 = tiled_points(E1.indicator), tiled_points(E3.indicator)
-    circles = {t: tiled_points(circle(ctx, t % q).indicator) for t in radii}
+    p1, p3 = E1.points, E3.points
+    circles = {t: circle(ctx, t % q).points for t in radii}
     # Which circle positions are computed, and each position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
@@ -427,9 +428,9 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     by the b points of its direction's e34.  Pair (u, v) is tested at cell
     u - v + 2q^2 + q of the flattened tiled circle indicator, one of the
     four tiled copies of (u - v) mod q, as in vc._first_pair.  The range
-    goes in chunks of at most _PROBE_CHUNK pairs, which may cut a row; a
-    running count of hits, read at each direction's last pair, gives the
-    per-direction counts.
+    goes in chunks of at most geometry.INDEX_CHUNK pairs, which may cut a
+    row; a running count of hits, read at each direction's last pair, gives
+    the per-direction counts.
     """
     e12s, e34s = zip(*meets)
     a = np.array([len(e) for e in e12s])
@@ -444,8 +445,8 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     last = np.cumsum(a * b)
     running = np.zeros(len(meets), dtype=np.int64)
     total, seen = int(last[-1]), 0
-    for lo in range(0, total, _PROBE_CHUNK):
-        hi = min(lo + _PROBE_CHUNK, total)
+    for lo in range(0, total, geometry.INDEX_CHUNK):
+        hi = min(lo + geometry.INDEX_CHUNK, total)
         r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
         rows = slice(r0, r1 + 1)
         n = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
@@ -488,10 +489,10 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
     q = ctx.q
     t %= q
     ys = tiled_points(E2.indicator & E3.indicator)
-    plus = tiled_points(circle(ctx, t).indicator)
+    plus = circle(ctx, t).points
     minus = negated_points(plus, q)
     t1, t4 = periodic(E1.indicator).ravel(), periodic(E4.indicator).ravel()
-    step = max(1, _PROBE_CHUNK // max(len(ys), 1))
+    step = max(1, geometry.INDEX_CHUNK // max(len(ys), 1))
     total = 0
     for i in range(0, len(plus), step):
         hit = t1[ys[:, None] + minus[i:i + step]] & t4[ys[:, None] + plus[i:i + step]]

@@ -25,9 +25,9 @@ Point = tuple
 # cell of the plane.  Measured at q in {61, 101, 211}, the exact route beats
 # the FFT up to ~34-47 q^2 pairs, and at 16 q^2 it is still >= 1.8x faster.
 _EXACT_PAIRS_PER_CELL = 16
-# Pairwise differences held in memory at once by the exact route, and
-# probes by differences_at.
-_EXACT_CHUNK = 1 << 16
+# Indices any chunked route (here, in counting and in vc) computes at once;
+# all read it from this module at call time.
+INDEX_CHUNK = 1 << 16
 # difference_table(..., on) counts D on the cells of ``on`` alone while that
 # takes at most this many probes, |on| min(|A|, |B|), per cell of the plane.
 # Measured at q in {61, 101, 211} on circles, probes and whole tables cross
@@ -41,13 +41,13 @@ class PointSet:
     """Immutable set of distinct points, stored as its q x q indicator.
 
     The read-only bool array ``indicator`` is the set: size, membership,
-    equality and hashing read it.  ``elements``, the ordered tuple of point
-    tuples that the oracles, the VC layer, file output and iteration read,
-    is derived on first read and cached.  It is row-major for a set built
-    from an indicator and in the given order for ``PointSet(q, points)``.
+    equality and hashing read it.  Cached on first read: ``elements``, the
+    point tuples that oracles, the VC layer, file output and iteration read
+    (row-major from an indicator, in the given order from a point list),
+    and ``points``, the read-only row-major tiled_points that gathers read.
     """
 
-    __slots__ = ("q", "indicator", "_size", "_elements")
+    __slots__ = ("q", "indicator", "_size", "_elements", "_points")
 
     def __init__(self, q: int, points):
         pts = tuple((int(p[0]), int(p[1])) for p in points)
@@ -64,6 +64,7 @@ class PointSet:
         self.indicator = arr
         self._size = len(pts)
         self._elements = pts
+        self._points = None
 
     @classmethod
     def _from_indicator(cls, q: int, indicator: np.ndarray) -> "PointSet":
@@ -78,6 +79,7 @@ class PointSet:
         self.indicator = indicator
         self._size = int(np.count_nonzero(indicator))
         self._elements = None
+        self._points = None
         return self
 
     @property
@@ -87,6 +89,14 @@ class PointSet:
             rows, cols = np.nonzero(self.indicator)
             self._elements = tuple(zip(rows.tolist(), cols.tolist()))
         return self._elements
+
+    @property
+    def points(self) -> np.ndarray:
+        """The points as flat tiled indices row * 2q + col, built on first read."""
+        if self._points is None:
+            self._points = tiled_points(self.indicator)
+            self._points.flags.writeable = False
+        return self._points
 
     @property
     def size(self) -> int:
@@ -190,16 +200,15 @@ def _certified(raw: np.ndarray, table: np.ndarray, total: int, overlap: int) -> 
 def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
     """D by counting a + (-b) pair by pair, in chunks of pairs.
 
-    a and -b are canonical flat indices on the 2q x 2q tiling (tiled_points),
-    so each pair's difference is one add, with no reduction mod q.  Each
+    a and -b are canonical flat indices on the 2q x 2q tiling (points), so
+    each pair's difference is one add, with no reduction mod q.  Each
     chunk of sums is written into one reused buffer and counted in place
     into 4q^2 cells, which fold back to q x q as the sum of their four
     q x q quadrants.
     """
-    pa = tiled_points(A.indicator)
-    nb = tiled_points(np.roll(B.indicator[::-1, ::-1], 1, axis=(0, 1)))  # -B
+    pa, nb = A.points, negated_points(B.points, q)
     counts = np.zeros(4 * q * q, dtype=np.int64)
-    step = max(1, _EXACT_CHUNK // max(len(nb), 1))
+    step = max(1, INDEX_CHUNK // max(len(nb), 1))
     buf = np.empty((min(step, len(pa)), len(nb)), dtype=np.intp)
     for i in range(0, len(pa), step):
         rows = pa[i:i + step, None]
@@ -225,7 +234,7 @@ def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet,
     q = ctx.q
     total = len(A) * len(B)
     if on is not None and len(on) * min(len(A), len(B)) <= _PROBES_PER_CELL * q * q:
-        table = differences_at(A, B, tiled_points(on.indicator))
+        table = differences_at(A, B, on.points)
         route = "probes"
     elif total <= _EXACT_PAIRS_PER_CELL * q * q:
         table, route = _exact_differences(q, A, B), "exact"
@@ -251,16 +260,16 @@ def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     from the smaller set: D(v) = #{b in B : b + v in A} is one gather on the
     tiling of A per (v, b), and D(v) = #{a in A : a - v in B} one on the
     tiling of B per (v, a).  A chunk of offsets by points is gathered at
-    once, up to _EXACT_CHUNK probes, and its rows are counted.
+    once, up to INDEX_CHUNK probes, and its rows are counted.
     """
     if len(A) < len(B):
-        tiled, points = periodic(B.indicator).ravel(), tiled_points(A.indicator)
+        tiled, points = periodic(B.indicator).ravel(), A.points
         offsets = negated_points(offsets, A.q)
     else:
-        tiled, points = periodic(A.indicator).ravel(), tiled_points(B.indicator)
+        tiled, points = periodic(A.indicator).ravel(), B.points
     counts = np.zeros(len(offsets), dtype=np.int64)
     if len(points):
-        step = max(1, _EXACT_CHUNK // len(points))
+        step = max(1, INDEX_CHUNK // len(points))
         for i in range(0, len(offsets), step):
             rows = tiled[offsets[i:i + step, None] + points]
             counts[i:i + step] = np.count_nonzero(rows, axis=1)

@@ -27,9 +27,9 @@ the centers, with n = |E|:
   degree is at least 4, and deg(a) + deg(b) + deg(c) - 5 < n.  (z_ab is
   never at distance t from c: its circle would share a, b, c with z's.)
 * Nothing larger is: the trace X minus {x} needs a center z' != z, and
-  N(z) n N(z') would hold 3 points.  As a certificate the scan stops at
-  size m + 1, where m = max over d != 0 of |S_t n (S_t + d)| is read from
-  the exact self-difference table of S_t (it is 2).
+  N(z) n N(z') would hold 3 points, while two distinct radius-t circles
+  z + S_t and z' + S_t meet in at most 2 (the line argument above, with z
+  and z' for a and b).  So no scan goes past size 3.
 """
 
 import itertools
@@ -40,12 +40,9 @@ import numpy as np
 
 from .errors import InvalidRadius, NotSubset
 from .field import PrimeFieldCtx
-from .geometry import (PointSet, circle, difference_table, norm_classes,
-                       periodic, shift_meet, tiled_points)
+from . import geometry
+from .geometry import PointSet, circle, periodic, shift_meet, tiled_points
 from .rng import SplitMix64
-
-# Pairs one chunk of _first_pair's scan may test at once.
-_PAIR_CHUNK = 1 << 16
 
 
 def _degrees(ind: np.ndarray, st) -> np.ndarray:
@@ -80,13 +77,12 @@ class DistanceSystem:
         self._degree = degree
         self._member = E.indicator.tobytes()
         self._tiled_rank = periodic(rank).ravel()
-        self._offsets = tiled_points(circle(ctx, t).indicator)
+        self._offsets = circle(ctx, t).points
         self._rows = {}
         self._found = {}
 
     def _gather(self, i: int) -> list:
-        x1, x2 = self._points[i]
-        row = self._tiled_rank[x1 * 2 * self.ctx.q + x2 + self._offsets]
+        row = self._tiled_rank[self.E.points[i] + self._offsets]
         row = row[row >= 0]
         row.sort()
         return row.tolist()
@@ -217,28 +213,19 @@ def find_shattered(sys: DistanceSystem, d: int):
     return sys._found[d]
 
 
-def _max_circle_meet(ctx: PrimeFieldCtx, t: int) -> int:
-    """m = max over d != 0 of |S_t n (S_t + d)|, the (0, 0)-zeroed maximum
-    of S_t's exact self-difference table."""
-    s_t = circle(ctx, t)
-    table = difference_table(ctx, s_t, s_t).table.copy()
-    table[0, 0] = 0
-    return int(table.max())
-
-
 def vc_dimension(sys: DistanceSystem, cap: int = 4) -> int:
     """Largest d <= cap with a shattered d-subset; -1 for an empty system.
 
-    Scans sizes down from min(cap, m + 1), past which the module's
-    certificate rules shattering out.  Shattering is monotone under subsets,
-    so the first size with a shattered set is the answer.
+    Scans sizes down from min(cap, 3): no 4-set is shattered, as two
+    distinct radius-t circles meet in at most 2 points (module docstring).
+    Shattering is monotone under subsets, so the first size with a
+    shattered set is the answer.
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     if len(sys.E) == 0:
         return -1
-    limit = min(cap, _max_circle_meet(sys.ctx, sys.t) + 1)
-    return next((d for d in range(limit, 0, -1)
+    return next((d for d in range(min(cap, 3), 0, -1)
                  if find_shattered(sys, d) is not None), 0)
 
 
@@ -316,8 +303,8 @@ def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
     (a - v) mod q, so a pair's test is one subtraction and one gather.  The
     forbidden differences are cleared in all four copies for the scan and
     restored after it.  Rows of ax go in chunks that start at one row and
-    double up to _PAIR_CHUNK pairs: an early hit costs one row, and a full
-    plane's meets never build all their pairs at once.
+    double up to geometry.INDEX_CHUNK pairs: an early hit costs one row,
+    and a full plane's meets never build all their pairs at once.
     """
     if len(ax) == 0 or len(dx) == 0:
         return None
@@ -326,7 +313,7 @@ def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
     cells = (cells[:, None] + np.array([0, q, 2 * q * q, 2 * q * q + q])).ravel()
     saved = on_circle[cells]
     on_circle[cells] = False
-    most = max(1, _PAIR_CHUNK // len(dx))
+    most = max(1, geometry.INDEX_CHUNK // len(dx))
     lo, rows, pair = 0, 1, None
     while lo < len(ax) and pair is None:
         hit = on_circle[ax[lo:lo + rows, None] - dx + base]
@@ -402,7 +389,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     labels = np.zeros((q, q), dtype=np.int8)
     labels.flat[kept_at] = label
     tiled = periodic(labels).ravel()
-    pts = kept_at + kept_at // q * q  # row * 2q + col
+    pts = tiled_points(kept)
     pa, pd = pts[label == 1], pts[label == 4]
 
     excl = (u, (-u[0] % q, -u[1] % q))
@@ -430,7 +417,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     y23 = _add(x3, u, q)
 
     xs = (x1, x2, x3)
-    on_circle = norm_classes(ctx) == t
+    on_circle = circle(ctx, t).indicator
     adj = [np.roll(on_circle, xi, axis=(0, 1)) for xi in xs]
     privates = []
     for i in range(3):

@@ -336,21 +336,23 @@ def _multi_radius_instances(draw):
     return PrimeFieldCtx(q), sets, radii
 
 
-# Budgets as {name: value} overrides of counting's module constants, each
-# as a function of |E1| |E3|: the defaults; the scalar route forced, alone
-# and with a probe budget small enough to chunk each direction's probes;
+# Budgets as {"module.name": value} overrides of ffplane's module constants,
+# each as a function of |E1| |E3|: the defaults; the scalar route forced,
+# alone and with a chunk small enough to split each direction's probes;
 # and the product route forced with one direction per product and one
 # radius per stack (the smallest chunk that keeps the route), three of
 # each (partial last chunks), or every circle size in a single product.
 _BLOCK_BUDGETS = {
     "default": lambda cells: {},
-    "scalar": lambda cells: {"_PRODUCT_MACS": 0},
-    "chunked-probes": lambda cells: {"_PRODUCT_MACS": 0, "_PROBE_CHUNK": 7},
-    "one-direction": lambda cells: {"_PRODUCT_MACS": 2**40,
-                                    "_PRODUCT_CHUNK": max(cells, 1)},
-    "three-directions": lambda cells: {"_PRODUCT_MACS": 2**40,
-                                       "_PRODUCT_CHUNK": 3 * max(cells, 1)},
-    "single-block": lambda cells: {"_PRODUCT_MACS": 2**40, "_PRODUCT_CHUNK": 2**40},
+    "scalar": lambda cells: {"counting._PRODUCT_MACS": 0},
+    "chunked-probes": lambda cells: {"counting._PRODUCT_MACS": 0,
+                                     "geometry.INDEX_CHUNK": 7},
+    "one-direction": lambda cells: {"counting._PRODUCT_MACS": 2**40,
+                                    "counting._PRODUCT_CHUNK": max(cells, 1)},
+    "three-directions": lambda cells: {"counting._PRODUCT_MACS": 2**40,
+                                       "counting._PRODUCT_CHUNK": 3 * max(cells, 1)},
+    "single-block": lambda cells: {"counting._PRODUCT_MACS": 2**40,
+                                   "counting._PRODUCT_CHUNK": 2**40},
 }
 
 
@@ -361,7 +363,7 @@ def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
     ctx, sets, radii = instance
     with pytest.MonkeyPatch.context() as mp:
         for name, value in _BLOCK_BUDGETS[budget](len(sets[0]) * len(sets[2])).items():
-            mp.setattr(counting, name, value)
+            mp.setattr(f"ffplane.{name}", value)
         by_radius = rhombus_directions(ctx, *sets, radii)
     assert list(by_radius) == radii
     for t in radii:
@@ -391,7 +393,7 @@ def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
     radii = [0, 1, q - 1]
     with pytest.MonkeyPatch.context() as mp:
         for name, value in _BLOCK_BUDGETS[budget](len(sets[0]) * len(sets[2])).items():
-            mp.setattr(counting, name, value)
+            mp.setattr(f"ffplane.{name}", value)
         mp.setattr(counting, "_PRODUCT_MACS", 0)
         mp.setattr(counting, "_small_pair_counts", spy)
         by_radius = rhombus_directions(ctx, *sets, radii)
@@ -497,7 +499,7 @@ def test_rhom_t_at_q211_keeps_its_values(sets, value):
 def test_probe_chunking_does_not_change_counts(monkeypatch, q, chunk):
     ctx = PrimeFieldCtx(q)
     sets = random_quadruple(ctx, 4 * q + 1, lo=0.3, hi=0.9)
-    monkeypatch.setattr(counting, "_PROBE_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
     for t in (0, 1, q - 1):
         assert count_unit_distances(ctx, *sets[:2], t, "fast").value == \
             count_unit_distances(ctx, *sets[:2], t, "oracle").value
@@ -505,6 +507,45 @@ def test_probe_chunking_does_not_change_counts(monkeypatch, q, chunk):
             count_rhom_t(ctx, *sets, t, "oracle").value
         assert count_degenerate_rhom(ctx, *sets, t).value == \
             _degenerate_reference(ctx, *sets, t)
+
+
+def test_rhombus_directions_reuse_each_circles_points(monkeypatch, ctx13):
+    # Once the circles of radii 1..12 are cached with their point lists, a
+    # call on new sets builds the point lists of E1 and E3 only.
+    radii = list(range(1, 13))
+    rhombus_directions(ctx13, *random_quadruple(ctx13, 1, lo=0.2, hi=0.5), radii)
+    sets = random_quadruple(ctx13, 2, lo=0.2, hi=0.5)
+    built = []
+    tiled_points = geometry.tiled_points
+
+    def spy(ind):
+        built.append(ind)
+        return tiled_points(ind)
+
+    monkeypatch.setattr(geometry, "tiled_points", spy)
+    by_radius = rhombus_directions(ctx13, *sets, radii)
+    monkeypatch.undo()
+    assert [id(ind) for ind in built] == [id(sets[0].indicator), id(sets[2].indicator)]
+    for t in radii:
+        assert by_radius[t] == _rhombus_direction_reference(ctx13, *sets, t)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_oracle_excludes_degenerate_tuples_in_its_own_loop(monkeypatch, q):
+    ctx = PrimeFieldCtx(q)
+    calls = []
+    fast = counting.count_degenerate_rhom
+    monkeypatch.setattr(counting, "count_degenerate_rhom",
+                        lambda *args: calls.append(args) or fast(*args))
+    quadruples = [random_quadruple(ctx, 17 * seed + q, lo=0.2, hi=0.9)
+                  for seed in range(3)] + [[full_plane(ctx)] * 4]
+    for sets in quadruples:
+        for t in range(q):
+            rhom = count_rhom_t(ctx, *sets, t, "oracle").value
+            assert count_rhom_t(ctx, *sets, t, "oracle",
+                                exclude_degenerate=True).value == \
+                rhom - _degenerate_reference(ctx, *sets, t)
+    assert calls == []
 
 
 def _boundary_or_random_set(q):

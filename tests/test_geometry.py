@@ -202,7 +202,7 @@ def test_each_route_matches_brute_force_on_boundary_sets(ctx13):
 @pytest.mark.parametrize("q", [3, 5, 13])
 def test_exact_chunking_does_not_change_tables(monkeypatch, q, chunk):
     ctx = PrimeFieldCtx(q)
-    monkeypatch.setattr(geometry, "_EXACT_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
     monkeypatch.setattr(geometry, "_EXACT_PAIRS_PER_CELL", 10**9)
     for seed in range(3):
         A = gen_random_set(ctx, 0.6, 2 * seed)
@@ -261,7 +261,7 @@ def test_differences_at_match_brute_force(pair, order):
 def test_differences_at_match_brute_force_on_boundary_sets(monkeypatch, chunk):
     # Every ordered pair, so both probe sides are taken; the chunk splits
     # the offsets one per gather, mid-plane, or not at all.
-    monkeypatch.setattr(geometry, "_EXACT_CHUNK", chunk)
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
     sets = _boundary_sets(13)
     for A in sets:
         for B in sets:
@@ -360,6 +360,21 @@ def test_tiled_points_match_the_row_col_formula(q):
         rows, cols = np.nonzero(ps.indicator)
         assert geometry.tiled_points(ps.indicator).tolist() == \
             (rows * (2 * q) + cols).tolist()
+
+
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_points_are_the_tiled_points_of_the_indicator(q):
+    # Both constructors on empty, singleton, full plane, a circle and, at
+    # q = 13, the isotropic line {(a, 5a)}: row-major values whatever the
+    # given order, read-only, and one object on every read.
+    for ps in _indicator_sets(q):
+        want = geometry.tiled_points(ps.indicator).tolist()
+        for form in (ps, PointSet(q, reversed(ps.elements))):
+            assert form._points is None
+            points = form.points
+            assert points.tolist() == want and form.points is points
+            with pytest.raises(ValueError, match="read-only"):
+                points[:1] = 0
 
 
 @pytest.mark.parametrize("q", [5, 13])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffplane import vc
+from ffplane import geometry
 from ffplane.errors import InvalidRadius, NotSubset
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
     PointSet,
     circle,
+    difference_table,
     full_plane,
     gen_example_line_ap,
     gen_random_set,
@@ -28,7 +29,7 @@ from ffplane.vc import (
     vc_dimension,
     verify_witness,
 )
-from ffplane.vc import _first_pair, _max_circle_meet, _shattered
+from ffplane.vc import _first_pair, _shattered
 
 
 def naive_vc_dimension(sys, cap):
@@ -221,9 +222,34 @@ def test_two_circle_identity(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 29])
 def test_circle_meet_certificate_is_two(q):
     # q = 1 and q = 3 mod 4 alike: two distinct radius-t circles meet in at
-    # most 2 points, and some pair meets in exactly 2.
+    # most 2 points, and some pair meets in exactly 2.  The most is
+    # max over d != 0 of |S_t n (S_t + d)|, the (0, 0)-zeroed maximum of
+    # S_t's self-difference table; vc_dimension's stop size 3 rests on it.
     ctx = PrimeFieldCtx(q)
-    assert [_max_circle_meet(ctx, t) for t in range(1, q)] == [2] * (q - 1)
+    meets = []
+    for t in range(1, q):
+        table = difference_table(ctx, circle(ctx, t), circle(ctx, t)).table.copy()
+        table[0, 0] = 0
+        meets.append(int(table.max()))
+    assert meets == [2] * (q - 1)
+
+
+def test_vc_dimension_builds_no_difference_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "difference_table",
+                        lambda *args: calls.append(args))
+    ctx13, ctx5 = PrimeFieldCtx(13), PrimeFieldCtx(5)
+    assert vc_dimension(build_system(ctx13, full_plane(ctx13), 1), cap=4) == 3
+    strip = gen_example_line_ap(ctx5, range(2))
+    assert vc_dimension(build_system(ctx5, strip, 1), cap=4) == 2
+    assert calls == []
+
+
+def test_vc_dimension_two_agrees_with_naive_oracle_at_cap_4(ctx5):
+    # A strip of two rows: the naive scan refutes every 3-subset, so the
+    # answer 2 at cap 4 is not the stop size.
+    sys_ = build_system(ctx5, gen_example_line_ap(ctx5, range(2)), 1)
+    assert vc_dimension(sys_, cap=4) == naive_vc_dimension(sys_, 4) == 2
 
 
 def _neighborhood_subsets(sys_, d, centers=None):
@@ -238,7 +264,7 @@ def _neighborhood_subsets(sys_, d, centers=None):
     (11, "full"), (13, "full"), (19, "line-ap:0:1:6"), (7, "random:0.5"),
 ])
 def test_no_four_set_is_shattered(q, spec):
-    # Audits the certificate that stops vc_dimension at size m + 1 = 3: the
+    # Audits the bound that stops vc_dimension at size 3: the
     # trace-collecting oracle refutes every 4-subset of a neighborhood.  A
     # shift of the plane that maps E onto itself preserves shattering, so
     # one center per orbit suffices: the full plane is invariant under every
@@ -505,7 +531,7 @@ def test_first_pair_hit_at_and_past_chunk_boundaries(monkeypatch, q, budget, row
     # (budget 4) and 0, 1, 3, 6 (budget 6).  Row `row` is the first hit,
     # with dx's second point only; every later row hits dx's first point,
     # which a-major order must not prefer.
-    monkeypatch.setattr(vc, "_PAIR_CHUNK", budget)
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", budget)
     ctx = PrimeFieldCtx(q)
     norm = norm_classes(ctx)
     v1, v2 = (0, 0), (0, 1)
@@ -534,7 +560,7 @@ def test_first_pair_agrees_with_literal_loop(q, t, budget, data):
     dx = data.draw(st.lists(point, max_size=12))
     forbidden = tuple(data.draw(st.lists(point, max_size=4)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vc, "_PAIR_CHUNK", budget)
+        mp.setattr(geometry, "INDEX_CHUNK", budget)
         got = vector_first_side_t_pair(ctx, ax, dx, forbidden, t)
     assert got == literal_first_side_t_pair(ax, dx, forbidden, q, t)
 
