@@ -523,6 +523,7 @@ def test_rhombus_directions_reuse_each_circles_points(monkeypatch, ctx13):
         return tiled_points(ind)
 
     monkeypatch.setattr(geometry, "tiled_points", spy)
+    monkeypatch.setattr(counting, "tiled_points", spy)
     by_radius = rhombus_directions(ctx13, *sets, radii)
     monkeypatch.undo()
     assert [id(ind) for ind in built] == [id(sets[0].indicator), id(sets[2].indicator)]

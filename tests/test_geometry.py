@@ -1,11 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffplane import geometry, rng
+from ffplane import counting, geometry, rng, vc
 from ffplane.errors import PointSetFormatError
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -210,6 +211,40 @@ def test_exact_chunking_does_not_change_tables(monkeypatch, q, chunk):
         d = difference_table(ctx, A, B)
         assert d.route == "exact"
         assert np.array_equal(d.table, _brute_differences(q, A, B))
+
+
+class _ChunkReads(int):
+    """geometry.INDEX_CHUNK's value, recording the function that divides
+    by it or adds it to a position in ``readers``."""
+
+    def __floordiv__(self, other):
+        self.readers.add(sys._getframe(1).f_code.co_name)
+        return int(self) // other
+
+    def __radd__(self, other):
+        self.readers.add(sys._getframe(1).f_code.co_name)
+        return other + int(self)
+
+
+def test_one_chunk_constant_reaches_every_route(monkeypatch):
+    # The chunking tests patch geometry.INDEX_CHUNK alone, so every chunked
+    # route must read it from geometry when it runs.
+    chunk = _ChunkReads(geometry.INDEX_CHUNK)
+    chunk.readers = set()
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
+    monkeypatch.setattr(counting, "_PRODUCT_MACS", 0)
+    ctx = PrimeFieldCtx(29)
+    sets = [gen_random_set(ctx, 0.1, 5 * 29 + k) for k in range(4)]
+    counting.count_unit_distances(ctx, *sets[:2], 1)
+    counting.rhombus_directions(ctx, *sets, [1])
+    counting.count_degenerate_rhom(ctx, *sets, 1)
+    difference_table(ctx, *sets[:2])
+    difference_table(ctx, *sets[:2], circle(ctx, 1))
+    ctx11 = PrimeFieldCtx(11)
+    assert isinstance(vc.find_witness(ctx11, full_plane(ctx11), 1), vc.Witness)
+    assert chunk.readers == {
+        "_probe_count", "_small_pair_counts", "count_degenerate_rhom",
+        "_exact_differences", "differences_at", "_first_pair"}
 
 
 @pytest.mark.parametrize("per_cell", [None, 0, 1, 3])

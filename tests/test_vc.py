@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffplane import geometry
+from ffplane import geometry, vc
 from ffplane.errors import InvalidRadius, NotSubset
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -235,9 +235,11 @@ def test_circle_meet_certificate_is_two(q):
 
 
 def test_vc_dimension_builds_no_difference_table(monkeypatch):
+    # At vc's own binding too, should it import the name.
     calls = []
-    monkeypatch.setattr(geometry, "difference_table",
-                        lambda *args: calls.append(args))
+    for module in (geometry, vc):
+        monkeypatch.setattr(module, "difference_table",
+                            lambda *args: calls.append(args), raising=False)
     ctx13, ctx5 = PrimeFieldCtx(13), PrimeFieldCtx(5)
     assert vc_dimension(build_system(ctx13, full_plane(ctx13), 1), cap=4) == 3
     strip = gen_example_line_ap(ctx5, range(2))
