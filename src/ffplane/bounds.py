@@ -8,10 +8,15 @@ every instance; order-of-magnitude statements are recorded as ratios with
 their hypothesis flags and never hard-asserted, because they hide
 unspecified constants.
 
-Checkers and sweeps derive reports through one per-instance path.  A sweep
-draws each trial's sets once, U, V, E3, E4; a check on k sets draws its
-radii from a copy of the trial stream after the k-th set, so its reports do
-not depend on the checks run beside it.
+Checkers and sweeps derive reports through one per-instance path,
+_reports, which gives a ReportBatch: one check's reports on one instance as
+columns, with what its radii share computed once.  A sweep keeps its
+batches, and the CLI writes each batch's lines in one pass of the check's
+layout (LINE_LAYOUTS); BoundReports are built only for the check_*
+functions and a sweep read as a sequence.  A sweep draws each trial's sets
+once, U, V, E3, E4; a check on k sets draws its radii from a copy of the
+trial stream after the k-th set, so its reports do not depend on the checks
+run beside it.
 """
 
 import math
@@ -19,9 +24,9 @@ import math
 from .counting import count_unit_distances, par_t_profile, rhombus_directions
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
-from .fourier import check_circle_decay, circle_decay_fields
+from .fourier import circle_decay_batch, circle_decay_lines
 from .geometry import PointSet, full_plane, gen_random_set
-from .report import JSON_BOOL, BoundReport, make_report
+from .report import JSON_BOOL, BoundReport, ReportBatch, line_parts
 from .rng import SplitMix64
 
 CHECK_NAMES = (
@@ -46,7 +51,7 @@ def _radius(ctx, t: int, what: str) -> int:
 def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
     """|N_t(U,V) - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), any nonzero t."""
     t = _radius(ctx, t, "unit-distance check")
-    return _reports(ctx, "unit-distance", (U, V), [t], {})[0]
+    return _reports(ctx, "unit-distance", (U, V), [t], {}).report(0)
 
 
 # The verdicts below are exact: multiplied by q and squared, each
@@ -110,84 +115,95 @@ def rhom_sharp_holds(q: int, rhom: int, sum_prod: int, p12: int, p34: int) -> bo
     return (q * rhom - sum_prod) ** 2 <= q * p12 * p34
 
 
-# Each builder below is followed by its line layout: a function of a swept
-# report's inputs and extra (sweep adds trial and seed to the inputs) that
-# writes both as JSON object bodies, keys sorted, ints by str, floats by
-# repr and flags by JSON_BOOL (cli._report_writer writes the rest of the
-# line).  A builder's counts are ints and its floats finite, and its rhs is
-# 0 only where there is nothing to count, so lhs is 0 too and no ratio is
-# infinite: every value has one of those forms.
-# A key added to a builder must go into its layout too: tests/test_cli.py
-# compares every swept report's line with json.dumps.
+# Each row builder below makes one check's ReportBatch on one instance from
+# its counts, computing what every radius shares once; its line layout
+# follows it.  A layout turns a swept batch (sweep adds trial and seed to
+# the inputs) into the batch's report lines: each line's keys sorted, ints
+# by str, floats by repr and flags by JSON_BOOL, its head (the config and
+# the opening of extra) given by cli._report_writer.  A builder's counts
+# are ints and its floats finite, and its rhs is 0 only where there is
+# nothing to count, so lhs is 0 too and no ratio is infinite: every value
+# has one of those forms.  A key added to a builder must go into its layout
+# too: tests/test_cli.py compares every swept report's line with json.dumps.
 
-def _sized_inputs(i):
-    """The inputs of a check on E1..E4 at one radius."""
-    s1, s2, s3, s4 = i["sizes"]
-    return (f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
-            f'"t": {i["t"]}, "trial": {i["trial"]}')
+def _sized_parts(b, prng) -> tuple:
+    """line_parts of a swept batch, whose inputs vary in t (and t2)."""
+    i = b.inputs
+    sizes = ", ".join(map(str, i["sizes"]))
+    return line_parts(b, prng, f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{sizes}], "t": ',
+                      f', "trial": {i["trial"]}')
 
 
-def _unit_distance_report(q, t, n_t, sizes, **tag) -> BoundReport:
+def _unit_distance_batch(q, radii, counts, sizes, **tag) -> ReportBatch:
     mean = sizes[0] * sizes[1] / q
-    lhs = abs(n_t - mean)
     rhs = 2.0 * math.sqrt(q) * math.sqrt(sizes[0] * sizes[1])
-    return make_report(
-        "unit-distance", lhs, rhs,
-        inputs={"q": q, "t": t, "sizes": sizes, **tag},
-        extra={"count": n_t, "mean": mean},
-        holds=unit_distance_holds(q, n_t, *sizes),
-    )
+    return ReportBatch(
+        "unit-distance", {"q": q, "sizes": sizes, **tag}, {"mean": mean},
+        {"t": list(radii)}, {"count": counts},
+        [abs(n - mean) for n in counts], rhs,
+        [unit_distance_holds(q, n, *sizes) for n in counts])
 
 
-def _unit_distance_fields(i, e):
-    s1, s2 = i["sizes"]
-    return (f'"count": {e["count"]}, "mean": {e["mean"]!r}',
-            f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{s1}, {s2}], '
-            f'"t": {i["t"]}, "trial": {i["trial"]}')
+def _unit_distance_lines(b, head, prng) -> str:
+    holds, post, mid, rhs = _sized_parts(b, prng)
+    mean = f', "mean": {b.extra["mean"]!r}'
+    return "".join([
+        f'{head}"count": {n}{mean}{holds[h]}{t}{post}{lhs!r}{mid}{r!r}{rhs}{s!r}}}\n'
+        for t, n, lhs, r, s, h in zip(b.row_inputs["t"], b.row_extra["count"],
+                                      b.lhs, b.ratio, b.slack, b.holds)])
 
 
-def _par_mean_report(q, t, par_t, par_all, sizes, **tag) -> BoundReport:
-    lhs = abs(par_t - par_all / q)
-    rhs = math.sqrt(q) * math.sqrt(math.prod(sizes))
-    return make_report(
-        "par-vs-mean", lhs, rhs,
-        inputs={"q": q, "t": t, "sizes": sizes, **tag},
-        extra={"par_t": par_t, "par_all": par_all},
-        holds=par_mean_holds(q, par_t, par_all, math.prod(sizes)),
-    )
+def _par_mean_batch(q, radii, par_t, par_all, sizes, **tag) -> ReportBatch:
+    mean = par_all / q
+    prod = math.prod(sizes)
+    return ReportBatch(
+        "par-vs-mean", {"q": q, "sizes": sizes, **tag}, {"par_all": par_all},
+        {"t": list(radii)}, {"par_t": par_t},
+        [abs(p - mean) for p in par_t], math.sqrt(q) * math.sqrt(prod),
+        [par_mean_holds(q, p, par_all, prod) for p in par_t])
 
 
-def _par_mean_fields(i, e):
-    return f'"par_all": {e["par_all"]}, "par_t": {e["par_t"]}', _sized_inputs(i)
+def _par_mean_lines(b, head, prng) -> str:
+    holds, post, mid, rhs = _sized_parts(b, prng)
+    par_all = f'{head}"par_all": {b.extra["par_all"]}, "par_t": '
+    return "".join([
+        f'{par_all}{p}{holds[h]}{t}{post}{lhs!r}{mid}{r!r}{rhs}{s!r}}}\n'
+        for t, p, lhs, r, s, h in zip(b.row_inputs["t"], b.row_extra["par_t"],
+                                      b.lhs, b.ratio, b.slack, b.holds)])
 
 
 def check_par_mean(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """|Par_t - Par/q| <= sqrt(q) * sqrt(|E1||E2||E3||E4|), unconditional."""
     t = _radius(ctx, t, "one-side-length check")
-    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), [t], {})[0]
+    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), [t], {}).report(0)
 
 
 def check_par_mean_all(ctx, E1, E2, E3, E4) -> list:
     """Mean-concentration reports for every nonzero t, one table pass."""
-    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q), {})
+    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q), {}).reports()
 
 
-def _par_pair_report(q, t, t2, par_t, par_t2, sizes, prod, rhs, **tag) -> BoundReport:
-    """prod = |E1||E2||E3||E4| and rhs = sqrt(q) * sqrt(prod), which every
-    pair of an instance shares."""
-    return make_report(
-        "par-pairs", abs(par_t - par_t2), rhs,
-        inputs={"q": q, "t": t, "t2": t2, "sizes": sizes, **tag},
-        extra={"par_t": par_t, "par_t2": par_t2},
-        holds=par_pair_holds(q, par_t, par_t2, prod),
-    )
+def _par_pair_batch(q, pairs, par_t, par_t2, sizes, **tag) -> ReportBatch:
+    """One row per radius pair (t, t') with t's and t''s counts; every pair
+    shares prod = |E1||E2||E3||E4| and rhs = sqrt(q) * sqrt(prod)."""
+    prod = math.prod(sizes)
+    return ReportBatch(
+        "par-pairs", {"q": q, "sizes": sizes, **tag}, {},
+        {"t": [t for t, _ in pairs], "t2": [t2 for _, t2 in pairs]},
+        {"par_t": par_t, "par_t2": par_t2},
+        [abs(a - c) for a, c in zip(par_t, par_t2)], math.sqrt(q) * math.sqrt(prod),
+        [par_pair_holds(q, a, c, prod) for a, c in zip(par_t, par_t2)])
 
 
-def _par_pair_fields(i, e):
-    s1, s2, s3, s4 = i["sizes"]
-    return (f'"par_t": {e["par_t"]}, "par_t2": {e["par_t2"]}',
-            f'"q": {i["q"]}, "seed": {i["seed"]}, "sizes": [{s1}, {s2}, {s3}, {s4}], '
-            f'"t": {i["t"]}, "t2": {i["t2"]}, "trial": {i["trial"]}')
+def _par_pair_lines(b, head, prng) -> str:
+    holds, post, mid, rhs = _sized_parts(b, prng)
+    par_t = f'{head}"par_t": '
+    c = b.row_extra
+    return "".join([
+        f'{par_t}{a}, "par_t2": {a2}{holds[h]}{t}, "t2": {t2}{post}{lhs!r}{mid}{r!r}{rhs}{s!r}}}\n'
+        for t, t2, a, a2, lhs, r, s, h in zip(
+            b.row_inputs["t"], b.row_inputs["t2"], c["par_t"], c["par_t2"],
+            b.lhs, b.ratio, b.slack, b.holds)])
 
 
 def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
@@ -195,49 +211,61 @@ def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
     if (t - t2) % ctx.q == 0:
         raise InvalidPair("the two radii must differ")
     pair = (_radius(ctx, t, "pair check"), _radius(ctx, t2, "pair check"))
-    return _reports(ctx, "par-pairs", (E1, E2, E3, E4), [pair], {})[0]
+    return _reports(ctx, "par-pairs", (E1, E2, E3, E4), [pair], {}).report(0)
 
 
 def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
     """Pair reports for every unordered {t, t'} in F_q*, one table pass."""
     return _reports(ctx, "par-pairs", (E1, E2, E3, E4),
-                    _radii(ctx, "par-pairs", all_t=True), {})
+                    _radii(ctx, "par-pairs", all_t=True), {}).reports()
 
 
-def _rhom_relation_report(q, t, sizes, terms, **tag) -> BoundReport:
-    rhom = 0
-    sum_sqrt = 0.0
-    prods = []
-    for a, b, rhom_x in terms:
-        p = a * b
-        rhom += rhom_x
-        prods.append(p)
-        sum_sqrt += math.sqrt(p)
-    sum_prod = sum(prods)
-    lhs = abs(rhom - sum_prod / q)
-    rhs = 2.0 * math.sqrt(q) * sum_sqrt
+def _rhom_relation_batch(q, radii, terms, sizes, **tag) -> ReportBatch:
+    """One row per radius t from its terms (|E12^x|, |E34^x|, Rhom_t^x),
+    one per direction x; every row shares the sharp display's rhs and
+    hypothesis."""
     p12 = sizes[0] * sizes[1]
     p34 = sizes[2] * sizes[3]
-    rhs_sharp = math.sqrt(q) * math.sqrt(p12 / q) * math.sqrt(p34 / q)
-    return make_report(
-        "rhom-vs-par", lhs, rhs,
-        inputs={"q": q, "t": t, "sizes": sizes, **tag},
-        extra={
-            "rhom_t": rhom,
-            "par_t": sum_prod,
-            "sharp_rhs": rhs_sharp,
-            "sharp_holds": rhom_sharp_holds(q, rhom, sum_prod, p12, p34),
-            "sharp_hypothesis": p12 >= q**3 and p34 >= q**3,
-        },
-        holds=rhom_relation_holds(q, rhom, prods, rhs),
-    )
+    rhoms, sums, lhs, rhs, holds, sharp = [], [], [], [], [], []
+    for t_terms in terms:
+        rhom = 0
+        sum_sqrt = 0.0
+        prods = []
+        for a, c, rhom_x in t_terms:
+            p = a * c
+            rhom += rhom_x
+            prods.append(p)
+            sum_sqrt += math.sqrt(p)
+        sum_prod = sum(prods)
+        rhs_t = 2.0 * math.sqrt(q) * sum_sqrt
+        rhoms.append(rhom)
+        sums.append(sum_prod)
+        lhs.append(abs(rhom - sum_prod / q))
+        rhs.append(rhs_t)
+        holds.append(rhom_relation_holds(q, rhom, prods, rhs_t))
+        sharp.append(rhom_sharp_holds(q, rhom, sum_prod, p12, p34))
+    return ReportBatch(
+        "rhom-vs-par", {"q": q, "sizes": sizes, **tag},
+        {"sharp_rhs": math.sqrt(q) * math.sqrt(p12 / q) * math.sqrt(p34 / q),
+         "sharp_hypothesis": p12 >= q**3 and p34 >= q**3},
+        {"t": list(radii)}, {"rhom_t": rhoms, "par_t": sums, "sharp_holds": sharp},
+        lhs, rhs, holds)
 
 
-def _rhom_relation_fields(i, e):
-    return (f'"par_t": {e["par_t"]}, "rhom_t": {e["rhom_t"]}, '
-            f'"sharp_holds": {JSON_BOOL[e["sharp_holds"]]}, '
-            f'"sharp_hypothesis": {JSON_BOOL[e["sharp_hypothesis"]]}, '
-            f'"sharp_rhs": {e["sharp_rhs"]!r}', _sized_inputs(i))
+def _rhom_relation_lines(b, head, prng) -> str:
+    holds, post, mid, _ = _sized_parts(b, prng)
+    e = b.extra
+    par_t = f'{head}"par_t": '
+    sharp = tuple(f', "sharp_holds": {flag}, '
+                  f'"sharp_hypothesis": {JSON_BOOL[e["sharp_hypothesis"]]}, '
+                  f'"sharp_rhs": {e["sharp_rhs"]!r}' for flag in JSON_BOOL)
+    c = b.row_extra
+    return "".join([
+        f'{par_t}{p}, "rhom_t": {m}{sharp[sh]}{holds[h]}{t}{post}{lhs!r}{mid}{r!r}, '
+        f'"rhs": {rhs!r}, "slack": {s!r}}}\n'
+        for t, p, m, sh, lhs, rhs, r, s, h in zip(
+            b.row_inputs["t"], c["par_t"], c["rhom_t"], c["sharp_holds"],
+            b.lhs, b.rhs, b.ratio, b.slack, b.holds)])
 
 
 def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
@@ -251,23 +279,27 @@ def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     density hypothesis |E1||E2|, |E3||E4| >= q^3.
     """
     t = _radius(ctx, t, "rhombus relation")
-    return _reports(ctx, "rhom-vs-par", (E1, E2, E3, E4), [t], {})[0]
+    return _reports(ctx, "rhom-vs-par", (E1, E2, E3, E4), [t], {}).report(0)
 
 
-def _rhom_lower_report(q, t, sizes, rhom, **tag) -> BoundReport:
+def _rhom_lower_batch(q, radii, rhoms, sizes, **tag) -> ReportBatch:
     prod = math.prod(sizes)
     hyp = prod >= q**7
-    return make_report(
-        "rhom-lower", float(rhom * q**4), float(prod),
-        inputs={"q": q, "t": t, "sizes": sizes, **tag},
-        extra={"rhom_t": rhom, "hypothesis": hyp},
-        holds=rhom > 0 if hyp else True,
-    )
+    scale = q**4
+    return ReportBatch(
+        "rhom-lower", {"q": q, "sizes": sizes, **tag}, {"hypothesis": hyp},
+        {"t": list(radii)}, {"rhom_t": rhoms},
+        [float(m * scale) for m in rhoms], float(prod),
+        [m > 0 for m in rhoms] if hyp else [True] * len(rhoms))
 
 
-def _rhom_lower_fields(i, e):
-    return (f'"hypothesis": {JSON_BOOL[e["hypothesis"]]}, "rhom_t": {e["rhom_t"]}',
-            _sized_inputs(i))
+def _rhom_lower_lines(b, head, prng) -> str:
+    holds, post, mid, rhs = _sized_parts(b, prng)
+    hyp = f'{head}"hypothesis": {JSON_BOOL[b.extra["hypothesis"]]}, "rhom_t": '
+    return "".join([
+        f'{hyp}{m}{holds[h]}{t}{post}{lhs!r}{mid}{r!r}{rhs}{s!r}}}\n'
+        for t, m, lhs, r, s, h in zip(b.row_inputs["t"], b.row_extra["rhom_t"],
+                                      b.lhs, b.ratio, b.slack, b.holds)])
 
 
 def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
@@ -278,49 +310,45 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     since the statement hides a constant.
     """
     t = _radius(ctx, t, "rhombus lower check")
-    return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {})[0]
+    return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {}).report(0)
 
 
 # check name -> its line layout; the report writer reads it.
 LINE_LAYOUTS = {
-    "unit-distance": _unit_distance_fields,
-    "par-vs-mean": _par_mean_fields,
-    "par-pairs": _par_pair_fields,
-    "rhom-vs-par": _rhom_relation_fields,
-    "rhom-lower": _rhom_lower_fields,
-    "circle-decay": circle_decay_fields,
+    "unit-distance": _unit_distance_lines,
+    "par-vs-mean": _par_mean_lines,
+    "par-pairs": _par_pair_lines,
+    "rhom-vs-par": _rhom_relation_lines,
+    "rhom-lower": _rhom_lower_lines,
+    "circle-decay": circle_decay_lines,
 }
 
 
-def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> list:
-    """One check's reports on one instance, one per radius (radius pair for
-    par-pairs); ``memo`` keeps the profile and per-t rhombus terms of E1..E4,
-    and ``tag`` (a sweep's trial and seed) joins every report's inputs."""
+def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
+    """One check's report batch on one instance, a row per radius (radius
+    pair for par-pairs); ``memo`` keeps the profile and per-t rhombus terms
+    of E1..E4, and ``tag`` (a sweep's trial and seed) joins the inputs."""
     q = ctx.q
     sizes = [len(s) for s in sets]
     if check == "unit-distance":
         counts = [count_unit_distances(ctx, *sets, t).value for t in radii]
-        return [_unit_distance_report(q, t, n, sizes, **tag)
-                for t, n in zip(radii, counts)]
+        return _unit_distance_batch(q, radii, counts, sizes, **tag)
     if check in ("par-vs-mean", "par-pairs"):
         if "profile" not in memo:
             memo["profile"] = par_t_profile(ctx, *sets)
         profile = memo["profile"]
         if check == "par-pairs":
-            prod = math.prod(sizes)
-            rhs = math.sqrt(q) * math.sqrt(prod)
-            return [_par_pair_report(q, t, t2, profile[t], profile[t2], sizes,
-                                     prod, rhs, **tag) for t, t2 in radii]
-        par_all = sum(profile.values())
-        return [_par_mean_report(q, t, profile[t], par_all, sizes, **tag)
-                for t in radii]
+            return _par_pair_batch(q, radii, [profile[t] for t, _ in radii],
+                                   [profile[t2] for _, t2 in radii], sizes, **tag)
+        return _par_mean_batch(q, radii, [profile[t] for t in radii],
+                               sum(profile.values()), sizes, **tag)
     missing = [t for t in radii if t not in memo]
     if missing:
         memo.update(rhombus_directions(ctx, *sets, missing))
     if check == "rhom-vs-par":
-        return [_rhom_relation_report(q, t, sizes, memo[t], **tag) for t in radii]
-    return [_rhom_lower_report(q, t, sizes, sum(r for _, _, r in memo[t]), **tag)
-            for t in radii]
+        return _rhom_relation_batch(q, radii, [memo[t] for t in radii], sizes, **tag)
+    return _rhom_lower_batch(q, radii, [sum(r for _, _, r in memo[t]) for t in radii],
+                             sizes, **tag)
 
 
 # -- seeded sweeps -------------------------------------------------------------
@@ -350,10 +378,28 @@ def _radii(ctx, check: str, all_t: bool, rng=None, t=None) -> list:
     return [(ta, tb)]
 
 
+class Sweep:
+    """A sweep's report batches, in order.  As a sequence it is their
+    reports: len() counts them, and iterating (or list()) builds them."""
+
+    __slots__ = ("batches",)
+
+    def __init__(self, batches: list):
+        self.batches = batches
+
+    def __len__(self) -> int:
+        return sum(map(len, self.batches))
+
+    def __iter__(self):
+        for batch in self.batches:
+            yield from batch.reports()
+
+
 def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
-          seed: int, all_t: bool = False, t: int | None = None) -> list:
+          seed: int, all_t: bool = False, t: int | None = None) -> Sweep:
     """Run ``trials`` seeded random instances of one named check or of a
-    sequence of them; the reports come check by check, in that order.
+    sequence of them; the batches come check by check, in that order, one
+    per trial (circle-decay: one for every j).
 
     density is a float in [0, 1], or None to draw one per set.  A trial's
     radius is drawn unless ``t`` pins it; all_t takes every radius (every
@@ -372,8 +418,7 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
         t = _radius(ctx, t, "pinned radius")
     set_counts = [_SET_COUNT.get(name, 4) for name in names]
     js = range(ctx.q) if t is None else [t]
-    batches = [[check_circle_decay(ctx, j) for j in js] if k == 0 else []
-               for k in set_counts]
+    batches = [[circle_decay_batch(ctx, js)] if k == 0 else [] for k in set_counts]
     master = SplitMix64(seed)
     for trial in range(trials if any(set_counts) else 0):
         rng = master.fork()
@@ -385,9 +430,9 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
         for name, k, batch in zip(names, set_counts, batches):
             if k:
                 radii = _radii(ctx, name, all_t, SplitMix64(states[k - 1]), t)
-                batch += _reports(ctx, name, sets[:k], radii, memo,
-                                  trial=trial, seed=seed)
-    return [rep for batch in batches for rep in batch]
+                batch.append(_reports(ctx, name, sets[:k], radii, memo,
+                                      trial=trial, seed=seed))
+    return Sweep([b for batch in batches for b in batch])
 
 
 def extreme_case_reports(ctx: PrimeFieldCtx, t: int) -> list:

@@ -33,7 +33,6 @@ from .geometry import (
     point_set_to_text,
     save_point_set,
 )
-from .report import JSON_BOOL
 from .rng import ALGORITHM as PRNG_ALGORITHM
 
 
@@ -64,24 +63,23 @@ def _line_encoder(config):
 
 
 def _report_writer(config):
-    """BoundReport -> its report line: the bytes of
-    _line_encoder(config)(rep.to_json_obj()), written without the encoder.
+    """ReportBatch -> its report lines: the bytes of
+    _line_encoder(config)(rep.to_json_obj()) for each of its reports,
+    written without the encoder.
 
-    The top-level keys are literal, in sorted order, and the check's line
-    layout in bounds.LINE_LAYOUTS writes its inputs and extra.  The reports
-    of bounds.sweep and fourier.check_circle_decay have a finite lhs, rhs
-    and ratio, so every number is written by repr.
+    The check's layout in bounds.LINE_LAYOUTS writes the lines of the whole
+    batch; this gives it their head (the config, in sorted order before
+    extra) and the PRNG name.  The batches of bounds.sweep and
+    fourier.circle_decay_batch have a finite lhs, rhs and ratio, so every
+    number is written by repr.
     """
     head = '{"config": ' + _ENCODER.encode(config) + ', "extra": {'
     prng = _ENCODER.encode(PRNG_ALGORITHM)
 
-    def line(rep) -> str:
-        extra, inputs = bounds_mod.LINE_LAYOUTS[rep.name](rep.inputs, rep.extra)
-        return (f'{head}{extra}}}, "holds": {JSON_BOOL[rep.holds]}, "inputs": {{{inputs}}}, '
-                f'"lhs": {rep.lhs!r}, "name": "{rep.name}", "prng": {prng}, '
-                f'"ratio": {rep.ratio!r}, "rhs": {rep.rhs!r}, "slack": {rep.slack!r}}}\n')
+    def lines(batch) -> str:
+        return bounds_mod.LINE_LAYOUTS[batch.name](batch, head, prng)
 
-    return line
+    return lines
 
 
 def _emit(obj, config):
@@ -269,36 +267,37 @@ def _cmd_bounds(args) -> int:
             raise UsageError("--t must be nonzero")
     config = _config_echo(args)
     json_line = _line_encoder(config)
-    report_line = _report_writer(config)
+    report_lines = _report_writer(config)
     by_check = {check: [] for check in checks}
-    for rep in bounds_mod.sweep(ctx, checks, args.trials, density,
-                                args.seed, all_t=args.all_t, t=t):
-        by_check[rep.name].append(rep)
+    for batch in bounds_mod.sweep(ctx, checks, args.trials, density,
+                                  args.seed, all_t=args.all_t, t=t).batches:
+        by_check[batch.name].append(batch)
+    write = sys.stdout.write
     exit_code = 0
-    lines = []
-    for check, reports in by_check.items():
+    for check, batches in by_check.items():
         if args.format == "json":
-            lines += map(report_line, reports)
-        violations = sum(1 for rep in reports if not rep.holds)
+            for batch in batches:
+                write(report_lines(batch))
+        instances = sum(map(len, batches))
+        violations = sum(batch.holds.count(False) for batch in batches)
         if violations and check in ASSERTED_CHECKS:
             exit_code = 1
-        min_slack = min((rep.slack for rep in reports), default=None)
-        summary = {
-            "summary": True,
-            "check": check,
-            "instances": len(reports),
-            "violations": violations,
-            "min_slack": min_slack,
-        }
+        min_slack = min((min(batch.slack) for batch in batches), default=None)
         if args.format == "json":
-            lines.append(json_line(summary))
+            write(json_line({
+                "summary": True,
+                "check": check,
+                "instances": instances,
+                "violations": violations,
+                "min_slack": min_slack,
+            }))
         elif args.format == "human":
-            lines.append(f"{check}: {len(reports)} instances, {violations} "
-                         f"violations, min slack {min_slack}\n")
+            write(f"{check}: {instances} instances, {violations} "
+                  f"violations, min slack {min_slack}\n")
     if args.format == "csv":
-        rows = [rep.to_json_obj() for reports in by_check.values() for rep in reports]
-        lines = _csv_lines(rows, ("name", "lhs", "rhs", "holds", "ratio", "slack"))
-    sys.stdout.write("".join(lines))
+        rows = [rep.to_json_obj() for batches in by_check.values()
+                for batch in batches for rep in batch.reports()]
+        write("".join(_csv_lines(rows, ("name", "lhs", "rhs", "holds", "ratio", "slack"))))
     return exit_code
 
 
@@ -319,9 +318,9 @@ def _cmd_fourier(args) -> int:
     if args.decay:
         if args.circle is None:
             raise UsageError("--decay requires --circle J")
-        rep = fourier.check_circle_decay(ctx, args.circle % ctx.q)
-        sys.stdout.write(_report_writer(config)(rep))
-        return 0 if rep.holds else 1
+        batch = fourier.circle_decay_batch(ctx, [args.circle])
+        sys.stdout.write(_report_writer(config)(batch))
+        return 0 if batch.holds[0] else 1
     if (args.circle is None) == (args.set is None):
         raise UsageError("provide exactly one of --set or --circle")
     if args.circle is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .field import PrimeFieldCtx
 from .geometry import PointSet, circle, norm, norm_classes
-from .report import JSON_BOOL, BoundReport, make_report, safe_ratio
+from .report import JSON_BOOL, VERDICT_EPS, BoundReport, ReportBatch, line_parts, safe_ratio
 
 
 class Spectrum:
@@ -100,8 +100,9 @@ def circle_spectrum_closed(ctx: PrimeFieldCtx, j: int, m) -> complex:
     return value
 
 
-def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:
-    """Largest nonzero-mode circle coefficient against the q^(-3/2) scale.
+def circle_decay_batch(ctx: PrimeFieldCtx, js) -> ReportBatch:
+    """The largest nonzero-mode coefficient of each circle S_j, j in js,
+    against the q^(-3/2) scale, a row per j.
 
     Asserted threshold is 2*q^(-3/2); the constant-1 threshold is recorded
     alongside.  For j = 0 the isotropic modes (m != 0 with |m| = 0, present
@@ -109,47 +110,47 @@ def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:
     excluded from the primary maximum and logged separately.
     """
     q = ctx.q
-    j %= q
-    spec = transform(ctx, circle(ctx, j), method="fast")
-    mags = np.abs(spec.coeffs)
-
-    norms = norm_classes(ctx)
+    js = [j % q for j in js]
     nonzero_mode = np.ones((q, q), dtype=bool)
     nonzero_mode[0, 0] = False
-
-    isotropic = (norms == 0) & nonzero_mode
-    regular = (nonzero_mode & ~isotropic) if j == 0 else nonzero_mode
-
-    max_regular = float(mags[regular].max()) if regular.any() else 0.0
-    max_all = float(mags[nonzero_mode].max())
-    iso_max = float(mags[isotropic].max()) if (j == 0 and isotropic.any()) else None
-
+    isotropic = (norm_classes(ctx) == 0) & nonzero_mode
+    anisotropic = nonzero_mode & ~isotropic
+    lhs, max_all, iso_max = [], [], []
+    for j in js:
+        mags = np.abs(transform(ctx, circle(ctx, j), method="fast").coeffs)
+        regular = anisotropic if j == 0 else nonzero_mode
+        lhs.append(float(mags[regular].max()) if regular.any() else 0.0)
+        max_all.append(float(mags[nonzero_mode].max()))
+        iso_max.append(float(mags[isotropic].max())
+                       if j == 0 and isotropic.any() else None)
     rhs = 2.0 * q**-1.5
     strict_rhs = q**-1.5
     # lhs is a float FFT modulus with no integer form, so verdicts keep the 1e-9 guard.
-    extra = {
-        "strict_rhs": strict_rhs,
-        "holds_strict": max_regular <= strict_rhs + 1e-9,
-        "max_all_nonzero_modes": max_all,
-        "ratio_to_strict": safe_ratio(max_regular, strict_rhs),
-    }
-    if iso_max is not None:
-        extra["isotropic_max"] = iso_max
-    return make_report(
-        "circle-decay",
-        lhs=max_regular,
-        rhs=rhs,
-        inputs={"q": q, "j": j},
-        extra=extra,
-    )
+    return ReportBatch(
+        "circle-decay", {"q": q}, {"strict_rhs": strict_rhs}, {"j": js},
+        {"holds_strict": [x <= strict_rhs + VERDICT_EPS for x in lhs],
+         "max_all_nonzero_modes": max_all,
+         "ratio_to_strict": [safe_ratio(x, strict_rhs) for x in lhs],
+         "isotropic_max": iso_max},
+        lhs, rhs, [x <= rhs + VERDICT_EPS for x in lhs])
 
 
-def circle_decay_fields(i, e):
-    """The line layout of a circle-decay report (see ffplane.bounds): its
-    inputs and extra as JSON object bodies, keys sorted; isotropic_max is
-    written when present."""
-    iso = f'"isotropic_max": {e["isotropic_max"]!r}, ' if "isotropic_max" in e else ""
-    return (f'"holds_strict": {JSON_BOOL[e["holds_strict"]]}, {iso}'
-            f'"max_all_nonzero_modes": {e["max_all_nonzero_modes"]!r}, '
-            f'"ratio_to_strict": {e["ratio_to_strict"]!r}, "strict_rhs": {e["strict_rhs"]!r}',
-            f'"j": {i["j"]}, "q": {i["q"]}')
+def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:
+    """circle_decay_batch's report for one circle S_j."""
+    return circle_decay_batch(ctx, [j]).report(0)
+
+
+def circle_decay_lines(b: ReportBatch, head: str, prng: str) -> str:
+    """The line layout of a circle-decay batch (see ffplane.bounds);
+    isotropic_max is written where a row has it."""
+    holds, post, mid, rhs = line_parts(b, prng, '"j": ', f', "q": {b.inputs["q"]}')
+    strict = f', "strict_rhs": {b.extra["strict_rhs"]!r}'
+    c = b.row_extra
+    isos = ["" if v is None else f'"isotropic_max": {v!r}, ' for v in c["isotropic_max"]]
+    return "".join([
+        f'{head}"holds_strict": {JSON_BOOL[hs]}, {iso}"max_all_nonzero_modes": {m!r}, '
+        f'"ratio_to_strict": {rs!r}{strict}{holds[h]}{j}{post}{lhs!r}{mid}{r!r}{rhs}{s!r}}}\n'
+        for j, hs, iso, m, rs, lhs, r, s, h in zip(
+            b.row_inputs["j"], c["holds_strict"], isos,
+            c["max_all_nonzero_modes"], c["ratio_to_strict"],
+            b.lhs, b.ratio, b.slack, b.holds)])

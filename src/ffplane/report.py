@@ -1,4 +1,6 @@
-"""Structured LHS/RHS verdict records shared by the bound checkers."""
+"""Structured LHS/RHS verdict records shared by the bound checkers: one
+BoundReport per checked inequality, and ReportBatch, the reports of one
+check on one instance as columns."""
 
 import math
 from dataclasses import dataclass, field
@@ -56,16 +58,67 @@ class BoundReport:
         return obj
 
 
-def make_report(name: str, lhs: float, rhs: float, inputs: dict,
-                extra: dict | None = None, holds: bool | None = None) -> BoundReport:
-    """Build a report; the verdict is ``holds`` when given (an exact
-    comparison), otherwise the standard rule lhs <= rhs + eps."""
-    return BoundReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + VERDICT_EPS if holds is None else holds,
-        ratio=safe_ratio(lhs, rhs),
-        inputs=inputs,
-        extra=extra or {},
-    )
+class ReportBatch:
+    """One check's reports on one instance, held as columns.
+
+    ``inputs`` and ``extra`` hold what every report of the batch shares (q,
+    the set sizes, a sweep's trial and seed; a mean, a hypothesis flag).
+    ``row_inputs`` and ``row_extra`` map each key that varies to its column,
+    and lhs, rhs, ratio, slack and holds are columns as well, one entry per
+    report.  A None in a ``row_extra`` column leaves that key out of its
+    report.  ``rhs`` is given as one float when every report shares it.
+    BoundReports are built only when asked for.
+    """
+
+    __slots__ = ("name", "inputs", "extra", "row_inputs", "row_extra",
+                 "lhs", "rhs", "ratio", "slack", "holds")
+
+    def __init__(self, name: str, inputs: dict, extra: dict, row_inputs: dict,
+                 row_extra: dict, lhs: list, rhs, holds: list):
+        self.name = name
+        self.inputs = inputs
+        self.extra = extra
+        self.row_inputs = row_inputs
+        self.row_extra = row_extra
+        self.lhs = lhs
+        self.holds = holds
+        if isinstance(rhs, float):
+            self.ratio = [x / rhs for x in lhs] if rhs else [safe_ratio(x, rhs) for x in lhs]
+            self.slack = [rhs - x for x in lhs]
+            rhs = [rhs] * len(lhs)
+        else:
+            self.ratio = list(map(safe_ratio, lhs, rhs))
+            self.slack = [r - x for x, r in zip(lhs, rhs)]
+        self.rhs = rhs
+
+    def __len__(self) -> int:
+        return len(self.holds)
+
+    def report(self, k: int) -> BoundReport:
+        """The k-th report of the batch."""
+        inputs = dict(self.inputs)
+        for key, column in self.row_inputs.items():
+            inputs[key] = column[k]
+        extra = dict(self.extra)
+        for key, column in self.row_extra.items():
+            if column[k] is not None:
+                extra[key] = column[k]
+        return BoundReport(self.name, self.lhs[k], self.rhs[k], self.holds[k],
+                           self.ratio[k], inputs, extra)
+
+    def reports(self) -> list:
+        return [self.report(k) for k in range(len(self))]
+
+
+def line_parts(batch: ReportBatch, prng: str, pre: str, post: str) -> tuple:
+    """The fixed text of a batch's report lines, for its check's layout.
+
+    ``pre`` is the body of inputs up to the first varying input and ``post``
+    the rest after the last one.  Returns the text from the end of extra up
+    to that first input, indexed by holds; from ``post`` up to lhs; from lhs
+    up to ratio; and from ratio up to slack when every report shares rhs.
+    """
+    return (tuple(f'}}, "holds": {flag}, "inputs": {{{pre}' for flag in JSON_BOOL),
+            f'{post}}}, "lhs": ',
+            f', "name": "{batch.name}", "prng": {prng}, "ratio": ',
+            f', "rhs": {batch.rhs[0]!r}, "slack": ')

@@ -9,11 +9,11 @@ from conftest import random_quadruple
 from ffplane import bounds
 from ffplane.bounds import (
     CHECK_NAMES,
-    _par_mean_report,
-    _par_pair_report,
-    _rhom_lower_report,
-    _rhom_relation_report,
-    _unit_distance_report,
+    _par_mean_batch,
+    _par_pair_batch,
+    _rhom_lower_batch,
+    _rhom_relation_batch,
+    _unit_distance_batch,
     check_par_mean,
     check_par_mean_all,
     check_par_pair,
@@ -102,7 +102,7 @@ def test_rhom_relation_sharp_verdict_is_exact(q, k):
     rhom = 2 * k * k
     for d in (big_d - 1, big_d, big_d + 1, -big_d - 1, -big_d, -big_d + 1):
         sum_ab = q * rhom - d
-        rep = _rhom_relation_report(q, 1, sizes, [(sum_ab, 1, rhom)])
+        rep = _rhom_relation_batch(q, [1], [[(sum_ab, 1, rhom)]], sizes).report(0)
         assert rep.extra["rhom_t"] == rhom and rep.extra["par_t"] == sum_ab
         assert rep.extra["sharp_holds"] == (abs(d) <= big_d), d
 
@@ -115,7 +115,7 @@ def test_rhom_relation_sharp_verdict_is_exact(q, k):
 @pytest.mark.parametrize("step", [-1, 0, 1])
 def test_rhom_relation_verdict_is_exact(q, step):
     p = 4 * q**3 + step
-    rep = _rhom_relation_report(q, 1, [p, 1, 1, 1], [(p, 1, 0)])
+    rep = _rhom_relation_batch(q, [1], [[(p, 1, 0)]], [p, 1, 1, 1]).report(0)
     assert rep.holds is (step <= 0)
     # q Rhom_t on the other side of sum p: gap = q rhom - p, one term, so the
     # tier is gap^2 <= 4 q^3 p.
@@ -175,7 +175,7 @@ def test_rhom_lower_empty(ctx5):
     (4, 0, True),   # prod < q^7: no hypothesis, so no verdict
 ])
 def test_rhom_lower_verdict_is_exact(e4_size, rhom, holds):
-    rep = _rhom_lower_report(5, 1, [25, 25, 25, e4_size], rhom)
+    rep = _rhom_lower_batch(5, [1], [rhom], [25, 25, 25, e4_size]).report(0)
     assert rep.extra["hypothesis"] is (e4_size == 5)
     assert rep.holds is holds
 
@@ -241,7 +241,7 @@ def test_sweep_of_several_checks_is_their_sweeps_joined(q, density, all_t, t):
     for names in _check_orders():
         joined = [rep for name in names
                   for rep in sweep(ctx, name, 2, density, 11, all_t=all_t, t=t)]
-        assert sweep(ctx, names, 2, density, 11, all_t=all_t, t=t) == joined
+        assert list(sweep(ctx, names, 2, density, 11, all_t=all_t, t=t)) == joined
 
 
 def test_sweep_of_all_checks_computes_each_primitive_once(monkeypatch, ctx7):
@@ -281,8 +281,8 @@ def test_unit_distance_verdict_is_exact(k):
     assert unit_distance_holds(q, edge, *sizes)
     assert unit_distance_holds(q, edge - 1, *sizes)
     assert not unit_distance_holds(q, edge + 1, *sizes)
-    assert _unit_distance_report(q, 1, edge, sizes).holds
-    assert not _unit_distance_report(q, 1, edge + 1, sizes).holds
+    assert _unit_distance_batch(q, [1], [edge], sizes).report(0).holds
+    assert not _unit_distance_batch(q, [1], [edge + 1], sizes).report(0).holds
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 2**30])
@@ -293,12 +293,12 @@ def test_par_mean_verdict_is_exact(k):
         assert par_mean_holds(q, edge, par_all, 3 * k * k)
         assert par_mean_holds(q, edge + inward, par_all, 3 * k * k)
         assert not par_mean_holds(q, edge - inward, par_all, 3 * k * k)
-        rep = _par_mean_report(q, 1, edge, par_all, sizes)
+        rep = _par_mean_batch(q, [1], [edge], par_all, sizes).report(0)
         assert rep.holds
         if k == 2**30:
             # sqrt(q) * sqrt(prod) rounds below 9k: the float rule fails here.
             assert rep.lhs > rep.rhs + VERDICT_EPS
-        assert not _par_mean_report(q, 1, edge - inward, par_all, sizes).holds
+        assert not _par_mean_batch(q, [1], [edge - inward], par_all, sizes).report(0).holds
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 2**30])
@@ -309,6 +309,5 @@ def test_par_pair_verdict_is_exact(k):
     assert par_pair_holds(q, base + 3 * k - 1, base, 3 * k * k)
     assert not par_pair_holds(q, base + 3 * k + 1, base, 3 * k * k)
     assert not par_pair_holds(q, base, base + 3 * k + 1, 3 * k * k)
-    rhs = math.sqrt(q) * math.sqrt(3 * k * k)
-    assert _par_pair_report(q, 1, 2, base + 3 * k, base, sizes, 3 * k * k, rhs).holds
-    assert not _par_pair_report(q, 1, 2, base + 3 * k + 1, base, sizes, 3 * k * k, rhs).holds
+    assert _par_pair_batch(q, [(1, 2)], [base + 3 * k], [base], sizes).report(0).holds
+    assert not _par_pair_batch(q, [(1, 2)], [base + 3 * k + 1], [base], sizes).report(0).holds

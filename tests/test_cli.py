@@ -23,7 +23,7 @@ from ffplane.cli import (
 )
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import gen_random_set
-from ffplane.report import make_report
+from ffplane.report import ReportBatch
 
 
 def run_cli(capsys, argv):
@@ -209,6 +209,64 @@ def test_bounds_reports_and_summary(capsys):
     assert summaries[0]["violations"] == 0
     assert summaries[0]["min_slack"] >= 0
     assert all(r["holds"] for r in reports)
+
+
+def test_bounds_writes_each_batch_as_it_is_formatted(capsys, monkeypatch):
+    argv = ["bounds", "--q", "13", "--check", "par-pairs", "--all-t", "--trials", "3"]
+    _, whole, _ = run_cli(capsys, argv)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(argv) == 0
+    # One write per trial's 66 pair lines, then the summary.
+    assert [text.count("\n") for text in writes] == [66, 66, 66, 1]
+    assert "".join(writes) == whole
+
+
+def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
+    profile = bounds.par_t_profile
+
+    def inflated(ctx, *sets):
+        return {**profile(ctx, *sets), 1: 10**12}
+
+    monkeypatch.setattr(bounds, "par_t_profile", inflated)
+    argv = ["bounds", "--q", "7", "--check", "par-pairs", "--all-t",
+            "--trials", "2", "--seed", "0"]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 1
+    *reports, summary = json_lines(out)
+    violated = [r for r in reports if not r["holds"]]
+    # Every pair with t = 1 and no other, in both trials.
+    assert sorted((r["inputs"]["trial"], r["inputs"]["t"], r["inputs"]["t2"])
+                  for r in violated) == [(k, 1, t2) for k in (0, 1) for t2 in range(2, 7)]
+    assert summary["violations"] == len(violated) == 10
+    assert summary["instances"] == len(reports) == 30
+    assert all(line == json.dumps(json.loads(line), sort_keys=True)
+               for line in out.splitlines())
+    rc, out, _ = run_cli(capsys, argv + ["--format", "human"])
+    assert rc == 1 and "30 instances, 10 violations" in out
+
+
+def test_violated_recorded_check_exits_0(capsys, monkeypatch):
+    directions = bounds.rhombus_directions
+
+    def no_rhombi(*args):
+        return {t: [(a, b, 0) for a, b, _ in terms]
+                for t, terms in directions(*args).items()}
+
+    monkeypatch.setattr(bounds, "rhombus_directions", no_rhombi)
+    rc, out, _ = run_cli(capsys, ["bounds", "--q", "3", "--check", "rhom-lower",
+                                  "--all-t", "--trials", "1", "--density", "1"])
+    assert rc == 0
+    *reports, summary = json_lines(out)
+    # Full planes at q = 3: prod = 9^4 >= q^7, so Rhom_t = 0 fails the verdict.
+    assert [(r["inputs"]["t"], r["extra"]["hypothesis"], r["holds"]) for r in reports] == [
+        (1, True, False), (2, True, False)]
+    assert summary["violations"] == 2
 
 
 def test_bounds_stream_is_reproducible(capsys):
@@ -454,48 +512,50 @@ def _encoded(rep):
 @pytest.mark.parametrize("density", [0.0, 1.0, None, 0.01])
 @pytest.mark.parametrize("all_t,t", [(True, None), (False, 2)])
 def test_report_writer_prints_the_encoded_line(q, density, all_t, t):
-    reports = bounds.sweep(PrimeFieldCtx(q), CHECK_NAMES, 2, density, 3, all_t=all_t, t=t)
+    batches = bounds.sweep(PrimeFieldCtx(q), CHECK_NAMES, 2, density, 3,
+                           all_t=all_t, t=t).batches
+    reports = [rep for batch in batches for rep in batch.reports()]
     assert {rep.name for rep in reports} == set(CHECK_NAMES)
     if q % 4 == 1 and t is None:
         assert "isotropic_max" in reports[-q].extra
     write = _report_writer(_CONFIG)
-    assert [write(rep) for rep in reports] == [_encoded(rep) for rep in reports]
+    lines = "".join(write(batch) for batch in batches).splitlines(keepends=True)
+    assert lines == [_encoded(rep) for rep in reports]
 
 
 _TAG = {"trial": 1, "seed": 2**64 - 1}
 _BIG = 2**53 + 1
-_PROD = 7 * 2**60
 
-# Builder inputs no sweep makes: ints past 2^53, empty sets, a signed zero.
+# One-row batches from builder inputs no sweep makes: ints past 2^53, empty
+# sets, a signed zero.  The par-pairs sizes multiply to 7 * 2^60.
 _EXTREMES = [
-    bounds._unit_distance_report(7, 1, 2**60 + 1, [2**40, 2**40 + 3], **_TAG),
-    bounds._par_mean_report(7, 3, _BIG, 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
-    bounds._par_pair_report(7, 1, 6, 2**62 + 3, _BIG, [2**30, 1, 2**30, 7], _PROD,
-                            math.sqrt(7) * math.sqrt(_PROD), **_TAG),
-    bounds._rhom_relation_report(7, 2, [2**30, 2**30, 1, 1],
-                                 [(2**40, 2**20, _BIG), (0, 5, 0)], **_TAG),
-    bounds._rhom_lower_report(7, 2, [2**20, 2**20, 2**20, 2**20], _BIG, **_TAG),
-    bounds._unit_distance_report(7, 1, 0, [0, 0], **_TAG),
-    bounds._rhom_lower_report(7, 2, [0, 0, 0, 0], 0, **_TAG),
-    make_report("circle-decay", 0.5, 0.5, inputs={"q": 5, "j": 0},
-                extra={"holds_strict": True, "isotropic_max": -0.0,
-                       "max_all_nonzero_modes": 0.5, "ratio_to_strict": 0.25,
-                       "strict_rhs": 0.125}),
+    bounds._unit_distance_batch(7, [1], [2**60 + 1], [2**40, 2**40 + 3], **_TAG),
+    bounds._par_mean_batch(7, [3], [_BIG], 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
+    bounds._par_pair_batch(7, [(1, 6)], [2**62 + 3], [_BIG], [2**30, 1, 2**30, 7], **_TAG),
+    bounds._rhom_relation_batch(7, [2], [[(2**40, 2**20, _BIG), (0, 5, 0)]],
+                                [2**30, 2**30, 1, 1], **_TAG),
+    bounds._rhom_lower_batch(7, [2], [_BIG], [2**20, 2**20, 2**20, 2**20], **_TAG),
+    bounds._unit_distance_batch(7, [1], [0], [0, 0], **_TAG),
+    bounds._rhom_lower_batch(7, [2], [0], [0, 0, 0, 0], **_TAG),
+    ReportBatch("circle-decay", {"q": 5}, {"strict_rhs": 0.125}, {"j": [0]},
+                {"holds_strict": [True], "isotropic_max": [-0.0],
+                 "max_all_nonzero_modes": [0.5], "ratio_to_strict": [0.25]},
+                [0.5], 0.5, [True]),
 ]
 
 
 # The "-True" in the ids keeps these cases' names stable.
-@pytest.mark.parametrize("rep", _EXTREMES,
+@pytest.mark.parametrize("batch", _EXTREMES,
                          ids=[f"rep{k}-True" for k in range(len(_EXTREMES))])
-def test_report_writer_prints_the_encoded_line_of_any_report(rep):
-    assert _report_writer(_CONFIG)(rep) == _encoded(rep)
+def test_report_writer_prints_the_encoded_line_of_any_report(batch):
+    assert len(batch) == 1
+    assert _report_writer(_CONFIG)(batch) == _encoded(batch.report(0))
 
 
 def test_report_writer_writes_an_infinite_ratio_as_null():
     """lhs > 0 = rhs, which no builder call makes, gives an infinite ratio;
     to_json_obj (the csv rows and the library's form) writes it as null."""
-    rep = bounds._unit_distance_report(7, 1, 3, [0, 5], **_TAG)
-    obj = rep.to_json_obj()
+    obj = bounds._unit_distance_batch(7, [1], [3], [0, 5], **_TAG).report(0).to_json_obj()
     assert obj["ratio"] is None and obj["lhs"] == 3.0 and obj["rhs"] == 0.0
 
 
@@ -519,7 +579,24 @@ _BOUNDS_ALL = ["bounds", "--q", "13", "--check", "all", "--all-t",
      "fc3bffdd691b6c62f2c55eca6c573ababbb88a3f6730ea87517424fafb77e3de"),
     (["bounds", "--q", "7", "--check", "rhom-vs-par", "--trials", "3", "--seed", "4"],
      "c35a96b77858a0039e2fe18a3d5fa85cdc93496c94f7224a5b5c33a59c370294"),
-], ids=["all-json", "all-csv", "rhom-vs-par"])
+    # Recorded from the per-report writer before report batches replaced it.
+    (_BOUNDS_ALL + ["--format", "human"],
+     "dd50311891f76d8fbd4139f7997f8862df22daa85c4201088c15696700b86b2b"),
+    (["bounds", "--q", "31", "--check", "par-pairs", "--t", "3", "--trials", "4",
+      "--seed", "9"],
+     "5d2b00d418817ed470a6fecb4a1f19c9327d8e0d556955b5d3f29aa49fa8a913"),
+    (["bounds", "--q", "3", "--check", "all", "--all-t", "--trials", "1",
+      "--density", "0"],
+     "70f2970f995987486ed81b4cbfd784c99092e08b8847b2ecb9ca64bbeb8cd839"),
+    (["bounds", "--q", "3", "--check", "all", "--all-t", "--trials", "1",
+      "--density", "1"],
+     "76602f8040148d7fbb675c4be7a0f108851062575252d09d4e9f535cdeb9ba68"),
+    (["bounds", "--q", "7", "--check", "unit-distance", "--trials", "5", "--seed", "2"],
+     "6a674c5eef38c75e59a4f2e6fab708dfa60f86377a4ac72ca77d1b9f04e1410e"),
+    (["fourier", "--q", "13", "--circle", "0", "--decay"],
+     "8749c90ad128c528ab4651fd673eea1c1e19aeefe90b126931e7f654e638da48"),
+], ids=["all-json", "all-csv", "rhom-vs-par", "all-human", "par-pairs-pinned-t",
+        "q3-empty", "q3-full", "unit-distance", "fourier-decay-isotropic"])
 def test_bounds_stream_matches_golden_digest(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
