@@ -3,20 +3,20 @@
 Each checker returns a BoundReport with both sides of the inequality it
 tested.  Unconditional inequalities (unit-distance concentration, the two
 one-side-length parallelogram displays, and the per-direction rhombus
-relation with its factor-2 constant) are asserted by the test suite on
-every instance; order-of-magnitude statements are recorded as ratios with
-their hypothesis flags and never hard-asserted, because they hide
-unspecified constants.
+relation with its factor-2 constant, and circle decay) are asserted
+(ASSERTED_CHECKS: a violation is a failure); order-of-magnitude statements
+are recorded as ratios with their hypothesis flags and never
+hard-asserted, because they hide unspecified constants.
 
 Checkers and sweeps derive reports through one per-instance path,
 _reports, which gives a ReportBatch: one check's reports on one instance as
 columns, with what its radii share computed once.  A sweep keeps its
 batches, and the CLI writes each batch's lines in one pass of the check's
-layout (LINE_LAYOUTS); BoundReports are built only for the check_*
-functions and a sweep read as a sequence.  A sweep draws each trial's sets
-once, U, V, E3, E4; a check on k sets draws its radii from a copy of the
-trial stream after the k-th set, so its reports do not depend on the checks
-run beside it.
+layout (LINE_LAYOUTS), or its csv rows (report.csv_lines); BoundReports
+are built only for the check_* functions and a sweep read as a sequence.
+A sweep draws each trial's sets once, U, V, E3, E4; a check on k sets
+draws its radii from a copy of the trial stream after the k-th set, so its
+reports do not depend on the checks run beside it.
 """
 
 import math
@@ -37,6 +37,11 @@ CHECK_NAMES = (
     "rhom-lower",
     "circle-decay",
 )
+
+# The checks whose inequalities are asserted: a violation of one is a
+# failure (the CLI exits 1).  rhom-lower is recorded only.
+ASSERTED_CHECKS = {"unit-distance", "par-vs-mean", "par-pairs",
+                   "rhom-vs-par", "circle-decay"}
 
 # Sets a check reads per sweep trial; every other check reads E1..E4.
 _SET_COUNT = {"unit-distance": 2, "circle-decay": 0}

@@ -10,12 +10,13 @@ are reproducible bit-for-bit apart from elapsed_ms fields.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import time
 
 from . import bounds as bounds_mod
-from . import counting, fourier, vc
+from . import counting, fourier, report, vc
 from .errors import (
     FFPlaneError,
     PointSetFormatError,
@@ -213,6 +214,8 @@ def _run_counter(ctx, quantity: str, sets, t, method: str, **extra):
 def _cmd_count(args) -> int:
     ctx = _make_ctx(args.q)
     quantity = args.quantity
+    if args.exclude_degenerate and quantity != "rhom_t":
+        raise UsageError("--exclude-degenerate applies to rhom_t only")
     sets = _parse_sets(ctx, args.set, QUANTITY_TABLE[quantity][1], args.seed)
     t = _quantity_t(ctx, quantity, args.t)
     _check_method(quantity, args.method)
@@ -235,10 +238,6 @@ def _cmd_count(args) -> int:
 
 
 # -- bounds ---------------------------------------------------------------------
-
-ASSERTED_CHECKS = {"unit-distance", "par-vs-mean", "par-pairs",
-                   "rhom-vs-par", "circle-decay"}
-
 
 def _cmd_bounds(args) -> int:
     ctx = _make_ctx(args.q)
@@ -267,22 +266,26 @@ def _cmd_bounds(args) -> int:
             raise UsageError("--t must be nonzero")
     config = _config_echo(args)
     json_line = _line_encoder(config)
-    report_lines = _report_writer(config)
-    by_check = {check: [] for check in checks}
-    for batch in bounds_mod.sweep(ctx, checks, args.trials, density,
-                                  args.seed, all_t=args.all_t, t=t).batches:
-        by_check[batch.name].append(batch)
+    report_lines = {"json": _report_writer(config), "csv": report.csv_lines,
+                    "human": None}[args.format]
     write = sys.stdout.write
+    if args.format == "csv":
+        write(",".join(report.CSV_COLUMNS) + "\n")
     exit_code = 0
-    for check, batches in by_check.items():
-        if args.format == "json":
+    # sweep gives the batches check by check, each written as it is formatted.
+    for check, batches in itertools.groupby(
+            bounds_mod.sweep(ctx, checks, args.trials, density, args.seed,
+                             all_t=args.all_t, t=t).batches,
+            key=lambda batch: batch.name):
+        batches = list(batches)
+        if report_lines is not None:
             for batch in batches:
                 write(report_lines(batch))
         instances = sum(map(len, batches))
         violations = sum(batch.holds.count(False) for batch in batches)
-        if violations and check in ASSERTED_CHECKS:
+        if violations and check in bounds_mod.ASSERTED_CHECKS:
             exit_code = 1
-        min_slack = min((min(batch.slack) for batch in batches), default=None)
+        min_slack = min(min(batch.slack) for batch in batches)
         if args.format == "json":
             write(json_line({
                 "summary": True,
@@ -294,10 +297,6 @@ def _cmd_bounds(args) -> int:
         elif args.format == "human":
             write(f"{check}: {instances} instances, {violations} "
                   f"violations, min slack {min_slack}\n")
-    if args.format == "csv":
-        rows = [rep.to_json_obj() for batches in by_check.values()
-                for batch in batches for rep in batch.reports()]
-        write("".join(_csv_lines(rows, ("name", "lhs", "rhs", "holds", "ratio", "slack"))))
     return exit_code
 
 
@@ -318,6 +317,11 @@ def _cmd_fourier(args) -> int:
     if args.decay:
         if args.circle is None:
             raise UsageError("--decay requires --circle J")
+        if args.set is not None:
+            raise UsageError("--decay reports a circle; --set does not apply")
+        if args.method == "oracle":
+            raise UsageError("--decay uses the fast transform; --method oracle "
+                             "does not apply")
         batch = fourier.circle_decay_batch(ctx, [args.circle])
         sys.stdout.write(_report_writer(config)(batch))
         return 0 if batch.holds[0] else 1

@@ -9,9 +9,8 @@ Every quantity has at least two independent routes:
   each pair's D is counted at the circle's cells alone by probes from its
   smaller set, up to 64 q^2 probes; whole tables are counted pair by pair
   up to 16 q^2 pairs and by certified FFT past that; for ``n_t``,
-  ``rhom_t`` and ``degenerate``, gathers of point lists on the 2q x 2q
-  tiling of the indicator arrays (``periodic``).  On that tiling a point
-  plus an offset is one flat index with no reduction mod q.  The rhombus
+  ``rhom_t`` and ``degenerate``, gathers of point lists on the tiled
+  indicator arrays (the layout is stated in ``geometry``).  The rhombus
   terms of any list of radii come from one call (``rhombus_directions``):
   on small instances as float32 matrix products over E1 x E3, stacked
   over radii, and otherwise direction by direction by mark and probe, with
@@ -46,10 +45,12 @@ from .fourier import transform
 from .geometry import (
     PointSet,
     circle,
+    difference_minuends,
     difference_table,
+    flat_tiling,
     negated_points,
     norm_classes,
-    periodic,
+    tiled_copies,
     tiled_points,
 )
 
@@ -123,7 +124,7 @@ def _require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
 
 
 def _probe_count(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> int:
-    """#{(p, s) : tiled[p + s]} over flat tiled indices, in bounded chunks."""
+    """#{(p, s) : tiled[p + s]} over canonical tiled indices, in bounded chunks."""
     if not len(points) or not len(offsets):
         return 0
     step = max(1, geometry.INDEX_CHUNK // len(offsets))
@@ -151,8 +152,7 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
                     total += 1
     elif method == "fast":
         # v is at form-distance t from u iff v in u + S_t (S_t = -S_t).
-        total = _probe_count(periodic(V.indicator).ravel(), U.points,
-                             circle(ctx, t).points)
+        total = _probe_count(flat_tiling(V.indicator), U.points, circle(ctx, t).points)
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountResult(total, method, q, t, (len(U), len(V)))
@@ -301,9 +301,9 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
       rhom_x = sum_j (M12 K_t)[x, j] M34[x, j].
     * Otherwise direction by direction (_probed_terms): each direction's
       meets are gathers over the point lists of E1 and E3; the larger is
-      marked in all four tiled copies of each point in a scratch plane, and
-      the smaller probed on p + S_t, which counts the same pairs because
-      S_t = -S_t, in chunks as in _probe_count.  Where 4 max(a, b) <= |S_t|
+      marked in a scratch tiling, and the smaller probed on p + S_t, which
+      counts the same pairs because S_t = -S_t, in chunks as in
+      _probe_count.  Where 4 max(a, b) <= |S_t|
       for the meet sizes a and b, the fixed cost of marking and probing
       exceeds that of testing the a b pairs outright: such directions are
       deferred, and all of a radius's are counted in one batch of pairs
@@ -337,20 +337,19 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
 def _product_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
     """The computed directions' terms of each radius, by matrix products.
 
-    K_t is read from one gather of the tiled norm table at e1_i - e3_j
-    (cell u - v + 2q^2 + q, one of the four tiled copies of (u - v) mod q),
-    and M12 and M34 are one 2-D gather each on float32 tilings of E2 and
-    E4.  Radii whose circles have the same size go in stacks, and each
-    stack's directions in chunks, of k = _PRODUCT_CHUNK // (|E1| |E3|)
+    K_t is read from one gather of the tiled norm table at the differences
+    e1_i - e3_j, and M12 and M34 are one 2-D gather each on float32 tilings
+    of E2 and E4.  Radii whose circles have the same size go in stacks, and
+    each stack's directions in chunks, of k = _PRODUCT_CHUNK // (|E1| |E3|)
     each, so no product exceeds _PRODUCT_CHUNK multiply-adds and no stack
     of K_t more cells; a chunk's terms are one batched float32 ``matmul``.
     """
     q = ctx.q
     n1, n3 = len(p1), len(p3)
     k = max(1, _PRODUCT_CHUNK // max(n1 * n3, 1))
-    norms = periodic(norm_classes(ctx)).ravel()[p1[:, None] - p3 + (2 * q * q + q)]
-    f2 = periodic(E2.indicator).ravel().astype(np.float32)
-    f4 = periodic(E4.indicator).ravel().astype(np.float32)
+    norms = flat_tiling(norm_classes(ctx))[difference_minuends(p1, q)[:, None] - p3]
+    f2 = flat_tiling(E2.indicator).astype(np.float32)
+    f4 = flat_tiling(E4.indicator).astype(np.float32)
     groups = {}
     for t, st in circles.items():
         groups.setdefault(len(st), []).append(t)
@@ -381,11 +380,8 @@ def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
     time by mark and probe, with small meets counted by pairs in one batch
     per radius."""
     q = ctx.q
-    t2, t4 = periodic(E2.indicator).ravel(), periodic(E4.indicator).ravel()
-    marks = np.zeros(4 * q * q, dtype=bool)
-    # p + s reaches every quadrant of the tiling, so a marked point is
-    # marked in all four of its tiled copies.
-    copies = np.array([0, q, 2 * q * q, 2 * q * q + q])
+    t2, t4 = flat_tiling(E2.indicator), flat_tiling(E4.indicator)
+    marks = np.zeros_like(t2)
     terms = {}
     for t, st in circles.items():
         out = []
@@ -397,9 +393,9 @@ def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
                 small[i] = e12, e34
                 out.append((a, b, 0))
             else:
-                out.append((a, b, _pair_count(marks, copies, st, e12, e34)))
+                out.append((a, b, _pair_count(marks, st, e12, e34, q)))
         if small:
-            on_circle = periodic(circle(ctx, t % q).indicator).ravel()
+            on_circle = flat_tiling(circle(ctx, t % q).indicator)
             counts = _small_pair_counts(on_circle, q, list(small.values()))
             for i, r in zip(small, counts):
                 out[i] = out[i][0], out[i][1], r
@@ -410,7 +406,7 @@ def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
 def _mirrored(st: np.ndarray, q: int):
     """The directions of S_t that stand for each pair +-x, and the source.
 
-    st is the circle as ascending flat tiled indices.  The first position of
+    st is the circle as ascending tiled indices.  The first position of
     each pair +-x (the origin is its own pair) is kept; ``source[i]`` is the
     index among the kept ones whose term belongs at position i.
     """
@@ -425,9 +421,8 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
 
     The pairs (u, v) in e12 x e34 of all directions form one ragged range,
     direction after direction and u-major: row r is one point u, followed
-    by the b points of its direction's e34.  Pair (u, v) is tested at cell
-    u - v + 2q^2 + q of the flattened tiled circle indicator, one of the
-    four tiled copies of (u - v) mod q, as in vc._first_pair.  The range
+    by the b points of its direction's e34.  Pair (u, v) is one gather of
+    the tiled circle indicator at the difference u - v.  The range
     goes in chunks of at most geometry.INDEX_CHUNK pairs, which may cut a
     row; a running count of hits, read at each direction's last pair, gives
     the per-direction counts.
@@ -440,7 +435,7 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     starts = ends - width
     # Pair k of row r meets v[k + shift[r]].
     shift = np.repeat(np.cumsum(b) - b, a) - starts
-    cells = np.concatenate(e12s) + (2 * q * q + q)
+    cells = difference_minuends(np.concatenate(e12s), q)
     v = np.concatenate(e34s)
     last = np.cumsum(a * b)
     running = np.zeros(len(meets), dtype=np.int64)
@@ -458,14 +453,15 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     return np.diff(running, prepend=0).tolist()
 
 
-def _pair_count(marks, copies, st, e12, e34) -> int:
-    """rhom_x of one direction from its meets as flat tiled points.
+def _pair_count(marks, st, e12, e34, q: int) -> int:
+    """rhom_x of one direction from its meets as tiled indices.
 
-    The larger meet is marked at every offset in ``copies``, the smaller
-    one probed on p + S_t in chunks, and the marks are cleared again.
+    The larger meet is marked in all four tiled copies of its points, the
+    smaller one probed on p + S_t in chunks, and the marks are cleared
+    again.
     """
     probe, marked = (e12, e34) if len(e12) <= len(e34) else (e34, e12)
-    cells = (marked[:, None] + copies).ravel()
+    cells = tiled_copies(marked, q)
     marks[cells] = True
     count = _probe_count(marks, probe, st)
     marks[cells] = False
@@ -491,7 +487,7 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
     ys = tiled_points(E2.indicator & E3.indicator)
     plus = circle(ctx, t).points
     minus = negated_points(plus, q)
-    t1, t4 = periodic(E1.indicator).ravel(), periodic(E4.indicator).ravel()
+    t1, t4 = flat_tiling(E1.indicator), flat_tiling(E4.indicator)
     step = max(1, geometry.INDEX_CHUNK // max(len(ys), 1))
     total = 0
     for i in range(0, len(plus), step):

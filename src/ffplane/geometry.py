@@ -5,6 +5,19 @@ form is the quadratic form ``|p| = p1^2 + p2^2 mod q`` -- it takes values in
 F_q and is not a metric.  The circle of radius j is the level set of that
 form; for j != 0 it has ``q - eta(-1)`` points, so "radius" j and circle
 size are unrelated to Euclidean intuition.
+
+The tiled layout.  Every index-based route (gathers, probes, marks) works on
+the 2q x 2q tiling of a q x q array, flattened row-major (flat_tiling), and
+this module is the only one that knows its arithmetic.  A canonical point
+(r, c), 0 <= r, c < q, is named by its tiled index r * 2q + c (tiled_index,
+tiled_point; tiled_points lists a set's).  The tiling repeats the array in
+its four q x q quadrants, so for canonical p and s the cell p + s is a copy
+of (p + s) mod q, and for canonical u and v the cell of
+difference_minuends(u) - v, that is u + (q, q) - v, is a copy of (u - v)
+mod q: each is one add or subtract, with no reduction mod q.  A scratch
+tiling probed that way is written at all four copies of a point
+(tiled_copies).  The windows of the 2-D tiling are the translates of the
+array as views, which shift_sum and shift_meets read.
 """
 
 import functools
@@ -92,7 +105,7 @@ class PointSet:
 
     @property
     def points(self) -> np.ndarray:
-        """The points as flat tiled indices row * 2q + col, built on first read."""
+        """The points as tiled indices (tiled_points), built on first read."""
         if self._points is None:
             self._points = tiled_points(self.indicator)
             self._points.flags.writeable = False
@@ -200,11 +213,10 @@ def _certified(raw: np.ndarray, table: np.ndarray, total: int, overlap: int) -> 
 def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
     """D by counting a + (-b) pair by pair, in chunks of pairs.
 
-    a and -b are canonical flat indices on the 2q x 2q tiling (points), so
-    each pair's difference is one add, with no reduction mod q.  Each
-    chunk of sums is written into one reused buffer and counted in place
-    into 4q^2 cells, which fold back to q x q as the sum of their four
-    q x q quadrants.
+    a and -b are canonical tiled indices, so each pair's difference is one
+    add, with no reduction mod q.  Each chunk of sums is written into one
+    reused buffer and counted in place into the 4q^2 cells of the tiling,
+    which fold back to q x q as the sum of their four q x q quadrants.
     """
     pa, nb = A.points, negated_points(B.points, q)
     counts = np.zeros(4 * q * q, dtype=np.int64)
@@ -255,18 +267,18 @@ def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet,
 def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     """D(v) = #{(a, b) in A x B : a - b = v} for each v in ``offsets``.
 
-    The offsets are canonical flat tiled indices (tiled_points), and the
-    counts come back as int64 in their order.  Each is counted by probes
-    from the smaller set: D(v) = #{b in B : b + v in A} is one gather on the
-    tiling of A per (v, b), and D(v) = #{a in A : a - v in B} one on the
-    tiling of B per (v, a).  A chunk of offsets by points is gathered at
-    once, up to INDEX_CHUNK probes, and its rows are counted.
+    The offsets are canonical tiled indices, and the counts come back as
+    int64 in their order.  Each is counted by probes from the smaller set:
+    D(v) = #{b in B : b + v in A} is one gather on the tiling of A per
+    (v, b), and D(v) = #{a in A : a - v in B} one on the tiling of B per
+    (v, a).  A chunk of offsets by points is gathered at once, up to
+    INDEX_CHUNK probes, and its rows are counted.
     """
     if len(A) < len(B):
-        tiled, points = periodic(B.indicator).ravel(), A.points
+        tiled, points = flat_tiling(B.indicator), A.points
         offsets = negated_points(offsets, A.q)
     else:
-        tiled, points = periodic(A.indicator).ravel(), B.points
+        tiled, points = flat_tiling(A.indicator), B.points
     counts = np.zeros(len(offsets), dtype=np.int64)
     if len(points):
         step = max(1, INDEX_CHUNK // len(points))
@@ -276,48 +288,101 @@ def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     return counts
 
 
-def periodic(ind: np.ndarray) -> np.ndarray:
-    """The 2q x 2q tiling of a q x q array.
+# -- the tiled layout (module docstring) --------------------------------------
 
-    It serves shifted views (shift_meet) and flat probes: flattened, it is
-    indexed by row * 2q + col, so canonical p and s meet at p + s with no
-    reduction mod q.
-    """
-    return np.tile(ind, (2, 2))
+def periodic(arr: np.ndarray) -> np.ndarray:
+    """The 2q x 2q tiling of a q x q array."""
+    return np.tile(arr, (2, 2))
+
+
+def flat_tiling(arr: np.ndarray) -> np.ndarray:
+    """The 2q x 2q tiling of a q x q array, flattened: indexed by tiled
+    indices."""
+    return periodic(arr).ravel()
+
+
+def tiled_index(p, q: int):
+    """The tiled index r * 2q + c of a canonical point p = (r, c); r and c
+    may be integer arrays."""
+    return p[0] * (2 * q) + p[1]
+
+
+def tiled_point(i, q: int):
+    """The cell (r, c) of the tiling at tiled index i, a canonical point
+    when i is a canonical tiled index; i may be an integer array."""
+    return divmod(i, 2 * q)
 
 
 def tiled_points(ind: np.ndarray) -> np.ndarray:
-    """Flat indices row * 2q + col of the True cells of a q x q array.
+    """Tiled indices of the True cells of a q x q array, in row-major order.
 
-    They index the flattened periodic() tiling, where a point p and an
-    offset s, both canonical, meet at p + s without reduction mod q.  They
-    come in row-major order, from the flat q x q indices f = row * q + col
-    as f + row * q.
+    From the flat q x q index f = r * q + c of a cell, its tiled index is
+    f + r * q.
     """
     f = np.flatnonzero(ind)
     return f + f // ind.shape[0] * ind.shape[0]
 
 
 def negated_points(points: np.ndarray, q: int) -> np.ndarray:
-    """The canonical flat tiled indices of -p for flat tiled points p."""
-    rows, cols = np.divmod(points, 2 * q)
-    return (-rows % q) * (2 * q) + (-cols % q)
+    """The canonical tiled indices of -p for canonical tiled indices p."""
+    rows, cols = tiled_point(points, q)
+    return tiled_index((-rows % q, -cols % q), q)
 
 
-def shift_meet(ind_i: np.ndarray, tiled_j: np.ndarray, x) -> np.ndarray:
-    """Indicator of {u : ind_i[u] and ind_j[u + x]}, i.e. ind_i & roll(ind_j, -x).
+def difference_minuends(points: np.ndarray, q: int) -> np.ndarray:
+    """u + (q, q) for canonical tiled indices u: subtracting any canonical
+    tiled index v from one gives a tiled index of (u - v) mod q."""
+    return points + tiled_index((q, q), q)
 
-    ``tiled_j`` is periodic(ind_j); its window at x is the rolled array as a
-    view, so no copy of ind_j is made per shift.  x must be canonical.
-    """
-    q = ind_i.shape[0]
-    return ind_i & tiled_j[x[0]:x[0] + q, x[1]:x[1] + q]
+
+@functools.lru_cache(maxsize=None)
+def _copy_offsets(q: int) -> np.ndarray:
+    offsets = np.array([tiled_index((r, c), q) for r in (0, q) for c in (0, q)])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def tiled_copies(points: np.ndarray, q: int) -> np.ndarray:
+    """The tiled indices of all four copies of each canonical tiled index,
+    point by point."""
+    return (points[:, None] + _copy_offsets(q)).ravel()
+
+
+def _windows(arr: np.ndarray, shifts):
+    """roll(arr, -x) for each canonical point x in shifts, as a view of one
+    tiling of arr: at u it is arr[(u + x) mod q]."""
+    q = arr.shape[0]
+    tiled = periodic(arr)
+    for x1, x2 in shifts:
+        yield tiled[x1:x1 + q, x2:x2 + q]
+
+
+def shift_sum(ind: np.ndarray, shifts) -> np.ndarray:
+    """#{x in shifts : ind[u + x]} at every u of the plane, for canonical
+    points x, in the least unsigned dtype that holds len(shifts)."""
+    total = np.zeros(ind.shape, dtype=np.min_scalar_type(len(shifts)))
+    for window in _windows(ind, shifts):
+        total += window
+    return total
+
+
+def shift_meets(ind_i: np.ndarray, ind_j: np.ndarray, shifts):
+    """Indicator of {u : ind_i[u] and ind_j[u + x]}, i.e.
+    ind_i & roll(ind_j, -x), for each canonical point x in shifts, in
+    turn; ind_j is tiled once, and no copy of it is made per shift."""
+    for window in _windows(ind_j, shifts):
+        yield ind_i & window
+
+
+def translated(arr: np.ndarray, x) -> np.ndarray:
+    """arr translated by x: arr[(u - x) mod q] at every u."""
+    return np.roll(arr, x, axis=(0, 1))
 
 
 def intersect_shift(ctx: PrimeFieldCtx, Ei: PointSet, Ej: PointSet, x) -> PointSet:
     """The set Ei shifted against Ej: {u in Ei : u + x in Ej}, row-major."""
     q = ctx.q
-    meet = shift_meet(Ei.indicator, periodic(Ej.indicator), (x[0] % q, x[1] % q))
+    meet, = shift_meets(Ei.indicator, Ej.indicator, [(x[0] % q, x[1] % q)])
     return PointSet._from_indicator(q, meet)
 
 

@@ -1,6 +1,7 @@
 """Structured LHS/RHS verdict records shared by the bound checkers: one
 BoundReport per checked inequality, and ReportBatch, the reports of one
-check on one instance as columns."""
+check on one instance as columns, with the fixed text of its report lines
+(line_parts) and its csv rows (csv_lines)."""
 
 import math
 from dataclasses import dataclass, field
@@ -108,6 +109,23 @@ class ReportBatch:
 
     def reports(self) -> list:
         return [self.report(k) for k in range(len(self))]
+
+
+# The columns of a csv report table.
+CSV_COLUMNS = ("name", "lhs", "rhs", "holds", "ratio", "slack")
+
+
+def csv_lines(batch: ReportBatch) -> str:
+    """The batch's csv rows, one per report, from its columns: the
+    CSV_COLUMNS values of each report's to_json_obj as JSON literals (ints
+    and floats by repr, flags by JSON_BOOL, an infinite ratio as null).
+    lhs, rhs and slack are finite, as in the report lines."""
+    name = batch.name
+    return "".join([
+        f'{name},{lhs!r},{rhs!r},{JSON_BOOL[h]},'
+        f'{repr(r) if math.isfinite(r) else "null"},{s!r}\n'
+        for lhs, rhs, h, r, s in zip(batch.lhs, batch.rhs, batch.holds,
+                                     batch.ratio, batch.slack)])
 
 
 def line_parts(batch: ReportBatch, prng: str, pre: str, post: str) -> tuple:

@@ -41,19 +41,20 @@ import numpy as np
 from .errors import InvalidRadius, NotSubset
 from .field import PrimeFieldCtx
 from . import geometry
-from .geometry import PointSet, circle, periodic, shift_meet, tiled_points
+from .geometry import (
+    PointSet,
+    circle,
+    difference_minuends,
+    flat_tiling,
+    shift_meets,
+    shift_sum,
+    tiled_copies,
+    tiled_index,
+    tiled_point,
+    tiled_points,
+    translated,
+)
 from .rng import SplitMix64
-
-
-def _degrees(ind: np.ndarray, st) -> np.ndarray:
-    """|(x + S_t) n E| at every x of the plane: 1_E's shifted views summed
-    over the circle points st (so no count exceeds |st|)."""
-    q = ind.shape[0]
-    tiled = periodic(ind)
-    degree = np.zeros((q, q), dtype=np.min_scalar_type(len(st)))
-    for s1, s2 in st:
-        degree += tiled[s1:s1 + q, s2:s2 + q]
-    return degree
 
 
 class DistanceSystem:
@@ -61,8 +62,9 @@ class DistanceSystem:
 
     Point i is E's i-th point in sorted order, with degree ``_degree[i]``.
     ``rank`` holds i at point i and -1 off E.  A center's sorted neighbor
-    row is one gather on its 2q x 2q tiling at the circle offsets, made and
-    cached when a scan first reads it, as is each size's first shattered set.
+    row is one gather on the tiling of ``rank`` at the circle offsets, made
+    and cached when a scan first reads it, as is each size's first
+    shattered set.
     """
 
     __slots__ = ("ctx", "E", "t", "_points", "_degree", "_member",
@@ -76,7 +78,7 @@ class DistanceSystem:
         self._points = tuple(zip(rows.tolist(), cols.tolist()))
         self._degree = degree
         self._member = E.indicator.tobytes()
-        self._tiled_rank = periodic(rank).ravel()
+        self._tiled_rank = flat_tiling(rank)
         self._offsets = circle(ctx, t).points
         self._rows = {}
         self._found = {}
@@ -113,7 +115,8 @@ def build_system(ctx: PrimeFieldCtx, E: PointSet, t: int) -> DistanceSystem:
     ind = E.indicator
     rank = np.full((q, q), -1, dtype=np.int64)
     rank[ind] = np.arange(len(E))
-    degree = _degrees(ind, circle(ctx, t).elements)[ind].tolist()
+    # deg(x) = |(x + S_t) n E|, so no degree exceeds |S_t|.
+    degree = shift_sum(ind, circle(ctx, t).elements)[ind].tolist()
     return DistanceSystem(ctx, E, t, rank, degree)
 
 
@@ -295,28 +298,25 @@ def _first_point(ind: np.ndarray):
 def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
                 forbidden, q: int):
     """The first (a, v) of ax x dx, a-major, with a - v on the circle and
-    not in forbidden, as a pair of flat indices; or None.
+    not in forbidden, as a pair of tiled indices; or None.
 
-    ax and dx are canonical flat points row * 2q + col (tiled_points), and
-    on_circle is the flattened periodic() tiling of |p| = t.  The cell
-    a - v + 2q^2 + q of that tiling is one of the four tiled copies of
-    (a - v) mod q, so a pair's test is one subtraction and one gather.  The
-    forbidden differences are cleared in all four copies for the scan and
-    restored after it.  Rows of ax go in chunks that start at one row and
-    double up to geometry.INDEX_CHUNK pairs: an early hit costs one row,
-    and a full plane's meets never build all their pairs at once.
+    ax and dx are canonical tiled indices, and on_circle is the flat tiling
+    of |p| = t, so a pair's test is one gather at the difference a - v.
+    The forbidden differences are cleared in all four tiled copies for the
+    scan and restored after it.  Rows of ax go in chunks that start at one
+    row and double up to geometry.INDEX_CHUNK pairs: an early hit costs one
+    row, and a full plane's meets never build all their pairs at once.
     """
     if len(ax) == 0 or len(dx) == 0:
         return None
-    base = 2 * q * q + q
-    cells = np.array([d1 * 2 * q + d2 for d1, d2 in forbidden], dtype=np.intp)
-    cells = (cells[:, None] + np.array([0, q, 2 * q * q, 2 * q * q + q])).ravel()
+    cells = np.array([tiled_index(d, q) for d in forbidden], dtype=np.intp)
+    cells = tiled_copies(cells, q)
     saved = on_circle[cells]
     on_circle[cells] = False
     most = max(1, geometry.INDEX_CHUNK // len(dx))
     lo, rows, pair = 0, 1, None
     while lo < len(ax) and pair is None:
-        hit = on_circle[ax[lo:lo + rows, None] - dx + base]
+        hit = on_circle[difference_minuends(ax[lo:lo + rows], q)[:, None] - dx]
         k = int(np.argmax(hit))
         if hit.flat[k]:
             i, j = divmod(k, len(dx))
@@ -340,10 +340,10 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     y23 = x3 + u; (6) pick per-vertex private neighbors y1, y2, y3 and an
     isolated y0.  Deterministic given (E, t, seed).
 
-    Steps (1), (2) and (6) run on q x q indicators: degrees sum shifted
-    views of 1_E, the meets of step (2) are shift_meet windows, and step
-    (6) takes the first row-major point of 1_E cut by circles around the
-    x's.  Steps (3) and (4) run on point lists: the shuffle permutes the
+    Steps (1), (2) and (6) run on q x q indicators: degrees sum translates
+    of 1_E (shift_sum), the meets of step (2) are shift_meets, and step (6)
+    takes the first row-major point of 1_E cut by the circles translated to
+    the x's.  Steps (3) and (4) run on point lists: the shuffle permutes the
     indices of E_u's row-major points, one nonzero pass over E' lists every
     part, and each direction's meets are gathers of A's and D's points on
     the tiled parts, searched pairwise by _first_pair.  Row-major order is
@@ -359,22 +359,19 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     ind = E.indicator
     st = circle(ctx, t).elements
 
-    degree = _degrees(ind, st)
+    degree = shift_sum(ind, st)
     kept = ind & (degree >= len(E) / (2 * q)) & (degree <= 2 * len(E) / q)
     if not kept.any():
         return FailureReason("Pruned-empty", "degree window removed every vertex")
 
-    tiled_kept = periodic(kept)
-    best_u, best_size = None, -1
-    for u in st:
-        size = int(np.count_nonzero(shift_meet(kept, tiled_kept, u)))
+    u, e_u, best_size = None, None, -1
+    for x, meet in zip(st, shift_meets(kept, kept, st)):
+        size = int(np.count_nonzero(meet))
         if size > best_size:
-            best_u, best_size = u, size
+            u, e_u, best_size = x, meet, size
     if best_size <= 0:
         return FailureReason("No-direction",
                              "no direction on the circle overlaps the pruned set")
-    u = best_u
-    e_u = shift_meet(kept, tiled_kept, u)
 
     # Each point of E' gets its part's label: A, B, C, D are 1 to 4.  E_u's
     # points are dealt round-robin over a seeded shuffle of their row-major
@@ -388,24 +385,24 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
         label[order[k::parts]] = k + 1
     labels = np.zeros((q, q), dtype=np.int8)
     labels.flat[kept_at] = label
-    tiled = periodic(labels).ravel()
+    tiled = flat_tiling(labels)
     pts = tiled_points(kept)
     pa, pd = pts[label == 1], pts[label == 4]
 
     excl = (u, (-u[0] % q, -u[1] % q))
-    tiled_circle = periodic(circle(ctx, t).indicator).ravel()
+    tiled_circle = flat_tiling(circle(ctx, t).indicator)
     found = None
     for x in st:
         if x in excl:
             continue
-        shift = x[0] * 2 * q + x[1]
+        shift = tiled_index(x, q)
         ax = pa[tiled[pa + shift] == 2]
         dx = pd[tiled[pd + shift] == 3]
         # y123 - v = (a - v) + x, so both exclusions are conditions on a - v.
         forbidden = excl + tuple(((e1 - x[0]) % q, (e2 - x[1]) % q) for e1, e2 in excl)
         pair = _first_pair(tiled_circle, ax, dx, forbidden, q)
         if pair is not None:
-            a, v = (divmod(p, 2 * q) for p in pair)
+            a, v = (tiled_point(p, q) for p in pair)
             found = (a, _add(a, x, q), _add(v, x, q), v)
             break
     if found is None:
@@ -418,7 +415,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
 
     xs = (x1, x2, x3)
     on_circle = circle(ctx, t).indicator
-    adj = [np.roll(on_circle, xi, axis=(0, 1)) for xi in xs]
+    adj = [translated(on_circle, xi) for xi in xs]
     privates = []
     for i in range(3):
         j, k = (m for m in range(3) if m != i)

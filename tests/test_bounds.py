@@ -28,9 +28,10 @@ from ffplane.bounds import (
     sweep,
     unit_distance_holds,
 )
+from ffplane.counting import count_par_t
 from ffplane.errors import InvalidPair, InvalidRadius
 from ffplane.field import PrimeFieldCtx
-from ffplane.geometry import PointSet, full_plane
+from ffplane.geometry import PointSet, full_plane, gen_example_line_ap
 from ffplane.report import VERDICT_EPS
 
 
@@ -78,6 +79,28 @@ def test_par_pairs_rejects_bad_radii(ctx5):
         check_par_pair(ctx5, plane, plane, plane, plane, 2, 2)
     with pytest.raises(InvalidRadius):
         check_par_pair(ctx5, plane, plane, plane, plane, 0, 2)
+
+
+def _strip_q5(ctx5):
+    """line-ap:0:1:2 at q = 5: the rows {(a, 0), (a, 1) : a in F_5}."""
+    return gen_example_line_ap(ctx5, [0, 1])
+
+
+def test_par_pairs_strip_instance_counts(ctx5):
+    # The instance the xfail test below decides: Par_1 = 250, Par_3 = 0.
+    S = _strip_q5(ctx5)
+    assert count_par_t(ctx5, S, S, S, S, 1, "oracle").value == 250
+    assert count_par_t(ctx5, S, S, S, S, 3, "oracle").value == 0
+    rep = check_par_pair(ctx5, S, S, S, S, 1, 3)
+    assert (rep.extra["par_t"], rep.extra["par_t2"], rep.lhs) == (250, 0, 250)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: par-pairs asserts "
+                   "|Par_t - Par_t'| <= sqrt(q) sqrt(prod), which this strip "
+                   "refutes (250 > 223.6); mending the constant flips this test")
+def test_par_pairs_display_holds_on_a_strip_at_q5(ctx5):
+    S = _strip_q5(ctx5)
+    assert check_par_pair(ctx5, S, S, S, S, 1, 3).holds
 
 
 def test_rhom_relation_fixture(ctx3):

@@ -23,7 +23,7 @@ from ffplane.cli import (
 )
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import gen_random_set
-from ffplane.report import ReportBatch
+from ffplane.report import CSV_COLUMNS, ReportBatch, csv_lines
 
 
 def run_cli(capsys, argv):
@@ -135,6 +135,16 @@ def test_broadcast_token_prints_the_spelled_out_line(capsys, token, quantity):
     # gen prints text, or JSON with --json; it has no --format.
     (["gen", "--q", "7", "--format", "csv"], "unrecognized arguments: --format csv"),
     (["bounds", "--q", "5", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    # Arguments a command would otherwise ignore while its config echo
+    # records them.
+    (["fourier", "--q", "5", "--circle", "1", "--decay", "--set", "full"],
+     "--decay reports a circle; --set does not apply"),
+    (["fourier", "--q", "5", "--circle", "1", "--decay", "--method", "oracle"],
+     "--method oracle does not apply"),
+    (["count", "--q", "5", "--t", "1", "--quantity", "par_t", "--set", "full",
+      "--exclude-degenerate"], "--exclude-degenerate applies to rhom_t only"),
+    (["count", "--q", "5", "--t", "1", "--quantity", "degenerate", "--set", "full",
+      "--exclude-degenerate"], "--exclude-degenerate applies to rhom_t only"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = _outcome(capsys, argv)
@@ -225,6 +235,39 @@ def test_bounds_writes_each_batch_as_it_is_formatted(capsys, monkeypatch):
     # One write per trial's 66 pair lines, then the summary.
     assert [text.count("\n") for text in writes] == [66, 66, 66, 1]
     assert "".join(writes) == whole
+
+
+def test_bounds_csv_writes_each_batch_as_it_is_formatted(capsys, monkeypatch):
+    argv = ["bounds", "--q", "13", "--check", "par-pairs", "--all-t", "--trials", "3",
+            "--format", "csv"]
+    _, whole, _ = run_cli(capsys, argv)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(argv) == 0
+    # The header, then one write per trial's 66 pair rows.
+    assert writes[0] == "name,lhs,rhs,holds,ratio,slack\n"
+    assert [text.count("\n") for text in writes[1:]] == [66, 66, 66]
+    assert "".join(writes) == whole
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_bounds_builds_no_bound_report(capsys, monkeypatch, fmt):
+    def refuse(self, k):
+        raise AssertionError("a BoundReport was built")
+
+    argv = ["bounds", "--q", "7", "--check", "all", "--all-t", "--trials", "2",
+            "--format", fmt]
+    _, want, _ = run_cli(capsys, argv)
+    monkeypatch.setattr(ReportBatch, "report", refuse)
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and out == want
+    rc, _, _ = run_cli(capsys, ["fourier", "--q", "7", "--circle", "1", "--decay"])
+    assert rc == 0
 
 
 def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
@@ -554,9 +597,34 @@ def test_report_writer_prints_the_encoded_line_of_any_report(batch):
 
 def test_report_writer_writes_an_infinite_ratio_as_null():
     """lhs > 0 = rhs, which no builder call makes, gives an infinite ratio;
-    to_json_obj (the csv rows and the library's form) writes it as null."""
-    obj = bounds._unit_distance_batch(7, [1], [3], [0, 5], **_TAG).report(0).to_json_obj()
+    to_json_obj (the library's form) and the csv rows write it as null."""
+    batch = bounds._unit_distance_batch(7, [1], [3], [0, 5], **_TAG)
+    obj = batch.report(0).to_json_obj()
     assert obj["ratio"] is None and obj["lhs"] == 3.0 and obj["rhs"] == 0.0
+    assert csv_lines(batch) == "unit-distance,3.0,0.0,false,null,-3.0\n"
+
+
+def _csv_row(rep):
+    """A report's csv row by the json module: its to_json_obj values, a
+    string as is and anything else as its JSON literal."""
+    obj = rep.to_json_obj()
+    return ",".join(obj[col] if isinstance(obj[col], str) else json.dumps(obj[col])
+                    for col in CSV_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("q", [3, 5, 13])
+@pytest.mark.parametrize("density", [0.0, 1.0, None])
+@pytest.mark.parametrize("all_t,t", [(True, None), (False, 2)])
+def test_csv_rows_are_the_reports_json_literals(q, density, all_t, t):
+    batches = bounds.sweep(PrimeFieldCtx(q), CHECK_NAMES, 2, density, 3,
+                           all_t=all_t, t=t).batches
+    rows = "".join(map(csv_lines, batches)).splitlines(keepends=True)
+    assert rows == [_csv_row(rep) for batch in batches for rep in batch.reports()]
+
+
+@pytest.mark.parametrize("batch", _EXTREMES, ids=[f"rep{k}" for k in range(len(_EXTREMES))])
+def test_csv_row_of_any_report(batch):
+    assert csv_lines(batch) == _csv_row(batch.report(0))
 
 
 def _sha256(text):

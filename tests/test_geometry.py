@@ -460,6 +460,116 @@ def test_intersect_shift_fixed_cases(ctx3):
     assert intersect_shift(ctx3, ei, ej, (1, 1)).elements == ((0, 0),)
 
 
+# -- the tiled layout, against brute-force arithmetic mod q ---------------------
+
+_LAYOUT_QS = [3, 5, 7, 13]
+
+
+def _plane_points(q):
+    return [(r, c) for r in range(q) for c in range(q)]
+
+
+def _labels(q):
+    """A q x q array whose cells all differ: its tiling's cell at an index
+    names the one point that index is a copy of."""
+    return np.arange(q * q).reshape(q, q)
+
+
+@pytest.mark.parametrize("q", _LAYOUT_QS)
+def test_tiled_index_and_point_round_trip(q):
+    labels = geometry.flat_tiling(_labels(q))
+    assert labels.shape == (4 * q * q,)
+    pts = _plane_points(q)
+    for p in pts:
+        i = geometry.tiled_index(p, q)
+        assert geometry.tiled_point(i, q) == p
+        assert labels[i] == p[0] * q + p[1]
+    rows, cols = np.array(pts).T
+    index = geometry.tiled_index((rows, cols), q)
+    assert index.tolist() == [geometry.tiled_index(p, q) for p in pts]
+    assert index.tolist() == geometry.tiled_points(np.ones((q, q), dtype=bool)).tolist()
+    back_rows, back_cols = geometry.tiled_point(index, q)
+    assert back_rows.tolist() == rows.tolist() and back_cols.tolist() == cols.tolist()
+    # Every cell of the tiling, canonical or not, is named by its (row, col).
+    for i in range(4 * q * q):
+        r, c = geometry.tiled_point(i, q)
+        assert geometry.tiled_index((r, c), q) == i
+        assert labels[i] == (r % q) * q + c % q
+
+
+@pytest.mark.parametrize("q", _LAYOUT_QS)
+def test_sums_and_differences_land_on_a_copy_of_their_residue(q):
+    labels = geometry.flat_tiling(_labels(q))
+    pts = _plane_points(q)
+    index = np.array([geometry.tiled_index(p, q) for p in pts])
+    minuends = geometry.difference_minuends(index, q)
+    negated = geometry.negated_points(index, q)
+    for k, (u1, u2) in enumerate(pts):
+        assert labels[negated[k]] == (-u1 % q) * q + (-u2 % q)
+        assert geometry.tiled_point(negated[k], q) == (-u1 % q, -u2 % q)
+        sums = index[k] + index
+        diffs = minuends[k] - index
+        assert 0 <= sums.min() and sums.max() < 4 * q * q
+        assert 0 <= diffs.min() and diffs.max() < 4 * q * q
+        assert labels[sums].tolist() == [
+            (u1 + v1) % q * q + (u2 + v2) % q for v1, v2 in pts]
+        assert labels[diffs].tolist() == [
+            (u1 - v1) % q * q + (u2 - v2) % q for v1, v2 in pts]
+
+
+@pytest.mark.parametrize("q", _LAYOUT_QS)
+def test_the_four_copies_name_one_residue_and_cover_the_tiling(q):
+    labels = geometry.flat_tiling(_labels(q))
+    pts = _plane_points(q)
+    index = np.array([geometry.tiled_index(p, q) for p in pts])
+    copies = geometry.tiled_copies(index, q)
+    assert copies.shape == (4 * q * q,)
+    assert sorted(copies.tolist()) == list(range(4 * q * q))
+    for (r, c), cells in zip(pts, copies.reshape(-1, 4)):
+        assert len(set(cells.tolist())) == 4
+        assert labels[cells].tolist() == [r * q + c] * 4
+    assert geometry.tiled_copies(index[:0], q).tolist() == []
+
+
+def _brute_shift_count(ind, shifts, u):
+    q = ind.shape[0]
+    return sum(bool(ind[(u[0] + s1) % q, (u[1] + s2) % q]) for s1, s2 in shifts)
+
+
+@pytest.mark.parametrize("q", _LAYOUT_QS)
+def test_window_sums_are_brute_force_degrees(q):
+    # Degrees |(u + S_t) n E| on every circle, a random set, the full plane
+    # and the empty set.
+    ctx = PrimeFieldCtx(q)
+    for ps in (gen_random_set(ctx, 0.4, q), full_plane(ctx), PointSet(q, [])):
+        ind = ps.indicator
+        for t in range(q):
+            st = circle(ctx, t).elements
+            degree = geometry.shift_sum(ind, st)
+            assert degree.dtype == np.min_scalar_type(len(st))
+            assert degree.tolist() == [[_brute_shift_count(ind, st, (r, c))
+                                        for c in range(q)] for r in range(q)]
+
+
+@pytest.mark.parametrize("q", _LAYOUT_QS)
+def test_shift_meets_and_translations_match_brute_force(q):
+    ctx = PrimeFieldCtx(q)
+    A, B = gen_random_set(ctx, 0.5, 2 * q), gen_random_set(ctx, 0.3, 2 * q + 1)
+    pts = _plane_points(q)
+    meets = list(geometry.shift_meets(A.indicator, B.indicator, pts))
+    assert len(meets) == len(pts)
+    for x, meet in zip(pts, meets):
+        want = [[bool(A.indicator[r, c]) and bool(B.indicator[(r + x[0]) % q, (c + x[1]) % q])
+                 for c in range(q)] for r in range(q)]
+        assert meet.tolist() == want
+        assert np.array_equal(meet, A.indicator & np.roll(B.indicator, (-x[0], -x[1]),
+                                                         axis=(0, 1)))
+        moved = geometry.translated(B.indicator, x)
+        assert np.array_equal(moved, np.roll(B.indicator, x, axis=(0, 1)))
+        assert moved.tolist() == [[bool(B.indicator[(r - x[0]) % q, (c - x[1]) % q])
+                                   for c in range(q)] for r in range(q)]
+
+
 def test_line_ap_generator(ctx5):
     assert gen_example_line_ap(ctx5, range(5)) == full_plane(ctx5)
     axis = gen_example_line_ap(ctx5, [0])

@@ -12,11 +12,13 @@ from ffplane.geometry import (
     PointSet,
     circle,
     difference_table,
+    flat_tiling,
     full_plane,
     gen_example_line_ap,
     gen_random_set,
     norm_classes,
-    periodic,
+    tiled_index,
+    tiled_point,
 )
 from ffplane.vc import (
     WITNESS_LABELS,
@@ -489,13 +491,12 @@ def vector_first_side_t_pair(ctx, ax, dx, forbidden, t):
     """_first_pair on point tuples; the circle tiling it clears forbidden
     differences in must come back unchanged."""
     q = ctx.q
-    on_circle = periodic(circle(ctx, t).indicator).ravel()
+    on_circle = flat_tiling(circle(ctx, t).indicator)
     before = on_circle.copy()
-    flat = np.array([r * 2 * q + c for r, c in ax] + [r * 2 * q + c for r, c in dx],
-                    dtype=np.int64)
+    flat = np.array([tiled_index(p, q) for p in list(ax) + list(dx)], dtype=np.int64)
     pair = _first_pair(on_circle, flat[:len(ax)], flat[len(ax):], forbidden, q)
     assert np.array_equal(on_circle, before)
-    return pair and tuple(divmod(p, 2 * q) for p in pair)
+    return pair and tuple(tiled_point(p, q) for p in pair)
 
 
 @pytest.mark.parametrize("q", [11, 13])
