@@ -21,7 +21,9 @@ reports do not depend on the checks run beside it.
 
 import math
 
-from .counting import count_unit_distances, par_t_profile, rhombus_directions
+from . import geometry
+from .counting import (count_unit_distances, par_t_profile, par_t_profiles,
+                       rhombus_directions)
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
 from .fourier import circle_decay_batch, circle_decay_lines
@@ -358,11 +360,6 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
 
 # -- seeded sweeps -------------------------------------------------------------
 
-def _draw_set(ctx, rng: SplitMix64, density) -> PointSet:
-    d = rng.next_float() if density is None else density
-    return gen_random_set(ctx, d, rng.next_u64())
-
-
 def _draw_t(ctx, rng: SplitMix64) -> int:
     return 1 + rng.next_below(ctx.q - 1)
 
@@ -410,10 +407,13 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     radius is drawn unless ``t`` pins it; all_t takes every radius (every
     pair for par-pairs) except in unit-distance, which reports one drawn (or
     pinned) radius per trial either way.  circle-decay reports each
-    j, or the pinned t.  Each trial forks SplitMix64(seed) once and draws U,
-    V, E3, E4 once (U, V alone if no check needs more); unit-distance draws
-    its radius from a copy of that stream after V, the rest after E4.  So a
-    check's reports do not depend on which checks run with it.
+    j, or the pinned t.  Each trial forks SplitMix64(seed) once and draws
+    the density (when drawn) and seed of U, V, E3, E4 (U, V alone if no
+    check needs more); unit-distance draws its radius from a copy of that
+    stream after V, the rest after E4.  So a check's reports do not depend
+    on which checks run with it.  Every trial's draws come first; then each
+    block of trials whose sets fit INDEX_CHUNK cells gets its sets from one
+    gen_random_set pass and its Par_t profiles from one par_t_profiles call.
     """
     names = [check] if isinstance(check, str) else list(check)
     for name in names:
@@ -422,21 +422,30 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     if t is not None:
         t = _radius(ctx, t, "pinned radius")
     set_counts = [_SET_COUNT.get(name, 4) for name in names]
+    nsets = max(set_counts)
     js = range(ctx.q) if t is None else [t]
     batches = [[circle_decay_batch(ctx, js)] if k == 0 else [] for k in set_counts]
     master = SplitMix64(seed)
-    for trial in range(trials if any(set_counts) else 0):
+    draws, states = [], []
+    for _ in range(trials if nsets else 0):
         rng = master.fork()
-        sets, states = [], []
-        for _ in range(max(set_counts)):
-            sets.append(_draw_set(ctx, rng, density))
-            states.append(rng.state)
-        memo = {}
-        for name, k, batch in zip(names, set_counts, batches):
-            if k:
-                radii = _radii(ctx, name, all_t, SplitMix64(states[k - 1]), t)
-                batch.append(_reports(ctx, name, sets[:k], radii, memo,
-                                      trial=trial, seed=seed))
+        states.append([])
+        for _ in range(nsets):
+            draws.append((rng.next_float() if density is None else density, rng.next_u64()))
+            states[-1].append(rng.state)
+    profiled = "par-vs-mean" in names or "par-pairs" in names
+    per_block = max(1, geometry.INDEX_CHUNK // (max(nsets, 1) * ctx.q * ctx.q))
+    for lo in range(0, len(states), per_block):
+        sets = gen_random_set(ctx, *zip(*draws[lo * nsets:(lo + per_block) * nsets]))
+        block = [sets[i:i + nsets] for i in range(0, len(sets), nsets)]
+        profiles = par_t_profiles(ctx, block) if profiled else [None] * len(block)
+        for trial, trial_sets, profile in zip(range(lo, lo + per_block), block, profiles):
+            memo = {} if profile is None else {"profile": profile}
+            for name, k, batch in zip(names, set_counts, batches):
+                if k:
+                    radii = _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)
+                    batch.append(_reports(ctx, name, trial_sets[:k], radii, memo,
+                                          trial=trial, seed=seed))
     return Sweep([b for batch in batches for b in batch])
 
 

@@ -47,6 +47,7 @@ from .geometry import (
     circle,
     difference_minuends,
     difference_table,
+    difference_tables,
     flat_tiling,
     negated_points,
     norm_classes,
@@ -224,10 +225,14 @@ def table_products(d12, d34) -> np.ndarray:
 
 
 def norm_class_sums(ctx, values: np.ndarray) -> list:
-    """[sum of values[v] over |v| = t for t in F_q], in the dtype of values."""
-    acc = np.zeros(ctx.q, dtype=values.dtype)
-    np.add.at(acc, norm_classes(ctx).ravel(), values.ravel())
-    return [int(v) for v in acc]
+    """[sum of values[..., v] over |v| = t for t in F_q] for a q x q array of
+    values, or the list of those for each q x q array of a stack, in the
+    dtype of values: one reduction whatever the stack's length."""
+    q = ctx.q
+    flat = values.reshape(-1, q * q)
+    acc = np.zeros((len(flat), q), dtype=values.dtype)
+    np.add.at(acc, (np.arange(len(flat))[:, None], norm_classes(ctx).ravel()), flat)
+    return acc.reshape(values.shape[:-2] + (q,)).tolist()
 
 
 def _products(ctx, E1, E2, E3, E4, on: PointSet | None = None) -> np.ndarray:
@@ -244,8 +249,24 @@ def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
     Returns {t: Par_t} covering all t in F_q; the values sum to the
     all-parallelograms count.
     """
-    _require_same_q(ctx, E1, E2, E3, E4)
-    return dict(enumerate(norm_class_sums(ctx, _products(ctx, E1, E2, E3, E4))))
+    return par_t_profiles(ctx, [(E1, E2, E3, E4)])[0]
+
+
+def par_t_profiles(ctx, quads) -> list:
+    """par_t_profile of each (E1, E2, E3, E4) in ``quads``, in order.
+
+    The tables of every distinct pair come from one difference_tables call
+    (an equal pair shares one), and all the profiles from one norm-class
+    reduction over the stacked products.  Where any quad's products need
+    Python ints, the whole stack holds them.
+    """
+    index, quad_pairs = {}, []
+    for E1, E2, E3, E4 in quads:
+        _require_same_q(ctx, E1, E2, E3, E4)
+        quad_pairs.append([index.setdefault(pair, len(index)) for pair in ((E1, E2), (E3, E4))])
+    tables = difference_tables(ctx, list(index))
+    products = np.stack([table_products(tables[i], tables[j]) for i, j in quad_pairs])
+    return [dict(enumerate(sums)) for sums in norm_class_sums(ctx, products)]
 
 
 # -- rhombi -------------------------------------------------------------------

@@ -200,13 +200,15 @@ def full_plane(ctx: PrimeFieldCtx) -> PointSet:
     return PointSet._from_indicator(ctx.q, np.ones((ctx.q, ctx.q), dtype=bool))
 
 
-def _certified(raw: np.ndarray, table: np.ndarray, total: int, overlap: int) -> bool:
-    """Integer invariants and rounding margin of a float-derived table."""
+def _certified(raw: np.ndarray, table: np.ndarray, total, overlap) -> np.ndarray:
+    """Integer invariants and rounding margin of float-derived tables, one
+    verdict per q x q table of the last two axes."""
+    flat = table.reshape(table.shape[:-2] + (-1,))
     return (
-        float(np.abs(raw - table).max()) < 0.25
-        and int(table.sum()) == total
-        and int(table[0, 0]) == overlap
-        and int(table.min()) >= 0
+        (np.abs(raw - table).reshape(flat.shape).max(axis=-1) < 0.25)
+        & (flat.sum(axis=-1) == total)
+        & (flat[..., 0] == overlap)
+        & (flat.min(axis=-1) >= 0)
     )
 
 
@@ -232,36 +234,57 @@ def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
 
 def difference_table(ctx: PrimeFieldCtx, A: PointSet, B: PointSet,
                      on: PointSet | None = None) -> DifferenceTable:
-    """Tabulate a - b over A x B, on the whole plane or at the cells of ``on``.
+    """Tabulate a - b over A x B, on the whole plane or at the cells of
+    ``on``: the one-pair case of difference_tables."""
+    return difference_tables(ctx, [(A, B)], on)[0]
 
-    With ``on`` given, the table is D at its cells in row-major order.
-    While that takes at most _PROBES_PER_CELL q^2 probes, |on| min(|A|, |B|),
+
+def difference_tables(ctx: PrimeFieldCtx, pairs, on: PointSet | None = None) -> list:
+    """The DifferenceTable of each pair (A, B) in ``pairs``, in order.
+
+    With ``on`` given, a table is D at its cells in row-major order.  While
+    that takes at most _PROBES_PER_CELL q^2 probes, |on| min(|A|, |B|),
     they are counted alone (differences_at, route "probes"); past that they
     are read from the whole table.  Up to _EXACT_PAIRS_PER_CELL * q^2 pairs
     the whole table is counted exactly (route "exact").  Past that it is
-    computed by FFT and rounded, then certified: rounding residual < 1/4,
-    mass |A||B|, D(0) = |A n B| and D >= 0 (route "fft"); if any check
-    fails, it is counted exactly instead.
+    computed by FFT, every such pair in one stacked transform, and rounded;
+    then each table is certified on its own: rounding residual < 1/4, mass
+    |A||B|, D(0) = |A n B| and D >= 0 (route "fft").  A table that fails
+    any check is counted exactly instead.
     """
     q = ctx.q
-    total = len(A) * len(B)
-    if on is not None and len(on) * min(len(A), len(B)) <= _PROBES_PER_CELL * q * q:
-        table = differences_at(A, B, on.points)
-        route = "probes"
-    elif total <= _EXACT_PAIRS_PER_CELL * q * q:
-        table, route = _exact_differences(q, A, B), "exact"
-    else:
-        ia, ib = A.indicator, B.indicator
+    tables, routes, fft = [], [], []
+    for k, (A, B) in enumerate(pairs):
+        if on is not None and len(on) * min(len(A), len(B)) <= _PROBES_PER_CELL * q * q:
+            tables.append(differences_at(A, B, on.points))
+            routes.append("probes")
+        elif len(A) * len(B) <= _EXACT_PAIRS_PER_CELL * q * q:
+            tables.append(_exact_differences(q, A, B))
+            routes.append("exact")
+        else:
+            tables.append(None)
+            routes.append("fft")
+            fft.append(k)
+    if fft:
+        ia = np.stack([pairs[k][0].indicator for k in fft])
+        ib = np.stack([pairs[k][1].indicator for k in fft])
         spectrum = np.fft.rfft2(ia) * np.conj(np.fft.rfft2(ib))
         raw = np.fft.irfft2(spectrum, s=(q, q))
-        table = np.rint(raw).astype(np.int64)
-        route = "fft"
-        if not _certified(raw, table, total, int(np.count_nonzero(ia & ib))):
-            table, route = _exact_differences(q, A, B), "exact"
-    if on is not None and route != "probes":
-        table = table[on.indicator]
-    table.flags.writeable = False
-    return DifferenceTable(q, table, total, route)
+        rounded = np.rint(raw).astype(np.int64)
+        totals = [len(pairs[k][0]) * len(pairs[k][1]) for k in fft]
+        good = _certified(raw, rounded, totals, (ia & ib).sum(axis=(1, 2)))
+        for k, table, ok in zip(fft, rounded, good):
+            if ok:
+                tables[k] = table
+            else:
+                tables[k], routes[k] = _exact_differences(q, *pairs[k]), "exact"
+    out = []
+    for (A, B), table, route in zip(pairs, tables, routes):
+        if on is not None and route != "probes":
+            table = table[on.indicator]
+        table.flags.writeable = False
+        out.append(DifferenceTable(q, table, len(A) * len(B), route))
+    return out
 
 
 def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
@@ -399,28 +422,35 @@ def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
     return PointSet(q, [(a, b) for a in range(q) for b in xs])
 
 
-def gen_random_set(ctx: PrimeFieldCtx, density: float, seed: int) -> PointSet:
-    """Bernoulli(density) sample of the plane, as an indicator.
+def gen_random_set(ctx: PrimeFieldCtx, density, seed):
+    """Bernoulli(density) sample of the plane, as an indicator; given
+    equal-length sequences of densities and seeds, the list of their samples
+    in order, from one stacked pass.
 
-    Driven by splitmix64: the k-th draw decides cell k - 1 in row-major
-    order, so the result is a pure function of (q, density, seed).  A cell
-    is in when ``next_float() < density``.  With m the top 53 bits of the
-    draw, next_float() is m * 2^-53 and scaling density by 2^53 is exact, so
-    that holds exactly when m < ceil(density * 2^53): one shift and one
-    integer compare per cell, and no float conversion.  The draws come in
-    fixed blocks (rng.splitmix64_blocks), and each block's compare is
-    written straight into its cells of the indicator.
+    Driven by splitmix64: the k-th draw of seed decides cell k - 1 in
+    row-major order, so a set is a pure function of (q, density, seed).  A
+    cell is in when ``next_float() < density``.  With m the top 53 bits of
+    the draw, next_float() is m * 2^-53 and scaling density by 2^53 is
+    exact, so that holds exactly when m < ceil(density * 2^53): one shift
+    and one integer compare per cell, and no float conversion.  The draws
+    come in fixed blocks (rng.splitmix64_blocks), and each block's compare
+    is written straight into its cells of the indicators.
     """
-    if not 0.0 <= density <= 1.0:
+    one = np.ndim(seed) == 0
+    densities, seeds = ([density], [seed]) if one else (list(density), list(seed))
+    if len(densities) != len(seeds):
+        raise ValueError("one density per seed")
+    if not all(0.0 <= d <= 1.0 for d in densities):
         raise ValueError("density must lie in [0, 1]")
     q = ctx.q
-    threshold = np.uint64(math.ceil(density * 2.0**53))
-    indicator = np.empty((q, q), dtype=bool)
-    cells = indicator.reshape(-1)
-    for lo, z in splitmix64_blocks(seed, q * q):
+    thresholds = np.array([math.ceil(d * 2.0**53) for d in densities], dtype=np.uint64)
+    indicators = np.empty((len(seeds), q, q), dtype=bool)
+    cells = indicators.reshape(len(seeds), q * q)
+    for i, lo, z in splitmix64_blocks(seeds, q * q):
         np.right_shift(z, _MANTISSA_SHIFT, out=z)
-        np.less(z, threshold, out=cells[lo:lo + len(z)])
-    return PointSet._from_indicator(q, indicator)
+        np.less(z, thresholds[i:i + len(z), None], out=cells[i:i + len(z), lo:lo + z.shape[1]])
+    sets = [PointSet._from_indicator(q, indicator) for indicator in indicators]
+    return sets[0] if one else sets
 
 
 # -- file formats -----------------------------------------------------------

@@ -66,34 +66,44 @@ class SplitMix64:
         return SplitMix64(self.next_u64())
 
 
-def splitmix64_blocks(seed: int, n: int):
-    """The first n ``next_u64()`` draws of ``SplitMix64(seed)``, block by block.
+def splitmix64_blocks(seeds, n: int):
+    """The first n ``next_u64()`` draws of ``SplitMix64(s)`` for each s in
+    ``seeds``, block by block.
 
-    Yields ``(lo, z)`` where z holds draws lo + 1 .. lo + len(z), at most
-    _BLOCK of them.  The k-th state is seed + k * gamma mod 2^64, so a block
-    is computed at once with in-place ufuncs; uint64 arithmetic wraps
+    Yields ``(i, lo, z)`` where row r of the 2-D z holds draws
+    lo + 1 .. lo + z.shape[1] of seed i + r.  A block holds at most _BLOCK
+    draws: whole rows of consecutive seeds while n <= _BLOCK, else a run of
+    one seed's draws.  The k-th state is seed + k * gamma mod 2^64, so a
+    block is computed at once with in-place ufuncs; uint64 arithmetic wraps
     exactly as the scalar generator masks.  z is one reused buffer, which
     the next block overwrites, so a caller may also write into it.
     """
-    size = min(n, _BLOCK)
-    steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    seeds = np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
+    cols = min(n, _BLOCK)
+    rows = max(1, _BLOCK // max(n, 1))
+    steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    size = min(rows, len(seeds)) * cols
     buf, tmp = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    for lo in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - lo)
-        z, t = buf[:m], tmp[:m]
-        np.add(steps[:m], np.uint64((seed + lo * _GAMMA) & _MASK), out=z)
-        for shift, mix in _ROUNDS:
-            np.right_shift(z, shift, out=t)
+    for i in range(0, len(seeds), rows):
+        r = min(rows, len(seeds) - i)
+        for lo in range(0, n, cols):
+            m = min(cols, n - lo)
+            z, t = buf[:r * m].reshape(r, m), tmp[:r * m].reshape(r, m)
+            np.add(steps[:m], seeds[i:i + r, None], out=z)
+            if lo:
+                np.add(z, np.uint64(lo * _GAMMA & _MASK), out=z)
+            for shift, mix in _ROUNDS:
+                np.right_shift(z, shift, out=t)
+                np.bitwise_xor(z, t, out=z)
+                np.multiply(z, mix, out=z)
+            np.right_shift(z, _FINAL, out=t)
             np.bitwise_xor(z, t, out=z)
-            np.multiply(z, mix, out=z)
-        np.right_shift(z, _FINAL, out=t)
-        np.bitwise_xor(z, t, out=z)
-        yield lo, z
+            yield i, lo, z
 
 
 def splitmix64_u64(seed: int, n: int) -> np.ndarray:
     """The first n ``next_u64()`` draws of ``SplitMix64(seed)`` as one array."""
     out = np.empty(n, dtype=np.uint64)
-    for lo, z in splitmix64_blocks(seed, n):
-        out[lo:lo + len(z)] = z
+    for _, lo, z in splitmix64_blocks([seed], n):
+        out[lo:lo + z.shape[1]] = z[0]
     return out

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_quadruple
-from ffplane import bounds
+from ffplane import bounds, counting, geometry
 from ffplane.bounds import (
     CHECK_NAMES,
     _par_mean_batch,
@@ -267,25 +267,44 @@ def test_sweep_of_several_checks_is_their_sweeps_joined(q, density, all_t, t):
         assert list(sweep(ctx, names, 2, density, 11, all_t=all_t, t=t)) == joined
 
 
-def test_sweep_of_all_checks_computes_each_primitive_once(monkeypatch, ctx7):
-    calls = collections.Counter()
+def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
+    """Trials go in blocks of sets that fit INDEX_CHUNK cells (4 q^2 per
+    trial): one generation pass and one table batch per block, one rhombus
+    pass and one unit-distance count per trial."""
+    want = list(sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True))
+    # At q = 7 all three trials fit one block; a chunk of two trials' sets
+    # splits them 2 + 1.
+    for chunk, blocks in ((None, [12]), (2 * 4 * 49, [8, 4])):
+        calls = collections.Counter()
+        generated = []
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(geometry, "INDEX_CHUNK", chunk)
 
-    def counted(name):
-        original = getattr(bounds, name)
+            def counted(module, name):
+                original = getattr(module, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(bounds, name, wrapper)
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return original(*args, **kwargs)
+                mp.setattr(module, name, wrapper)
 
-    for name in ("gen_random_set", "par_t_profile", "rhombus_directions",
-                 "count_unit_distances"):
-        counted(name)
-    reports = sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True)
-    # Per trial: four sets, one profile, one rhombus pass for every radius.
-    assert calls == {"gen_random_set": 12, "par_t_profile": 3,
-                     "rhombus_directions": 3, "count_unit_distances": 3}
-    assert len(reports) == 3 * (1 + 6 + 15 + 6 + 6) + 7
+            for name in ("par_t_profiles", "rhombus_directions", "count_unit_distances"):
+                counted(bounds, name)
+            counted(counting, "difference_tables")
+            generate = bounds.gen_random_set
+
+            def generation_pass(ctx, densities, seeds):
+                generated.append(len(seeds))
+                return generate(ctx, densities, seeds)
+            mp.setattr(bounds, "gen_random_set", generation_pass)
+            reports = sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True)
+            assert generated == blocks
+            assert calls == {"par_t_profiles": len(blocks),
+                             "difference_tables": len(blocks),
+                             "rhombus_directions": 3, "count_unit_distances": 3}
+            assert len(reports) == 3 * (1 + 6 + 15 + 6 + 6) + 7
+            assert list(reports) == want
 
 
 def test_extreme_cases_all_hold(ctx5):

@@ -271,12 +271,12 @@ def test_bounds_builds_no_bound_report(capsys, monkeypatch, fmt):
 
 
 def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
-    profile = bounds.par_t_profile
+    profiles = bounds.par_t_profiles
 
-    def inflated(ctx, *sets):
-        return {**profile(ctx, *sets), 1: 10**12}
+    def inflated(ctx, quads):
+        return [{**profile, 1: 10**12} for profile in profiles(ctx, quads)]
 
-    monkeypatch.setattr(bounds, "par_t_profile", inflated)
+    monkeypatch.setattr(bounds, "par_t_profiles", inflated)
     argv = ["bounds", "--q", "7", "--check", "par-pairs", "--all-t",
             "--trials", "2", "--seed", "0"]
     rc, out, _ = run_cli(capsys, argv)
@@ -663,8 +663,17 @@ _BOUNDS_ALL = ["bounds", "--q", "13", "--check", "all", "--all-t",
      "6a674c5eef38c75e59a4f2e6fab708dfa60f86377a4ac72ca77d1b9f04e1410e"),
     (["fourier", "--q", "13", "--circle", "0", "--decay"],
      "8749c90ad128c528ab4651fd673eea1c1e19aeefe90b126931e7f654e638da48"),
+    # Recorded before sweeps computed their trials in blocks: the benchmark's
+    # command shape (7 trials, one block), and 6 trials at q = 61, where a
+    # block holds 4 (INDEX_CHUNK // 4 q^2), so the sweep spans two blocks.
+    (["bounds", "--q", "13", "--check", "all", "--all-t", "--density", "auto",
+      "--trials", "7", "--seed", "0"],
+     "44fc7ee1c7285c4e39a9a1991b173b56c7f9b6414ce4032cf365929a4f08f6a0"),
+    (["bounds", "--q", "61", "--check", "par-vs-mean", "--trials", "6", "--seed", "1"],
+     "85ff3f2c90c73c10a5c5525e56bb2de7291737957254ca9b6c8b44f6d55373c5"),
 ], ids=["all-json", "all-csv", "rhom-vs-par", "all-human", "par-pairs-pinned-t",
-        "q3-empty", "q3-full", "unit-distance", "fourier-decay-isotropic"])
+        "q3-empty", "q3-full", "unit-distance", "fourier-decay-isotropic",
+        "all-json-7-trials", "par-vs-mean-two-blocks"])
 def test_bounds_stream_matches_golden_digest(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0

@@ -27,6 +27,7 @@ from ffplane.geometry import (
     PointSet,
     circle,
     difference_table,
+    difference_tables,
     full_plane,
     gen_example_line_ap,
     gen_random_set,
@@ -609,7 +610,8 @@ def _equal_pair_instances(draw):
 
 
 def _count_tables(mp):
-    """Record the route of each table that counting.difference_table returns."""
+    """Record the route of each table that counting.difference_table or
+    counting.difference_tables returns."""
     routes = []
 
     def counted(*args):
@@ -617,7 +619,13 @@ def _count_tables(mp):
         routes.append(table.route)
         return table
 
+    def counted_batch(*args):
+        tables = difference_tables(*args)
+        routes.extend(table.route for table in tables)
+        return tables
+
     mp.setattr(counting, "difference_table", counted)
+    mp.setattr(counting, "difference_tables", counted_batch)
     return routes
 
 
@@ -720,6 +728,22 @@ def test_probe_route_is_taken_per_pair_up_to_its_probe_count(monkeypatch, ctx7, 
             assert value == par_t_profile(ctx7, *sets)[1]
             assert [r == "probes" for r in routes] == [
                 on_circle * min(len(a), len(b)) <= limit for a, b in pairs]
+
+
+def test_block_profiles_are_each_instances_profile(monkeypatch):
+    """A block's profiles equal the one-instance profiles, also where only
+    one instance's products pass INT64_LIMIT: then the whole stack sums in
+    Python ints."""
+    ctx = PrimeFieldCtx(13)
+    quads = [tuple(random_quadruple(ctx, seed, lo=0.05, hi=0.9)) for seed in range(6)]
+    quads.append((quads[0][0],) * 4)
+    want = [par_t_profile(ctx, *quad) for quad in quads]
+    assert counting.par_t_profiles(ctx, quads) == want
+    masses = [len(E1) * len(E2) * len(E3) * len(E4) for E1, E2, E3, E4 in quads]
+    monkeypatch.setattr(counting, "INT64_LIMIT", max(masses))
+    profiles = counting.par_t_profiles(ctx, quads)
+    assert profiles == want
+    assert all(type(v) is int for profile in profiles for v in profile.values())
 
 
 @pytest.mark.parametrize("route", _PAR_T_ROUTES)

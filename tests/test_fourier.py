@@ -4,11 +4,12 @@ import pytest
 from ffplane.field import PrimeFieldCtx
 from ffplane.fourier import (
     check_circle_decay,
+    circle_decay_batch,
     circle_spectrum_closed,
     inverse,
     transform,
 )
-from ffplane.geometry import PointSet, circle, full_plane, gen_random_set
+from ffplane.geometry import PointSet, circle, full_plane, gen_random_set, norm_classes
 
 TOL = 1e-9
 
@@ -119,6 +120,30 @@ def test_decay_isotropic_exception_is_logged_not_asserted():
     assert "isotropic_max" in rep.extra
     assert rep.extra["isotropic_max"] > rep.rhs
     assert rep.extra["isotropic_max"] == pytest.approx(12 / 169)
+
+
+# At q = 101 the circles go in stacks of 6 (INDEX_CHUNK // q^2), so the
+# last stack is partial; below that every circle is in one stack.
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 31, 101])
+def test_stacked_circle_spectra_are_each_circles_transform(q):
+    ctx = PrimeFieldCtx(q)
+    nonzero = np.ones((q, q), dtype=bool)
+    nonzero[0, 0] = False
+    isotropic = (norm_classes(ctx) == 0) & nonzero
+    js = list(range(q)) + [q + 1, 0]
+    batch = circle_decay_batch(ctx, js)
+    lhs, max_all, iso_max = [], [], []
+    for j in js:
+        mags = np.abs(transform(ctx, circle(ctx, j)).coeffs)
+        regular = nonzero & ~isotropic if j % q == 0 else nonzero
+        lhs.append(float(mags[regular].max()))
+        max_all.append(float(mags[nonzero].max()))
+        iso_max.append(float(mags[isotropic].max())
+                       if j % q == 0 and isotropic.any() else None)
+    # Equal as floats, bit for bit.
+    assert batch.lhs == lhs
+    assert batch.row_extra["max_all_nonzero_modes"] == max_all
+    assert batch.row_extra["isotropic_max"] == iso_max
 
 
 def test_strict_constant_fails_somewhere():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffplane import counting, geometry, rng, vc
+from ffplane import bounds, counting, fourier, geometry, rng, vc
 from ffplane.errors import PointSetFormatError
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
@@ -164,6 +164,71 @@ def _assert_routes_match_brute_force(ctx, A, B):
             assert d.total == len(A) * len(B)
 
 
+@st.composite
+def _mixed_blocks(draw):
+    """q in {7, 11, 13} and a block of pairs that holds at least one pair
+    past the exact route's pair count (dense sets) and one under it
+    (sparse sets), in drawn order, with a cell set or none."""
+    q = draw(st.sampled_from([7, 11, 13]))
+    ctx = PrimeFieldCtx(q)
+    seeds = st.integers(0, 2**64 - 1)
+
+    def sets(lo, hi):
+        return st.builds(lambda d, seed: gen_random_set(ctx, d, seed),
+                         st.floats(lo, hi), seeds)
+
+    dense = st.tuples(sets(0.8, 1.0), sets(0.8, 1.0))
+    sparse = st.tuples(sets(0.0, 0.1), sets(0.0, 1.0))
+    pairs = draw(st.lists(st.one_of(dense, sparse, st.tuples(sets(0, 1), sets(0, 1))),
+                          max_size=4))
+    pairs = draw(st.permutations(pairs + [draw(dense), draw(sparse)]))
+    on = draw(st.one_of(st.none(), st.builds(lambda t: circle(ctx, t), st.integers(0, q - 1))))
+    return ctx, pairs, on
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_blocks())
+def test_batched_tables_are_the_one_pair_tables(block):
+    ctx, pairs, on = block
+    tables = geometry.difference_tables(ctx, pairs, on)
+    assert len(tables) == len(pairs)
+    for (A, B), d in zip(pairs, tables):
+        one = difference_table(ctx, A, B, on)
+        assert d.route == one.route and d.total == one.total == len(A) * len(B)
+        assert d.table.dtype == np.int64 and not d.table.flags.writeable
+        assert np.array_equal(d.table, one.table)
+        exact = geometry._exact_differences(ctx.q, A, B)
+        assert np.array_equal(d.table, exact if on is None else exact[on.indicator])
+    if on is None:
+        assert {"exact", "fft"} <= {d.route for d in tables}
+
+
+@pytest.mark.parametrize("bad", [0, 2, 3])
+def test_one_table_of_a_batch_falls_back_alone(monkeypatch, bad):
+    ctx = PrimeFieldCtx(13)
+    dense = [(gen_random_set(ctx, 0.6, 2 * k), gen_random_set(ctx, 0.7, 2 * k + 1))
+             for k in range(4)]
+    sparse = (gen_random_set(ctx, 0.1, 8), gen_random_set(ctx, 0.1, 9))
+    pairs = dense[:2] + [sparse] + dense[2:]
+    want = [geometry._exact_differences(13, A, B) for A, B in pairs]
+    # Shift the bad table's floats by 0.6, so its rounding lands one off
+    # everywhere; the stack holds the four dense pairs in order.
+    irfft2 = np.fft.irfft2
+
+    def one_off(*args, **kwargs):
+        raw = irfft2(*args, **kwargs)
+        raw[bad] += 0.6
+        return raw
+
+    monkeypatch.setattr(np.fft, "irfft2", one_off)
+    tables = geometry.difference_tables(ctx, pairs)
+    routes = ["fft"] * 4
+    routes[bad] = "exact"
+    assert [d.route for d in tables] == routes[:2] + ["exact"] + routes[2:]
+    for d, table in zip(tables, want):
+        assert np.array_equal(d.table, table) and not d.table.flags.writeable
+
+
 def _boundary_sets(q):
     ctx = PrimeFieldCtx(q)
     sets = [PointSet(q, []), PointSet(q, [(1, q - 2)]), full_plane(ctx),
@@ -240,11 +305,14 @@ def test_one_chunk_constant_reaches_every_route(monkeypatch):
     counting.count_degenerate_rhom(ctx, *sets, 1)
     difference_table(ctx, *sets[:2])
     difference_table(ctx, *sets[:2], circle(ctx, 1))
+    bounds.sweep(ctx, "par-vs-mean", 2, 0.1, 1)
+    fourier.circle_decay_batch(ctx, range(29))
     ctx11 = PrimeFieldCtx(11)
     assert isinstance(vc.find_witness(ctx11, full_plane(ctx11), 1), vc.Witness)
     assert chunk.readers == {
         "_probe_count", "_small_pair_counts", "count_degenerate_rhom",
-        "_exact_differences", "differences_at", "_first_pair"}
+        "_exact_differences", "differences_at", "_first_pair", "sweep",
+        "circle_decay_batch"}
 
 
 @pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
@@ -340,6 +408,43 @@ def test_random_set_matches_scalar_stream_in_blocks_of_7(monkeypatch, q):
     monkeypatch.setattr(rng, "_BLOCK", 7)
     for density in (0.0, 0.3, 0.5, 1.0):
         _assert_matches_scalar_stream(q, density)
+
+
+# The five densities in turn; at q = 13, 100 sets pass the 96 whole rows
+# of 169 draws that fit one block of 16384, and at q = 211 each set's
+# 44521 draws span three blocks.
+@pytest.mark.parametrize("q,count", [(3, 5), (13, 100), (211, 5)])
+def test_stacked_sets_match_scalar_stream(q, count):
+    ctx = PrimeFieldCtx(q)
+    densities = [(0.0, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0)[k % 5] for k in range(count)]
+    seeds = [(0, 99, 2**64 - 1, 12345, 2**63)[k % 5] + 7919 * (k // 5) for k in range(count)]
+    stacked = gen_random_set(ctx, densities, seeds)
+    assert len(stacked) == count
+    for density, seed, ps in zip(densities, seeds, stacked):
+        # The k-th draw decides cell k - 1, row-major.
+        draws = SplitMix64(seed)
+        ref = np.array([draws.next_float() < density for _ in range(q * q)])
+        assert np.array_equal(ps.indicator, ref.reshape(q, q))
+        assert not ps.indicator.flags.writeable
+        assert ps == gen_random_set(ctx, density, seed) and len(ps) == ref.sum()
+
+
+@pytest.mark.parametrize("q", [3, 13])
+def test_stacked_sets_match_scalar_stream_in_blocks_of_7(monkeypatch, q):
+    monkeypatch.setattr(rng, "_BLOCK", 7)
+    ctx = PrimeFieldCtx(q)
+    sets = gen_random_set(ctx, [0.3, 0.5, 1.0], [4, 5, 6])
+    assert [ps.elements for ps in sets] == [
+        tuple((r, c) for r in range(q) for c in range(q) if draws.next_float() < d)
+        for d, draws in zip([0.3, 0.5, 1.0], map(SplitMix64, [4, 5, 6]))]
+
+
+def test_stacked_sets_refuse_bad_arguments(ctx7):
+    assert gen_random_set(ctx7, [], []) == []
+    with pytest.raises(ValueError):
+        gen_random_set(ctx7, [0.5, 1.5], [1, 2])
+    with pytest.raises(ValueError):
+        gen_random_set(ctx7, [0.5], [1, 2])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
