@@ -98,23 +98,29 @@ def _make_ctx(q: int) -> PrimeFieldCtx:
     return PrimeFieldCtx(q)
 
 
+def _random_draw(token: str, default_seed: int, slot: int) -> tuple:
+    """The (density, seed) a stripped random:DENSITY[:SEED] token draws in
+    ``slot``; an unseeded token draws default_seed + slot."""
+    parts = token.split(":")
+    if len(parts) not in (2, 3):
+        raise UsageError(f"bad set spec {token!r}; use random:DENSITY[:SEED]")
+    try:
+        density = float(parts[1])
+        seed = int(parts[2]) if len(parts) == 3 else default_seed + slot
+    except ValueError as exc:
+        raise UsageError(f"bad set spec {token!r}: {exc}") from exc
+    if not 0.0 <= density <= 1.0:
+        raise UsageError("density must lie in [0, 1]")
+    _check_seed(seed, f"the seed of set {token!r} in slot {slot}")
+    return density, seed
+
+
 def _parse_one_set(ctx, token: str, default_seed: int, slot: int) -> PointSet:
     token = token.strip()
     if token == "full":
         return full_plane(ctx)
     if token.startswith("random:"):
-        parts = token.split(":")
-        if len(parts) not in (2, 3):
-            raise UsageError(f"bad set spec {token!r}; use random:DENSITY[:SEED]")
-        try:
-            density = float(parts[1])
-            seed = int(parts[2]) if len(parts) == 3 else default_seed + slot
-        except ValueError as exc:
-            raise UsageError(f"bad set spec {token!r}: {exc}") from exc
-        if not 0.0 <= density <= 1.0:
-            raise UsageError("density must lie in [0, 1]")
-        _check_seed(seed, f"the seed of set {token!r} in slot {slot}")
-        return gen_random_set(ctx, density, seed)
+        return gen_random_set(ctx, *_random_draw(token, default_seed, slot))
     if token.startswith("line-ap:"):
         parts = token.split(":")
         if len(parts) != 4:
@@ -154,17 +160,22 @@ def _parse_sets(ctx, spec: str, nslots: int, default_seed: int) -> list:
         raise UsageError(f"expected {nslots} set slots, got {len(tokens)}")
     # Each distinct token is built once, so slots naming one set share one
     # PointSet.  An unseeded random:D draws seed + slot, so its slot is part
-    # of what it names.
-    built = {}
-    sets = []
+    # of what it names.  The tokens are checked in slot order; then every
+    # distinct random set is drawn in one stacked pass.
+    built, draws, keys = {}, {}, []
     for slot, tok in enumerate(tokens):
-        key = tok.strip()
-        if key.startswith("random:") and key.count(":") == 1:
-            key = (key, slot)
-        if key not in built:
-            built[key] = _parse_one_set(ctx, tok, default_seed, slot)
-        sets.append(built[key])
-    return sets
+        name = tok.strip()
+        random = name.startswith("random:")
+        key = (name, slot) if random and name.count(":") == 1 else name
+        if random and key not in draws:
+            draws[key] = _random_draw(name, default_seed, slot)
+        elif not random and key not in built:
+            built[key] = _parse_one_set(ctx, name, default_seed, slot)
+        keys.append(key)
+    if draws:
+        densities, seeds = zip(*draws.values())
+        built.update(zip(draws, gen_random_set(ctx, densities, seeds)))
+    return [built[key] for key in keys]
 
 
 # -- count / bench -------------------------------------------------------------
@@ -473,119 +484,149 @@ def _cmd_gen(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
-# The subcommands, in the order the full parser lists them.
-COMMANDS = ("count", "bounds", "fourier", "vc", "witness", "bench", "gen")
+def _add_common(p, formats=("json",)):
+    """--q, --seed, and --format with the formats the command writes (none
+    for a command with no formats)."""
+    p.add_argument("--q", type=int, required=True, help="odd prime modulus")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed in [0, 2^64)")
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
+
+
+def _count_arguments(p):
+    _add_common(p, ("json", "human"))
+    p.add_argument("--quantity", choices=QUANTITIES, required=True)
+    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--set", required=True,
+                   help="comma-separated slots: full | random:D[:SEED] | "
+                        "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)")
+    p.add_argument("--method", choices=METHODS, default="fast")
+    p.add_argument("--exclude-degenerate", action="store_true")
+    p.set_defaults(func=_cmd_count)
+
+
+def _bounds_arguments(p):
+    _add_common(p, ("json", "csv", "human"))
+    p.add_argument("--check", default="all",
+                   help=f"one of {bounds_mod.CHECK_NAMES} or all")
+    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--t", type=int, default=None,
+                   help="pin the radius (default: drawn per trial)")
+    p.add_argument("--density", default="0.5",
+                   help="set density in [0,1], or 'auto' to draw per trial")
+    p.add_argument("--all-t", action="store_true",
+                   help="cover every nonzero radius (and every pair); "
+                        "unit-distance still reports one drawn radius per trial")
+    p.set_defaults(func=_cmd_bounds)
+
+
+def _fourier_arguments(p):
+    _add_common(p)
+    p.add_argument("--set", default=None)
+    p.add_argument("--circle", type=int, default=None,
+                   help="transform the circle of this radius")
+    p.add_argument("--method", choices=("fast", "oracle"), default="fast")
+    p.add_argument("--decay", action="store_true",
+                   help="emit the decay report for --circle instead")
+    p.set_defaults(func=_cmd_fourier)
+
+
+def _vc_arguments(p):
+    _add_common(p)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--set", required=True)
+    p.add_argument("--cap", type=int, default=4)
+    p.set_defaults(func=_cmd_vc)
+
+
+def _witness_arguments(p):
+    _add_common(p)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--set", required=True)
+    p.set_defaults(func=_cmd_witness)
+
+
+def _bench_arguments(p):
+    _add_common(p, ("json", "csv", "human"))
+    p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
+    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--methods", default="oracle,fast")
+    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--set", default=None)
+    p.add_argument("--runs", type=int, default=5)
+    p.set_defaults(func=_cmd_bench)
+
+
+def _gen_arguments(p):
+    _add_common(p, ())
+    p.add_argument("--set", default="random:0.5")
+    p.add_argument("--out", default=None, help="output path (.json or text)")
+    p.add_argument("--json", action="store_true",
+                   help="emit JSON to stdout instead of text")
+    p.set_defaults(func=_cmd_gen)
+
+
+# subcommand -> (its line in the full parser's help, the adder of its
+# arguments and func default), in the order the full parser lists them.
+_SUBCOMMANDS = {
+    "count": ("run one exact counter", _count_arguments),
+    "bounds": ("run a named inequality check or all", _bounds_arguments),
+    "fourier": ("dump a spectrum or a decay report", _fourier_arguments),
+    "vc": ("exhaustive VC dimension of a set", _vc_arguments),
+    "witness": ("construct and verify a shattering witness", _witness_arguments),
+    "bench": ("time counter methods on one instance", _bench_arguments),
+    "gen": ("generate a point-set file", _gen_arguments),
+}
+COMMANDS = tuple(_SUBCOMMANDS)
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The ffplane parser with the subparser of ``command`` only, or with
-    all of them when ``command`` is None.
+    """The full ffplane parser, or with ``command`` the standalone parser
+    ``ffplane <command>`` of that subcommand alone.
 
-    ``main`` builds one subparser when the first argument names a
-    subcommand, and the full parser for no arguments, top-level help and
-    errors.  The one-subcommand parser lists every name in its usage line,
-    so its top-level error messages read as the full parser's.
+    The full parser takes the whole argument list, subcommand first; the
+    one-command parser takes the arguments after the subcommand's name.  It
+    is built as the full parser builds that command's subparser, plus a
+    ``command`` default, so it gives the same namespace, help and errors,
+    except for arguments it does not recognise: the full parser reports
+    those under its own usage line.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"ffplane {command}")
+        _SUBCOMMANDS[command][1](parser)
+        parser.set_defaults(command=command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="ffplane",
         description="Configuration counts, spectral checks, and VC audits "
                     "for point sets in the plane over a prime field.")
-    # Only a partial parser needs the names spelled out; the full one
-    # derives the same text from its subparsers.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def wanted(name):
-        return command is None or command == name
-
-    def add_common(p, formats=("json",)):
-        """--q, --seed, and --format with the formats the command writes
-        (none for a command with no formats)."""
-        p.add_argument("--q", type=int, required=True, help="odd prime modulus")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed in [0, 2^64)")
-        if formats:
-            p.add_argument("--format", choices=formats, default="json")
-
-    if wanted("count"):
-        p = sub.add_parser("count", help="run one exact counter")
-        add_common(p, ("json", "human"))
-        p.add_argument("--quantity", choices=QUANTITIES, required=True)
-        p.add_argument("--t", type=int, default=None)
-        p.add_argument("--set", required=True,
-                       help="comma-separated slots: full | random:D[:SEED] | "
-                            "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)")
-        p.add_argument("--method", choices=METHODS, default="fast")
-        p.add_argument("--exclude-degenerate", action="store_true")
-        p.set_defaults(func=_cmd_count)
-
-    if wanted("bounds"):
-        p = sub.add_parser("bounds", help="run a named inequality check or all")
-        add_common(p, ("json", "csv", "human"))
-        p.add_argument("--check", default="all",
-                       help=f"one of {bounds_mod.CHECK_NAMES} or all")
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--t", type=int, default=None,
-                       help="pin the radius (default: drawn per trial)")
-        p.add_argument("--density", default="0.5",
-                       help="set density in [0,1], or 'auto' to draw per trial")
-        p.add_argument("--all-t", action="store_true",
-                       help="cover every nonzero radius (and every pair); "
-                            "unit-distance still reports one drawn radius per trial")
-        p.set_defaults(func=_cmd_bounds)
-
-    if wanted("fourier"):
-        p = sub.add_parser("fourier", help="dump a spectrum or a decay report")
-        add_common(p)
-        p.add_argument("--set", default=None)
-        p.add_argument("--circle", type=int, default=None,
-                       help="transform the circle of this radius")
-        p.add_argument("--method", choices=("fast", "oracle"), default="fast")
-        p.add_argument("--decay", action="store_true",
-                       help="emit the decay report for --circle instead")
-        p.set_defaults(func=_cmd_fourier)
-
-    if wanted("vc"):
-        p = sub.add_parser("vc", help="exhaustive VC dimension of a set")
-        add_common(p)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--set", required=True)
-        p.add_argument("--cap", type=int, default=4)
-        p.set_defaults(func=_cmd_vc)
-
-    if wanted("witness"):
-        p = sub.add_parser("witness", help="construct and verify a shattering witness")
-        add_common(p)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--set", required=True)
-        p.set_defaults(func=_cmd_witness)
-
-    if wanted("bench"):
-        p = sub.add_parser("bench", help="time counter methods on one instance")
-        add_common(p, ("json", "csv", "human"))
-        p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
-        p.add_argument("--t", type=int, default=None)
-        p.add_argument("--methods", default="oracle,fast")
-        p.add_argument("--density", type=float, default=0.5)
-        p.add_argument("--set", default=None)
-        p.add_argument("--runs", type=int, default=5)
-        p.set_defaults(func=_cmd_bench)
-
-    if wanted("gen"):
-        p = sub.add_parser("gen", help="generate a point-set file")
-        add_common(p, ())
-        p.add_argument("--set", default="random:0.5")
-        p.add_argument("--out", default=None, help="output path (.json or text)")
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON to stdout instead of text")
-        p.set_defaults(func=_cmd_gen)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the parser of the subcommand it names, alone.
+
+    The full parser parses what names no subcommand first (no arguments,
+    top-level help, an unknown or abbreviated word, a leading option), and
+    an argument list that the command's parser leaves arguments of, so that
+    those are reported as the full parser reports them.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run the command of argv (sys.argv[1:] by default) and return its exit
+    code.  A valid command is parsed by its own parser alone, never by the
+    full one (_parse_args); nothing is kept from one call to the next."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_seed(args.seed, "--seed")
         return args.func(args)

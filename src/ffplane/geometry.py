@@ -80,18 +80,20 @@ class PointSet:
         self._points = None
 
     @classmethod
-    def _from_indicator(cls, q: int, indicator: np.ndarray) -> "PointSet":
+    def _from_indicator(cls, q: int, indicator: np.ndarray, elements=None) -> "PointSet":
         """Trusted constructor: the True cells of a q x q bool array.
 
-        Skips validation and builds no point tuples; the array is made
-        read-only and must not be written to through another reference.
+        Skips validation and builds no point tuples, unless ``elements``
+        gives them (as int tuples, in the order ``elements`` is to read);
+        the array is made read-only and must not be written to through
+        another reference.
         """
         self = cls.__new__(cls)
         indicator.flags.writeable = False
         self.q = q
         self.indicator = indicator
         self._size = int(np.count_nonzero(indicator))
-        self._elements = None
+        self._elements = elements
         self._points = None
         return self
 
@@ -203,13 +205,18 @@ def full_plane(ctx: PrimeFieldCtx) -> PointSet:
 def _certified(raw: np.ndarray, table: np.ndarray, total, overlap) -> np.ndarray:
     """Integer invariants and rounding margin of float-derived tables, one
     verdict per q x q table of the last two axes."""
-    flat = table.reshape(table.shape[:-2] + (-1,))
+    cells = (-2, -1)
     return (
-        (np.abs(raw - table).reshape(flat.shape).max(axis=-1) < 0.25)
-        & (flat.sum(axis=-1) == total)
-        & (flat[..., 0] == overlap)
-        & (flat.min(axis=-1) >= 0)
+        (np.abs(raw - table).max(axis=cells) < 0.25)
+        & (table.sum(axis=cells) == total)
+        & (table[..., 0, 0] == overlap)
+        & (table.min(axis=cells) >= 0)
     )
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays stacked along a new first axis; one array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
@@ -266,8 +273,8 @@ def difference_tables(ctx: PrimeFieldCtx, pairs, on: PointSet | None = None) -> 
             routes.append("fft")
             fft.append(k)
     if fft:
-        ia = np.stack([pairs[k][0].indicator for k in fft])
-        ib = np.stack([pairs[k][1].indicator for k in fft])
+        ia = _stacked([pairs[k][0].indicator for k in fft])
+        ib = _stacked([pairs[k][1].indicator for k in fft])
         spectrum = np.fft.rfft2(ia) * np.conj(np.fft.rfft2(ib))
         raw = np.fft.irfft2(spectrum, s=(q, q))
         rounded = np.rint(raw).astype(np.int64)
@@ -413,13 +420,21 @@ def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
     """Horizontal-strip construction: {(a, b) : a in F_q, b in X}.
 
     With X an arithmetic progression this is the standard example of a set
-    whose parallelogram count is governed by the additive energy of X.
+    whose parallelogram count is governed by the additive energy of X.  The
+    set is built from its indicator, its columns X; its elements read as
+    the point list [(a, b) for a in F_q for b in X], row by row in X's
+    order, which is row-major order when X ascends.
     """
     q = ctx.q
-    xs = [x % q for x in X]
+    xs = [int(x) % q for x in X]
     if len(set(xs)) != len(xs):
         raise ValueError("X must consist of distinct residues")
-    return PointSet(q, [(a, b) for a in range(q) for b in xs])
+    arr = np.zeros((q, q), dtype=bool)
+    arr[:, xs] = True
+    elements = None
+    if xs != sorted(xs):
+        elements = tuple(zip(np.repeat(np.arange(q), len(xs)).tolist(), xs * q))
+    return PointSet._from_indicator(q, arr, elements)
 
 
 def gen_random_set(ctx: PrimeFieldCtx, density, seed):

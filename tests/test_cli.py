@@ -22,7 +22,13 @@ from ffplane.cli import (
     main,
 )
 from ffplane.field import PrimeFieldCtx
-from ffplane.geometry import gen_random_set
+from ffplane.geometry import (
+    full_plane,
+    gen_example_line_ap,
+    gen_random_set,
+    load_point_set,
+    save_point_set,
+)
 from ffplane.report import CSV_COLUMNS, ReportBatch, csv_lines
 
 
@@ -66,6 +72,46 @@ def test_repeated_set_tokens_build_one_set():
     unseeded = _parse_sets(ctx, "random:0.5,random:0.5", 2, 9)
     assert unseeded[0] is not unseeded[1]
     assert unseeded == [gen_random_set(ctx, 0.5, 9), gen_random_set(ctx, 0.5, 10)]
+
+
+@pytest.mark.parametrize("q,default_seed", [(3, 0), (61, 9), (211, 2**64 - 10)])
+def test_stacked_tokens_are_each_tokens_set(tmp_path, monkeypatch, q, default_seed):
+    ctx = PrimeFieldCtx(q)
+    path = tmp_path / "set.json"
+    save_point_set(gen_random_set(ctx, 0.3, 77), str(path))
+    tokens = ["random:0.5:3", "random:0:4", "random:1", "full", " random:0.5:3 ",
+              "line-ap:0:1:2", "random:0.5", f"file:{path}", "random:1", "random:0.5:2"]
+    calls = []
+
+    def counted(ctx, density, seed):
+        calls.append((density, seed))
+        return gen_random_set(ctx, density, seed)
+
+    monkeypatch.setattr(cli, "gen_random_set", counted)
+    sets = _parse_sets(ctx, ",".join(tokens), len(tokens), default_seed)
+    # One stacked pass draws every distinct random set: the seeded tokens
+    # once each, an unseeded random:D once per slot, at seed + slot.
+    assert calls == [((0.5, 0.0, 1.0, 0.5, 1.0, 0.5),
+                      (3, 4, default_seed + 2, default_seed + 6, default_seed + 8, 2))]
+    expected = [
+        gen_random_set(ctx, 0.5, 3), gen_random_set(ctx, 0.0, 4),
+        gen_random_set(ctx, 1.0, default_seed + 2), full_plane(ctx),
+        gen_random_set(ctx, 0.5, 3), gen_example_line_ap(ctx, [0, 1]),
+        gen_random_set(ctx, 0.5, default_seed + 6), load_point_set(str(path)),
+        gen_random_set(ctx, 1.0, default_seed + 8), gen_random_set(ctx, 0.5, 2),
+    ]
+    assert sets == expected
+    assert len(sets[1]) == 0 and sets[2] == full_plane(ctx)
+    assert sets[0] is sets[4]
+    assert sets[2] is not sets[8] and sets[6] is not sets[9]
+
+
+def test_set_tokens_are_checked_in_slot_order():
+    ctx = PrimeFieldCtx(7)
+    with pytest.raises(cli.UsageError, match="line-ap"):
+        _parse_sets(ctx, "random:0.5:1,line-ap:0:1,random:2", 3, 0)
+    with pytest.raises(cli.UsageError, match="density"):
+        _parse_sets(ctx, "full,random:2,line-ap:0:1", 3, 0)
 
 
 @pytest.mark.parametrize("token", ["full", "line-ap:0:1:3", "random:0.5:3", "random:0.5"])
@@ -749,7 +795,21 @@ def test_witness_stream_matches_golden_digest(capsys, argv, digest):
     assert _sha256(out) == digest
 
 
-# -- one subparser per command -------------------------------------------------
+# Recorded before strips were built from their indicator: X = 5, 4, 3
+# descends, so the points are printed row by row in X's order.
+@pytest.mark.parametrize("argv,digest", [
+    (["gen", "--q", "13", "--set", "line-ap:5:-1:3", "--json"],
+     "7a9dc8ca8a9786cdfc6153692737b01ad8558679166c46e0fe4039d1dd203ebb"),
+    (["gen", "--q", "13", "--set", "line-ap:5:-1:3"],
+     "81bdaedb6940ecdcf638afff57119a58b77ca0de7d191551f163955cb456fcab"),
+], ids=["json", "text"])
+def test_gen_strip_stream_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert _sha256(out) == digest
+
+
+# -- one parser per command -----------------------------------------------------
 
 _VALID_ARGV = {
     "count": ["count", "--q", "7", "--quantity", "par_t", "--t", "1", "--set", "full"],
@@ -765,7 +825,7 @@ _VALID_ARGV = {
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_subcommand_parser_parses_as_the_full_one(command):
     argv = _VALID_ARGV[command]
-    one = vars(build_parser(command).parse_args(argv))
+    one = vars(build_parser(command).parse_args(argv[1:]))
     assert one == vars(build_parser().parse_args(argv))
     assert one["command"] == command
     assert one["func"] is getattr(cli, f"_cmd_{command}")
@@ -788,27 +848,31 @@ def _outcome(capsys, argv):
     ["count", "--q", "7", "--quantity", "bogus", "--set", "full"],
     ["count", "--q", "x", "--quantity", "n_t", "--set", "full"],
     ["bounds", "--q", "7", "--trials", "1", "--check", "unit-distance", "--form", "csv"],
+    # Unrecognised arguments after commands with no --format choice.
+    ["vc", "--q", "7", "--t", "1", "--set", "full", "--bogus"],
+    ["gen", "--q", "5", "--bogus"],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     got = _outcome(capsys, argv)
-    full = build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    # With no subcommand names, main parses every argument list with the
+    # full parser alone.
+    monkeypatch.setattr(cli, "COMMANDS", ())
     assert got == _outcome(capsys, argv)
 
 
 def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(_VALID_ARGV["vc"]) == 0
-    assert built == ["vc"]
+    assert built == ["ffplane vc"]
     # Errors and top-level help go through the full parser.
     built.clear()
     assert _outcome(capsys, ["nope"])[0] == 2
-    assert built == list(COMMANDS)
+    assert built == ["ffplane"] + [f"ffplane {command}" for command in COMMANDS]

@@ -684,6 +684,30 @@ def test_line_ap_generator(ctx5):
         gen_example_line_ap(ctx5, [1, 6])  # 6 = 1 mod 5
 
 
+def _strip_xs(q):
+    """Ascending, descending, wrapping past q, one-row and empty X."""
+    return [list(range(min(3, q))), [5 % q, 4 % q, 3 % q][:min(3, q)],
+            [(q - 2 + i) % q for i in range(min(4, q))], [q - 1], [],
+            list(range(q))[::-1]]
+
+
+@pytest.mark.parametrize("q", [3, 5, 13, 211])
+def test_strip_is_its_point_list_set(q):
+    ctx = PrimeFieldCtx(q)
+    for xs in _strip_xs(q):
+        strip = gen_example_line_ap(ctx, xs)
+        listed = PointSet(q, [(a, b) for a in range(q) for b in xs])
+        assert np.array_equal(strip.indicator, listed.indicator)
+        assert not strip.indicator.flags.writeable
+        assert len(strip) == len(listed) == q * len(xs)
+        assert strip == listed and hash(strip) == hash(listed)
+        # gen prints elements, so they keep the point list's order: row by
+        # row, X's order within a row.
+        assert strip.elements == listed.elements
+        assert all(type(c) is int for p in strip.elements for c in p)
+        assert np.array_equal(strip.points, listed.points)
+
+
 def test_random_set_extremes_and_determinism(ctx7):
     assert len(gen_random_set(ctx7, 0.0, 1)) == 0
     assert gen_random_set(ctx7, 1.0, 1) == full_plane(ctx7)
