@@ -22,6 +22,7 @@ from .errors import (
     FFPlaneError,
     InvalidPair,
     InvalidRadius,
+    ModulusMismatch,
     NotSubset,
     PointSetFormatError,
     ToleranceExceeded,

@@ -19,6 +19,7 @@ from . import bounds as bounds_mod
 from . import counting, fourier, report, vc
 from .errors import (
     FFPlaneError,
+    ModulusMismatch,
     PointSetFormatError,
     ToleranceExceeded,
 )
@@ -98,6 +99,14 @@ def _make_ctx(q: int) -> PrimeFieldCtx:
     return PrimeFieldCtx(q)
 
 
+def _nonzero_t(ctx, t: int) -> int:
+    """--t reduced mod q; a radius of 0 is refused."""
+    t %= ctx.q
+    if t == 0:
+        raise UsageError("--t must be nonzero")
+    return t
+
+
 def _random_draw(token: str, default_seed: int, slot: int) -> tuple:
     """The (density, seed) a stripped random:DENSITY[:SEED] token draws in
     ``slot``; an unseeded token draws default_seed + slot."""
@@ -142,12 +151,11 @@ def _parse_one_set(ctx, token: str, default_seed: int, slot: int) -> PointSet:
     if token.startswith("file:"):
         path = token[len("file:"):]
         try:
-            ps = load_point_set(path)
+            return load_point_set(path, ctx.q)
+        except ModulusMismatch as exc:
+            raise UsageError(f"set file {path!r} has q={exc.q}, expected {ctx.q}") from exc
         except (OSError, PointSetFormatError) as exc:
             raise UsageError(f"cannot load {path!r}: {exc}") from exc
-        if ps.q != ctx.q:
-            raise UsageError(f"set file {path!r} has q={ps.q}, expected {ctx.q}")
-        return ps
     raise UsageError(
         f"bad set spec {token!r}; expected full, random:..., line-ap:..., or file:...")
 
@@ -272,9 +280,7 @@ def _cmd_bounds(args) -> int:
     if args.t is not None:
         if args.all_t:
             raise UsageError("--t and --all-t cannot be combined")
-        t = args.t % ctx.q
-        if t == 0:
-            raise UsageError("--t must be nonzero")
+        t = _nonzero_t(ctx, args.t)
     config = _config_echo(args)
     json_line = _line_encoder(config)
     report_lines = {"json": _report_writer(config), "csv": report.csv_lines,
@@ -357,9 +363,7 @@ def _cmd_fourier(args) -> int:
 
 def _cmd_vc(args) -> int:
     ctx = _make_ctx(args.q)
-    t = args.t % ctx.q
-    if t == 0:
-        raise UsageError("--t must be nonzero")
+    t = _nonzero_t(ctx, args.t)
     if args.cap < 0:
         raise UsageError("--cap must be nonnegative")
     E = _parse_one_set(ctx, args.set, args.seed, 0)
@@ -377,9 +381,7 @@ def _cmd_vc(args) -> int:
 
 def _cmd_witness(args) -> int:
     ctx = _make_ctx(args.q)
-    t = args.t % ctx.q
-    if t == 0:
-        raise UsageError("--t must be nonzero")
+    t = _nonzero_t(ctx, args.t)
     E = _parse_one_set(ctx, args.set, args.seed, 0)
     config = _config_echo(args)
     outcome = vc.find_witness(ctx, E, t, seed=args.seed)

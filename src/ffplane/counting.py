@@ -5,10 +5,11 @@ Every quantity has at least two independent routes:
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
 * ``fast``   -- for ``par_t``, the sum of D12(v) D34(v) over v on S_t and
   for ``par`` and the per-t profile over the whole plane, with
-  D(v) = #{(a, b) : a - b = v} from ``geometry.difference_table``: on S_t
-  each pair's D is counted at the circle's cells alone by probes from its
-  smaller set, up to 64 q^2 probes; whole tables are counted pair by pair
-  up to 16 q^2 pairs and by certified FFT past that; for ``n_t``,
+  D(v) = #{(a, b) : a - b = v} from one ``geometry`` request per call, one
+  table per distinct pair (_products): on S_t each pair's D is counted at
+  the circle's cells alone by probes from its smaller set, up to 64 q^2
+  probes; whole tables pair by pair up to 16 q^2 pairs and past that by
+  certified FFT, all of a request's in one stacked transform; for ``n_t``,
   ``rhom_t`` and ``degenerate``, gathers of point lists on the tiled
   indicator arrays (the layout is stated in ``geometry``).  The rhombus
   terms of any list of radii come from one call (``rhombus_directions``):
@@ -179,7 +180,7 @@ def count_par_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast") -> CountResul
                         if (z1 - w1) % q == v1 and (z2 - w2) % q == v2:
                             total += 1
     elif method == "fast":
-        total = int(_products(ctx, E1, E2, E3, E4, circle(ctx, t)).sum())
+        total = int(_products(ctx, [(E1, E2, E3, E4)], circle(ctx, t))[0].sum())
     elif method == "fourier":
         total = par_t_fourier(ctx, E1, E2, E3, E4, t).value
     else:
@@ -192,7 +193,7 @@ def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     if method == "fast":
-        total = int(_products(ctx, E1, E2, E3, E4).sum())
+        total = int(_products(ctx, [(E1, E2, E3, E4)])[0].sum())
     elif method == "oracle":
         # Enumerate (x, y, z) and test the forced 4th vertex w = z - (x - y).
         members = set(E4.elements)
@@ -235,12 +236,19 @@ def norm_class_sums(ctx, values: np.ndarray) -> list:
     return acc.reshape(values.shape[:-2] + (q,)).tolist()
 
 
-def _products(ctx, E1, E2, E3, E4, on: PointSet | None = None) -> np.ndarray:
-    """D12 * D34 on the whole plane, or at the cells of ``on`` in row-major
-    order, with D12 reused as D34 when (E3, E4) equals (E1, E2)."""
-    d12 = difference_table(ctx, E1, E2, on)
-    d34 = d12 if E3 == E1 and E4 == E2 else difference_table(ctx, E3, E4, on)
-    return table_products(d12, d34)
+def _products(ctx, quads, on: PointSet | None = None) -> list:
+    """table_products of each (E1, E2, E3, E4) in ``quads``, on the whole
+    plane or at the cells of ``on`` in row-major order, from one request
+    with one table per distinct pair; a single pair is requested through
+    difference_table, the name perfbench's tracer wraps."""
+    index, quad_pairs = {}, []
+    for E1, E2, E3, E4 in quads:
+        _require_same_q(ctx, E1, E2, E3, E4)
+        quad_pairs.append([index.setdefault(pair, len(index)) for pair in ((E1, E2), (E3, E4))])
+    pairs = list(index)
+    tables = (difference_tables(ctx, pairs, on) if len(pairs) > 1
+              else [difference_table(ctx, *pairs[0], on)])
+    return [table_products(tables[i], tables[j]) for i, j in quad_pairs]
 
 
 def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
@@ -253,19 +261,10 @@ def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
 
 
 def par_t_profiles(ctx, quads) -> list:
-    """par_t_profile of each (E1, E2, E3, E4) in ``quads``, in order.
-
-    The tables of every distinct pair come from one difference_tables call
-    (an equal pair shares one), and all the profiles from one norm-class
-    reduction over the stacked products.  Where any quad's products need
-    Python ints, the whole stack holds them.
-    """
-    index, quad_pairs = {}, []
-    for E1, E2, E3, E4 in quads:
-        _require_same_q(ctx, E1, E2, E3, E4)
-        quad_pairs.append([index.setdefault(pair, len(index)) for pair in ((E1, E2), (E3, E4))])
-    tables = difference_tables(ctx, list(index))
-    products = np.stack([table_products(tables[i], tables[j]) for i, j in quad_pairs])
+    """par_t_profile of each (E1, E2, E3, E4) in ``quads``, in order, from
+    one norm-class reduction over the stacked products (_products); where
+    any quad's products need Python ints, the whole stack holds them."""
+    products = np.stack(_products(ctx, quads))
     return [dict(enumerate(sums)) for sums in norm_class_sums(ctx, products)]
 
 
@@ -554,13 +553,12 @@ def par_t_fourier(ctx, E1, E2, E3, E4, t: int) -> FourierSplit:
     q = ctx.q
     t %= q
 
-    # Slots naming one set share one PointSet, so each distinct set is
-    # transformed once.
+    # Each distinct set is transformed once; equal sets are one set.
     spectra = {}
     for s in (E1, E2, E3, E4):
-        if id(s) not in spectra:
-            spectra[id(s)] = transform(ctx, s).coeffs
-    e1, e2, e3, e4 = (spectra[id(s)] for s in (E1, E2, E3, E4))
+        if s not in spectra:
+            spectra[s] = transform(ctx, s).coeffs
+    e1, e2, e3, e4 = map(spectra.get, (E1, E2, E3, E4))
     st = transform(ctx, circle(ctx, t)).coeffs
 
     # Writing the count as sum_v S_t(v) * sum_{x,y} E1(x)E2(x-v)E3(y)E4(y-v)

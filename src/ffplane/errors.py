@@ -27,3 +27,11 @@ class ToleranceExceeded(FFPlaneError):
 
 class PointSetFormatError(FFPlaneError):
     """A point-set file violated the text or JSON schema."""
+
+
+class ModulusMismatch(PointSetFormatError):
+    """A point-set file names another q than the one it was read for."""
+
+    def __init__(self, q: int, expected: int):
+        super().__init__(f"file has q={q}, expected {expected}")
+        self.q = q

@@ -28,7 +28,7 @@ import os
 
 import numpy as np
 
-from .errors import PointSetFormatError
+from .errors import ModulusMismatch, PointSetFormatError
 from .field import PrimeFieldCtx
 from .rng import splitmix64_blocks
 
@@ -50,6 +50,18 @@ _PROBES_PER_CELL = 64
 _MANTISSA_SHIFT = np.uint64(11)
 
 
+def _checked_points(q: int, points) -> tuple:
+    """The points as int tuples; ValueError unless they are distinct and
+    reduced mod q.  Builds nothing sized by q."""
+    pts = tuple((int(p[0]), int(p[1])) for p in points)
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate points in point set")
+    for x1, x2 in pts:
+        if not (0 <= x1 < q and 0 <= x2 < q):
+            raise ValueError(f"point {(x1, x2)} not reduced mod {q}")
+    return pts
+
+
 class PointSet:
     """Immutable set of distinct points, stored as its q x q indicator.
 
@@ -63,12 +75,7 @@ class PointSet:
     __slots__ = ("q", "indicator", "_size", "_elements", "_points")
 
     def __init__(self, q: int, points):
-        pts = tuple((int(p[0]), int(p[1])) for p in points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate points in point set")
-        for x1, x2 in pts:
-            if not (0 <= x1 < q and 0 <= x2 < q):
-                raise ValueError(f"point {(x1, x2)} not reduced mod {q}")
+        pts = _checked_points(q, points)
         arr = np.zeros((q, q), dtype=bool)
         if pts:
             arr[tuple(np.array(pts).T)] = True
@@ -484,7 +491,7 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def point_set_from_json_obj(obj) -> PointSet:
+def point_set_from_json_obj(obj, expected_q: int | None = None) -> PointSet:
     try:
         q = obj["q"]
         raw = obj["points"]
@@ -498,10 +505,7 @@ def point_set_from_json_obj(obj) -> PointSet:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
                 and all(map(_is_json_int, entry))):
             raise PointSetFormatError(f"bad point entry {entry!r}")
-    try:
-        return PointSet(q, raw)
-    except ValueError as exc:
-        raise PointSetFormatError(str(exc)) from exc
+    return _file_point_set(q, raw, expected_q)
 
 
 def point_set_to_text(ps: PointSet) -> str:
@@ -510,7 +514,7 @@ def point_set_to_text(ps: PointSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def point_set_from_text(text: str) -> PointSet:
+def point_set_from_text(text: str, expected_q: int | None = None) -> PointSet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise PointSetFormatError("empty point-set file")
@@ -530,10 +534,21 @@ def point_set_from_text(text: str) -> PointSet:
             pts.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise PointSetFormatError(f"bad coordinate in {ln!r}") from exc
+    return _file_point_set(q, pts, expected_q)
+
+
+def _file_point_set(q: int, points, expected_q: int | None) -> PointSet:
+    """The PointSet of a parsed file.  Points that are not distinct and
+    reduced mod q raise PointSetFormatError; then a q other than
+    ``expected_q`` (when given) raises ModulusMismatch before any q x q
+    array is built."""
     try:
-        return PointSet(q, pts)
+        if expected_q is None or q == expected_q:
+            return PointSet(q, points)
+        _checked_points(q, points)
     except ValueError as exc:
         raise PointSetFormatError(str(exc)) from exc
+    raise ModulusMismatch(q, expected_q)
 
 
 def save_point_set(ps: PointSet, path: str) -> None:
@@ -547,13 +562,20 @@ def save_point_set(ps: PointSet, path: str) -> None:
         fh.write(data)
 
 
-def load_point_set(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = fh.read()
+def load_point_set(path: str, expected_q: int | None = None) -> PointSet:
+    """Read a set file; JSON when the extension is .json, text otherwise.
+    With ``expected_q`` given, a file for another q raises ModulusMismatch
+    (see _file_point_set); a file that is not UTF-8 raises
+    PointSetFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PointSetFormatError(str(exc)) from exc
     if os.path.splitext(path)[1].lower() == ".json":
         try:
             obj = json.loads(data)
         except json.JSONDecodeError as exc:
             raise PointSetFormatError(f"invalid JSON: {exc}") from exc
-        return point_set_from_json_obj(obj)
-    return point_set_from_text(data)
+        return point_set_from_json_obj(obj, expected_q)
+    return point_set_from_text(data, expected_q)

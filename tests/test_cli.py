@@ -191,6 +191,10 @@ def test_broadcast_token_prints_the_spelled_out_line(capsys, token, quantity):
       "--exclude-degenerate"], "--exclude-degenerate applies to rhom_t only"),
     (["count", "--q", "5", "--t", "1", "--quantity", "degenerate", "--set", "full",
       "--exclude-degenerate"], "--exclude-degenerate applies to rhom_t only"),
+    # vc, witness and bounds refuse a radius that reduces to 0 mod q.
+    (["vc", "--q", "7", "--t", "0", "--set", "full"], "error: --t must be nonzero"),
+    (["witness", "--q", "7", "--t", "14", "--set", "full"], "error: --t must be nonzero"),
+    (["bounds", "--q", "5", "--t", "-5", "--trials", "1"], "error: --t must be nonzero"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = _outcome(capsys, argv)
@@ -251,6 +255,29 @@ def test_file_q_mismatch_is_usage_error(tmp_path, capsys):
         "count", "--q", "7", "--t", "1", "--quantity", "par_t",
         "--set", f"file:{path}"])
     assert rc == 2 and "q=5" in err
+
+
+# Each file in text and JSON form: one that is not UTF-8, and one whose
+# header names a q whose q x q array (~888 PiB) must never be built.
+_BAD_SET_FILES = {
+    "not-utf8": ((b"\xffq 13\n0 0\n", b'\xff{"q": 13, "points": [[0, 0]]}'),
+                 "cannot load {path!r}: 'utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte"),
+    "huge-q": ((b"q 1000000007\n0 0\n", b'{"q": 1000000007, "points": [[0, 0]]}'),
+               "set file {path!r} has q=1000000007, expected 13"),
+}
+
+
+@pytest.mark.parametrize("kind", _BAD_SET_FILES)
+@pytest.mark.parametrize("form", ["txt", "json"])
+@pytest.mark.parametrize("command", [["vc", "--q", "13", "--t", "1"],
+                                     ["count", "--q", "13", "--t", "1", "--quantity", "n_t"]])
+def test_bad_set_files_are_usage_errors(tmp_path, capsys, kind, form, command):
+    data, message = _BAD_SET_FILES[kind]
+    path = str(tmp_path / f"set.{form}")
+    Path(path).write_bytes(data[form == "json"])
+    rc, out, err = run_cli(capsys, command + ["--set", f"file:{path}"])
+    assert (rc, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
 
 def test_bounds_reports_and_summary(capsys):

@@ -196,6 +196,27 @@ def test_fourier_transforms_each_distinct_set_once(monkeypatch, capsys, distinct
     assert values[0] == values[1]
 
 
+def test_fourier_transforms_equal_sets_once(monkeypatch, ctx7):
+    """Equal sets in distinct PointSet objects are one set to the fourier
+    route: two sets and the circle make three transforms."""
+    calls = []
+    original = counting.transform
+
+    def traced(ctx, f, *args, **kwargs):
+        calls.append(f)
+        return original(ctx, f, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "transform", traced)
+    a, b = gen_random_set(ctx7, 0.5, 1), gen_random_set(ctx7, 0.5, 2)
+    sets = [a, b, PointSet._from_indicator(7, a.indicator.copy()),
+            PointSet(7, reversed(b.elements))]
+    for t in range(7):
+        calls.clear()
+        value = par_t_fourier(ctx7, *sets, t).value
+        assert len(calls) == 3 and calls[:2] == [a, b]
+        assert value == count_par_t(ctx7, *sets, t).value
+
+
 def test_fourier_error_bound_refuses_full_planes_past_q37():
     # For four full planes M = Par_t = q^4 |S_t|, so the bound grows as q^5 log q.
     ctx = PrimeFieldCtx(37)
@@ -610,23 +631,21 @@ def _equal_pair_instances(draw):
 
 
 def _count_tables(mp):
-    """Record the route of each table that counting.difference_table or
-    counting.difference_tables returns."""
-    routes = []
+    """Record, per request that counting makes through difference_table or
+    difference_tables, the routes of the tables it gets."""
+    calls = []
 
     def counted(*args):
-        table = difference_table(*args)
-        routes.append(table.route)
-        return table
-
-    def counted_batch(*args):
         tables = difference_tables(*args)
-        routes.extend(table.route for table in tables)
+        calls.append([table.route for table in tables])
         return tables
 
-    mp.setattr(counting, "difference_table", counted)
-    mp.setattr(counting, "difference_tables", counted_batch)
-    return routes
+    def counted_one(ctx, A, B, on=None):
+        return counted(ctx, [(A, B)], on)[0]
+
+    mp.setattr(counting, "difference_tables", counted)
+    mp.setattr(counting, "difference_table", counted_one)
+    return calls
 
 
 # geometry._PROBES_PER_CELL values that force each route of par_t's tables:
@@ -641,14 +660,15 @@ def test_equal_pairs_share_one_difference_table(instance):
     par_t = count_par_t(ctx, *sets, t, "oracle").value
     par = count_par_all(ctx, *sets, "oracle").value
     with pytest.MonkeyPatch.context() as mp:
-        routes = _count_tables(mp)
+        calls = _count_tables(mp)
         assert count_par_t(ctx, *sets, t, "fast").value == par_t
         assert count_par_all(ctx, *sets, "fast").value == par
         profile = par_t_profile(ctx, *sets)
     assert profile[t] == par_t and sum(profile.values()) == par
-    # At q <= 13, par_t's one table is counted on the circle by probes.
-    assert len(routes) == 3
-    assert routes[0] == "probes" and "probes" not in routes[1:]
+    # One request per counter, each for the one table of the equal pairs;
+    # at q <= 13, par_t's is counted on the circle by probes.
+    assert [len(routes) for routes in calls] == [1, 1, 1]
+    assert calls[0] == ["probes"] and "probes" not in calls[1] + calls[2]
 
 
 @st.composite
@@ -666,9 +686,10 @@ def _par_t_by_route(ctx, sets, t, route):
     """count_par_t's fast value with the route forced, and the route taken."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_PROBES_PER_CELL", _PAR_T_ROUTES[route])
-        routes = _count_tables(mp)
+        calls = _count_tables(mp)
         value = count_par_t(ctx, *sets, t, "fast").value
-    taken = {"probes" if r == "probes" else "tables" for r in routes}
+    assert len(calls) == 1
+    taken = {"probes" if r == "probes" else "tables" for r in calls[0]}
     assert len(taken) == 1
     return value, taken.pop()
 
@@ -723,10 +744,11 @@ def test_probe_route_is_taken_per_pair_up_to_its_probe_count(monkeypatch, ctx7, 
                      [plane, plane, part, plane], [part] * 4):
             pairs = [sets[:2]] if sets[2:] == sets[:2] else [sets[:2], sets[2:]]
             with pytest.MonkeyPatch.context() as mp:
-                routes = _count_tables(mp)
+                calls = _count_tables(mp)
                 value = count_par_t(ctx7, *sets, 1).value
             assert value == par_t_profile(ctx7, *sets)[1]
-            assert [r == "probes" for r in routes] == [
+            assert len(calls) == 1
+            assert [r == "probes" for r in calls[0]] == [
                 on_circle * min(len(a), len(b)) <= limit for a, b in pairs]
 
 
@@ -773,10 +795,44 @@ def test_par_t_sums_in_python_ints_past_int64_limit(monkeypatch, route):
 
 
 def test_unequal_pairs_build_two_difference_tables(monkeypatch, ctx7):
+    """Both tables come from one request, on the circle for par_t and whole
+    for par, whichever slots the sets take."""
     a, b = gen_random_set(ctx7, 0.5, 1), gen_random_set(ctx7, 0.5, 2)
     calls = _count_tables(monkeypatch)
     for sets in ([a, b, b, a], [a, b, a, a], [a, a, a, b]):
-        calls.clear()
-        value = count_par_all(ctx7, *sets).value
-        assert value == count_par_all(ctx7, *sets, "oracle").value
-        assert len(calls) == 2
+        for count, radius in ((count_par_t, (3,)), (count_par_all, ())):
+            calls.clear()
+            value = count(ctx7, *sets, *radius).value
+            assert value == count(ctx7, *sets, *radius, "oracle").value
+            assert [len(routes) for routes in calls] == [2]
+
+
+@pytest.mark.parametrize("q", [211, 401])
+def test_plane_times_random_set_matches_product_identities(monkeypatch, q):
+    """With F the full plane, D_FF = q^2 everywhere, so Par(F, F, R, R) =
+    q^2 |R|^2 and Par_t(F, F, R, R) = q^2 n_t(R, R).  At these q both
+    pairs are past the probe and exact budgets, so each count's one
+    request takes both tables by FFT, stacked."""
+    ctx = PrimeFieldCtx(q)
+    F, R = full_plane(ctx), gen_random_set(ctx, 0.5, 1)
+    calls = _count_tables(monkeypatch)
+    assert count_par_all(ctx, F, F, R, R).value == q**2 * len(R) ** 2
+    assert count_par_t(ctx, F, F, R, R, 1).value == (
+        q**2 * count_unit_distances(ctx, R, R, 1).value)
+    assert calls == [["fft", "fft"]] * 2
+
+
+def test_full_plane_closed_forms_at_q211(monkeypatch):
+    """n_t = q^2 |S_t|, Par_t = q^4 |S_t| and Par = q^6 on the full plane;
+    the four slots share one table, probed on S_0 = {0} and taken by FFT
+    otherwise."""
+    q = 211
+    ctx = PrimeFieldCtx(q)
+    F = full_plane(ctx)
+    calls = _count_tables(monkeypatch)
+    assert count_par_all(ctx, F, F, F, F).value == q**6
+    for t in (0, 1, 2):
+        size = len(circle(ctx, t))
+        assert count_unit_distances(ctx, F, F, t).value == q**2 * size
+        assert count_par_t(ctx, F, F, F, F, t).value == q**4 * size
+    assert calls == [["fft"], ["probes"], ["fft"], ["fft"]]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffplane import bounds, counting, fourier, geometry, rng, vc
-from ffplane.errors import PointSetFormatError
+from ffplane.errors import ModulusMismatch, PointSetFormatError
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
     PointSet,
@@ -756,6 +756,40 @@ def test_json_format_errors(tmp_path):
         load_point_set(str(path))
     path.write_text('{"q": 5}')
     with pytest.raises(PointSetFormatError):
+        load_point_set(str(path))
+
+
+@pytest.mark.parametrize("name,data", [
+    ("set.txt", b"q 1000000007\n0 0\n"),
+    ("set.json", b'{"q": 1000000007, "points": [[0, 0]]}'),
+])
+def test_set_file_for_another_q_is_refused_before_it_is_built(tmp_path, monkeypatch,
+                                                              name, data):
+    """The file's own q would build a q x q array of ~888 PiB; with
+    expected_q given, no PointSet of that q is constructed.  Without it the
+    same file is a set of that q, so only the constructor is spied on."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    built = []
+    init = PointSet.__init__
+    monkeypatch.setattr(PointSet, "__init__",
+                        lambda self, q, points: built.append(q) or init(self, q, points))
+    with pytest.raises(ModulusMismatch) as exc:
+        load_point_set(str(path), 13)
+    assert exc.value.q == 1000000007 and built == []
+    # A format fault is still reported as one, before the q is compared.
+    path.write_bytes(data.replace(b"0, 0]", b"0, 0], [0, 0]").replace(b"0 0\n", b"0 0\n0 0\n"))
+    with pytest.raises(PointSetFormatError) as exc:
+        load_point_set(str(path), 13)
+    assert type(exc.value) is PointSetFormatError and "duplicate" in str(exc.value)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["set.txt", "set.json"])
+def test_set_file_that_is_not_utf8_is_a_format_error(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xffq 13\n0 0\n")
+    with pytest.raises(PointSetFormatError, match="can't decode byte 0xff"):
         load_point_set(str(path))
 
 
