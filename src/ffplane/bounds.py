@@ -2,7 +2,8 @@
 
 Each checker returns a BoundReport with both sides of the inequality it
 tested.  Unconditional inequalities (unit-distance concentration, the two
-one-side-length parallelogram displays, and the per-direction rhombus
+one-side-length parallelogram displays with their right sides
+2 sqrt(q prod) + Par/q^2 and 4 sqrt(q prod), the per-direction rhombus
 relation with its factor-2 constant, and circle decay) are asserted
 (ASSERTED_CHECKS: a violation is a failure); order-of-magnitude statements
 are recorded as ratios with their hypothesis flags and never
@@ -61,9 +62,11 @@ def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
     return _reports(ctx, "unit-distance", (U, V), [t], {}).report(0)
 
 
-# The verdicts below are exact: multiplied by q and squared, each
-# inequality compares integers; the rhombus relation, a sum of square roots,
-# is decided by interval.  lhs, rhs, ratio and slack are reported as floats.
+# The verdicts below are exact: multiplied by a power of q and squared
+# (par-vs-mean once its Par/q^2 term is moved left and its sign checked),
+# each inequality compares integers; the rhombus relation, a sum of square
+# roots, is decided by interval.  lhs, rhs, ratio and slack are reported as
+# floats.
 
 def unit_distance_holds(q: int, n_t: int, size_u: int, size_v: int) -> bool:
     """|n_t - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), as
@@ -73,13 +76,15 @@ def unit_distance_holds(q: int, n_t: int, size_u: int, size_v: int) -> bool:
 
 
 def par_mean_holds(q: int, par_t: int, par_all: int, prod: int) -> bool:
-    """|Par_t - Par/q| <= sqrt(q) sqrt(prod), as (q Par_t - Par)^2 <= q^3 prod."""
-    return (q * par_t - par_all) ** 2 <= q**3 * prod
+    """|Par_t - Par/q| <= 2 sqrt(q) sqrt(prod) + Par/q^2: times q^2, with
+    g = |q^2 Par_t - q Par| - Par, as g <= 0 or g^2 <= 4 q^5 prod."""
+    g = abs(q * q * par_t - q * par_all) - par_all
+    return g <= 0 or g * g <= 4 * q**5 * prod
 
 
 def par_pair_holds(q: int, par_t: int, par_t2: int, prod: int) -> bool:
-    """|Par_t - Par_t'| <= sqrt(q) sqrt(prod), as (Par_t - Par_t')^2 <= q prod."""
-    return (par_t - par_t2) ** 2 <= q * prod
+    """|Par_t - Par_t'| <= 4 sqrt(q) sqrt(prod), as (Par_t - Par_t')^2 <= 16 q prod."""
+    return (par_t - par_t2) ** 2 <= 16 * q * prod
 
 
 def rhom_relation_holds(q: int, rhom: int, prods: list, rhs: float) -> bool:
@@ -166,7 +171,8 @@ def _par_mean_batch(q, radii, par_t, par_all, sizes, **tag) -> ReportBatch:
     return ReportBatch(
         "par-vs-mean", {"q": q, "sizes": sizes, **tag}, {"par_all": par_all},
         {"t": list(radii)}, {"par_t": par_t},
-        [abs(p - mean) for p in par_t], math.sqrt(q) * math.sqrt(prod),
+        [abs(p - mean) for p in par_t],
+        2.0 * math.sqrt(q) * math.sqrt(prod) + par_all / q**2,
         [par_mean_holds(q, p, par_all, prod) for p in par_t])
 
 
@@ -180,7 +186,8 @@ def _par_mean_lines(b, head, prng) -> str:
 
 
 def check_par_mean(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
-    """|Par_t - Par/q| <= sqrt(q) * sqrt(|E1||E2||E3||E4|), unconditional."""
+    """|Par_t - Par/q| <= 2 sqrt(q) * sqrt(|E1||E2||E3||E4|) + Par/q^2,
+    unconditional."""
     t = _radius(ctx, t, "one-side-length check")
     return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), [t], {}).report(0)
 
@@ -192,13 +199,13 @@ def check_par_mean_all(ctx, E1, E2, E3, E4) -> list:
 
 def _par_pair_batch(q, pairs, par_t, par_t2, sizes, **tag) -> ReportBatch:
     """One row per radius pair (t, t') with t's and t''s counts; every pair
-    shares prod = |E1||E2||E3||E4| and rhs = sqrt(q) * sqrt(prod)."""
+    shares prod = |E1||E2||E3||E4| and rhs = 4 sqrt(q) * sqrt(prod)."""
     prod = math.prod(sizes)
     return ReportBatch(
         "par-pairs", {"q": q, "sizes": sizes, **tag}, {},
         {"t": [t for t, _ in pairs], "t2": [t2 for _, t2 in pairs]},
         {"par_t": par_t, "par_t2": par_t2},
-        [abs(a - c) for a, c in zip(par_t, par_t2)], math.sqrt(q) * math.sqrt(prod),
+        [abs(a - c) for a, c in zip(par_t, par_t2)], 4.0 * math.sqrt(q) * math.sqrt(prod),
         [par_pair_holds(q, a, c, prod) for a, c in zip(par_t, par_t2)])
 
 
@@ -214,7 +221,7 @@ def _par_pair_lines(b, head, prng) -> str:
 
 
 def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
-    """|Par_t - Par_t'| <= sqrt(q) * sqrt(|E1||E2||E3||E4|) for t != t'."""
+    """|Par_t - Par_t'| <= 4 sqrt(q) * sqrt(|E1||E2||E3||E4|) for t != t'."""
     if (t - t2) % ctx.q == 0:
         raise InvalidPair("the two radii must differ")
     pair = (_radius(ctx, t, "pair check"), _radius(ctx, t2, "pair check"))

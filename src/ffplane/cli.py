@@ -16,37 +16,15 @@ import sys
 import time
 
 from . import bounds as bounds_mod
-from . import counting, fourier, report, vc
-from .errors import (
-    FFPlaneError,
-    ModulusMismatch,
-    PointSetFormatError,
-    ToleranceExceeded,
-)
+from . import counting, fourier, geometry, report, vc
+from .errors import FFPlaneError, PointSetFormatError, ToleranceExceeded
 from .field import PrimeFieldCtx, is_prime
-from .geometry import (
-    PointSet,
-    circle,
-    full_plane,
-    gen_example_line_ap,
-    gen_random_set,
-    load_point_set,
-    point_set_to_json_obj,
-    point_set_to_text,
-    save_point_set,
-)
+from .geometry import circle, point_set_to_json_obj, point_set_to_text, save_point_set
 from .rng import ALGORITHM as PRNG_ALGORITHM
 
 
 class UsageError(Exception):
     pass
-
-
-def _check_seed(seed: int, what: str) -> None:
-    """splitmix64 takes its seed mod 2^64, so a seed outside [0, 2^64) would
-    silently alias one inside it; such seeds are refused instead."""
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"{what} must lie in [0, 2^64), got {seed}")
 
 
 # One encoder for every report line; the same output as json.dumps(...,
@@ -107,85 +85,6 @@ def _nonzero_t(ctx, t: int) -> int:
     return t
 
 
-def _random_draw(token: str, default_seed: int, slot: int) -> tuple:
-    """The (density, seed) a stripped random:DENSITY[:SEED] token draws in
-    ``slot``; an unseeded token draws default_seed + slot."""
-    parts = token.split(":")
-    if len(parts) not in (2, 3):
-        raise UsageError(f"bad set spec {token!r}; use random:DENSITY[:SEED]")
-    try:
-        density = float(parts[1])
-        seed = int(parts[2]) if len(parts) == 3 else default_seed + slot
-    except ValueError as exc:
-        raise UsageError(f"bad set spec {token!r}: {exc}") from exc
-    if not 0.0 <= density <= 1.0:
-        raise UsageError("density must lie in [0, 1]")
-    _check_seed(seed, f"the seed of set {token!r} in slot {slot}")
-    return density, seed
-
-
-def _parse_one_set(ctx, token: str, default_seed: int, slot: int) -> PointSet:
-    token = token.strip()
-    if token == "full":
-        return full_plane(ctx)
-    if token.startswith("random:"):
-        return gen_random_set(ctx, *_random_draw(token, default_seed, slot))
-    if token.startswith("line-ap:"):
-        parts = token.split(":")
-        if len(parts) != 4:
-            raise UsageError(f"bad set spec {token!r}; use line-ap:START:STEP:LEN")
-        try:
-            start, step, length = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise UsageError(f"bad set spec {token!r}: {exc}") from exc
-        if length < 0:
-            raise UsageError("line-ap length must be nonnegative")
-        if length > ctx.q:
-            # q residues at most are distinct; refuse before building any.
-            raise UsageError("X must consist of distinct residues")
-        xs = [(start + i * step) % ctx.q for i in range(length)]
-        try:
-            return gen_example_line_ap(ctx, xs)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    if token.startswith("file:"):
-        path = token[len("file:"):]
-        try:
-            return load_point_set(path, ctx.q)
-        except ModulusMismatch as exc:
-            raise UsageError(f"set file {path!r} has q={exc.q}, expected {ctx.q}") from exc
-        except (OSError, PointSetFormatError) as exc:
-            raise UsageError(f"cannot load {path!r}: {exc}") from exc
-    raise UsageError(
-        f"bad set spec {token!r}; expected full, random:..., line-ap:..., or file:...")
-
-
-def _parse_sets(ctx, spec: str, nslots: int, default_seed: int) -> list:
-    tokens = [tok for tok in spec.split(",") if tok.strip()]
-    if len(tokens) == 1:
-        tokens = tokens * nslots
-    if len(tokens) != nslots:
-        raise UsageError(f"expected {nslots} set slots, got {len(tokens)}")
-    # Each distinct token is built once, so slots naming one set share one
-    # PointSet.  An unseeded random:D draws seed + slot, so its slot is part
-    # of what it names.  The tokens are checked in slot order; then every
-    # distinct random set is drawn in one stacked pass.
-    built, draws, keys = {}, {}, []
-    for slot, tok in enumerate(tokens):
-        name = tok.strip()
-        random = name.startswith("random:")
-        key = (name, slot) if random and name.count(":") == 1 else name
-        if random and key not in draws:
-            draws[key] = _random_draw(name, default_seed, slot)
-        elif not random and key not in built:
-            built[key] = _parse_one_set(ctx, name, default_seed, slot)
-        keys.append(key)
-    if draws:
-        densities, seeds = zip(*draws.values())
-        built.update(zip(draws, gen_random_set(ctx, densities, seeds)))
-    return [built[key] for key in keys]
-
-
 # -- count / bench -------------------------------------------------------------
 
 # quantity -> (counter name in ffplane.counting, set slots, methods, t rule),
@@ -235,7 +134,7 @@ def _cmd_count(args) -> int:
     quantity = args.quantity
     if args.exclude_degenerate and quantity != "rhom_t":
         raise UsageError("--exclude-degenerate applies to rhom_t only")
-    sets = _parse_sets(ctx, args.set, QUANTITY_TABLE[quantity][1], args.seed)
+    sets = geometry.parse_sets(ctx, args.set, QUANTITY_TABLE[quantity][1], args.seed)
     t = _quantity_t(ctx, quantity, args.t)
     _check_method(quantity, args.method)
     extra = ({"exclude_degenerate": args.exclude_degenerate}
@@ -317,15 +216,6 @@ def _cmd_bounds(args) -> int:
     return exit_code
 
 
-def _csv_lines(rows, columns) -> list:
-    """A header and one line per row; a string cell is written as is, any
-    other value as its JSON literal (true, false, null, float repr)."""
-    def cell(value):
-        return value if isinstance(value, str) else _ENCODER.encode(value)
-    return [",".join(columns) + "\n"] + [
-        ",".join(cell(row.get(col, "")) for col in columns) + "\n" for row in rows]
-
-
 # -- fourier ----------------------------------------------------------------------
 
 def _cmd_fourier(args) -> int:
@@ -347,7 +237,7 @@ def _cmd_fourier(args) -> int:
     if args.circle is not None:
         ps = circle(ctx, args.circle % ctx.q)
     else:
-        ps = _parse_one_set(ctx, args.set, args.seed, 0)
+        ps = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
     spec = fourier.transform(ctx, ps, method=args.method)
     coeffs = [
         [m1, m2,
@@ -366,7 +256,7 @@ def _cmd_vc(args) -> int:
     t = _nonzero_t(ctx, args.t)
     if args.cap < 0:
         raise UsageError("--cap must be nonnegative")
-    E = _parse_one_set(ctx, args.set, args.seed, 0)
+    E = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
     config = _config_echo(args)
     sys_ = vc.build_system(ctx, E, t)
     dim = vc.vc_dimension(sys_, cap=args.cap)
@@ -382,7 +272,7 @@ def _cmd_vc(args) -> int:
 def _cmd_witness(args) -> int:
     ctx = _make_ctx(args.q)
     t = _nonzero_t(ctx, args.t)
-    E = _parse_one_set(ctx, args.set, args.seed, 0)
+    E = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
     config = _config_echo(args)
     outcome = vc.find_witness(ctx, E, t, seed=args.seed)
     if isinstance(outcome, vc.FailureReason):
@@ -422,7 +312,7 @@ def _cmd_bench(args) -> int:
     for m in methods:
         _check_method(quantity, m)
     spec = args.set if args.set else f"random:{args.density}"
-    sets = _parse_sets(ctx, spec, QUANTITY_TABLE[quantity][1], args.seed)
+    sets = geometry.parse_sets(ctx, spec, QUANTITY_TABLE[quantity][1], args.seed)
 
     results = []
     for method in methods:
@@ -454,9 +344,8 @@ def _cmd_bench(args) -> int:
         "results": results,
     }
     if args.format == "csv":
-        rows = [{"method": r["method"], "value": r["value"],
-                 "median_ms": r["median_ms"]} for r in results]
-        sys.stdout.write("".join(_csv_lines(rows, ("method", "value", "median_ms"))))
+        sys.stdout.write("method,value,median_ms\n" + "".join(
+            f"{r['method']},{r['value']},{r['median_ms']!r}\n" for r in results))
     elif args.format == "human":
         for r in results:
             print(f"{quantity} {r['method']}: value={r['value']} "
@@ -470,7 +359,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gen(args) -> int:
     ctx = _make_ctx(args.q)
-    ps = _parse_one_set(ctx, args.set, args.seed, 0)
+    ps = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
     if args.out:
         try:
             save_point_set(ps, args.out)
@@ -630,9 +519,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     try:
-        _check_seed(args.seed, "--seed")
+        # splitmix64 takes its seed mod 2^64, so a seed outside [0, 2^64)
+        # would silently alias one inside it; such seeds are refused instead.
+        if not 0 <= args.seed < 2**64:
+            raise UsageError(f"--seed must lie in [0, 2^64), got {args.seed}")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, PointSetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToleranceExceeded as exc:

@@ -26,7 +26,9 @@ class ToleranceExceeded(FFPlaneError):
 
 
 class PointSetFormatError(FFPlaneError):
-    """A point-set file violated the text or JSON schema."""
+    """A set spec (geometry.parse_sets) or the point-set file it names is
+    malformed: a bad token, a wrong slot count, a file that cannot be read
+    or violates the text or JSON schema, or one for another q."""
 
 
 class ModulusMismatch(PointSetFormatError):

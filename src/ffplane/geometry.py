@@ -1,4 +1,5 @@
-"""Points, point sets, circles, and difference tables in the plane over F_q.
+"""Points, point sets, circles, and difference tables in the plane over F_q,
+and the set specs that name point sets (parse_sets).
 
 A point is a plain tuple ``(x1, x2)`` of canonical residues.  The distance
 form is the quadratic form ``|p| = p1^2 + p2^2 mod q`` -- it takes values in
@@ -309,7 +310,7 @@ def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     D(v) = #{b in B : b + v in A} is one gather on the tiling of A per
     (v, b), and D(v) = #{a in A : a - v in B} one on the tiling of B per
     (v, a).  A chunk of offsets by points is gathered at once, up to
-    INDEX_CHUNK probes, and its rows are counted.
+    INDEX_CHUNK probes, and its rows are counted as byte sums.
     """
     if len(A) < len(B):
         tiled, points = flat_tiling(B.indicator), A.points
@@ -319,9 +320,11 @@ def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     counts = np.zeros(len(offsets), dtype=np.int64)
     if len(points):
         step = max(1, INDEX_CHUNK // len(points))
+        # A row's count is at most len(points), so this dtype holds it.
+        dtype = np.min_scalar_type(len(points))
         for i in range(0, len(offsets), step):
             rows = tiled[offsets[i:i + step, None] + points]
-            counts[i:i + step] = np.count_nonzero(rows, axis=1)
+            counts[i:i + step] = rows.view(np.uint8).sum(axis=1, dtype=dtype)
     return counts
 
 
@@ -579,3 +582,91 @@ def load_point_set(path: str, expected_q: int | None = None) -> PointSet:
             raise PointSetFormatError(f"invalid JSON: {exc}") from exc
         return point_set_from_json_obj(obj, expected_q)
     return point_set_from_text(data, expected_q)
+
+
+# -- set specs (parse_sets) --------------------------------------------------
+
+
+def _random_draw(token: str, default_seed: int, slot: int) -> tuple:
+    """The (density, seed) a random:DENSITY[:SEED] token draws in ``slot``;
+    an unseeded token draws default_seed + slot."""
+    parts = token.split(":")
+    if len(parts) not in (2, 3):
+        raise PointSetFormatError(f"bad set spec {token!r}; use random:DENSITY[:SEED]")
+    try:
+        density = float(parts[1])
+        seed = int(parts[2]) if len(parts) == 3 else default_seed + slot
+    except ValueError as exc:
+        raise PointSetFormatError(f"bad set spec {token!r}: {exc}") from exc
+    if not 0.0 <= density <= 1.0:
+        raise PointSetFormatError("density must lie in [0, 1]")
+    # splitmix64 takes its seed mod 2^64, so a seed outside would alias one.
+    if not 0 <= seed < 2**64:
+        raise PointSetFormatError(
+            f"the seed of set {token!r} in slot {slot} must lie in [0, 2^64), got {seed}")
+    return density, seed
+
+
+def _token_set(ctx: PrimeFieldCtx, token: str) -> PointSet:
+    """The set of a full, line-ap or file token."""
+    if token == "full":
+        return full_plane(ctx)
+    if token.startswith("line-ap:"):
+        parts = token.split(":")
+        if len(parts) != 4:
+            raise PointSetFormatError(f"bad set spec {token!r}; use line-ap:START:STEP:LEN")
+        try:
+            start, step, length = int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise PointSetFormatError(f"bad set spec {token!r}: {exc}") from exc
+        if length < 0:
+            raise PointSetFormatError("line-ap length must be nonnegative")
+        # For prime q the residues are distinct iff length <= q and, past
+        # one, step != 0 mod q; refused before any is built.
+        if length > ctx.q or (length > 1 and step % ctx.q == 0):
+            raise PointSetFormatError("X must consist of distinct residues")
+        return gen_example_line_ap(ctx, [(start + i * step) % ctx.q for i in range(length)])
+    if token.startswith("file:"):
+        path = token[len("file:"):]
+        try:
+            return load_point_set(path, ctx.q)
+        except ModulusMismatch as exc:
+            raise PointSetFormatError(
+                f"set file {path!r} has q={exc.q}, expected {ctx.q}") from exc
+        except (OSError, PointSetFormatError) as exc:
+            raise PointSetFormatError(f"cannot load {path!r}: {exc}") from exc
+    raise PointSetFormatError(
+        f"bad set spec {token!r}; expected full, random:..., line-ap:..., or file:...")
+
+
+def parse_sets(ctx: PrimeFieldCtx, spec: str, nslots: int, default_seed: int) -> list:
+    """The ``nslots`` sets a set spec names, in slot order: the one grammar
+    of every command's --set.
+
+    A spec is comma-separated tokens, one per slot, each full |
+    random:DENSITY[:SEED] | line-ap:START:STEP:LEN | file:PATH.  Empty
+    tokens are dropped, and a spec of one token gives it to every slot.
+    Each distinct token is built once, so slots naming one set share one
+    PointSet; an unseeded random:D draws default_seed + slot, so its slot
+    is part of what it names.  The tokens are checked in slot order; then
+    every distinct random set is drawn in one stacked gen_random_set pass.
+    A fault in the spec or a set file raises PointSetFormatError.
+    """
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    if len(tokens) == 1:
+        tokens *= nslots
+    if len(tokens) != nslots:
+        raise PointSetFormatError(f"expected {nslots} set slots, got {len(tokens)}")
+    built, draws, keys = {}, {}, []
+    for slot, token in enumerate(tokens):
+        random = token.startswith("random:")
+        key = (token, slot) if random and token.count(":") == 1 else token
+        if random and key not in draws:
+            draws[key] = _random_draw(token, default_seed, slot)
+        elif not random and key not in built:
+            built[key] = _token_set(ctx, token)
+        keys.append(key)
+    if draws:
+        densities, seeds = zip(*draws.values())
+        built.update(zip(draws, gen_random_set(ctx, densities, seeds)))
+    return [built[key] for key in keys]

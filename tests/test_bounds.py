@@ -59,7 +59,7 @@ def test_par_mean_fixture(ctx3):
     plane = full_plane(ctx3)
     rep = check_par_mean(ctx3, plane, plane, plane, plane, 1)
     assert rep.lhs == pytest.approx(81.0)         # |324 - 729/3|
-    assert rep.rhs == pytest.approx(math.sqrt(3) * 81)
+    assert rep.rhs == pytest.approx(2 * math.sqrt(3) * 81 + 81)   # + 729/3^2
     assert rep.holds
     empty = PointSet(3, [])
     rep = check_par_mean(ctx3, empty, plane, plane, plane, 1)
@@ -87,7 +87,7 @@ def _strip_q5(ctx5):
 
 
 def test_par_pairs_strip_instance_counts(ctx5):
-    # The instance the xfail test below decides: Par_1 = 250, Par_3 = 0.
+    # The instance the test below decides: Par_1 = 250, Par_3 = 0.
     S = _strip_q5(ctx5)
     assert count_par_t(ctx5, S, S, S, S, 1, "oracle").value == 250
     assert count_par_t(ctx5, S, S, S, S, 3, "oracle").value == 0
@@ -95,12 +95,38 @@ def test_par_pairs_strip_instance_counts(ctx5):
     assert (rep.extra["par_t"], rep.extra["par_t2"], rep.lhs) == (250, 0, 250)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: par-pairs asserts "
-                   "|Par_t - Par_t'| <= sqrt(q) sqrt(prod), which this strip "
-                   "refutes (250 > 223.6); mending the constant flips this test")
 def test_par_pairs_display_holds_on_a_strip_at_q5(ctx5):
+    # sqrt(q) sqrt(prod) = 223.6 < 250 refuted the display; 4 sqrt(q prod)
+    # does not.
     S = _strip_q5(ctx5)
-    assert check_par_pair(ctx5, S, S, S, S, 1, 3).holds
+    rep = check_par_pair(ctx5, S, S, S, S, 1, 3)
+    assert rep.holds and rep.rhs == pytest.approx(4 * math.sqrt(5) * 100)
+
+
+# Strips S = line-ap:0:1:LEN against the full plane F, with the worst radius
+# (and pair) of each display: with the former right sides sqrt(q prod) both
+# were refuted here.  D_FF = q^2 everywhere, so Par_t(S, S, F, F) =
+# q^2 n_t(S, S) and Par = q^2 |S|^2, which the oracle's n_t gives.
+@pytest.mark.parametrize("q,length,t,pair", [(29, 9, 19, (5, 19)), (61, 15, 50, None)])
+def test_par_displays_hold_on_strips_against_the_plane(q, length, t, pair):
+    ctx = PrimeFieldCtx(q)
+    S, F = gen_example_line_ap(ctx, range(length)), full_plane(ctx)
+    sets = (S, S, F, F)
+    prod = (q * length) ** 2 * q**4
+
+    def par_t(r):
+        return q * q * counting.count_unit_distances(ctx, S, S, r, "oracle").value
+
+    rep = check_par_mean(ctx, *sets, t)
+    par_all = q * q * len(S) ** 2
+    assert (rep.extra["par_t"], rep.extra["par_all"]) == (par_t(t), par_all)
+    assert rep.lhs > math.sqrt(q * prod)
+    assert rep.holds and rep.rhs == pytest.approx(2 * math.sqrt(q * prod) + par_all / q**2)
+    if pair is not None:
+        rep = check_par_pair(ctx, *sets, *pair)
+        assert (rep.extra["par_t"], rep.extra["par_t2"]) == tuple(map(par_t, pair))
+        assert rep.lhs > math.sqrt(q * prod)
+        assert rep.holds and rep.rhs == pytest.approx(4 * math.sqrt(q * prod))
 
 
 def test_rhom_relation_fixture(ctx3):
@@ -329,27 +355,37 @@ def test_unit_distance_verdict_is_exact(k):
 
 @pytest.mark.parametrize("k", [1, 2, 7, 2**30])
 def test_par_mean_verdict_is_exact(k):
-    q, sizes = 3, [3 * k, k, 1, 1]          # q^3 prod = (9k)^2
-    par_all = 3 * 2**62
-    for edge, inward in ((2**62 + 3 * k, -1), (2**62 - 3 * k, 1)):
+    # Holds iff g = |q^2 Par_t - q Par| - Par <= 2 q^2 sqrt(q prod) = 54k.
+    # With Par = 9m, g = 9 |Par_t - 3m| - 9m, so the edges are
+    # Par_t = 3m +- (m + 6k).
+    q, sizes = 3, [3 * k, k, 1, 1]          # 4 q^5 prod = (54k)^2
+    m = 2**60
+    par_all = 9 * m
+    for edge, inward in ((4 * m + 6 * k, -1), (2 * m - 6 * k, 1)):
         assert par_mean_holds(q, edge, par_all, 3 * k * k)
         assert par_mean_holds(q, edge + inward, par_all, 3 * k * k)
         assert not par_mean_holds(q, edge - inward, par_all, 3 * k * k)
-        rep = _par_mean_batch(q, [1], [edge], par_all, sizes).report(0)
-        assert rep.holds
+        assert _par_mean_batch(q, [1], [edge], par_all, sizes).report(0).holds
+        rep = _par_mean_batch(q, [1], [edge - inward], par_all, sizes).report(0)
+        assert not rep.holds
         if k == 2**30:
-            # sqrt(q) * sqrt(prod) rounds below 9k: the float rule fails here.
-            assert rep.lhs > rep.rhs + VERDICT_EPS
-        assert not _par_mean_batch(q, [1], [edge - inward], par_all, sizes).report(0).holds
+            # The float sides cannot tell the step past the edge from the
+            # edge: the float rule passes it.
+            assert rep.lhs <= rep.rhs + VERDICT_EPS
+    # With prod = 0 the right side is Par/q^2 alone: g <= 0 decides, and at
+    # the mean itself g = -Par.
+    assert par_mean_holds(q, 3 * m, par_all, 0)
+    assert par_mean_holds(q, 4 * m, par_all, 0)
+    assert not par_mean_holds(q, 4 * m + 1, par_all, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 2**30])
 def test_par_pair_verdict_is_exact(k):
-    q, sizes = 3, [3 * k, k, 1, 1]          # q prod = (3k)^2
+    q, sizes = 3, [3 * k, k, 1, 1]          # 16 q prod = (12k)^2
     base = 2**62
-    assert par_pair_holds(q, base + 3 * k, base, 3 * k * k)
-    assert par_pair_holds(q, base + 3 * k - 1, base, 3 * k * k)
-    assert not par_pair_holds(q, base + 3 * k + 1, base, 3 * k * k)
-    assert not par_pair_holds(q, base, base + 3 * k + 1, 3 * k * k)
-    assert _par_pair_batch(q, [(1, 2)], [base + 3 * k], [base], sizes).report(0).holds
-    assert not _par_pair_batch(q, [(1, 2)], [base + 3 * k + 1], [base], sizes).report(0).holds
+    assert par_pair_holds(q, base + 12 * k, base, 3 * k * k)
+    assert par_pair_holds(q, base + 12 * k - 1, base, 3 * k * k)
+    assert not par_pair_holds(q, base + 12 * k + 1, base, 3 * k * k)
+    assert not par_pair_holds(q, base, base + 12 * k + 1, 3 * k * k)
+    assert _par_pair_batch(q, [(1, 2)], [base + 12 * k], [base], sizes).report(0).holds
+    assert not _par_pair_batch(q, [(1, 2)], [base + 12 * k + 1], [base], sizes).report(0).holds

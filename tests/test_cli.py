@@ -10,23 +10,24 @@ from pathlib import Path
 
 import pytest
 
-from ffplane import bounds, cli
+from ffplane import bounds, cli, geometry
 from ffplane.bounds import CHECK_NAMES
 from ffplane.cli import (
     COMMANDS,
     _line_encoder,
     _median,
-    _parse_sets,
     _report_writer,
     build_parser,
     main,
 )
+from ffplane.errors import PointSetFormatError
 from ffplane.field import PrimeFieldCtx
 from ffplane.geometry import (
     full_plane,
     gen_example_line_ap,
     gen_random_set,
     load_point_set,
+    parse_sets,
     save_point_set,
 )
 from ffplane.report import CSV_COLUMNS, ReportBatch, csv_lines
@@ -63,13 +64,13 @@ def test_count_broadcasts_single_set_token(capsys):
 
 def test_repeated_set_tokens_build_one_set():
     ctx = PrimeFieldCtx(7)
-    sets = _parse_sets(ctx, "random:0.5:3,full, random:0.5:3 ,full", 4, 0)
+    sets = parse_sets(ctx, "random:0.5:3,full, random:0.5:3 ,full", 4, 0)
     assert sets[0] is sets[2] and sets[1] is sets[3] and sets[0] != sets[1]
     for token in ("full", "line-ap:0:-1:3", "random:0.5:3"):
-        sets = _parse_sets(ctx, token, 4, 0)
+        sets = parse_sets(ctx, token, 4, 0)
         assert all(s is sets[0] for s in sets)
     # Unseeded, slot k draws seed + k, so the slots stay distinct sets.
-    unseeded = _parse_sets(ctx, "random:0.5,random:0.5", 2, 9)
+    unseeded = parse_sets(ctx, "random:0.5,random:0.5", 2, 9)
     assert unseeded[0] is not unseeded[1]
     assert unseeded == [gen_random_set(ctx, 0.5, 9), gen_random_set(ctx, 0.5, 10)]
 
@@ -87,8 +88,8 @@ def test_stacked_tokens_are_each_tokens_set(tmp_path, monkeypatch, q, default_se
         calls.append((density, seed))
         return gen_random_set(ctx, density, seed)
 
-    monkeypatch.setattr(cli, "gen_random_set", counted)
-    sets = _parse_sets(ctx, ",".join(tokens), len(tokens), default_seed)
+    monkeypatch.setattr(geometry, "gen_random_set", counted)
+    sets = parse_sets(ctx, ",".join(tokens), len(tokens), default_seed)
     # One stacked pass draws every distinct random set: the seeded tokens
     # once each, an unseeded random:D once per slot, at seed + slot.
     assert calls == [((0.5, 0.0, 1.0, 0.5, 1.0, 0.5),
@@ -108,10 +109,64 @@ def test_stacked_tokens_are_each_tokens_set(tmp_path, monkeypatch, q, default_se
 
 def test_set_tokens_are_checked_in_slot_order():
     ctx = PrimeFieldCtx(7)
-    with pytest.raises(cli.UsageError, match="line-ap"):
-        _parse_sets(ctx, "random:0.5:1,line-ap:0:1,random:2", 3, 0)
-    with pytest.raises(cli.UsageError, match="density"):
-        _parse_sets(ctx, "full,random:2,line-ap:0:1", 3, 0)
+    with pytest.raises(PointSetFormatError, match="line-ap"):
+        parse_sets(ctx, "random:0.5:1,line-ap:0:1,random:2", 3, 0)
+    with pytest.raises(PointSetFormatError, match="density"):
+        parse_sets(ctx, "full,random:2,line-ap:0:1", 3, 0)
+
+
+# Each command with its --set slot count; --seed 7 gives unseeded tokens
+# their default seed.
+_SET_COMMANDS = [
+    (["count", "--q", "13", "--quantity", "par_t", "--t", "1"], 4),
+    (["bench", "--q", "13", "--quantity", "n_t", "--t", "1", "--runs", "1"], 2),
+    (["vc", "--q", "13", "--t", "1"], 1),
+    (["witness", "--q", "13", "--t", "1"], 1),
+    (["gen", "--q", "13"], 1),
+    (["fourier", "--q", "13"], 1),
+]
+
+
+@pytest.mark.parametrize("command,nslots", _SET_COMMANDS, ids=[c[0] for c, _ in _SET_COMMANDS])
+def test_every_command_parses_its_sets_through_geometry(capsys, monkeypatch, command, nslots):
+    specs, draws = [], []
+
+    def parse(ctx, spec, n, default_seed):
+        specs.append((spec, n, default_seed))
+        return parse_sets(ctx, spec, n, default_seed)
+
+    def draw(ctx, densities, seeds):
+        draws.append((densities, seeds))
+        return gen_random_set(ctx, densities, seeds)
+
+    monkeypatch.setattr(geometry, "parse_sets", parse)
+    monkeypatch.setattr(geometry, "gen_random_set", draw)
+    rc, _, _ = run_cli(capsys, command + ["--set", "random:0.5", "--seed", "7"])
+    assert rc == 0
+    assert specs == [("random:0.5", nslots, 7)]
+    # One stacked draw: an unseeded token is one set per slot.
+    assert draws == [((0.5,) * nslots, tuple(range(7, 7 + nslots)))]
+
+
+@pytest.mark.parametrize("command,nslots", _SET_COMMANDS, ids=[c[0] for c, _ in _SET_COMMANDS])
+def test_set_spec_errors_are_the_same_for_every_command(capsys, command, nslots):
+    for spec, message in [
+            ("random:2", "density must lie in [0, 1]"),
+            ("full," * (nslots + 1), f"expected {nslots} set slots, got {nslots + 1}")]:
+        assert run_cli(capsys, command + ["--set", spec]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["vc", "witness", "gen", "fourier"])
+def test_single_slot_spec_splits_at_commas(capsys, command):
+    base = [c for c, _ in _SET_COMMANDS if c[0] == command][0]
+    # Empty pieces are dropped, so these name the one set "full".
+    _, want, _ = run_cli(capsys, base + ["--set", "full"])
+    for spec in ("full,", ",full", " , full ,"):
+        rc, out, err = run_cli(capsys, base + ["--set", spec])
+        assert (rc, err) == (0, "")
+        assert out.replace(json.dumps(spec), '"full"') == want
+    rc, out, err = run_cli(capsys, base + ["--set", "random:0.5,full"])
+    assert (rc, out, err) == (2, "", "error: expected 1 set slots, got 2\n")
 
 
 @pytest.mark.parametrize("token", ["full", "line-ap:0:1:3", "random:0.5:3", "random:0.5"])
@@ -518,6 +573,10 @@ def test_bench_json_and_csv(capsys):
         "--runs", "1", "--format", "csv"])
     assert rc == 0
     assert out.splitlines()[0] == "method,value,median_ms"
+    # One row per method: the value as an int, the median as its JSON literal.
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [m for m, _, _ in rows] == ["oracle", "fast"] and rows[0][1] == rows[1][1]
+    assert all(str(int(v)) == v and json.dumps(float(ms)) == ms for _, v, ms in rows)
 
 
 def test_bench_full_plane_value(capsys):
@@ -708,30 +767,34 @@ def _sha256(text):
 # the one-pass rhombus terms and the single-write report path, which must
 # leave every byte unchanged.  The csv digest was recorded again when csv
 # cells became JSON literals (true, false, null), after checking each row's
-# values against the matching JSON report.
+# values against the matching JSON report.  The streams with par-vs-mean or
+# par-pairs lines whose values moved were recorded again when those displays
+# took the right sides 2 sqrt(q prod) + Par/q^2 and 4 sqrt(q prod), after
+# checking that only their rhs, holds, ratio and slack fields and their
+# summaries' min_slack changed.
 _BOUNDS_ALL = ["bounds", "--q", "13", "--check", "all", "--all-t",
                "--density", "auto", "--trials", "2", "--seed", "0"]
 
 
 @pytest.mark.parametrize("argv,digest", [
     (_BOUNDS_ALL,
-     "01f05016e201d0fb85221bad2288578dfbd307747066c02f4bf34fc5cd18723a"),
+     "b51b4dfedf50af2d9ccd4da6da6e68a8ff67c7c49e4eca7950f42edefd2921e6"),
     (_BOUNDS_ALL + ["--format", "csv"],
-     "fc3bffdd691b6c62f2c55eca6c573ababbb88a3f6730ea87517424fafb77e3de"),
+     "e6d539bb2981318c5927779427157c2d0bb0675065777b07ea7916d94e20207d"),
     (["bounds", "--q", "7", "--check", "rhom-vs-par", "--trials", "3", "--seed", "4"],
      "c35a96b77858a0039e2fe18a3d5fa85cdc93496c94f7224a5b5c33a59c370294"),
     # Recorded from the per-report writer before report batches replaced it.
     (_BOUNDS_ALL + ["--format", "human"],
-     "dd50311891f76d8fbd4139f7997f8862df22daa85c4201088c15696700b86b2b"),
+     "e5a7e86a6b4f9d8d48e396a042eec7ca94f680c7d8dc528ed628374a8ec7725e"),
     (["bounds", "--q", "31", "--check", "par-pairs", "--t", "3", "--trials", "4",
       "--seed", "9"],
-     "5d2b00d418817ed470a6fecb4a1f19c9327d8e0d556955b5d3f29aa49fa8a913"),
+     "1cea48cabc34ad1c502c277ca3e9cfbfe234e90db9f0a1a22b70d2dd0189a1e8"),
     (["bounds", "--q", "3", "--check", "all", "--all-t", "--trials", "1",
       "--density", "0"],
      "70f2970f995987486ed81b4cbfd784c99092e08b8847b2ecb9ca64bbeb8cd839"),
     (["bounds", "--q", "3", "--check", "all", "--all-t", "--trials", "1",
       "--density", "1"],
-     "76602f8040148d7fbb675c4be7a0f108851062575252d09d4e9f535cdeb9ba68"),
+     "bf4e83dada36177064f6d4e64262bc208a1a600ae0a563da80a550d9d9db00b0"),
     (["bounds", "--q", "7", "--check", "unit-distance", "--trials", "5", "--seed", "2"],
      "6a674c5eef38c75e59a4f2e6fab708dfa60f86377a4ac72ca77d1b9f04e1410e"),
     (["fourier", "--q", "13", "--circle", "0", "--decay"],
@@ -741,9 +804,9 @@ _BOUNDS_ALL = ["bounds", "--q", "13", "--check", "all", "--all-t",
     # block holds 4 (INDEX_CHUNK // 4 q^2), so the sweep spans two blocks.
     (["bounds", "--q", "13", "--check", "all", "--all-t", "--density", "auto",
       "--trials", "7", "--seed", "0"],
-     "44fc7ee1c7285c4e39a9a1991b173b56c7f9b6414ce4032cf365929a4f08f6a0"),
+     "1b71a1f57e67c495334fafa56084d1a4c58234383adae97471f1d28ded2b39de"),
     (["bounds", "--q", "61", "--check", "par-vs-mean", "--trials", "6", "--seed", "1"],
-     "85ff3f2c90c73c10a5c5525e56bb2de7291737957254ca9b6c8b44f6d55373c5"),
+     "55b13e73aeb221ece24936dee984390393b4fa4cdc84bc965fa00e333f9bfc98"),
 ], ids=["all-json", "all-csv", "rhom-vs-par", "all-human", "par-pairs-pinned-t",
         "q3-empty", "q3-full", "unit-distance", "fourier-decay-isotropic",
         "all-json-7-trials", "par-vs-mean-two-blocks"])

@@ -836,3 +836,27 @@ def test_full_plane_closed_forms_at_q211(monkeypatch):
         assert count_unit_distances(ctx, F, F, t).value == q**2 * size
         assert count_par_t(ctx, F, F, F, F, t).value == q**4 * size
     assert calls == [["fft"], ["probes"], ["fft"], ["fft"]]
+
+
+@pytest.mark.parametrize("q", [59, 61])
+@pytest.mark.parametrize("t", [1, 2])
+def test_full_plane_rhombus_closed_forms_on_the_probe_route(monkeypatch, q, t):
+    """Rhom_t = q^2 |S_t|^2 and degenerate = q^2 |S_t| on the full plane:
+    every u, direction x and v - u on S_t make a rhombus, and v = u + x is
+    the degenerate one.  |E1| |E3| = q^4 is past the product budget and
+    every direction meets the whole plane, so each computed direction is
+    marked and probed, one of each pair +-x."""
+    ctx = PrimeFieldCtx(q)
+    F = full_plane(ctx)
+    size = len(circle(ctx, t))
+    products, probed = _route_spies(monkeypatch)
+    pair_count, pairs = counting._pair_count, []
+
+    def pair_spy(*args):
+        pairs.append(args)
+        return pair_count(*args)
+
+    monkeypatch.setattr(counting, "_pair_count", pair_spy)
+    assert count_rhom_t(ctx, F, F, F, F, t).value == q**2 * size**2
+    assert count_degenerate_rhom(ctx, F, F, F, F, t).value == q**2 * size
+    assert products == [] and len(probed) == 1 and len(pairs) == size // 2
