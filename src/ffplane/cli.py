@@ -71,12 +71,6 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _make_ctx(q: int) -> PrimeFieldCtx:
-    if not is_prime(q) or q < 3:
-        raise UsageError(f"--q must be an odd prime >= 3, got {q}")
-    return PrimeFieldCtx(q)
-
-
 def _nonzero_t(ctx, t: int) -> int:
     """--t reduced mod q; a radius of 0 is refused."""
     t %= ctx.q
@@ -96,16 +90,19 @@ QUANTITY_TABLE = {
     "par_t": ("count_par_t", 4, ("oracle", "fast", "fourier"), "any"),
     "par": ("count_par_all", 4, ("oracle", "fast"), None),
     "rhom_t": ("count_rhom_t", 4, ("oracle", "fast"), "nonzero"),
-    "degenerate": ("count_degenerate_rhom", 4, ("fast",), "nonzero"),
+    "degenerate": ("count_degenerate_rhom", 4, ("oracle", "fast"), "nonzero"),
 }
 QUANTITIES = tuple(QUANTITY_TABLE)
 METHODS = ("oracle", "fast", "fourier")
 
 
 def _quantity_t(ctx, quantity: str, t):
-    """The radius reduced mod q, or None for a quantity without one."""
+    """The radius reduced mod q, or None for a quantity without one (which
+    refuses a --t)."""
     rule = QUANTITY_TABLE[quantity][3]
     if rule is None:
+        if t is not None:
+            raise UsageError(f"--t does not apply to quantity {quantity}")
         return None
     if t is None:
         raise UsageError(f"--t is required for quantity {quantity}")
@@ -129,8 +126,7 @@ def _run_counter(ctx, quantity: str, sets, t, method: str, **extra):
     return getattr(counting, name)(ctx, *sets, *radius, method=method, **extra)
 
 
-def _cmd_count(args) -> int:
-    ctx = _make_ctx(args.q)
+def _cmd_count(args, ctx, config) -> int:
     quantity = args.quantity
     if args.exclude_degenerate and quantity != "rhom_t":
         raise UsageError("--exclude-degenerate applies to rhom_t only")
@@ -146,7 +142,6 @@ def _cmd_count(args) -> int:
 
     obj = result.to_json_obj(quantity)
     obj["elapsed_ms"] = round(elapsed_ms, 3)
-    config = _config_echo(args)
     if args.format == "human":
         print(f"{quantity} q={ctx.q} t={result.t} value={result.value} "
               f"method={result.method} elapsed_ms={elapsed_ms:.3f}")
@@ -157,8 +152,7 @@ def _cmd_count(args) -> int:
 
 # -- bounds ---------------------------------------------------------------------
 
-def _cmd_bounds(args) -> int:
-    ctx = _make_ctx(args.q)
+def _cmd_bounds(args, ctx, config) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if args.density == "auto":
@@ -180,7 +174,6 @@ def _cmd_bounds(args) -> int:
         if args.all_t:
             raise UsageError("--t and --all-t cannot be combined")
         t = _nonzero_t(ctx, args.t)
-    config = _config_echo(args)
     json_line = _line_encoder(config)
     report_lines = {"json": _report_writer(config), "csv": report.csv_lines,
                     "human": None}[args.format]
@@ -218,9 +211,7 @@ def _cmd_bounds(args) -> int:
 
 # -- fourier ----------------------------------------------------------------------
 
-def _cmd_fourier(args) -> int:
-    ctx = _make_ctx(args.q)
-    config = _config_echo(args)
+def _cmd_fourier(args, ctx, config) -> int:
     if args.decay:
         if args.circle is None:
             raise UsageError("--decay requires --circle J")
@@ -251,13 +242,11 @@ def _cmd_fourier(args) -> int:
 
 # -- vc / witness ------------------------------------------------------------------
 
-def _cmd_vc(args) -> int:
-    ctx = _make_ctx(args.q)
+def _cmd_vc(args, ctx, config) -> int:
     t = _nonzero_t(ctx, args.t)
     if args.cap < 0:
         raise UsageError("--cap must be nonnegative")
     E = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
-    config = _config_echo(args)
     sys_ = vc.build_system(ctx, E, t)
     dim = vc.vc_dimension(sys_, cap=args.cap)
     example = None
@@ -269,11 +258,9 @@ def _cmd_vc(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    ctx = _make_ctx(args.q)
+def _cmd_witness(args, ctx, config) -> int:
     t = _nonzero_t(ctx, args.t)
     E = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
-    config = _config_echo(args)
     outcome = vc.find_witness(ctx, E, t, seed=args.seed)
     if isinstance(outcome, vc.FailureReason):
         _emit({"failure": {"step": outcome.step, "detail": outcome.detail}}, config)
@@ -300,8 +287,7 @@ def _median(values: list) -> float:
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _cmd_bench(args) -> int:
-    ctx = _make_ctx(args.q)
+def _cmd_bench(args, ctx, config) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
     quantity = args.quantity
@@ -311,8 +297,7 @@ def _cmd_bench(args) -> int:
         raise UsageError("--methods must name at least one method")
     for m in methods:
         _check_method(quantity, m)
-    spec = args.set if args.set else f"random:{args.density}"
-    sets = geometry.parse_sets(ctx, spec, QUANTITY_TABLE[quantity][1], args.seed)
+    sets = geometry.parse_sets(ctx, args.set, QUANTITY_TABLE[quantity][1], args.seed)
 
     results = []
     for method in methods:
@@ -334,7 +319,6 @@ def _cmd_bench(args) -> int:
         print(f"method disagreement: {values}", file=sys.stderr)
         return 1
 
-    config = _config_echo(args)
     obj = {
         "quantity": quantity,
         "q": ctx.q,
@@ -357,10 +341,11 @@ def _cmd_bench(args) -> int:
 
 # -- gen ---------------------------------------------------------------------------
 
-def _cmd_gen(args) -> int:
-    ctx = _make_ctx(args.q)
+def _cmd_gen(args, ctx, config) -> int:
+    if args.out is not None and args.json:
+        raise UsageError("--json and --out cannot be combined")
     ps = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
-    if args.out:
+    if args.out is not None:
         try:
             save_point_set(ps, args.out)
         except OSError as exc:
@@ -442,8 +427,7 @@ def _bench_arguments(p):
     p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--methods", default="oracle,fast")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--set", default=None)
+    p.add_argument("--set", default="random:0.5")
     p.add_argument("--runs", type=int, default=5)
     p.set_defaults(func=_cmd_bench)
 
@@ -515,7 +499,8 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run the command of argv (sys.argv[1:] by default) and return its exit
     code.  A valid command is parsed by its own parser alone, never by the
-    full one (_parse_args); nothing is kept from one call to the next."""
+    full one (_parse_args); nothing is kept from one call to the next.  Once
+    --seed and --q are checked, the command runs as func(args, ctx, config)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     try:
@@ -523,7 +508,9 @@ def main(argv=None) -> int:
         # would silently alias one inside it; such seeds are refused instead.
         if not 0 <= args.seed < 2**64:
             raise UsageError(f"--seed must lie in [0, 2^64), got {args.seed}")
-        return args.func(args)
+        if not is_prime(args.q) or args.q < 3:
+            raise UsageError(f"--q must be an odd prime >= 3, got {args.q}")
+        return args.func(args, PrimeFieldCtx(args.q), _config_echo(args))
     except (UsageError, PointSetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

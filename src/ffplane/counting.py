@@ -490,30 +490,41 @@ def _pair_count(marks, st, e12, e34, q: int) -> int:
 
 def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
                           method: str = "fast") -> CountResult:
-    """Rhombus tuples with v = u + x (the collapsed-diagonal case).
+    """Rhombus tuples with v = u + x (the collapsed-diagonal case): the
+    pairs (u, x) with |x| = t, u in E1, u + x in E2 n E3 and u + 2x in E4.
 
-    With y = u + x these are the pairs (y, x) with y in E2 n E3, |x| = t,
-    y - x in E1 and y + x in E4: two tiled gathers per pair, taking -x
+    The oracle loops over every x with |x| = t and every u in E1.  The fast
+    route takes y = u + x: the pairs (y, x) with y in E2 n E3, |x| = t,
+    y - x in E1 and y + x in E4, by two tiled gathers per pair, taking -x
     from the negated circle offsets, in chunks of directions.
-
-    Only the fast route exists; ``method`` is accepted so that all five
-    counters share one call signature.
     """
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
-    ys = tiled_points(E2.indicator & E3.indicator)
-    plus = circle(ctx, t).points
-    minus = negated_points(plus, q)
-    t1, t4 = flat_tiling(E1.indicator), flat_tiling(E4.indicator)
-    step = max(1, geometry.INDEX_CHUNK // max(len(ys), 1))
-    total = 0
-    for i in range(0, len(plus), step):
-        hit = t1[ys[:, None] + minus[i:i + step]] & t4[ys[:, None] + plus[i:i + step]]
-        total += int(np.count_nonzero(hit))
-    return CountResult(total, "fast", q, t, (len(E1), len(E2), len(E3), len(E4)))
+    if method == "oracle":
+        m2, m3, m4 = set(E2.elements), set(E3.elements), set(E4.elements)
+        total = 0
+        for x1 in range(q):
+            for x2 in range(q):
+                if (x1 * x1 + x2 * x2) % q != t:
+                    continue
+                for u1, u2 in E1.elements:
+                    y = ((u1 + x1) % q, (u2 + x2) % q)
+                    if y in m2 and y in m3 and ((y[0] + x1) % q, (y[1] + x2) % q) in m4:
+                        total += 1
+    elif method == "fast":
+        ys = tiled_points(E2.indicator & E3.indicator)
+        plus = circle(ctx, t).points
+        minus = negated_points(plus, q)
+        t1, t4 = flat_tiling(E1.indicator), flat_tiling(E4.indicator)
+        step = max(1, geometry.INDEX_CHUNK // max(len(ys), 1))
+        total = 0
+        for i in range(0, len(plus), step):
+            hit = t1[ys[:, None] + minus[i:i + step]] & t4[ys[:, None] + plus[i:i + step]]
+            total += int(np.count_nonzero(hit))
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return CountResult(total, method, q, t, (len(E1), len(E2), len(E3), len(E4)))
 
 
 # -- character-sum evaluation --------------------------------------------------

@@ -283,7 +283,7 @@ def test_c11_fast_counter_speedup(capsys):
     with Timer() as tm:
         rc = cli.main([
             "bench", "--q", "13", "--t", "1", "--quantity", "par_t",
-            "--methods", "oracle,fast", "--density", "0.5",
+            "--methods", "oracle,fast", "--set", "random:0.5",
             "--seed", "11", "--runs", "5"])
         out = capsys.readouterr().out
     obj = json.loads(out.strip().splitlines()[-1])

@@ -152,6 +152,7 @@ def test_every_command_parses_its_sets_through_geometry(capsys, monkeypatch, com
 def test_set_spec_errors_are_the_same_for_every_command(capsys, command, nslots):
     for spec, message in [
             ("random:2", "density must lie in [0, 1]"),
+            ("", f"expected {nslots} set slots, got 0"),
             ("full," * (nslots + 1), f"expected {nslots} set slots, got {nslots + 1}")]:
         assert run_cli(capsys, command + ["--set", spec]) == (2, "", f"error: {message}\n")
 
@@ -197,7 +198,7 @@ def test_broadcast_token_prints_the_spelled_out_line(capsys, token, quantity):
     (["count", "--q", "5", "--t", "1", "--quantity", "rhom_t",
       "--method", "fourier", "--set", "full"], "par_t only"),
     (["count", "--q", "5", "--t", "1", "--quantity", "degenerate",
-      "--method", "oracle", "--set", "full"], "oracle method applies to"),
+      "--method", "fourier", "--set", "full"], "par_t only"),
     (["vc", "--q", "7", "--t", "1", "--set", "full", "--cap", "-1"],
      "--cap must be nonnegative"),
     (["bench", "--q", "5", "--t", "1", "--runs", "0"], "--runs must be at least 1"),
@@ -250,6 +251,15 @@ def test_broadcast_token_prints_the_spelled_out_line(capsys, token, quantity):
     (["vc", "--q", "7", "--t", "0", "--set", "full"], "error: --t must be nonzero"),
     (["witness", "--q", "7", "--t", "14", "--set", "full"], "error: --t must be nonzero"),
     (["bounds", "--q", "5", "--t", "-5", "--trials", "1"], "error: --t must be nonzero"),
+    # A radius for a quantity without one, and --json beside --out.
+    (["count", "--q", "5", "--t", "3", "--quantity", "par", "--set", "full"],
+     "error: --t does not apply to quantity par"),
+    (["bench", "--q", "5", "--t", "1", "--quantity", "par", "--runs", "1"],
+     "error: --t does not apply to quantity par"),
+    (["gen", "--q", "5", "--set", "full", "--out", "/nonexistent/dir/x.txt", "--json"],
+     "error: --json and --out cannot be combined"),
+    # An empty --out names a path, not stdout.
+    (["gen", "--q", "5", "--set", "full", "--out", ""], "error: cannot write ''"),
 ])
 def test_usage_errors_exit_2(capsys, argv, fragment):
     rc, out, err = _outcome(capsys, argv)
@@ -610,11 +620,12 @@ def test_fourier_past_its_error_bound_exits_1(capsys):
 
 @pytest.mark.parametrize("quantity,methods", [
     ("n_t", "oracle,fast"), ("par_t", "oracle,fast,fourier"),
-    ("par", "oracle,fast"), ("rhom_t", "oracle,fast"), ("degenerate", "fast")])
+    ("par", "oracle,fast"), ("rhom_t", "oracle,fast"), ("degenerate", "oracle,fast")])
 def test_bench_covers_every_quantity(capsys, quantity, methods):
     rc, out, _ = run_cli(capsys, [
-        "bench", "--q", "5", "--t", "1", "--quantity", quantity,
-        "--methods", methods, "--density", "0.5", "--runs", "1", "--seed", "3"])
+        "bench", "--q", "5", "--quantity", quantity, "--methods", methods,
+        "--set", "random:0.5", "--runs", "1", "--seed", "3"]
+        + ([] if quantity == "par" else ["--t", "1"]))
     assert rc == 0
     obj = json_lines(out)[0]
     assert obj["quantity"] == quantity
@@ -625,7 +636,7 @@ def test_bench_covers_every_quantity(capsys, quantity, methods):
 def test_bench_fourier_allowed_at_cap_boundary(capsys):
     rc, out, _ = run_cli(capsys, [
         "bench", "--q", "31", "--t", "1", "--methods", "fast,fourier",
-        "--density", "0.05", "--runs", "1", "--seed", "2"])
+        "--set", "random:0.05", "--runs", "1", "--seed", "2"])
     assert rc == 0
     obj = json_lines(out)[0]
     values = {r["method"]: r["value"] for r in obj["results"]}

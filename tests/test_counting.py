@@ -236,21 +236,6 @@ def test_mismatched_q_rejected(ctx5):
         count_unit_distances(ctx5, E, E, 1)
 
 
-def _degenerate_reference(ctx, E1, E2, E3, E4, t):
-    """Literal count of (u, x) with |x| = t, u in E1, u + x in E2 n E3, u + 2x in E4."""
-    q = ctx.q
-    total = 0
-    for x1 in range(q):
-        for x2 in range(q):
-            if (x1 * x1 + x2 * x2) % q != t:
-                continue
-            for u1, u2 in E1:
-                v = ((u1 + x1) % q, (u2 + x2) % q)
-                if v in E2 and v in E3 and ((v[0] + x1) % q, (v[1] + x2) % q) in E4:
-                    total += 1
-    return total
-
-
 def _boundary_quadruples():
     ctx13 = PrimeFieldCtx(13)
     i = 5  # 5^2 = -1 mod 13
@@ -278,8 +263,8 @@ def test_fast_matches_oracle_on_boundary_sets():
                 count_par_t(ctx, *sets, t, "oracle").value == profile[t]
             assert count_rhom_t(ctx, *sets, t, "fast").value == \
                 count_rhom_t(ctx, *sets, t, "oracle").value
-            assert count_degenerate_rhom(ctx, *sets, t).value == \
-                _degenerate_reference(ctx, *sets, t)
+            assert count_degenerate_rhom(ctx, *sets, t, "fast").value == \
+                count_degenerate_rhom(ctx, *sets, t, "oracle").value
 
 
 def test_isotropic_line_parallelograms_all_have_norm_zero():
@@ -527,8 +512,8 @@ def test_probe_chunking_does_not_change_counts(monkeypatch, q, chunk):
             count_unit_distances(ctx, *sets[:2], t, "oracle").value
         assert count_rhom_t(ctx, *sets, t, "fast").value == \
             count_rhom_t(ctx, *sets, t, "oracle").value
-        assert count_degenerate_rhom(ctx, *sets, t).value == \
-            _degenerate_reference(ctx, *sets, t)
+        assert count_degenerate_rhom(ctx, *sets, t, "fast").value == \
+            count_degenerate_rhom(ctx, *sets, t, "oracle").value
 
 
 def test_rhombus_directions_reuse_each_circles_points(monkeypatch, ctx13):
@@ -567,7 +552,7 @@ def test_oracle_excludes_degenerate_tuples_in_its_own_loop(monkeypatch, q):
             rhom = count_rhom_t(ctx, *sets, t, "oracle").value
             assert count_rhom_t(ctx, *sets, t, "oracle",
                                 exclude_degenerate=True).value == \
-                rhom - _degenerate_reference(ctx, *sets, t)
+                rhom - count_degenerate_rhom(ctx, *sets, t, "oracle").value
     assert calls == []
 
 
@@ -596,7 +581,7 @@ def test_rhombus_layer_fast_matches_oracle(instance):
     assert count_unit_distances(ctx, *sets[:2], t, "fast").value == \
         count_unit_distances(ctx, *sets[:2], t, "oracle").value
     rhom = count_rhom_t(ctx, *sets, t, "oracle").value
-    deg = _degenerate_reference(ctx, *sets, t)
+    deg = count_degenerate_rhom(ctx, *sets, t, "oracle").value
     assert count_rhom_t(ctx, *sets, t, "fast").value == rhom
     assert count_rhom_t(ctx, *sets, t, "fast",
                         exclude_degenerate=True).value == rhom - deg
@@ -836,6 +821,36 @@ def test_full_plane_closed_forms_at_q211(monkeypatch):
         assert count_unit_distances(ctx, F, F, t).value == q**2 * size
         assert count_par_t(ctx, F, F, F, F, t).value == q**4 * size
     assert calls == [["fft"], ["probes"], ["fft"], ["fft"]]
+
+
+def _circle_self_count(ctx, j, t):
+    """n_t(S_j, S_j) = |S_t| (1 + eta(t (4j - t))) for t != 0: two radius-j
+    circles whose centers differ by v on S_t meet where s^2 = (4j - t)/(4t),
+    in one point when they are tangent (4j = t)."""
+    return len(circle(ctx, t)) * (1 + ctx.eta(t * (4 * j - t)))
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_circle_with_itself_matches_its_closed_form_on_both_routes(q):
+    ctx = PrimeFieldCtx(q)
+    for j in range(q):
+        S = circle(ctx, j)
+        for t in range(1, q):
+            want = _circle_self_count(ctx, j, t)
+            assert count_unit_distances(ctx, S, S, t, "oracle").value == want
+            assert count_unit_distances(ctx, S, S, t, "fast").value == want
+
+
+@pytest.mark.parametrize("q", [211, 401])
+def test_circle_with_itself_matches_its_closed_form_at_large_q(q):
+    """q = 211 (3 mod 4) at every radius j; q = 401 (1 mod 4, where S_0 is
+    two isotropic lines) at j = 0, 1, the tangent radius t/4 and q - 1."""
+    ctx = PrimeFieldCtx(q)
+    for t in (1, 2, q - 1):
+        radii = range(q) if q == 211 else (0, 1, t * ctx.inv(4) % q, q - 1)
+        for j in radii:
+            S = circle(ctx, j)
+            assert count_unit_distances(ctx, S, S, t).value == _circle_self_count(ctx, j, t)
 
 
 @pytest.mark.parametrize("q", [59, 61])
