@@ -4,14 +4,16 @@ Subcommands: count, bounds, fourier, vc, witness, bench, gen.  Reports are
 JSON-lines on stdout (CSV available where tables make sense); diagnostics go
 to stderr.  Exit codes: 0 success, 1 mathematical failure (a violated
 asserted bound, a float count too far from an integer or past its error
-bound, a cross-method value disagreement), 2 usage error.  Every report
-echoes the run configuration and the PRNG algorithm identifier so streams
-are reproducible bit-for-bit apart from elapsed_ms fields.
+bound, a cross-method value disagreement), 2 usage error, 141 stdout
+closed by its reader.  Every report echoes the run configuration and the
+PRNG algorithm identifier so streams are reproducible bit-for-bit apart
+from elapsed_ms fields.
 """
 
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -520,6 +522,12 @@ def main(argv=None) -> int:
     except FFPlaneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout (say, `| head -1`): stop quietly with the
+        # status a shell gives a process killed by SIGPIPE.  fd 1 goes to
+        # devnull so the interpreter's last flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -67,10 +67,11 @@ class PointSet:
     """Immutable set of distinct points, stored as its q x q indicator.
 
     The read-only bool array ``indicator`` is the set: size, membership,
-    equality and hashing read it.  Cached on first read: ``elements``, the
-    point tuples that oracles, the VC layer, file output and iteration read
-    (row-major from an indicator, in the given order from a point list),
-    and ``points``, the read-only row-major tiled_points that gathers read.
+    equality, hashing and the order of its points read it.  Cached on first
+    read: ``elements``, the row-major point tuples that oracles, the VC
+    layer, file output and iteration read, and ``points``, the read-only
+    row-major tiled_points that gathers read.  Equal sets read alike,
+    whatever built them.
     """
 
     __slots__ = ("q", "indicator", "_size", "_elements", "_points")
@@ -84,30 +85,26 @@ class PointSet:
         self.q = q
         self.indicator = arr
         self._size = len(pts)
-        self._elements = pts
-        self._points = None
+        self._elements = self._points = None
 
     @classmethod
-    def _from_indicator(cls, q: int, indicator: np.ndarray, elements=None) -> "PointSet":
+    def _from_indicator(cls, q: int, indicator: np.ndarray) -> "PointSet":
         """Trusted constructor: the True cells of a q x q bool array.
 
-        Skips validation and builds no point tuples, unless ``elements``
-        gives them (as int tuples, in the order ``elements`` is to read);
-        the array is made read-only and must not be written to through
-        another reference.
+        Skips validation and builds no point tuples; the array is made
+        read-only and must not be written to through another reference.
         """
         self = cls.__new__(cls)
         indicator.flags.writeable = False
         self.q = q
         self.indicator = indicator
         self._size = int(np.count_nonzero(indicator))
-        self._elements = elements
-        self._points = None
+        self._elements = self._points = None
         return self
 
     @property
     def elements(self) -> tuple:
-        """The points as (x1, x2) tuples, built on first read."""
+        """The points as row-major (x1, x2) tuples, built on first read."""
         if self._elements is None:
             rows, cols = np.nonzero(self.indicator)
             self._elements = tuple(zip(rows.tolist(), cols.tolist()))
@@ -206,7 +203,7 @@ def circle(ctx: PrimeFieldCtx, j: int) -> PointSet:
 
 
 def full_plane(ctx: PrimeFieldCtx) -> PointSet:
-    """The whole plane F_q^2 (q^2 points, row-major order)."""
+    """The whole plane F_q^2 (q^2 points)."""
     return PointSet._from_indicator(ctx.q, np.ones((ctx.q, ctx.q), dtype=bool))
 
 
@@ -420,7 +417,7 @@ def translated(arr: np.ndarray, x) -> np.ndarray:
 
 
 def intersect_shift(ctx: PrimeFieldCtx, Ei: PointSet, Ej: PointSet, x) -> PointSet:
-    """The set Ei shifted against Ej: {u in Ei : u + x in Ej}, row-major."""
+    """The set Ei shifted against Ej: {u in Ei : u + x in Ej}."""
     q = ctx.q
     meet, = shift_meets(Ei.indicator, Ej.indicator, [(x[0] % q, x[1] % q)])
     return PointSet._from_indicator(q, meet)
@@ -431,9 +428,7 @@ def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
 
     With X an arithmetic progression this is the standard example of a set
     whose parallelogram count is governed by the additive energy of X.  The
-    set is built from its indicator, its columns X; its elements read as
-    the point list [(a, b) for a in F_q for b in X], row by row in X's
-    order, which is row-major order when X ascends.
+    set is built from its indicator, its columns X.
     """
     q = ctx.q
     xs = [int(x) % q for x in X]
@@ -441,10 +436,7 @@ def gen_example_line_ap(ctx: PrimeFieldCtx, X) -> PointSet:
         raise ValueError("X must consist of distinct residues")
     arr = np.zeros((q, q), dtype=bool)
     arr[:, xs] = True
-    elements = None
-    if xs != sorted(xs):
-        elements = tuple(zip(np.repeat(np.arange(q), len(xs)).tolist(), xs * q))
-    return PointSet._from_indicator(q, arr, elements)
+    return PointSet._from_indicator(q, arr)
 
 
 def gen_random_set(ctx: PrimeFieldCtx, density, seed):

@@ -60,7 +60,8 @@ from .rng import SplitMix64
 class DistanceSystem:
     """Neighborhood family over E at radius t.
 
-    Point i is E's i-th point in sorted order, with degree ``_degree[i]``.
+    Point i is E.elements[i], the i-th in sorted (row-major) order, with
+    degree ``_degree[i]``.
     ``rank`` holds i at point i and -1 off E.  A center's sorted neighbor
     row is one gather on the tiling of ``rank`` at the circle offsets, made
     and cached when a scan first reads it, as is each size's first
@@ -74,8 +75,7 @@ class DistanceSystem:
         self.ctx = ctx
         self.E = E
         self.t = t
-        rows, cols = np.nonzero(E.indicator)
-        self._points = tuple(zip(rows.tolist(), cols.tolist()))
+        self._points = E.elements
         self._degree = degree
         self._member = E.indicator.tobytes()
         self._tiled_rank = flat_tiling(rank)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -664,6 +665,23 @@ def test_cli_import_leaves_statistics_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_stdout_ends_a_command_quietly(fmt):
+    # Forty trials write far more than a pipe holds, so the command is still
+    # writing when its reader goes: exit 141, as under SIGPIPE, and no
+    # traceback.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "ffplane.cli", "bounds", "--q", "13", "--check", "all",
+            "--all-t", "--trials", "40", "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_line_ap_longer_than_q_exits_2_before_building(capsys):
     start = time.perf_counter()
     rc, _, err = run_cli(capsys, ["gen", "--q", "7", "--set", f"line-ap:0:1:{10**12}"])
@@ -896,13 +914,13 @@ def test_witness_stream_matches_golden_digest(capsys, argv, digest):
     assert _sha256(out) == digest
 
 
-# Recorded before strips were built from their indicator: X = 5, 4, 3
-# descends, so the points are printed row by row in X's order.
+# X = 5, 4, 3 descends, yet the points print row-major: these are the bytes
+# of line-ap:3:1:3, which names the same set.
 @pytest.mark.parametrize("argv,digest", [
     (["gen", "--q", "13", "--set", "line-ap:5:-1:3", "--json"],
-     "7a9dc8ca8a9786cdfc6153692737b01ad8558679166c46e0fe4039d1dd203ebb"),
+     "88df582afa4537a4f64ca82d040a618cf3e5c518679e974a19567e4524a0d95c"),
     (["gen", "--q", "13", "--set", "line-ap:5:-1:3"],
-     "81bdaedb6940ecdcf638afff57119a58b77ca0de7d191551f163955cb456fcab"),
+     "20d2e2f633bbdd82df93416c5e72e209f444545dd7f30a91a1d336c54f796290"),
 ], ids=["json", "text"])
 def test_gen_strip_stream_matches_golden_digest(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, argv)

@@ -535,13 +535,30 @@ def test_indicator_set_builds_its_points_only_when_read(q):
     assert full_plane(ctx)._elements is None
 
 
-def test_point_list_set_keeps_its_order(ctx7):
+def test_point_list_set_reads_row_major(ctx7):
     pts = [(6, 0), (1, 2), (3, 3), (0, 5)]
     ps = PointSet(7, pts)
-    assert ps.elements == tuple(pts) and list(ps) == pts
+    assert ps.elements == tuple(sorted(pts)) and list(ps) == sorted(pts)
     assert ps == PointSet._from_indicator(7, np.array(ps.indicator))
     strip = gen_example_line_ap(ctx7, [0, -1, -2])
-    assert strip.elements[:4] == ((0, 0), (0, 6), (0, 5), (1, 0))
+    assert strip.elements[:4] == ((0, 0), (0, 5), (0, 6), (1, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), q=st.sampled_from([3, 5, 7, 13]))
+def test_point_list_and_indicator_read_alike(q, data):
+    # A shuffled point list and its indicator give one set, read the same
+    # way: elements, points and file text.
+    cells = data.draw(st.sets(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))))
+    pts = data.draw(st.permutations(sorted(cells)))
+    listed = PointSet(q, pts)
+    ind = np.zeros((q, q), dtype=bool)
+    for p in pts:
+        ind[p] = True
+    built = PointSet._from_indicator(q, ind)
+    assert listed.elements == built.elements == tuple(sorted(cells))
+    assert listed.points.tolist() == built.points.tolist()
+    assert geometry.point_set_to_text(listed) == geometry.point_set_to_text(built)
 
 
 @settings(max_examples=25, deadline=None)
@@ -701,8 +718,7 @@ def test_strip_is_its_point_list_set(q):
         assert not strip.indicator.flags.writeable
         assert len(strip) == len(listed) == q * len(xs)
         assert strip == listed and hash(strip) == hash(listed)
-        # gen prints elements, so they keep the point list's order: row by
-        # row, X's order within a row.
+        # gen prints elements, so equal sets print alike: row-major.
         assert strip.elements == listed.elements
         assert all(type(c) is int for p in strip.elements for c in p)
         assert np.array_equal(strip.points, listed.points)
