@@ -50,6 +50,7 @@ from .geometry import (
     difference_table,
     difference_tables,
     flat_tiling,
+    mirrored_directions,
     negated_points,
     norm_classes,
     tiled_copies,
@@ -58,8 +59,8 @@ from .geometry import (
 
 ROUND_TOL = 1e-6
 
-# Sums of table products are at most |E1||E2||E3||E4|; from this size on
-# they are accumulated in Python ints instead of int64.
+# Sums of table products are at most max D12 |E3||E4| (table_products);
+# from this size on they are accumulated in Python ints instead of int64.
 INT64_LIMIT = 2**63
 # Multiply-adds max |S_t| |E1| |E3| up to which rhombus_directions counts
 # by matrix products.  Below 2^24, so every float32 partial sum, an integer
@@ -214,13 +215,17 @@ def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
 def table_products(d12, d34) -> np.ndarray:
     """D12(v) * D34(v) for every v of two tables on the same cells, exactly.
 
-    Every sum of these products is at most the total mass
-    d12.total * d34.total = |E1||E2||E3||E4|.  While that stays below
+    Every sum of these products is at most
+    min(max D12 * |E3||E4|, max D34 * |E1||E2|), as D34 sums to
+    d34.total = |E3||E4| and D12 to |E1||E2|.  While that stays below
     INT64_LIMIT the products are int64; beyond it they are Python ints
-    (object dtype), so no sum over them can wrap.
+    (object dtype), so no sum over them can wrap.  The bound is at most the
+    total mass |E1||E2||E3||E4|, so the maxima are read only past it.
     """
     a, b = d12.table, d34.table
-    if d12.total * d34.total >= INT64_LIMIT:
+    if (d12.total * d34.total >= INT64_LIMIT
+            and min(int(a.max(initial=0)) * d34.total,
+                    int(b.max(initial=0)) * d12.total) >= INT64_LIMIT):
         a, b = a.astype(object), b.astype(object)
     return a * b
 
@@ -332,8 +337,8 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     When E2 = E1 and E4 = E3, E12^-x = E12^x + x and E34^-x = E34^x + x:
     the meets of -x are those of x translated by x, so the sizes and the
     differences u - v agree.  Only one direction of each pair +-x is
-    computed (_mirrored), and its term fills both slots; K_t and the probes
-    still use the whole circle.
+    computed (mirrored_directions), and its term fills both slots; K_t and
+    the probes still use the whole circle.
     """
     _require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
@@ -342,7 +347,7 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     # Which circle positions are computed, and each position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
-    mirrors = {t: _mirrored(st, q) if paired else (st, None)
+    mirrors = {t: mirrored_directions(st, q) if paired else (st, None)
                for t, st in circles.items()}
     cells = len(p1) * len(p3)
     widest = max(map(len, circles.values()), default=0)
@@ -421,19 +426,6 @@ def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
                 out[i] = out[i][0], out[i][1], r
         terms[t] = out
     return terms
-
-
-def _mirrored(st: np.ndarray, q: int):
-    """The directions of S_t that stand for each pair +-x, and the source.
-
-    st is the circle as ascending tiled indices.  The first position of
-    each pair +-x (the origin is its own pair) is kept; ``source[i]`` is the
-    index among the kept ones whose term belongs at position i.
-    """
-    neg = np.searchsorted(st, negated_points(st, q))
-    first = np.minimum(np.arange(len(st)), neg)
-    kept = np.flatnonzero(first == np.arange(len(st)))
-    return st[kept], np.searchsorted(kept, first).tolist()
 
 
 def _small_pair_counts(on_circle, q: int, meets) -> list:

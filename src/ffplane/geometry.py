@@ -366,6 +366,21 @@ def negated_points(points: np.ndarray, q: int) -> np.ndarray:
     return tiled_index((-rows % q, -cols % q), q)
 
 
+def mirrored_directions(st: np.ndarray, q: int):
+    """The directions of a symmetric set that stand for each pair +-x, and
+    the source of every position.
+
+    st holds ascending canonical tiled indices, closed under negation, as a
+    circle's points are.  The first position of each pair +-x (the origin
+    is its own pair) is kept; ``source[i]`` is the index among the kept ones
+    whose term belongs at position i.
+    """
+    neg = np.searchsorted(st, negated_points(st, q))
+    first = np.minimum(np.arange(len(st)), neg)
+    kept = np.flatnonzero(first == np.arange(len(st)))
+    return st[kept], np.searchsorted(kept, first).tolist()
+
+
 def difference_minuends(points: np.ndarray, q: int) -> np.ndarray:
     """u + (q, q) for canonical tiled indices u: subtracting any canonical
     tiled index v from one gives a tiled index of (u - v) mod q."""

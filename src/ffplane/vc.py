@@ -46,6 +46,7 @@ from .geometry import (
     circle,
     difference_minuends,
     flat_tiling,
+    mirrored_directions,
     shift_meets,
     shift_sum,
     tiled_copies,
@@ -326,14 +327,28 @@ def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
     return pair
 
 
+def _direction_sizes(ctx: PrimeFieldCtx, kept: np.ndarray, t: int) -> list:
+    """|E' n (E' - x)| for each x of S_t in circle order, E' the q x q
+    indicator ``kept``.
+
+    The meet of -x is that of x translated by x, so both have one size, and
+    S_t = -S_t: one meet is counted per pair +-x (mirrored_directions).
+    """
+    q = ctx.q
+    dirs, source = mirrored_directions(circle(ctx, t).points, q)
+    sizes = [int(np.count_nonzero(meet))
+             for meet in shift_meets(kept, kept, zip(*tiled_point(dirs, q)))]
+    return [sizes[i] for i in source]
+
+
 def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     """Run the constructive witness search; Witness or FailureReason.
 
     Steps: (1) keep vertices whose degree lies in [|E|/2q, 2|E|/q];
     (2) pick the direction u with |u| = t maximizing |E' n (E' - u)|
     (first maximum in circle order); (3) split that intersection E_u into
-    three round-robin parts A, B, C over a seeded shuffle, with D the rest
-    of E' (falling back to a four-way split of E_u when nothing is left
+    three round-robin parts A, B, C over a seeded permutation, with D the
+    rest of E' (falling back to a four-way split of E_u when nothing is left
     over, as happens for the full plane); (4) scan for a side-t rhombus
     (x1, y123, x3, y13) in A x B x C x D whose three constrained pair
     differences avoid {u, -u}; (5) derive y12 = x1 + u, x2 = y123 + u,
@@ -341,13 +356,14 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     isolated y0.  Deterministic given (E, t, seed).
 
     Steps (1), (2) and (6) run on q x q indicators: degrees sum translates
-    of 1_E (shift_sum), the meets of step (2) are shift_meets, and step (6)
-    takes the first row-major point of 1_E cut by the circles translated to
-    the x's.  Steps (3) and (4) run on point lists: the shuffle permutes the
-    indices of E_u's row-major points, one nonzero pass over E' lists every
-    part, and each direction's meets are gathers of A's and D's points on
-    the tiled parts, searched pairwise by _first_pair.  Row-major order is
-    sorted order.
+    of 1_E (shift_sum), step (2) takes one shift_meets per pair +-x of
+    directions (mirrored_directions), and step (6) takes the first
+    row-major point of 1_E cut by the circles translated to the x's.  Steps
+    (3) and (4) run on point lists: SplitMix64.permutation, array
+    operations with no per-swap Python, permutes the indices of E_u's
+    row-major points, one nonzero pass over E' lists every part, and each
+    direction's meets are gathers of A's and D's points on the tiled parts,
+    searched pairwise by _first_pair.  Row-major order is sorted order.
     """
     q = ctx.q
     t %= q
@@ -359,26 +375,27 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     ind = E.indicator
     st = circle(ctx, t).elements
 
+    # Degrees are integers: |E|/2q <= deg <= 2|E|/q is a window of two
+    # integer bounds.
     degree = shift_sum(ind, st)
-    kept = ind & (degree >= len(E) / (2 * q)) & (degree <= 2 * len(E) / q)
+    kept = ind & (degree >= -(-len(E) // (2 * q))) & (degree <= 2 * len(E) // q)
     if not kept.any():
         return FailureReason("Pruned-empty", "degree window removed every vertex")
 
-    u, e_u, best_size = None, None, -1
-    for x, meet in zip(st, shift_meets(kept, kept, st)):
-        size = int(np.count_nonzero(meet))
-        if size > best_size:
-            u, e_u, best_size = x, meet, size
-    if best_size <= 0:
+    sizes = _direction_sizes(ctx, kept, t)
+    best = sizes.index(max(sizes))
+    if sizes[best] <= 0:
         return FailureReason("No-direction",
                              "no direction on the circle overlaps the pruned set")
+    u = st[best]
+    e_u, = shift_meets(kept, kept, [u])
 
     # Each point of E' gets its part's label: A, B, C, D are 1 to 4.  E_u's
-    # points are dealt round-robin over a seeded shuffle of their row-major
-    # indices; D keeps the rest of E' unless none is left.
+    # points are dealt round-robin over a seeded permutation of their
+    # row-major indices; D keeps the rest of E' unless none is left.
     kept_at = np.flatnonzero(kept)
     eu_at = np.flatnonzero(e_u.ravel()[kept_at])
-    order = eu_at[SplitMix64(seed).shuffle(list(range(len(eu_at))))]
+    order = eu_at[SplitMix64(seed).permutation(len(eu_at))]
     label = np.full(len(kept_at), 4, dtype=np.int8)
     parts = 3 if len(eu_at) < len(kept_at) else 4
     for k in range(parts):

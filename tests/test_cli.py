@@ -888,7 +888,9 @@ def test_vc_stream_matches_golden_digest(capsys, argv, digest):
 # tuples and scanned q x q shifted meets, before it moved to index arrays;
 # every byte must stay unchanged.  The benchmark's four commands come first
 # (seed 1); the two sparse ones end at No-rhombus, after scanning every
-# direction, and the last one is the full plane at q = 211.
+# direction.  The full planes at q = 211 and q = 257 come last: E_u of
+# the latter has 66,049 points, so its permutation sorts partners past
+# 2^16 (recorded from the scalar swap loop).
 @pytest.mark.parametrize("argv,digest", [
     (["witness", "--q", "61", "--t", "1", "--set", "full", "--seed", "1"],
      "31f396625ccce4dd84327c46053bc3d7ae0444e5be9ab10eac3c35c8523e82a7"),
@@ -906,8 +908,10 @@ def test_vc_stream_matches_golden_digest(capsys, argv, digest):
      "7fc8e591ceef3f88a0fdeada8d9dbdb9ef3a94af285eab6f37df6ae1924eb7eb"),
     (["witness", "--q", "211", "--t", "1", "--set", "full", "--seed", "1001"],
      "6bd58ec631d97f0c69e02907b889e7feabec75a001208905f10d557c2cfdd0f2"),
+    (["witness", "--q", "257", "--t", "1", "--set", "full", "--seed", "1"],
+     "3098c182f0469e626d8b005ff80c3aa0fd70849f29b2509950da1276920a90eb"),
 ], ids=["q61-full", "q101-random3", "q101-random4", "q101-random5",
-        "q101-no-rhombus", "q211-no-rhombus", "q211-full"])
+        "q101-no-rhombus", "q211-no-rhombus", "q211-full", "q257-full"])
 def test_witness_stream_matches_golden_digest(capsys, argv, digest):
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -737,17 +738,32 @@ def test_probe_route_is_taken_per_pair_up_to_its_probe_count(monkeypatch, ctx7, 
                 on_circle * min(len(a), len(b)) <= limit for a, b in pairs]
 
 
+def _product_bound(ctx, E1, E2, E3, E4) -> int:
+    """table_products' bound on a sum of products, min(max D12 |E3||E4|,
+    max D34 |E1||E2|), from the literal difference counts."""
+    q = ctx.q
+
+    def most(A, B):
+        return max(Counter(((a1 - b1) % q, (a2 - b2) % q) for a1, a2 in A for b1, b2 in B)
+                   .values(), default=0)
+
+    return min(most(E1, E2) * len(E3) * len(E4), most(E3, E4) * len(E1) * len(E2))
+
+
 def test_block_profiles_are_each_instances_profile(monkeypatch):
     """A block's profiles equal the one-instance profiles, also where only
-    one instance's products pass INT64_LIMIT: then the whole stack sums in
+    one instance's products reach INT64_LIMIT: then the whole stack sums in
     Python ints."""
     ctx = PrimeFieldCtx(13)
     quads = [tuple(random_quadruple(ctx, seed, lo=0.05, hi=0.9)) for seed in range(6)]
     quads.append((quads[0][0],) * 4)
     want = [par_t_profile(ctx, *quad) for quad in quads]
     assert counting.par_t_profiles(ctx, quads) == want
-    masses = [len(E1) * len(E2) * len(E3) * len(E4) for E1, E2, E3, E4 in quads]
-    monkeypatch.setattr(counting, "INT64_LIMIT", max(masses))
+    bounds = [_product_bound(ctx, *quad) for quad in quads]
+    assert bounds.count(max(bounds)) == 1
+    monkeypatch.setattr(counting, "INT64_LIMIT", max(bounds))
+    products = counting._products(ctx, quads)
+    assert [p.dtype == object for p in products] == [b == max(bounds) for b in bounds]
     profiles = counting.par_t_profiles(ctx, quads)
     assert profiles == want
     assert all(type(v) is int for profile in profiles for v in profile.values())

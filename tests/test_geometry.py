@@ -345,7 +345,7 @@ def test_probe_route_is_taken_exactly_up_to_its_probe_count(monkeypatch, ctx7, p
 def _assert_differences_at_match_brute_force(q, A, B, order):
     """differences_at over every cell of the plane, in a shuffled order."""
     plane = geometry.tiled_points(np.ones((q, q), dtype=bool))
-    offsets = plane[SplitMix64(order).shuffle(list(range(q * q)))]
+    offsets = plane[SplitMix64(order).permutation(q * q)]
     brute = _brute_differences(q, A, B)
     rows, cols = np.divmod(offsets, 2 * q)
     counts = differences_at(A, B, offsets)
@@ -447,22 +447,49 @@ def test_stacked_sets_refuse_bad_arguments(ctx7):
         gen_random_set(ctx7, [0.5], [1, 2])
 
 
+def _assert_permutation_matches_scalar_stream(n, seed):
+    """permutation(n) is the scalar Fisher-Yates loop over range(n), from
+    the same draws, and leaves the stream where the loop does."""
+    perm, ref = SplitMix64(seed), SplitMix64(seed)
+    expected = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = ref.next_below(i + 1)
+        expected[i], expected[j] = expected[j], expected[i]
+    got = perm.permutation(n)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+    assert perm.next_u64() == ref.next_u64()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1000])
 def test_shuffle_matches_scalar_stream(n):
     for seed in (0, 99, 2**64 - 1):
-        rng, ref = SplitMix64(seed), SplitMix64(seed)
-        expected = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = ref.next_below(i + 1)
-            expected[i], expected[j] = expected[j], expected[i]
-        assert rng.shuffle(list(range(n))) == expected
-        assert rng.next_u64() == ref.next_u64()
+        _assert_permutation_matches_scalar_stream(n, seed)
 
 
 @pytest.mark.parametrize("n", [2, 8, 9, 50])
 def test_shuffle_matches_scalar_stream_in_blocks_of_7(monkeypatch, n):
     monkeypatch.setattr(rng, "_BLOCK", 7)
     test_shuffle_matches_scalar_stream(n)
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), _SEEDS, st.booleans())
+def test_permutation_matches_scalar_stream(n, seed, small_blocks):
+    with pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            mp.setattr(rng, "_BLOCK", 7)
+        _assert_permutation_matches_scalar_stream(n, seed)
+
+
+def test_permutation_past_16_bit_partners_matches_scalar_stream():
+    # Partners of n > 2^16 swaps are sorted as uint32 keys; at this n about
+    # 120 of them pass 2^16 - 1.
+    for seed in (0, 2**64 - 1):
+        _assert_permutation_matches_scalar_stream((1 << 16) + (1 << 12), seed)
 
 
 def test_indicator_matches_elements_and_is_read_only(ctx7):

@@ -93,12 +93,8 @@ def test_fast_counters_match_the_separable_route(kind, q):
     assert par_t_profile(ctx, *sets) == profile
 
 
-def test_full_plane_past_int64(monkeypatch):
-    """At q = 1451, q^6 > 2^63: Par = q^6 and Par_t = q^4 |S_t| are summed in
-    Python ints (table_products), and agree with the separable route."""
-    q = 1451
-    ctx = PrimeFieldCtx(q)
-    plane = full_plane(ctx)
+def _product_dtypes(monkeypatch) -> list:
+    """The dtype of each table_products result, in call order."""
     products = counting.table_products
     dtypes = []
 
@@ -108,6 +104,29 @@ def test_full_plane_past_int64(monkeypatch):
         return prod
 
     monkeypatch.setattr(counting, "table_products", spy)
+    return dtypes
+
+
+def test_full_plane_stays_int64_below_the_product_bound(monkeypatch):
+    """At q = 401 the total mass q^8 passes 2^63, but no sum of products
+    exceeds max D * q^4 = q^6: Par and Par_t are summed in int64."""
+    q = 401
+    ctx = PrimeFieldCtx(q)
+    plane = full_plane(ctx)
+    dtypes = _product_dtypes(monkeypatch)
+    assert q**8 >= 2**63 > q**6
+    assert count_par_all(ctx, *[plane] * 4).value == q**6
+    assert count_par_t(ctx, *[plane] * 4, 1).value == q**4 * len(circle(ctx, 1))
+    assert dtypes == [np.dtype(np.int64)] * 2
+
+
+def test_full_plane_past_int64(monkeypatch):
+    """At q = 1451, q^6 > 2^63: Par = q^6 and Par_t = q^4 |S_t| are summed in
+    Python ints (table_products), and agree with the separable route."""
+    q = 1451
+    ctx = PrimeFieldCtx(q)
+    plane = full_plane(ctx)
+    dtypes = _product_dtypes(monkeypatch)
     line = list(range(q))
     _, par_t, par, _ = separable_counts(q, [(line, line)] * 4, 1)
     assert q**6 > 2**63

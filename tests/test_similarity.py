@@ -91,7 +91,7 @@ _ROUTES = {
     "probed": ({(counting, "_PRODUCT_MACS"): 0}, 0.4, (counting, "_probed_terms", bool)),
     "product": ({(counting, "_PRODUCT_MACS"): 1 << 62, (counting, "_PRODUCT_CHUNK"): 1 << 22},
                 0.15, (counting, "_product_terms", bool)),
-    "paired": ({}, 0.4, (counting, "_mirrored", bool)),
+    "paired": ({}, 0.4, (counting, "mirrored_directions", bool)),
 }
 
 @st.composite

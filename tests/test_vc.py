@@ -17,6 +17,8 @@ from ffplane.geometry import (
     gen_example_line_ap,
     gen_random_set,
     norm_classes,
+    shift_meets,
+    shift_sum,
     tiled_index,
     tiled_point,
 )
@@ -470,6 +472,48 @@ def test_witness_on_boundary_sets_fails_or_verifies(q, kind, t, seed):
         assert ok, violations
     else:
         assert isinstance(res, FailureReason)
+
+
+def _step2_boundary_set(ctx13, kind):
+    if kind == "full":
+        return full_plane(ctx13)
+    if kind == "circle":
+        return circle(ctx13, 1)
+    if kind == "strip":
+        return gen_example_line_ap(ctx13, [0, 1, 2])
+    # The two isotropic lines through the origin, {(a, +-5a)}: 5^2 = -1.
+    return PointSet(13, sorted({(a, s * 5 * a % 13) for a in range(13) for s in (1, -1)}))
+
+
+@pytest.mark.parametrize("kind", ["full", "circle", "strip", "isotropic"])
+def test_paired_direction_sizes_match_every_meet(ctx13, kind):
+    """Step (2) counts one meet per pair +-x: each direction's size is its
+    own meet's, and the direction taken is the literal scan's first maximum
+    in circle order, ties included."""
+    E = _step2_boundary_set(ctx13, kind)
+    n, q = len(E), 13
+    tied = False
+    for t in range(1, q):
+        st_ = circle(ctx13, t).elements
+        want = [int(np.count_nonzero(m)) for m in shift_meets(E.indicator, E.indicator, st_)]
+        assert vc._direction_sizes(ctx13, E.indicator, t) == want
+        # The literal step (2) on the pruned set: a strict > keeps the first
+        # of tied maxima.
+        degree = shift_sum(E.indicator, st_)
+        kept = E.indicator & (degree >= n / (2 * q)) & (degree <= 2 * n / q)
+        sizes = [int(np.count_nonzero(m)) for m in shift_meets(kept, kept, st_)]
+        u, best = None, -1
+        for x, size in zip(st_, sizes):
+            if size > best:
+                u, best = x, size
+        tied |= sizes.count(best) > 1
+        res = find_witness(ctx13, E, t, seed=t)
+        if isinstance(res, Witness):
+            assert res.u == u
+        elif kept.any() and best == 0:
+            assert res.step == "No-direction"
+    if kind == "full":
+        assert tied
 
 
 # -- first-pair search of step (4) ----------------------------------------------
