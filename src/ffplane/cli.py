@@ -10,12 +10,13 @@ PRNG algorithm identifier so streams are reproducible bit-for-bit apart
 from elapsed_ms fields.
 """
 
-import argparse
 import itertools
 import json
 import os
 import sys
 import time
+from collections import namedtuple
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from . import counting, fourier, geometry, report, vc
@@ -360,149 +361,167 @@ def _cmd_gen(args, ctx, config) -> int:
     return 0
 
 
-# -- parser ------------------------------------------------------------------------
+# -- options ---------------------------------------------------------------------
 
-def _add_common(p, formats=("json",)):
-    """--q, --seed, and --format with the formats the command writes (none
-    for a command with no formats)."""
-    p.add_argument("--q", type=int, required=True, help="odd prime modulus")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed in [0, 2^64)")
-    if formats:
-        p.add_argument("--format", choices=formats, default="json")
+# One option of a command.  type is int or str for an option that takes a
+# value, or bool for a store-true flag, whose default is False.
+Option = namedtuple("Option", "flag dest type default required choices help")
 
 
-def _count_arguments(p):
-    _add_common(p, ("json", "human"))
-    p.add_argument("--quantity", choices=QUANTITIES, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--set", required=True,
-                   help="comma-separated slots: full | random:D[:SEED] | "
-                        "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)")
-    p.add_argument("--method", choices=METHODS, default="fast")
-    p.add_argument("--exclude-degenerate", action="store_true")
-    p.set_defaults(func=_cmd_count)
+def _option(flag, type=str, default=None, required=False, choices=None, help=None):
+    return Option(flag, flag[2:].replace("-", "_"), type,
+                  False if type is bool else default, required, choices, help)
 
 
-def _bounds_arguments(p):
-    _add_common(p, ("json", "csv", "human"))
-    p.add_argument("--check", default="all",
-                   help=f"one of {bounds_mod.CHECK_NAMES} or all")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--t", type=int, default=None,
-                   help="pin the radius (default: drawn per trial)")
-    p.add_argument("--density", default="0.5",
-                   help="set density in [0,1], or 'auto' to draw per trial")
-    p.add_argument("--all-t", action="store_true",
-                   help="cover every nonzero radius (and every pair); "
-                        "unit-distance still reports one drawn radius per trial")
-    p.set_defaults(func=_cmd_bounds)
+_Q = _option("--q", int, required=True, help="odd prime modulus")
+_SEED = _option("--seed", int, 0, help="PRNG seed in [0, 2^64)")
 
 
-def _fourier_arguments(p):
-    _add_common(p)
-    p.add_argument("--set", default=None)
-    p.add_argument("--circle", type=int, default=None,
-                   help="transform the circle of this radius")
-    p.add_argument("--method", choices=("fast", "oracle"), default="fast")
-    p.add_argument("--decay", action="store_true",
-                   help="emit the decay report for --circle instead")
-    p.set_defaults(func=_cmd_fourier)
+def _format(*formats):
+    return _option("--format", default="json", choices=formats)
 
 
-def _vc_arguments(p):
-    _add_common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--cap", type=int, default=4)
-    p.set_defaults(func=_cmd_vc)
-
-
-def _witness_arguments(p):
-    _add_common(p)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.set_defaults(func=_cmd_witness)
-
-
-def _bench_arguments(p):
-    _add_common(p, ("json", "csv", "human"))
-    p.add_argument("--quantity", choices=QUANTITIES, default="par_t")
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--methods", default="oracle,fast")
-    p.add_argument("--set", default="random:0.5")
-    p.add_argument("--runs", type=int, default=5)
-    p.set_defaults(func=_cmd_bench)
-
-
-def _gen_arguments(p):
-    _add_common(p, ())
-    p.add_argument("--set", default="random:0.5")
-    p.add_argument("--out", default=None, help="output path (.json or text)")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON to stdout instead of text")
-    p.set_defaults(func=_cmd_gen)
-
-
-# subcommand -> (its line in the full parser's help, the adder of its
-# arguments and func default), in the order the full parser lists them.
-_SUBCOMMANDS = {
-    "count": ("run one exact counter", _count_arguments),
-    "bounds": ("run a named inequality check or all", _bounds_arguments),
-    "fourier": ("dump a spectrum or a decay report", _fourier_arguments),
-    "vc": ("exhaustive VC dimension of a set", _vc_arguments),
-    "witness": ("construct and verify a shattering witness", _witness_arguments),
-    "bench": ("time counter methods on one instance", _bench_arguments),
-    "gen": ("generate a point-set file", _gen_arguments),
+# subcommand -> (its line in the full parser's help, its function, its
+# options in the order the parser adds them), in the order the full parser
+# lists them.  Both parses read this table: _parse_direct and build_parser.
+_COMMAND_TABLE = {
+    "count": ("run one exact counter", _cmd_count, (
+        _Q, _SEED, _format("json", "human"),
+        _option("--quantity", choices=QUANTITIES, required=True),
+        _option("--t", int),
+        _option("--set", required=True,
+                help="comma-separated slots: full | random:D[:SEED] | "
+                     "line-ap:S:STEP:LEN | file:PATH (single token broadcasts)"),
+        _option("--method", default="fast", choices=METHODS),
+        _option("--exclude-degenerate", bool))),
+    "bounds": ("run a named inequality check or all", _cmd_bounds, (
+        _Q, _SEED, _format("json", "csv", "human"),
+        _option("--check", default="all",
+                help=f"one of {bounds_mod.CHECK_NAMES} or all"),
+        _option("--trials", int, 100),
+        _option("--t", int, help="pin the radius (default: drawn per trial)"),
+        _option("--density", default="0.5",
+                help="set density in [0,1], or 'auto' to draw per trial"),
+        _option("--all-t", bool,
+                help="cover every nonzero radius (and every pair); "
+                     "unit-distance still reports one drawn radius per trial"))),
+    "fourier": ("dump a spectrum or a decay report", _cmd_fourier, (
+        _Q, _SEED, _format("json"),
+        _option("--set"),
+        _option("--circle", int, help="transform the circle of this radius"),
+        _option("--method", default="fast", choices=("fast", "oracle")),
+        _option("--decay", bool, help="emit the decay report for --circle instead"))),
+    "vc": ("exhaustive VC dimension of a set", _cmd_vc, (
+        _Q, _SEED, _format("json"),
+        _option("--t", int, required=True),
+        _option("--set", required=True),
+        _option("--cap", int, 4))),
+    "witness": ("construct and verify a shattering witness", _cmd_witness, (
+        _Q, _SEED, _format("json"),
+        _option("--t", int, required=True),
+        _option("--set", required=True))),
+    "bench": ("time counter methods on one instance", _cmd_bench, (
+        _Q, _SEED, _format("json", "csv", "human"),
+        _option("--quantity", default="par_t", choices=QUANTITIES),
+        _option("--t", int),
+        _option("--methods", default="oracle,fast"),
+        _option("--set", default="random:0.5"),
+        _option("--runs", int, 5))),
+    "gen": ("generate a point-set file", _cmd_gen, (
+        _Q, _SEED,
+        _option("--set", default="random:0.5"),
+        _option("--out", help="output path (.json or text)"),
+        _option("--json", bool, help="emit JSON to stdout instead of text"))),
 }
-COMMANDS = tuple(_SUBCOMMANDS)
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The full ffplane parser, or with ``command`` the standalone parser
-    ``ffplane <command>`` of that subcommand alone.
+def build_parser() -> "argparse.ArgumentParser":
+    """The full ffplane parser, built from _COMMAND_TABLE: it takes the
+    whole argument list, subcommand first, and gives every help text and
+    usage error.
 
-    The full parser takes the whole argument list, subcommand first; the
-    one-command parser takes the arguments after the subcommand's name.  It
-    is built as the full parser builds that command's subparser, plus a
-    ``command`` default, so it gives the same namespace, help and errors,
-    except for arguments it does not recognise: the full parser reports
-    those under its own usage line.
+    argparse is imported here, so only an argument list that the direct
+    parse declines pays for it and for gettext.
     """
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"ffplane {command}")
-        _SUBCOMMANDS[command][1](parser)
-        parser.set_defaults(command=command)
-        return parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ffplane",
         description="Configuration counts, spectral checks, and VC audits "
                     "for point sets in the plane over a prime field.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, func, options) in _COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=help_line)
+        for opt in options:
+            if opt.type is bool:
+                p.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                p.add_argument(opt.flag, type=opt.type, default=opt.default,
+                               required=opt.required, choices=opt.choices,
+                               help=opt.help)
+        p.set_defaults(func=func)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed by the parser of the subcommand it names, alone.
+def _parse_direct(argv):
+    """argv parsed from _COMMAND_TABLE without argparse, or None where
+    argparse might read it otherwise.
 
-    The full parser parses what names no subcommand first (no arguments,
-    top-level help, an unknown or abbreviated word, a leading option), and
-    an argument list that the command's parser leaves arguments of, so that
-    those are reported as the full parser reports them.
+    It accepts a subcommand followed by its options, each named by its exact
+    flag; an option's value must not start with "-", an int value must
+    convert by int(), a value must be one of the option's choices, and every
+    required option must be given.  A repeated option keeps its last value.
+    What it accepts, the full parser parses to a namespace of the same
+    vars(); everything else (help, errors, abbreviations, --opt=value,
+    values that start with "-", "--") is left to the full parser.
     """
-    if argv and argv[0] in COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = _COMMAND_TABLE[argv[0]]
+    by_flag = {opt.flag: opt for opt in options}
+    values = {opt.dest: opt.default for opt in options}
+    given = set()
+    i = 1
+    while i < len(argv):
+        opt = by_flag.get(argv[i])
+        if opt is None:
+            return None
+        if opt.type is bool:
+            values[opt.dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if opt.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+        given.add(opt.dest)
+        i += 2
+    if any(opt.required and opt.dest not in given for opt in options):
+        return None
+    return SimpleNamespace(**values, command=argv[0], func=func)
+
+
+def _parse_args(argv):
+    """argv parsed by _parse_direct, or where that declines by the full
+    parser, which prints help and usage errors and exits."""
+    args = _parse_direct(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
     """Run the command of argv (sys.argv[1:] by default) and return its exit
-    code.  A valid command is parsed by its own parser alone, never by the
-    full one (_parse_args); nothing is kept from one call to the next.  Once
-    --seed and --q are checked, the command runs as func(args, ctx, config)."""
+    code.  A valid command is parsed from the option table alone, without
+    argparse; help and usage errors go to the full parser (_parse_args).
+    Nothing is kept from one call to the next.  Once --seed and --q are
+    checked, the command runs as func(args, ctx, config)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     try:

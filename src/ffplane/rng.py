@@ -61,24 +61,30 @@ class SplitMix64:
         held just before it: j_i itself, unless an earlier swap with the
         same partner wrote there.  What swap i writes to j_i is what
         position i held before it, which the last earlier swap with partner
-        i wrote, or i.  One stable argsort of the partners lists these
-        previous writers (numpy radix-sorts keys of 16 bits, so they are
-        uint16 up to n = 2^16, uint32 past it), and pointer jumping follows
-        each chain of writers to its first value, in about log2 of the
-        longest chain's rounds (5 at n = 44,521, 6 at n ~ 10^6).
+        i wrote, or i.  A stable sort of the partners lists these previous
+        writers, and pointer jumping follows each chain of writers to its
+        first value, in about log2 of the longest chain's rounds (5 at
+        n = 44,521, 6 at n ~ 10^6).  numpy radix-sorts keys of 16 bits or
+        fewer, so the sort is one stable argsort of uint16 keys up to
+        n = 2^16, and past it two: of the partners' low halves, then of
+        their high halves in that order, which is the stable order of the
+        whole partners.
         """
         if n <= 1:
             return np.arange(n, dtype=np.int64)
-        draws = splitmix64_u64(self.state, n - 1)
-        self.state = (self.state + (n - 1) * _GAMMA) & _MASK
-        key = np.uint16 if n <= 1 << 16 else np.uint32
+        wide = n > 1 << 16
         # Partner j of swap i at index n - 1 - i, the order swaps run in;
         # the last entry is a no-op swap 0 with itself, whose previous
         # writer is the last swap with partner 0.
-        j = np.zeros(n, dtype=key)
-        np.remainder(draws, np.arange(n, 1, -1, dtype=np.uint64), out=j[:-1],
+        j = np.zeros(n, dtype=np.uint32 if wide else np.uint16)
+        np.remainder(splitmix64_u64(self.state, n - 1),
+                     np.arange(n, 1, -1, dtype=np.uint64), out=j[:-1],
                      casting="unsafe")
-        order = np.argsort(j, kind="stable")
+        self.state = (self.state + (n - 1) * _GAMMA) & _MASK
+        order = np.argsort(j.astype(np.uint16, copy=False), kind="stable")
+        if wide:
+            high = (j[order] >> 16).astype(np.uint16)
+            order = order[np.argsort(high, kind="stable")]
         swap = n - 1 - order  # grouped by partner, in the order swaps run
         part = j[order]
         # prev[i]: the last swap with swap i's partner to run before it.

@@ -1,5 +1,6 @@
-import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ffplane import bounds, cli, geometry
 from ffplane.bounds import CHECK_NAMES
@@ -932,7 +935,7 @@ def test_gen_strip_stream_matches_golden_digest(capsys, argv, digest):
     assert _sha256(out) == digest
 
 
-# -- one parser per command -----------------------------------------------------
+# -- the direct parse and the full parser -----------------------------------------
 
 _VALID_ARGV = {
     "count": ["count", "--q", "7", "--quantity", "par_t", "--t", "1", "--set", "full"],
@@ -945,13 +948,113 @@ _VALID_ARGV = {
 }
 
 
+def _full_parse(parser, argv):
+    """vars() of the full parser's namespace, or None where it exits (help
+    or a usage error)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_subcommand_parser_parses_as_the_full_one(command):
     argv = _VALID_ARGV[command]
-    one = vars(build_parser(command).parse_args(argv[1:]))
-    assert one == vars(build_parser().parse_args(argv))
-    assert one["command"] == command
-    assert one["func"] is getattr(cli, f"_cmd_{command}")
+    one = cli._parse_direct(argv)
+    assert one is not None
+    assert vars(one) == vars(build_parser().parse_args(argv))
+    assert one.command == command
+    assert one.func is getattr(cli, f"_cmd_{command}")
+
+
+def test_benchmark_commands_parse_directly(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    parser = build_parser()
+    argvs = [cmd.argv for build, _ in workloads.WORKLOADS.values()
+             for seed in (1, 2, 4242) for cmd in build(seed)]
+    for argv in argvs:
+        args = cli._parse_direct(argv)
+        assert args is not None, argv
+        assert vars(args) == _full_parse(parser, argv)
+
+
+_STR_VALUES = ["full", "random:0.5:3", "line-ap:0:1:2", "", "a b", "x=y", "7",
+               "all", "auto", "json", "n_t"]
+_ODD_TOKENS = ["-h", "--help", "--", "-", "-1", "--bogus", "-q", "--cap",
+               "--methods", "--json", "--all-t", "--t", "extra", "full"]
+_FAULTS = (None, None, "equals", "abbrev", "value", "value", "missing", "drop",
+           "stray", "command")
+
+
+def _bad_values(opt):
+    """Values argparse refuses for opt, or reads as something else: ints
+    that int() refuses or accepts in odd forms, a choice not offered, and
+    tokens that start with "-"."""
+    if opt.type is int:
+        odd = [" 7", "0x10", "1_000", "1.5", "x", "", "+3", "\u0663"]
+    else:
+        odd = ["bogus"] if opt.choices else []
+    return odd + ["-x", "--q", "-1", "-"]
+
+
+@st.composite
+def _argvs(draw):
+    """Argument lists from the option table: a command's options, each left
+    out (unless required), given once or repeated, in any order, with at
+    most one fault: an --opt=value form, an abbreviation, a bad value, a
+    missing value, a dropped option, a stray token, or a first word that
+    names no command."""
+    command = draw(st.sampled_from(COMMANDS))
+    pieces = []
+    for opt in cli._COMMAND_TABLE[command][2]:
+        for _ in range(draw(st.sampled_from((1, 1, 2) if opt.required else (0, 1, 2)))):
+            if opt.type is bool:
+                value = None
+            elif opt.choices is not None:
+                value = draw(st.sampled_from(opt.choices))
+            elif opt.type is int:
+                value = str(draw(st.integers(0, 30)))
+            else:
+                value = draw(st.sampled_from(_STR_VALUES))
+            pieces.append((opt, value))
+    pieces = draw(st.permutations(pieces))
+    tokens = [[opt.flag] if value is None else [opt.flag, value] for opt, value in pieces]
+    fault = draw(st.sampled_from(_FAULTS))
+    k = draw(st.integers(0, max(len(pieces) - 1, 0)))
+    if fault == "command":
+        command = draw(st.sampled_from(("nope", "coun", "COUNT", "-h", "--q")))
+    elif fault == "stray":
+        tokens.insert(k, [draw(st.sampled_from(_ODD_TOKENS))])
+    elif pieces:
+        opt, value = pieces[k]
+        if fault == "equals":
+            tokens[k] = [f"{opt.flag}={'1' if value is None else value}"]
+        elif fault == "abbrev":
+            tokens[k][0] = opt.flag[:draw(st.integers(3, len(opt.flag)))]
+        elif fault == "value" and value is not None:
+            tokens[k][1] = draw(st.sampled_from(_bad_values(opt)))
+        elif fault == "missing" and value is not None:
+            del tokens[k][1]
+        elif fault == "drop":
+            del tokens[k]
+    return [command] + [token for piece in tokens for token in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["vc", "--q", "7", "--t", "1", "--set", "full", "--q", "11", "--t", "2"])
+@example(["count", "--q", "7", "--quantity", "bogus", "--set", "full"])
+def test_direct_parse_agrees_with_the_full_parser(argv):
+    # Wherever the direct parse accepts, the full parser accepts too and
+    # gives a namespace of the same vars(); where it declines, main falls
+    # back to the full parser, so only acceptance is checked.
+    args = cli._parse_direct(argv)
+    if args is not None:
+        assert vars(args) == _full_parse(build_parser(), argv)
 
 
 def _outcome(capsys, argv):
@@ -984,18 +1087,53 @@ def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
     assert got == _outcome(capsys, argv)
 
 
-def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
+# Run in a fresh interpreter, where no other test has imported argparse:
+# argv 1 is the valid argument lists, as JSON.
+_NO_PARSER_SCRIPT = """
+import contextlib, io, json, sys
+from ffplane import cli
 
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self.prog)
+valid = json.loads(sys.argv[1])
+assert "argparse" not in sys.modules and "gettext" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in valid:
+        assert cli.main(argv) == 0, argv
+assert "argparse" not in sys.modules and "gettext" not in sys.modules
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert main(_VALID_ARGV["vc"]) == 0
-    assert built == ["ffplane vc"]
-    # Errors and top-level help go through the full parser.
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+
+argparse.ArgumentParser.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in valid:
+        assert cli.main(argv) == 0, argv
+assert built == [], built
+full = ["ffplane"] + ["ffplane " + command for command in cli.COMMANDS]
+for argv in (["nope"], ["count", "--q", "13"], ["vc", "-h"]):
     built.clear()
-    assert _outcome(capsys, ["nope"])[0] == 2
-    assert built == ["ffplane"] + [f"ffplane {command}" for command in COMMANDS]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+    assert built == full, (argv, built)
+print("ok")
+"""
+
+
+def test_main_builds_no_parser_for_a_valid_command():
+    # A valid command imports neither argparse nor gettext and, with
+    # argparse imported, builds no parser; an error and help build the full
+    # parser.
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_PARSER_SCRIPT, json.dumps(list(_VALID_ARGV.values()))],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"

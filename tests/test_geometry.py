@@ -486,10 +486,12 @@ def test_permutation_matches_scalar_stream(n, seed, small_blocks):
 
 
 def test_permutation_past_16_bit_partners_matches_scalar_stream():
-    # Partners of n > 2^16 swaps are sorted as uint32 keys; at this n about
-    # 120 of them pass 2^16 - 1.
-    for seed in (0, 2**64 - 1):
-        _assert_permutation_matches_scalar_stream((1 << 16) + (1 << 12), seed)
+    # Partners of n > 2^16 swaps are sorted by two uint16 passes, the low
+    # half and then the high half.  At the first n about 120 of them pass
+    # 2^16 - 1; at the second, those past 2^17 - 1 have a high half of 2.
+    for n in ((1 << 16) + (1 << 12), (1 << 17) + (1 << 12)):
+        for seed in (0, 2**64 - 1):
+            _assert_permutation_matches_scalar_stream(n, seed)
 
 
 def test_indicator_matches_elements_and_is_read_only(ctx7):
