@@ -3,15 +3,17 @@
 Every quantity has at least two independent routes:
 
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
-* ``fast``   -- for ``par_t``, the sum of D12(v) D34(v) over v on S_t and
-  for ``par`` and the per-t profile over the whole plane, with
-  D(v) = #{(a, b) : a - b = v} from one ``geometry`` request per call, one
-  table per distinct pair (_products): on S_t each pair's D is counted at
-  the circle's cells alone by probes from its smaller set, up to 64 q^2
-  probes; whole tables pair by pair up to 16 q^2 pairs and past that by
-  certified FFT, all of a request's in one stacked transform; for ``n_t``,
-  ``rhom_t`` and ``degenerate``, gathers of point lists on the tiled
-  indicator arrays (the layout is stated in ``geometry``).  The rhombus
+* ``fast``   -- sums of the difference function
+  D(v) = #{(a, b) : a - b = v}: for ``n_t``, D_UV(v) over v on S_t; for
+  ``par_t``, D12(v) D34(v) over v on S_t, and for ``par`` and the per-t
+  profile over the whole plane.  D comes from one ``geometry`` request per
+  call, one table per distinct pair (_products for the parallelograms): on
+  S_t each pair's D is counted at the circle's cells alone by probes from
+  its smaller set, up to 64 q^2 probes; whole tables pair by pair up to
+  16 q^2 pairs and past that by certified FFT, all of a request's in one
+  stacked transform.  For ``rhom_t`` and ``degenerate``, gathers of point
+  lists on the tiled indicator arrays (the layout is stated in
+  ``geometry``).  The rhombus
   terms of any list of radii come from one call (``rhombus_directions``):
   on small instances as float32 matrix products over E1 x E3, stacked
   over radii, and otherwise direction by direction by mark and probe, with
@@ -21,9 +23,12 @@ Every quantity has at least two independent routes:
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.
 
-All counts are exact integers.  The only float-derived value is the fourier
-total; it carries a derived rounding-error bound, and the call raises unless
-that bound is below 1e-6 and the total lands within 1e-6 of an integer.
+All counts are exact integers.  Two kinds of value are float-derived, and
+neither is rounded silently: an FFT difference table is certified by
+integer invariants and a rounding margin, or counted exactly instead
+(``geometry.difference_tables``); the fourier total carries a derived
+rounding-error bound, and the call raises unless that bound is below 1e-6
+and the total lands within 1e-6 of an integer.
 
 Conventions (ordered tuples throughout):
 
@@ -41,7 +46,6 @@ import numpy as np
 
 from .errors import ToleranceExceeded
 from . import geometry
-from .field import PrimeFieldCtx
 from .fourier import transform
 from .geometry import (
     PointSet,
@@ -53,6 +57,8 @@ from .geometry import (
     mirrored_directions,
     negated_points,
     norm_classes,
+    probe_counts,
+    require_same_q,
     tiled_copies,
     tiled_points,
 )
@@ -120,29 +126,12 @@ class FourierSplit:
     error_bound: float
 
 
-def _require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
-    for s in sets:
-        if s.q != ctx.q:
-            raise ValueError("point sets and field context disagree on q")
-
-
-def _probe_count(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> int:
-    """#{(p, s) : tiled[p + s]} over canonical tiled indices, in bounded chunks."""
-    if not len(points) or not len(offsets):
-        return 0
-    step = max(1, geometry.INDEX_CHUNK // len(offsets))
-    total = 0
-    for i in range(0, len(points), step):
-        total += int(np.count_nonzero(tiled[points[i:i + step, None] + offsets]))
-    return total
-
-
 # -- unit distances ----------------------------------------------------------
 
 def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
                          method: str = "fast") -> CountResult:
     """Pairs (u, v) in U x V with |u - v| = t."""
-    _require_same_q(ctx, U, V)
+    require_same_q(ctx, U, V)
     q = ctx.q
     t %= q
     if method == "oracle":
@@ -154,8 +143,8 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
                 if (d1 * d1 + d2 * d2) % q == t:
                     total += 1
     elif method == "fast":
-        # v is at form-distance t from u iff v in u + S_t (S_t = -S_t).
-        total = _probe_count(flat_tiling(V.indicator), U.points, circle(ctx, t).points)
+        # The sum of D_UV(v) over v on S_t.
+        total = int(difference_table(ctx, U, V, circle(ctx, t)).table.sum())
     else:
         raise ValueError(f"unknown method {method!r}")
     return CountResult(total, method, q, t, (len(U), len(V)))
@@ -165,7 +154,7 @@ def count_unit_distances(ctx, U: PointSet, V: PointSet, t: int,
 
 def count_par_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast") -> CountResult:
     """Quadruples (x, y, z, w) with x - y = z - w and |x - y| = t."""
-    _require_same_q(ctx, E1, E2, E3, E4)
+    require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
     if method == "oracle":
@@ -191,7 +180,7 @@ def count_par_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast") -> CountResul
 
 def count_par_all(ctx, E1, E2, E3, E4, method: str = "fast") -> CountResult:
     """All quadruples with x - y = z - w (sum over every side-length t)."""
-    _require_same_q(ctx, E1, E2, E3, E4)
+    require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     if method == "fast":
         total = int(_products(ctx, [(E1, E2, E3, E4)])[0].sum())
@@ -248,7 +237,6 @@ def _products(ctx, quads, on: PointSet | None = None) -> list:
     difference_table, the name perfbench's tracer wraps."""
     index, quad_pairs = {}, []
     for E1, E2, E3, E4 in quads:
-        _require_same_q(ctx, E1, E2, E3, E4)
         quad_pairs.append([index.setdefault(pair, len(index)) for pair in ((E1, E2), (E3, E4))])
     pairs = list(index)
     tables = (difference_tables(ctx, pairs, on) if len(pairs) > 1
@@ -278,7 +266,7 @@ def par_t_profiles(ctx, quads) -> list:
 def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
                  exclude_degenerate: bool = False) -> CountResult:
     """Rhombi of side t: triples (u, v, x) as in the module docstring."""
-    _require_same_q(ctx, E1, E2, E3, E4)
+    require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
     if method == "oracle":
@@ -327,12 +315,11 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     * Otherwise direction by direction (_probed_terms): each direction's
       meets are gathers over the point lists of E1 and E3; the larger is
       marked in a scratch tiling, and the smaller probed on p + S_t, which
-      counts the same pairs because S_t = -S_t, in chunks as in
-      _probe_count.  Where 4 max(a, b) <= |S_t|
-      for the meet sizes a and b, the fixed cost of marking and probing
-      exceeds that of testing the a b pairs outright: such directions are
-      deferred, and all of a radius's are counted in one batch of pairs
-      (_small_pair_counts).
+      counts the same pairs because S_t = -S_t (geometry.probe_counts).
+      Where 4 max(a, b) <= |S_t| for the meet sizes a and b, the fixed cost
+      of marking and probing exceeds that of testing the a b pairs
+      outright: such directions are deferred, and all of a radius's are
+      counted in one batch of pairs (_small_pair_counts).
 
     When E2 = E1 and E4 = E3, E12^-x = E12^x + x and E34^-x = E34^x + x:
     the meets of -x are those of x translated by x, so the sizes and the
@@ -340,7 +327,7 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     computed (mirrored_directions), and its term fills both slots; K_t and
     the probes still use the whole circle.
     """
-    _require_same_q(ctx, E1, E2, E3, E4)
+    require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     p1, p3 = E1.points, E3.points
     circles = {t: circle(ctx, t % q).points for t in radii}
@@ -469,13 +456,13 @@ def _pair_count(marks, st, e12, e34, q: int) -> int:
     """rhom_x of one direction from its meets as tiled indices.
 
     The larger meet is marked in all four tiled copies of its points, the
-    smaller one probed on p + S_t in chunks, and the marks are cleared
-    again.
+    smaller one probed on p + S_t (probe_counts, summed), and the marks are
+    cleared again.
     """
     probe, marked = (e12, e34) if len(e12) <= len(e34) else (e34, e12)
     cells = tiled_copies(marked, q)
     marks[cells] = True
-    count = _probe_count(marks, probe, st)
+    count = int(probe_counts(marks, probe, st).sum())
     marks[cells] = False
     return count
 
@@ -490,7 +477,7 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
     y - x in E1 and y + x in E4, by two tiled gathers per pair, taking -x
     from the negated circle offsets, in chunks of directions.
     """
-    _require_same_q(ctx, E1, E2, E3, E4)
+    require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
     if method == "oracle":
@@ -552,7 +539,7 @@ def par_t_fourier(ctx, E1, E2, E3, E4, t: int) -> FourierSplit:
     so rounding cannot be certified, or when total is not within 1e-6 of an
     integer.
     """
-    _require_same_q(ctx, E1, E2, E3, E4)
+    require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
     t %= q
 

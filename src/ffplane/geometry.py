@@ -207,6 +207,13 @@ def full_plane(ctx: PrimeFieldCtx) -> PointSet:
     return PointSet._from_indicator(ctx.q, np.ones((ctx.q, ctx.q), dtype=bool))
 
 
+def require_same_q(ctx: PrimeFieldCtx, *sets: PointSet) -> None:
+    """ValueError unless every set is a set of ctx's plane."""
+    for s in sets:
+        if s.q != ctx.q:
+            raise ValueError("point sets and field context disagree on q")
+
+
 def _certified(raw: np.ndarray, table: np.ndarray, total, overlap) -> np.ndarray:
     """Integer invariants and rounding margin of float-derived tables, one
     verdict per q x q table of the last two axes."""
@@ -262,11 +269,15 @@ def difference_tables(ctx: PrimeFieldCtx, pairs, on: PointSet | None = None) -> 
     computed by FFT, every such pair in one stacked transform, and rounded;
     then each table is certified on its own: rounding residual < 1/4, mass
     |A||B|, D(0) = |A n B| and D >= 0 (route "fft").  A table that fails
-    any check is counted exactly instead.
+    any check is counted exactly instead.  Every set and ``on`` must be
+    of ctx's q (require_same_q).
     """
     q = ctx.q
+    if on is not None:
+        require_same_q(ctx, on)
     tables, routes, fft = [], [], []
     for k, (A, B) in enumerate(pairs):
+        require_same_q(ctx, A, B)
         if on is not None and len(on) * min(len(A), len(B)) <= _PROBES_PER_CELL * q * q:
             tables.append(differences_at(A, B, on.points))
             routes.append("probes")
@@ -303,17 +314,21 @@ def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     """D(v) = #{(a, b) in A x B : a - b = v} for each v in ``offsets``.
 
     The offsets are canonical tiled indices, and the counts come back as
-    int64 in their order.  Each is counted by probes from the smaller set:
-    D(v) = #{b in B : b + v in A} is one gather on the tiling of A per
-    (v, b), and D(v) = #{a in A : a - v in B} one on the tiling of B per
-    (v, a).  A chunk of offsets by points is gathered at once, up to
-    INDEX_CHUNK probes, and its rows are counted as byte sums.
+    int64 in their order.  Each is counted by probes from the smaller set
+    (probe_counts): D(v) = #{b in B : b + v in A} on the tiling of A, and
+    D(v) = #{a in A : a - v in B} on the tiling of B.
     """
     if len(A) < len(B):
-        tiled, points = flat_tiling(B.indicator), A.points
-        offsets = negated_points(offsets, A.q)
-    else:
-        tiled, points = flat_tiling(A.indicator), B.points
+        return probe_counts(flat_tiling(B.indicator), A.points, negated_points(offsets, A.q))
+    return probe_counts(flat_tiling(A.indicator), B.points, offsets)
+
+
+def probe_counts(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """#{p in points : tiled[s + p]} for each s in ``offsets``, as int64 in
+    their order, for canonical tiled indices p and s: the one chunked probe
+    count.  A chunk of offsets by points is gathered at once, up to
+    INDEX_CHUNK probes, and its rows are counted as byte sums.
+    """
     counts = np.zeros(len(offsets), dtype=np.int64)
     if len(points):
         step = max(1, INDEX_CHUNK // len(points))

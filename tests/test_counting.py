@@ -46,6 +46,30 @@ def test_unit_distances_fixed_cases(ctx3):
     assert count_unit_distances(ctx3, origin, plane, 1).value == 4
 
 
+# route -> the geometry budgets that force fast n_t onto it; at q <= 13
+# the defaults probe every pair.
+_N_T_ROUTES = {
+    "probes": {},
+    "exact": {"_PROBES_PER_CELL": 0, "_EXACT_PAIRS_PER_CELL": 2**40},
+    "fft": {"_PROBES_PER_CELL": 0, "_EXACT_PAIRS_PER_CELL": 0},
+}
+
+
+def _assert_n_t_routes_match_oracle(ctx, U, V, t):
+    """Fast n_t with each route forced equals the oracle, from one request
+    that takes the route; a pair with an empty set takes no probes, so it
+    stays on the probe route whatever the budgets."""
+    want = count_unit_distances(ctx, U, V, t, "oracle").value
+    for route, budgets in _N_T_ROUTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in budgets.items():
+                mp.setattr(geometry, name, value)
+            calls = _count_tables(mp)
+            value = count_unit_distances(ctx, U, V, t, "fast").value
+        taken = route if len(U) and len(V) else "probes"
+        assert (route, value, calls) == (route, want, [[taken]])
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
 def test_unit_distances_methods_agree(q):
     ctx = PrimeFieldCtx(q)
@@ -53,9 +77,20 @@ def test_unit_distances_methods_agree(q):
         U = gen_random_set(ctx, 0.5, seed)
         V = gen_random_set(ctx, 0.5, seed + 100)
         for t in range(q):
-            o = count_unit_distances(ctx, U, V, t, "oracle").value
-            f = count_unit_distances(ctx, U, V, t, "fast").value
-            assert o == f
+            _assert_n_t_routes_match_oracle(ctx, U, V, t)
+
+
+def test_unit_distances_routes_on_boundary_sets(ctx13):
+    """Every ordered pair of empty, singleton, full plane, a circle, S_0
+    (the isotropic lines {(a, 5a)} and {(a, -5a)}, as 5^2 = -1 mod 13) and
+    one of those lines, at the radius 0, a square and a non-square."""
+    line = PointSet(13, [(a, 5 * a % 13) for a in range(13)])
+    sets = [PointSet(13, []), PointSet(13, [(1, 11)]), full_plane(ctx13),
+            circle(ctx13, 1), circle(ctx13, 0), line]
+    for t in (0, 1, 2):
+        for U in sets:
+            for V in sets:
+                _assert_n_t_routes_match_oracle(ctx13, U, V, t)
 
 
 def test_par_t_fixed_cases(ctx3):
@@ -813,20 +848,25 @@ def test_plane_times_random_set_matches_product_identities(monkeypatch, q):
     """With F the full plane, D_FF = q^2 everywhere, so Par(F, F, R, R) =
     q^2 |R|^2 and Par_t(F, F, R, R) = q^2 n_t(R, R).  At these q both
     pairs are past the probe and exact budgets, so each count's one
-    request takes both tables by FFT, stacked."""
+    request takes both tables by FFT, stacked.  n_t(R, R) alone would read
+    the same FFT table D_RR on S_t; it is probed instead, so the identity
+    compares two routes."""
     ctx = PrimeFieldCtx(q)
     F, R = full_plane(ctx), gen_random_set(ctx, 0.5, 1)
     calls = _count_tables(monkeypatch)
     assert count_par_all(ctx, F, F, R, R).value == q**2 * len(R) ** 2
-    assert count_par_t(ctx, F, F, R, R, 1).value == (
-        q**2 * count_unit_distances(ctx, R, R, 1).value)
-    assert calls == [["fft", "fft"]] * 2
+    par_t = count_par_t(ctx, F, F, R, R, 1).value
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_PROBES_PER_CELL", 10**9)
+        n_t = count_unit_distances(ctx, R, R, 1).value
+    assert par_t == q**2 * n_t
+    assert calls == [["fft", "fft"]] * 2 + [["probes"]]
 
 
 def test_full_plane_closed_forms_at_q211(monkeypatch):
     """n_t = q^2 |S_t|, Par_t = q^4 |S_t| and Par = q^6 on the full plane;
-    the four slots share one table, probed on S_0 = {0} and taken by FFT
-    otherwise."""
+    the four slots share one table, and each count's one request probes
+    it on S_0 = {0} and takes it by FFT otherwise."""
     q = 211
     ctx = PrimeFieldCtx(q)
     F = full_plane(ctx)
@@ -836,7 +876,7 @@ def test_full_plane_closed_forms_at_q211(monkeypatch):
         size = len(circle(ctx, t))
         assert count_unit_distances(ctx, F, F, t).value == q**2 * size
         assert count_par_t(ctx, F, F, F, F, t).value == q**4 * size
-    assert calls == [["fft"], ["probes"], ["fft"], ["fft"]]
+    assert calls == [["fft"]] + [["probes"]] * 2 + [["fft"]] * 4
 
 
 def _circle_self_count(ctx, j, t):

@@ -115,6 +115,24 @@ def test_difference_table_exact_fallback(monkeypatch):
         assert exact.count(v) == brute
 
 
+@pytest.mark.parametrize("q_sets, q_on", [(7, None), (7, 11), (11, 7)])
+@pytest.mark.parametrize("per_cell", [0, 10**9])
+def test_difference_tables_refuse_sets_of_another_q(monkeypatch, q_sets, q_on, per_cell):
+    """Every set of every pair, and ``on``, must be of the context's q = 11,
+    on the probe and the table routes alike; a q = 7 set would otherwise
+    give an 11 x 11 table, or counts at the cells of an 11 circle."""
+    monkeypatch.setattr(geometry, "_PROBES_PER_CELL", per_cell)
+    ctx, other = PrimeFieldCtx(11), PrimeFieldCtx(q_sets)
+    A, B = full_plane(other), gen_random_set(other, 0.5, 1)
+    on = None if q_on is None else circle(PrimeFieldCtx(q_on), 1)
+    F = full_plane(ctx)
+    for pairs in ([(A, B)], [(F, F), (A, B)], [(F, F), (A, F)], [(F, B)]):
+        with pytest.raises(ValueError, match="point sets and field context disagree on q"):
+            geometry.difference_tables(ctx, pairs, on)
+    with pytest.raises(ValueError, match="point sets and field context disagree on q"):
+        difference_table(ctx, A, B, on)
+
+
 def test_difference_table_certificate_rejects_each_invariant():
     table = np.array([[2, 1, 0], [0, 1, 0], [0, 0, 0]], dtype=np.int64)
     raw = table + 0.1
@@ -310,9 +328,8 @@ def test_one_chunk_constant_reaches_every_route(monkeypatch):
     ctx11 = PrimeFieldCtx(11)
     assert isinstance(vc.find_witness(ctx11, full_plane(ctx11), 1), vc.Witness)
     assert chunk.readers == {
-        "_probe_count", "_small_pair_counts", "count_degenerate_rhom",
-        "_exact_differences", "differences_at", "_first_pair", "sweep",
-        "circle_decay_batch"}
+        "probe_counts", "_small_pair_counts", "count_degenerate_rhom",
+        "_exact_differences", "_first_pair", "sweep", "circle_decay_batch"}
 
 
 @pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
