@@ -29,7 +29,7 @@ from .errors import (
     ZeroInverse,
 )
 from .field import PrimeFieldCtx
-from .fourier import Spectrum, check_circle_decay, circle_spectrum_closed, inverse, transform
+from .fourier import check_circle_decay, circle_spectrum_closed, inverse, transform
 from .geometry import (
     DifferenceTable,
     PointSet,

@@ -234,9 +234,7 @@ def _cmd_fourier(args, ctx, config) -> int:
         ps = geometry.parse_sets(ctx, args.set, 1, args.seed)[0]
     spec = fourier.transform(ctx, ps, method=args.method)
     coeffs = [
-        [m1, m2,
-         float(spec.coeffs[m1, m2].real),
-         float(spec.coeffs[m1, m2].imag)]
+        [m1, m2, float(spec[m1, m2].real), float(spec[m1, m2].imag)]
         for m1 in range(ctx.q) for m2 in range(ctx.q)
     ]
     _emit({"q": ctx.q, "coeffs": coeffs}, config)

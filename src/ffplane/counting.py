@@ -21,7 +21,9 @@ Every quantity has at least two independent routes:
   only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
-  tables, independent of the difference tables the fast route uses.
+  tables, independent of the difference tables the fast route uses.  The
+  tables are ``fourier.transform`` arrays, and as every set is real,
+  fhat(-m) is read as conj(fhat(m)).
 
 All counts are exact integers.  Two kinds of value are float-derived, and
 neither is rounded silently: an FFT difference table is certified by
@@ -508,11 +510,6 @@ def count_degenerate_rhom(ctx, E1, E2, E3, E4, t: int,
 
 # -- character-sum evaluation --------------------------------------------------
 
-def _negated(coeffs: np.ndarray, q: int) -> np.ndarray:
-    negi = np.mod(-np.arange(q), q)
-    return coeffs[np.ix_(negi, negi)]
-
-
 def _cyclic_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a * b)(k) = sum_m a(m) b(k - m) over Z_q^2."""
     return np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(b))
@@ -547,24 +544,23 @@ def par_t_fourier(ctx, E1, E2, E3, E4, t: int) -> FourierSplit:
     spectra = {}
     for s in (E1, E2, E3, E4):
         if s not in spectra:
-            spectra[s] = transform(ctx, s).coeffs
+            spectra[s] = transform(ctx, s)
     e1, e2, e3, e4 = map(spectra.get, (E1, E2, E3, E4))
-    st = transform(ctx, circle(ctx, t)).coeffs
+    st = transform(ctx, circle(ctx, t))
 
     # Writing the count as sum_v S_t(v) * sum_{x,y} E1(x)E2(x-v)E3(y)E4(y-v)
     # and expanding E2, E4 by inversion pairs E1 with E2 on one frequency and
-    # E3 with E4 on the other.
-    a = _negated(e1, q) * e2                        # a[m] = ehat1(-m) ehat2(m)
-    b = _negated(e3, q) * e4                        # b[n] = ehat3(-n) ehat4(n)
-    st_neg = _negated(st, q)                        # shat_t(-k)
+    # E3 with E4 on the other.  Every set is real, so f(-m) = conj(f(m)).
+    a = np.conj(e1) * e2                            # a[m] = ehat1(-m) ehat2(m)
+    b = np.conj(e3) * e4                            # b[n] = ehat3(-n) ehat4(n)
+    st_neg = np.conj(st)                            # shat_t(-k)
 
     total = complex(q**6 * (st_neg * _cyclic_convolution(a, b)).sum())
     magnitude = q**6 * float(
         (np.abs(st_neg) * _cyclic_convolution(np.abs(a), np.abs(b)).real).sum())
     error_bound = 4 * np.finfo(float).eps * np.log2(q * q) * magnitude
 
-    b_neg = _negated(e4, q) * e3                    # b[-m] = ehat3(m) ehat4(-m)
-    term_i = complex(q**5 * (a * b_neg).sum())
+    term_i = complex(q**5 * (a * np.conj(b)).sum())  # b[-m] = conj(b[m])
     term_ii = total - term_i
 
     if error_bound >= ROUND_TOL:

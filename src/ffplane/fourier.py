@@ -9,6 +9,12 @@ Under this convention q^2 * fhat is numpy's forward 2-D DFT,
 sum_x f(x) * exp(-2*pi*i*x.m/q), so the workhorse transform is fft2 / q^2
 and the inversion is q^2 * ifft2.  A literal O(q^4) double loop is kept as
 the oracle; the two must agree to 1e-9 and the test suite holds them to that.
+
+``transform`` is the one place the normalized DFT is computed.  It takes
+plain arrays (or a point set's indicator) and returns the coefficient
+array, indexed [m1, m2], so fhat(-m) is numpy's negative index; the fast
+route also takes a stack of tables and transforms each alone.  For a real
+f, fhat(-m) = conj(fhat(m)).
 """
 
 import numpy as np
@@ -19,44 +25,36 @@ from .geometry import PointSet, norm, norm_classes
 from .report import JSON_BOOL, VERDICT_EPS, BoundReport, ReportBatch, line_parts, safe_ratio
 
 
-class Spectrum:
-    """Table of Fourier coefficients over the dual copy of F_q^2."""
-
-    __slots__ = ("q", "coeffs")
-
-    def __init__(self, q: int, coeffs: np.ndarray):
-        self.q = q
-        self.coeffs = coeffs
-
-    def at(self, m) -> complex:
-        return complex(self.coeffs[m[0] % self.q, m[1] % self.q])
-
-    def __repr__(self):
-        return f"Spectrum(q={self.q})"
-
-
 def _as_array(ctx: PrimeFieldCtx, f) -> np.ndarray:
     if isinstance(f, PointSet):
         if f.q != ctx.q:
             raise ValueError("point set and field context disagree on q")
         return f.indicator
-    arr = np.asarray(f, dtype=np.float64)
-    if arr.shape != (ctx.q, ctx.q):
+    arr = np.asarray(f)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"expected a real table, got dtype {arr.dtype}")
+    if arr.shape[-2:] != (ctx.q, ctx.q):
         raise ValueError(f"expected a {ctx.q}x{ctx.q} table, got {arr.shape}")
     return arr
 
 
-def transform(ctx: PrimeFieldCtx, f, method: str = "fast") -> Spectrum:
-    """Fourier transform of a real table or point-set indicator.
+def transform(ctx: PrimeFieldCtx, f, method: str = "fast") -> np.ndarray:
+    """Fourier coefficients fhat(m) of f as a complex array indexed [m1, m2];
+    fhat(-m) is the same array at [-m1, -m2].
 
-    method="fast" is numpy's 2-D FFT scaled by q^-2;
-    method="oracle" evaluates every coefficient by the direct double sum.
+    f is a point set, a real q x q table (bool, integer or float), or for
+    method="fast" a stack of such tables along leading axes, each
+    transformed alone.  method="fast" is numpy's 2-D FFT scaled by q^-2, in
+    numpy's precision for the table's dtype; method="oracle" evaluates every
+    coefficient of one table by the direct double sum.
     """
     q = ctx.q
     arr = _as_array(ctx, f)
     if method == "fast":
-        return Spectrum(q, np.fft.fft2(arr) / (q * q))
+        return np.fft.fft2(arr) / (q * q)
     if method == "oracle":
+        if arr.ndim != 2:
+            raise ValueError(f"the oracle takes one {q}x{q} table, got {arr.shape}")
         chi = ctx.chi_table
         coeffs = np.empty((q, q), dtype=np.complex128)
         for m1 in range(q):
@@ -69,14 +67,14 @@ def transform(ctx: PrimeFieldCtx, f, method: str = "fast") -> Spectrum:
                         if v:
                             acc += v * chi[(-(x1 * m1 + x2 * m2)) % q]
                 coeffs[m1, m2] = acc / (q * q)
-        return Spectrum(q, coeffs)
+        return coeffs
     raise ValueError(f"unknown method {method!r}")
 
 
-def inverse(ctx: PrimeFieldCtx, spec: Spectrum) -> np.ndarray:
-    """Inversion: f(x) = sum_m chi(m.x) * coeffs(m).  Returns a complex table."""
+def inverse(ctx: PrimeFieldCtx, coeffs: np.ndarray) -> np.ndarray:
+    """Inversion: f(x) = sum_m chi(m.x) * coeffs[m].  Returns a complex table."""
     q = ctx.q
-    return (q * q) * np.fft.ifft2(spec.coeffs)
+    return (q * q) * np.fft.ifft2(coeffs)
 
 
 def circle_spectrum_closed(ctx: PrimeFieldCtx, j: int, m) -> complex:
@@ -117,13 +115,13 @@ def circle_decay_batch(ctx: PrimeFieldCtx, js) -> ReportBatch:
     classes = norm_classes(ctx)
     isotropic = (classes == 0) & nonzero_mode
     anisotropic = nonzero_mode & ~isotropic
-    # Each circle's maxima over the three mode sets, from one fft2 (transform's
-    # fast route) per stack of circles of at most INDEX_CHUNK cells.
+    # Each circle's maxima over the three mode sets, from one transform per
+    # stack of circles of at most INDEX_CHUNK cells.
     maxima = [[], [], []]
     step = max(1, geometry.INDEX_CHUNK // (q * q))
     for i in range(0, len(js), step):
         stack = classes == np.array(js[i:i + step])[:, None, None]
-        mags = np.abs(np.fft.fft2(stack) / (q * q))
+        mags = np.abs(transform(ctx, stack))
         for out, modes in zip(maxima, (nonzero_mode, anisotropic, isotropic)):
             out += mags[:, modes].max(axis=1).tolist() if modes.any() else [None] * len(mags)
     max_all, regular, iso = maxima

@@ -33,8 +33,6 @@ from .errors import ModulusMismatch, PointSetFormatError
 from .field import PrimeFieldCtx
 from .rng import splitmix64_blocks
 
-Point = tuple
-
 # difference_table takes the exact route while |A||B| <= this many pairs per
 # cell of the plane.  Measured at q in {61, 101, 211}, the exact route beats
 # the FFT up to ~34-47 q^2 pairs, and at 16 q^2 it is still >= 1.8x faster.

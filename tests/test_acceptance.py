@@ -60,7 +60,7 @@ def test_c01_circle_spectrum_closed_form():
                 for m1 in range(q):
                     for m2 in range(q):
                         closed = circle_spectrum_closed(ctx, j, (m1, m2))
-                        if abs(oracle.at((m1, m2)) - closed) >= tol:
+                        if abs(oracle[m1, m2] - closed) >= tol:
                             ok = False
     report(1, "circle spectrum closed form", ok and tm.elapsed < 30, tm.elapsed, 30)
     assert ok

@@ -935,6 +935,42 @@ def test_gen_strip_stream_matches_golden_digest(capsys, argv, digest):
     assert _sha256(out) == digest
 
 
+# Digests of Fourier streams (elapsed_ms dropped, each line re-encoded with
+# sorted keys), recorded while the transform returned a Spectrum object and
+# par_t_fourier rebuilt fhat(-m) by index gathers; arrays and conj must leave
+# every value unchanged.  The q=37 full plane is fourier par_t's largest
+# certified instance.
+_FOURIER_SLOTS = "random:0.5:0,random:0.5:1,random:0.5:2,random:0.5:3"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("fourier --q 13 --circle 1",
+     "5f5e8e9ea9174ba378bb2f76d291b72c081994b9e034b1e21fd1187648c62c6a"),
+    ("fourier --q 13 --circle 0",
+     "75ee3f09fc061767244c1c3f9f213162f0b42cfb54839f427a7853a0b13f2afd"),
+    ("fourier --q 11 --set random:0.5:1",
+     "15db8910b0050f2fcbbcf423f005a3179345dda0bc9504877e312dd09107d4de"),
+    ("fourier --q 7 --set random:0.5:1 --method oracle",
+     "7f8672b3610c1b16dfdbd572e89f9e3540cff61de6f98578511ff2828a488183"),
+    ("fourier --q 13 --circle 0 --decay",
+     "8749c90ad128c528ab4651fd673eea1c1e19aeefe90b126931e7f654e638da48"),
+    ("fourier --q 11 --circle 3 --decay",
+     "b362adc9400a9d3276e42fdd2880868c953b3ba19a9b17998535fdef85e61a41"),
+    (f"count --q 31 --quantity par_t --t 1 --method fourier --set {_FOURIER_SLOTS}",
+     "9596f1a28cdb877b0f19a4e2fc9553f037fb38b5f1d0dcaa97c6268b85a43084"),
+    ("count --q 37 --quantity par_t --t 1 --method fourier --set full",
+     "dae918f1d6b8fc6b2f28079cd33726e9cad2158518c062c64f3fe57d15937302"),
+], ids=["q13-circle1", "q13-circle0", "q11-random", "q7-oracle", "q13-decay-isotropic",
+        "q11-decay", "count-q31", "count-q37-full"])
+def test_fourier_stream_matches_golden_digest(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv.split())
+    assert rc == 0
+    objs = json_lines(out)
+    for obj in objs:
+        obj.pop("elapsed_ms", None)
+    assert _sha256("".join(json.dumps(o, sort_keys=True) + "\n" for o in objs)) == digest
+
+
 # -- the direct parse and the full parser -----------------------------------------
 
 _VALID_ARGV = {

@@ -16,21 +16,21 @@ TOL = 1e-9
 
 def test_transform_of_full_plane_is_delta(ctx5):
     spec = transform(ctx5, full_plane(ctx5))
-    assert abs(spec.at((0, 0)) - 1.0) < TOL
-    off = spec.coeffs.copy()
+    assert abs(spec[0, 0] - 1.0) < TOL
+    off = spec.copy()
     off[0, 0] = 0
     assert np.abs(off).max() < TOL
 
 
 def test_transform_of_single_point_is_flat(ctx5):
     spec = transform(ctx5, PointSet(5, [(0, 0)]))
-    assert np.abs(spec.coeffs - 1 / 25).max() < TOL
+    assert np.abs(spec - 1 / 25).max() < TOL
 
 
 def test_transform_circle_fixed_value(ctx3):
     spec = transform(ctx3, circle(ctx3, 1))
-    assert abs(spec.at((0, 0)) - 4 / 9) < TOL
-    assert abs(spec.at((1, 0)) - 1 / 9) < TOL
+    assert abs(spec[0, 0] - 4 / 9) < TOL
+    assert abs(spec[1, 0] - 1 / 9) < TOL
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
@@ -38,8 +38,8 @@ def test_fast_agrees_with_oracle(q):
     ctx = PrimeFieldCtx(q)
     for seed in range(3):
         E = gen_random_set(ctx, 0.5, seed)
-        fast = transform(ctx, E, method="fast").coeffs
-        oracle = transform(ctx, E, method="oracle").coeffs
+        fast = transform(ctx, E, method="fast")
+        oracle = transform(ctx, E, method="oracle")
         assert np.abs(fast - oracle).max() < TOL
 
 
@@ -68,11 +68,11 @@ def test_plancherel_and_conjugate_symmetry(q):
         E = gen_random_set(ctx, 0.6, seed)
         spec = transform(ctx, E)
         # Plancherel for an indicator: sum |coeffs|^2 = |E| / q^2
-        assert abs(np.sum(np.abs(spec.coeffs) ** 2) - len(E) / q**2) < TOL
+        assert abs(np.sum(np.abs(spec) ** 2) - len(E) / q**2) < TOL
         for m1 in range(q):
             for m2 in range(q):
-                conj = np.conj(spec.at((m1, m2)))
-                assert abs(spec.at((-m1, -m2)) - conj) < TOL
+                conj = np.conj(spec[m1, m2])
+                assert abs(spec[-m1, -m2] - conj) < TOL
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -84,7 +84,7 @@ def test_closed_circle_spectrum_matches_transform(q):
         for m1 in range(q):
             for m2 in range(q):
                 closed = circle_spectrum_closed(ctx, j, (m1, m2))
-                assert abs(spec.at((m1, m2)) - closed) < TOL
+                assert abs(spec[m1, m2] - closed) < TOL
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11])
@@ -134,7 +134,7 @@ def test_stacked_circle_spectra_are_each_circles_transform(q):
     batch = circle_decay_batch(ctx, js)
     lhs, max_all, iso_max = [], [], []
     for j in js:
-        mags = np.abs(transform(ctx, circle(ctx, j)).coeffs)
+        mags = np.abs(transform(ctx, circle(ctx, j)))
         regular = nonzero & ~isotropic if j % q == 0 else nonzero
         lhs.append(float(mags[regular].max()))
         max_all.append(float(mags[nonzero].max()))
@@ -157,3 +157,44 @@ def test_transform_rejects_mismatched_set(ctx5):
         transform(ctx5, PointSet(7, [(0, 0)]))
     with pytest.raises(ValueError):
         transform(ctx5, np.zeros((3, 3)))
+
+
+# A complex table used to be cast to its real part: 1j at (1, 2) gave an
+# all-zero spectrum and a ComplexWarning.  Tables that are not real q x q
+# tables (or, for the FFT, stacks of them) are refused.
+@pytest.mark.parametrize("table", [
+    np.where(np.arange(25).reshape(5, 5) == 7, 1j, 0),
+    np.full((5, 5), 1, dtype=object),
+    np.full((5, 5), "1"),
+    np.zeros((5, 4)),
+    np.zeros((5,)),
+    np.zeros(()),
+    np.zeros((2, 5, 4)),
+    [[0] * 5] * 4,
+], ids=["complex", "object", "str", "5x4", "row", "scalar", "stack-of-5x4", "list-4x5"])
+def test_transform_refuses_tables_that_are_not_real_qxq(ctx5, table):
+    for method in ("fast", "oracle"):
+        with pytest.raises(ValueError):
+            transform(ctx5, table, method=method)
+
+
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_transform_of_stack_is_each_tables_transform(q):
+    ctx = PrimeFieldCtx(q)
+    circles = np.stack([circle(ctx, j).indicator for j in range(q)])
+    spec = transform(ctx, circles)
+    assert spec.shape == (q, q, q)
+    for j in range(q):
+        assert np.array_equal(spec[j], transform(ctx, circle(ctx, j)))
+    # The oracle takes one table, never a stack read as one.
+    with pytest.raises(ValueError):
+        transform(ctx, circles, method="oracle")
+    rng = np.random.default_rng(q)
+    ints = rng.integers(-3, 4, size=(2, 3, q, q))
+    for tables in (ints > 0, ints, ints.astype(np.uint8) % 4, ints * 0.25):
+        spec = transform(ctx, tables)
+        assert spec.shape == tables.shape and spec.dtype == np.complex128
+        for k in np.ndindex(tables.shape[:2]):
+            assert np.array_equal(spec[k], transform(ctx, tables[k]))
+            oracle = transform(ctx, tables[k], method="oracle")
+            assert np.abs(spec[k] - oracle).max() < TOL
