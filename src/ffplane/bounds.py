@@ -23,7 +23,7 @@ reports do not depend on the checks run beside it.
 import math
 
 from . import geometry
-from .counting import (count_unit_distances, par_t_profile, par_t_profiles,
+from .counting import (count_unit_distances, par_and_n_t_profiles, par_t_profile,
                        rhombus_directions)
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
@@ -234,25 +234,29 @@ def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
                     _radii(ctx, "par-pairs", all_t=True), {}).reports()
 
 
-def _rhom_relation_batch(q, radii, terms, sizes, **tag) -> ReportBatch:
-    """One row per radius t from its terms (|E12^x|, |E34^x|, Rhom_t^x),
-    one per direction x; every row shares the sharp display's rhs and
+def _rhom_total(terms) -> int:
+    return sum(r for _, _, r in terms)
+
+
+def _rhom_relation_batch(q, radii, terms, sizes, rhoms=None, **tag) -> ReportBatch:
+    """One row per radius t from its terms (|E12^x|, |E34^x|, Rhom_t^x), one
+    per direction x, and its total Rhom_t from ``rhoms`` (summed from the
+    terms when not given); every row shares the sharp display's rhs and
     hypothesis."""
+    if rhoms is None:
+        rhoms = [_rhom_total(t_terms) for t_terms in terms]
     p12 = sizes[0] * sizes[1]
     p34 = sizes[2] * sizes[3]
-    rhoms, sums, lhs, rhs, holds, sharp = [], [], [], [], [], []
-    for t_terms in terms:
-        rhom = 0
+    sums, lhs, rhs, holds, sharp = [], [], [], [], []
+    for rhom, t_terms in zip(rhoms, terms):
         sum_sqrt = 0.0
         prods = []
-        for a, c, rhom_x in t_terms:
+        for a, c, _ in t_terms:
             p = a * c
-            rhom += rhom_x
             prods.append(p)
             sum_sqrt += math.sqrt(p)
         sum_prod = sum(prods)
         rhs_t = 2.0 * math.sqrt(q) * sum_sqrt
-        rhoms.append(rhom)
         sums.append(sum_prod)
         lhs.append(abs(rhom - sum_prod / q))
         rhs.append(rhs_t)
@@ -340,12 +344,16 @@ LINE_LAYOUTS = {
 
 def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
     """One check's report batch on one instance, a row per radius (radius
-    pair for par-pairs); ``memo`` keeps the profile and per-t rhombus terms
-    of E1..E4, and ``tag`` (a sweep's trial and seed) joins the inputs."""
+    pair for par-pairs); ``memo`` keeps the Par_t profile of E1..E4, the
+    n_t profile of E1, E2 when a sweep binned it with the Par_t profile, and
+    per radius t the total Rhom_t and the rhombus terms, and ``tag`` (a
+    sweep's trial and seed) joins the inputs."""
     q = ctx.q
     sizes = [len(s) for s in sets]
     if check == "unit-distance":
-        counts = [count_unit_distances(ctx, *sets, t).value for t in radii]
+        n_t = memo.get("n_t")
+        counts = [count_unit_distances(ctx, *sets, t).value if n_t is None else n_t[t]
+                  for t in radii]
         return _unit_distance_batch(q, radii, counts, sizes, **tag)
     if check in ("par-vs-mean", "par-pairs"):
         if "profile" not in memo:
@@ -358,11 +366,12 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
                                sum(profile.values()), sizes, **tag)
     missing = [t for t in radii if t not in memo]
     if missing:
-        memo.update(rhombus_directions(ctx, *sets, missing))
+        memo.update((t, (_rhom_total(terms), terms))
+                    for t, terms in rhombus_directions(ctx, *sets, missing).items())
+    rhoms = [memo[t][0] for t in radii]
     if check == "rhom-vs-par":
-        return _rhom_relation_batch(q, radii, [memo[t] for t in radii], sizes, **tag)
-    return _rhom_lower_batch(q, radii, [sum(r for _, _, r in memo[t]) for t in radii],
-                             sizes, **tag)
+        return _rhom_relation_batch(q, radii, [memo[t][1] for t in radii], sizes, rhoms, **tag)
+    return _rhom_lower_batch(q, radii, rhoms, sizes, **tag)
 
 
 # -- seeded sweeps -------------------------------------------------------------
@@ -420,7 +429,10 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     stream after V, the rest after E4.  So a check's reports do not depend
     on which checks run with it.  Every trial's draws come first; then each
     block of trials whose sets fit INDEX_CHUNK cells gets its sets from one
-    gen_random_set pass and its Par_t profiles from one par_t_profiles call.
+    gen_random_set pass and, when a par check runs, its Par_t profiles from
+    one par_and_n_t_profiles call, whose n_t profiles of U, V give
+    unit-distance its counts; without a par check, unit-distance counts its
+    radius per trial.
     """
     names = [check] if isinstance(check, str) else list(check)
     for name in names:
@@ -445,9 +457,9 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     for lo in range(0, len(states), per_block):
         sets = gen_random_set(ctx, *zip(*draws[lo * nsets:(lo + per_block) * nsets]))
         block = [sets[i:i + nsets] for i in range(0, len(sets), nsets)]
-        profiles = par_t_profiles(ctx, block) if profiled else [None] * len(block)
+        profiles = par_and_n_t_profiles(ctx, block) if profiled else [None] * len(block)
         for trial, trial_sets, profile in zip(range(lo, lo + per_block), block, profiles):
-            memo = {} if profile is None else {"profile": profile}
+            memo = {} if profile is None else dict(zip(("profile", "n_t"), profile))
             for name, k, batch in zip(names, set_counts, batches):
                 if k:
                     radii = _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)

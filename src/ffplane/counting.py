@@ -4,21 +4,23 @@ Every quantity has at least two independent routes:
 
 * ``oracle`` -- literal nested-loop enumeration, the ground truth;
 * ``fast``   -- sums of the difference function
-  D(v) = #{(a, b) : a - b = v}: for ``n_t``, D_UV(v) over v on S_t; for
+  D(v) = #{(a, b) : a - b = v}: for ``n_t``, D_UV(v) over v on S_t, and
+  for its per-t profile over the whole plane binned by norm class; for
   ``par_t``, D12(v) D34(v) over v on S_t, and for ``par`` and the per-t
   profile over the whole plane.  D comes from one ``geometry`` request per
-  call, one table per distinct pair (_products for the parallelograms): on
+  call, one table per distinct pair (_quad_tables for the parallelograms): on
   S_t each pair's D is counted at the circle's cells alone by probes from
   its smaller set, up to 64 q^2 probes; whole tables pair by pair up to
   16 q^2 pairs and past that by certified FFT, all of a request's in one
   stacked transform.  For ``rhom_t`` and ``degenerate``, gathers of point
   lists on the tiled indicator arrays (the layout is stated in
   ``geometry``).  The rhombus
-  terms of any list of radii come from one call (``rhombus_directions``):
-  on small instances as float32 matrix products over E1 x E3, stacked
-  over radii, and otherwise direction by direction by mark and probe, with
-  small meets counted by pairs in one batch; when E2 = E1 and E4 = E3
-  only one of each pair +-x of directions is computed;
+  terms of any list of radii come from one call (``rhombus_directions``),
+  on the smaller of the pairs E1 x E3 and E2 x E4: on small instances as
+  float32 matrix products, stacked over radii, and otherwise direction by
+  direction by mark and probe, with small meets counted by pairs in one
+  batch; when E2 = E1 and E4 = E3 only one of each pair +-x of directions
+  is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.  The
@@ -57,6 +59,7 @@ from .geometry import (
     difference_tables,
     flat_tiling,
     mirrored_directions,
+    negated_offsets,
     negated_points,
     norm_classes,
     probe_counts,
@@ -232,10 +235,11 @@ def norm_class_sums(ctx, values: np.ndarray) -> list:
     return acc.reshape(values.shape[:-2] + (q,)).tolist()
 
 
-def _products(ctx, quads, on: PointSet | None = None) -> list:
-    """table_products of each (E1, E2, E3, E4) in ``quads``, on the whole
-    plane or at the cells of ``on`` in row-major order, from one request
-    with one table per distinct pair; a single pair is requested through
+def _quad_tables(ctx, quads, on: PointSet | None = None) -> tuple:
+    """The tables of each (E1, E2, E3, E4) in ``quads``, on the whole plane
+    or at the cells of ``on`` in row-major order, from one request with one
+    table per distinct pair: the tables, and each quad's indices of its D12
+    and D34 among them.  A single pair is requested through
     difference_table, the name perfbench's tracer wraps."""
     index, quad_pairs = {}, []
     for E1, E2, E3, E4 in quads:
@@ -243,7 +247,20 @@ def _products(ctx, quads, on: PointSet | None = None) -> list:
     pairs = list(index)
     tables = (difference_tables(ctx, pairs, on) if len(pairs) > 1
               else [difference_table(ctx, *pairs[0], on)])
+    return tables, quad_pairs
+
+
+def _products(ctx, quads, on: PointSet | None = None) -> list:
+    """table_products of each quad's D12 and D34 (_quad_tables)."""
+    tables, quad_pairs = _quad_tables(ctx, quads, on)
     return [table_products(tables[i], tables[j]) for i, j in quad_pairs]
+
+
+def n_t_profile(ctx, U: PointSet, V: PointSet) -> dict:
+    """Unit distances for every t at once: {t: n_t(U, V)} covering all t in
+    F_q, from one whole table D_UV binned by norm class; the values sum to
+    |U||V|."""
+    return dict(enumerate(norm_class_sums(ctx, difference_table(ctx, U, V).table)))
 
 
 def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
@@ -261,6 +278,17 @@ def par_t_profiles(ctx, quads) -> list:
     any quad's products need Python ints, the whole stack holds them."""
     products = np.stack(_products(ctx, quads))
     return [dict(enumerate(sums)) for sums in norm_class_sums(ctx, products)]
+
+
+def par_and_n_t_profiles(ctx, quads) -> list:
+    """(par_t_profile, n_t_profile of (E1, E2)) of each (E1, E2, E3, E4) in
+    ``quads``, in order: each n_t profile is read from the quad's own D12,
+    and the tables and products are binned in one norm-class reduction."""
+    tables, quad_pairs = _quad_tables(ctx, quads)
+    stack = np.stack([table_products(tables[i], tables[j]) for i, j in quad_pairs]
+                     + [tables[i].table for i, _ in quad_pairs])
+    profiles = [dict(enumerate(sums)) for sums in norm_class_sums(ctx, stack)]
+    return list(zip(profiles[:len(quads)], profiles[len(quads):]))
 
 
 # -- rhombi -------------------------------------------------------------------
@@ -323,20 +351,30 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
       outright: such directions are deferred, and all of a radius's are
       counted in one batch of pairs (_small_pair_counts).
 
-    When E2 = E1 and E4 = E3, E12^-x = E12^x + x and E34^-x = E34^x + x:
-    the meets of -x are those of x translated by x, so the sizes and the
-    differences u - v agree.  Only one direction of each pair +-x is
+    The terms are computed on whichever of (E1, E2, E3, E4) and
+    (E2, E1, E4, E3) has the smaller |E1| |E3|, the first on a tie, and
+    the route is chosen by that product.  Swapping is exact: E21^-x =
+    E12^x + x and E43^-x = E34^x + x, so rhom_x(E1, E2, E3, E4) =
+    rhom_-x(E2, E1, E4, E3) with the same meet sizes, and the swapped sets
+    are computed at -x for each x of the circle in order.
+
+    When E2 = E1 and E4 = E3, the same identity says the meets of -x are
+    those of x translated by x.  Only one direction of each pair +-x is
     computed (mirrored_directions), and its term fills both slots; K_t and
     the probes still use the whole circle.
     """
     require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
+    swapped = len(E2) * len(E4) < len(E1) * len(E3)
+    if swapped:
+        E1, E2, E3, E4 = E2, E1, E4, E3
     p1, p3 = E1.points, E3.points
     circles = {t: circle(ctx, t % q).points for t in radii}
-    # Which circle positions are computed, and each position's source among
+    # The directions computed, and each circle position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
-    mirrors = {t: mirrored_directions(st, q) if paired else (st, None)
+    mirrors = {t: mirrored_directions(st, q) if paired
+               else (negated_offsets(st, q) if swapped else st, None)
                for t, st in circles.items()}
     cells = len(p1) * len(p3)
     widest = max(map(len, circles.values()), default=0)

@@ -282,8 +282,11 @@ def _check_orders():
     return orders
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
-@pytest.mark.parametrize("density", [None, 0.3, 1.0])
+# At q = 13 with drawn densities (seed 11), trial 0's D12 is past the exact
+# route's 16 q^2 pairs, so a joined sweep reads its n_t from a certified FFT
+# table.
+@pytest.mark.parametrize("density,q", [(density, q) for q in (3, 5, 7)
+                                       for density in (None, 0.3, 1.0)] + [(None, 13)])
 @pytest.mark.parametrize("all_t,t", [(False, None), (True, None), (False, 2), (True, 2)])
 def test_sweep_of_several_checks_is_their_sweeps_joined(q, density, all_t, t):
     ctx = PrimeFieldCtx(q)
@@ -295,8 +298,10 @@ def test_sweep_of_several_checks_is_their_sweeps_joined(q, density, all_t, t):
 
 def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
     """Trials go in blocks of sets that fit INDEX_CHUNK cells (4 q^2 per
-    trial): one generation pass and one table batch per block, one rhombus
-    pass and one unit-distance count per trial."""
+    trial): one generation pass and one table batch per block, and one
+    rhombus pass per trial.  Unit distance reads its counts from the
+    block's D12 tables, with no count of its own; alone, it counts once per
+    trial."""
     want = list(sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True))
     # At q = 7 all three trials fit one block; a chunk of two trials' sets
     # splits them 2 + 1.
@@ -315,7 +320,8 @@ def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
                     return original(*args, **kwargs)
                 mp.setattr(module, name, wrapper)
 
-            for name in ("par_t_profiles", "rhombus_directions", "count_unit_distances"):
+            for name in ("par_and_n_t_profiles", "rhombus_directions",
+                         "count_unit_distances"):
                 counted(bounds, name)
             counted(counting, "difference_tables")
             generate = bounds.gen_random_set
@@ -326,11 +332,15 @@ def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
             mp.setattr(bounds, "gen_random_set", generation_pass)
             reports = sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True)
             assert generated == blocks
-            assert calls == {"par_t_profiles": len(blocks),
+            assert calls == {"par_and_n_t_profiles": len(blocks),
                              "difference_tables": len(blocks),
-                             "rhombus_directions": 3, "count_unit_distances": 3}
+                             "rhombus_directions": 3}
             assert len(reports) == 3 * (1 + 6 + 15 + 6 + 6) + 7
             assert list(reports) == want
+            calls.clear()
+            alone = sweep(ctx7, "unit-distance", 3, None, 5, all_t=True)
+            assert calls == {"count_unit_distances": 3}
+            assert list(alone) == want[:3]
 
 
 def test_extreme_cases_all_hold(ctx5):

@@ -413,12 +413,12 @@ def test_bounds_builds_no_bound_report(capsys, monkeypatch, fmt):
 
 
 def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
-    profiles = bounds.par_t_profiles
+    profiles = bounds.par_and_n_t_profiles
 
     def inflated(ctx, quads):
-        return [{**profile, 1: 10**12} for profile in profiles(ctx, quads)]
+        return [({**profile, 1: 10**12}, n_t) for profile, n_t in profiles(ctx, quads)]
 
-    monkeypatch.setattr(bounds, "par_t_profiles", inflated)
+    monkeypatch.setattr(bounds, "par_and_n_t_profiles", inflated)
     argv = ["bounds", "--q", "7", "--check", "par-pairs", "--all-t",
             "--trials", "2", "--seed", "0"]
     rc, out, _ = run_cli(capsys, argv)

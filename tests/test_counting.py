@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_quadruple
@@ -15,6 +15,7 @@ from ffplane.counting import (
     count_par_t,
     count_rhom_t,
     count_unit_distances,
+    n_t_profile,
     par_t_fourier,
     norm_class_sums,
     par_t_profile,
@@ -311,6 +312,60 @@ def test_isotropic_line_parallelograms_all_have_norm_zero():
     assert all(profile[t] == 0 for t in range(1, 13))
 
 
+def _n_t_reference(q, U, V):
+    """Literal loop over U x V: {t: n_t(U, V)} for every t."""
+    counts = Counter(((u1 - v1) ** 2 + (u2 - v2) ** 2) % q for u1, u2 in U for v1, v2 in V)
+    return {t: counts[t] for t in range(q)}
+
+
+def _isotropic_line(q):
+    """{(a, i a)} with i^2 = -1, a line of norm-0 differences (q = 1 mod 4)."""
+    i = next(a for a in range(q) if (a * a + 1) % q == 0)
+    return PointSet(q, [(a, i * a % q) for a in range(q)])
+
+
+def _assert_n_t_profile(ctx, U, V, route):
+    """n_t_profile with its whole table forced onto ``route`` (_N_T_ROUTES)
+    equals the literal loop, sums to |U||V| and gives fast n_t at every t."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _N_T_ROUTES[route].items():
+            mp.setattr(geometry, name, value)
+        calls = _count_tables(mp)
+        profile = n_t_profile(ctx, U, V)
+    assert calls == [[route if len(U) and len(V) else "exact"]]
+    assert profile == _n_t_reference(ctx.q, U, V)
+    assert all(type(n) is int for n in profile.values())
+    assert sum(profile.values()) == len(U) * len(V)
+    assert profile == {t: count_unit_distances(ctx, U, V, t).value for t in range(ctx.q)}
+
+
+@pytest.mark.parametrize("route", ["exact", "fft"])
+@pytest.mark.parametrize("q", [3, 5, 7, 13])
+def test_n_t_profile_on_boundary_sets(route, q):
+    """Every pair of the empty set, a singleton, the full plane, the circles
+    S_1 and S_0, and an isotropic line where q = 1 mod 4."""
+    ctx = PrimeFieldCtx(q)
+    sets = [PointSet(q, []), PointSet(q, [(1, q - 2)]), full_plane(ctx),
+            circle(ctx, 1), circle(ctx, 0)]
+    if q % 4 == 1:
+        sets.append(_isotropic_line(q))
+    for U in sets:
+        for V in sets:
+            _assert_n_t_profile(ctx, U, V, route)
+    if q % 4 == 1:
+        line = _isotropic_line(q)
+        assert n_t_profile(ctx, line, line) == {t: q * q * (t == 0) for t in range(q)}
+
+
+@pytest.mark.parametrize("route", ["exact", "fft"])
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]).flatmap(
+    lambda q: st.tuples(_boundary_or_random_set(q), _boundary_or_random_set(q))))
+def test_n_t_profile_matches_literal_loop(route, pair):
+    U, V = pair
+    _assert_n_t_profile(PrimeFieldCtx(U.q), U, V, route)
+
+
 def test_table_products_sum_in_python_ints_past_int64():
     ctx = PrimeFieldCtx(3)
     big = 3 * 2**31 + 7
@@ -365,22 +420,38 @@ def test_rhombus_directions_match_tables_and_literal_loop(q):
 def _multi_radius_instances(draw):
     """q, four boundary or random sets, and unique radii that include 0.
 
-    The sets are four draws, or paired as E2 = E1 and E4 = E3: the same
-    PointSet objects, or equal but distinct ones."""
+    The sets are four draws; or paired as E2 = E1 and E4 = E3, the same
+    PointSet objects or equal but distinct ones; or lopsided, four draws
+    with |E2| |E4| < |E1| |E3|, which rhombus_directions computes swapped
+    (on S_0 too, as the radii include 0)."""
     q = draw(st.sampled_from([5, 7, 13]))
     sets = [draw(_boundary_or_random_set(q)) for _ in range(4)]
-    pairing = draw(st.sampled_from(["distinct", "shared", "copies"]))
+    pairing = draw(st.sampled_from(["distinct", "shared", "copies", "lopsided"]))
     if pairing == "shared":
         sets[1], sets[3] = sets[0], sets[2]
     elif pairing == "copies":
         sets[1], sets[3] = (PointSet(q, s.elements) for s in sets[::2])
+    elif pairing == "lopsided":
+        if _pair_cells(sets[1::2]) > _pair_cells(sets[::2]):
+            sets = [sets[1], sets[0], sets[3], sets[2]]
+        assume(_pair_cells(sets[1::2]) < _pair_cells(sets[::2]))
     radii = draw(st.lists(st.integers(1, q - 1), max_size=2, unique=True))
     radii.insert(draw(st.integers(0, len(radii))), 0)
     return PrimeFieldCtx(q), sets, radii
 
 
+def _pair_cells(pair) -> int:
+    return len(pair[0]) * len(pair[1])
+
+
+def _product_cells(sets) -> int:
+    """The |E1| |E3| that rhombus_directions computes on: that of the
+    smaller of the pairs (E1, E3) and (E2, E4)."""
+    return min(_pair_cells(sets[::2]), _pair_cells(sets[1::2]))
+
+
 # Budgets as {"module.name": value} overrides of ffplane's module constants,
-# each as a function of |E1| |E3|: the defaults; the scalar route forced,
+# each as a function of |E1| |E3| (_product_cells): the defaults; the scalar route forced,
 # alone and with a chunk small enough to split each direction's probes;
 # and the product route forced with one direction per product and one
 # radius per stack (the smallest chunk that keeps the route), three of
@@ -405,7 +476,7 @@ _BLOCK_BUDGETS = {
 def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
     ctx, sets, radii = instance
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _BLOCK_BUDGETS[budget](len(sets[0]) * len(sets[2])).items():
+        for name, value in _BLOCK_BUDGETS[budget](_product_cells(sets)).items():
             mp.setattr(f"ffplane.{name}", value)
         by_radius = rhombus_directions(ctx, *sets, radii)
     assert list(by_radius) == radii
@@ -435,7 +506,7 @@ def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
 
     radii = [0, 1, q - 1]
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _BLOCK_BUDGETS[budget](len(sets[0]) * len(sets[2])).items():
+        for name, value in _BLOCK_BUDGETS[budget](_product_cells(sets)).items():
             mp.setattr(f"ffplane.{name}", value)
         mp.setattr(counting, "_PRODUCT_MACS", 0)
         mp.setattr(counting, "_small_pair_counts", spy)
@@ -486,10 +557,15 @@ def test_products_stay_within_budget_and_one_blas_thread(q, radii, n1, n3, produ
     """No product exceeds k |E1| |E3| <= 2^18 multiply-adds (OpenBLAS's
     single-thread threshold) and no stack of K_t more cells; the route is
     taken while max |S_t| |E1| |E3| <= _PRODUCT_MACS < 2^24, which keeps
-    its float32 sums exact.  Values match the scalar route."""
+    its float32 sums exact.  |E1| and |E3| are those of the smaller pair:
+    at q = 13, |E2| |E4| is the smaller, and the products number E2 x E4.
+    Values match the scalar route."""
     ctx = PrimeFieldCtx(q)
     sets = [_first_points(q, n1), full_plane(ctx), _first_points(q, n3),
             gen_random_set(ctx, 0.5, q)]
+    assert (_pair_cells(sets[1::2]) < n1 * n3) == (q == 13)
+    if q == 13:
+        n1, n3 = len(sets[1]), len(sets[3])
     assert counting._PRODUCT_CHUNK == 2**18
     assert counting._PRODUCT_MACS < 2**24
     with pytest.MonkeyPatch.context() as mp:
@@ -505,6 +581,27 @@ def test_products_stay_within_budget_and_one_blas_thread(q, radii, n1, n3, produ
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_PRODUCT_MACS", 0)
         assert rhombus_directions(ctx, *sets, radii) == by_radius
+
+
+def test_swapped_terms_land_at_their_own_directions(ctx13):
+    """A q = 13 instance with |E2| |E4| < |E1| |E3| whose terms at x and -x
+    differ: they are computed on (E2, E1, E4, E3) at -x, so a term left at
+    the direction it was computed at fails.  Both routes, S_0 included."""
+    sets = [gen_random_set(ctx13, d, 130 + k) for k, d in enumerate((0.6, 0.3, 0.6, 0.3))]
+    assert _pair_cells(sets[1::2]) < _pair_cells(sets[::2])
+    radii = [0, 1, 2]
+    for macs in (counting._PRODUCT_MACS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            products, probed = _route_spies(mp)
+            mp.setattr(counting, "_PRODUCT_MACS", macs)
+            by_radius = rhombus_directions(ctx13, *sets, radii)
+        assert bool(products) == (macs > 0) != bool(probed)
+        for t in radii:
+            directions = circle(ctx13, t).elements
+            negated = [directions.index((-x1 % 13, -x2 % 13)) for x1, x2 in directions]
+            terms = by_radius[t]
+            assert terms == _rhombus_direction_reference(ctx13, *sets, t)
+            assert terms != [terms[i] for i in negated]
 
 
 @pytest.mark.parametrize("q,sets", [
@@ -802,6 +899,24 @@ def test_block_profiles_are_each_instances_profile(monkeypatch):
     profiles = counting.par_t_profiles(ctx, quads)
     assert profiles == want
     assert all(type(v) is int for profile in profiles for v in profile.values())
+
+
+def test_block_n_t_profiles_are_each_instances_profile(monkeypatch):
+    """par_and_n_t_profiles gives each quad's par_t_profile and the n_t
+    profile of its (E1, E2), also when a shared pair is requested once and
+    when one quad's products hold Python ints."""
+    ctx = PrimeFieldCtx(13)
+    quads = [tuple(random_quadruple(ctx, seed, lo=0.05, hi=0.9)) for seed in range(4)]
+    quads.append((quads[0][0],) * 4)
+    quads.append(quads[1][2:] + quads[1][:2])
+    want = [(par_t_profile(ctx, *quad), n_t_profile(ctx, *quad[:2])) for quad in quads]
+    assert counting.par_and_n_t_profiles(ctx, quads) == want
+    bounds = [_product_bound(ctx, *quad) for quad in quads]
+    monkeypatch.setattr(counting, "INT64_LIMIT", max(bounds))
+    profiles = counting.par_and_n_t_profiles(ctx, quads)
+    assert profiles == want
+    assert all(type(v) is int for pair in profiles for profile in pair
+               for v in profile.values())
 
 
 @pytest.mark.parametrize("route", _PAR_T_ROUTES)
