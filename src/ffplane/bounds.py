@@ -234,29 +234,25 @@ def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
                     _radii(ctx, "par-pairs", all_t=True), {}).reports()
 
 
-def _rhom_total(terms) -> int:
-    return sum(r for _, _, r in terms)
-
-
-def _rhom_relation_batch(q, radii, terms, sizes, rhoms=None, **tag) -> ReportBatch:
-    """One row per radius t from its terms (|E12^x|, |E34^x|, Rhom_t^x), one
-    per direction x, and its total Rhom_t from ``rhoms`` (summed from the
-    terms when not given); every row shares the sharp display's rhs and
+def _rhom_relation_batch(q, radii, terms, sizes, **tag) -> ReportBatch:
+    """One row per radius t from its terms (|E12^x|, |E34^x|, Rhom_t^x),
+    one per direction x; every row shares the sharp display's rhs and
     hypothesis."""
-    if rhoms is None:
-        rhoms = [_rhom_total(t_terms) for t_terms in terms]
     p12 = sizes[0] * sizes[1]
     p34 = sizes[2] * sizes[3]
-    sums, lhs, rhs, holds, sharp = [], [], [], [], []
-    for rhom, t_terms in zip(rhoms, terms):
+    rhoms, sums, lhs, rhs, holds, sharp = [], [], [], [], [], []
+    for t_terms in terms:
+        rhom = 0
         sum_sqrt = 0.0
         prods = []
-        for a, c, _ in t_terms:
+        for a, c, rhom_x in t_terms:
             p = a * c
+            rhom += rhom_x
             prods.append(p)
             sum_sqrt += math.sqrt(p)
         sum_prod = sum(prods)
         rhs_t = 2.0 * math.sqrt(q) * sum_sqrt
+        rhoms.append(rhom)
         sums.append(sum_prod)
         lhs.append(abs(rhom - sum_prod / q))
         rhs.append(rhs_t)
@@ -346,8 +342,8 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
     """One check's report batch on one instance, a row per radius (radius
     pair for par-pairs); ``memo`` keeps the Par_t profile of E1..E4, the
     n_t profile of E1, E2 when a sweep binned it with the Par_t profile, and
-    per radius t the total Rhom_t and the rhombus terms, and ``tag`` (a
-    sweep's trial and seed) joins the inputs."""
+    the per-t rhombus terms, and ``tag`` (a sweep's trial and seed) joins
+    the inputs."""
     q = ctx.q
     sizes = [len(s) for s in sets]
     if check == "unit-distance":
@@ -366,12 +362,11 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
                                sum(profile.values()), sizes, **tag)
     missing = [t for t in radii if t not in memo]
     if missing:
-        memo.update((t, (_rhom_total(terms), terms))
-                    for t, terms in rhombus_directions(ctx, *sets, missing).items())
-    rhoms = [memo[t][0] for t in radii]
+        memo.update(rhombus_directions(ctx, *sets, missing))
     if check == "rhom-vs-par":
-        return _rhom_relation_batch(q, radii, [memo[t][1] for t in radii], sizes, rhoms, **tag)
-    return _rhom_lower_batch(q, radii, rhoms, sizes, **tag)
+        return _rhom_relation_batch(q, radii, [memo[t] for t in radii], sizes, **tag)
+    return _rhom_lower_batch(q, radii, [sum(r for _, _, r in memo[t]) for t in radii],
+                             sizes, **tag)
 
 
 # -- seeded sweeps -------------------------------------------------------------

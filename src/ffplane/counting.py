@@ -59,7 +59,6 @@ from .geometry import (
     difference_tables,
     flat_tiling,
     mirrored_directions,
-    negated_offsets,
     negated_points,
     norm_classes,
     probe_counts,
@@ -269,21 +268,15 @@ def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
     Returns {t: Par_t} covering all t in F_q; the values sum to the
     all-parallelograms count.
     """
-    return par_t_profiles(ctx, [(E1, E2, E3, E4)])[0]
-
-
-def par_t_profiles(ctx, quads) -> list:
-    """par_t_profile of each (E1, E2, E3, E4) in ``quads``, in order, from
-    one norm-class reduction over the stacked products (_products); where
-    any quad's products need Python ints, the whole stack holds them."""
-    products = np.stack(_products(ctx, quads))
-    return [dict(enumerate(sums)) for sums in norm_class_sums(ctx, products)]
+    return dict(enumerate(norm_class_sums(ctx, _products(ctx, [(E1, E2, E3, E4)])[0])))
 
 
 def par_and_n_t_profiles(ctx, quads) -> list:
     """(par_t_profile, n_t_profile of (E1, E2)) of each (E1, E2, E3, E4) in
     ``quads``, in order: each n_t profile is read from the quad's own D12,
-    and the tables and products are binned in one norm-class reduction."""
+    and the tables and products are binned in one norm-class reduction;
+    where any quad's products need Python ints, the whole stack holds
+    them."""
     tables, quad_pairs = _quad_tables(ctx, quads)
     stack = np.stack([table_products(tables[i], tables[j]) for i, j in quad_pairs]
                      + [tables[i].table for i, _ in quad_pairs])
@@ -374,7 +367,7 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
     mirrors = {t: mirrored_directions(st, q) if paired
-               else (negated_offsets(st, q) if swapped else st, None)
+               else (negated_points(st, q) if swapped else st, None)
                for t, st in circles.items()}
     cells = len(p1) * len(p3)
     widest = max(map(len, circles.values()), default=0)

@@ -15,8 +15,7 @@ tiled_point; tiled_points lists a set's).  The tiling repeats the array in
 its four q x q quadrants, so for canonical p and s the cell p + s is a copy
 of (p + s) mod q, and for canonical u and v the cell of
 difference_minuends(u) - v, that is u + (q, q) - v, is a copy of (u - v)
-mod q: each is one add or subtract, with no reduction mod q (for u the
-origin, (q, q) - v names -v, negated_offsets).  A scratch
+mod q: each is one add or subtract, with no reduction mod q.  A scratch
 tiling probed that way is written at all four copies of a point
 (tiled_copies).  The windows of the 2-D tiling are the translates of the
 array as views, which shift_sum and shift_meets read.
@@ -378,16 +377,6 @@ def negated_points(points: np.ndarray, q: int) -> np.ndarray:
     """The canonical tiled indices of -p for canonical tiled indices p."""
     rows, cols = tiled_point(points, q)
     return tiled_index((-rows % q, -cols % q), q)
-
-
-def negated_offsets(points: np.ndarray, q: int) -> np.ndarray:
-    """Tiled indices of -s for canonical tiled indices s, by one subtraction:
-    the cells (q, q) - s, whose coordinates lie in [1, q].  They are not
-    canonical, but for canonical p the cell p + ((q, q) - s) lies in the
-    tiling and is a copy of (p - s) mod q, so they serve as offsets that
-    are only added to canonical points (negated_points gives canonical
-    indices, at the cost of a divmod and two reductions)."""
-    return tiled_index((q, q), q) - points
 
 
 def mirrored_directions(st: np.ndarray, q: int):

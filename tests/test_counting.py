@@ -883,36 +883,24 @@ def _product_bound(ctx, E1, E2, E3, E4) -> int:
 
 
 def test_block_profiles_are_each_instances_profile(monkeypatch):
-    """A block's profiles equal the one-instance profiles, also where only
-    one instance's products reach INT64_LIMIT: then the whole stack sums in
-    Python ints."""
+    """par_and_n_t_profiles gives each quad's par_t_profile and the n_t
+    profile of its (E1, E2), also when a pair is shared within a quad or
+    between quads and requested once, and where only one quad's products
+    reach INT64_LIMIT: then the whole stack sums in Python ints."""
     ctx = PrimeFieldCtx(13)
     quads = [tuple(random_quadruple(ctx, seed, lo=0.05, hi=0.9)) for seed in range(6)]
     quads.append((quads[0][0],) * 4)
-    want = [par_t_profile(ctx, *quad) for quad in quads]
-    assert counting.par_t_profiles(ctx, quads) == want
+    want = [(par_t_profile(ctx, *quad), n_t_profile(ctx, *quad[:2])) for quad in quads]
     bounds = [_product_bound(ctx, *quad) for quad in quads]
     assert bounds.count(max(bounds)) == 1
+    lower = bounds.index(min(bounds))
+    quads.append(quads[lower][2:] + quads[lower][:2])
+    want.append((par_t_profile(ctx, *quads[-1]), n_t_profile(ctx, *quads[-1][:2])))
+    bounds.append(bounds[lower])
+    assert counting.par_and_n_t_profiles(ctx, quads) == want
     monkeypatch.setattr(counting, "INT64_LIMIT", max(bounds))
     products = counting._products(ctx, quads)
     assert [p.dtype == object for p in products] == [b == max(bounds) for b in bounds]
-    profiles = counting.par_t_profiles(ctx, quads)
-    assert profiles == want
-    assert all(type(v) is int for profile in profiles for v in profile.values())
-
-
-def test_block_n_t_profiles_are_each_instances_profile(monkeypatch):
-    """par_and_n_t_profiles gives each quad's par_t_profile and the n_t
-    profile of its (E1, E2), also when a shared pair is requested once and
-    when one quad's products hold Python ints."""
-    ctx = PrimeFieldCtx(13)
-    quads = [tuple(random_quadruple(ctx, seed, lo=0.05, hi=0.9)) for seed in range(4)]
-    quads.append((quads[0][0],) * 4)
-    quads.append(quads[1][2:] + quads[1][:2])
-    want = [(par_t_profile(ctx, *quad), n_t_profile(ctx, *quad[:2])) for quad in quads]
-    assert counting.par_and_n_t_profiles(ctx, quads) == want
-    bounds = [_product_bound(ctx, *quad) for quad in quads]
-    monkeypatch.setattr(counting, "INT64_LIMIT", max(bounds))
     profiles = counting.par_and_n_t_profiles(ctx, quads)
     assert profiles == want
     assert all(type(v) is int for pair in profiles for profile in pair

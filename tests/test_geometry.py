@@ -686,20 +686,6 @@ def test_sums_and_differences_land_on_a_copy_of_their_residue(q):
 
 
 @pytest.mark.parametrize("q", _LAYOUT_QS)
-def test_negated_offsets_added_to_points_land_on_their_differences(q):
-    labels = geometry.flat_tiling(_labels(q))
-    pts = _plane_points(q)
-    index = np.array([geometry.tiled_index(p, q) for p in pts])
-    offsets = geometry.negated_offsets(index, q)
-    for k, (s1, s2) in enumerate(pts):
-        assert labels[offsets[k]] == (-s1 % q) * q + (-s2 % q)
-        cells = index + offsets[k]
-        assert 0 <= cells.min() and cells.max() < 4 * q * q
-        assert labels[cells].tolist() == [
-            (u1 - s1) % q * q + (u2 - s2) % q for u1, u2 in pts]
-
-
-@pytest.mark.parametrize("q", _LAYOUT_QS)
 def test_the_four_copies_name_one_residue_and_cover_the_tiling(q):
     labels = geometry.flat_tiling(_labels(q))
     pts = _plane_points(q)
