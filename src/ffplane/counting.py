@@ -54,12 +54,12 @@ from .fourier import transform
 from .geometry import (
     PointSet,
     circle,
-    difference_minuends,
     difference_table,
     difference_tables,
     flat_tiling,
     mirrored_directions,
     negated_points,
+    norm_class_order,
     norm_classes,
     probe_counts,
     require_same_q,
@@ -226,12 +226,12 @@ def table_products(d12, d34) -> np.ndarray:
 def norm_class_sums(ctx, values: np.ndarray) -> list:
     """[sum of values[..., v] over |v| = t for t in F_q] for a q x q array of
     values, or the list of those for each q x q array of a stack, in the
-    dtype of values: one reduction whatever the stack's length."""
+    dtype of values: one reduction whatever the stack's length, over the
+    cells sorted by norm class (norm_class_order)."""
     q = ctx.q
-    flat = values.reshape(-1, q * q)
-    acc = np.zeros((len(flat), q), dtype=values.dtype)
-    np.add.at(acc, (np.arange(len(flat))[:, None], norm_classes(ctx).ravel()), flat)
-    return acc.reshape(values.shape[:-2] + (q,)).tolist()
+    order, starts = norm_class_order(ctx)
+    sums = np.add.reduceat(values.reshape(-1, q * q)[:, order], starts, axis=1)
+    return sums.reshape(values.shape[:-2] + (q,)).tolist()
 
 
 def _quad_tables(ctx, quads, on: PointSet | None = None) -> tuple:
@@ -392,7 +392,7 @@ def _product_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
     q = ctx.q
     n1, n3 = len(p1), len(p3)
     k = max(1, _PRODUCT_CHUNK // max(n1 * n3, 1))
-    norms = flat_tiling(norm_classes(ctx))[difference_minuends(p1, q)[:, None] - p3]
+    norms = flat_tiling(norm_classes(ctx))[p1[:, None] + negated_points(p3, q)]
     f2 = flat_tiling(E2.indicator).astype(np.float32)
     f4 = flat_tiling(E4.indicator).astype(np.float32)
     groups = {}
@@ -454,7 +454,7 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     The pairs (u, v) in e12 x e34 of all directions form one ragged range,
     direction after direction and u-major: row r is one point u, followed
     by the b points of its direction's e34.  Pair (u, v) is one gather of
-    the tiled circle indicator at the difference u - v.  The range
+    the tiled circle indicator at u + negated_points(v).  The range
     goes in chunks of at most geometry.INDEX_CHUNK pairs, which may cut a
     row; a running count of hits, read at each direction's last pair, gives
     the per-direction counts.
@@ -467,8 +467,8 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
     starts = ends - width
     # Pair k of row r meets v[k + shift[r]].
     shift = np.repeat(np.cumsum(b) - b, a) - starts
-    cells = difference_minuends(np.concatenate(e12s), q)
-    v = np.concatenate(e34s)
+    cells = np.concatenate(e12s)
+    v = negated_points(np.concatenate(e34s), q)
     last = np.cumsum(a * b)
     running = np.zeros(len(meets), dtype=np.int64)
     total, seen = int(last[-1]), 0
@@ -478,7 +478,7 @@ def _small_pair_counts(on_circle, q: int, meets) -> list:
         rows = slice(r0, r1 + 1)
         n = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
         k = np.arange(lo, hi) + np.repeat(shift[rows], n)
-        hits = np.cumsum(on_circle[np.repeat(cells[rows], n) - v[k]])
+        hits = np.cumsum(on_circle[np.repeat(cells[rows], n) + v[k]])
         d0, d1 = np.searchsorted(last, [lo, hi], side="right")
         running[d0:d1] = seen + hits[last[d0:d1] - lo - 1]
         seen += int(hits[-1])

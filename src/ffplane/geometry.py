@@ -13,9 +13,10 @@ this module is the only one that knows its arithmetic.  A canonical point
 (r, c), 0 <= r, c < q, is named by its tiled index r * 2q + c (tiled_index,
 tiled_point; tiled_points lists a set's).  The tiling repeats the array in
 its four q x q quadrants, so for canonical p and s the cell p + s is a copy
-of (p + s) mod q, and for canonical u and v the cell of
-difference_minuends(u) - v, that is u + (q, q) - v, is a copy of (u - v)
-mod q: each is one add or subtract, with no reduction mod q.  A scratch
+of (p + s) mod q.  The one negation is negated_points: -v is (q, q) - v,
+a cell with row and column in [1, q] that is a copy of -v mod q, so for
+canonical u and v the cell u + negated_points(v) is a copy of (u - v) mod
+q.  Each is one add or subtract, with no reduction mod q.  A scratch
 tiling probed that way is written at all four copies of a point
 (tiled_copies).  The windows of the 2-D tiling are the translates of the
 array as views, which shift_sum and shift_meets read.
@@ -188,6 +189,23 @@ def norm_classes(ctx: PrimeFieldCtx) -> np.ndarray:
     return _norm_classes_cached(ctx.q)
 
 
+@functools.lru_cache(maxsize=None)
+def _norm_class_order_cached(q: int) -> tuple:
+    classes = _norm_classes_cached(q).ravel()
+    order = np.argsort(classes, kind="stable")
+    starts = np.searchsorted(classes[order], np.arange(q))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
+
+
+def norm_class_order(ctx: PrimeFieldCtx) -> tuple:
+    """(order, starts): the row-major cells of the plane sorted by |p|, and
+    where each class t in F_q starts in that order.  No class is empty
+    (S_0 holds 0, and |S_t| >= q - 1), so the starts strictly increase.
+    Read-only and cached per q."""
+    return _norm_class_order_cached(ctx.q)
+
+
 # An all-t sweep at large q would otherwise keep q circles of q x q cells.
 @functools.lru_cache(maxsize=64)
 def _circle_cached(q: int, j: int) -> PointSet:
@@ -232,10 +250,10 @@ def _stacked(arrays: list) -> np.ndarray:
 def _exact_differences(q: int, A: PointSet, B: PointSet) -> np.ndarray:
     """D by counting a + (-b) pair by pair, in chunks of pairs.
 
-    a and -b are canonical tiled indices, so each pair's difference is one
-    add, with no reduction mod q.  Each chunk of sums is written into one
-    reused buffer and counted in place into the 4q^2 cells of the tiling,
-    which fold back to q x q as the sum of their four q x q quadrants.
+    -b is negated_points(b), so each pair's difference is one add, with no
+    reduction mod q.  Each chunk of sums is written into one reused buffer
+    and counted in place into the 4q^2 cells of the tiling, which fold back
+    to q x q as the sum of their four q x q quadrants.
     """
     pa, nb = A.points, negated_points(B.points, q)
     counts = np.zeros(4 * q * q, dtype=np.int64)
@@ -311,10 +329,11 @@ def difference_tables(ctx: PrimeFieldCtx, pairs, on: PointSet | None = None) -> 
 def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
     """D(v) = #{(a, b) in A x B : a - b = v} for each v in ``offsets``.
 
-    The offsets are canonical tiled indices, and the counts come back as
-    int64 in their order.  Each is counted by probes from the smaller set
-    (probe_counts): D(v) = #{b in B : b + v in A} on the tiling of A, and
-    D(v) = #{a in A : a - v in B} on the tiling of B.
+    The offsets are canonical or negated tiled indices (negated_points),
+    and the counts come back as int64 in their order.  Each is counted by
+    probes from the smaller set (probe_counts): D(v) = #{b in B : b + v in
+    A} on the tiling of A, and D(v) = #{a in A : a - v in B} on the tiling
+    of B.
     """
     if len(A) < len(B):
         return probe_counts(flat_tiling(B.indicator), A.points, negated_points(offsets, A.q))
@@ -323,9 +342,10 @@ def differences_at(A: PointSet, B: PointSet, offsets: np.ndarray) -> np.ndarray:
 
 def probe_counts(tiled: np.ndarray, points: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """#{p in points : tiled[s + p]} for each s in ``offsets``, as int64 in
-    their order, for canonical tiled indices p and s: the one chunked probe
-    count.  A chunk of offsets by points is gathered at once, up to
-    INDEX_CHUNK probes, and its rows are counted as byte sums.
+    their order, for canonical tiled indices p and canonical or negated
+    tiled indices s (negated_points): the one chunked probe count.  A chunk
+    of offsets by points is gathered at once, up to INDEX_CHUNK probes, and
+    its rows are counted as byte sums.
     """
     counts = np.zeros(len(offsets), dtype=np.int64)
     if len(points):
@@ -374,9 +394,9 @@ def tiled_points(ind: np.ndarray) -> np.ndarray:
 
 
 def negated_points(points: np.ndarray, q: int) -> np.ndarray:
-    """The canonical tiled indices of -p for canonical tiled indices p."""
-    rows, cols = tiled_point(points, q)
-    return tiled_index((-rows % q, -cols % q), q)
+    """-p as (q, q) - p, the layout's one negation: for canonical p, a copy
+    of -p mod q with row and column in [1, q], and for that, p again."""
+    return tiled_index((q, q), q) - points
 
 
 def mirrored_directions(st: np.ndarray, q: int):
@@ -388,16 +408,12 @@ def mirrored_directions(st: np.ndarray, q: int):
     is its own pair) is kept; ``source[i]`` is the index among the kept ones
     whose term belongs at position i.
     """
-    neg = np.searchsorted(st, negated_points(st, q))
+    # st is searched for each -x, so here -x is canonical, not negated_points.
+    rows, cols = tiled_point(st, q)
+    neg = np.searchsorted(st, tiled_index((-rows % q, -cols % q), q))
     first = np.minimum(np.arange(len(st)), neg)
     kept = np.flatnonzero(first == np.arange(len(st)))
     return st[kept], np.searchsorted(kept, first).tolist()
-
-
-def difference_minuends(points: np.ndarray, q: int) -> np.ndarray:
-    """u + (q, q) for canonical tiled indices u: subtracting any canonical
-    tiled index v from one gives a tiled index of (u - v) mod q."""
-    return points + tiled_index((q, q), q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,11 +453,6 @@ def shift_meets(ind_i: np.ndarray, ind_j: np.ndarray, shifts):
     turn; ind_j is tiled once, and no copy of it is made per shift."""
     for window in _windows(ind_j, shifts):
         yield ind_i & window
-
-
-def translated(arr: np.ndarray, x) -> np.ndarray:
-    """arr translated by x: arr[(u - x) mod q] at every u."""
-    return np.roll(arr, x, axis=(0, 1))
 
 
 def intersect_shift(ctx: PrimeFieldCtx, Ei: PointSet, Ej: PointSet, x) -> PointSet:

@@ -44,16 +44,15 @@ from . import geometry
 from .geometry import (
     PointSet,
     circle,
-    difference_minuends,
     flat_tiling,
     mirrored_directions,
+    negated_points,
     shift_meets,
     shift_sum,
     tiled_copies,
     tiled_index,
     tiled_point,
     tiled_points,
-    translated,
 )
 from .rng import SplitMix64
 
@@ -302,7 +301,7 @@ def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
     not in forbidden, as a pair of tiled indices; or None.
 
     ax and dx are canonical tiled indices, and on_circle is the flat tiling
-    of |p| = t, so a pair's test is one gather at the difference a - v.
+    of |p| = t, so a pair's test is one gather at a + negated_points(v).
     The forbidden differences are cleared in all four tiled copies for the
     scan and restored after it.  Rows of ax go in chunks that start at one
     row and double up to geometry.INDEX_CHUNK pairs: an early hit costs one
@@ -314,10 +313,11 @@ def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
     cells = tiled_copies(cells, q)
     saved = on_circle[cells]
     on_circle[cells] = False
+    minus = negated_points(dx, q)
     most = max(1, geometry.INDEX_CHUNK // len(dx))
     lo, rows, pair = 0, 1, None
     while lo < len(ax) and pair is None:
-        hit = on_circle[difference_minuends(ax[lo:lo + rows], q)[:, None] - dx]
+        hit = on_circle[ax[lo:lo + rows, None] + minus]
         k = int(np.argmax(hit))
         if hit.flat[k]:
             i, j = divmod(k, len(dx))
@@ -357,10 +357,10 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
 
     Steps (1), (2) and (6) run on q x q indicators: degrees sum translates
     of 1_E (shift_sum), step (2) takes one shift_meets per pair +-x of
-    directions (mirrored_directions), and step (6) takes the first
-    row-major point of 1_E cut by the circles translated to the x's.  Steps
-    (3) and (4) run on point lists: SplitMix64.permutation, array
-    operations with no per-swap Python, permutes the indices of E_u's
+    directions (mirrored_directions), and step (6) takes first row-major
+    points of E n (x + S_t) for the x's, the shift_meets of 1_E and 1_S_t
+    at -x.  Steps (3) and (4) run on point lists: SplitMix64.permutation,
+    array operations with no per-swap Python, permutes the indices of E_u's
     row-major points, one nonzero pass over E' lists every part, and each
     direction's meets are gathers of A's and D's points on the tiled parts,
     searched pairwise by _first_pair.  Row-major order is sorted order.
@@ -430,13 +430,13 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     x2 = _add(y123, u, q)
     y23 = _add(x3, u, q)
 
-    xs = (x1, x2, x3)
-    on_circle = circle(ctx, t).indicator
-    adj = [translated(on_circle, xi) for xi in xs]
+    # E n (x + S_t) = {v in E : v - x on S_t}, the meet at -x.
+    meets = list(shift_meets(ind, circle(ctx, t).indicator,
+                             [(-x[0] % q, -x[1] % q) for x in (x1, x2, x3)]))
     privates = []
     for i in range(3):
         j, k = (m for m in range(3) if m != i)
-        pick = _first_point(ind & adj[i] & ~adj[j] & ~adj[k])
+        pick = _first_point(meets[i] & ~meets[j] & ~meets[k])
         if pick is None:
             return FailureReason(
                 "No-private-neighbor",
@@ -444,7 +444,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
         privates.append(pick)
     y1, y2, y3 = privates
 
-    y0 = _first_point(ind & ~(adj[0] | adj[1] | adj[2]))
+    y0 = _first_point(ind & ~(meets[0] | meets[1] | meets[2]))
     if y0 is None:
         return FailureReason("No-isolated-point",
                              "every point is adjacent to one of x1, x2, x3")

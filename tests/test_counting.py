@@ -386,6 +386,33 @@ def test_table_products_sum_in_python_ints_past_int64():
     assert all(type(v) is int for v in profile)
 
 
+@pytest.mark.parametrize("q", [3, 5, 13, 29])
+def test_norm_class_sums_match_literal_loop(q):
+    # One table and a stack of three, as int64 and as Python ints past
+    # 2^63; each sum is the literal loop over the plane's cells.
+    ctx = PrimeFieldCtx(q)
+    rng = np.random.default_rng(q)
+    norms = norm_classes(ctx)
+    stack = rng.integers(-10**6, 10**6, size=(3, q, q), dtype=np.int64)
+    for values in (stack[0], stack, stack.astype(object) * 2**70, stack[1].astype(object)):
+        tables = values.reshape(-1, q, q)
+        want = []
+        for table in tables:
+            sums = [0] * q
+            for v1 in range(q):
+                for v2 in range(q):
+                    sums[int(norms[v1, v2])] += int(table[v1, v2])
+            want.append(sums)
+        got = norm_class_sums(ctx, values)
+        assert got == (want if values.ndim == 3 else want[0])
+        flat = [v for row in got for v in row] if values.ndim == 3 else got
+        assert all(type(v) is int for v in flat)
+    order, starts = geometry.norm_class_order(ctx)
+    assert sorted(order.tolist()) == list(range(q * q))
+    assert starts[0] == 0 and all(np.diff(starts) > 0)
+    assert norms.ravel()[order].tolist() == sorted(norms.ravel().tolist())
+
+
 def _rhombus_direction_reference(ctx, E1, E2, E3, E4, t):
     """Literal per-direction loop: (|E12^x|, |E34^x|, rhom_x) over S_t."""
     q = ctx.q

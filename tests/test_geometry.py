@@ -360,7 +360,8 @@ def test_probe_route_is_taken_exactly_up_to_its_probe_count(monkeypatch, ctx7, p
 
 
 def _assert_differences_at_match_brute_force(q, A, B, order):
-    """differences_at over every cell of the plane, in a shuffled order."""
+    """differences_at over every cell of the plane, in a shuffled order, at
+    its canonical and at its negated tiled indices."""
     plane = geometry.tiled_points(np.ones((q, q), dtype=bool))
     offsets = plane[SplitMix64(order).permutation(q * q)]
     brute = _brute_differences(q, A, B)
@@ -368,6 +369,8 @@ def _assert_differences_at_match_brute_force(q, A, B, order):
     counts = differences_at(A, B, offsets)
     assert counts.dtype == np.int64
     assert np.array_equal(counts, brute[rows, cols])
+    negated = differences_at(A, B, geometry.negated_points(offsets, q))
+    assert np.array_equal(negated, brute[-rows % q, -cols % q])
 
 
 @settings(max_examples=60, deadline=None)
@@ -670,13 +673,16 @@ def test_sums_and_differences_land_on_a_copy_of_their_residue(q):
     labels = geometry.flat_tiling(_labels(q))
     pts = _plane_points(q)
     index = np.array([geometry.tiled_index(p, q) for p in pts])
-    minuends = geometry.difference_minuends(index, q)
     negated = geometry.negated_points(index, q)
+    # -v is (q, q) - v: rows and columns in [1, q], and negating it gives v.
+    rows, cols = geometry.tiled_point(negated, q)
+    assert rows.min() == cols.min() == 1 and rows.max() == cols.max() == q
+    assert geometry.negated_points(negated, q).tolist() == index.tolist()
     for k, (u1, u2) in enumerate(pts):
         assert labels[negated[k]] == (-u1 % q) * q + (-u2 % q)
-        assert geometry.tiled_point(negated[k], q) == (-u1 % q, -u2 % q)
+        assert geometry.tiled_point(negated[k], q) == (q - u1, q - u2)
         sums = index[k] + index
-        diffs = minuends[k] - index
+        diffs = index[k] + negated
         assert 0 <= sums.min() and sums.max() < 4 * q * q
         assert 0 <= diffs.min() and diffs.max() < 4 * q * q
         assert labels[sums].tolist() == [
@@ -697,6 +703,25 @@ def test_the_four_copies_name_one_residue_and_cover_the_tiling(q):
         assert len(set(cells.tolist())) == 4
         assert labels[cells].tolist() == [r * q + c] * 4
     assert geometry.tiled_copies(index[:0], q).tolist() == []
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 29])
+def test_mirrored_directions_keep_the_first_of_each_pair(q):
+    # Every circle, S_0 with the origin included: the first of each pair
+    # +-x in circle order is kept, and every position reads x or -x.
+    ctx = PrimeFieldCtx(q)
+    for t in range(q):
+        S = circle(ctx, t)
+        pts = list(S.elements)
+        kept, source = geometry.mirrored_directions(S.points, q)
+        first = [min(i, pts.index((-x1 % q, -x2 % q))) for i, (x1, x2) in enumerate(pts)]
+        assert [geometry.tiled_point(int(k), q) for k in kept] == [
+            pts[i] for i in sorted(set(first))]
+        assert len(source) == len(pts)
+        for i, s in enumerate(source):
+            assert geometry.tiled_point(int(kept[s]), q) == pts[first[i]]
+        if (0, 0) in pts:
+            assert pts.index((0, 0)) == source[0] == kept[0] == 0
 
 
 def _brute_shift_count(ind, shifts, u):
@@ -732,10 +757,15 @@ def test_shift_meets_and_translations_match_brute_force(q):
         assert meet.tolist() == want
         assert np.array_equal(meet, A.indicator & np.roll(B.indicator, (-x[0], -x[1]),
                                                          axis=(0, 1)))
-        moved = geometry.translated(B.indicator, x)
+    # The meet at -x is A cut by B translated by x: B[(u - x) mod q] at u.
+    minus = [(-x1 % q, -x2 % q) for x1, x2 in pts]
+    full = np.ones((q, q), dtype=bool)
+    for x, moved, meet in zip(pts, geometry.shift_meets(full, B.indicator, minus),
+                              geometry.shift_meets(A.indicator, B.indicator, minus)):
         assert np.array_equal(moved, np.roll(B.indicator, x, axis=(0, 1)))
         assert moved.tolist() == [[bool(B.indicator[(r - x[0]) % q, (c - x[1]) % q])
                                    for c in range(q)] for r in range(q)]
+        assert np.array_equal(meet, A.indicator & moved)
 
 
 def test_line_ap_generator(ctx5):
