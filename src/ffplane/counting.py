@@ -12,15 +12,17 @@ Every quantity has at least two independent routes:
   S_t each pair's D is counted at the circle's cells alone by probes from
   its smaller set, up to 64 q^2 probes; whole tables pair by pair up to
   16 q^2 pairs and past that by certified FFT, all of a request's in one
-  stacked transform.  For ``rhom_t`` and ``degenerate``, gathers of point
-  lists on the tiled indicator arrays (the layout is stated in
-  ``geometry``).  The rhombus
-  terms of any list of radii come from one call (``rhombus_directions``),
-  on the smaller of the pairs E1 x E3 and E2 x E4: on small instances as
-  float32 matrix products, stacked over radii, and otherwise direction by
-  direction by mark and probe, with small meets counted by pairs in one
-  batch; when E2 = E1 and E4 = E3 only one of each pair +-x of directions
-  is computed;
+  stacked transform.  For ``rhom_t`` and ``degenerate``, gathers on the
+  tiled indicator arrays (the layout is stated in ``geometry``).  The
+  rhombus terms of any list of radii come from one call
+  (``rhombus_directions``) by one of three exact routes, chosen by their
+  measured costs: for q <= 61, popcounts of row words (the plane's rows
+  packed into uint64 words), every radius of one circle size in one pass,
+  for dense sets and every q = 13 call; on the smaller of the pairs E1 x E3
+  and E2 x E4, float32 matrix products stacked over radii for sparse sets
+  within a product budget; and direction by direction by mark and probe
+  past it, with small meets counted by pairs in one batch.  When E2 = E1
+  and E4 = E3 only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.  The
@@ -65,6 +67,9 @@ from .geometry import (
     require_same_q,
     tiled_copies,
     tiled_points,
+    word_layout,
+    word_offsets,
+    word_tiling,
 )
 
 ROUND_TOL = 1e-6
@@ -85,6 +90,19 @@ _PRODUCT_MACS = 1 << 22
 # it a (24 x 281) @ (281 x 262) float32 product took 10-16 ms in 2 of 8
 # fresh processes (0.04 ms in the others) on a 2-vCPU VM.
 _PRODUCT_CHUNK = 1 << 18
+# The bit route holds a row of q bits in one uint64 word: every prime q up
+# to 61.  Past the product budget rhombus_directions takes it; within the
+# budget, while a direction's |S_t| L row words, at _MACS_PER_WORD
+# multiply-adds each, cost at most its |E1| |E3| multiply-adds plus
+# _MACS_PER_DIRECTION, the products' fixed cost per direction.  Fitted to
+# the crossovers of the rhombus_directions table (fresh sets, 2-vCPU VM):
+# at q=31 the bits beat the products from |E1| |E3| ~ 20k for one radius
+# and ~ 10k for every radius, and at q=13 for every radius at every
+# density; past the budget they beat mark and probe wherever measured
+# (q=61 from density 0.075, |E1| |E3| ~ 76k, on).
+_BIT_MAX_Q = 61
+_MACS_PER_WORD = 32
+_MACS_PER_DIRECTION = 2048
 
 
 @dataclass(frozen=True)
@@ -327,54 +345,90 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
     (u, v) in E12^x x E34^x with |u - v| = t.
 
-    The point lists and tilings of E1..E4 are built once per call, and the
-    call takes one of two routes:
+    The call takes one of three exact routes, each building what it reads
+    of E1..E4 once:
 
-    * While max |S_t| |E1| |E3| <= _PRODUCT_MACS and one direction's product
-      fits _PRODUCT_CHUNK, by matrix products (_product_terms): with E1 and
-      E3 numbered, K_t[i, j] = [e1_i - e3_j on S_t], M12[x, i] =
-      [e1_i + x in E2] and M34[x, j] = [e3_j + x in E4], and
+    * For q <= _BIT_MAX_Q, by popcounts of row words (_bit_terms): with
+      w = u - v, rhom_x = sum over w on S_t of |E1 n (E2 - x) n (E3 + w) n
+      (E4 + w - x)|, every translate a gather of q-bit row words
+      (geometry.word_tiling), and |S_t|^2 L words a radius for L words a
+      translate, whatever the density.
+    * By matrix products (_product_terms): with E1 and E3 numbered,
+      K_t[i, j] = [e1_i - e3_j on S_t], M12[x, i] = [e1_i + x in E2] and
+      M34[x, j] = [e3_j + x in E4], and
       rhom_x = sum_j (M12 K_t)[x, j] M34[x, j].
-    * Otherwise direction by direction (_probed_terms): each direction's
-      meets are gathers over the point lists of E1 and E3; the larger is
-      marked in a scratch tiling, and the smaller probed on p + S_t, which
-      counts the same pairs because S_t = -S_t (geometry.probe_counts).
-      Where 4 max(a, b) <= |S_t| for the meet sizes a and b, the fixed cost
-      of marking and probing exceeds that of testing the a b pairs
-      outright: such directions are deferred, and all of a radius's are
-      counted in one batch of pairs (_small_pair_counts).
+    * Direction by direction (_probed_terms): each direction's meets are
+      gathers over the point lists of E1 and E3; the larger is marked in a
+      scratch tiling, and the smaller probed on p + S_t, which counts the
+      same pairs because S_t = -S_t (geometry.probe_counts).  Where
+      4 max(a, b) <= |S_t| for the meet sizes a and b, the fixed cost of
+      marking and probing exceeds that of testing the a b pairs outright:
+      such directions are deferred, and all of a radius's are counted in
+      one batch of pairs (_small_pair_counts).
 
-    The terms are computed on whichever of (E1, E2, E3, E4) and
-    (E2, E1, E4, E3) has the smaller |E1| |E3|, the first on a tie, and
-    the route is chosen by that product.  Swapping is exact: E21^-x =
-    E12^x + x and E43^-x = E34^x + x, so rhom_x(E1, E2, E3, E4) =
-    rhom_-x(E2, E1, E4, E3) with the same meet sizes, and the swapped sets
-    are computed at -x for each x of the circle in order.
+    The rule, with |E1| |E3| the smaller of |E1| |E3| and |E2| |E4| and
+    |S_t| the widest circle: the products fit while |S_t| |E1| |E3| <=
+    _PRODUCT_MACS and one direction's product fits _PRODUCT_CHUNK.  For
+    q <= _BIT_MAX_Q the bits are taken where the products do not fit, and
+    where a direction's |S_t| L words, at _MACS_PER_WORD multiply-adds
+    each, cost at most its products, |E1| |E3| multiply-adds plus
+    _MACS_PER_DIRECTION.  Otherwise the products where they fit, and mark
+    and probe past them.  Median ms per call on four fresh random sets of
+    one density (full planes at 1), as bits / the route taken without the
+    bits (the products at q = 13, at q = 31 up to density .25 and at
+    q = 61 at .05; mark and probe past that), on a 2-vCPU VM:
+
+    ========  ==========  ==========  ==========  ==========  ==========
+    q, radii  .05         .1          .25         .5          1
+    ========  ==========  ==========  ==========  ==========  ==========
+    13, t=1   0.10/0.09   0.12/0.11   0.08/0.10   0.13/0.17   0.14/0.24
+    13, all   0.16/0.18   0.18/0.20   0.22/0.29   0.20/0.36   0.42/0.94
+    31, t=1   0.26/0.15   0.32/0.26   0.29/0.60   0.27/1.90   0.26/2.03
+    31, all   3.86/1.15   3.44/2.57   3.73/8.04   3.84/47.6   2.22/57.7
+    61, t=1   1.53/0.64   1.46/1.94   1.25/3.63   1.37/12.1   0.74/10.8
+    61, all   71.7/15.1   72.1/110    63.9/211    57.0/578    37.1/700
+    ========  ==========  ==========  ==========  ==========  ==========
+
+    The rule takes the bits in every cell but q = 31 at .05 and .1 and
+    q = 61 at .05 (the products).
+
+    Products and probes compute on whichever of (E1, E2, E3, E4) and
+    (E2, E1, E4, E3) has the smaller |E1| |E3|, the first on a tie.
+    Swapping is exact: E21^-x = E12^x + x and E43^-x = E34^x + x, so
+    rhom_x(E1, E2, E3, E4) = rhom_-x(E2, E1, E4, E3) with the same meet
+    sizes, and the swapped sets are computed at -x for each x of the circle
+    in order.  The bit route's cost does not depend on the sets, so it
+    never swaps.
 
     When E2 = E1 and E4 = E3, the same identity says the meets of -x are
     those of x translated by x.  Only one direction of each pair +-x is
-    computed (mirrored_directions), and its term fills both slots; K_t and
-    the probes still use the whole circle.
+    computed (mirrored_directions), and its term fills both slots; the
+    pairs (x, w), K_t and the probes still use the whole circle.
     """
     require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    swapped = len(E2) * len(E4) < len(E1) * len(E3)
+    circles = {t: circle(ctx, t % q).points for t in radii}
+    widest = max(map(len, circles.values()), default=0)
+    cells = min(len(E1) * len(E3), len(E2) * len(E4))
+    products = widest * cells <= _PRODUCT_MACS and cells <= _PRODUCT_CHUNK
+    bits = q <= _BIT_MAX_Q and (
+        not products
+        or _MACS_PER_WORD * widest * len(word_layout(ctx)[0]) <= cells + _MACS_PER_DIRECTION)
+    swapped = not bits and len(E2) * len(E4) < len(E1) * len(E3)
     if swapped:
         E1, E2, E3, E4 = E2, E1, E4, E3
-    p1, p3 = E1.points, E3.points
-    circles = {t: circle(ctx, t % q).points for t in radii}
     # The directions computed, and each circle position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
     mirrors = {t: mirrored_directions(st, q) if paired
                else (negated_points(st, q) if swapped else st, None)
                for t, st in circles.items()}
-    cells = len(p1) * len(p3)
-    widest = max(map(len, circles.values()), default=0)
-    if widest * cells <= _PRODUCT_MACS and cells <= _PRODUCT_CHUNK:
-        computed = _product_terms(ctx, E2, E4, p1, p3, circles, mirrors)
+    if bits:
+        computed = _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors)
+    elif products:
+        computed = _product_terms(ctx, E2, E4, E1.points, E3.points, circles, mirrors)
     else:
-        computed = _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors)
+        computed = _probed_terms(ctx, E2, E4, E1.points, E3.points, circles, mirrors)
     return {t: out if mirrors[t][1] is None else [out[i] for i in mirrors[t][1]]
             for t, out in computed.items()}
 
@@ -418,6 +472,50 @@ def _stacked_products(a, b):
     """a @ b over a stack, in float32 (its own name, so tests can see every
     product the route makes)."""
     return np.matmul(a, b)
+
+
+def _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors) -> dict:
+    """The computed directions' terms of each radius, by popcounts of row
+    words.
+
+    As S_t = -S_t, rhom_x = sum over w on S_t of |E12^x n (E3 - w) n
+    (E4 - w - x)|, and E1..E4 are one word_tiling stack, so each translate
+    is a gather of its words (word_layout).  The meets' words are masked to
+    the plane once, and each radius's pairs (x, w) are read at its circle's
+    offsets plus x.  Radii whose circles have the same size go in one pass,
+    cut into chunks of at most geometry.INDEX_CHUNK words.
+    """
+    firsts, masks = word_layout(ctx)
+    words = word_tiling([E.indicator for E in (E2, E4, E1, E3)])
+    groups = {}
+    for t, st in circles.items():
+        groups.setdefault(len(st), []).append(t)
+    terms = dict.fromkeys(circles)
+    for n, radii in groups.items():
+        xs = np.array([mirrors[t][0] for t in radii])
+        sizes = np.empty((2,) + xs.shape, dtype=np.int64)
+        rhom = np.empty(xs.shape, dtype=np.int64)
+        per = max(1, geometry.INDEX_CHUNK // (n * len(firsts)))
+        step = max(1, per // xs.shape[1])
+        for lo in range(0, len(radii), step):
+            x = xs[lo:lo + step]
+            # E12^x and E34^x, as (2, radii, directions, words).
+            meets = words[:2].take(x[..., None] + firsts, axis=1)
+            meets &= (words[2:, firsts] & masks)[:, None, None]
+            # A product sums the short last axis faster than sum() does.
+            sizes[:, lo:lo + step] = np.bitwise_count(meets) @ np.ones(len(firsts), dtype=np.int64)
+            e12 = meets[0, ..., None]
+            w = word_offsets(ctx, radii[lo:lo + step])
+            e3 = words[3].take(w)
+            for d in range(0, xs.shape[1], per):
+                hits = words[1].take(w + x[:, d:d + per, None])
+                hits &= e3
+                hits = hits.reshape(*hits.shape[:2], len(firsts), n)
+                hits &= e12[:, d:d + per]
+                rhom[lo:lo + step, d:d + per] = np.bitwise_count(hits).sum(axis=(2, 3))
+        for t, a, b, r in zip(radii, *sizes.tolist(), rhom.tolist()):
+            terms[t] = list(zip(a, b, r))
+    return terms
 
 
 def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:

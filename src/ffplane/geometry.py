@@ -19,7 +19,10 @@ canonical u and v the cell u + negated_points(v) is a copy of (u - v) mod
 q.  Each is one add or subtract, with no reduction mod q.  A scratch
 tiling probed that way is written at all four copies of a point
 (tiled_copies).  The windows of the 2-D tiling are the translates of the
-array as views, which shift_sum and shift_meets read.
+array as views, which shift_sum and shift_meets read.  For q < 64 a
+tiling can hold words instead of cells (word_tiling): at the tiled index
+of (s, b), the row words from row s on of the array translated by
+(0, -b), so a translate's words are gathers at the same tiled indices.
 """
 
 import functools
@@ -139,6 +142,7 @@ class PointSet:
         return self is other or (
             isinstance(other, PointSet)
             and self.q == other.q
+            and self._size == other._size
             and np.array_equal(self.indicator, other.indicator)
         )
 
@@ -427,6 +431,86 @@ def tiled_copies(points: np.ndarray, q: int) -> np.ndarray:
     """The tiled indices of all four copies of each canonical tiled index,
     point by point."""
     return (points[:, None] + _copy_offsets(q)).ravel()
+
+
+def _word_rows(q: int) -> int:
+    """Rows of a q x q array held in one uint64 word of word_tiling: as many
+    as fit, at most q."""
+    return min(64 // q, q)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_rotations(q: int) -> tuple:
+    k = _word_rows(q)
+    rows = (np.arange(2 * q)[:, None] + np.arange(k)) % q
+    b = np.arange(2 * q) % q
+    low = np.array([sum(((1 << (q - j)) - 1) << f for f in range(0, k * q, q)) for j in b],
+                   dtype=np.uint64)
+    high = np.uint64((1 << k * q) - 1) ^ low
+    return rows, b.astype(np.uint64), (q - b).astype(np.uint64), low, high
+
+
+def word_tiling(arrs) -> np.ndarray:
+    """The row words of each of a sequence of q x q bool arrays, q < 64, as
+    flat tilings: a uint64 array of shape (len(arrs), 4 q^2).
+
+    With k = _word_rows(q), the word at the tiled index of (s, b), s, b < 2q,
+    holds arr[s + j, c + b] (mod q) at bit j q + c for j < k and c < q:
+    rows s .. s + k - 1 of arr - (0, b).  So for r < q and a canonical or
+    negated y, the word at tiled_index((r, 0)) + y holds rows r .. r + k - 1
+    of arr - y, the rows past q - 1 read again from row 0 (word_layout).
+    """
+    m, q = len(arrs), arrs[0].shape[0]
+    rows, b, back, low, high = _word_rotations(q)
+    bits = np.zeros((m, 2 * q, 64), dtype=bool)
+    bits[..., :rows.shape[1] * q] = np.asarray(arrs).take(rows, axis=1).reshape(m, 2 * q, -1)
+    words = np.packbits(bits, axis=2, bitorder="little").view("<u8")
+    # Each q-bit field rotated down by b: its bit c is its bit c + b (mod q).
+    tiling = words >> b
+    tiling &= low
+    wrapped = words << back
+    wrapped &= high
+    tiling |= wrapped
+    return tiling.reshape(m, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_layout_cached(q: int) -> tuple:
+    k = _word_rows(q)
+    first = np.arange(0, q, k)
+    masks = np.full(len(first), (1 << k * q) - 1, dtype=np.uint64)
+    masks[-1] = (1 << (q - first[-1]) * q) - 1
+    firsts = tiled_index((first, 0), q)
+    for arr in (first, masks, firsts):
+        arr.flags.writeable = False
+    return firsts, masks, first
+
+
+def word_layout(ctx: PrimeFieldCtx) -> tuple:
+    """(firsts, masks) for reading word_tiling at ctx's q: the words of
+    arr - y, for a canonical or negated y, are at y + firsts, and ``masks``
+    keeps in each the rows of the plane once (the last word's rows past
+    q - 1 repeat its first).  Read-only and cached per q."""
+    return _word_layout_cached(ctx.q)[:2]
+
+
+@functools.lru_cache(maxsize=8)
+def _word_offsets_cached(q: int, radii: tuple) -> np.ndarray:
+    first = _word_layout_cached(q)[2]
+    r, c = tiled_point(np.array([_circle_cached(q, t).points for t in radii]), q)
+    offsets = tiled_index(((r[:, None] + first[:, None]) % q, c[:, None]), q)
+    offsets = offsets.reshape(len(radii), 1, -1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def word_offsets(ctx: PrimeFieldCtx, radii) -> np.ndarray:
+    """The (len(radii), 1, words * |S_t|) offsets of radii whose circles
+    have one size: for each word's first row r (major) and each w on S_t
+    in circle order, the canonical tiled index of (r, 0) + w reduced mod q.
+    So the words of arr - w - x are at these offsets plus x (word_tiling).
+    Read-only; the 8 most recent (q, radii) are cached."""
+    return _word_offsets_cached(ctx.q, tuple(t % ctx.q for t in radii))
 
 
 def _windows(arr: np.ndarray, shifts):

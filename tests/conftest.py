@@ -38,3 +38,13 @@ def random_quadruple(ctx, seed, lo=0.1, hi=0.9):
         density = lo + (hi - lo) * rng.next_float()
         out.append(gen_random_set(ctx, density, rng.next_u64()))
     return out
+
+
+# rhombus route -> the counting constants that force it: the bits
+# (_MACS_PER_WORD = 0), the products (their budgets lifted, the bits off)
+# and mark and probe (the product budget below every instance).
+RHOMBUS_ROUTES = {
+    "bits": {"_MACS_PER_WORD": 0},
+    "products": {"_BIT_MAX_Q": 0, "_PRODUCT_MACS": 2**40, "_PRODUCT_CHUNK": 2**40},
+    "probes": {"_BIT_MAX_Q": 0, "_PRODUCT_MACS": -1},
+}

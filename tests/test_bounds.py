@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_quadruple
+from conftest import RHOMBUS_ROUTES, random_quadruple
 from ffplane import bounds, counting, geometry
 from ffplane.bounds import (
     CHECK_NAMES,
@@ -154,6 +154,28 @@ def test_rhom_relation_sharp_verdict_is_exact(q, k):
         rep = _rhom_relation_batch(q, [1], [[(sum_ab, 1, rhom)]], sizes).report(0)
         assert rep.extra["rhom_t"] == rhom and rep.extra["par_t"] == sum_ab
         assert rep.extra["sharp_holds"] == (abs(d) <= big_d), d
+
+
+# The three strip instances F_q x {0, .., L - 1} (line-ap:0:1:L in all four
+# slots) on which the recorded sharp display was seen to fail, with their
+# oracle-confirmed Rhom_t and sum over x of |E12^x||E34^x|, on each rhombus
+# route in turn.
+@pytest.mark.parametrize("route", list(RHOMBUS_ROUTES))
+@pytest.mark.parametrize("q,length,t,rhom,sum_prod", [
+    (11, 4, 5, 1760, 10164), (23, 6, 13, 11592, 143888), (29, 7, 5, 22156, 354902),
+])
+def test_sharp_rhombus_display_fails_on_strips(monkeypatch, route, q, length, t, rhom, sum_prod):
+    ctx = PrimeFieldCtx(q)
+    strip = gen_example_line_ap(ctx, range(length))
+    for name, value in RHOMBUS_ROUTES[route].items():
+        monkeypatch.setattr(counting, name, value)
+    rep = check_rhom_relation(ctx, strip, strip, strip, strip, t)
+    assert (rep.extra["rhom_t"], rep.extra["par_t"]) == (rhom, sum_prod)
+    assert rep.extra["sharp_hypothesis"] and not rep.extra["sharp_holds"]
+    p = len(strip) ** 2
+    assert not bounds.rhom_sharp_holds(q, rhom, sum_prod, p, p)
+    if q == 11:
+        assert counting.count_rhom_t(ctx, *[strip] * 4, t, "oracle").value == rhom
 
 
 # One direction with |E12^x||E34^x| = p and Rhom_t = 0: the asserted tier

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_quadruple
+from conftest import RHOMBUS_ROUTES, random_quadruple
 from ffplane import counting, geometry
 from ffplane.counting import (
     INT64_LIMIT,
@@ -477,23 +477,37 @@ def _product_cells(sets) -> int:
     return min(_pair_cells(sets[::2]), _pair_cells(sets[1::2]))
 
 
+# _MACS_PER_WORD at 0 sends every call at q <= _BIT_MAX_Q to the bit
+# route, and _BIT_MAX_Q at 0 keeps every call off it, so that the product
+# and scalar routes forced through _PRODUCT_MACS run.
 # Budgets as {"module.name": value} overrides of ffplane's module constants,
 # each as a function of |E1| |E3| (_product_cells): the defaults; the scalar route forced,
 # alone and with a chunk small enough to split each direction's probes;
-# and the product route forced with one direction per product and one
+# the product route forced with one direction per product and one
 # radius per stack (the smallest chunk that keeps the route), three of
-# each (partial last chunks), or every circle size in a single product.
+# each (partial last chunks), or every circle size in a single product;
+# and the bit route forced, with one direction's words per chunk, or with
+# 100 words a chunk: several directions, or at q <= 7 several radii.
 _BLOCK_BUDGETS = {
     "default": lambda cells: {},
-    "scalar": lambda cells: {"counting._PRODUCT_MACS": 0},
+    "scalar": lambda cells: {"counting._PRODUCT_MACS": 0,
+                             "counting._BIT_MAX_Q": 0},
     "chunked-probes": lambda cells: {"counting._PRODUCT_MACS": 0,
+                                     "counting._BIT_MAX_Q": 0,
                                      "geometry.INDEX_CHUNK": 7},
     "one-direction": lambda cells: {"counting._PRODUCT_MACS": 2**40,
+                                    "counting._BIT_MAX_Q": 0,
                                     "counting._PRODUCT_CHUNK": max(cells, 1)},
     "three-directions": lambda cells: {"counting._PRODUCT_MACS": 2**40,
+                                       "counting._BIT_MAX_Q": 0,
                                        "counting._PRODUCT_CHUNK": 3 * max(cells, 1)},
     "single-block": lambda cells: {"counting._PRODUCT_MACS": 2**40,
+                                   "counting._BIT_MAX_Q": 0,
                                    "counting._PRODUCT_CHUNK": 2**40},
+    "bits-one-direction": lambda cells: {"counting._MACS_PER_WORD": 0,
+                                         "geometry.INDEX_CHUNK": 7},
+    "bits-chunked": lambda cells: {"counting._MACS_PER_WORD": 0,
+                                   "geometry.INDEX_CHUNK": 100},
 }
 
 
@@ -536,6 +550,7 @@ def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
         for name, value in _BLOCK_BUDGETS[budget](_product_cells(sets)).items():
             mp.setattr(f"ffplane.{name}", value)
         mp.setattr(counting, "_PRODUCT_MACS", 0)
+        mp.setattr(counting, "_BIT_MAX_Q", 0)
         mp.setattr(counting, "_small_pair_counts", spy)
         by_radius = rhombus_directions(ctx, *sets, radii)
     computed = sum(len(circle(ctx, t)) for t in radii)
@@ -547,9 +562,10 @@ def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
 
 
 def _route_spies(mp):
-    """Record the shapes of every product and every scalar-route call."""
-    products, probed = [], []
-    stacked, scalar = counting._stacked_products, counting._probed_terms
+    """Record the shapes of every product and every scalar-route call, and
+    the bit-route calls."""
+    products, probed, bits = [], [], []
+    stacked, scalar, words = counting._stacked_products, counting._probed_terms, counting._bit_terms
 
     def stacked_spy(a, b):
         products.append((a.shape, b.shape))
@@ -559,9 +575,14 @@ def _route_spies(mp):
         probed.append(args)
         return scalar(*args)
 
+    def bit_spy(*args):
+        bits.append(args)
+        return words(*args)
+
     mp.setattr(counting, "_stacked_products", stacked_spy)
     mp.setattr(counting, "_probed_terms", scalar_spy)
-    return products, probed
+    mp.setattr(counting, "_bit_terms", bit_spy)
+    return products, probed, bits
 
 
 def _first_points(q, n):
@@ -582,11 +603,12 @@ def _first_points(q, n):
         "q13-full-every-radius", "q13-mixed-sizes"])
 def test_products_stay_within_budget_and_one_blas_thread(q, radii, n1, n3, product):
     """No product exceeds k |E1| |E3| <= 2^18 multiply-adds (OpenBLAS's
-    single-thread threshold) and no stack of K_t more cells; the route is
-    taken while max |S_t| |E1| |E3| <= _PRODUCT_MACS < 2^24, which keeps
-    its float32 sums exact.  |E1| and |E3| are those of the smaller pair:
-    at q = 13, |E2| |E4| is the smaller, and the products number E2 x E4.
-    Values match the scalar route."""
+    single-thread threshold) and no stack of K_t more cells; with the bit
+    route off, the route is taken while max |S_t| |E1| |E3| <=
+    _PRODUCT_MACS < 2^24, which keeps its float32 sums exact.  |E1| and
+    |E3| are those of the smaller pair: at q = 13, |E2| |E4| is the
+    smaller, and the products number E2 x E4.  Values match the scalar
+    route and the bit route."""
     ctx = PrimeFieldCtx(q)
     sets = [_first_points(q, n1), full_plane(ctx), _first_points(q, n3),
             gen_random_set(ctx, 0.5, q)]
@@ -596,33 +618,40 @@ def test_products_stay_within_budget_and_one_blas_thread(q, radii, n1, n3, produ
     assert counting._PRODUCT_CHUNK == 2**18
     assert counting._PRODUCT_MACS < 2**24
     with pytest.MonkeyPatch.context() as mp:
-        products, probed = _route_spies(mp)
+        products, probed, bits = _route_spies(mp)
+        mp.setattr(counting, "_BIT_MAX_Q", 0)
         by_radius = rhombus_directions(ctx, *sets, radii)
     widest = max(len(circle(ctx, t)) for t in radii)
     assert (widest * n1 * n3 <= counting._PRODUCT_MACS and
             n1 * n3 <= counting._PRODUCT_CHUNK) == product
-    assert bool(products) == product != bool(probed)
+    assert bool(products) == product != bool(probed) and not bits
     for (r, k, m), (r2, m2, n) in products:
         assert r == r2 and m == m2 == n1 and n == n3
         assert k * n1 * n3 <= 2**18 and r * n1 * n3 <= 2**18
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_PRODUCT_MACS", 0)
+        mp.setattr(counting, "_BIT_MAX_Q", 0)
+        assert rhombus_directions(ctx, *sets, radii) == by_radius
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_MACS_PER_WORD", 0)
         assert rhombus_directions(ctx, *sets, radii) == by_radius
 
 
 def test_swapped_terms_land_at_their_own_directions(ctx13):
     """A q = 13 instance with |E2| |E4| < |E1| |E3| whose terms at x and -x
-    differ: they are computed on (E2, E1, E4, E3) at -x, so a term left at
-    the direction it was computed at fails.  Both routes, S_0 included."""
+    differ: products and probes compute them on (E2, E1, E4, E3) at -x, so
+    a term left at the direction it was computed at fails.  All three
+    routes, S_0 included; the bit route computes on (E1, E2, E3, E4)."""
     sets = [gen_random_set(ctx13, d, 130 + k) for k, d in enumerate((0.6, 0.3, 0.6, 0.3))]
     assert _pair_cells(sets[1::2]) < _pair_cells(sets[::2])
     radii = [0, 1, 2]
-    for macs in (counting._PRODUCT_MACS, 0):
+    for macs, top in ((counting._PRODUCT_MACS, 0), (0, 0), (0, 13)):
         with pytest.MonkeyPatch.context() as mp:
-            products, probed = _route_spies(mp)
+            products, probed, bits = _route_spies(mp)
             mp.setattr(counting, "_PRODUCT_MACS", macs)
+            mp.setattr(counting, "_BIT_MAX_Q", top)
             by_radius = rhombus_directions(ctx13, *sets, radii)
-        assert bool(products) == (macs > 0) != bool(probed)
+        assert [bool(products), bool(probed), bool(bits)] == [macs > 0, top < 13 > macs, top == 13]
         for t in radii:
             directions = circle(ctx13, t).elements
             negated = [directions.index((-x1 % 13, -x2 % 13)) for x1, x2 in directions]
@@ -638,15 +667,41 @@ def test_swapped_terms_land_at_their_own_directions(ctx13):
 ], ids=["q61-random-0.5", "q211-random-0.01", "q211-line-ap-0-1-3"])
 def test_count_rhom_t_inputs_stay_on_the_scalar_route(q, sets):
     """The rhom_t inputs of the count benchmark's commands (about 212M,
-    46M and 85M multiply-adds) are over ten times the product budget."""
+    46M and 85M multiply-adds) are over ten times the product budget, so
+    with the bit route off they are marked and probed."""
     ctx = PrimeFieldCtx(q)
     sets = sets(ctx)
     with pytest.MonkeyPatch.context() as mp:
-        products, probed = _route_spies(mp)
+        products, probed, bits = _route_spies(mp)
+        mp.setattr(counting, "_BIT_MAX_Q", 0)
         rhombus_directions(ctx, *sets, [1])
     macs = len(circle(ctx, 1)) * len(sets[0]) * len(sets[2])
     assert macs > 10 * counting._PRODUCT_MACS
-    assert probed and not products
+    assert probed and not products and not bits
+
+
+@pytest.mark.parametrize("q,density,route", [
+    (13, 0.01, "bits"), (13, 1.0, "bits"), (31, 0.1, "products"), (31, 0.2, "bits"),
+    (61, 0.05, "products"), (61, 0.5, "bits"), (61, 1.0, "bits"), (67, 0.5, "probes"),
+])
+def test_rule_takes_the_measured_route(q, density, route):
+    """The route of one call at t = 1 on four distinct sets, at points of
+    the crossover table: every q = 13 call and dense sets up to q = 61 take
+    the bits, sparse sets the products, and q > 61 never the bits."""
+    ctx = PrimeFieldCtx(q)
+    sets = [gen_random_set(ctx, density, 4 * q + k) for k in range(4)]
+    with pytest.MonkeyPatch.context() as mp:
+        products, probed, bits = _route_spies(mp)
+        by_radius = rhombus_directions(ctx, *sets, [1])
+    assert [bool(bits), bool(products), bool(probed)] == \
+        [route == "bits", route == "products", route == "probes"]
+    if q < 64 and density < 1:
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "bits":
+                mp.setattr(counting, "_BIT_MAX_Q", 0)
+            else:
+                mp.setattr(counting, "_MACS_PER_WORD", 0)
+            assert rhombus_directions(ctx, *sets, [1]) == by_radius
 
 
 @pytest.mark.parametrize("sets,value", [
@@ -678,24 +733,28 @@ def test_probe_chunking_does_not_change_counts(monkeypatch, q, chunk):
 
 def test_rhombus_directions_reuse_each_circles_points(monkeypatch, ctx13):
     # Once the circles of radii 1..12 are cached with their point lists, a
-    # call on new sets builds the point lists of E1 and E3 only.
+    # call on new sets builds no point list on the bit route (the default
+    # at q = 13), and those of E1 and E3 only on the product route.
     radii = list(range(1, 13))
     rhombus_directions(ctx13, *random_quadruple(ctx13, 1, lo=0.2, hi=0.5), radii)
-    sets = random_quadruple(ctx13, 2, lo=0.2, hi=0.5)
-    built = []
     tiled_points = geometry.tiled_points
+    for seed, top in ((2, counting._BIT_MAX_Q), (3, 0)):
+        sets = random_quadruple(ctx13, seed, lo=0.2, hi=0.5)
+        built = []
 
-    def spy(ind):
-        built.append(ind)
-        return tiled_points(ind)
+        def spy(ind):
+            built.append(ind)
+            return tiled_points(ind)
 
-    monkeypatch.setattr(geometry, "tiled_points", spy)
-    monkeypatch.setattr(counting, "tiled_points", spy)
-    by_radius = rhombus_directions(ctx13, *sets, radii)
-    monkeypatch.undo()
-    assert [id(ind) for ind in built] == [id(sets[0].indicator), id(sets[2].indicator)]
-    for t in radii:
-        assert by_radius[t] == _rhombus_direction_reference(ctx13, *sets, t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_BIT_MAX_Q", top)
+            mp.setattr(geometry, "tiled_points", spy)
+            mp.setattr(counting, "tiled_points", spy)
+            by_radius = rhombus_directions(ctx13, *sets, radii)
+        assert [id(ind) for ind in built] == \
+            ([] if top else [id(sets[0].indicator), id(sets[2].indicator)])
+        for t in radii:
+            assert by_radius[t] == _rhombus_direction_reference(ctx13, *sets, t)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -746,6 +805,66 @@ def test_rhombus_layer_fast_matches_oracle(instance):
     assert count_rhom_t(ctx, *sets, t, "fast",
                         exclude_degenerate=True).value == rhom - deg
     assert count_degenerate_rhom(ctx, *sets, t).value == deg
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]).flatmap(lambda q: st.tuples(
+    st.just(PrimeFieldCtx(q)), st.lists(_boundary_or_random_set(q), min_size=4, max_size=4),
+    st.integers(0, q - 1))))
+def test_bit_route_matches_oracle(instance):
+    """rhom_t on the bit route, forced, against the oracle at q <= 13, with
+    and without the degenerate tuples, on boundary and random sets."""
+    ctx, sets, t = instance
+    rhom = count_rhom_t(ctx, *sets, t, "oracle").value
+    deg = count_degenerate_rhom(ctx, *sets, t, "oracle").value
+    with pytest.MonkeyPatch.context() as mp:
+        products, probed, bits = _route_spies(mp)
+        mp.setattr(counting, "_MACS_PER_WORD", 0)
+        assert count_rhom_t(ctx, *sets, t).value == rhom
+        assert count_rhom_t(ctx, *sets, t, exclude_degenerate=True).value == rhom - deg
+    assert len(bits) == 2 and not products and not probed
+
+
+def _isotropic_line(q: int) -> PointSet:
+    """{(a, i a)} with i^2 = -1 mod q, for q = 1 mod 4."""
+    i = next(i for i in range(q) if (i * i + 1) % q == 0)
+    return PointSet(q, [(a, i * a % q) for a in range(q)])
+
+
+@pytest.mark.parametrize("q", [31, 61])
+def test_rhombus_routes_agree_on_boundary_sets(q):
+    """Bits, products and probes give equal terms at q in {31, 61} on the
+    empty set, a singleton, the full plane, a circle and, at q = 61 (1 mod
+    4), an isotropic line: each in all four slots, the four side by side,
+    and two mixed quadruples, at radii 0, 1 and q - 1; each route is seen
+    to run.  Full planes check against Rhom_t = q^2 |S_t|^2.  The products
+    are left out where |E1| |E3| > 2^20, whose K_t tables (float32, and the
+    int64 norms they are read from) would take over 100 MB at q = 61."""
+    ctx = PrimeFieldCtx(q)
+    plane = full_plane(ctx)
+    fixed = [PointSet(q, []), PointSet(q, [(1, q - 2)]), plane, circle(ctx, 1)]
+    if q % 4 == 1:
+        fixed.append(_isotropic_line(q))
+    quads = [[s] * 4 for s in fixed] + [fixed[:4], fixed[1:5] if q % 4 == 1 else fixed[::-1],
+                                        [fixed[3], plane, fixed[-1], plane]]
+    radii = [0, 1, q - 1]
+    for sets in quads:
+        by_route = {}
+        for route, constants in RHOMBUS_ROUTES.items():
+            if route == "products" and _product_cells(sets) > 2**20:
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                for name, value in constants.items():
+                    mp.setattr(counting, name, value)
+                products, probed, bits = _route_spies(mp)
+                by_route[route] = rhombus_directions(ctx, *sets, radii)
+            assert [bool(bits), bool(products), bool(probed)] == \
+                [route == "bits", route == "products", route == "probes"]
+        assert all(terms == by_route["bits"] for terms in by_route.values()), sets
+        if all(s is plane for s in sets):
+            for t in radii:
+                size = len(circle(ctx, t))
+                assert sum(r for _, _, r in by_route["bits"][t]) == q**2 * size**2
 
 
 def _small_set(q):
@@ -1045,12 +1164,13 @@ def test_full_plane_rhombus_closed_forms_on_the_probe_route(monkeypatch, q, t):
     """Rhom_t = q^2 |S_t|^2 and degenerate = q^2 |S_t| on the full plane:
     every u, direction x and v - u on S_t make a rhombus, and v = u + x is
     the degenerate one.  |E1| |E3| = q^4 is past the product budget and
-    every direction meets the whole plane, so each computed direction is
-    marked and probed, one of each pair +-x."""
+    every direction meets the whole plane, so with the bit route off each
+    computed direction is marked and probed, one of each pair +-x."""
     ctx = PrimeFieldCtx(q)
     F = full_plane(ctx)
     size = len(circle(ctx, t))
-    products, probed = _route_spies(monkeypatch)
+    products, probed, bits = _route_spies(monkeypatch)
+    monkeypatch.setattr(counting, "_BIT_MAX_Q", 0)
     pair_count, pairs = counting._pair_count, []
 
     def pair_spy(*args):
@@ -1060,4 +1180,4 @@ def test_full_plane_rhombus_closed_forms_on_the_probe_route(monkeypatch, q, t):
     monkeypatch.setattr(counting, "_pair_count", pair_spy)
     assert count_rhom_t(ctx, F, F, F, F, t).value == q**2 * size**2
     assert count_degenerate_rhom(ctx, F, F, F, F, t).value == q**2 * size
-    assert products == [] and len(probed) == 1 and len(pairs) == size // 2
+    assert products == [] == bits and len(probed) == 1 and len(pairs) == size // 2

@@ -75,29 +75,32 @@ def _spy(mp, module, name) -> list:
 
 
 # route -> (the constants that force it, the highest density it is drawn
-# at, and the function whose returns show it was taken, with the test on
-# them).  The product route also lifts the cell cap of one product, so its
-# sets need not be tiny to reach it.
+# at, the q it is drawn at, and the function whose returns show it was
+# taken, with the test on them).  The product route also lifts the cell cap
+# of one product, so its sets need not be tiny to reach it; it and the
+# probed route keep off the bit route, which holds q bits a word (q <= 61).
 _ROUTES = {
-    "tables": ({(geometry, "_PROBES_PER_CELL"): 0}, 0.4,
+    "tables": ({(geometry, "_PROBES_PER_CELL"): 0}, 0.4, (61, 101),
                (geometry, "differences_at", lambda r: not r)),
-    "fft": ({(geometry, "_EXACT_PAIRS_PER_CELL"): 0}, 0.4,
+    "fft": ({(geometry, "_EXACT_PAIRS_PER_CELL"): 0}, 0.4, (61, 101),
             (geometry, "_exact_differences", lambda r: not r)),
-    "exact": ({(geometry, "_EXACT_PAIRS_PER_CELL"): 1 << 40}, 0.4,
+    "exact": ({(geometry, "_EXACT_PAIRS_PER_CELL"): 1 << 40}, 0.4, (61, 101),
               (np.fft, "rfft2", lambda r: not r)),
-    "python-ints": ({(counting, "INT64_LIMIT"): 0}, 0.4,
+    "python-ints": ({(counting, "INT64_LIMIT"): 0}, 0.4, (61, 101),
                     (counting, "table_products",
                      lambda r: r and all(p.dtype == object for p in r))),
-    "probed": ({(counting, "_PRODUCT_MACS"): 0}, 0.4, (counting, "_probed_terms", bool)),
-    "product": ({(counting, "_PRODUCT_MACS"): 1 << 62, (counting, "_PRODUCT_CHUNK"): 1 << 22},
-                0.15, (counting, "_product_terms", bool)),
-    "paired": ({}, 0.4, (counting, "mirrored_directions", bool)),
+    "probed": ({(counting, "_PRODUCT_MACS"): 0, (counting, "_BIT_MAX_Q"): 0}, 0.4, (61, 101),
+               (counting, "_probed_terms", bool)),
+    "product": ({(counting, "_PRODUCT_MACS"): 1 << 62, (counting, "_PRODUCT_CHUNK"): 1 << 22,
+                 (counting, "_BIT_MAX_Q"): 0}, 0.15, (61, 101), (counting, "_product_terms", bool)),
+    "bits": ({(counting, "_MACS_PER_WORD"): 0}, 0.4, (61,), (counting, "_bit_terms", bool)),
+    "paired": ({}, 0.4, (61, 101), (counting, "mirrored_directions", bool)),
 }
 
 @st.composite
-def _instances(draw, hi=0.4):
+def _instances(draw, hi=0.4, qs=(61, 101)):
     """(q, z, w, t, densities, seeds) with N(z) != 0 mod q."""
-    q = draw(st.sampled_from([61, 101]))
+    q = draw(st.sampled_from(qs))
     residue = st.integers(0, q - 1)
     z = draw(st.tuples(residue, residue).filter(lambda z: _norm(z, q)))
     w = draw(st.tuples(residue, residue))
@@ -111,8 +114,8 @@ def _instances(draw, hi=0.4):
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_counts_follow_the_similarity_on_every_route(route, data):
-    constants, hi, (module, name, taken) = _ROUTES[route]
-    q, z, w, t, densities, seeds = data.draw(_instances(hi))
+    constants, hi, qs, (module, name, taken) = _ROUTES[route]
+    q, z, w, t, densities, seeds = data.draw(_instances(hi, qs))
     ctx = PrimeFieldCtx(q)
     sets = gen_random_set(ctx, densities, seeds)
     if route == "paired":
