@@ -518,8 +518,10 @@ def main(argv=None) -> int:
     """Run the command of argv (sys.argv[1:] by default) and return its exit
     code.  A valid command is parsed from the option table alone, without
     argparse; help and usage errors go to the full parser (_parse_args).
-    Nothing is kept from one call to the next.  Once --seed and --q are
-    checked, the command runs as func(args, ctx, config)."""
+    Only read-only tables keyed by q and a radius or radii outlive a call
+    (geometry's per-field caches, with the contexts they are keyed by), and
+    no output depends on them.  Once --seed and --q are checked, the
+    command runs as func(args, ctx, config)."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     try:

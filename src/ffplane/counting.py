@@ -420,7 +420,7 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     # The directions computed, and each circle position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
-    mirrors = {t: mirrored_directions(st, q) if paired
+    mirrors = {t: mirrored_directions(ctx, t) if paired
                else (negated_points(st, q) if swapped else st, None)
                for t, st in circles.items()}
     if bits:
@@ -505,7 +505,7 @@ def _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors) -> dict:
             # A product sums the short last axis faster than sum() does.
             sizes[:, lo:lo + step] = np.bitwise_count(meets) @ np.ones(len(firsts), dtype=np.int64)
             e12 = meets[0, ..., None]
-            w = word_offsets(ctx, radii[lo:lo + step])
+            w = word_offsets(ctx, tuple(radii[lo:lo + step]))
             e3 = words[3].take(w)
             for d in range(0, xs.shape[1], per):
                 hits = words[1].take(w + x[:, d:d + per, None])

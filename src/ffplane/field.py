@@ -7,15 +7,17 @@ A ``PrimeFieldCtx`` owns the modulus and two precomputed character tables:
 * ``eta_table[a]`` in ``{-1, 0, +1}`` -- the quadratic character
   (``+1`` for nonzero squares, ``-1`` for non-squares, ``0`` at zero).
 
-Each table is built on its first read and kept for the context's life:
-the character-sum routines (the oracle transform, the closed-form circle
+Each table is a cached property, built on its first read: the
+character-sum routines (the oracle transform, the closed-form circle
 spectrum, the Gauss sum) evaluate a character up to q^4 times, while most
-commands never read one.  Apart from that one-time fill the context does
-not change, and it is safe to share between threads: two first reads at
-once build equal tables.
+commands never read one.  Apart from that fill the context does not
+change, and two first reads at once build equal tables, so it is safe to
+share between threads.  Contexts of one q are equal and hash alike, so
+geometry caches its per-field tables keyed by the context.
 """
 
 import cmath
+import functools
 
 from .errors import ZeroInverse
 
@@ -34,30 +36,30 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeFieldCtx:
-    __slots__ = ("q", "chi_table", "eta_table")
+    __slots__ = ("q", "__dict__")
 
     def __init__(self, q: int):
         if not isinstance(q, int) or not is_prime(q) or q < 3:
             raise ValueError(f"q must be an odd prime >= 3, got {q!r}")
         self.q = q
 
-    def __getattr__(self, name):
-        # Reached only while a table's slot is still empty.
-        if name == "chi_table":
-            q = self.q
-            # chi(0) must be exactly 1+0j; cmath.exp(0) already guarantees it.
-            self.chi_table = tuple(cmath.exp(2j * cmath.pi * a / q) for a in range(q))
-            return self.chi_table
-        if name == "eta_table":
-            q = self.q
-            half = (q - 1) // 2
-            eta = [0] * q
-            for a in range(1, q):
-                eta[a] = 1 if pow(a, half, q) == 1 else -1
-            self.eta_table = tuple(eta)
-            return self.eta_table
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __eq__(self, other):
+        return isinstance(other, PrimeFieldCtx) and self.q == other.q
+
+    def __hash__(self):
+        return hash(self.q)
+
+    @functools.cached_property
+    def chi_table(self) -> tuple:
+        q = self.q
+        # chi(0) must be exactly 1+0j; cmath.exp(0) already guarantees it.
+        return tuple(cmath.exp(2j * cmath.pi * a / q) for a in range(q))
+
+    @functools.cached_property
+    def eta_table(self) -> tuple:
+        q = self.q
+        half = (q - 1) // 2
+        return tuple(0 if a == 0 else (1 if pow(a, half, q) == 1 else -1) for a in range(q))
 
     # -- arithmetic ---------------------------------------------------------
 

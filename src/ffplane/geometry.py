@@ -23,6 +23,10 @@ array as views, which shift_sum and shift_meets read.  For q < 64 a
 tiling can hold words instead of cells (word_tiling): at the tiled index
 of (s, b), the row words from row s on of the array translated by
 (0, -b), so a translate's words are gathers at the same tiled indices.
+
+Each per-field table (norm_classes, norm_class_order, circle, its +-x
+pairing mirrored_directions, word_layout, word_offsets) is one lru_cache
+function of the context, so contexts of one q share one read-only copy.
 """
 
 import functools
@@ -69,14 +73,14 @@ class PointSet:
     """Immutable set of distinct points, stored as its q x q indicator.
 
     The read-only bool array ``indicator`` is the set: size, membership,
-    equality, hashing and the order of its points read it.  Cached on first
-    read: ``elements``, the row-major point tuples that oracles, the VC
-    layer, file output and iteration read, and ``points``, the read-only
-    row-major tiled_points that gathers read.  Equal sets read alike,
-    whatever built them.
+    equality, hashing and the order of its points read it.  Two cached
+    properties are built from it on first read: ``elements``, the row-major
+    point tuples that oracles, the VC layer, file output and iteration read,
+    and ``points``, the read-only row-major tiled_points that gathers read.
+    Equal sets read alike, whatever built them.
     """
 
-    __slots__ = ("q", "indicator", "_size", "_elements", "_points")
+    __slots__ = ("q", "indicator", "_size", "__dict__")
 
     def __init__(self, q: int, points):
         pts = _checked_points(q, points)
@@ -87,7 +91,6 @@ class PointSet:
         self.q = q
         self.indicator = arr
         self._size = len(pts)
-        self._elements = self._points = None
 
     @classmethod
     def _from_indicator(cls, q: int, indicator: np.ndarray) -> "PointSet":
@@ -101,24 +104,20 @@ class PointSet:
         self.q = q
         self.indicator = indicator
         self._size = int(np.count_nonzero(indicator))
-        self._elements = self._points = None
         return self
 
-    @property
+    @functools.cached_property
     def elements(self) -> tuple:
-        """The points as row-major (x1, x2) tuples, built on first read."""
-        if self._elements is None:
-            rows, cols = np.nonzero(self.indicator)
-            self._elements = tuple(zip(rows.tolist(), cols.tolist()))
-        return self._elements
+        """The points as row-major (x1, x2) tuples."""
+        rows, cols = np.nonzero(self.indicator)
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        """The points as tiled indices (tiled_points), built on first read."""
-        if self._points is None:
-            self._points = tiled_points(self.indicator)
-            self._points.flags.writeable = False
-        return self._points
+        """The points as read-only tiled indices (tiled_points)."""
+        points = tiled_points(self.indicator)
+        points.flags.writeable = False
+        return points
 
     @property
     def size(self) -> int:
@@ -181,45 +180,56 @@ def norm(ctx: PrimeFieldCtx, p) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _norm_classes_cached(q: int) -> np.ndarray:
+def norm_classes(ctx: PrimeFieldCtx) -> np.ndarray:
+    """Read-only q x q int64 array of |p| over the plane.  Cached per q."""
+    q = ctx.q
     idx = np.arange(q, dtype=np.int64)
     arr = (idx[:, None] * idx[:, None] + idx[None, :] * idx[None, :]) % q
     arr.flags.writeable = False
     return arr
 
 
-def norm_classes(ctx: PrimeFieldCtx) -> np.ndarray:
-    """Read-only q x q int64 array of |p| over the plane.  Cached per q."""
-    return _norm_classes_cached(ctx.q)
-
-
 @functools.lru_cache(maxsize=None)
-def _norm_class_order_cached(q: int) -> tuple:
-    classes = _norm_classes_cached(q).ravel()
-    order = np.argsort(classes, kind="stable")
-    starts = np.searchsorted(classes[order], np.arange(q))
-    order.flags.writeable = starts.flags.writeable = False
-    return order, starts
-
-
 def norm_class_order(ctx: PrimeFieldCtx) -> tuple:
     """(order, starts): the row-major cells of the plane sorted by |p|, and
     where each class t in F_q starts in that order.  No class is empty
     (S_0 holds 0, and |S_t| >= q - 1), so the starts strictly increase.
     Read-only and cached per q."""
-    return _norm_class_order_cached(ctx.q)
+    classes = norm_classes(ctx).ravel()
+    order = np.argsort(classes, kind="stable")
+    starts = np.searchsorted(classes[order], np.arange(ctx.q))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
 
 
 # An all-t sweep at large q would otherwise keep q circles of q x q cells.
 @functools.lru_cache(maxsize=64)
-def _circle_cached(q: int, j: int) -> PointSet:
-    return PointSet._from_indicator(q, _norm_classes_cached(q) == j)
-
-
 def circle(ctx: PrimeFieldCtx, j: int) -> PointSet:
     """All points at form-value j from the origin.  The 64 most recently
     used (q, j) are cached."""
-    return _circle_cached(ctx.q, j % ctx.q)
+    return PointSet._from_indicator(ctx.q, norm_classes(ctx) == j % ctx.q)
+
+
+@functools.lru_cache(maxsize=64)
+def mirrored_directions(ctx: PrimeFieldCtx, j: int) -> tuple:
+    """(kept, source): the points of circle(ctx, j) that stand for each
+    pair +-x, and the source of every position.
+
+    The circle is closed under negation and its points ascend.  The first
+    position of each pair +-x (the origin is its own pair) is kept, as a
+    read-only array of tiled indices; ``source[i]`` is the index among the
+    kept ones whose term belongs at position i.  The 64 most recently used
+    (q, j) are cached.
+    """
+    q, st = ctx.q, circle(ctx, j).points
+    # st is searched for each -x, so here -x is canonical, not negated_points.
+    rows, cols = tiled_point(st, q)
+    neg = np.searchsorted(st, tiled_index((-rows % q, -cols % q), q))
+    first = np.minimum(np.arange(len(st)), neg)
+    keep = np.flatnonzero(first == np.arange(len(st)))
+    kept = st[keep]
+    kept.flags.writeable = False
+    return kept, tuple(np.searchsorted(keep, first).tolist())
 
 
 def full_plane(ctx: PrimeFieldCtx) -> PointSet:
@@ -403,23 +413,6 @@ def negated_points(points: np.ndarray, q: int) -> np.ndarray:
     return tiled_index((q, q), q) - points
 
 
-def mirrored_directions(st: np.ndarray, q: int):
-    """The directions of a symmetric set that stand for each pair +-x, and
-    the source of every position.
-
-    st holds ascending canonical tiled indices, closed under negation, as a
-    circle's points are.  The first position of each pair +-x (the origin
-    is its own pair) is kept; ``source[i]`` is the index among the kept ones
-    whose term belongs at position i.
-    """
-    # st is searched for each -x, so here -x is canonical, not negated_points.
-    rows, cols = tiled_point(st, q)
-    neg = np.searchsorted(st, tiled_index((-rows % q, -cols % q), q))
-    first = np.minimum(np.arange(len(st)), neg)
-    kept = np.flatnonzero(first == np.arange(len(st)))
-    return st[kept], np.searchsorted(kept, first).tolist()
-
-
 @functools.lru_cache(maxsize=None)
 def _copy_offsets(q: int) -> np.ndarray:
     offsets = np.array([tiled_index((r, c), q) for r in (0, q) for c in (0, q)])
@@ -475,42 +468,34 @@ def word_tiling(arrs) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _word_layout_cached(q: int) -> tuple:
-    k = _word_rows(q)
-    first = np.arange(0, q, k)
-    masks = np.full(len(first), (1 << k * q) - 1, dtype=np.uint64)
-    masks[-1] = (1 << (q - first[-1]) * q) - 1
-    firsts = tiled_index((first, 0), q)
-    for arr in (first, masks, firsts):
-        arr.flags.writeable = False
-    return firsts, masks, first
-
-
 def word_layout(ctx: PrimeFieldCtx) -> tuple:
     """(firsts, masks) for reading word_tiling at ctx's q: the words of
     arr - y, for a canonical or negated y, are at y + firsts, and ``masks``
     keeps in each the rows of the plane once (the last word's rows past
     q - 1 repeat its first).  Read-only and cached per q."""
-    return _word_layout_cached(ctx.q)[:2]
+    q, k = ctx.q, _word_rows(ctx.q)
+    first = np.arange(0, q, k)
+    masks = np.full(len(first), (1 << k * q) - 1, dtype=np.uint64)
+    masks[-1] = (1 << (q - first[-1]) * q) - 1
+    firsts = tiled_index((first, 0), q)
+    firsts.flags.writeable = masks.flags.writeable = False
+    return firsts, masks
 
 
 @functools.lru_cache(maxsize=8)
-def _word_offsets_cached(q: int, radii: tuple) -> np.ndarray:
-    first = _word_layout_cached(q)[2]
-    r, c = tiled_point(np.array([_circle_cached(q, t).points for t in radii]), q)
-    offsets = tiled_index(((r[:, None] + first[:, None]) % q, c[:, None]), q)
+def word_offsets(ctx: PrimeFieldCtx, radii: tuple) -> np.ndarray:
+    """The (len(radii), 1, words * |S_t|) offsets of a tuple of radii whose
+    circles have one size: for each word's first row r (major) and each w
+    on S_t in circle order, the canonical tiled index of (r, 0) + w reduced
+    mod q.  So the words of arr - w - x are at these offsets plus x
+    (word_tiling).  Read-only; the 8 most recent (q, radii) are cached."""
+    q = ctx.q
+    first = np.arange(0, q, _word_rows(q))[:, None]
+    r, c = tiled_point(np.array([circle(ctx, t).points for t in radii]), q)
+    offsets = tiled_index(((r[:, None] + first) % q, c[:, None]), q)
     offsets = offsets.reshape(len(radii), 1, -1)
     offsets.flags.writeable = False
     return offsets
-
-
-def word_offsets(ctx: PrimeFieldCtx, radii) -> np.ndarray:
-    """The (len(radii), 1, words * |S_t|) offsets of radii whose circles
-    have one size: for each word's first row r (major) and each w on S_t
-    in circle order, the canonical tiled index of (r, 0) + w reduced mod q.
-    So the words of arr - w - x are at these offsets plus x (word_tiling).
-    Read-only; the 8 most recent (q, radii) are cached."""
-    return _word_offsets_cached(ctx.q, tuple(t % ctx.q for t in radii))
 
 
 def _windows(arr: np.ndarray, shifts):

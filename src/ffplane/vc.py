@@ -335,7 +335,7 @@ def _direction_sizes(ctx: PrimeFieldCtx, kept: np.ndarray, t: int) -> list:
     S_t = -S_t: one meet is counted per pair +-x (mirrored_directions).
     """
     q = ctx.q
-    dirs, source = mirrored_directions(circle(ctx, t).points, q)
+    dirs, source = mirrored_directions(ctx, t)
     sizes = [int(np.count_nonzero(meet))
              for meet in shift_meets(kept, kept, zip(*tiled_point(dirs, q)))]
     return [sizes[i] for i in source]

@@ -475,6 +475,28 @@ def test_count_stream_deterministic_modulo_elapsed(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "13", "--t", "3", "--quantity", "rhom_t",
+     "--set", "random:0.5:1,random:0.5:1,random:0.5:2,random:0.5:2"],
+    ["bounds", "--q", "13", "--check", "all", "--all-t", "--trials", "2", "--seed", "4"],
+    ["witness", "--q", "31", "--t", "1", "--set", "random:0.5:3"],
+    ["fourier", "--q", "13", "--circle", "2", "--decay"],
+], ids=lambda argv: argv[0])
+def test_a_command_prints_alike_after_a_command_at_another_q(capsys, argv):
+    # The per-field caches outlive a call: one argv, run again in the same
+    # process after a command at another q, prints the same stream apart
+    # from elapsed_ms.
+    def stream():
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0 and out
+        return [{k: v for k, v in obj.items() if k != "elapsed_ms"} for obj in json_lines(out)]
+
+    first = stream()
+    between = ["bounds", "--q", "7", "--check", "all", "--all-t", "--trials", "1"]
+    assert run_cli(capsys, between)[0] == 0
+    assert stream() == first
+
+
 def test_bounds_all_checks_run(capsys):
     rc, out, _ = run_cli(capsys, [
         "bounds", "--q", "5", "--check", "all", "--trials", "2", "--seed", "3"])

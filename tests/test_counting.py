@@ -757,6 +757,25 @@ def test_rhombus_directions_reuse_each_circles_points(monkeypatch, ctx13):
             assert by_radius[t] == _rhombus_direction_reference(ctx13, *sets, t)
 
 
+@pytest.mark.parametrize("route", RHOMBUS_ROUTES)
+def test_repeated_paired_call_reads_the_cached_pairing(route, ctx13):
+    # A paired (A, A, B, B) call reads each radius's +-x pairing from
+    # geometry's cache: repeated, every radius is a hit and none a miss.
+    A, B = random_quadruple(ctx13, 4, lo=0.2, hi=0.5)[:2]
+    radii = list(range(13))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in RHOMBUS_ROUTES[route].items():
+            mp.setattr(counting, name, value)
+        first = rhombus_directions(ctx13, A, A, B, B, radii)
+        before = geometry.mirrored_directions.cache_info()
+        again = rhombus_directions(ctx13, A, A, B, B, radii)
+        after = geometry.mirrored_directions.cache_info()
+    assert again == first
+    assert (after.hits - before.hits, after.misses) == (len(radii), before.misses)
+    for t in radii:
+        assert first[t] == _rhombus_direction_reference(ctx13, A, A, B, B, t)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_oracle_excludes_degenerate_tuples_in_its_own_loop(monkeypatch, q):
     ctx = PrimeFieldCtx(q)

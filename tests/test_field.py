@@ -103,9 +103,7 @@ def test_gauss_sum_q3_direct():
 @pytest.mark.parametrize("q", [3, 5, 13, 101])
 def test_character_tables_are_built_on_first_read(q):
     ctx = PrimeFieldCtx(q)
-    for name in PrimeFieldCtx.__slots__[1:]:
-        with pytest.raises(AttributeError):
-            object.__getattribute__(ctx, name)
+    assert vars(ctx) == {}
     chi = ctx.chi_table
     assert ctx.chi_table is chi
     assert chi == tuple(cmath.exp(2j * cmath.pi * a / q) for a in range(q))
@@ -115,3 +113,14 @@ def test_character_tables_are_built_on_first_read(q):
                         for a in range(q))
     with pytest.raises(AttributeError):
         ctx.chi_tables
+    assert set(vars(ctx)) == {"chi_table", "eta_table"}
+
+
+def test_contexts_are_equal_and_hash_alike_by_q():
+    ctx = PrimeFieldCtx(13)
+    assert ctx == PrimeFieldCtx(13) and hash(ctx) == hash(PrimeFieldCtx(13))
+    assert not ctx != PrimeFieldCtx(13)
+    assert ctx != PrimeFieldCtx(11) and PrimeFieldCtx(11) != ctx
+    for other in (13, 13.0, "13", None, (13,)):
+        assert ctx != other and other != ctx and not ctx == other
+    assert len({ctx, PrimeFieldCtx(13), PrimeFieldCtx(11)}) == 2

@@ -562,7 +562,7 @@ def test_points_are_the_tiled_points_of_the_indicator(q):
     for ps in _indicator_sets(q):
         want = geometry.tiled_points(ps.indicator).tolist()
         for form in (ps, PointSet(q, reversed(ps.elements))):
-            assert form._points is None
+            assert "points" not in vars(form)
             points = form.points
             assert points.tolist() == want and form.points is points
             with pytest.raises(ValueError, match="read-only"):
@@ -579,12 +579,12 @@ def test_indicator_set_builds_its_points_only_when_read(q):
         assert all(((a, b) in ps) == ind[a, b] for a in range(q) for b in range(q))
         assert ps == twin and hash(ps) == hash(twin)
         assert ps != PointSet(q, [(0, 1)])
-        assert ps._elements is None and twin._elements is None
+        assert "elements" not in vars(ps) and "elements" not in vars(twin)
         row_major = tuple((a, b) for a in range(q) for b in range(q) if ind[a, b])
         assert ps.elements == row_major and ps.elements is ps.elements
         assert tuple(twin) == row_major
         assert ps == PointSet(q, reversed(row_major))
-    assert full_plane(ctx)._elements is None
+    assert "elements" not in vars(full_plane(ctx))
 
 
 def test_point_list_set_reads_row_major(ctx7):
@@ -711,12 +711,17 @@ def test_the_four_copies_name_one_residue_and_cover_the_tiling(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 13, 29])
 def test_mirrored_directions_keep_the_first_of_each_pair(q):
     # Every circle, S_0 with the origin included: the first of each pair
-    # +-x in circle order is kept, and every position reads x or -x.
+    # +-x in circle order is kept, and every position reads x or -x, as a
+    # brute-force negation map of the circle's points says.  The pairing is
+    # read-only and cached with its circle.
     ctx = PrimeFieldCtx(q)
     for t in range(q):
-        S = circle(ctx, t)
-        pts = list(S.elements)
-        kept, source = geometry.mirrored_directions(S.points, q)
+        pts = list(circle(ctx, t).elements)
+        pairing = kept, source = geometry.mirrored_directions(ctx, t)
+        assert geometry.mirrored_directions(PrimeFieldCtx(q), t) is pairing
+        assert isinstance(source, tuple) and not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[:1] = 0
         first = [min(i, pts.index((-x1 % q, -x2 % q))) for i, (x1, x2) in enumerate(pts)]
         assert [geometry.tiled_point(int(k), q) for k in kept] == [
             pts[i] for i in sorted(set(first))]
@@ -917,9 +922,34 @@ def test_membership_reads_the_indicator_without_wrapping():
 
 
 def test_circle_cache_is_bounded():
-    limit = geometry._circle_cached.cache_info().maxsize
+    limit = geometry.circle.cache_info().maxsize
     assert limit is not None
     ctx = PrimeFieldCtx(101)
     sizes = {len(geometry.circle(ctx, j)) for j in range(1, 101)}
     assert sizes == {101 - ctx.eta(-1)}
-    assert 0 < geometry._circle_cached.cache_info().currsize <= limit < 101
+    assert 0 < geometry.circle.cache_info().currsize <= limit < 101
+
+
+@pytest.mark.parametrize("q", [5, 13, 61])
+def test_per_field_tables_are_shared_by_contexts_of_one_q(q):
+    # Two contexts of one q read the very same cached objects; another q
+    # reads its own.
+    a, b = PrimeFieldCtx(q), PrimeFieldCtx(q)
+    assert a is not b
+    for table in (geometry.norm_classes, geometry.norm_class_order, geometry.word_layout):
+        assert table(a) is table(b)
+    assert geometry.norm_classes(a) is not geometry.norm_classes(PrimeFieldCtx(7))
+    for t in (0, 1, q - 1):
+        assert geometry.circle(a, t) is geometry.circle(b, t)
+        assert geometry.mirrored_directions(a, t) is geometry.mirrored_directions(b, t)
+    radii = (1, 2)
+    assert geometry.word_offsets(a, radii) is geometry.word_offsets(b, radii)
+
+
+def test_circle_reduces_its_radius_mod_q(ctx13):
+    # An unreduced radius names the same circle and the same pairing.
+    for t in (-1, 14, 27):
+        assert geometry.circle(ctx13, t) == geometry.circle(ctx13, t % 13)
+        kept, source = geometry.mirrored_directions(ctx13, t)
+        assert kept.tolist() == geometry.mirrored_directions(ctx13, t % 13)[0].tolist()
+        assert source == geometry.mirrored_directions(ctx13, t % 13)[1]
