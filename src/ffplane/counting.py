@@ -15,14 +15,15 @@ Every quantity has at least two independent routes:
   stacked transform.  For ``rhom_t`` and ``degenerate``, gathers on the
   tiled indicator arrays (the layout is stated in ``geometry``).  The
   rhombus terms of any list of radii come from one call
-  (``rhombus_directions``) by one of three exact routes, chosen by their
+  (``rhombus_directions``) by one of two exact routes, chosen by their
   measured costs: for q <= 61, popcounts of row words (the plane's rows
   packed into uint64 words), every radius of one circle size in one pass,
-  for dense sets and every q = 13 call; on the smaller of the pairs E1 x E3
-  and E2 x E4, float32 matrix products stacked over radii for sparse sets
-  within a product budget; and direction by direction by mark and probe
-  past it, with small meets counted by pairs in one batch.  When E2 = E1
-  and E4 = E3 only one of each pair +-x of directions is computed;
+  for dense sets and every q = 13 call; otherwise by pairs, on the smaller
+  of the pairs E1 x E3 and E2 x E4: the meets of every direction of every
+  radius from chunked gathers, the pairs of the small meets counted in one
+  batch on the tiled norm classes, and each large meet marked and probed.
+  When E2 = E1 and E4 = E3 only one of each pair +-x of directions is
+  computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.  The
@@ -77,32 +78,16 @@ ROUND_TOL = 1e-6
 # Sums of table products are at most max D12 |E3||E4| (table_products);
 # from this size on they are accumulated in Python ints instead of int64.
 INT64_LIMIT = 2**63
-# Multiply-adds max |S_t| |E1| |E3| up to which rhombus_directions counts
-# by matrix products.  Below 2^24, so every float32 partial sum, an integer
-# at most |E1| |E3|, is exact.  Products against mark and probe (min ms per
-# call, 2-vCPU VM): q=13 bounds draws over radii 1..12 (<= 0.4M) 0.49 vs
-# 2.43; q=101 density 0.02 over radii 1..100 (4.0M) 38.7 vs 69.6; q=31
-# density 0.5 (6.8M) 46.0 vs 44.0; q=61 density 0.1 (8.2M) 90 vs 71; q=211
-# density 0.01 at t=1 (37M) 9.8 vs 1.45.
-_PRODUCT_MACS = 1 << 22
-# Multiply-adds k |E1| |E3| of one product of k directions, and cells of
-# one stack of K_t: OpenBLAS's single-thread threshold (65536 x 4).  Past
-# it a (24 x 281) @ (281 x 262) float32 product took 10-16 ms in 2 of 8
-# fresh processes (0.04 ms in the others) on a 2-vCPU VM.
-_PRODUCT_CHUNK = 1 << 18
 # The bit route holds a row of q bits in one uint64 word: every prime q up
-# to 61.  Past the product budget rhombus_directions takes it; within the
-# budget, while a direction's |S_t| L row words, at _MACS_PER_WORD
-# multiply-adds each, cost at most its |E1| |E3| multiply-adds plus
-# _MACS_PER_DIRECTION, the products' fixed cost per direction.  Fitted to
-# the crossovers of the rhombus_directions table (fresh sets, 2-vCPU VM):
-# at q=31 the bits beat the products from |E1| |E3| ~ 20k for one radius
-# and ~ 10k for every radius, and at q=13 for every radius at every
-# density; past the budget they beat mark and probe wherever measured
-# (q=61 from density 0.075, |E1| |E3| ~ 76k, on).
+# to 61.  rhombus_directions takes it while a direction's |S_t| L row words,
+# at _PAIRS_PER_WORD pairs each, cost at most its |E1| |E3| pairs plus
+# _PAIRS_PER_DIRECTION, the pair route's fixed cost per direction.  Fitted
+# to the crossovers of the rhombus_directions table, which fall between
+# |E1| |E3| ~ 9k and 14k at q = 31 and ~ 112k and 138k at q = 61; and
+# 32 * 25 * 4 <= 4096, so every q = 13 call takes the bits, S_0 included.
 _BIT_MAX_Q = 61
-_MACS_PER_WORD = 32
-_MACS_PER_DIRECTION = 2048
+_PAIRS_PER_WORD = 32
+_PAIRS_PER_DIRECTION = 4096
 
 
 @dataclass(frozen=True)
@@ -343,9 +328,11 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
 
     Returns {t: [(|E12^x|, |E34^x|, rhom_x) for x on S_t in circle order]}
     with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
-    (u, v) in E12^x x E34^x with |u - v| = t.
+    (u, v) in E12^x x E34^x with |u - v| = t.  Each radius is reduced mod
+    q once, and the result keeps the caller's keys (radii equal mod q
+    share one list).
 
-    The call takes one of three exact routes, each building what it reads
+    The call takes one of two exact routes, each building what it reads
     of E1..E4 once:
 
     * For q <= _BIT_MAX_Q, by popcounts of row words (_bit_terms): with
@@ -353,46 +340,43 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
       (E4 + w - x)|, every translate a gather of q-bit row words
       (geometry.word_tiling), and |S_t|^2 L words a radius for L words a
       translate, whatever the density.
-    * By matrix products (_product_terms): with E1 and E3 numbered,
-      K_t[i, j] = [e1_i - e3_j on S_t], M12[x, i] = [e1_i + x in E2] and
-      M34[x, j] = [e3_j + x in E4], and
-      rhom_x = sum_j (M12 K_t)[x, j] M34[x, j].
-    * Direction by direction (_probed_terms): each direction's meets are
-      gathers over the point lists of E1 and E3; the larger is marked in a
-      scratch tiling, and the smaller probed on p + S_t, which counts the
-      same pairs because S_t = -S_t (geometry.probe_counts).  Where
-      4 max(a, b) <= |S_t| for the meet sizes a and b, the fixed cost of
-      marking and probing exceeds that of testing the a b pairs outright:
-      such directions are deferred, and all of a radius's are counted in
-      one batch of pairs (_small_pair_counts).
+    * By pairs (_pair_terms): the meets of a chunk of directions are one
+      gather over the point lists of E1 and E3 each.  For meet sizes a and
+      b, testing the a b pairs (u, v) outright is cheaper than marking the
+      larger meet in a scratch tiling and probing the smaller on p + S_t,
+      which counts the same pairs because S_t = -S_t (_pair_count), while
+      4 a b <= min(a, b) |S_t| + 3072; the pairs of every such direction
+      of every radius are tested in one batch, each one gather of the
+      tiled norm classes at u - v (_small_pair_counts).
 
-    The rule, with |E1| |E3| the smaller of |E1| |E3| and |E2| |E4| and
-    |S_t| the widest circle: the products fit while |S_t| |E1| |E3| <=
-    _PRODUCT_MACS and one direction's product fits _PRODUCT_CHUNK.  For
-    q <= _BIT_MAX_Q the bits are taken where the products do not fit, and
-    where a direction's |S_t| L words, at _MACS_PER_WORD multiply-adds
-    each, cost at most its products, |E1| |E3| multiply-adds plus
-    _MACS_PER_DIRECTION.  Otherwise the products where they fit, and mark
-    and probe past them.  Median ms per call on four fresh random sets of
-    one density (full planes at 1), as bits / the route taken without the
-    bits (the products at q = 13, at q = 31 up to density .25 and at
-    q = 61 at .05; mark and probe past that), on a 2-vCPU VM:
+    The rule, with |E1| |E3| the smaller of |E1| |E3| and |E2| |E4|, |S_t|
+    the widest circle and L the words of a translate: the bits while q <=
+    _BIT_MAX_Q and a direction's |S_t| L words, at _PAIRS_PER_WORD pairs
+    each, cost at most its |E1| |E3| pairs plus _PAIRS_PER_DIRECTION; the
+    pairs otherwise.  Median ms per call on four fresh random sets of one
+    density (full planes at 1), the minimum of interleaved in-process
+    blocks, as bits / pairs with the route taken starred, on a 2-vCPU VM
+    ("all" is radii 1 .. q - 1):
 
-    ========  ==========  ==========  ==========  ==========  ==========
-    q, radii  .05         .1          .25         .5          1
-    ========  ==========  ==========  ==========  ==========  ==========
-    13, t=1   0.10/0.09   0.12/0.11   0.08/0.10   0.13/0.17   0.14/0.24
-    13, all   0.16/0.18   0.18/0.20   0.22/0.29   0.20/0.36   0.42/0.94
-    31, t=1   0.26/0.15   0.32/0.26   0.29/0.60   0.27/1.90   0.26/2.03
-    31, all   3.86/1.15   3.44/2.57   3.73/8.04   3.84/47.6   2.22/57.7
-    61, t=1   1.53/0.64   1.46/1.94   1.25/3.63   1.37/12.1   0.74/10.8
-    61, all   71.7/15.1   72.1/110    63.9/211    57.0/578    37.1/700
-    ========  ==========  ==========  ==========  ==========  ==========
+    ======== ========== ========== ========== ========== ========== ========== ==========
+    q, radii .01        .02        .05        .1         .25        .5         1
+    ======== ========== ========== ========== ========== ========== ========== ==========
+    13, t=1  .051*/.044 .051*/.043 .052*/.084 .051*/.087 .052*/.100 .053*/.197 .051*/.149
+    13, all  .107*/.072 .108*/.092 .107*/.139 .108*/.158 .109*/.334 .110*/1.87 .094*/1.28
+    31, t=1  .155/.056* .151/.095* .154/.106* .155/.145* .153*/.579 .149*/1.11 .126*/1.37
+    31, all  2.52/.340* 2.45/.441* 2.45/.774* 2.05/2.40* 2.03*/16.4 2.07*/33.4 1.22*/39.0
+    61, t=1  1.36/.114* .879/.138* .980/.231* .908*/1.07 .924*/2.99 .912*/8.73 .569*/9.68
+    61, all  44.2/2.11* 44.9/3.60* 44.2/11.2* 44.5*/61.7 44.1*/181  43.8*/553  29.1*/685
+    ======== ========== ========== ========== ========== ========== ========== ==========
 
-    The rule takes the bits in every cell but q = 31 at .05 and .1 and
-    q = 61 at .05 (the products).
+    The rule's misses: at q = 13 the pairs beat the bits on sets of
+    density .02 and below, but every q = 13 call keeps the bits, whatever
+    the sets; and at q = 31, density .1, the bits win over every radius
+    and lose at t = 1, as the rule weighs one direction's costs.
+    (A third route, float32 matrix products over E1 x E3, was measured
+    and dropped; see ROADMAP.)
 
-    Products and probes compute on whichever of (E1, E2, E3, E4) and
+    The pair route computes on whichever of (E1, E2, E3, E4) and
     (E2, E1, E4, E3) has the smaller |E1| |E3|, the first on a tie.
     Swapping is exact: E21^-x = E12^x + x and E43^-x = E34^x + x, so
     rhom_x(E1, E2, E3, E4) = rhom_-x(E2, E1, E4, E3) with the same meet
@@ -403,17 +387,17 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     When E2 = E1 and E4 = E3, the same identity says the meets of -x are
     those of x translated by x.  Only one direction of each pair +-x is
     computed (mirrored_directions), and its term fills both slots; the
-    pairs (x, w), K_t and the probes still use the whole circle.
+    pairs (x, w), the pair tests and the probes still use the whole
+    circle.
     """
     require_same_q(ctx, E1, E2, E3, E4)
     q = ctx.q
-    circles = {t: circle(ctx, t % q).points for t in radii}
+    reduced = {t: t % q for t in radii}
+    circles = {t: circle(ctx, t).points for t in reduced.values()}
     widest = max(map(len, circles.values()), default=0)
     cells = min(len(E1) * len(E3), len(E2) * len(E4))
-    products = widest * cells <= _PRODUCT_MACS and cells <= _PRODUCT_CHUNK
     bits = q <= _BIT_MAX_Q and (
-        not products
-        or _MACS_PER_WORD * widest * len(word_layout(ctx)[0]) <= cells + _MACS_PER_DIRECTION)
+        _PAIRS_PER_WORD * widest * len(word_layout(ctx)[0]) <= cells + _PAIRS_PER_DIRECTION)
     swapped = not bits and len(E2) * len(E4) < len(E1) * len(E3)
     if swapped:
         E1, E2, E3, E4 = E2, E1, E4, E3
@@ -425,53 +409,11 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
                for t, st in circles.items()}
     if bits:
         computed = _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors)
-    elif products:
-        computed = _product_terms(ctx, E2, E4, E1.points, E3.points, circles, mirrors)
     else:
-        computed = _probed_terms(ctx, E2, E4, E1.points, E3.points, circles, mirrors)
-    return {t: out if mirrors[t][1] is None else [out[i] for i in mirrors[t][1]]
-            for t, out in computed.items()}
-
-
-def _product_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
-    """The computed directions' terms of each radius, by matrix products.
-
-    K_t is read from one gather of the tiled norm table at the differences
-    e1_i - e3_j, and M12 and M34 are one 2-D gather each on float32 tilings
-    of E2 and E4.  Radii whose circles have the same size go in stacks, and
-    each stack's directions in chunks, of k = _PRODUCT_CHUNK // (|E1| |E3|)
-    each, so no product exceeds _PRODUCT_CHUNK multiply-adds and no stack
-    of K_t more cells; a chunk's terms are one batched float32 ``matmul``.
-    """
-    q = ctx.q
-    n1, n3 = len(p1), len(p3)
-    k = max(1, _PRODUCT_CHUNK // max(n1 * n3, 1))
-    norms = flat_tiling(norm_classes(ctx))[p1[:, None] + negated_points(p3, q)]
-    f2 = flat_tiling(E2.indicator).astype(np.float32)
-    f4 = flat_tiling(E4.indicator).astype(np.float32)
-    groups = {}
-    for t, st in circles.items():
-        groups.setdefault(len(st), []).append(t)
-    terms = {t: [] for t in circles}
-    for radii in groups.values():
-        for lo in range(0, len(radii), k):
-            stack = radii[lo:lo + k]
-            ks = (norms == np.array(stack)[:, None, None] % q).astype(np.float32)
-            xs = np.array([mirrors[t][0] for t in stack])[:, :, None]
-            for d in range(0, xs.shape[1], k):
-                x = xs[:, d:d + k]
-                m12, m34 = f2[p1 + x], f4[p3 + x]
-                rhom = (_stacked_products(m12, ks) * m34).sum(axis=2)
-                counts = np.stack([m12.sum(axis=2), m34.sum(axis=2), rhom], axis=2)
-                for t, rows in zip(stack, counts.astype(np.int64).tolist()):
-                    terms[t] += map(tuple, rows)
-    return terms
-
-
-def _stacked_products(a, b):
-    """a @ b over a stack, in float32 (its own name, so tests can see every
-    product the route makes)."""
-    return np.matmul(a, b)
+        computed = _pair_terms(ctx, E2, E4, E1.points, E3.points, circles, mirrors)
+    placed = {t: out if mirrors[t][1] is None else [out[i] for i in mirrors[t][1]]
+              for t, out in computed.items()}
+    return {t: placed[r] for t, r in reduced.items()}
 
 
 def _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors) -> dict:
@@ -518,69 +460,86 @@ def _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors) -> dict:
     return terms
 
 
-def _probed_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
-    """The computed directions' terms of each radius, one direction at a
-    time by mark and probe, with small meets counted by pairs in one batch
-    per radius."""
+def _pair_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
+    """The computed directions' terms of each radius, by pairs.
+
+    The meets of every computed direction of every radius are read in
+    chunks of directions, each one 2-D gather on the tiling of E2 and one
+    on that of E4, of at most geometry.INDEX_CHUNK cells.  A direction
+    whose meet sizes a and b fail the small-meet rule (rhombus_directions)
+    is marked and probed as its chunk is read (_pair_count); the pairs of
+    every other direction go in one batch (_small_pair_counts).
+    """
+    if not circles:
+        return {}
     q = ctx.q
     t2, t4 = flat_tiling(E2.indicator), flat_tiling(E4.indicator)
     marks = np.zeros_like(t2)
-    terms = {}
-    for t, st in circles.items():
-        out = []
-        small = {}
-        for i, x in enumerate(mirrors[t][0]):
-            e12, e34 = p1[t2[p1 + x]], p3[t4[p3 + x]]
-            a, b = len(e12), len(e34)
-            if 4 * max(a, b) <= len(st):
-                small[i] = e12, e34
-                out.append((a, b, 0))
-            else:
-                out.append((a, b, _pair_count(marks, st, e12, e34, q)))
-        if small:
-            on_circle = flat_tiling(circle(ctx, t % q).indicator)
-            counts = _small_pair_counts(on_circle, q, list(small.values()))
-            for i, r in zip(small, counts):
-                out[i] = out[i][0], out[i][1], r
-        terms[t] = out
+    sts, kept = list(circles.values()), [mirrors[t][0] for t in circles]
+    # Each computed direction's circle among sts, and that circle's size.
+    owner = np.repeat(np.arange(len(kept)), [len(x) for x in kept])
+    size = np.array([len(st) for st in sts])[owner]
+    xs = np.concatenate(kept)
+    a, b = np.empty((2, len(xs)), dtype=np.int64)
+    small = np.empty(len(xs), dtype=bool)
+    rhom = np.zeros(len(xs), dtype=np.int64)
+    e12, e34 = [], []
+    step = max(1, geometry.INDEX_CHUNK // max(len(p1), len(p3), 1))
+    for lo in range(0, len(xs), step):
+        hi = lo + step
+        m12, m34 = t2[p1 + xs[lo:hi, None]], t4[p3 + xs[lo:hi, None]]
+        na, nb = m12.sum(axis=1), m34.sum(axis=1)
+        a[lo:hi], b[lo:hi] = na, nb
+        # A pair costs about four probes, and marking and probing has a
+        # fixed cost a direction: fitted to the crossovers, at meets of
+        # ~30, ~40 and ~65-95 points on circles of 32, 100 and 212.
+        small[lo:hi] = 4 * na * nb <= np.minimum(na, nb) * size[lo:hi] + 3072
+        for i in np.flatnonzero(~small[lo:hi]):
+            rhom[lo + i] = _pair_count(marks, sts[owner[lo + i]], p1[m12[i]], p3[m34[i]], q)
+        e12.append(p1[np.nonzero(m12[small[lo:hi]])[1]])
+        e34.append(p3[np.nonzero(m34[small[lo:hi]])[1]])
+    if a[small] @ b[small]:
+        dtype = np.min_scalar_type(q - 1)
+        rhom += _small_pair_counts(flat_tiling(norm_classes(ctx).astype(dtype)),
+                                   np.concatenate(e12), a * small,
+                                   negated_points(np.concatenate(e34), q), b * small,
+                                   np.array(list(circles), dtype=dtype)[owner])
+    out, terms, lo = list(zip(a.tolist(), b.tolist(), rhom.tolist())), {}, 0
+    for t, x in zip(circles, kept):
+        terms[t], lo = out[lo:lo + len(x)], lo + len(x)
     return terms
 
 
-def _small_pair_counts(on_circle, q: int, meets) -> list:
-    """rhom_x for directions given by their meets (e12, e34), in one batch.
+def _small_pair_counts(norms, cells, a, v, b, radius) -> np.ndarray:
+    """rhom_x for directions given by their meets, in one batch.
 
-    The pairs (u, v) in e12 x e34 of all directions form one ragged range,
-    direction after direction and u-major: row r is one point u, followed
-    by the b points of its direction's e34.  Pair (u, v) is one gather of
-    the tiled circle indicator at u + negated_points(v).  The range
-    goes in chunks of at most geometry.INDEX_CHUNK pairs, which may cut a
-    row; a running count of hits, read at each direction's last pair, gives
-    the per-direction counts.
+    Direction d's meets are the next a[d] points of ``cells`` and the next
+    b[d] of ``v``, as canonical and as negated tiled indices, and its pair
+    (u, v) counts where ``norms``, the tiled norm classes, reads radius[d]
+    at u + v.  The pairs of all directions form one ragged range, direction
+    after direction and u-major: row r is one point u, followed by the b
+    points of its direction's v.  The range goes in chunks of at most
+    geometry.INDEX_CHUNK pairs, which may cut a row, and each chunk's hits
+    are counted by the direction of their row.
     """
-    e12s, e34s = zip(*meets)
-    a = np.array([len(e) for e in e12s])
-    b = np.array([len(e) for e in e34s])
     width = np.repeat(b, a)
     ends = np.cumsum(width)
     starts = ends - width
-    # Pair k of row r meets v[k + shift[r]].
+    # Pair k of row r meets v[k + shift[r]]; row r is of direction owner[r].
     shift = np.repeat(np.cumsum(b) - b, a) - starts
-    cells = np.concatenate(e12s)
-    v = negated_points(np.concatenate(e34s), q)
-    last = np.cumsum(a * b)
-    running = np.zeros(len(meets), dtype=np.int64)
-    total, seen = int(last[-1]), 0
+    owner = np.repeat(np.arange(len(a)), a)
+    wanted = radius[owner]
+    counts = np.zeros(len(a), dtype=np.int64)
+    total = int(a @ b)
     for lo in range(0, total, geometry.INDEX_CHUNK):
         hi = min(lo + geometry.INDEX_CHUNK, total)
         r0, r1 = np.searchsorted(ends, [lo, hi - 1], side="right")
         rows = slice(r0, r1 + 1)
         n = np.minimum(ends[rows], hi) - np.maximum(starts[rows], lo)
-        k = np.arange(lo, hi) + np.repeat(shift[rows], n)
-        hits = np.cumsum(on_circle[np.repeat(cells[rows], n) + v[k]])
-        d0, d1 = np.searchsorted(last, [lo, hi], side="right")
-        running[d0:d1] = seen + hits[last[d0:d1] - lo - 1]
-        seen += int(hits[-1])
-    return np.diff(running, prepend=0).tolist()
+        u, k = np.repeat(cells[rows], n), np.arange(lo, hi) + np.repeat(shift[rows], n)
+        hit = norms[u + v[k]] == np.repeat(wanted[rows], n)
+        counts += np.bincount(np.repeat(owner[rows], n)[hit], minlength=len(a))
+    return counts
 
 
 def _pair_count(marks, st, e12, e34, q: int) -> int:

@@ -41,10 +41,9 @@ def random_quadruple(ctx, seed, lo=0.1, hi=0.9):
 
 
 # rhombus route -> the counting constants that force it: the bits
-# (_MACS_PER_WORD = 0), the products (their budgets lifted, the bits off)
-# and mark and probe (the product budget below every instance).
+# (_PAIRS_PER_WORD = 0) and the pair route (the bits off), which marks and
+# probes its large meets.
 RHOMBUS_ROUTES = {
-    "bits": {"_MACS_PER_WORD": 0},
-    "products": {"_BIT_MAX_Q": 0, "_PRODUCT_MACS": 2**40, "_PRODUCT_CHUNK": 2**40},
-    "probes": {"_BIT_MAX_Q": 0, "_PRODUCT_MACS": -1},
+    "bits": {"_PAIRS_PER_WORD": 0},
+    "probes": {"_BIT_MAX_Q": 0},
 }

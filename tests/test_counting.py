@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import RHOMBUS_ROUTES, random_quadruple
 from ffplane import counting, geometry
+from ffplane.bounds import sweep
 from ffplane.counting import (
     INT64_LIMIT,
     count_degenerate_rhom,
@@ -471,42 +472,33 @@ def _pair_cells(pair) -> int:
     return len(pair[0]) * len(pair[1])
 
 
-def _product_cells(sets) -> int:
-    """The |E1| |E3| that rhombus_directions computes on: that of the
-    smaller of the pairs (E1, E3) and (E2, E4)."""
-    return min(_pair_cells(sets[::2]), _pair_cells(sets[1::2]))
+def _meet_width(sets) -> int:
+    """The points one direction's meets are gathered over on the pair
+    route: the larger of E1 and E3 of the pair it computes on, the smaller
+    of (E1, E3) and (E2, E4) by |E1| |E3|, the first on a tie."""
+    pair = sets[1::2] if _pair_cells(sets[1::2]) < _pair_cells(sets[::2]) else sets[::2]
+    return max(len(pair[0]), len(pair[1]), 1)
 
 
-# _MACS_PER_WORD at 0 sends every call at q <= _BIT_MAX_Q to the bit
-# route, and _BIT_MAX_Q at 0 keeps every call off it, so that the product
-# and scalar routes forced through _PRODUCT_MACS run.
 # Budgets as {"module.name": value} overrides of ffplane's module constants,
-# each as a function of |E1| |E3| (_product_cells): the defaults; the scalar route forced,
-# alone and with a chunk small enough to split each direction's probes;
-# the product route forced with one direction per product and one
-# radius per stack (the smallest chunk that keeps the route), three of
-# each (partial last chunks), or every circle size in a single product;
-# and the bit route forced, with one direction's words per chunk, or with
-# 100 words a chunk: several directions, or at q <= 7 several radii.
+# each as a function of the pair route's gather width (_meet_width): the
+# defaults; the pair route forced, alone and with a chunk small enough to
+# cut each direction's probes and the batch's rows; the pair route with
+# one direction's meets per gather, three (partial last chunks), or every
+# direction of every radius in one; and the bit route forced, with one
+# direction's words per chunk, or with 100 words a chunk: several
+# directions, or at q <= 7 several radii.
 _BLOCK_BUDGETS = {
-    "default": lambda cells: {},
-    "scalar": lambda cells: {"counting._PRODUCT_MACS": 0,
-                             "counting._BIT_MAX_Q": 0},
-    "chunked-probes": lambda cells: {"counting._PRODUCT_MACS": 0,
-                                     "counting._BIT_MAX_Q": 0,
-                                     "geometry.INDEX_CHUNK": 7},
-    "one-direction": lambda cells: {"counting._PRODUCT_MACS": 2**40,
-                                    "counting._BIT_MAX_Q": 0,
-                                    "counting._PRODUCT_CHUNK": max(cells, 1)},
-    "three-directions": lambda cells: {"counting._PRODUCT_MACS": 2**40,
-                                       "counting._BIT_MAX_Q": 0,
-                                       "counting._PRODUCT_CHUNK": 3 * max(cells, 1)},
-    "single-block": lambda cells: {"counting._PRODUCT_MACS": 2**40,
-                                   "counting._BIT_MAX_Q": 0,
-                                   "counting._PRODUCT_CHUNK": 2**40},
-    "bits-one-direction": lambda cells: {"counting._MACS_PER_WORD": 0,
+    "default": lambda width: {},
+    "scalar": lambda width: {"counting._BIT_MAX_Q": 0},
+    "chunked-probes": lambda width: {"counting._BIT_MAX_Q": 0, "geometry.INDEX_CHUNK": 7},
+    "one-direction": lambda width: {"counting._BIT_MAX_Q": 0, "geometry.INDEX_CHUNK": width},
+    "three-directions": lambda width: {"counting._BIT_MAX_Q": 0,
+                                       "geometry.INDEX_CHUNK": 3 * width},
+    "single-block": lambda width: {"counting._BIT_MAX_Q": 0, "geometry.INDEX_CHUNK": 2**40},
+    "bits-one-direction": lambda width: {"counting._PAIRS_PER_WORD": 0,
                                          "geometry.INDEX_CHUNK": 7},
-    "bits-chunked": lambda cells: {"counting._MACS_PER_WORD": 0,
+    "bits-chunked": lambda width: {"counting._PAIRS_PER_WORD": 0,
                                    "geometry.INDEX_CHUNK": 100},
 }
 
@@ -517,7 +509,7 @@ _BLOCK_BUDGETS = {
 def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
     ctx, sets, radii = instance
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _BLOCK_BUDGETS[budget](_product_cells(sets)).items():
+        for name, value in _BLOCK_BUDGETS[budget](_meet_width(sets)).items():
             mp.setattr(f"ffplane.{name}", value)
         by_radius = rhombus_directions(ctx, *sets, radii)
     assert list(by_radius) == radii
@@ -525,133 +517,87 @@ def test_rhombus_directions_over_radii_match_literal_loop(budget, instance):
         assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
 
 
+def _spy(mp, name) -> list:
+    """Record the arguments of every call of counting.name."""
+    calls, real = [], getattr(counting, name)
+    mp.setattr(counting, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _route_spies(mp):
+    """Record the pair-route and the bit-route calls."""
+    return _spy(mp, "_pair_terms"), _spy(mp, "_bit_terms")
+
+
 @pytest.mark.parametrize("budget", ["one-direction", "chunked-probes"])
 @pytest.mark.parametrize("pairing", ["distinct", "shared", "copies"])
 @pytest.mark.parametrize("q", [29, 31])
 def test_small_meets_by_pairs_match_literal_loop(budget, pairing, q):
-    """Sparse sets whose meets fall on both sides of 4 max(a, b) <= |S_t|,
-    so some directions are counted by pairs and some by mark and probe.
-    The sets fall under the product budget, which is set to 0 here."""
+    """Sets whose meets, about 0.04 q^2 points, fall on both sides of the
+    small-meet rule 4 a b <= min(a, b) |S_t| + 3072, so some directions
+    are marked and probed and the rest counted in the batch of pairs."""
     ctx = PrimeFieldCtx(q)
-    sets = [gen_random_set(ctx, 0.1, 5 * q + k) for k in range(4)]
+    sets = [gen_random_set(ctx, 0.2, 5 * q + k) for k in range(4)]
     if pairing == "shared":
         sets[1], sets[3] = sets[0], sets[2]
     elif pairing == "copies":
         sets[1], sets[3] = (PointSet(q, s.elements) for s in sets[::2])
-    batched = []
-    small_pair_counts = counting._small_pair_counts
-
-    def spy(on_circle, q, meets):
-        batched.append(len(meets))
-        return small_pair_counts(on_circle, q, meets)
-
     radii = [0, 1, q - 1]
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _BLOCK_BUDGETS[budget](_product_cells(sets)).items():
+        for name, value in _BLOCK_BUDGETS[budget](_meet_width(sets)).items():
             mp.setattr(f"ffplane.{name}", value)
-        mp.setattr(counting, "_PRODUCT_MACS", 0)
-        mp.setattr(counting, "_BIT_MAX_Q", 0)
-        mp.setattr(counting, "_small_pair_counts", spy)
+        probed, batches = _spy(mp, "_pair_count"), _spy(mp, "_small_pair_counts")
         by_radius = rhombus_directions(ctx, *sets, radii)
     computed = sum(len(circle(ctx, t)) for t in radii)
     if pairing != "distinct":
         computed = sum((len(circle(ctx, t)) + (t == 0)) // 2 for t in radii)
-    assert 0 < sum(batched) < computed
+    assert 0 < len(probed) < computed and len(batches) == 1
     for t in radii:
         assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
 
 
-def _route_spies(mp):
-    """Record the shapes of every product and every scalar-route call, and
-    the bit-route calls."""
-    products, probed, bits = [], [], []
-    stacked, scalar, words = counting._stacked_products, counting._probed_terms, counting._bit_terms
-
-    def stacked_spy(a, b):
-        products.append((a.shape, b.shape))
-        return stacked(a, b)
-
-    def scalar_spy(*args):
-        probed.append(args)
-        return scalar(*args)
-
-    def bit_spy(*args):
-        bits.append(args)
-        return words(*args)
-
-    mp.setattr(counting, "_stacked_products", stacked_spy)
-    mp.setattr(counting, "_probed_terms", scalar_spy)
-    mp.setattr(counting, "_bit_terms", bit_spy)
-    return products, probed, bits
-
-
-def _first_points(q, n):
-    return PointSet(q, [divmod(i, q) for i in range(n)])
-
-
-# (q, radii, |E1|, |E3|): at q = 31, |S_1| = 32 and |S_0| = 1.  The first of
-# each pair sits on the budget (32 * 256 * 512 = _PRODUCT_MACS, and
-# 1 * 512 * 512 = _PRODUCT_CHUNK), the second one point past it.
-@pytest.mark.parametrize("q,radii,n1,n3,product", [
-    (31, [1], 256, 512, True),
-    (31, [1], 256, 513, False),
-    (31, [0], 512, 512, True),
-    (31, [0], 512, 513, False),
-    (13, list(range(13)), 169, 169, True),
-    (13, [1, 0, 2], 100, 150, True),
-], ids=["macs-at-budget", "macs-past-budget", "chunk-at-budget", "chunk-past-budget",
-        "q13-full-every-radius", "q13-mixed-sizes"])
-def test_products_stay_within_budget_and_one_blas_thread(q, radii, n1, n3, product):
-    """No product exceeds k |E1| |E3| <= 2^18 multiply-adds (OpenBLAS's
-    single-thread threshold) and no stack of K_t more cells; with the bit
-    route off, the route is taken while max |S_t| |E1| |E3| <=
-    _PRODUCT_MACS < 2^24, which keeps its float32 sums exact.  |E1| and
-    |E3| are those of the smaller pair: at q = 13, |E2| |E4| is the
-    smaller, and the products number E2 x E4.  Values match the scalar
-    route and the bit route."""
-    ctx = PrimeFieldCtx(q)
-    sets = [_first_points(q, n1), full_plane(ctx), _first_points(q, n3),
-            gen_random_set(ctx, 0.5, q)]
-    assert (_pair_cells(sets[1::2]) < n1 * n3) == (q == 13)
-    if q == 13:
-        n1, n3 = len(sets[1]), len(sets[3])
-    assert counting._PRODUCT_CHUNK == 2**18
-    assert counting._PRODUCT_MACS < 2**24
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+@pytest.mark.parametrize("pairing", ["distinct", "shared", "lopsided"])
+def test_one_pair_batch_over_mixed_radii(chunk, pairing, ctx13):
+    """One pair-route call over radii 0, 1, 2 and 12 at q = 13, whose
+    circles have 25 and 12 points: the pairs of every small direction of
+    every radius go in one batch, tested at two radii.  With geometry.INDEX_CHUNK
+    at 1, 7 and 100 the meets' gathers cut the directions and the batch's
+    chunks cut its rows.  Shared pairs compute one of each +-x, and
+    lopsided sets, |E2| |E4| < |E1| |E3|, compute swapped at -x."""
+    densities = (0.3, 0.2, 0.3, 0.2) if pairing == "lopsided" else (0.2, 0.3, 0.2, 0.3)
+    sets = [gen_random_set(ctx13, d, 40 + k) for k, d in enumerate(densities)]
+    if pairing == "shared":
+        sets[1], sets[3] = sets[0], sets[2]
+    assert (_pair_cells(sets[1::2]) < _pair_cells(sets[::2])) == (pairing == "lopsided")
+    radii = [0, 1, 2, 12]
     with pytest.MonkeyPatch.context() as mp:
-        products, probed, bits = _route_spies(mp)
         mp.setattr(counting, "_BIT_MAX_Q", 0)
-        by_radius = rhombus_directions(ctx, *sets, radii)
-    widest = max(len(circle(ctx, t)) for t in radii)
-    assert (widest * n1 * n3 <= counting._PRODUCT_MACS and
-            n1 * n3 <= counting._PRODUCT_CHUNK) == product
-    assert bool(products) == product != bool(probed) and not bits
-    for (r, k, m), (r2, m2, n) in products:
-        assert r == r2 and m == m2 == n1 and n == n3
-        assert k * n1 * n3 <= 2**18 and r * n1 * n3 <= 2**18
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_PRODUCT_MACS", 0)
-        mp.setattr(counting, "_BIT_MAX_Q", 0)
-        assert rhombus_directions(ctx, *sets, radii) == by_radius
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_MACS_PER_WORD", 0)
-        assert rhombus_directions(ctx, *sets, radii) == by_radius
+        mp.setattr(geometry, "INDEX_CHUNK", chunk)
+        batches = _spy(mp, "_small_pair_counts")
+        by_radius = rhombus_directions(ctx13, *sets, radii)
+    assert len(batches) == 1
+    _, _, a, _, b, radius = batches[0]
+    assert set(radius[a * b > 0].tolist()) == set(radii)
+    assert int(a @ b) > chunk and len(a) > chunk // _meet_width(sets)
+    for t in radii:
+        assert by_radius[t] == _rhombus_direction_reference(ctx13, *sets, t)
 
 
 def test_swapped_terms_land_at_their_own_directions(ctx13):
     """A q = 13 instance with |E2| |E4| < |E1| |E3| whose terms at x and -x
-    differ: products and probes compute them on (E2, E1, E4, E3) at -x, so
-    a term left at the direction it was computed at fails.  All three
-    routes, S_0 included; the bit route computes on (E1, E2, E3, E4)."""
+    differ: the pair route computes them on (E2, E1, E4, E3) at -x, so a
+    term left at the direction it was computed at fails.  Both routes, S_0
+    included; the bit route computes on (E1, E2, E3, E4)."""
     sets = [gen_random_set(ctx13, d, 130 + k) for k, d in enumerate((0.6, 0.3, 0.6, 0.3))]
     assert _pair_cells(sets[1::2]) < _pair_cells(sets[::2])
     radii = [0, 1, 2]
-    for macs, top in ((counting._PRODUCT_MACS, 0), (0, 0), (0, 13)):
+    for top in (0, 13):
         with pytest.MonkeyPatch.context() as mp:
-            products, probed, bits = _route_spies(mp)
-            mp.setattr(counting, "_PRODUCT_MACS", macs)
+            pairs, bits = _route_spies(mp)
             mp.setattr(counting, "_BIT_MAX_Q", top)
             by_radius = rhombus_directions(ctx13, *sets, radii)
-        assert [bool(products), bool(probed), bool(bits)] == [macs > 0, top < 13 > macs, top == 13]
+        assert [bool(pairs), bool(bits)] == [top == 0, top == 13]
         for t in radii:
             directions = circle(ctx13, t).elements
             negated = [directions.index((-x1 % 13, -x2 % 13)) for x1, x2 in directions]
@@ -666,42 +612,59 @@ def test_swapped_terms_land_at_their_own_directions(ctx13):
     (211, lambda ctx: [gen_example_line_ap(ctx, range(3))] * 4),
 ], ids=["q61-random-0.5", "q211-random-0.01", "q211-line-ap-0-1-3"])
 def test_count_rhom_t_inputs_stay_on_the_scalar_route(q, sets):
-    """The rhom_t inputs of the count benchmark's commands (about 212M,
-    46M and 85M multiply-adds) are over ten times the product budget, so
-    with the bit route off they are marked and probed."""
+    """The rhom_t inputs of the count benchmark's commands take the pair
+    route with the bit route off: at q = 211 that is the rule's route."""
     ctx = PrimeFieldCtx(q)
     sets = sets(ctx)
     with pytest.MonkeyPatch.context() as mp:
-        products, probed, bits = _route_spies(mp)
-        mp.setattr(counting, "_BIT_MAX_Q", 0)
+        pairs, bits = _route_spies(mp)
+        if q <= counting._BIT_MAX_Q:
+            mp.setattr(counting, "_BIT_MAX_Q", 0)
         rhombus_directions(ctx, *sets, [1])
-    macs = len(circle(ctx, 1)) * len(sets[0]) * len(sets[2])
-    assert macs > 10 * counting._PRODUCT_MACS
-    assert probed and not products and not bits
+    assert pairs and not bits
 
 
 @pytest.mark.parametrize("q,density,route", [
-    (13, 0.01, "bits"), (13, 1.0, "bits"), (31, 0.1, "products"), (31, 0.2, "bits"),
-    (61, 0.05, "products"), (61, 0.5, "bits"), (61, 1.0, "bits"), (67, 0.5, "probes"),
+    (13, 0.01, "bits"), (13, 1.0, "bits"), (31, 0.1, "probes"), (31, 0.2, "bits"),
+    (61, 0.05, "probes"), (61, 0.5, "bits"), (61, 1.0, "bits"), (67, 0.5, "probes"),
 ])
 def test_rule_takes_the_measured_route(q, density, route):
     """The route of one call at t = 1 on four distinct sets, at points of
     the crossover table: every q = 13 call and dense sets up to q = 61 take
-    the bits, sparse sets the products, and q > 61 never the bits."""
+    the bits, sparse sets the pair route ("probes"), and q > 61 never the
+    bits."""
     ctx = PrimeFieldCtx(q)
     sets = [gen_random_set(ctx, density, 4 * q + k) for k in range(4)]
     with pytest.MonkeyPatch.context() as mp:
-        products, probed, bits = _route_spies(mp)
+        pairs, bits = _route_spies(mp)
         by_radius = rhombus_directions(ctx, *sets, [1])
-    assert [bool(bits), bool(products), bool(probed)] == \
-        [route == "bits", route == "products", route == "probes"]
+    assert [bool(bits), bool(pairs)] == [route == "bits", route == "probes"]
     if q < 64 and density < 1:
         with pytest.MonkeyPatch.context() as mp:
             if route == "bits":
                 mp.setattr(counting, "_BIT_MAX_Q", 0)
             else:
-                mp.setattr(counting, "_MACS_PER_WORD", 0)
+                mp.setattr(counting, "_PAIRS_PER_WORD", 0)
             assert rhombus_directions(ctx, *sets, [1]) == by_radius
+
+
+def test_benchmark_rhombus_calls_keep_the_bits():
+    """Every q = 13 call takes the bits: the rule holds at |E1| |E3| = 0
+    on the widest circle (S_0, 25 points; 4 words a translate), so it
+    holds on any sets and radii.  21 drawn bounds trials and three of
+    empty sets are seen to take them, and so do count's dense q = 61
+    rhom_t commands."""
+    ctx13, ctx61 = PrimeFieldCtx(13), PrimeFieldCtx(61)
+    widest = max(len(circle(ctx13, t)) for t in range(13))
+    words = len(geometry.word_layout(ctx13)[0])
+    assert counting._PAIRS_PER_WORD * widest * words <= counting._PAIRS_PER_DIRECTION
+    with pytest.MonkeyPatch.context() as mp:
+        pairs, bits = _route_spies(mp)
+        for density, trials in ((None, 21), (0.0, 3)):
+            sweep(ctx13, ["rhom-vs-par", "rhom-lower"], trials, density, 3, all_t=True)
+        for seed in range(3):
+            count_rhom_t(ctx61, *[gen_random_set(ctx61, 0.5, 8 * seed + k) for k in range(4)], 1)
+    assert not pairs and len(bits) == 21 + 3 + 3
 
 
 @pytest.mark.parametrize("sets,value", [
@@ -734,7 +697,7 @@ def test_probe_chunking_does_not_change_counts(monkeypatch, q, chunk):
 def test_rhombus_directions_reuse_each_circles_points(monkeypatch, ctx13):
     # Once the circles of radii 1..12 are cached with their point lists, a
     # call on new sets builds no point list on the bit route (the default
-    # at q = 13), and those of E1 and E3 only on the product route.
+    # at q = 13), and those of E1 and E3 only on the pair route.
     radii = list(range(1, 13))
     rhombus_directions(ctx13, *random_quadruple(ctx13, 1, lo=0.2, hi=0.5), radii)
     tiled_points = geometry.tiled_points
@@ -774,6 +737,24 @@ def test_repeated_paired_call_reads_the_cached_pairing(route, ctx13):
     assert (after.hits - before.hits, after.misses) == (len(radii), before.misses)
     for t in radii:
         assert first[t] == _rhombus_direction_reference(ctx13, A, A, B, B, t)
+
+
+@pytest.mark.parametrize("route", RHOMBUS_ROUTES)
+def test_unreduced_radii_share_one_circle_and_pairing(route, ctx13):
+    # Radii 1 and q + 1 name one circle: a paired call over both reduces
+    # each once, gives equal terms under the caller's keys, and adds one
+    # circle and one pairing to geometry's caches.
+    A, B = random_quadruple(ctx13, 5, lo=0.2, hi=0.5)[:2]
+    geometry.circle.cache_clear()
+    geometry.mirrored_directions.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in RHOMBUS_ROUTES[route].items():
+            mp.setattr(counting, name, value)
+        by_radius = rhombus_directions(ctx13, A, A, B, B, [1, 14])
+    assert list(by_radius) == [1, 14]
+    assert by_radius[1] == by_radius[14] == _rhombus_direction_reference(ctx13, A, A, B, B, 1)
+    assert geometry.circle.cache_info().currsize == 1
+    assert geometry.mirrored_directions.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -837,11 +818,11 @@ def test_bit_route_matches_oracle(instance):
     rhom = count_rhom_t(ctx, *sets, t, "oracle").value
     deg = count_degenerate_rhom(ctx, *sets, t, "oracle").value
     with pytest.MonkeyPatch.context() as mp:
-        products, probed, bits = _route_spies(mp)
-        mp.setattr(counting, "_MACS_PER_WORD", 0)
+        pairs, bits = _route_spies(mp)
+        mp.setattr(counting, "_PAIRS_PER_WORD", 0)
         assert count_rhom_t(ctx, *sets, t).value == rhom
         assert count_rhom_t(ctx, *sets, t, exclude_degenerate=True).value == rhom - deg
-    assert len(bits) == 2 and not products and not probed
+    assert len(bits) == 2 and not pairs
 
 
 def _isotropic_line(q: int) -> PointSet:
@@ -850,15 +831,15 @@ def _isotropic_line(q: int) -> PointSet:
     return PointSet(q, [(a, i * a % q) for a in range(q)])
 
 
-@pytest.mark.parametrize("q", [31, 61])
+@pytest.mark.parametrize("q", [31, 61, 101])
 def test_rhombus_routes_agree_on_boundary_sets(q):
-    """Bits, products and probes give equal terms at q in {31, 61} on the
-    empty set, a singleton, the full plane, a circle and, at q = 61 (1 mod
-    4), an isotropic line: each in all four slots, the four side by side,
-    and two mixed quadruples, at radii 0, 1 and q - 1; each route is seen
-    to run.  Full planes check against Rhom_t = q^2 |S_t|^2.  The products
-    are left out where |E1| |E3| > 2^20, whose K_t tables (float32, and the
-    int64 norms they are read from) would take over 100 MB at q = 61."""
+    """The bits (q <= 61) and the pair route give equal terms at q in {31,
+    61, 101} on the empty set, a singleton, the full plane, a circle and,
+    at q = 1 mod 4, an isotropic line: each in all four slots, the four
+    side by side, and two mixed quadruples, at radii 0, 1 and q - 1; each
+    route is seen to run.  Full planes check against Rhom_t = q^2 |S_t|^2,
+    and quadruples with no full plane as E1 or E3 against the literal
+    loop."""
     ctx = PrimeFieldCtx(q)
     plane = full_plane(ctx)
     fixed = [PointSet(q, []), PointSet(q, [(1, q - 2)]), plane, circle(ctx, 1)]
@@ -867,23 +848,42 @@ def test_rhombus_routes_agree_on_boundary_sets(q):
     quads = [[s] * 4 for s in fixed] + [fixed[:4], fixed[1:5] if q % 4 == 1 else fixed[::-1],
                                         [fixed[3], plane, fixed[-1], plane]]
     radii = [0, 1, q - 1]
+    routes = RHOMBUS_ROUTES if q <= counting._BIT_MAX_Q else {"probes": RHOMBUS_ROUTES["probes"]}
     for sets in quads:
         by_route = {}
-        for route, constants in RHOMBUS_ROUTES.items():
-            if route == "products" and _product_cells(sets) > 2**20:
-                continue
+        for route, constants in routes.items():
             with pytest.MonkeyPatch.context() as mp:
                 for name, value in constants.items():
                     mp.setattr(counting, name, value)
-                products, probed, bits = _route_spies(mp)
+                pairs, bits = _route_spies(mp)
                 by_route[route] = rhombus_directions(ctx, *sets, radii)
-            assert [bool(bits), bool(products), bool(probed)] == \
-                [route == "bits", route == "products", route == "probes"]
-        assert all(terms == by_route["bits"] for terms in by_route.values()), sets
+            assert [bool(bits), bool(pairs)] == [route == "bits", route == "probes"]
+        terms = by_route["probes"]
+        assert all(other == terms for other in by_route.values()), sets
         if all(s is plane for s in sets):
             for t in radii:
                 size = len(circle(ctx, t))
-                assert sum(r for _, _, r in by_route["bits"][t]) == q**2 * size**2
+                assert sum(r for _, _, r in terms[t]) == q**2 * size**2
+        elif plane not in sets[::2]:
+            for t in radii:
+                assert terms[t] == _rhombus_direction_reference(ctx, *sets, t)
+
+
+def test_pair_batch_reads_uint16_norms_past_q_256():
+    """At q = 257 the tiled norm classes need uint16.  On the strip of the
+    first 40 points of the x-axis, radius 256 = -1 = 16^2 holds the
+    directions (+-16, 0) and the pairs 16 apart, so the batch compares
+    classes past 255.  Radii 1, 100 and 256 against the literal loop, on
+    the strip in all four slots and beside its translate by (1, 0)."""
+    ctx = PrimeFieldCtx(257)
+    line = PointSet(257, [(a, 0) for a in range(40)])
+    shifted = PointSet(257, [(a + 1, 0) for a in range(40)])
+    radii = [1, 100, 256]
+    for sets in ([line] * 4, [line, shifted, line, line]):
+        by_radius = rhombus_directions(ctx, *sets, radii)
+        assert any(r for _, _, r in by_radius[256])
+        for t in radii:
+            assert by_radius[t] == _rhombus_direction_reference(ctx, *sets, t)
 
 
 def _small_set(q):
@@ -1182,21 +1182,15 @@ def test_circle_with_itself_matches_its_closed_form_at_large_q(q):
 def test_full_plane_rhombus_closed_forms_on_the_probe_route(monkeypatch, q, t):
     """Rhom_t = q^2 |S_t|^2 and degenerate = q^2 |S_t| on the full plane:
     every u, direction x and v - u on S_t make a rhombus, and v = u + x is
-    the degenerate one.  |E1| |E3| = q^4 is past the product budget and
-    every direction meets the whole plane, so with the bit route off each
-    computed direction is marked and probed, one of each pair +-x."""
+    the degenerate one.  Every direction meets the whole plane, so with
+    the bit route off each computed direction is marked and probed, one of
+    each pair +-x."""
     ctx = PrimeFieldCtx(q)
     F = full_plane(ctx)
     size = len(circle(ctx, t))
-    products, probed, bits = _route_spies(monkeypatch)
+    routes, bits = _route_spies(monkeypatch)
+    probed = _spy(monkeypatch, "_pair_count")
     monkeypatch.setattr(counting, "_BIT_MAX_Q", 0)
-    pair_count, pairs = counting._pair_count, []
-
-    def pair_spy(*args):
-        pairs.append(args)
-        return pair_count(*args)
-
-    monkeypatch.setattr(counting, "_pair_count", pair_spy)
     assert count_rhom_t(ctx, F, F, F, F, t).value == q**2 * size**2
     assert count_degenerate_rhom(ctx, F, F, F, F, t).value == q**2 * size
-    assert products == [] == bits and len(probed) == 1 and len(pairs) == size // 2
+    assert bits == [] and len(routes) == 1 and len(probed) == size // 2

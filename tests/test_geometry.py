@@ -315,13 +315,13 @@ def test_one_chunk_constant_reaches_every_route(monkeypatch):
     chunk = _ChunkReads(geometry.INDEX_CHUNK)
     chunk.readers = set()
     monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
-    monkeypatch.setattr(counting, "_PRODUCT_MACS", 0)
     monkeypatch.setattr(counting, "_BIT_MAX_Q", 0)
     ctx = PrimeFieldCtx(29)
     sets = [gen_random_set(ctx, 0.1, 5 * 29 + k) for k in range(4)]
     counting.count_unit_distances(ctx, *sets[:2], 1)
     counting.rhombus_directions(ctx, *sets, [1])
     monkeypatch.setattr(counting, "_BIT_MAX_Q", 61)
+    monkeypatch.setattr(counting, "_PAIRS_PER_WORD", 0)
     counting.rhombus_directions(ctx, *sets, [1])
     counting.count_degenerate_rhom(ctx, *sets, 1)
     difference_table(ctx, *sets[:2])
@@ -331,8 +331,9 @@ def test_one_chunk_constant_reaches_every_route(monkeypatch):
     ctx11 = PrimeFieldCtx(11)
     assert isinstance(vc.find_witness(ctx11, full_plane(ctx11), 1), vc.Witness)
     assert chunk.readers == {
-        "probe_counts", "_small_pair_counts", "_bit_terms", "count_degenerate_rhom",
-        "_exact_differences", "_first_pair", "sweep", "circle_decay_batch"}
+        "probe_counts", "_pair_terms", "_small_pair_counts", "_bit_terms",
+        "count_degenerate_rhom", "_exact_differences", "_first_pair", "sweep",
+        "circle_decay_batch"}
 
 
 @pytest.mark.parametrize("per_cell", [None, 0, 1, 3])

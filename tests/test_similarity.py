@@ -76,9 +76,8 @@ def _spy(mp, module, name) -> list:
 
 # route -> (the constants that force it, the highest density it is drawn
 # at, the q it is drawn at, and the function whose returns show it was
-# taken, with the test on them).  The product route also lifts the cell cap
-# of one product, so its sets need not be tiny to reach it; it and the
-# probed route keep off the bit route, which holds q bits a word (q <= 61).
+# taken, with the test on them).  The probed (pair) route keeps off the bit
+# route, which holds q bits a word (q <= 61).
 _ROUTES = {
     "tables": ({(geometry, "_PROBES_PER_CELL"): 0}, 0.4, (61, 101),
                (geometry, "differences_at", lambda r: not r)),
@@ -89,11 +88,8 @@ _ROUTES = {
     "python-ints": ({(counting, "INT64_LIMIT"): 0}, 0.4, (61, 101),
                     (counting, "table_products",
                      lambda r: r and all(p.dtype == object for p in r))),
-    "probed": ({(counting, "_PRODUCT_MACS"): 0, (counting, "_BIT_MAX_Q"): 0}, 0.4, (61, 101),
-               (counting, "_probed_terms", bool)),
-    "product": ({(counting, "_PRODUCT_MACS"): 1 << 62, (counting, "_PRODUCT_CHUNK"): 1 << 22,
-                 (counting, "_BIT_MAX_Q"): 0}, 0.15, (61, 101), (counting, "_product_terms", bool)),
-    "bits": ({(counting, "_MACS_PER_WORD"): 0}, 0.4, (61,), (counting, "_bit_terms", bool)),
+    "probed": ({(counting, "_BIT_MAX_Q"): 0}, 0.4, (61, 101), (counting, "_pair_terms", bool)),
+    "bits": ({(counting, "_PAIRS_PER_WORD"): 0}, 0.4, (61,), (counting, "_bit_terms", bool)),
     "paired": ({}, 0.4, (61, 101), (counting, "mirrored_directions", bool)),
 }
 
