@@ -4,17 +4,20 @@ Each checker returns a BoundReport with both sides of the inequality it
 tested.  Unconditional inequalities (unit-distance concentration, the two
 one-side-length parallelogram displays with their right sides
 2 sqrt(q prod) + Par/q^2 and 4 sqrt(q prod), the per-direction rhombus
-relation with its factor-2 constant, and circle decay) are asserted
-(ASSERTED_CHECKS: a violation is a failure); order-of-magnitude statements
-are recorded as ratios with their hypothesis flags and never
-hard-asserted, because they hide unspecified constants.
+relation with its factor-2 constant, and circle decay) are asserted (a
+violation is a failure); order-of-magnitude statements are recorded as
+ratios with their hypothesis flags and never hard-asserted, because they
+hide unspecified constants.  One table, CHECKS, holds what defines each
+check apart from its builder: the sets a sweep trial reads, whether it is
+asserted, and its line layout, in stream order.
 
 Checkers and sweeps derive reports through one per-instance path,
 _reports, which gives a ReportBatch: one check's reports on one instance as
 columns, with what its radii share computed once.  A sweep keeps its
-batches, and the CLI writes each batch's lines in one pass of the check's
-layout (LINE_LAYOUTS), or its csv rows (report.csv_lines); BoundReports
-are built only for the check_* functions and a sweep read as a sequence.
+batches grouped by check, and the CLI writes each batch's lines in one pass
+of the check's layout, or its csv rows (report.csv_lines), and each group's
+summary; BoundReports are built only for the check_* functions and a sweep
+read as a sequence.
 A sweep draws each trial's sets once, U, V, E3, E4; a check on k sets
 draws its radii from a copy of the trial stream after the k-th set, so its
 reports do not depend on the checks run beside it.
@@ -31,24 +34,6 @@ from .fourier import circle_decay_batch, circle_decay_lines
 from .geometry import PointSet, full_plane, gen_random_set
 from .report import JSON_BOOL, BoundReport, ReportBatch, line_parts
 from .rng import SplitMix64
-
-CHECK_NAMES = (
-    "unit-distance",
-    "par-vs-mean",
-    "par-pairs",
-    "rhom-vs-par",
-    "rhom-lower",
-    "circle-decay",
-)
-
-# The checks whose inequalities are asserted: a violation of one is a
-# failure (the CLI exits 1).  rhom-lower is recorded only.
-ASSERTED_CHECKS = {"unit-distance", "par-vs-mean", "par-pairs",
-                   "rhom-vs-par", "circle-decay"}
-
-# Sets a check reads per sweep trial; every other check reads E1..E4.
-_SET_COUNT = {"unit-distance": 2, "circle-decay": 0}
-
 
 def _radius(ctx, t: int, what: str) -> int:
     if t % ctx.q == 0:
@@ -327,15 +312,18 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {}).report(0)
 
 
-# check name -> its line layout; the report writer reads it.
-LINE_LAYOUTS = {
-    "unit-distance": _unit_distance_lines,
-    "par-vs-mean": _par_mean_lines,
-    "par-pairs": _par_pair_lines,
-    "rhom-vs-par": _rhom_relation_lines,
-    "rhom-lower": _rhom_lower_lines,
-    "circle-decay": circle_decay_lines,
+# check name -> (sets a sweep trial reads, asserted, line layout), in
+# stream order.  A violation of an asserted check is a failure (the CLI
+# exits 1); rhom-lower is recorded only.
+CHECKS = {
+    "unit-distance": (2, True, _unit_distance_lines),
+    "par-vs-mean": (4, True, _par_mean_lines),
+    "par-pairs": (4, True, _par_pair_lines),
+    "rhom-vs-par": (4, True, _rhom_relation_lines),
+    "rhom-lower": (4, False, _rhom_lower_lines),
+    "circle-decay": (0, True, circle_decay_lines),
 }
+CHECK_NAMES = tuple(CHECKS)
 
 
 def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
@@ -392,13 +380,19 @@ def _radii(ctx, check: str, all_t: bool, rng=None, t=None) -> list:
 
 
 class Sweep:
-    """A sweep's report batches, in order.  As a sequence it is their
-    reports: len() counts them, and iterating (or list()) builds them."""
+    """A sweep's report batches as ``groups``, one (check, batches) pair per
+    check in the order asked for.  ``batches`` lists them all in that order,
+    and as a sequence a sweep is their reports: len() counts them, and
+    iterating (or list()) builds them."""
 
-    __slots__ = ("batches",)
+    __slots__ = ("groups",)
 
-    def __init__(self, batches: list):
-        self.batches = batches
+    def __init__(self, groups: list):
+        self.groups = groups
+
+    @property
+    def batches(self) -> list:
+        return [batch for _, batches in self.groups for batch in batches]
 
     def __len__(self) -> int:
         return sum(map(len, self.batches))
@@ -411,8 +405,9 @@ class Sweep:
 def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
           seed: int, all_t: bool = False, t: int | None = None) -> Sweep:
     """Run ``trials`` seeded random instances of one named check or of a
-    sequence of them; the batches come check by check, in that order, one
-    per trial (circle-decay: one for every j).
+    sequence of them; the Sweep holds one group of batches per check, in
+    that order, each with one batch per trial (circle-decay: one for every
+    j), and each check reads the sets CHECKS gives it.
 
     density is a float in [0, 1], or None to draw one per set.  A trial's
     radius is drawn unless ``t`` pins it; all_t takes every radius (every
@@ -431,11 +426,11 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     """
     names = [check] if isinstance(check, str) else list(check)
     for name in names:
-        if name not in CHECK_NAMES:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; pick one of {CHECK_NAMES}")
     if t is not None:
         t = _radius(ctx, t, "pinned radius")
-    set_counts = [_SET_COUNT.get(name, 4) for name in names]
+    set_counts = [CHECKS[name][0] for name in names]
     nsets = max(set_counts)
     js = range(ctx.q) if t is None else [t]
     batches = [[circle_decay_batch(ctx, js)] if k == 0 else [] for k in set_counts]
@@ -460,7 +455,7 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
                     radii = _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)
                     batch.append(_reports(ctx, name, trial_sets[:k], radii, memo,
                                           trial=trial, seed=seed))
-    return Sweep([b for batch in batches for b in batch])
+    return Sweep(list(zip(names, batches)))
 
 
 def extreme_case_reports(ctx: PrimeFieldCtx, t: int) -> list:

@@ -10,7 +10,6 @@ PRNG algorithm identifier so streams are reproducible bit-for-bit apart
 from elapsed_ms fields.
 """
 
-import itertools
 import json
 import os
 import sys
@@ -50,7 +49,7 @@ def _report_writer(config):
     _line_encoder(config)(rep.to_json_obj()) for each of its reports,
     written without the encoder.
 
-    The check's layout in bounds.LINE_LAYOUTS writes the lines of the whole
+    The check's layout in bounds.CHECKS writes the lines of the whole
     batch; this gives it their head (the config, in sorted order before
     extra) and the PRNG name.  The batches of bounds.sweep and
     fourier.circle_decay_batch have a finite lhs, rhs and ratio, so every
@@ -60,7 +59,7 @@ def _report_writer(config):
     prng = _ENCODER.encode(PRNG_ALGORITHM)
 
     def lines(batch) -> str:
-        return bounds_mod.LINE_LAYOUTS[batch.name](batch, head, prng)
+        return bounds_mod.CHECKS[batch.name][2](batch, head, prng)
 
     return lines
 
@@ -184,18 +183,15 @@ def _cmd_bounds(args, ctx, config) -> int:
     if args.format == "csv":
         write(",".join(report.CSV_COLUMNS) + "\n")
     exit_code = 0
-    # sweep gives the batches check by check, each written as it is formatted.
-    for check, batches in itertools.groupby(
-            bounds_mod.sweep(ctx, checks, args.trials, density, args.seed,
-                             all_t=args.all_t, t=t).batches,
-            key=lambda batch: batch.name):
-        batches = list(batches)
+    # Each check's batches are written as they are formatted, then its summary.
+    for check, batches in bounds_mod.sweep(ctx, checks, args.trials, density, args.seed,
+                                           all_t=args.all_t, t=t).groups:
         if report_lines is not None:
             for batch in batches:
                 write(report_lines(batch))
         instances = sum(map(len, batches))
         violations = sum(batch.holds.count(False) for batch in batches)
-        if violations and check in bounds_mod.ASSERTED_CHECKS:
+        if violations and bounds_mod.CHECKS[check][1]:
             exit_code = 1
         min_slack = min(min(batch.slack) for batch in batches)
         if args.format == "json":

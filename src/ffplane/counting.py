@@ -63,10 +63,10 @@ from .geometry import (
     mirrored_directions,
     negated_points,
     norm_class_order,
-    norm_classes,
     probe_counts,
     require_same_q,
     tiled_copies,
+    tiled_norm_classes,
     tiled_points,
     word_layout,
     word_offsets,
@@ -499,11 +499,10 @@ def _pair_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
         e12.append(p1[np.nonzero(m12[small[lo:hi]])[1]])
         e34.append(p3[np.nonzero(m34[small[lo:hi]])[1]])
     if a[small] @ b[small]:
-        dtype = np.min_scalar_type(q - 1)
-        rhom += _small_pair_counts(flat_tiling(norm_classes(ctx).astype(dtype)),
-                                   np.concatenate(e12), a * small,
+        norms = tiled_norm_classes(ctx)
+        rhom += _small_pair_counts(norms, np.concatenate(e12), a * small,
                                    negated_points(np.concatenate(e34), q), b * small,
-                                   np.array(list(circles), dtype=dtype)[owner])
+                                   np.array(list(circles), dtype=norms.dtype)[owner])
     out, terms, lo = list(zip(a.tolist(), b.tolist(), rhom.tolist())), {}, 0
     for t, x in zip(circles, kept):
         terms[t], lo = out[lo:lo + len(x)], lo + len(x)

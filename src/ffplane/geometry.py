@@ -24,9 +24,10 @@ tiling can hold words instead of cells (word_tiling): at the tiled index
 of (s, b), the row words from row s on of the array translated by
 (0, -b), so a translate's words are gathers at the same tiled indices.
 
-Each per-field table (norm_classes, norm_class_order, circle, its +-x
-pairing mirrored_directions, word_layout, word_offsets) is one lru_cache
-function of the context, so contexts of one q share one read-only copy.
+Each per-field table (norm_classes, norm_class_order, tiled_norm_classes,
+circle, its +-x pairing mirrored_directions, word_layout, word_offsets) is
+one lru_cache function of the context, so contexts of one q share one
+read-only copy.
 """
 
 import functools
@@ -200,6 +201,17 @@ def norm_class_order(ctx: PrimeFieldCtx) -> tuple:
     starts = np.searchsorted(classes[order], np.arange(ctx.q))
     order.flags.writeable = starts.flags.writeable = False
     return order, starts
+
+
+# One table is 4 q^2 cells, 32 MB at q = 2003, so few fields are kept.
+@functools.lru_cache(maxsize=4)
+def tiled_norm_classes(ctx: PrimeFieldCtx) -> np.ndarray:
+    """|p| at every tiled index (flat_tiling of norm_classes), in the least
+    unsigned dtype that holds q - 1.  Read-only; the 4 most recently used q
+    are cached."""
+    tiled = flat_tiling(norm_classes(ctx).astype(np.min_scalar_type(ctx.q - 1)))
+    tiled.flags.writeable = False
+    return tiled
 
 
 # An all-t sweep at large q would otherwise keep q circles of q x q cells.

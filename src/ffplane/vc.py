@@ -327,20 +327,6 @@ def _first_pair(on_circle: np.ndarray, ax: np.ndarray, dx: np.ndarray,
     return pair
 
 
-def _direction_sizes(ctx: PrimeFieldCtx, kept: np.ndarray, t: int) -> list:
-    """|E' n (E' - x)| for each x of S_t in circle order, E' the q x q
-    indicator ``kept``.
-
-    The meet of -x is that of x translated by x, so both have one size, and
-    S_t = -S_t: one meet is counted per pair +-x (mirrored_directions).
-    """
-    q = ctx.q
-    dirs, source = mirrored_directions(ctx, t)
-    sizes = [int(np.count_nonzero(meet))
-             for meet in shift_meets(kept, kept, zip(*tiled_point(dirs, q)))]
-    return [sizes[i] for i in source]
-
-
 def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     """Run the constructive witness search; Witness or FailureReason.
 
@@ -357,13 +343,14 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
 
     Steps (1), (2) and (6) run on q x q indicators: degrees sum translates
     of 1_E (shift_sum), step (2) takes one shift_meets per pair +-x of
-    directions (mirrored_directions), and step (6) takes first row-major
-    points of E n (x + S_t) for the x's, the shift_meets of 1_E and 1_S_t
-    at -x.  Steps (3) and (4) run on point lists: SplitMix64.permutation,
-    array operations with no per-swap Python, permutes the indices of E_u's
-    row-major points, one nonzero pass over E' lists every part, and each
-    direction's meets are gathers of A's and D's points on the tiled parts,
-    searched pairwise by _first_pair.  Row-major order is sorted order.
+    directions (mirrored_directions) and the first maximum among the kept
+    directions, and step (6) takes first row-major points of E n (x + S_t)
+    for the x's, the shift_meets of 1_E and 1_S_t at -x.  Steps (3) and
+    (4) run on point lists: SplitMix64.permutation, array operations with
+    no per-swap Python, permutes the indices of E_u's row-major points, one
+    nonzero pass over E' lists every part, and each direction's meets are
+    gathers of A's and D's points on the tiled parts, searched pairwise by
+    _first_pair.  Row-major order is sorted order.
     """
     q = ctx.q
     t %= q
@@ -382,12 +369,15 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     if not kept.any():
         return FailureReason("Pruned-empty", "degree window removed every vertex")
 
-    sizes = _direction_sizes(ctx, kept, t)
-    best = sizes.index(max(sizes))
+    # The meet of -x is that of x translated by x, so both have one size,
+    # and the first maximum in circle order is at the kept one of its pair.
+    dirs = mirrored_directions(ctx, t)[0]
+    sizes = [np.count_nonzero(m) for m in shift_meets(kept, kept, zip(*tiled_point(dirs, q)))]
+    best = int(np.argmax(sizes))
     if sizes[best] <= 0:
         return FailureReason("No-direction",
                              "no direction on the circle overlaps the pruned set")
-    u = st[best]
+    u = tiled_point(int(dirs[best]), q)
     e_u, = shift_meets(kept, kept, [u])
 
     # Each point of E' gets its part's label: A, B, C, D are 1 to 4.  E_u's

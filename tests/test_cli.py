@@ -9,12 +9,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ffplane import bounds, cli, geometry
+from ffplane import bounds, cli, fourier, geometry
 from ffplane.bounds import CHECK_NAMES
 from ffplane.cli import (
     COMMANDS,
@@ -434,6 +435,44 @@ def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
                for line in out.splitlines())
     rc, out, _ = run_cli(capsys, argv + ["--format", "human"])
     assert rc == 1 and "30 instances, 10 violations" in out
+
+
+# check -> (module, the count its sweep reads at a pinned radius, that
+# count's stand-in built from the real one), making the check's report fail.
+# A par check's sweep reads its Par_t profile from par_and_n_t_profiles.
+_INFLATED_COUNTS = {
+    "unit-distance": (bounds, "count_unit_distances", lambda real: lambda *a, **k:
+                      SimpleNamespace(value=real(*a, **k).value + 10**9)),
+    "par-vs-mean": (bounds, "par_and_n_t_profiles", lambda real: lambda ctx, quads:
+                    [({**p, 1: p[1] + 10**12}, n_t) for p, n_t in real(ctx, quads)]),
+    "rhom-vs-par": (bounds, "rhombus_directions", lambda real: lambda *a:
+                    {t: [(x, y, r + 10**9) for x, y, r in terms]
+                     for t, terms in real(*a).items()}),
+    "circle-decay": (fourier, "transform", lambda real: lambda *a, **k: 100 * real(*a, **k)),
+}
+
+
+@pytest.mark.parametrize("check", list(_INFLATED_COUNTS))
+def test_each_asserted_check_exits_1_on_a_violation(capsys, monkeypatch, check):
+    """A violated report of an asserted check exits 1 and is counted; with
+    the check's asserted flag in bounds.CHECKS cleared, the same stream
+    exits 0."""
+    argv = ["bounds", "--q", "7", "--check", check, "--t", "1", "--trials", "1"]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and json_lines(out)[-1]["violations"] == 0
+    module, name, stand_in = _INFLATED_COUNTS[check]
+    monkeypatch.setattr(module, name, stand_in(getattr(module, name)))
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 1
+    report, summary = json_lines(out)
+    radius = report["inputs"]["j" if check == "circle-decay" else "t"]
+    assert (report["name"], report["holds"], radius) == (check, False, 1)
+    assert (summary["check"], summary["instances"], summary["violations"]) == (check, 1, 1)
+    sets, asserted, layout = bounds.CHECKS[check]
+    assert asserted
+    monkeypatch.setitem(bounds.CHECKS, check, (sets, False, layout))
+    rc, recorded, _ = run_cli(capsys, argv)
+    assert rc == 0 and recorded == out
 
 
 def test_violated_recorded_check_exits_0(capsys, monkeypatch):

@@ -577,7 +577,8 @@ def test_one_pair_batch_over_mixed_radii(chunk, pairing, ctx13):
         batches = _spy(mp, "_small_pair_counts")
         by_radius = rhombus_directions(ctx13, *sets, radii)
     assert len(batches) == 1
-    _, _, a, _, b, radius = batches[0]
+    norms, _, a, _, b, radius = batches[0]
+    assert norms is geometry.tiled_norm_classes(ctx13)
     assert set(radius[a * b > 0].tolist()) == set(radii)
     assert int(a @ b) > chunk and len(a) > chunk // _meet_width(sets)
     for t in radii:

@@ -937,7 +937,8 @@ def test_per_field_tables_are_shared_by_contexts_of_one_q(q):
     # reads its own.
     a, b = PrimeFieldCtx(q), PrimeFieldCtx(q)
     assert a is not b
-    for table in (geometry.norm_classes, geometry.norm_class_order, geometry.word_layout):
+    for table in (geometry.norm_classes, geometry.norm_class_order,
+                  geometry.tiled_norm_classes, geometry.word_layout):
         assert table(a) is table(b)
     assert geometry.norm_classes(a) is not geometry.norm_classes(PrimeFieldCtx(7))
     for t in (0, 1, q - 1):
@@ -945,6 +946,17 @@ def test_per_field_tables_are_shared_by_contexts_of_one_q(q):
         assert geometry.mirrored_directions(a, t) is geometry.mirrored_directions(b, t)
     radii = (1, 2)
     assert geometry.word_offsets(a, radii) is geometry.word_offsets(b, radii)
+
+
+@pytest.mark.parametrize("q", [13, 257])
+def test_tiled_norm_classes_are_one_small_read_only_table(q):
+    # The least unsigned dtype that holds q - 1: uint8 at q = 13, uint16 at 257.
+    ctx = PrimeFieldCtx(q)
+    tiled = geometry.tiled_norm_classes(ctx)
+    assert tiled.dtype == np.min_scalar_type(q - 1) == (np.uint8 if q < 256 else np.uint16)
+    assert not tiled.flags.writeable
+    assert np.array_equal(tiled, geometry.flat_tiling(geometry.norm_classes(ctx)))
+    assert 0 < geometry.tiled_norm_classes.cache_info().maxsize <= 8
 
 
 def test_circle_reduces_its_radius_mod_q(ctx13):

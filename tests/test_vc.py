@@ -487,25 +487,26 @@ def _step2_boundary_set(ctx13, kind):
 
 @pytest.mark.parametrize("kind", ["full", "circle", "strip", "isotropic"])
 def test_paired_direction_sizes_match_every_meet(ctx13, kind):
-    """Step (2) counts one meet per pair +-x: each direction's size is its
-    own meet's, and the direction taken is the literal scan's first maximum
-    in circle order, ties included."""
+    """Step (2) counts one meet per pair +-x: the meet of -x has the size of
+    x's, so the literal scan's first maximum in circle order is the kept
+    direction of its pair, and it is the direction taken, ties included."""
     E = _step2_boundary_set(ctx13, kind)
     n, q = len(E), 13
     tied = False
     for t in range(1, q):
         st_ = circle(ctx13, t).elements
-        want = [int(np.count_nonzero(m)) for m in shift_meets(E.indicator, E.indicator, st_)]
-        assert vc._direction_sizes(ctx13, E.indicator, t) == want
         # The literal step (2) on the pruned set: a strict > keeps the first
         # of tied maxima.
         degree = shift_sum(E.indicator, st_)
         kept = E.indicator & (degree >= n / (2 * q)) & (degree <= 2 * n / q)
         sizes = [int(np.count_nonzero(m)) for m in shift_meets(kept, kept, st_)]
+        size_at = dict(zip(st_, sizes))
+        assert all(size_at[(-a % q, -b % q)] == size for (a, b), size in size_at.items())
         u, best = None, -1
         for x, size in zip(st_, sizes):
             if size > best:
                 u, best = x, size
+        assert tiled_index(u, q) in geometry.mirrored_directions(ctx13, t)[0]
         tied |= sizes.count(best) > 1
         res = find_witness(ctx13, E, t, seed=t)
         if isinstance(res, Witness):
