@@ -20,14 +20,17 @@ summary; BoundReports are built only for the check_* functions and a sweep
 read as a sequence.
 A sweep draws each trial's sets once, U, V, E3, E4; a check on k sets
 draws its radii from a copy of the trial stream after the k-th set, so its
-reports do not depend on the checks run beside it.
+reports do not depend on the checks run beside it.  The rhombus checks
+read Rhom_t and the sums over directions of their relation from
+counting.rhombus_sums: one call per sweep block, or a block of one for a
+check_* function.
 """
 
 import math
 
 from . import geometry
 from .counting import (count_unit_distances, par_and_n_t_profiles, par_t_profile,
-                       rhombus_directions)
+                       rhombus_sums)
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
 from .fourier import circle_decay_batch, circle_decay_lines
@@ -219,26 +222,19 @@ def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
                     _radii(ctx, "par-pairs", all_t=True), {}).reports()
 
 
-def _rhom_relation_batch(q, radii, terms, sizes, **tag) -> ReportBatch:
-    """One row per radius t from its terms (|E12^x|, |E34^x|, Rhom_t^x),
-    one per direction x; every row shares the sharp display's rhs and
+def _rhom_relation_batch(q, radii, sums, sizes, **tag) -> ReportBatch:
+    """One row per radius t from its rhombus sums (Rhom_t, sum_x p_x,
+    sum_x sqrt(p_x) in circle order, [p_x]) over the directions x
+    (counting.rhombus_sums); every row shares the sharp display's rhs and
     hypothesis."""
     p12 = sizes[0] * sizes[1]
     p34 = sizes[2] * sizes[3]
-    rhoms, sums, lhs, rhs, holds, sharp = [], [], [], [], [], []
-    for t_terms in terms:
-        rhom = 0
-        sum_sqrt = 0.0
-        prods = []
-        for a, c, rhom_x in t_terms:
-            p = a * c
-            rhom += rhom_x
-            prods.append(p)
-            sum_sqrt += math.sqrt(p)
-        sum_prod = sum(prods)
-        rhs_t = 2.0 * math.sqrt(q) * sum_sqrt
+    scale = 2.0 * math.sqrt(q)
+    rhoms, par_t, lhs, rhs, holds, sharp = [], [], [], [], [], []
+    for rhom, sum_prod, sum_sqrt, prods in sums:
+        rhs_t = scale * sum_sqrt
         rhoms.append(rhom)
-        sums.append(sum_prod)
+        par_t.append(sum_prod)
         lhs.append(abs(rhom - sum_prod / q))
         rhs.append(rhs_t)
         holds.append(rhom_relation_holds(q, rhom, prods, rhs_t))
@@ -247,7 +243,7 @@ def _rhom_relation_batch(q, radii, terms, sizes, **tag) -> ReportBatch:
         "rhom-vs-par", {"q": q, "sizes": sizes, **tag},
         {"sharp_rhs": math.sqrt(q) * math.sqrt(p12 / q) * math.sqrt(p34 / q),
          "sharp_hypothesis": p12 >= q**3 and p34 >= q**3},
-        {"t": list(radii)}, {"rhom_t": rhoms, "par_t": sums, "sharp_holds": sharp},
+        {"t": list(radii)}, {"rhom_t": rhoms, "par_t": par_t, "sharp_holds": sharp},
         lhs, rhs, holds)
 
 
@@ -330,8 +326,8 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
     """One check's report batch on one instance, a row per radius (radius
     pair for par-pairs); ``memo`` keeps the Par_t profile of E1..E4, the
     n_t profile of E1, E2 when a sweep binned it with the Par_t profile, and
-    the per-t rhombus terms, and ``tag`` (a sweep's trial and seed) joins
-    the inputs."""
+    the instance's rhombus_sums at its radii, and ``tag`` (a sweep's trial
+    and seed) joins the inputs."""
     q = ctx.q
     sizes = [len(s) for s in sets]
     if check == "unit-distance":
@@ -348,13 +344,12 @@ def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
                                    [profile[t2] for _, t2 in radii], sizes, **tag)
         return _par_mean_batch(q, radii, [profile[t] for t in radii],
                                sum(profile.values()), sizes, **tag)
-    missing = [t for t in radii if t not in memo]
-    if missing:
-        memo.update(rhombus_directions(ctx, *sets, missing))
+    if "rhombi" not in memo:
+        memo["rhombi"] = rhombus_sums(ctx, [sets], [radii])[0]
+    rhombi = memo["rhombi"]
     if check == "rhom-vs-par":
-        return _rhom_relation_batch(q, radii, [memo[t] for t in radii], sizes, **tag)
-    return _rhom_lower_batch(q, radii, [sum(r for _, _, r in memo[t]) for t in radii],
-                             sizes, **tag)
+        return _rhom_relation_batch(q, radii, [rhombi[t] for t in radii], sizes, **tag)
+    return _rhom_lower_batch(q, radii, [rhombi[t][0] for t in radii], sizes, **tag)
 
 
 # -- seeded sweeps -------------------------------------------------------------
@@ -422,7 +417,10 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     gen_random_set pass and, when a par check runs, its Par_t profiles from
     one par_and_n_t_profiles call, whose n_t profiles of U, V give
     unit-distance its counts; without a par check, unit-distance counts its
-    radius per trial.
+    radius per trial.  When a rhombus check runs, the block's trials, each
+    at its own radii (all of them, or its drawn or pinned one), get their
+    rhombus sums from one rhombus_sums call: one stacked bit-route pass at
+    q <= 61 for the trials the route rule sends there.
     """
     names = [check] if isinstance(check, str) else list(check)
     for name in names:
@@ -443,17 +441,26 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
             draws.append((rng.next_float() if density is None else density, rng.next_u64()))
             states[-1].append(rng.state)
     profiled = "par-vs-mean" in names or "par-pairs" in names
+    rhombic = next((name for name in names if name in ("rhom-vs-par", "rhom-lower")), None)
     per_block = max(1, geometry.INDEX_CHUNK // (max(nsets, 1) * ctx.q * ctx.q))
     for lo in range(0, len(states), per_block):
         sets = gen_random_set(ctx, *zip(*draws[lo * nsets:(lo + per_block) * nsets]))
         block = [sets[i:i + nsets] for i in range(0, len(sets), nsets)]
+        trials = range(lo, lo + len(block))
+        radii = [{name: _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)
+                  for name, k in zip(names, set_counts) if k} for trial in trials]
         profiles = par_and_n_t_profiles(ctx, block) if profiled else [None] * len(block)
-        for trial, trial_sets, profile in zip(range(lo, lo + per_block), block, profiles):
-            memo = {} if profile is None else dict(zip(("profile", "n_t"), profile))
+        memos = [{} if profile is None else dict(zip(("profile", "n_t"), profile))
+                 for profile in profiles]
+        if rhombic:
+            # Both rhombus checks draw their radii from the stream after E4.
+            sums = rhombus_sums(ctx, block, [r[rhombic] for r in radii])
+            for memo, rhombi in zip(memos, sums):
+                memo["rhombi"] = rhombi
+        for trial, trial_sets, trial_radii, memo in zip(trials, block, radii, memos):
             for name, k, batch in zip(names, set_counts, batches):
                 if k:
-                    radii = _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)
-                    batch.append(_reports(ctx, name, trial_sets[:k], radii, memo,
+                    batch.append(_reports(ctx, name, trial_sets[:k], trial_radii[name], memo,
                                           trial=trial, seed=seed))
     return Sweep(list(zip(names, batches)))
 

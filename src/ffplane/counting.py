@@ -14,16 +14,18 @@ Every quantity has at least two independent routes:
   16 q^2 pairs and past that by certified FFT, all of a request's in one
   stacked transform.  For ``rhom_t`` and ``degenerate``, gathers on the
   tiled indicator arrays (the layout is stated in ``geometry``).  The
-  rhombus terms of any list of radii come from one call
-  (``rhombus_directions``) by one of two exact routes, chosen by their
-  measured costs: for q <= 61, popcounts of row words (the plane's rows
-  packed into uint64 words), every radius of one circle size in one pass,
-  for dense sets and every q = 13 call; otherwise by pairs, on the smaller
-  of the pairs E1 x E3 and E2 x E4: the meets of every direction of every
-  radius from chunked gathers, the pairs of the small meets counted in one
-  batch on the tiled norm classes, and each large meet marked and probed.
-  When E2 = E1 and E4 = E3 only one of each pair +-x of directions is
-  computed;
+  rhombus terms of a stack of quads, each with its own radii, come from
+  one pass (``rhombus_directions`` for one quad, ``rhombus_sums`` for a
+  bounds sweep block, which also reduces them to the relation's sums), each
+  quad by one of two exact routes chosen by their measured costs: for
+  q <= 61, popcounts of row words (the plane's rows packed into uint64
+  words), for dense sets and every q = 13 quad, every such quad's rows of
+  (quad, radius) in one stacked pass cut into chunks of at most
+  INDEX_CHUNK // 4 words; otherwise by pairs, on the smaller of the pairs
+  E1 x E3 and E2 x E4: the meets of every direction of every radius from
+  chunked gathers, the pairs of the small meets counted in one batch on
+  the tiled norm classes, and each large meet marked and probed.  When
+  E2 = E1 and E4 = E3 only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
   tables, independent of the difference tables the fast route uses.  The
@@ -79,12 +81,12 @@ ROUND_TOL = 1e-6
 # from this size on they are accumulated in Python ints instead of int64.
 INT64_LIMIT = 2**63
 # The bit route holds a row of q bits in one uint64 word: every prime q up
-# to 61.  rhombus_directions takes it while a direction's |S_t| L row words,
+# to 61.  A quad takes it while a direction's |S_t| L row words,
 # at _PAIRS_PER_WORD pairs each, cost at most its |E1| |E3| pairs plus
 # _PAIRS_PER_DIRECTION, the pair route's fixed cost per direction.  Fitted
 # to the crossovers of the rhombus_directions table, which fall between
 # |E1| |E3| ~ 9k and 14k at q = 31 and ~ 112k and 138k at q = 61; and
-# 32 * 25 * 4 <= 4096, so every q = 13 call takes the bits, S_0 included.
+# 32 * 25 * 4 <= 4096, so every q = 13 quad takes the bits, S_0 included.
 _BIT_MAX_Q = 61
 _PAIRS_PER_WORD = 32
 _PAIRS_PER_DIRECTION = 4096
@@ -330,33 +332,37 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
     (u, v) in E12^x x E34^x with |u - v| = t.  Each radius is reduced mod
     q once, and the result keeps the caller's keys (radii equal mod q
-    share one list).
-
-    The call takes one of two exact routes, each building what it reads
-    of E1..E4 once:
+    share one list).  The call is a stack of one quad (_rhombus_terms);
+    rhombus_sums takes many.  Each quad takes one of two exact routes, each
+    building what it reads once:
 
     * For q <= _BIT_MAX_Q, by popcounts of row words (_bit_terms): with
       w = u - v, rhom_x = sum over w on S_t of |E1 n (E2 - x) n (E3 + w) n
       (E4 + w - x)|, every translate a gather of q-bit row words
       (geometry.word_tiling), and |S_t|^2 L words a radius for L words a
-      translate, whatever the density.
-    * By pairs (_pair_terms): the meets of a chunk of directions are one
-      gather over the point lists of E1 and E3 each.  For meet sizes a and
-      b, testing the a b pairs (u, v) outright is cheaper than marking the
-      larger meet in a scratch tiling and probing the smaller on p + S_t,
-      which counts the same pairs because S_t = -S_t (_pair_count), while
-      4 a b <= min(a, b) |S_t| + 3072; the pairs of every such direction
-      of every radius are tested in one batch, each one gather of the
-      tiled norm classes at u - v (_small_pair_counts).
+      translate, whatever the density.  The stack's quads on the bits go
+      in one pass over rows of (quad, radius), in chunks of rows and
+      directions of at most geometry.INDEX_CHUNK // 4 words a gather:
+      128 KiB, under glibc's default mmap threshold, so the chunks reuse
+      heap memory instead of faulting in freshly mapped pages.
+    * By pairs (_pair_terms), quad by quad: the meets of a chunk of
+      directions are one gather over the point lists of E1 and E3 each.
+      For meet sizes a and b, testing the a b pairs (u, v) outright is
+      cheaper than marking the larger meet in a scratch tiling and probing
+      the smaller on p + S_t, which counts the same pairs because
+      S_t = -S_t (_pair_count), while 4 a b <= min(a, b) |S_t| + 3072; the
+      pairs of every such direction of every radius are tested in one
+      batch, each one gather of the tiled norm classes at u - v
+      (_small_pair_counts).
 
-    The rule, with |E1| |E3| the smaller of |E1| |E3| and |E2| |E4|, |S_t|
-    the widest circle and L the words of a translate: the bits while q <=
-    _BIT_MAX_Q and a direction's |S_t| L words, at _PAIRS_PER_WORD pairs
-    each, cost at most its |E1| |E3| pairs plus _PAIRS_PER_DIRECTION; the
-    pairs otherwise.  Median ms per call on four fresh random sets of one
-    density (full planes at 1), the minimum of interleaved in-process
-    blocks, as bits / pairs with the route taken starred, on a 2-vCPU VM
-    ("all" is radii 1 .. q - 1):
+    The rule, quad by quad, with |E1| |E3| the smaller of |E1| |E3| and
+    |E2| |E4|, |S_t| the quad's widest circle and L the words of a
+    translate: the bits while q <= _BIT_MAX_Q and a direction's |S_t| L
+    words, at _PAIRS_PER_WORD pairs each, cost at most its |E1| |E3| pairs
+    plus _PAIRS_PER_DIRECTION; the pairs otherwise.  Median ms per call on
+    four fresh random sets of one density (full planes at 1), the minimum
+    of interleaved in-process blocks, as bits / pairs with the route taken
+    starred, on a 2-vCPU VM ("all" is radii 1 .. q - 1):
 
     ======== ========== ========== ========== ========== ========== ========== ==========
     q, radii .01        .02        .05        .1         .25        .5         1
@@ -369,12 +375,13 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     61, all  44.2/2.11* 44.9/3.60* 44.2/11.2* 44.5*/61.7 44.1*/181  43.8*/553  29.1*/685
     ======== ========== ========== ========== ========== ========== ========== ==========
 
-    The rule's misses: at q = 13 the pairs beat the bits on sets of
-    density .02 and below, but every q = 13 call keeps the bits, whatever
-    the sets; and at q = 31, density .1, the bits win over every radius
-    and lose at t = 1, as the rule weighs one direction's costs.
-    (A third route, float32 matrix products over E1 x E3, was measured
-    and dropped; see ROADMAP.)
+    The rule's misses, measured with the bits stacked (rhombus_sums, ms a
+    quad, 2-CPU VM): on q = 13 sets of density .02 and below the pairs take
+    0.74-0.98 of the bits' time in a stack of one quad, but 1.5-1.8 times
+    it at t = 1 and 1.04-1.33 times over every radius in stacks of 7 and
+    21, a bounds sweep block's; at q = 31, density .1, over every radius
+    the routes are within 0.85-1.08 of each other.  (A third route, float32
+    matrix products over E1 x E3, was measured and dropped; see ROADMAP.)
 
     The pair route computes on whichever of (E1, E2, E3, E4) and
     (E2, E1, E4, E3) has the smaller |E1| |E3|, the first on a tie.
@@ -386,96 +393,207 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
 
     When E2 = E1 and E4 = E3, the same identity says the meets of -x are
     those of x translated by x.  Only one direction of each pair +-x is
-    computed (mirrored_directions), and its term fills both slots; the
-    pairs (x, w), the pair tests and the probes still use the whole
-    circle.
+    computed (mirrored_directions), and its term fills both slots: for
+    each such quad on the pair route, and on the bit route when every quad
+    of the stack is paired.  The pairs (x, w), the pair tests and the
+    probes still use the whole circle.
     """
     require_same_q(ctx, E1, E2, E3, E4)
+    reduced = {t: t % ctx.q for t in radii}
+    distinct = list(dict.fromkeys(reduced.values()))
+    terms, sizes = _rhombus_terms(ctx, [(E1, E2, E3, E4)], [distinct])
+    by_radius = {t: list(zip(a[:n], b[:n], r[:n]))
+                 for t, n, a, b, r in zip(distinct, sizes, *terms.tolist())}
+    return {t: by_radius[r] for t, r in reduced.items()}
+
+
+def rhombus_sums(ctx, quads, radii) -> list:
+    """The per-radius sums of the rhombus relation for each quad of a
+    stack: [{t: (Rhom_t, sum_x p_x, sum_x sqrt(p_x), [p_x for x on S_t])
+    for t in radii[i]}, for each (E1, E2, E3, E4) = quads[i]], with
+    p_x = |E12^x| |E34^x| and every sum over x on S_t in circle order
+    (rhombus_directions).  The square roots are added one at a time, so
+    sum sqrt(p_x) is the sequential Python float sum bit for bit.  Each
+    quad's radii are its own; keys are kept as in rhombus_directions.
+
+    Every quad's terms come from one _rhombus_terms call, so the quads the
+    route rule sends to the bits share one stacked pass, and the sums of
+    every (quad, radius) row are taken in one array pass.
+    """
     q = ctx.q
-    reduced = {t: t % q for t in radii}
-    circles = {t: circle(ctx, t).points for t in reduced.values()}
-    widest = max(map(len, circles.values()), default=0)
+    require_same_q(ctx, *(E for quad in quads for E in quad))
+    reduced = [{t: t % q for t in rs} for rs in radii]
+    distinct = [list(dict.fromkeys(r.values())) for r in reduced]
+    terms, sizes = _rhombus_terms(ctx, quads, distinct)
+    if not sizes:
+        return [{} for _ in quads]
+    a, b, rhom = terms
+    p = a * b
+    # The last partial sum of an accumulation is the sequential sum, and the
+    # zeros past a circle's end leave it as it is.
+    roots = np.cumsum(np.sqrt(p), axis=1)[:, -1]
+    sums = [(m, s, root, prods[:n]) for m, s, root, prods, n in zip(
+        rhom.sum(axis=1).tolist(), p.sum(axis=1).tolist(), roots.tolist(), p.tolist(), sizes)]
+    out, lo = [], 0
+    for red, ts in zip(reduced, distinct):
+        by_radius = dict(zip(ts, sums[lo:lo + len(ts)]))
+        out.append({t: by_radius[r] for t, r in red.items()})
+        lo += len(ts)
+    return out
+
+
+def _rhombus_terms(ctx, quads, radii) -> tuple:
+    """(terms, sizes) of the rows (i, t), t in radii[i] for each quad
+    quads[i], quad-major: ``terms`` is an int64 array (3, rows, widest)
+    holding |E12^x|, |E34^x| and rhom_x of each row at x on S_t in circle
+    order, zero past |S_t|, which is sizes[row].  Every radius is reduced
+    mod q and distinct within its quad.  Each quad takes the route the
+    rule of rhombus_directions gives it (_takes_bits); the quads on the
+    bits go in one _bit_terms pass, the rest one _pair_terms call each.
+    """
+    circles = {t: circle(ctx, t).points for t in {t for rs in radii for t in rs}}
+    sizes = [len(circles[t]) for rs in radii for t in rs]
+    terms = np.zeros((3, len(sizes), max(sizes, default=0)), dtype=np.int64)
+    stack, rows, at, row = [], [], [], 0
+    for quad, rs in zip(quads, radii):
+        if not rs:
+            continue
+        quad_circles = {t: circles[t] for t in rs}
+        if _takes_bits(ctx, *quad, quad_circles.values()):
+            rows += [(len(stack), t) for t in rs]
+            at += range(row, row + len(rs))
+            stack.append(quad)
+        else:
+            computed = _pair_terms(ctx, *quad, quad_circles)
+            terms[:, row:row + len(rs), :computed.shape[2]] = computed
+        row += len(rs)
+    if rows:
+        computed = _bit_terms(ctx, stack, rows, circles)
+        if len(rows) == len(sizes):
+            return computed, sizes
+        terms[:, at, :computed.shape[2]] = computed
+    return terms, sizes
+
+
+def _takes_bits(ctx, E1, E2, E3, E4, circles) -> bool:
+    """The route rule of rhombus_directions for one quad on these circles."""
+    widest = max(map(len, circles), default=0)
     cells = min(len(E1) * len(E3), len(E2) * len(E4))
-    bits = q <= _BIT_MAX_Q and (
+    return ctx.q <= _BIT_MAX_Q and (
         _PAIRS_PER_WORD * widest * len(word_layout(ctx)[0]) <= cells + _PAIRS_PER_DIRECTION)
-    swapped = not bits and len(E2) * len(E4) < len(E1) * len(E3)
-    if swapped:
-        E1, E2, E3, E4 = E2, E1, E4, E3
-    # The directions computed, and each circle position's source among
-    # them; every position is computed unless the pairs repeat.
-    paired = E2 == E1 and E4 == E3
-    mirrors = {t: mirrored_directions(ctx, t) if paired
-               else (negated_points(st, q) if swapped else st, None)
-               for t, st in circles.items()}
-    if bits:
-        computed = _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors)
-    else:
-        computed = _pair_terms(ctx, E2, E4, E1.points, E3.points, circles, mirrors)
-    placed = {t: out if mirrors[t][1] is None else [out[i] for i in mirrors[t][1]]
-              for t, out in computed.items()}
-    return {t: placed[r] for t, r in reduced.items()}
 
 
-def _bit_terms(ctx, E1, E2, E3, E4, circles, mirrors) -> dict:
-    """The computed directions' terms of each radius, by popcounts of row
-    words.
+def _bit_terms(ctx, quads, rows, circles) -> np.ndarray:
+    """The terms of each row (i, t), quads[i] at radius t, by popcounts of
+    row words, in the layout of _rhombus_terms: (3, len(rows), widest).
 
     As S_t = -S_t, rhom_x = sum over w on S_t of |E12^x n (E3 - w) n
-    (E4 - w - x)|, and E1..E4 are one word_tiling stack, so each translate
-    is a gather of its words (word_layout).  The meets' words are masked to
-    the plane once, and each radius's pairs (x, w) are read at its circle's
-    offsets plus x.  Radii whose circles have the same size go in one pass,
-    cut into chunks of at most geometry.INDEX_CHUNK words.
+    (E4 - w - x)|, and the sets of every quad are one word_tiling stack,
+    so each translate is a gather of its words (word_layout).  The meets'
+    words are masked to the plane, and each row's pairs (x, w) are read at
+    its circle's offsets plus x.  The rows whose circles have one size go
+    in one pass, with one word_offsets table of their sorted radii, in
+    chunks of rows and directions: no gathered word array or index array
+    passes geometry.INDEX_CHUNK // 4 words, or one direction's words (its
+    |S_t| L words of hits, 2 L of meets) where that is more.  When every
+    quad has E2 = E1 and E4 = E3, one of each pair +-x is computed.
     """
     firsts, masks = word_layout(ctx)
-    words = word_tiling([E.indicator for E in (E2, E4, E1, E3)])
+    span, width = 4 * ctx.q * ctx.q, len(firsts)
+    # Quad i's E2, E4, E1 and E3 words start at (4 i + 0, 1, 2, 3) span:
+    # a direction's meets are its E2 and E4 words at ``pair`` and those of
+    # E1 and E3 at the first rows, masked to the plane (``low``).
+    words = word_tiling([E.indicator for E1, E2, E3, E4 in quads for E in (E2, E4, E1, E3)])
+    low = words.reshape(len(quads), 4, span)[:, 2:, firsts] & masks
+    low = low.reshape(len(quads), 1, 2 * width)
+    pair = np.concatenate([firsts, firsts + span])
+    words = words.ravel()
+    paired = all(E2 == E1 and E4 == E3 for E1, E2, E3, E4 in quads)
+    budget = geometry.INDEX_CHUNK // 4
+    ones = np.ones(width, dtype=np.int64)
     groups = {}
-    for t, st in circles.items():
-        groups.setdefault(len(st), []).append(t)
-    terms = dict.fromkeys(circles)
-    for n, radii in groups.items():
-        xs = np.array([mirrors[t][0] for t in radii])
-        sizes = np.empty((2,) + xs.shape, dtype=np.int64)
-        rhom = np.empty(xs.shape, dtype=np.int64)
-        per = max(1, geometry.INDEX_CHUNK // (n * len(firsts)))
-        step = max(1, per // xs.shape[1])
-        for lo in range(0, len(radii), step):
-            x = xs[lo:lo + step]
-            # E12^x and E34^x, as (2, radii, directions, words).
-            meets = words[:2].take(x[..., None] + firsts, axis=1)
-            meets &= (words[2:, firsts] & masks)[:, None, None]
-            # A product sums the short last axis faster than sum() does.
-            sizes[:, lo:lo + step] = np.bitwise_count(meets) @ np.ones(len(firsts), dtype=np.int64)
-            e12 = meets[0, ..., None]
-            w = word_offsets(ctx, tuple(radii[lo:lo + step]))
-            e3 = words[3].take(w)
-            for d in range(0, xs.shape[1], per):
-                hits = words[1].take(w + x[:, d:d + per, None])
-                hits &= e3
-                hits = hits.reshape(*hits.shape[:2], len(firsts), n)
-                hits &= e12[:, d:d + per]
-                rhom[lo:lo + step, d:d + per] = np.bitwise_count(hits).sum(axis=(2, 3))
-        for t, a, b, r in zip(radii, *sizes.tolist(), rhom.tolist()):
-            terms[t] = list(zip(a, b, r))
+    for r, (_, t) in enumerate(rows):
+        groups.setdefault(len(circles[t]), []).append(r)
+    out = []
+    for n, members in groups.items():
+        radii = sorted({rows[r][1] for r in members})
+        index = {t: k for k, t in enumerate(radii)}
+        owner, which = np.array([(rows[r][0], index[rows[r][1]]) for r in members]).T
+        pairings = [mirrored_directions(ctx, t) for t in radii] if paired else None
+        # Each row's directions, as tiled indices into its quad's E2 words.
+        base = (4 * span) * owner[:, None]
+        xs = np.array([x for x, _ in pairings] if paired else
+                      [circles[t] for t in radii])[which] + base
+        lows, base3 = low[owner], base[..., None] + 3 * span
+        offsets = word_offsets(ctx, tuple(radii))
+        # A (row, direction) pair gathers n L words of hits and 2 L of meets.
+        dirs = xs.shape[1]
+        per = max(1, budget // (max(n, 2) * width))
+        step = max(1, per // dirs)
+        block = max(1, budget // (2 * width * step))
+        computed = np.empty((3,) + xs.shape, dtype=np.int64)
+        for lo in range(0, len(members), step):
+            hi = lo + step
+            w = offsets[which[lo:hi]]
+            e3 = words.take(w + base3[lo:hi])
+            w += span
+            for m in range(0, dirs, block):
+                x = xs[lo:hi, m:m + block]
+                # E12^x and E34^x, as (rows, directions, 2 L words).
+                meets = words.take(x[..., None] + pair)
+                meets &= lows[lo:hi]
+                # A product sums the short last axis faster than sum() does.
+                counts = np.bitwise_count(meets).reshape(*x.shape, 2, width) @ ones
+                computed[:2, lo:hi, m:m + block] = counts.transpose(2, 0, 1)
+                e12 = meets[..., :width, None]
+                for d in range(0, x.shape[1], per):
+                    hits = words.take(w + x[:, d:d + per, None])
+                    hits &= e3
+                    hits = hits.reshape(*hits.shape[:2], width, n)
+                    hits &= e12[:, d:d + per]
+                    computed[2, lo:hi, m + d:m + d + per] = np.bitwise_count(hits).sum(axis=(2, 3))
+                    # Freed before the next gather and its index are made,
+                    # so at most two arrays of the budget's size are live.
+                    del hits
+        if paired:
+            source = np.array([source for _, source in pairings])[which]
+            computed = np.take_along_axis(computed, source[None], axis=2)
+        out.append((members, computed))
+    if len(out) == 1:
+        return computed
+    terms = np.zeros((3, len(rows), max(groups)), dtype=np.int64)
+    for members, computed in out:
+        terms[:, members, :computed.shape[2]] = computed
     return terms
 
 
-def _pair_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
-    """The computed directions' terms of each radius, by pairs.
+def _pair_terms(ctx, E1, E2, E3, E4, circles) -> np.ndarray:
+    """The terms of one quad at each radius of ``circles`` ({t: S_t}), by
+    pairs, in the layout of _rhombus_terms: (3, len(circles), widest).
 
-    The meets of every computed direction of every radius are read in
+    The quad is computed swapped as rhombus_directions says, and one of
+    each pair +-x when E2 = E1 and E4 = E3.  The meets of every computed
+    direction of every radius are read in
     chunks of directions, each one 2-D gather on the tiling of E2 and one
     on that of E4, of at most geometry.INDEX_CHUNK cells.  A direction
     whose meet sizes a and b fail the small-meet rule (rhombus_directions)
     is marked and probed as its chunk is read (_pair_count); the pairs of
     every other direction go in one batch (_small_pair_counts).
     """
-    if not circles:
-        return {}
     q = ctx.q
+    swapped = len(E2) * len(E4) < len(E1) * len(E3)
+    if swapped:
+        E1, E2, E3, E4 = E2, E1, E4, E3
+    # The directions computed, and each circle position's source among
+    # them; every position is computed unless the pairs repeat.
+    paired = E2 == E1 and E4 == E3
+    mirrors = [mirrored_directions(ctx, t) if paired
+               else (negated_points(st, q) if swapped else st, None)
+               for t, st in circles.items()]
+    p1, p3 = E1.points, E3.points
     t2, t4 = flat_tiling(E2.indicator), flat_tiling(E4.indicator)
     marks = np.zeros_like(t2)
-    sts, kept = list(circles.values()), [mirrors[t][0] for t in circles]
+    sts, kept = list(circles.values()), [x for x, _ in mirrors]
     # Each computed direction's circle among sts, and that circle's size.
     owner = np.repeat(np.arange(len(kept)), [len(x) for x in kept])
     size = np.array([len(st) for st in sts])[owner]
@@ -503,10 +621,14 @@ def _pair_terms(ctx, E2, E4, p1, p3, circles, mirrors) -> dict:
         rhom += _small_pair_counts(norms, np.concatenate(e12), a * small,
                                    negated_points(np.concatenate(e34), q), b * small,
                                    np.array(list(circles), dtype=norms.dtype)[owner])
-    out, terms, lo = list(zip(a.tolist(), b.tolist(), rhom.tolist())), {}, 0
-    for t, x in zip(circles, kept):
-        terms[t], lo = out[lo:lo + len(x)], lo + len(x)
-    return terms
+    computed = np.stack([a, b, rhom])
+    out = np.zeros((3, len(sts), max(map(len, sts))), dtype=np.int64)
+    lo = 0
+    for k, (x, source) in enumerate(mirrors):
+        part = computed[:, lo:lo + len(x)]
+        out[:, k, :len(sts[k])] = part if source is None else part[:, source]
+        lo += len(x)
+    return out
 
 
 def _small_pair_counts(norms, cells, a, v, b, radius) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ffplane.field import PrimeFieldCtx
@@ -47,3 +49,14 @@ RHOMBUS_ROUTES = {
     "bits": {"_PAIRS_PER_WORD": 0},
     "probes": {"_BIT_MAX_Q": 0},
 }
+
+
+def direction_sums(terms):
+    """One radius's entry of counting.rhombus_sums from its per-direction
+    terms (|E12^x|, |E34^x|, rhom_x): the plain Python sums, the roots
+    added one at a time in the terms' order."""
+    prods = [a * b for a, b, _ in terms]
+    root = 0.0
+    for p in prods:
+        root += math.sqrt(p)
+    return sum(r for _, _, r in terms), sum(prods), root, prods

@@ -3,9 +3,10 @@ import decimal
 import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import RHOMBUS_ROUTES, random_quadruple
+from conftest import RHOMBUS_ROUTES, direction_sums, random_quadruple
 from ffplane import bounds, counting, geometry
 from ffplane.bounds import (
     CHECK_NAMES,
@@ -151,7 +152,7 @@ def test_rhom_relation_sharp_verdict_is_exact(q, k):
     rhom = 2 * k * k
     for d in (big_d - 1, big_d, big_d + 1, -big_d - 1, -big_d, -big_d + 1):
         sum_ab = q * rhom - d
-        rep = _rhom_relation_batch(q, [1], [[(sum_ab, 1, rhom)]], sizes).report(0)
+        rep = _rhom_relation_batch(q, [1], [direction_sums([(sum_ab, 1, rhom)])], sizes).report(0)
         assert rep.extra["rhom_t"] == rhom and rep.extra["par_t"] == sum_ab
         assert rep.extra["sharp_holds"] == (abs(d) <= big_d), d
 
@@ -186,13 +187,57 @@ def test_sharp_rhombus_display_fails_on_strips(monkeypatch, route, q, length, t,
 @pytest.mark.parametrize("step", [-1, 0, 1])
 def test_rhom_relation_verdict_is_exact(q, step):
     p = 4 * q**3 + step
-    rep = _rhom_relation_batch(q, [1], [[(p, 1, 0)]], [p, 1, 1, 1]).report(0)
+    rep = _rhom_relation_batch(q, [1], [direction_sums([(p, 1, 0)])], [p, 1, 1, 1]).report(0)
     assert rep.holds is (step <= 0)
     # q Rhom_t on the other side of sum p: gap = q rhom - p, one term, so the
     # tier is gap^2 <= 4 q^3 p.
     for rhom in ((p + 2 * q * math.isqrt(q * p)) // q + d for d in (-1, 0, 1, 2)):
         gap = q * rhom - p
         assert rhom_relation_holds(q, rhom, [p], rep.rhs) is (gap**2 <= 4 * q**3 * p)
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_rhom_relation_from_arrays_reaches_the_isqrt_fallback(monkeypatch, ctx7, step):
+    # The instance above, read through rhombus_sums' array pass: one
+    # direction of S_1 (8 points at q = 7) with |E12^x| |E34^x| =
+    # 4 q^3 + step and Rhom_t = 0, the other seven empty.  The float band
+    # cannot decide the tie, step 0, so its verdict comes from the isqrt
+    # bounds; one step off, the floats decide.
+    p = 4 * 7**3 + step
+    terms = np.zeros((3, 1, 8), dtype=np.int64)
+    terms[:2, 0, 0] = p, 1
+    monkeypatch.setattr(counting, "_rhombus_terms", lambda ctx, quads, radii: (terms, [8]))
+    roots = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
+    sets = [full_plane(ctx7)] * 4
+    rep = check_rhom_relation(ctx7, *sets, 1)
+    assert rep.holds is (step <= 0) and bool(roots) is (step == 0)
+    want = _rhom_relation_batch(7, [1], [direction_sums([(p, 1, 0)] + [(0, 0, 0)] * 7)],
+                                [49] * 4).report(0)
+    assert rep == want
+
+
+def test_drawn_radius_sweep_stacks_its_radii(monkeypatch):
+    # Without all_t each trial's drawn radius joins its block's one
+    # rhombus_sums call, whose bit pass reads one word_offsets table of the
+    # block's sorted distinct radii; a pinned radius is one radius for all.
+    ctx = PrimeFieldCtx(13)
+    offsets, calls = [], []
+    word_offsets, rhombus_sums = counting.word_offsets, bounds.rhombus_sums
+    monkeypatch.setattr(counting, "word_offsets",
+                        lambda ctx, radii: offsets.append(radii) or word_offsets(ctx, radii))
+    monkeypatch.setattr(bounds, "rhombus_sums",
+                        lambda ctx, quads, radii: calls.append(radii) or rhombus_sums(ctx, quads, radii))
+    for t in (None, 5):
+        offsets.clear()
+        calls.clear()
+        batches = sweep(ctx, ["rhom-vs-par", "rhom-lower"], 12, None, 3, t=t).batches
+        drawn = [batch.row_inputs["t"] for batch in batches[:12]]
+        assert drawn == [batch.row_inputs["t"] for batch in batches[12:]]
+        assert calls == [drawn] and all(len(r) == 1 for r in drawn)
+        assert offsets == [tuple(sorted({r for r, in drawn}))]
+        assert offsets == [(5,)] if t else len(offsets[0]) > 3
 
 
 def _sum_of_roots(q, prods):
@@ -320,8 +365,8 @@ def test_sweep_of_several_checks_is_their_sweeps_joined(q, density, all_t, t):
 
 def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
     """Trials go in blocks of sets that fit INDEX_CHUNK cells (4 q^2 per
-    trial): one generation pass and one table batch per block, and one
-    rhombus pass per trial.  Unit distance reads its counts from the
+    trial): one generation pass, one table batch and one rhombus pass per
+    block.  Unit distance reads its counts from the
     block's D12 tables, with no count of its own; alone, it counts once per
     trial."""
     want = list(sweep(ctx7, CHECK_NAMES, 3, None, 5, all_t=True))
@@ -342,7 +387,7 @@ def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
                     return original(*args, **kwargs)
                 mp.setattr(module, name, wrapper)
 
-            for name in ("par_and_n_t_profiles", "rhombus_directions",
+            for name in ("par_and_n_t_profiles", "rhombus_sums",
                          "count_unit_distances"):
                 counted(bounds, name)
             counted(counting, "difference_tables")
@@ -356,7 +401,7 @@ def test_sweep_of_all_checks_computes_each_primitive_once(ctx7):
             assert generated == blocks
             assert calls == {"par_and_n_t_profiles": len(blocks),
                              "difference_tables": len(blocks),
-                             "rhombus_directions": 3}
+                             "rhombus_sums": len(blocks)}
             assert len(reports) == 3 * (1 + 6 + 15 + 6 + 6) + 7
             assert list(reports) == want
             calls.clear()

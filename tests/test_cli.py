@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import direction_sums
 from ffplane import bounds, cli, fourier, geometry
 from ffplane.bounds import CHECK_NAMES
 from ffplane.cli import (
@@ -439,15 +440,16 @@ def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
 
 # check -> (module, the count its sweep reads at a pinned radius, that
 # count's stand-in built from the real one), making the check's report fail.
-# A par check's sweep reads its Par_t profile from par_and_n_t_profiles.
+# A par check's sweep reads its Par_t profile from par_and_n_t_profiles, and
+# a rhombus check's sweep its Rhom_t from rhombus_sums.
 _INFLATED_COUNTS = {
     "unit-distance": (bounds, "count_unit_distances", lambda real: lambda *a, **k:
                       SimpleNamespace(value=real(*a, **k).value + 10**9)),
     "par-vs-mean": (bounds, "par_and_n_t_profiles", lambda real: lambda ctx, quads:
                     [({**p, 1: p[1] + 10**12}, n_t) for p, n_t in real(ctx, quads)]),
-    "rhom-vs-par": (bounds, "rhombus_directions", lambda real: lambda *a:
-                    {t: [(x, y, r + 10**9) for x, y, r in terms]
-                     for t, terms in real(*a).items()}),
+    "rhom-vs-par": (bounds, "rhombus_sums", lambda real: lambda *a:
+                    [{t: (m + 10**9, *rest) for t, (m, *rest) in sums.items()}
+                     for sums in real(*a)]),
     "circle-decay": (fourier, "transform", lambda real: lambda *a, **k: 100 * real(*a, **k)),
 }
 
@@ -476,13 +478,13 @@ def test_each_asserted_check_exits_1_on_a_violation(capsys, monkeypatch, check):
 
 
 def test_violated_recorded_check_exits_0(capsys, monkeypatch):
-    directions = bounds.rhombus_directions
+    rhombus_sums = bounds.rhombus_sums
 
     def no_rhombi(*args):
-        return {t: [(a, b, 0) for a, b, _ in terms]
-                for t, terms in directions(*args).items()}
+        return [{t: (0, *rest) for t, (_, *rest) in sums.items()}
+                for sums in rhombus_sums(*args)]
 
-    monkeypatch.setattr(bounds, "rhombus_directions", no_rhombi)
+    monkeypatch.setattr(bounds, "rhombus_sums", no_rhombi)
     rc, out, _ = run_cli(capsys, ["bounds", "--q", "3", "--check", "rhom-lower",
                                   "--all-t", "--trials", "1", "--density", "1"])
     assert rc == 0
@@ -800,7 +802,7 @@ _EXTREMES = [
     bounds._unit_distance_batch(7, [1], [2**60 + 1], [2**40, 2**40 + 3], **_TAG),
     bounds._par_mean_batch(7, [3], [_BIG], 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
     bounds._par_pair_batch(7, [(1, 6)], [2**62 + 3], [_BIG], [2**30, 1, 2**30, 7], **_TAG),
-    bounds._rhom_relation_batch(7, [2], [[(2**40, 2**20, _BIG), (0, 5, 0)]],
+    bounds._rhom_relation_batch(7, [2], [direction_sums([(2**40, 2**20, _BIG), (0, 5, 0)])],
                                 [2**30, 2**30, 1, 1], **_TAG),
     bounds._rhom_lower_batch(7, [2], [_BIG], [2**20, 2**20, 2**20, 2**20], **_TAG),
     bounds._unit_distance_batch(7, [1], [0], [0, 0], **_TAG),

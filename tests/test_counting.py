@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import RHOMBUS_ROUTES, random_quadruple
+from conftest import RHOMBUS_ROUTES, direction_sums, random_quadruple
 from ffplane import counting, geometry
 from ffplane.bounds import sweep
 from ffplane.counting import (
@@ -21,6 +22,7 @@ from ffplane.counting import (
     norm_class_sums,
     par_t_profile,
     rhombus_directions,
+    rhombus_sums,
     table_products,
 )
 from ffplane.errors import ToleranceExceeded
@@ -652,9 +654,9 @@ def test_rule_takes_the_measured_route(q, density, route):
 def test_benchmark_rhombus_calls_keep_the_bits():
     """Every q = 13 call takes the bits: the rule holds at |E1| |E3| = 0
     on the widest circle (S_0, 25 points; 4 words a translate), so it
-    holds on any sets and radii.  21 drawn bounds trials and three of
-    empty sets are seen to take them, and so do count's dense q = 61
-    rhom_t commands."""
+    holds on any sets and radii.  The quads of 21 drawn bounds trials and
+    three of empty sets are seen to take them, each sweep's in one stacked
+    call, and so do count's dense q = 61 rhom_t commands."""
     ctx13, ctx61 = PrimeFieldCtx(13), PrimeFieldCtx(61)
     widest = max(len(circle(ctx13, t)) for t in range(13))
     words = len(geometry.word_layout(ctx13)[0])
@@ -665,7 +667,122 @@ def test_benchmark_rhombus_calls_keep_the_bits():
             sweep(ctx13, ["rhom-vs-par", "rhom-lower"], trials, density, 3, all_t=True)
         for seed in range(3):
             count_rhom_t(ctx61, *[gen_random_set(ctx61, 0.5, 8 * seed + k) for k in range(4)], 1)
-    assert not pairs and len(bits) == 21 + 3 + 3
+    assert not pairs and [len(quads) for _, quads, *_ in bits] == [21, 3, 1, 1, 1]
+
+
+def _sums_blocks(ctx):
+    """Two stacks of quads, each quad with its own radii, and whether each
+    quad takes the bits with _PAIRS_PER_DIRECTION at 0, where a quad takes
+    them once |E1| |E3| reaches 32 |S_t| L: dense distinct and paired
+    quads, empty and full planes, sparse distinct and paired quads, an
+    unreduced radius and an empty list of radii.  The second stack's quads
+    on the bits are all paired, so they compute one of each +-x."""
+    q = ctx.q
+    dense = [gen_random_set(ctx, 0.6, 7 * q + k) for k in range(4)]
+    sparse = [gen_random_set(ctx, 0.05 if q > 5 else 0.15, 9 * q + k) for k in range(4)]
+    empty, plane = PointSet(q, []), full_plane(ctx)
+    every = list(range(1, q)) if q < 61 else list(range(1, 9))
+    mixed = [(dense, [1, 2, q - 1], True), (sparse, [0, 1], False),
+             (dense[:1] * 2 + dense[1:2] * 2, every, True), ([plane] * 4, [1, q + 1], True),
+             ([empty] * 4, [1], False), (sparse[:1] * 2 + sparse[1:2] * 2, [2, 1], False),
+             (dense[::-1], [], True), (dense[1:] + sparse[:1], [q - 1, 0, 3 % q], None)]
+    paired = [mixed[k] for k in (2, 3, 5, 4)]
+    return mixed, paired
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, None])
+@pytest.mark.parametrize("q", [5, 13, 31, 61])
+def test_rhombus_sums_match_per_quad_directions(q, chunk):
+    """Each quad's rhombus_sums, from one stacked call over quads on both
+    routes, equal the sums of its own rhombus_directions terms at every
+    radius, the roots added one at a time in circle order, bit for bit.
+    The bits take one pass over every quad the rule sends to them, and
+    geometry.INDEX_CHUNK at 1, 7, 100 and its default cuts the chunks
+    across directions, radii and (at q = 13 and 5) quads."""
+    ctx = PrimeFieldCtx(q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_PAIRS_PER_DIRECTION", 0)
+        if chunk is not None:
+            mp.setattr(geometry, "INDEX_CHUNK", chunk)
+        for block in _sums_blocks(ctx):
+            quads = [quad for quad, _, _ in block]
+            radii = [r for _, r, _ in block]
+            with pytest.MonkeyPatch.context() as spies:
+                pairs, bits = _route_spies(spies)
+                sums = rhombus_sums(ctx, quads, radii)
+            on_bits = [quad for quad, rs, rule in block if rs and
+                       counting._takes_bits(ctx, *quad, [circle(ctx, t).points for t in rs])]
+            assert [rule for _, rs, rule in block if rs and rule is not None] == \
+                [any(quad is b for b in on_bits) for quad, rs, rule in block
+                 if rs and rule is not None]
+            assert [args[1] for args in bits] == [on_bits]
+            assert len(pairs) == sum(1 for quad, rs, _ in block if rs and quad not in on_bits)
+            for quad, rs, by_radius in zip(quads, radii, sums):
+                assert list(by_radius) == rs
+                terms = rhombus_directions(ctx, *quad, rs)
+                for t in rs:
+                    assert by_radius[t] == direction_sums(terms[t]), (t, len(rs))
+
+
+def test_rhombus_sums_add_roots_in_circle_order():
+    """The roots of a row are added in circle order: at q = 61 over 60
+    directions the sequential sum differs, on some radius, from NumPy's
+    pairwise sum or from the exact sum rounded once, and rhombus_sums
+    gives the sequential one."""
+    ctx = PrimeFieldCtx(61)
+    quad = [gen_random_set(ctx, 0.5, 61 + k) for k in range(4)]
+    radii = list(range(1, 61))
+    sums = rhombus_sums(ctx, [quad], [radii])[0]
+    other = 0
+    for t in radii:
+        _, _, root, prods = sums[t]
+        sequential = 0.0
+        for p in prods:
+            sequential += math.sqrt(p)
+        assert root == sequential
+        roots = np.sqrt(np.array(prods, dtype=float))
+        other += root != float(roots.sum()) or root != math.fsum(roots)
+    assert other
+
+
+def _bit_gathers(mp) -> list:
+    """Record the size of every gather from the bit route's word tiling."""
+    sizes = []
+
+    class Gathers(np.ndarray):
+        def take(self, indices, *args, **kwargs):
+            sizes.append(np.size(indices))
+            return np.asarray(self).take(indices, *args, **kwargs)
+
+    real = counting.word_tiling
+    mp.setattr(counting, "word_tiling", lambda arrs: real(arrs).view(Gathers))
+    return sizes
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 1000, None])
+@pytest.mark.parametrize("q,trials,radii", [
+    (13, 21, None), (7, 3, [0, 1, 3]), (31, 2, None), (61, 1, [1, 2, 3, 30])])
+def test_bit_gathers_stay_within_the_chunk_budget(q, trials, radii, chunk):
+    """No index array of a bit-route gather, and so no gathered word
+    array, which takes its index's shape, passes geometry.INDEX_CHUNK // 4
+    words, or one direction's words where that is more: its |S_t| L words
+    of hits, or the 2 L of its meets (S_0 at q = 7 is one point).  The
+    chunks leave the sums as they are at the default chunk."""
+    ctx = PrimeFieldCtx(q)
+    quads = [[gen_random_set(ctx, 0.5, 4 * j + k) for k in range(4)] for j in range(trials)]
+    radii = radii or list(range(1, q))
+    words = len(geometry.word_layout(ctx)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_PAIRS_PER_WORD", 0)
+        want = rhombus_sums(ctx, quads, [radii] * trials)
+        if chunk is not None:
+            mp.setattr(geometry, "INDEX_CHUNK", chunk)
+        sizes = _bit_gathers(mp)
+        sums = rhombus_sums(ctx, quads, [radii] * trials)
+        bound = max(geometry.INDEX_CHUNK // 4,
+                    max(max(len(circle(ctx, t)), 2) for t in radii) * words)
+    assert sizes and max(sizes) <= bound
+    assert sums == want
 
 
 @pytest.mark.parametrize("sets,value", [
