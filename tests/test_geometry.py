@@ -195,8 +195,12 @@ def _mixed_blocks(draw):
         return st.builds(lambda d, seed: gen_random_set(ctx, d, seed),
                          st.floats(lo, hi), seeds)
 
-    dense = st.tuples(sets(0.8, 1.0), sets(0.8, 1.0))
-    sparse = st.tuples(sets(0.0, 0.1), sets(0.0, 1.0))
+    limit = geometry._EXACT_PAIRS_PER_CELL * q * q
+    dense = st.tuples(sets(0.8, 1.0), sets(0.8, 1.0)).filter(
+        lambda p: len(p[0]) * len(p[1]) > limit)
+    # At q = 13 a tenth of the plane against a full one can pass the limit.
+    sparse = st.tuples(sets(0.0, 0.1), sets(0.0, 1.0)).filter(
+        lambda p: len(p[0]) * len(p[1]) <= limit)
     pairs = draw(st.lists(st.one_of(dense, sparse, st.tuples(sets(0, 1), sets(0, 1))),
                           max_size=4))
     pairs = draw(st.permutations(pairs + [draw(dense), draw(sparse)]))
