@@ -19,10 +19,13 @@ canonical u and v the cell u + negated_points(v) is a copy of (u - v) mod
 q.  Each is one add or subtract, with no reduction mod q.  A scratch
 tiling probed that way is written at all four copies of a point
 (tiled_copies).  The windows of the 2-D tiling are the translates of the
-array as views, which shift_sum and shift_meets read.  For q < 64 a
-tiling can hold words instead of cells (word_tiling): at the tiled index
-of (s, b), the row words from row s on of the array translated by
-(0, -b), so a translate's words are gathers at the same tiled indices.
+array as views, which shift_meets and shift_meet_sizes read; in the flat
+tiling the translate by x is the contiguous run of 2q^2 cells from
+tiled_index(x), a row in the first q cells of each 2q, which shift_sum
+adds up.  For q < 64 a tiling can hold words instead of cells
+(word_tiling): at the tiled index of (s, b), the row words from row s on
+of the array translated by (0, -b), so a translate's words are gathers at
+the same tiled indices.
 
 Each per-field table (norm_classes, norm_class_order, tiled_norm_classes,
 circle, its +-x pairing mirrored_directions, word_layout, word_offsets) is
@@ -46,8 +49,9 @@ from .rng import splitmix64_blocks
 # cell of the plane.  Measured at q in {61, 101, 211}, the exact route beats
 # the FFT up to ~34-47 q^2 pairs, and at 16 q^2 it is still >= 1.8x faster.
 _EXACT_PAIRS_PER_CELL = 16
-# Indices any chunked route (here, in counting and in vc) computes at once;
-# all read it from this module at call time.
+# Indices any chunked route (here, in counting and in vc) computes at once,
+# and an eighth of the cells of a block of shift_sum or shift_meet_sizes (one
+# chunk's bytes); all read it from this module at call time.
 INDEX_CHUNK = 1 << 16
 # difference_table(..., on) counts D on the cells of ``on`` alone while that
 # takes at most this many probes, |on| min(|A|, |B|), per cell of the plane.
@@ -510,30 +514,71 @@ def word_offsets(ctx: PrimeFieldCtx, radii: tuple) -> np.ndarray:
     return offsets
 
 
-def _windows(arr: np.ndarray, shifts):
-    """roll(arr, -x) for each canonical point x in shifts, as a view of one
-    tiling of arr: at u it is arr[(u + x) mod q]."""
-    q = arr.shape[0]
-    tiled = periodic(arr)
-    for x1, x2 in shifts:
-        yield tiled[x1:x1 + q, x2:x2 + q]
-
-
 def shift_sum(ind: np.ndarray, shifts) -> np.ndarray:
     """#{x in shifts : ind[u + x]} at every u of the plane, for canonical
-    points x, in the least unsigned dtype that holds len(shifts)."""
-    total = np.zeros(ind.shape, dtype=np.min_scalar_type(len(shifts)))
-    for window in _windows(ind, shifts):
-        total += window
+    points x, in the least unsigned dtype that holds len(shifts).
+
+    Each x adds one contiguous run of the flat tiling of ind as uint8: the
+    2q^2 cells from tiled_index(x) on, whose cell r * 2q + c holds
+    ind[(r, c) + x] for c < q.  The runs are added unstrided and with no
+    cast into a uint8 buffer, whose q valid columns are folded into the
+    total after every 255 runs, uint8's capacity.  The runs go in blocks of
+    rows of at most 8 INDEX_CHUNK cells (512 KiB, the bytes of one chunk of
+    int64 indices), one block for q <= 512, so that at larger q the buffer
+    and the runs' rows stay in cache: on a 2-vCPU Xeon VM (2 MiB L2) the
+    q=1009 full plane takes 70 ms, and 153 ms in one block.
+    """
+    q = ind.shape[0]
+    starts = [tiled_index(x, q) for x in shifts]
+    total = np.zeros((q, q), dtype=np.min_scalar_type(len(starts)))
+    if not starts:
+        return total
+    tiled = flat_tiling(ind.view(np.uint8))
+    rows, width, cap = max(1, INDEX_CHUNK // q * 4), 2 * q, np.iinfo(np.uint8).max
+    buf = np.empty(min(rows, q) * width, dtype=np.uint8)
+    for r in range(0, q, rows):
+        lo, hi = r * width, min(r + rows, q) * width
+        block = buf[:hi - lo]
+        for g in range(0, len(starts), cap):
+            group = starts[g:g + cap]
+            block[:] = tiled[group[0] + lo:group[0] + hi]
+            for x in group[1:]:
+                block += tiled[x + lo:x + hi]
+            total[r:r + rows] += block.reshape(-1, width)[:, :q]
     return total
 
 
 def shift_meets(ind_i: np.ndarray, ind_j: np.ndarray, shifts):
     """Indicator of {u : ind_i[u] and ind_j[u + x]}, i.e.
     ind_i & roll(ind_j, -x), for each canonical point x in shifts, in
-    turn; ind_j is tiled once, and no copy of it is made per shift."""
-    for window in _windows(ind_j, shifts):
-        yield ind_i & window
+    turn; ind_j is tiled once, and roll(ind_j, -x) is the window of the
+    tiling at x, a view."""
+    q = ind_j.shape[0]
+    tiled = periodic(ind_j)
+    for x1, x2 in shifts:
+        yield ind_i & tiled[x1:x1 + q, x2:x2 + q]
+
+
+def shift_meet_sizes(ind_i: np.ndarray, ind_j: np.ndarray, shifts) -> list:
+    """The size of each of shift_meets' meets, in turn, as a list.
+
+    Each meet is written into one reused buffer and counted there, in
+    blocks of rows of at most 8 INDEX_CHUNK cells, as in shift_sum: one
+    block for q <= 724, and past that the block of ind_i and the windows'
+    rows stay in cache.
+    """
+    q, shifts = ind_i.shape[0], list(shifts)
+    tiled = periodic(ind_j)
+    rows = max(1, INDEX_CHUNK // q * 8)
+    meet = np.empty((min(rows, q), q), dtype=bool)
+    sizes = [0] * len(shifts)
+    for r in range(0, q, rows):
+        part = ind_i[r:r + rows]
+        h = len(part)
+        out, band = meet[:h], tiled[r:r + h + q]
+        sizes = [n + np.count_nonzero(np.logical_and(part, band[x1:x1 + h, x2:x2 + q], out))
+                 for n, (x1, x2) in zip(sizes, shifts)]
+    return sizes
 
 
 def intersect_shift(ctx: PrimeFieldCtx, Ei: PointSet, Ej: PointSet, x) -> PointSet:

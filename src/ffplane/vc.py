@@ -47,6 +47,7 @@ from .geometry import (
     flat_tiling,
     mirrored_directions,
     negated_points,
+    shift_meet_sizes,
     shift_meets,
     shift_sum,
     tiled_copies,
@@ -62,7 +63,8 @@ class DistanceSystem:
 
     Point i is E.elements[i], the i-th in sorted (row-major) order, with
     degree ``_degree[i]``.
-    ``rank`` holds i at point i and -1 off E.  A center's sorted neighbor
+    ``rank`` holds i at point i and -1 off E, in int32 below 2^31 points
+    (its 4 q^2-cell tiling is 64 MB at q=2003).  A center's sorted neighbor
     row is one gather on the tiling of ``rank`` at the circle offsets, made
     and cached when a scan first reads it, as is each size's first
     shattered set.
@@ -113,7 +115,7 @@ def build_system(ctx: PrimeFieldCtx, E: PointSet, t: int) -> DistanceSystem:
     if t == 0:
         raise InvalidRadius("neighborhood radius must be nonzero")
     ind = E.indicator
-    rank = np.full((q, q), -1, dtype=np.int64)
+    rank = np.full((q, q), -1, dtype=np.int32 if len(E) < 2**31 else np.int64)
     rank[ind] = np.arange(len(E))
     # deg(x) = |(x + S_t) n E|, so no degree exceeds |S_t|.
     degree = shift_sum(ind, circle(ctx, t).elements)[ind].tolist()
@@ -342,15 +344,16 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     isolated y0.  Deterministic given (E, t, seed).
 
     Steps (1), (2) and (6) run on q x q indicators: degrees sum translates
-    of 1_E (shift_sum), step (2) takes one shift_meets per pair +-x of
-    directions (mirrored_directions) and the first maximum among the kept
-    directions, and step (6) takes first row-major points of E n (x + S_t)
-    for the x's, the shift_meets of 1_E and 1_S_t at -x.  Steps (3) and
-    (4) run on point lists: SplitMix64.permutation, array operations with
-    no per-swap Python, permutes the indices of E_u's row-major points, one
-    nonzero pass over E' lists every part, and each direction's meets are
-    gathers of A's and D's points on the tiled parts, searched pairwise by
-    _first_pair.  Row-major order is sorted order.
+    of 1_E (shift_sum, contiguous runs of its flat tiling), step (2) counts
+    one meet per pair +-x of directions (mirrored_directions) through one
+    reused buffer (shift_meet_sizes) and takes the first maximum among the
+    kept directions, and step (6) takes first row-major points of
+    E n (x + S_t) for the x's, the shift_meets of 1_E and 1_S_t at -x.
+    Steps (3) and (4) run on point lists: SplitMix64.permutation, array
+    operations with no per-swap Python, permutes the indices of E_u's
+    row-major points, one nonzero pass over E' lists every part, and each
+    direction's meets are gathers of A's and D's points on the tiled parts,
+    searched pairwise by _first_pair.  Row-major order is sorted order.
     """
     q = ctx.q
     t %= q
@@ -372,7 +375,7 @@ def find_witness(ctx: PrimeFieldCtx, E: PointSet, t: int, seed: int = 0):
     # The meet of -x is that of x translated by x, so both have one size,
     # and the first maximum in circle order is at the kept one of its pair.
     dirs = mirrored_directions(ctx, t)[0]
-    sizes = [np.count_nonzero(m) for m in shift_meets(kept, kept, zip(*tiled_point(dirs, q)))]
+    sizes = shift_meet_sizes(kept, kept, [tiled_point(d, q) for d in dirs.tolist()])
     best = int(np.argmax(sizes))
     if sizes[best] <= 0:
         return FailureReason("No-direction",

@@ -337,7 +337,7 @@ def test_one_chunk_constant_reaches_every_route(monkeypatch):
     assert chunk.readers == {
         "probe_counts", "_pair_terms", "_small_pair_counts", "_bit_terms",
         "count_degenerate_rhom", "_exact_differences", "_first_pair", "sweep",
-        "circle_decay_batch"}
+        "circle_decay_batch", "shift_sum", "shift_meet_sizes"}
 
 
 @pytest.mark.parametrize("per_cell", [None, 0, 1, 3])
@@ -779,6 +779,89 @@ def test_shift_meets_and_translations_match_brute_force(q):
         assert moved.tolist() == [[bool(B.indicator[(r - x[0]) % q, (c - x[1]) % q])
                                    for c in range(q)] for r in range(q)]
         assert np.array_equal(meet, A.indicator & moved)
+
+
+def _rolled_sum(ind, shifts):
+    """shift_sum's reference: the translates roll(ind, -x) added up."""
+    total = np.zeros(ind.shape, dtype=np.min_scalar_type(len(shifts)))
+    for x1, x2 in shifts:
+        total += np.roll(ind, (-x1, -x2), axis=(0, 1))
+    return total
+
+
+def _assert_shift_sum_is_rolled(ind, shifts):
+    got, want = geometry.shift_sum(ind, shifts), _rolled_sum(ind, shifts)
+    assert got.dtype == want.dtype == np.min_scalar_type(len(shifts))
+    assert got.shape == ind.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("n", [0, 1, 254, 255, 256, 510, 511, 600])
+@pytest.mark.parametrize("q", [3, 5, 13])
+def test_shift_sum_folds_uint8_groups_of_255_runs(monkeypatch, q, n, chunk):
+    # Multisets of n shifts, repeats allowed, around the uint8 group size;
+    # an INDEX_CHUNK of 1 or 7 cuts the runs into blocks of one row.
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
+    rs = np.random.default_rng(1000 * q + n)
+    ind = rs.random((q, q)) < 0.5
+    shifts = [tuple(p) for p in rs.integers(0, q, (n, 2)).tolist()]
+    _assert_shift_sum_is_rolled(ind, shifts)
+    full = np.ones((q, q), dtype=bool)
+    assert np.array_equal(geometry.shift_sum(full, shifts), np.full((q, q), n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([3, 5, 7, 11, 13]), repeat=st.integers(1, 30),
+       chunk=st.sampled_from([1, 7, 100, 1 << 16]), data=st.data())
+def test_shift_sum_matches_rolled_translates(q, repeat, chunk, data):
+    point = st.tuples(st.integers(0, q - 1), st.integers(0, q - 1))
+    shifts = data.draw(st.lists(point, max_size=30)) * repeat
+    cells = data.draw(st.lists(st.booleans(), min_size=q * q, max_size=q * q))
+    ind = np.array(cells).reshape(q, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "INDEX_CHUNK", chunk)
+        _assert_shift_sum_is_rolled(ind, shifts)
+
+
+@pytest.mark.parametrize("chunk", [None, 7000])
+def test_shift_sum_on_a_q257_circle(monkeypatch, chunk):
+    # |S_1| = 256 at q = 257 (= 1 mod 4), one past uint8: a uint16 total
+    # from a group of 255 runs and a group of one.  INDEX_CHUNK = 7000
+    # cuts the runs into blocks of 108 rows.
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
+    ctx = PrimeFieldCtx(257)
+    st_ = circle(ctx, 1).elements
+    assert len(st_) == 256
+    for ps in (gen_random_set(ctx, 0.3, 5), full_plane(ctx)):
+        _assert_shift_sum_is_rolled(ps.indicator, st_)
+    assert np.array_equal(geometry.shift_sum(full_plane(ctx).indicator, st_),
+                          np.full((257, 257), 256))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+@pytest.mark.parametrize("q", [3, 5, 7, 13, 61, 101])
+def test_shift_meet_sizes_count_the_meets(monkeypatch, q, chunk):
+    # Random, empty, full-plane and circle sets, on every point of the plane
+    # at q <= 13 and on the circle's kept directions beyond; INDEX_CHUNK of
+    # 1 or 100 cuts the meets into blocks of rows.
+    if chunk is not None:
+        monkeypatch.setattr(geometry, "INDEX_CHUNK", chunk)
+    ctx = PrimeFieldCtx(q)
+    sets = [gen_random_set(ctx, 0.4, q), PointSet(q, []), full_plane(ctx), circle(ctx, 1)]
+    if q <= 13:
+        shifts = _plane_points(q)
+    else:
+        dirs = geometry.mirrored_directions(ctx, 1)[0].tolist()
+        shifts = [geometry.tiled_point(d, q) for d in dirs]
+    for A in sets:
+        for B in sets:
+            sizes = geometry.shift_meet_sizes(A.indicator, B.indicator, shifts)
+            assert sizes == [np.count_nonzero(m) for m in
+                             geometry.shift_meets(A.indicator, B.indicator, shifts)]
+    assert geometry.shift_meet_sizes(sets[0].indicator, sets[0].indicator, []) == []
 
 
 def test_line_ap_generator(ctx5):

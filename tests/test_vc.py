@@ -102,6 +102,16 @@ def test_full_plane_degrees_fill_the_circle(q):
     assert build_system(ctx, full_plane(ctx), 1)._degree == [len(circle(ctx, 1))] * q * q
 
 
+def test_rank_tiling_is_int32(ctx7):
+    # Below 2^31 points the rank table and its 4 q^2-cell tiling are int32;
+    # a gathered row still holds Python ints in ascending order.
+    sys_ = build_system(ctx7, full_plane(ctx7), 1)
+    assert sys_._tiled_rank.dtype == np.int32
+    assert sys_._tiled_rank.shape == (4 * 7 * 7,)
+    row = sys_._row(0)
+    assert row == sorted(row) and all(type(j) is int for j in row)
+
+
 def test_shatters_empty_set_rules(ctx5):
     nonempty = build_system(ctx5, PointSet(5, [(0, 0)]), 1)
     assert shatters(nonempty, [])
