@@ -34,7 +34,7 @@ from .counting import (count_unit_distances, par_and_n_t_profiles, par_t_profile
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
 from .fourier import circle_decay_batch, circle_decay_lines
-from .geometry import PointSet, full_plane, gen_random_set
+from .geometry import PointSet, gen_random_set
 from .report import JSON_BOOL, BoundReport, ReportBatch, line_parts
 from .rng import SplitMix64
 
@@ -464,15 +464,3 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
                                           trial=trial, seed=seed))
     return Sweep(list(zip(names, batches)))
 
-
-def extreme_case_reports(ctx: PrimeFieldCtx, t: int) -> list:
-    """The two boundary instances (empty sets, full plane) for each check."""
-    empty = PointSet(ctx.q, [])
-    plane = full_plane(ctx)
-    reports = []
-    for s in (empty, plane):
-        reports.append(check_unit_distance(ctx, s, s, t))
-        reports.append(check_par_mean(ctx, s, s, s, s, t))
-        reports.append(check_rhom_relation(ctx, s, s, s, s, t))
-        reports.append(check_rhom_lower(ctx, s, s, s, s, t))
-    return reports

@@ -14,17 +14,18 @@ Every quantity has at least two independent routes:
   16 q^2 pairs and past that by certified FFT, all of a request's in one
   stacked transform.  For ``rhom_t`` and ``degenerate``, gathers on the
   tiled indicator arrays (the layout is stated in ``geometry``).  The
-  rhombus terms of a stack of quads, each with its own radii, come from
-  one pass (``rhombus_directions`` for one quad, ``rhombus_sums`` for a
-  bounds sweep block, which also reduces them to the relation's sums), each
-  quad by one of two exact routes chosen by their measured costs: for
-  q <= 61, popcounts of row words (the plane's rows packed into uint64
-  words), for dense sets and every q = 13 quad, every such quad's rows of
-  (quad, radius) in one stacked pass cut into chunks of at most
-  INDEX_CHUNK // 4 words; otherwise by pairs, on the smaller of the pairs
-  E1 x E3 and E2 x E4: the meets of every direction of every radius from
-  chunked gathers, the pairs of the small meets counted in one batch on
-  the tiled norm classes, and each large meet marked and probed.  When
+  rhombus terms of a stack of quads, each with its own radii, are the rows
+  of one array that both routes write in place (``rhombus_directions`` for
+  one quad, ``rhombus_sums`` for a bounds sweep block, which also reduces
+  them to the relation's sums), each quad by one of two exact routes
+  chosen by their measured costs: for q <= 61, popcounts of row words (the
+  plane's rows packed into uint64 words), for dense sets and every q = 13
+  quad, every such quad's rows of (quad, radius) in one stacked pass per
+  circle size, cut into chunks of at most INDEX_CHUNK // 4 words, and one
+  pass unless S_0 is asked for; otherwise by pairs, on the smaller of the
+  pairs E1 x E3 and E2 x E4: the meets of every direction of every radius
+  from chunked gathers, the pairs of the small meets counted in one batch
+  on the tiled norm classes, and each large meet marked and probed.  When
   E2 = E1 and E4 = E3 only one of each pair +-x of directions is computed;
 * ``fourier`` (one-side-length parallelograms only) -- numerical evaluation
   of the character-sum expansion as one cyclic convolution of frequency
@@ -330,21 +331,22 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
 
     Returns {t: [(|E12^x|, |E34^x|, rhom_x) for x on S_t in circle order]}
     with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
-    (u, v) in E12^x x E34^x with |u - v| = t.  Each radius is reduced mod
-    q once, and the result keeps the caller's keys (radii equal mod q
-    share one list).  The call is a stack of one quad (_rhombus_terms);
-    rhombus_sums takes many.  Each quad takes one of two exact routes, each
-    building what it reads once:
+    (u, v) in E12^x x E34^x with |u - v| = t.  The call is a stack of one
+    quad (_rhombus_terms, which reduces each radius mod q once); the
+    result keeps the caller's keys, and radii equal mod q share one list.
+    rhombus_sums takes many quads.  Each quad takes one of two exact
+    routes, each building what it reads once:
 
     * For q <= _BIT_MAX_Q, by popcounts of row words (_bit_terms): with
       w = u - v, rhom_x = sum over w on S_t of |E1 n (E2 - x) n (E3 + w) n
       (E4 + w - x)|, every translate a gather of q-bit row words
       (geometry.word_tiling), and |S_t|^2 L words a radius for L words a
       translate, whatever the density.  The stack's quads on the bits go
-      in one pass over rows of (quad, radius), in chunks of rows and
-      directions of at most geometry.INDEX_CHUNK // 4 words a gather:
-      128 KiB, under glibc's default mmap threshold, so the chunks reuse
-      heap memory instead of faulting in freshly mapped pages.
+      in one pass over rows of (quad, radius) per circle size (one pass
+      unless S_0 is asked for), in chunks of rows and directions of at
+      most geometry.INDEX_CHUNK // 4 words a gather: 128 KiB, under
+      glibc's default mmap threshold, so the chunks reuse heap memory
+      instead of faulting in freshly mapped pages.
     * By pairs (_pair_terms), quad by quad: the meets of a chunk of
       directions are one gather over the point lists of E1 and E3 each.
       For meet sizes a and b, testing the a b pairs (u, v) outright is
@@ -399,12 +401,9 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     probes still use the whole circle.
     """
     require_same_q(ctx, E1, E2, E3, E4)
-    reduced = {t: t % ctx.q for t in radii}
-    distinct = list(dict.fromkeys(reduced.values()))
-    terms, sizes = _rhombus_terms(ctx, [(E1, E2, E3, E4)], [distinct])
-    by_radius = {t: list(zip(a[:n], b[:n], r[:n]))
-                 for t, n, a, b, r in zip(distinct, sizes, *terms.tolist())}
-    return {t: by_radius[r] for t, r in reduced.items()}
+    (keys,), terms, sizes = _rhombus_terms(ctx, [(E1, E2, E3, E4)], [radii])
+    rows = [list(zip(a[:n], b[:n], r[:n])) for n, a, b, r in zip(sizes, *terms.tolist())]
+    return {t: rows[row] for t, row in keys.items()}
 
 
 def rhombus_sums(ctx, quads, radii) -> list:
@@ -414,19 +413,16 @@ def rhombus_sums(ctx, quads, radii) -> list:
     p_x = |E12^x| |E34^x| and every sum over x on S_t in circle order
     (rhombus_directions).  The square roots are added one at a time, so
     sum sqrt(p_x) is the sequential Python float sum bit for bit.  Each
-    quad's radii are its own; keys are kept as in rhombus_directions.
+    quad's radii are its own, and its keys are _rhombus_terms' keys.
 
     Every quad's terms come from one _rhombus_terms call, so the quads the
-    route rule sends to the bits share one stacked pass, and the sums of
+    route rule sends to the bits share its bit passes, and the sums of
     every (quad, radius) row are taken in one array pass.
     """
-    q = ctx.q
     require_same_q(ctx, *(E for quad in quads for E in quad))
-    reduced = [{t: t % q for t in rs} for rs in radii]
-    distinct = [list(dict.fromkeys(r.values())) for r in reduced]
-    terms, sizes = _rhombus_terms(ctx, quads, distinct)
+    keys, terms, sizes = _rhombus_terms(ctx, quads, radii)
     if not sizes:
-        return [{} for _ in quads]
+        return keys  # no quad has a radius: every key is {}
     a, b, rhom = terms
     p = a * b
     # The last partial sum of an accumulation is the sequential sum, and the
@@ -434,45 +430,50 @@ def rhombus_sums(ctx, quads, radii) -> list:
     roots = np.cumsum(np.sqrt(p), axis=1)[:, -1]
     sums = [(m, s, root, prods[:n]) for m, s, root, prods, n in zip(
         rhom.sum(axis=1).tolist(), p.sum(axis=1).tolist(), roots.tolist(), p.tolist(), sizes)]
-    out, lo = [], 0
-    for red, ts in zip(reduced, distinct):
-        by_radius = dict(zip(ts, sums[lo:lo + len(ts)]))
-        out.append({t: by_radius[r] for t, r in red.items()})
-        lo += len(ts)
-    return out
+    return [{t: sums[row] for t, row in key.items()} for key in keys]
 
 
 def _rhombus_terms(ctx, quads, radii) -> tuple:
-    """(terms, sizes) of the rows (i, t), t in radii[i] for each quad
-    quads[i], quad-major: ``terms`` is an int64 array (3, rows, widest)
-    holding |E12^x|, |E34^x| and rhom_x of each row at x on S_t in circle
-    order, zero past |S_t|, which is sizes[row].  Every radius is reduced
-    mod q and distinct within its quad.  Each quad takes the route the
-    rule of rhombus_directions gives it (_takes_bits); the quads on the
-    bits go in one _bit_terms pass, the rest one _pair_terms call each.
+    """(keys, terms, sizes) of a stack of quads, quads[i] at the radii
+    radii[i].  Each radius is reduced mod q here, once: quad i's distinct
+    reduced radii are its rows, in first-seen order, and the quads' rows
+    follow one another.  keys[i] maps each of radii[i], as the caller gave
+    it, to its row, so radii equal mod q share one.  ``terms`` is an int64
+    array (3, rows, widest) holding |E12^x|, |E34^x| and rhom_x of each
+    row at x on S_t in circle order, zero past |S_t|, which is sizes[row].
+
+    ``terms`` is allocated once, and the routes write their rows into it.
+    Each quad takes the route the rule of rhombus_directions gives it
+    (_takes_bits): a quad on the pairs is one _pair_terms call, given its
+    rows' view, and the rows of the quads on the bits one _bit_terms pass
+    per circle size among them.  That is one pass unless S_0 is asked
+    for, as every other circle has q - eta(-1) points.
     """
-    circles = {t: circle(ctx, t).points for t in {t for rs in radii for t in rs}}
-    sizes = [len(circles[t]) for rs in radii for t in rs]
-    terms = np.zeros((3, len(sizes), max(sizes, default=0)), dtype=np.int64)
-    stack, rows, at, row = [], [], [], 0
-    for quad, rs in zip(quads, radii):
-        if not rs:
-            continue
-        quad_circles = {t: circles[t] for t in rs}
-        if _takes_bits(ctx, *quad, quad_circles.values()):
-            rows += [(len(stack), t) for t in rs]
-            at += range(row, row + len(rs))
+    q = ctx.q
+    keys, quad_rows, ts = [], [], []
+    for rs in radii:
+        # The quad's distinct reduced radii, first seen first, numbered on.
+        rows = dict(zip(dict.fromkeys([t % q for t in rs]), range(len(ts), len(ts) + len(rs))))
+        keys.append({t: rows[t % q] for t in rs})
+        quad_rows.append(rows)
+        ts += rows
+    circles = {t: circle(ctx, t).points for t in dict.fromkeys(ts)}
+    sizes = [len(circles[t]) for t in ts]
+    terms = np.zeros((3, len(ts), max(sizes, default=0)), dtype=np.int64)
+    # The bit rows (stack index, t, row) by circle size.
+    stack, bits, lo = [], {}, 0
+    for quad, rows in zip(quads, quad_rows):
+        quad_circles = {t: circles[t] for t in rows}
+        if rows and _takes_bits(ctx, *quad, quad_circles.values()):
+            for t, row in rows.items():
+                bits.setdefault(sizes[row], []).append((len(stack), t, row))
             stack.append(quad)
-        else:
-            computed = _pair_terms(ctx, *quad, quad_circles)
-            terms[:, row:row + len(rs), :computed.shape[2]] = computed
-        row += len(rs)
-    if rows:
-        computed = _bit_terms(ctx, stack, rows, circles)
-        if len(rows) == len(sizes):
-            return computed, sizes
-        terms[:, at, :computed.shape[2]] = computed
-    return terms, sizes
+        elif rows:
+            _pair_terms(ctx, *quad, quad_circles, terms[:, lo:lo + len(rows)])
+        lo += len(rows)
+    for rows in bits.values():
+        _bit_terms(ctx, stack, rows, circles, terms)
+    return keys, terms, sizes
 
 
 def _takes_bits(ctx, E1, E2, E3, E4, circles) -> bool:
@@ -483,20 +484,22 @@ def _takes_bits(ctx, E1, E2, E3, E4, circles) -> bool:
         _PAIRS_PER_WORD * widest * len(word_layout(ctx)[0]) <= cells + _PAIRS_PER_DIRECTION)
 
 
-def _bit_terms(ctx, quads, rows, circles) -> np.ndarray:
-    """The terms of each row (i, t), quads[i] at radius t, by popcounts of
-    row words, in the layout of _rhombus_terms: (3, len(rows), widest).
+def _bit_terms(ctx, quads, rows, circles, terms) -> None:
+    """Write into ``terms`` (_rhombus_terms) the terms of each (i, t, row)
+    of ``rows``, quads[i] at radius t, by popcounts of row words; every
+    row's circle, circles[t], has one size.
 
     As S_t = -S_t, rhom_x = sum over w on S_t of |E12^x n (E3 - w) n
     (E4 - w - x)|, and the sets of every quad are one word_tiling stack,
-    so each translate is a gather of its words (word_layout).  The meets'
-    words are masked to the plane, and each row's pairs (x, w) are read at
-    its circle's offsets plus x.  The rows whose circles have one size go
-    in one pass, with one word_offsets table of their sorted radii, in
-    chunks of rows and directions: no gathered word array or index array
-    passes geometry.INDEX_CHUNK // 4 words, or one direction's words (its
-    |S_t| L words of hits, 2 L of meets) where that is more.  When every
-    quad has E2 = E1 and E4 = E3, one of each pair +-x is computed.
+    so each translate is a gather of its words (word_layout), quad i's at
+    the offset (4 i + k) 4 q^2 of its k-th set.  The meets' words are
+    masked to the plane, and each row's pairs (x, w) are read at its
+    circle's offsets plus x, from one word_offsets table of the rows'
+    sorted radii.  The pass goes in chunks of rows and directions: no
+    gathered word array or index array passes geometry.INDEX_CHUNK // 4
+    words, or one direction's words (its |S_t| L words of hits, 2 L of
+    meets) where that is more.  When every quad has E2 = E1 and E4 = E3,
+    one of each pair +-x is computed.
     """
     firsts, masks = word_layout(ctx)
     span, width = 4 * ctx.q * ctx.q, len(firsts)
@@ -511,74 +514,65 @@ def _bit_terms(ctx, quads, rows, circles) -> np.ndarray:
     paired = all(E2 == E1 and E4 == E3 for E1, E2, E3, E4 in quads)
     budget = geometry.INDEX_CHUNK // 4
     ones = np.ones(width, dtype=np.int64)
-    groups = {}
-    for r, (_, t) in enumerate(rows):
-        groups.setdefault(len(circles[t]), []).append(r)
-    out = []
-    for n, members in groups.items():
-        radii = sorted({rows[r][1] for r in members})
-        index = {t: k for k, t in enumerate(radii)}
-        owner, which = np.array([(rows[r][0], index[rows[r][1]]) for r in members]).T
-        pairings = [mirrored_directions(ctx, t) for t in radii] if paired else None
-        # Each row's directions, as tiled indices into its quad's E2 words.
-        base = (4 * span) * owner[:, None]
-        xs = np.array([x for x, _ in pairings] if paired else
-                      [circles[t] for t in radii])[which] + base
-        lows, base3 = low[owner], base[..., None] + 3 * span
-        offsets = word_offsets(ctx, tuple(radii))
-        # A (row, direction) pair gathers n L words of hits and 2 L of meets.
-        dirs = xs.shape[1]
-        per = max(1, budget // (max(n, 2) * width))
-        step = max(1, per // dirs)
-        block = max(1, budget // (2 * width * step))
-        computed = np.empty((3,) + xs.shape, dtype=np.int64)
-        for lo in range(0, len(members), step):
-            hi = lo + step
-            w = offsets[which[lo:hi]]
-            e3 = words.take(w + base3[lo:hi])
-            w += span
-            for m in range(0, dirs, block):
-                x = xs[lo:hi, m:m + block]
-                # E12^x and E34^x, as (rows, directions, 2 L words).
-                meets = words.take(x[..., None] + pair)
-                meets &= lows[lo:hi]
-                # A product sums the short last axis faster than sum() does.
-                counts = np.bitwise_count(meets).reshape(*x.shape, 2, width) @ ones
-                computed[:2, lo:hi, m:m + block] = counts.transpose(2, 0, 1)
-                e12 = meets[..., :width, None]
-                for d in range(0, x.shape[1], per):
-                    hits = words.take(w + x[:, d:d + per, None])
-                    hits &= e3
-                    hits = hits.reshape(*hits.shape[:2], width, n)
-                    hits &= e12[:, d:d + per]
-                    computed[2, lo:hi, m + d:m + d + per] = np.bitwise_count(hits).sum(axis=(2, 3))
-                    # Freed before the next gather and its index are made,
-                    # so at most two arrays of the budget's size are live.
-                    del hits
-        if paired:
-            source = np.array([source for _, source in pairings])[which]
-            computed = np.take_along_axis(computed, source[None], axis=2)
-        out.append((members, computed))
-    if len(out) == 1:
-        return computed
-    terms = np.zeros((3, len(rows), max(groups)), dtype=np.int64)
-    for members, computed in out:
-        terms[:, members, :computed.shape[2]] = computed
-    return terms
+    radii = sorted({t for _, t, _ in rows})
+    index = {t: k for k, t in enumerate(radii)}
+    owner, which, at = np.array([(i, index[t], row) for i, t, row in rows]).T
+    n = len(circles[radii[0]])
+    pairings = [mirrored_directions(ctx, t) for t in radii] if paired else None
+    # Each row's directions, as tiled indices into its quad's E2 words.
+    base = (4 * span) * owner[:, None]
+    xs = np.array([x for x, _ in pairings] if paired else
+                  [circles[t] for t in radii])[which] + base
+    lows, base3 = low[owner], base[..., None] + 3 * span
+    offsets = word_offsets(ctx, tuple(radii))
+    # A (row, direction) pair gathers n L words of hits and 2 L of meets.
+    dirs = xs.shape[1]
+    per = max(1, budget // (max(n, 2) * width))
+    step = max(1, per // dirs)
+    block = max(1, budget // (2 * width * step))
+    computed = np.empty((3,) + xs.shape, dtype=np.int64)
+    for lo in range(0, len(rows), step):
+        hi = lo + step
+        w = offsets[which[lo:hi]]
+        e3 = words.take(w + base3[lo:hi])
+        w += span
+        for m in range(0, dirs, block):
+            x = xs[lo:hi, m:m + block]
+            # E12^x and E34^x, as (rows, directions, 2 L words).
+            meets = words.take(x[..., None] + pair)
+            meets &= lows[lo:hi]
+            # A product sums the short last axis faster than sum() does.
+            counts = np.bitwise_count(meets).reshape(*x.shape, 2, width) @ ones
+            computed[:2, lo:hi, m:m + block] = counts.transpose(2, 0, 1)
+            e12 = meets[..., :width, None]
+            for d in range(0, x.shape[1], per):
+                hits = words.take(w + x[:, d:d + per, None])
+                hits &= e3
+                hits = hits.reshape(*hits.shape[:2], width, n)
+                hits &= e12[:, d:d + per]
+                computed[2, lo:hi, m + d:m + d + per] = np.bitwise_count(hits).sum(axis=(2, 3))
+                # Freed before the next gather and its index are made,
+                # so at most two arrays of the budget's size are live.
+                del hits
+    if paired:
+        source = np.array([source for _, source in pairings])[which]
+        computed = np.take_along_axis(computed, source[None], axis=2)
+    terms[:, at, :n] = computed
 
 
-def _pair_terms(ctx, E1, E2, E3, E4, circles) -> np.ndarray:
-    """The terms of one quad at each radius of ``circles`` ({t: S_t}), by
-    pairs, in the layout of _rhombus_terms: (3, len(circles), widest).
+def _pair_terms(ctx, E1, E2, E3, E4, circles, out) -> None:
+    """Write the terms of one quad at each radius of ``circles`` ({t: S_t})
+    by pairs into ``out``, the view of the quad's rows of _rhombus_terms'
+    array: (3, len(circles), widest), row k that of the k-th radius.
 
     The quad is computed swapped as rhombus_directions says, and one of
     each pair +-x when E2 = E1 and E4 = E3.  The meets of every computed
-    direction of every radius are read in
-    chunks of directions, each one 2-D gather on the tiling of E2 and one
-    on that of E4, of at most geometry.INDEX_CHUNK cells.  A direction
-    whose meet sizes a and b fail the small-meet rule (rhombus_directions)
-    is marked and probed as its chunk is read (_pair_count); the pairs of
-    every other direction go in one batch (_small_pair_counts).
+    direction of every radius are read in chunks of directions, each one
+    2-D gather on the tiling of E2 and one on that of E4, of at most
+    geometry.INDEX_CHUNK cells.  A direction whose meet sizes a and b fail
+    the small-meet rule (rhombus_directions) is marked and probed as its
+    chunk is read (_pair_count); the pairs of every other direction go in
+    one batch (_small_pair_counts).
     """
     q = ctx.q
     swapped = len(E2) * len(E4) < len(E1) * len(E3)
@@ -622,13 +616,11 @@ def _pair_terms(ctx, E1, E2, E3, E4, circles) -> np.ndarray:
                                    negated_points(np.concatenate(e34), q), b * small,
                                    np.array(list(circles), dtype=norms.dtype)[owner])
     computed = np.stack([a, b, rhom])
-    out = np.zeros((3, len(sts), max(map(len, sts))), dtype=np.int64)
     lo = 0
     for k, (x, source) in enumerate(mirrors):
         part = computed[:, lo:lo + len(x)]
         out[:, k, :len(sts[k])] = part if source is None else part[:, source]
         lo += len(x)
-    return out
 
 
 def _small_pair_counts(norms, cells, a, v, b, radius) -> np.ndarray:

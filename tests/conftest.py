@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from ffplane.bounds import (check_par_mean, check_rhom_lower, check_rhom_relation,
+                            check_unit_distance)
 from ffplane.field import PrimeFieldCtx
-from ffplane.geometry import gen_random_set
+from ffplane.geometry import PointSet, full_plane, gen_random_set
 from ffplane.rng import SplitMix64
 
 
@@ -60,3 +62,16 @@ def direction_sums(terms):
     for p in prods:
         root += math.sqrt(p)
     return sum(r for _, _, r in terms), sum(prods), root, prods
+
+
+def extreme_case_reports(ctx, t: int) -> list:
+    """The two boundary instances (empty sets, full plane) for each check."""
+    empty = PointSet(ctx.q, [])
+    plane = full_plane(ctx)
+    reports = []
+    for s in (empty, plane):
+        reports.append(check_unit_distance(ctx, s, s, t))
+        reports.append(check_par_mean(ctx, s, s, s, s, t))
+        reports.append(check_rhom_relation(ctx, s, s, s, s, t))
+        reports.append(check_rhom_lower(ctx, s, s, s, s, t))
+    return reports

@@ -11,12 +11,11 @@ oracles and frozen here as golden numbers.
 import json
 import time
 
-from conftest import random_quadruple
+from conftest import extreme_case_reports, random_quadruple
 from ffplane import cli
 from ffplane.bounds import (
     check_par_mean_all,
     check_par_all_pairs,
-    extreme_case_reports,
     sweep,
 )
 from ffplane.counting import (

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import RHOMBUS_ROUTES, direction_sums, random_quadruple
+from conftest import RHOMBUS_ROUTES, direction_sums, extreme_case_reports, random_quadruple
 from ffplane import bounds, counting, geometry
 from ffplane.bounds import (
     CHECK_NAMES,
@@ -22,7 +22,6 @@ from ffplane.bounds import (
     check_rhom_lower,
     check_rhom_relation,
     check_unit_distance,
-    extreme_case_reports,
     par_mean_holds,
     par_pair_holds,
     rhom_relation_holds,
@@ -206,7 +205,7 @@ def test_rhom_relation_from_arrays_reaches_the_isqrt_fallback(monkeypatch, ctx7,
     p = 4 * 7**3 + step
     terms = np.zeros((3, 1, 8), dtype=np.int64)
     terms[:2, 0, 0] = p, 1
-    monkeypatch.setattr(counting, "_rhombus_terms", lambda ctx, quads, radii: (terms, [8]))
+    monkeypatch.setattr(counting, "_rhombus_terms", lambda ctx, quads, radii: ([{1: 0}], terms, [8]))
     roots = []
     isqrt = math.isqrt
     monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))

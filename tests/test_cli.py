@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -1079,6 +1080,20 @@ def test_benchmark_commands_parse_directly(monkeypatch):
         args = cli._parse_direct(argv)
         assert args is not None, argv
         assert vars(args) == _full_parse(parser, argv)
+
+
+def test_every_traced_name_resolves():
+    """perfbench's tracer wraps each (module, attribute) of its TRACED
+    table, read with getattr and no default, so a name deleted or renamed
+    in ffplane breaks the traced benchmark: each must name a callable."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, attr) for module, attr, _ in tracer.TRACED
+               if not callable(getattr(importlib.import_module(f"ffplane.{module}"), attr, None))]
+    assert tracer.TRACED
+    assert not missing
 
 
 _STR_VALUES = ["full", "random:0.5:3", "line-ap:0:1:2", "", "a b", "x=y", "7",

@@ -675,8 +675,11 @@ def _sums_blocks(ctx):
     quad takes the bits with _PAIRS_PER_DIRECTION at 0, where a quad takes
     them once |E1| |E3| reaches 32 |S_t| L: dense distinct and paired
     quads, empty and full planes, sparse distinct and paired quads, an
-    unreduced radius and an empty list of radii.  The second stack's quads
-    on the bits are all paired, so they compute one of each +-x."""
+    unreduced radius and an empty list of radii.  At q = 13 and 31 a dense
+    quad at radii 0 and 1 sits between two quads on the pairs, so the
+    first stack's bit rows have two circle sizes, interleaved with pair
+    rows.  The second stack's quads on the bits are all paired, so they
+    compute one of each +-x."""
     q = ctx.q
     dense = [gen_random_set(ctx, 0.6, 7 * q + k) for k in range(4)]
     sparse = [gen_random_set(ctx, 0.05 if q > 5 else 0.15, 9 * q + k) for k in range(4)]
@@ -687,6 +690,8 @@ def _sums_blocks(ctx):
              ([empty] * 4, [1], False), (sparse[:1] * 2 + sparse[1:2] * 2, [2, 1], False),
              (dense[::-1], [], True), (dense[1:] + sparse[:1], [q - 1, 0, 3 % q], None)]
     paired = [mixed[k] for k in (2, 3, 5, 4)]
+    if q in (13, 31):
+        mixed.insert(5, (dense[2:] + dense[:2], [0, 1], True))
     return mixed, paired
 
 
@@ -696,9 +701,11 @@ def test_rhombus_sums_match_per_quad_directions(q, chunk):
     """Each quad's rhombus_sums, from one stacked call over quads on both
     routes, equal the sums of its own rhombus_directions terms at every
     radius, the roots added one at a time in circle order, bit for bit.
-    The bits take one pass over every quad the rule sends to them, and
-    geometry.INDEX_CHUNK at 1, 7, 100 and its default cuts the chunks
-    across directions, radii and (at q = 13 and 5) quads."""
+    The bits take one pass per circle size among the bit rows, each over
+    the whole stack of quads the rule sends to them, and together the
+    passes write every bit row once, each at its own quad and reduced
+    radius.  geometry.INDEX_CHUNK at 1, 7, 100 and its default cuts the
+    chunks across directions, radii and (at q = 13 and 5) quads."""
     ctx = PrimeFieldCtx(q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_PAIRS_PER_DIRECTION", 0)
@@ -715,7 +722,15 @@ def test_rhombus_sums_match_per_quad_directions(q, chunk):
             assert [rule for _, rs, rule in block if rs and rule is not None] == \
                 [any(quad is b for b in on_bits) for quad, rs, rule in block
                  if rs and rule is not None]
-            assert [args[1] for args in bits] == [on_bits]
+            # Each row's quad and reduced radius, rows quad-major.
+            rows = [(quad, t) for quad, rs, _ in block for t in dict.fromkeys(t % q for t in rs)]
+            bit_rows = [row for row, (quad, _) in enumerate(rows) if quad in on_bits]
+            assert len(bits) == len({len(circle(ctx, rows[row][1])) for row in bit_rows})
+            for _, stack, triples, *_ in bits:
+                assert stack == on_bits
+                assert len({len(circle(ctx, t)) for _, t, _ in triples}) == 1
+                assert all(rows[row] == (stack[i], t) for i, t, row in triples)
+            assert sorted(row for args in bits for _, _, row in args[2]) == bit_rows
             assert len(pairs) == sum(1 for quad, rs, _ in block if rs and quad not in on_bits)
             for quad, rs, by_radius in zip(quads, radii, sums):
                 assert list(by_radius) == rs
