@@ -11,26 +11,24 @@ hide unspecified constants.  One table, CHECKS, holds what defines each
 check apart from its builder: the sets a sweep trial reads, whether it is
 asserted, and its line layout, in stream order.
 
-Checkers and sweeps derive reports through one per-instance path,
-_reports, which gives a ReportBatch: one check's reports on one instance as
-columns, with what its radii share computed once.  A sweep keeps its
-batches grouped by check, and the CLI writes each batch's lines in one pass
-of the check's layout, or its csv rows (report.csv_lines), and each group's
-summary; BoundReports are built only for the check_* functions and a sweep
-read as a sequence.
-A sweep draws each trial's sets once, U, V, E3, E4; a check on k sets
-draws its radii from a copy of the trial stream after the k-th set, so its
-reports do not depend on the checks run beside it.  The rhombus checks
-read Rhom_t and the sums over directions of their relation from
-counting.rhombus_sums: one call per sweep block, or a block of one for a
-check_* function.
+Checkers and sweeps share one path: a block of instances gets its count
+arrays from one call per counter (_counts), and each check's row builder
+forms the columns of all its (instance, radius) rows from them in one
+array pass, then a ReportBatch per instance; a check_* function is a block
+of one.  A sweep draws each trial's sets once, U, V, E3, E4; a check on k
+sets draws its radii from a copy of the trial stream after the k-th set,
+so its reports do not depend on the checks run beside it.  It keeps each
+block's count arrays alone and builds its batches as they are read.
+BoundReports are built only for the check_* functions and a sweep read as
+a sequence.
 """
 
 import math
 
+import numpy as np
+
 from . import geometry
-from .counting import (count_unit_distances, par_and_n_t_profiles, par_t_profile,
-                       rhombus_sums)
+from .counting import count_unit_distances, par_and_n_t_profiles, rhombus_sums
 from .errors import InvalidPair, InvalidRadius
 from .field import PrimeFieldCtx
 from .fourier import circle_decay_batch, circle_decay_lines
@@ -47,32 +45,44 @@ def _radius(ctx, t: int, what: str) -> int:
 def check_unit_distance(ctx, U: PointSet, V: PointSet, t: int) -> BoundReport:
     """|N_t(U,V) - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), any nonzero t."""
     t = _radius(ctx, t, "unit-distance check")
-    return _reports(ctx, "unit-distance", (U, V), [t], {}).report(0)
+    return _check(ctx, "unit-distance", (U, V), [t]).report(0)
 
 
 # The verdicts below are exact: multiplied by a power of q and squared
 # (par-vs-mean once its Par/q^2 term is moved left and its sign checked),
-# each inequality compares integers; the rhombus relation, a sum of square
-# roots, is decided by interval.  lhs, rhs, ratio and slack are reported as
-# floats.
+# each inequality reads d^2 <= N for integers d and N, that is
+# |d| <= isqrt(N): one limit an instance (_*_limit), which a row builder
+# sets against each row of a block and a *_holds call against one.  The
+# rhombus relation, a sum of square roots, is decided by interval.
+
+def _unit_limit(q, uv):
+    return math.isqrt(4 * q**3 * uv)
+
 
 def unit_distance_holds(q: int, n_t: int, size_u: int, size_v: int) -> bool:
     """|n_t - |U||V|/q| <= 2 sqrt(q) sqrt(|U||V|), as
     (q n_t - |U||V|)^2 <= 4 q^3 |U||V|."""
     uv = size_u * size_v
-    return (q * n_t - uv) ** 2 <= 4 * q**3 * uv
+    return abs(q * n_t - uv) <= _unit_limit(q, uv)
+
+
+def _mean_limit(q, par_all, prod):
+    return par_all + math.isqrt(4 * q**5 * prod)
 
 
 def par_mean_holds(q: int, par_t: int, par_all: int, prod: int) -> bool:
     """|Par_t - Par/q| <= 2 sqrt(q) sqrt(prod) + Par/q^2: times q^2, with
     g = |q^2 Par_t - q Par| - Par, as g <= 0 or g^2 <= 4 q^5 prod."""
-    g = abs(q * q * par_t - q * par_all) - par_all
-    return g <= 0 or g * g <= 4 * q**5 * prod
+    return abs(q * q * par_t - q * par_all) <= _mean_limit(q, par_all, prod)
+
+
+def _pair_limit(q, prod):
+    return math.isqrt(16 * q * prod)
 
 
 def par_pair_holds(q: int, par_t: int, par_t2: int, prod: int) -> bool:
     """|Par_t - Par_t'| <= 4 sqrt(q) sqrt(prod), as (Par_t - Par_t')^2 <= 16 q prod."""
-    return (par_t - par_t2) ** 2 <= 16 * q * prod
+    return abs(par_t - par_t2) <= _pair_limit(q, prod)
 
 
 def rhom_relation_holds(q: int, rhom: int, prods: list, rhs: float) -> bool:
@@ -109,22 +119,42 @@ def rhom_relation_holds(q: int, rhom: int, prods: list, rhs: float) -> bool:
         k *= 2
 
 
+def _sharp_limit(q, p12, p34):
+    return math.isqrt(q * p12 * p34)
+
+
 def rhom_sharp_holds(q: int, rhom: int, sum_prod: int, p12: int, p34: int) -> bool:
     """|Rhom_t - sum_prod/q| <= sqrt(q) sqrt(p12/q) sqrt(p34/q), as
     (q Rhom_t - sum_prod)^2 <= q p12 p34."""
-    return (q * rhom - sum_prod) ** 2 <= q * p12 * p34
+    return abs(q * rhom - sum_prod) <= _sharp_limit(q, p12, p34)
 
 
-# Each row builder below makes one check's ReportBatch on one instance from
-# its counts, computing what every radius shares once; its line layout
-# follows it.  A layout turns a swept batch (sweep adds trial and seed to
-# the inputs) into the batch's report lines: each line's keys sorted, ints
-# by str, floats by repr and flags by JSON_BOOL, its head (the config and
-# the opening of extra) given by cli._report_writer.  A builder's counts
-# are ints and its floats finite, and its rhs is 0 only where there is
-# nothing to count, so lhs is 0 too and no ratio is infinite: every value
-# has one of those forms.  A key added to a builder must go into its layout
-# too: tests/test_cli.py compares every swept report's line with json.dumps.
+# Each row builder below takes a block's set sizes and its counts at the
+# radii, arrays with a row per instance, and returns (extra an instance,
+# row_extra, lhs, rhs, holds) as columns, rhs one column where an
+# instance's rows share it.  Counts stay int64 while every integer a row
+# formula forms is below 2^53 (_exact), so every float is the Python
+# expression's on ints, bit for bit; past that they are Python ints.  A
+# layout follows each builder: it writes a swept batch's lines, keys
+# sorted, ints by str, floats by repr and flags by JSON_BOOL, after the head
+# cli._report_writer gives.  Counts are ints and floats finite, and rhs is
+# 0 only where lhs is, so no ratio is infinite.  A key added to a builder
+# must go into its layout too: tests/test_cli.py checks the lines.
+
+def _top(counts):
+    return int(counts.max(initial=0))
+
+
+def _exact(bound, *counts) -> list:
+    """counts as int64 if bound < 2^53, else as Python ints; a list of
+    one int an instance becomes a column."""
+    dtype = np.int64 if bound < 2**53 else object
+    return [np.asarray(c, dtype).reshape(len(c), -1) for c in counts]
+
+
+def _column(values):
+    return np.array(values)[:, None]
+
 
 def _sized_parts(b, prng) -> tuple:
     """line_parts of a swept batch, whose inputs vary in t (and t2)."""
@@ -134,14 +164,14 @@ def _sized_parts(b, prng) -> tuple:
                       f', "trial": {i["trial"]}')
 
 
-def _unit_distance_batch(q, radii, counts, sizes, **tag) -> ReportBatch:
-    mean = sizes[0] * sizes[1] / q
-    rhs = 2.0 * math.sqrt(q) * math.sqrt(sizes[0] * sizes[1])
-    return ReportBatch(
-        "unit-distance", {"q": q, "sizes": sizes, **tag}, {"mean": mean},
-        {"t": list(radii)}, {"count": counts},
-        [abs(n - mean) for n in counts], rhs,
-        [unit_distance_holds(q, n, *sizes) for n in counts])
+def _unit_distance_rows(q, sizes, n) -> tuple:
+    uv = [a * b for a, b in sizes]
+    limits = [_unit_limit(q, x) for x in uv]
+    n, uv_, limit = _exact(max(q * _top(n) + max(uv), max(limits)), n, uv, limits)
+    means = [x / q for x in uv]
+    return ([{"mean": m} for m in means], {"count": n}, abs(n - _column(means)),
+            _column([2.0 * math.sqrt(q) * math.sqrt(x) for x in uv]),
+            abs(q * n - uv_) <= limit)
 
 
 def _unit_distance_lines(b, head, prng) -> str:
@@ -153,15 +183,16 @@ def _unit_distance_lines(b, head, prng) -> str:
                                       b.lhs, b.ratio, b.slack, b.holds)])
 
 
-def _par_mean_batch(q, radii, par_t, par_all, sizes, **tag) -> ReportBatch:
-    mean = par_all / q
-    prod = math.prod(sizes)
-    return ReportBatch(
-        "par-vs-mean", {"q": q, "sizes": sizes, **tag}, {"par_all": par_all},
-        {"t": list(radii)}, {"par_t": par_t},
-        [abs(p - mean) for p in par_t],
-        2.0 * math.sqrt(q) * math.sqrt(prod) + par_all / q**2,
-        [par_mean_holds(q, p, par_all, prod) for p in par_t])
+def _par_mean_rows(q, sizes, par_t, par_all) -> tuple:
+    prods = [math.prod(s) for s in sizes]
+    limits = [_mean_limit(q, a, p) for a, p in zip(par_all, prods)]
+    par_t, par, limit = _exact(max(q * q * _top(par_t) + q * max(par_all), max(limits)),
+                               par_t, par_all, limits)
+    return ([{"par_all": a} for a in par_all], {"par_t": par_t},
+            abs(par_t - _column([a / q for a in par_all])),
+            _column([2.0 * math.sqrt(q) * math.sqrt(p) + a / q**2
+                     for a, p in zip(par_all, prods)]),
+            abs(q * q * par_t - q * par) <= limit)
 
 
 def _par_mean_lines(b, head, prng) -> str:
@@ -177,24 +208,23 @@ def check_par_mean(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     """|Par_t - Par/q| <= 2 sqrt(q) * sqrt(|E1||E2||E3||E4|) + Par/q^2,
     unconditional."""
     t = _radius(ctx, t, "one-side-length check")
-    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), [t], {}).report(0)
+    return _check(ctx, "par-vs-mean", (E1, E2, E3, E4), [t]).report(0)
 
 
 def check_par_mean_all(ctx, E1, E2, E3, E4) -> list:
     """Mean-concentration reports for every nonzero t, one table pass."""
-    return _reports(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q), {}).reports()
+    return _check(ctx, "par-vs-mean", (E1, E2, E3, E4), range(1, ctx.q)).reports()
 
 
-def _par_pair_batch(q, pairs, par_t, par_t2, sizes, **tag) -> ReportBatch:
-    """One row per radius pair (t, t') with t's and t''s counts; every pair
-    shares prod = |E1||E2||E3||E4| and rhs = 4 sqrt(q) * sqrt(prod)."""
-    prod = math.prod(sizes)
-    return ReportBatch(
-        "par-pairs", {"q": q, "sizes": sizes, **tag}, {},
-        {"t": [t for t, _ in pairs], "t2": [t2 for _, t2 in pairs]},
-        {"par_t": par_t, "par_t2": par_t2},
-        [abs(a - c) for a, c in zip(par_t, par_t2)], 4.0 * math.sqrt(q) * math.sqrt(prod),
-        [par_pair_holds(q, a, c, prod) for a, c in zip(par_t, par_t2)])
+def _par_pair_rows(q, sizes, par_t, par_t2) -> tuple:
+    """A row per radius pair (t, t') with t's and t''s counts."""
+    prods = [math.prod(s) for s in sizes]
+    limits = [_pair_limit(q, p) for p in prods]
+    par_t, par_t2, limit = _exact(max(_top(par_t), _top(par_t2), max(limits)),
+                                  par_t, par_t2, limits)
+    gap = abs(par_t - par_t2)
+    return ([{} for _ in sizes], {"par_t": par_t, "par_t2": par_t2}, gap,
+            _column([4.0 * math.sqrt(q) * math.sqrt(p) for p in prods]), gap <= limit)
 
 
 def _par_pair_lines(b, head, prng) -> str:
@@ -213,38 +243,38 @@ def check_par_pair(ctx, E1, E2, E3, E4, t: int, t2: int) -> BoundReport:
     if (t - t2) % ctx.q == 0:
         raise InvalidPair("the two radii must differ")
     pair = (_radius(ctx, t, "pair check"), _radius(ctx, t2, "pair check"))
-    return _reports(ctx, "par-pairs", (E1, E2, E3, E4), [pair], {}).report(0)
+    return _check(ctx, "par-pairs", (E1, E2, E3, E4), [pair]).report(0)
 
 
 def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
     """Pair reports for every unordered {t, t'} in F_q*, one table pass."""
-    return _reports(ctx, "par-pairs", (E1, E2, E3, E4),
-                    _radii(ctx, "par-pairs", all_t=True), {}).reports()
+    return _check(ctx, "par-pairs", (E1, E2, E3, E4),
+                  _radii(ctx, "par-pairs", all_t=True)).reports()
 
 
-def _rhom_relation_batch(q, radii, sums, sizes, **tag) -> ReportBatch:
-    """One row per radius t from its rhombus sums (Rhom_t, sum_x p_x,
-    sum_x sqrt(p_x) in circle order, [p_x]) over the directions x
-    (counting.rhombus_sums); every row shares the sharp display's rhs and
-    hypothesis."""
-    p12 = sizes[0] * sizes[1]
-    p34 = sizes[2] * sizes[3]
-    scale = 2.0 * math.sqrt(q)
-    rhoms, par_t, lhs, rhs, holds, sharp = [], [], [], [], [], []
-    for rhom, sum_prod, sum_sqrt, prods in sums:
-        rhs_t = scale * sum_sqrt
-        rhoms.append(rhom)
-        par_t.append(sum_prod)
-        lhs.append(abs(rhom - sum_prod / q))
-        rhs.append(rhs_t)
-        holds.append(rhom_relation_holds(q, rhom, prods, rhs_t))
-        sharp.append(rhom_sharp_holds(q, rhom, sum_prod, p12, p34))
-    return ReportBatch(
-        "rhom-vs-par", {"q": q, "sizes": sizes, **tag},
-        {"sharp_rhs": math.sqrt(q) * math.sqrt(p12 / q) * math.sqrt(p34 / q),
-         "sharp_hypothesis": p12 >= q**3 and p34 >= q**3},
-        {"t": list(radii)}, {"rhom_t": rhoms, "par_t": par_t, "sharp_holds": sharp},
-        lhs, rhs, holds)
+def _rhom_relation_rows(q, sizes, rows, rhom, par, roots, prods, widths) -> tuple:
+    """A row per radius t from rhombus_sums' arrays (Rhom_t, sum_x p_x,
+    sum_x sqrt(p_x), [p_x], |S_t|) read at ``rows``; the verdicts come from
+    rhom_relation_holds' float band, and the ones inside it from the call."""
+    p12 = [s[0] * s[1] for s in sizes]
+    p34 = [s[2] * s[3] for s in sizes]
+    limits = [_sharp_limit(q, a, b) for a, b in zip(p12, p34)]
+    m, s = rhom[rows], par[rows]
+    m, s, limit = _exact(max(q * _top(m) + _top(s), max(limits)), m, s, limits)
+    gap = abs(q * m - s)
+    rhs = 2.0 * math.sqrt(q) * roots[rows]
+    qr = q * rhs
+    band = qr * (np.asarray(widths)[rows] + 8) * 2.0**-50
+    holds = gap < qr - band
+    holds |= gap == 0
+    for k, r in zip(*np.nonzero((gap <= qr + band) > holds)):
+        row = rows[k, r]
+        row_prods = [int(p) for p in prods[row][:widths[row]]]
+        holds[k, r] = rhom_relation_holds(q, int(m[k, r]), row_prods, float(rhs[k, r]))
+    extra = [{"sharp_rhs": math.sqrt(q) * math.sqrt(a / q) * math.sqrt(b / q),
+              "sharp_hypothesis": a >= q**3 and b >= q**3} for a, b in zip(p12, p34)]
+    return (extra, {"rhom_t": m, "par_t": s, "sharp_holds": gap <= limit},
+            abs(m - s / q), rhs, holds)
 
 
 def _rhom_relation_lines(b, head, prng) -> str:
@@ -274,18 +304,15 @@ def check_rhom_relation(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     density hypothesis |E1||E2|, |E3||E4| >= q^3.
     """
     t = _radius(ctx, t, "rhombus relation")
-    return _reports(ctx, "rhom-vs-par", (E1, E2, E3, E4), [t], {}).report(0)
+    return _check(ctx, "rhom-vs-par", (E1, E2, E3, E4), [t]).report(0)
 
 
-def _rhom_lower_batch(q, radii, rhoms, sizes, **tag) -> ReportBatch:
-    prod = math.prod(sizes)
-    hyp = prod >= q**7
-    scale = q**4
-    return ReportBatch(
-        "rhom-lower", {"q": q, "sizes": sizes, **tag}, {"hypothesis": hyp},
-        {"t": list(radii)}, {"rhom_t": rhoms},
-        [float(m * scale) for m in rhoms], float(prod),
-        [m > 0 for m in rhoms] if hyp else [True] * len(rhoms))
+def _rhom_lower_rows(q, sizes, rhom) -> tuple:
+    prods = [math.prod(s) for s in sizes]
+    hyp = [p >= q**7 for p in prods]
+    m, = _exact(q**4 * _top(rhom), rhom)
+    return ([{"hypothesis": h} for h in hyp], {"rhom_t": m}, (m * q**4).astype(float),
+            _column([float(p) for p in prods]), (m > 0) | ~np.array(hyp)[:, None])
 
 
 def _rhom_lower_lines(b, head, prng) -> str:
@@ -305,7 +332,7 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     since the statement hides a constant.
     """
     t = _radius(ctx, t, "rhombus lower check")
-    return _reports(ctx, "rhom-lower", (E1, E2, E3, E4), [t], {}).report(0)
+    return _check(ctx, "rhom-lower", (E1, E2, E3, E4), [t]).report(0)
 
 
 # check name -> (sets a sweep trial reads, asserted, line layout), in
@@ -320,36 +347,82 @@ CHECKS = {
     "circle-decay": (0, True, circle_decay_lines),
 }
 CHECK_NAMES = tuple(CHECKS)
+_ROWS = {"unit-distance": _unit_distance_rows, "par-vs-mean": _par_mean_rows,
+         "par-pairs": _par_pair_rows, "rhom-vs-par": _rhom_relation_rows,
+         "rhom-lower": _rhom_lower_rows}
 
 
-def _reports(ctx, check: str, sets, radii, memo: dict, **tag) -> ReportBatch:
-    """One check's report batch on one instance, a row per radius (radius
-    pair for par-pairs); ``memo`` keeps the Par_t profile of E1..E4, the
-    n_t profile of E1, E2 when a sweep binned it with the Par_t profile, and
-    the instance's rhombus_sums at its radii, and ``tag`` (a sweep's trial
-    and seed) joins the inputs."""
-    q = ctx.q
-    sizes = [len(s) for s in sets]
-    if check == "unit-distance":
-        n_t = memo.get("n_t")
-        counts = [count_unit_distances(ctx, *sets, t).value if n_t is None else n_t[t]
-                  for t in radii]
-        return _unit_distance_batch(q, radii, counts, sizes, **tag)
-    if check in ("par-vs-mean", "par-pairs"):
-        if "profile" not in memo:
-            memo["profile"] = par_t_profile(ctx, *sets)
-        profile = memo["profile"]
-        if check == "par-pairs":
-            return _par_pair_batch(q, radii, [profile[t] for t, _ in radii],
-                                   [profile[t2] for _, t2 in radii], sizes, **tag)
-        return _par_mean_batch(q, radii, [profile[t] for t in radii],
-                               sum(profile.values()), sizes, **tag)
-    if "rhombi" not in memo:
-        memo["rhombi"] = rhombus_sums(ctx, [sets], [radii])[0]
-    rhombi = memo["rhombi"]
-    if check == "rhom-vs-par":
-        return _rhom_relation_batch(q, radii, [rhombi[t] for t in radii], sizes, **tag)
-    return _rhom_lower_batch(q, radii, [rhombi[t][0] for t in radii], sizes, **tag)
+def _counts(ctx, names, block, radii) -> dict:
+    """The count arrays of the checks ``names`` on a block of instances,
+    block[i] at the radii radii[i][name], one counter call each: the Par_t
+    profiles (par_and_n_t_profiles), n_t at each unit-distance radius (from
+    that call's n_t profiles, else count_unit_distances per instance) and
+    rhombus_sums at the rhombus checks' radii, with each instance's rows."""
+    counts = {}
+    if "par-vs-mean" in names or "par-pairs" in names:
+        counts["par"], n_t = par_and_n_t_profiles(ctx, block)
+    if "unit-distance" in names:
+        ts = [r["unit-distance"][0] for r in radii]
+        counts["unit"] = (n_t[range(len(ts)), ts] if "par" in counts else
+                          np.array([count_unit_distances(ctx, *sets[:2], t).value
+                                    for sets, t in zip(block, ts)]))
+    rhombic = [name for name in names if name in ("rhom-vs-par", "rhom-lower")]
+    if rhombic:
+        # Both rhombus checks draw their radii from the stream after E4.
+        radii = [r[rhombic[0]] for r in radii]
+        keys, *sums = rhombus_sums(ctx, block, radii)
+        rows = np.array([list(map(key.__getitem__, r)) for key, r in zip(keys, radii)])
+        counts["rhombi"] = (rows, *sums)
+    return counts
+
+
+def _block_batches(q, name, tags, sizes, radii, counts):
+    """Check name's ReportBatch of each instance of a block from its
+    _counts, tags[i] (a sweep's trial and seed) joining instance i's inputs."""
+    sizes = [s[:CHECKS[name][0]] for s in sizes]
+    at = np.array([r[name] for r in radii])
+    if name in ("rhom-vs-par", "rhom-lower"):
+        rows, rhom, *rest = counts["rhombi"]
+        args = (rows, rhom, *rest) if name == "rhom-vs-par" else (rhom[rows],)
+    elif name == "unit-distance":
+        args = (counts["unit"],)
+    else:
+        par = counts["par"]
+        par_t = par[np.arange(len(at)).reshape((-1,) + (1,) * (at.ndim - 1)), at]
+        args = ((par_t[..., 0], par_t[..., 1]) if name == "par-pairs" else
+                (par_t, par.sum(axis=1).tolist()))
+    return _batches(name, q, at, sizes, tags, *_ROWS[name](q, sizes, *args))
+
+
+def _batches(name, q, at, sizes, tags, extra, row_extra, lhs, rhs, holds):
+    """Each instance's ReportBatch of a block from its radii ``at`` (t, t'
+    on the last axis for par-pairs) and its row builder's columns; ratio is
+    lhs / rhs, 0 where both are 0."""
+    lhs_f = lhs.astype(float, copy=False)
+    if rhs.all():
+        ratio = lhs_f / rhs
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = lhs_f / rhs
+        ratio[lhs_f == 0] = 0.0
+    slack = (rhs - lhs_f).tolist()
+    width = holds.shape[1]
+    rhs = rhs.tolist() if rhs.shape[1] > 1 else [[x] * width for x, in rhs.tolist()]
+    inputs = ({"t": at[..., 0].tolist(), "t2": at[..., 1].tolist()} if at.ndim == 3
+              else {"t": at.tolist()})
+    varying = [c.tolist() for c in row_extra.values()]
+    for tag, size, shared, ins, ext, lhs_k, rhs_k, ratio_k, slack_k, holds_k in zip(
+            tags, sizes, extra, zip(*inputs.values()), zip(*varying),
+            lhs.tolist(), rhs, ratio.tolist(), slack, holds.tolist()):
+        yield ReportBatch(name, {"q": q, "sizes": size, **tag}, shared, dict(zip(inputs, ins)),
+                          dict(zip(row_extra, ext)), lhs_k, rhs_k, ratio_k, slack_k, holds_k)
+
+
+def _check(ctx, name: str, sets, radii) -> ReportBatch:
+    """Check name's batch on one instance at ``radii``: a block of one."""
+    radii = [{name: radii}]
+    return next(_block_batches(ctx.q, name, [{}], [[len(s) for s in sets]], radii,
+                               _counts(ctx, [name], [sets], radii)))
 
 
 # -- seeded sweeps -------------------------------------------------------------
@@ -358,13 +431,14 @@ def _draw_t(ctx, rng: SplitMix64) -> int:
     return 1 + rng.next_below(ctx.q - 1)
 
 
-def _radii(ctx, check: str, all_t: bool, rng=None, t=None) -> list:
-    """Every radius under all_t (every pair t < t' for par-pairs), else the
-    pinned t or a draw from rng, paired with another draw for par-pairs."""
+def _radii(ctx, check: str, all_t: bool, rng=None, t=None):
+    """Every radius under all_t (every pair t < t' for par-pairs, an array),
+    else the pinned t or a draw from rng, paired with another draw for
+    par-pairs."""
     if all_t and check == "par-pairs":
-        return [(a, b) for a in range(1, ctx.q) for b in range(a + 1, ctx.q)]
+        return np.array(np.triu_indices(ctx.q - 1, 1)).T + 1
     if all_t and check != "unit-distance":
-        return range(1, ctx.q)
+        return list(range(1, ctx.q))
     ta = _draw_t(ctx, rng) if t is None else t
     if check != "par-pairs":
         return [ta]
@@ -376,25 +450,39 @@ def _radii(ctx, check: str, all_t: bool, rng=None, t=None) -> list:
 
 class Sweep:
     """A sweep's report batches as ``groups``, one (check, batches) pair per
-    check in the order asked for.  ``batches`` lists them all in that order,
-    and as a sequence a sweep is their reports: len() counts them, and
+    check in the order asked for, whose batches yield each trial's batch
+    (circle-decay: one for every j), a block's built when it is reached and
+    anew on each read of ``groups``.  The ``batches`` property lists them
+    all, and as a sequence a sweep is their reports: len() counts them, and
     iterating (or list()) builds them."""
 
-    __slots__ = ("groups",)
+    __slots__ = ("q", "names", "decay", "blocks")
 
-    def __init__(self, groups: list):
-        self.groups = groups
+    def __init__(self, q: int, names: list, decay, blocks: list):
+        self.q, self.names, self.decay, self.blocks = q, names, decay, blocks
+
+    def _batches(self, name: str):
+        if name == "circle-decay":
+            return iter([self.decay])
+        return (batch for block in self.blocks for batch in _block_batches(self.q, name, *block))
+
+    @property
+    def groups(self) -> list:
+        return [(name, self._batches(name)) for name in self.names]
 
     @property
     def batches(self) -> list:
         return [batch for _, batches in self.groups for batch in batches]
 
     def __len__(self) -> int:
-        return sum(map(len, self.batches))
+        return sum(len(self.decay) if name == "circle-decay" else
+                   sum(len(r[name]) for block in self.blocks for r in block[2])
+                   for name in self.names)
 
     def __iter__(self):
-        for batch in self.batches:
-            yield from batch.reports()
+        for _, batches in self.groups:
+            for batch in batches:
+                yield from batch.reports()
 
 
 def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
@@ -414,13 +502,8 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     stream after V, the rest after E4.  So a check's reports do not depend
     on which checks run with it.  Every trial's draws come first; then each
     block of trials whose sets fit INDEX_CHUNK cells gets its sets from one
-    gen_random_set pass and, when a par check runs, its Par_t profiles from
-    one par_and_n_t_profiles call, whose n_t profiles of U, V give
-    unit-distance its counts; without a par check, unit-distance counts its
-    radius per trial.  When a rhombus check runs, the block's trials, each
-    at its own radii (all of them, or its drawn or pinned one), get their
-    rhombus sums from one rhombus_sums call: one stacked bit-route pass at
-    q <= 61 for the trials the route rule sends there.
+    gen_random_set pass and its count arrays from _counts, and the sets are
+    dropped.
     """
     names = [check] if isinstance(check, str) else list(check)
     for name in names:
@@ -430,8 +513,8 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
         t = _radius(ctx, t, "pinned radius")
     set_counts = [CHECKS[name][0] for name in names]
     nsets = max(set_counts)
-    js = range(ctx.q) if t is None else [t]
-    batches = [[circle_decay_batch(ctx, js)] if k == 0 else [] for k in set_counts]
+    decay = (circle_decay_batch(ctx, range(ctx.q) if t is None else [t])
+             if "circle-decay" in names else None)
     master = SplitMix64(seed)
     draws, states = [], []
     for _ in range(trials if nsets else 0):
@@ -440,27 +523,19 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
         for _ in range(nsets):
             draws.append((rng.next_float() if density is None else density, rng.next_u64()))
             states[-1].append(rng.state)
-    profiled = "par-vs-mean" in names or "par-pairs" in names
-    rhombic = next((name for name in names if name in ("rhom-vs-par", "rhom-lower")), None)
+    # Under all_t the trials of a check share one list of radii.
+    every = {name: _radii(ctx, name, True) for name in names
+             if all_t and name not in ("unit-distance", "circle-decay")}
     per_block = max(1, geometry.INDEX_CHUNK // (max(nsets, 1) * ctx.q * ctx.q))
+    blocks = []
     for lo in range(0, len(states), per_block):
         sets = gen_random_set(ctx, *zip(*draws[lo * nsets:(lo + per_block) * nsets]))
         block = [sets[i:i + nsets] for i in range(0, len(sets), nsets)]
         trials = range(lo, lo + len(block))
-        radii = [{name: _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)
+        radii = [{name: every[name] if name in every else
+                  _radii(ctx, name, all_t, SplitMix64(states[trial][k - 1]), t)
                   for name, k in zip(names, set_counts) if k} for trial in trials]
-        profiles = par_and_n_t_profiles(ctx, block) if profiled else [None] * len(block)
-        memos = [{} if profile is None else dict(zip(("profile", "n_t"), profile))
-                 for profile in profiles]
-        if rhombic:
-            # Both rhombus checks draw their radii from the stream after E4.
-            sums = rhombus_sums(ctx, block, [r[rhombic] for r in radii])
-            for memo, rhombi in zip(memos, sums):
-                memo["rhombi"] = rhombi
-        for trial, trial_sets, trial_radii, memo in zip(trials, block, radii, memos):
-            for name, k, batch in zip(names, set_counts, batches):
-                if k:
-                    batch.append(_reports(ctx, name, trial_sets[:k], trial_radii[name], memo,
-                                          trial=trial, seed=seed))
-    return Sweep(list(zip(names, batches)))
-
+        blocks.append(([{"trial": trial, "seed": seed} for trial in trials],
+                       [[len(s) for s in trial_sets] for trial_sets in block], radii,
+                       _counts(ctx, names, block, radii)))
+    return Sweep(ctx.q, names, decay, blocks)

@@ -11,6 +11,7 @@ from elapsed_ms fields.
 """
 
 import json
+import math
 import os
 import sys
 import time
@@ -183,17 +184,20 @@ def _cmd_bounds(args, ctx, config) -> int:
     if args.format == "csv":
         write(",".join(report.CSV_COLUMNS) + "\n")
     exit_code = 0
-    # Each check's batches are written as they are formatted, then its summary.
+    # Each check's batches are written as they are built, then its summary,
+    # counted in the same pass.
     for check, batches in bounds_mod.sweep(ctx, checks, args.trials, density, args.seed,
                                            all_t=args.all_t, t=t).groups:
-        if report_lines is not None:
-            for batch in batches:
+        instances = violations = 0
+        min_slack = math.inf
+        for batch in batches:
+            if report_lines is not None:
                 write(report_lines(batch))
-        instances = sum(map(len, batches))
-        violations = sum(batch.holds.count(False) for batch in batches)
+            instances += len(batch)
+            violations += batch.holds.count(False)
+            min_slack = min(min_slack, min(batch.slack))
         if violations and bounds_mod.CHECKS[check][1]:
             exit_code = 1
-        min_slack = min(min(batch.slack) for batch in batches)
         if args.format == "json":
             write(json_line({
                 "summary": True,

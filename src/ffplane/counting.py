@@ -277,17 +277,17 @@ def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
     return dict(enumerate(norm_class_sums(ctx, _products(ctx, [(E1, E2, E3, E4)])[0])))
 
 
-def par_and_n_t_profiles(ctx, quads) -> list:
-    """(par_t_profile, n_t_profile of (E1, E2)) of each (E1, E2, E3, E4) in
-    ``quads``, in order: each n_t profile is read from the quad's own D12,
-    and the tables and products are binned in one norm-class reduction;
-    where any quad's products need Python ints, the whole stack holds
-    them."""
+def par_and_n_t_profiles(ctx, quads) -> tuple:
+    """(par, n_t): arrays whose row i is the par_t_profile of quads[i] =
+    (E1, E2, E3, E4) and the n_t_profile of its (E1, E2), read from its own
+    D12; the tables and products are binned in one norm-class reduction.
+    Where any quad's products need Python ints, both arrays hold them."""
     tables, quad_pairs = _quad_tables(ctx, quads)
     stack = np.stack([table_products(tables[i], tables[j]) for i, j in quad_pairs]
                      + [tables[i].table for i, _ in quad_pairs])
-    profiles = [dict(enumerate(sums)) for sums in norm_class_sums(ctx, stack)]
-    return list(zip(profiles[:len(quads)], profiles[len(quads):]))
+    order, starts = norm_class_order(ctx)
+    sums = np.add.reduceat(stack.reshape(len(stack), -1)[:, order], starts, axis=1)
+    return sums[:len(quads)], sums[len(quads):]
 
 
 # -- rhombi -------------------------------------------------------------------
@@ -406,31 +406,26 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     return {t: rows[row] for t, row in keys.items()}
 
 
-def rhombus_sums(ctx, quads, radii) -> list:
-    """The per-radius sums of the rhombus relation for each quad of a
-    stack: [{t: (Rhom_t, sum_x p_x, sum_x sqrt(p_x), [p_x for x on S_t])
-    for t in radii[i]}, for each (E1, E2, E3, E4) = quads[i]], with
-    p_x = |E12^x| |E34^x| and every sum over x on S_t in circle order
-    (rhombus_directions).  The square roots are added one at a time, so
-    sum sqrt(p_x) is the sequential Python float sum bit for bit.  Each
-    quad's radii are its own, and its keys are _rhombus_terms' keys.
+def rhombus_sums(ctx, quads, radii) -> tuple:
+    """The per-radius sums of the rhombus relation for a stack of quads,
+    quads[i] at the radii radii[i]: (keys, rhom, par, roots, prods, sizes)
+    with keys and sizes _rhombus_terms', and arrays whose row k, at radius
+    t, is Rhom_t, sum_x p_x, sum_x sqrt(p_x) and the p_x (zero past
+    |S_t|), where p_x = |E12^x| |E34^x| and x runs over S_t in circle order
+    (rhombus_directions).  The roots are added one at a time, so their sum
+    is the sequential Python float sum bit for bit.
 
     Every quad's terms come from one _rhombus_terms call, so the quads the
     route rule sends to the bits share its bit passes, and the sums of
     every (quad, radius) row are taken in one array pass.
     """
     require_same_q(ctx, *(E for quad in quads for E in quad))
-    keys, terms, sizes = _rhombus_terms(ctx, quads, radii)
-    if not sizes:
-        return keys  # no quad has a radius: every key is {}
-    a, b, rhom = terms
+    keys, (a, b, rhom), sizes = _rhombus_terms(ctx, quads, radii)
     p = a * b
     # The last partial sum of an accumulation is the sequential sum, and the
     # zeros past a circle's end leave it as it is.
     roots = np.cumsum(np.sqrt(p), axis=1)[:, -1]
-    sums = [(m, s, root, prods[:n]) for m, s, root, prods, n in zip(
-        rhom.sum(axis=1).tolist(), p.sum(axis=1).tolist(), roots.tolist(), p.tolist(), sizes)]
-    return [{t: sums[row] for t, row in key.items()} for key in keys]
+    return keys, rhom.sum(axis=1), p.sum(axis=1), roots, p, sizes
 
 
 def _rhombus_terms(ctx, quads, radii) -> tuple:
@@ -446,8 +441,8 @@ def _rhombus_terms(ctx, quads, radii) -> tuple:
     Each quad takes the route the rule of rhombus_directions gives it
     (_takes_bits): a quad on the pairs is one _pair_terms call, given its
     rows' view, and the rows of the quads on the bits one _bit_terms pass
-    per circle size among them.  That is one pass unless S_0 is asked
-    for, as every other circle has q - eta(-1) points.
+    per circle size among them, on one word_tiling.  That is one pass
+    unless S_0 is asked for, as every other circle has q - eta(-1) points.
     """
     q = ctx.q
     keys, quad_rows, ts = [], [], []
@@ -459,7 +454,7 @@ def _rhombus_terms(ctx, quads, radii) -> tuple:
         ts += rows
     circles = {t: circle(ctx, t).points for t in dict.fromkeys(ts)}
     sizes = [len(circles[t]) for t in ts]
-    terms = np.zeros((3, len(ts), max(sizes, default=0)), dtype=np.int64)
+    terms = np.zeros((3, len(ts), max(sizes, default=1)), dtype=np.int64)
     # The bit rows (stack index, t, row) by circle size.
     stack, bits, lo = [], {}, 0
     for quad, rows in zip(quads, quad_rows):
@@ -471,8 +466,10 @@ def _rhombus_terms(ctx, quads, radii) -> tuple:
         elif rows:
             _pair_terms(ctx, *quad, quad_circles, terms[:, lo:lo + len(rows)])
         lo += len(rows)
+    if bits:
+        words = word_tiling([E.indicator for E1, E2, E3, E4 in stack for E in (E2, E4, E1, E3)])
     for rows in bits.values():
-        _bit_terms(ctx, stack, rows, circles, terms)
+        _bit_terms(ctx, stack, rows, circles, terms, words)
     return keys, terms, sizes
 
 
@@ -484,15 +481,15 @@ def _takes_bits(ctx, E1, E2, E3, E4, circles) -> bool:
         _PAIRS_PER_WORD * widest * len(word_layout(ctx)[0]) <= cells + _PAIRS_PER_DIRECTION)
 
 
-def _bit_terms(ctx, quads, rows, circles, terms) -> None:
+def _bit_terms(ctx, quads, rows, circles, terms, words) -> None:
     """Write into ``terms`` (_rhombus_terms) the terms of each (i, t, row)
     of ``rows``, quads[i] at radius t, by popcounts of row words; every
     row's circle, circles[t], has one size.
 
     As S_t = -S_t, rhom_x = sum over w on S_t of |E12^x n (E3 - w) n
     (E4 - w - x)|, and the sets of every quad are one word_tiling stack,
-    so each translate is a gather of its words (word_layout), quad i's at
-    the offset (4 i + k) 4 q^2 of its k-th set.  The meets' words are
+    ``words``, so each translate is a gather of its words (word_layout),
+    quad i's at the offset (4 i + k) 4 q^2 of its k-th set.  The meets' words are
     masked to the plane, and each row's pairs (x, w) are read at its
     circle's offsets plus x, from one word_offsets table of the rows'
     sorted radii.  The pass goes in chunks of rows and directions: no
@@ -506,7 +503,6 @@ def _bit_terms(ctx, quads, rows, circles, terms) -> None:
     # Quad i's E2, E4, E1 and E3 words start at (4 i + 0, 1, 2, 3) span:
     # a direction's meets are its E2 and E4 words at ``pair`` and those of
     # E1 and E3 at the first rows, masked to the plane (``low``).
-    words = word_tiling([E.indicator for E1, E2, E3, E4 in quads for E in (E2, E4, E1, E3)])
     low = words.reshape(len(quads), 4, span)[:, 2:, firsts] & masks
     low = low.reshape(len(quads), 1, 2 * width)
     pair = np.concatenate([firsts, firsts + span])

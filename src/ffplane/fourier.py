@@ -17,12 +17,14 @@ route also takes a stack of tables and transforms each alone.  For a real
 f, fhat(-m) = conj(fhat(m)).
 """
 
+import functools
+
 import numpy as np
 
 from . import geometry
 from .field import PrimeFieldCtx
 from .geometry import PointSet, norm, norm_classes
-from .report import JSON_BOOL, VERDICT_EPS, BoundReport, ReportBatch, line_parts, safe_ratio
+from .report import JSON_BOOL, VERDICT_EPS, BoundReport, ReportBatch, line_parts
 
 
 def _as_array(ctx: PrimeFieldCtx, f) -> np.ndarray:
@@ -110,23 +112,8 @@ def circle_decay_batch(ctx: PrimeFieldCtx, js) -> ReportBatch:
     """
     q = ctx.q
     js = [j % q for j in js]
-    nonzero_mode = np.ones((q, q), dtype=bool)
-    nonzero_mode[0, 0] = False
-    classes = norm_classes(ctx)
-    isotropic = (classes == 0) & nonzero_mode
-    anisotropic = nonzero_mode & ~isotropic
-    # Each circle's maxima over the three mode sets, from one transform per
-    # stack of circles of at most INDEX_CHUNK cells.
-    maxima = [[], [], []]
-    step = max(1, geometry.INDEX_CHUNK // (q * q))
-    for i in range(0, len(js), step):
-        stack = classes == np.array(js[i:i + step])[:, None, None]
-        mags = np.abs(transform(ctx, stack))
-        for out, modes in zip(maxima, (nonzero_mode, anisotropic, isotropic)):
-            out += mags[:, modes].max(axis=1).tolist() if modes.any() else [None] * len(mags)
-    max_all, regular, iso = maxima
-    lhs = [r if j == 0 else m for j, m, r in zip(js, max_all, regular)]
-    iso_max = [v if j == 0 else None for j, v in zip(js, iso)]
+    lhs, max_all, iso_max = map(list, _decay_maxima(
+        ctx, tuple(js), max(1, geometry.INDEX_CHUNK // (q * q))))
     rhs = 2.0 * q**-1.5
     strict_rhs = q**-1.5
     # lhs is a float FFT modulus with no integer form, so verdicts keep the 1e-9 guard.
@@ -134,9 +121,31 @@ def circle_decay_batch(ctx: PrimeFieldCtx, js) -> ReportBatch:
         "circle-decay", {"q": q}, {"strict_rhs": strict_rhs}, {"j": js},
         {"holds_strict": [x <= strict_rhs + VERDICT_EPS for x in lhs],
          "max_all_nonzero_modes": max_all,
-         "ratio_to_strict": [safe_ratio(x, strict_rhs) for x in lhs],
+         "ratio_to_strict": [x / strict_rhs for x in lhs],
          "isotropic_max": iso_max},
-        lhs, rhs, [x <= rhs + VERDICT_EPS for x in lhs])
+        lhs, [rhs] * len(js), [x / rhs for x in lhs], [rhs - x for x in lhs],
+        [x <= rhs + VERDICT_EPS for x in lhs])
+
+
+@functools.lru_cache(maxsize=16)
+def _decay_maxima(ctx: PrimeFieldCtx, js: tuple, step: int) -> tuple:
+    """(lhs, max_all_nonzero_modes, isotropic_max) of circle_decay_batch,
+    cached per field and js: one transform per stack of ``step`` circles."""
+    q = ctx.q
+    nonzero_mode = np.ones((q, q), dtype=bool)
+    nonzero_mode[0, 0] = False
+    classes = norm_classes(ctx)
+    isotropic = (classes == 0) & nonzero_mode
+    anisotropic = nonzero_mode & ~isotropic
+    maxima = [[], [], []]
+    for i in range(0, len(js), step):
+        stack = classes == np.array(js[i:i + step])[:, None, None]
+        mags = np.abs(transform(ctx, stack))
+        for out, modes in zip(maxima, (nonzero_mode, anisotropic, isotropic)):
+            out += mags[:, modes].max(axis=1).tolist() if modes.any() else [None] * len(mags)
+    max_all, regular, iso = maxima
+    return (tuple(r if j == 0 else m for j, m, r in zip(js, max_all, regular)), tuple(max_all),
+            tuple(v if j == 0 else None for j, v in zip(js, iso)))
 
 
 def check_circle_decay(ctx: PrimeFieldCtx, j: int) -> BoundReport:

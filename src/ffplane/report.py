@@ -15,13 +15,6 @@ VERDICT_EPS = 1e-9
 JSON_BOOL = ("false", "true")
 
 
-def safe_ratio(lhs: float, rhs: float) -> float:
-    """lhs/rhs with 0/0 -> 0 and x/0 -> inf; never raises."""
-    if rhs != 0.0:
-        return lhs / rhs
-    return 0.0 if lhs == 0.0 else math.inf
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One checked inequality: name, sides, verdict, and its inputs.
@@ -66,31 +59,27 @@ class ReportBatch:
     the set sizes, a sweep's trial and seed; a mean, a hypothesis flag).
     ``row_inputs`` and ``row_extra`` map each key that varies to its column,
     and lhs, rhs, ratio, slack and holds are columns as well, one entry per
-    report.  A None in a ``row_extra`` column leaves that key out of its
-    report.  ``rhs`` is given as one float when every report shares it.
-    BoundReports are built only when asked for.
+    report, as the check computed them.  A None in a ``row_extra`` column
+    leaves that key out of its report.  BoundReports are built only when
+    asked for.
     """
 
     __slots__ = ("name", "inputs", "extra", "row_inputs", "row_extra",
                  "lhs", "rhs", "ratio", "slack", "holds")
 
     def __init__(self, name: str, inputs: dict, extra: dict, row_inputs: dict,
-                 row_extra: dict, lhs: list, rhs, holds: list):
+                 row_extra: dict, lhs: list, rhs: list, ratio: list, slack: list,
+                 holds: list):
         self.name = name
         self.inputs = inputs
         self.extra = extra
         self.row_inputs = row_inputs
         self.row_extra = row_extra
         self.lhs = lhs
-        self.holds = holds
-        if isinstance(rhs, float):
-            self.ratio = [x / rhs for x in lhs] if rhs else [safe_ratio(x, rhs) for x in lhs]
-            self.slack = [rhs - x for x in lhs]
-            rhs = [rhs] * len(lhs)
-        else:
-            self.ratio = list(map(safe_ratio, lhs, rhs))
-            self.slack = [r - x for x, r in zip(lhs, rhs)]
         self.rhs = rhs
+        self.ratio = ratio
+        self.slack = slack
+        self.holds = holds
 
     def __len__(self) -> int:
         return len(self.holds)

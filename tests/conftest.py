@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from ffplane import bounds
 from ffplane.bounds import (check_par_mean, check_rhom_lower, check_rhom_relation,
                             check_unit_distance)
 from ffplane.field import PrimeFieldCtx
@@ -75,3 +77,48 @@ def extreme_case_reports(ctx, t: int) -> list:
         reports.append(check_rhom_relation(ctx, s, s, s, s, t))
         reports.append(check_rhom_lower(ctx, s, s, s, s, t))
     return reports
+
+
+def rhombus_sums_by_radius(sums) -> list:
+    """counting.rhombus_sums' arrays as a dict per quad: {t: (Rhom_t,
+    sum_x p_x, sum_x sqrt(p_x), [p_x])} at each of the quad's radii, as
+    Python ints and floats."""
+    keys, rhom, par, roots, prods, sizes = sums
+    rows = list(zip(rhom.tolist(), par.tolist(), roots.tolist(),
+                    [p[:n] for p, n in zip(prods.tolist(), sizes)]))
+    return [{t: rows[row] for t, row in key.items()} for key in keys]
+
+
+# One-instance batches of each check's row builder, from counts given as
+# Python ints of any size: the instance is a block of one.
+
+def _one_instance(name, q, radii, sizes, tag, *counts):
+    columns = bounds._ROWS[name](q, [sizes], *counts)
+    return next(bounds._batches(name, q, np.array([radii]), [sizes], [tag], *columns))
+
+
+def _ints(values):
+    return np.array(values, dtype=object)
+
+
+def unit_distance_batch(q, radii, counts, sizes, **tag):
+    return _one_instance("unit-distance", q, radii, sizes, tag, _ints([counts]))
+
+
+def par_mean_batch(q, radii, par_t, par_all, sizes, **tag):
+    return _one_instance("par-vs-mean", q, radii, sizes, tag, _ints([par_t]), [par_all])
+
+
+def par_pair_batch(q, pairs, par_t, par_t2, sizes, **tag):
+    return _one_instance("par-pairs", q, pairs, sizes, tag, _ints([par_t]), _ints([par_t2]))
+
+
+def rhom_relation_batch(q, radii, sums, sizes, **tag):
+    """sums: each radius's (Rhom_t, sum_x p_x, sum_x sqrt(p_x), [p_x])."""
+    rhom, par, roots, prods = zip(*sums)
+    return _one_instance("rhom-vs-par", q, radii, sizes, tag, np.arange(len(sums))[None],
+                         _ints(rhom), _ints(par), np.array(roots), prods, list(map(len, prods)))
+
+
+def rhom_lower_batch(q, radii, rhoms, sizes, **tag):
+    return _one_instance("rhom-lower", q, radii, sizes, tag, _ints([rhoms]))

@@ -1,20 +1,20 @@
 import collections
+import dataclasses
 import decimal
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import RHOMBUS_ROUTES, direction_sums, extreme_case_reports, random_quadruple
+from conftest import (RHOMBUS_ROUTES, direction_sums, extreme_case_reports, par_mean_batch,
+                      par_pair_batch, random_quadruple, rhom_lower_batch, rhom_relation_batch,
+                      unit_distance_batch)
 from ffplane import bounds, counting, geometry
 from ffplane.bounds import (
     CHECK_NAMES,
-    _par_mean_batch,
-    _par_pair_batch,
-    _rhom_lower_batch,
-    _rhom_relation_batch,
-    _unit_distance_batch,
     check_par_mean,
     check_par_mean_all,
     check_par_pair,
@@ -31,8 +31,9 @@ from ffplane.bounds import (
 from ffplane.counting import count_par_t
 from ffplane.errors import InvalidPair, InvalidRadius
 from ffplane.field import PrimeFieldCtx
-from ffplane.geometry import PointSet, full_plane, gen_example_line_ap
+from ffplane.geometry import PointSet, full_plane, gen_example_line_ap, gen_random_set
 from ffplane.report import VERDICT_EPS
+from ffplane.rng import SplitMix64
 
 
 def test_unit_distance_fixture(ctx3):
@@ -151,7 +152,7 @@ def test_rhom_relation_sharp_verdict_is_exact(q, k):
     rhom = 2 * k * k
     for d in (big_d - 1, big_d, big_d + 1, -big_d - 1, -big_d, -big_d + 1):
         sum_ab = q * rhom - d
-        rep = _rhom_relation_batch(q, [1], [direction_sums([(sum_ab, 1, rhom)])], sizes).report(0)
+        rep = rhom_relation_batch(q, [1], [direction_sums([(sum_ab, 1, rhom)])], sizes).report(0)
         assert rep.extra["rhom_t"] == rhom and rep.extra["par_t"] == sum_ab
         assert rep.extra["sharp_holds"] == (abs(d) <= big_d), d
 
@@ -186,7 +187,7 @@ def test_sharp_rhombus_display_fails_on_strips(monkeypatch, route, q, length, t,
 @pytest.mark.parametrize("step", [-1, 0, 1])
 def test_rhom_relation_verdict_is_exact(q, step):
     p = 4 * q**3 + step
-    rep = _rhom_relation_batch(q, [1], [direction_sums([(p, 1, 0)])], [p, 1, 1, 1]).report(0)
+    rep = rhom_relation_batch(q, [1], [direction_sums([(p, 1, 0)])], [p, 1, 1, 1]).report(0)
     assert rep.holds is (step <= 0)
     # q Rhom_t on the other side of sum p: gap = q rhom - p, one term, so the
     # tier is gap^2 <= 4 q^3 p.
@@ -201,7 +202,8 @@ def test_rhom_relation_from_arrays_reaches_the_isqrt_fallback(monkeypatch, ctx7,
     # direction of S_1 (8 points at q = 7) with |E12^x| |E34^x| =
     # 4 q^3 + step and Rhom_t = 0, the other seven empty.  The float band
     # cannot decide the tie, step 0, so its verdict comes from the isqrt
-    # bounds; one step off, the floats decide.
+    # bounds; one step off, the floats decide.  The one isqrt before them
+    # is the sharp tier's limit, isqrt(q |E1||E2| |E3||E4|).
     p = 4 * 7**3 + step
     terms = np.zeros((3, 1, 8), dtype=np.int64)
     terms[:2, 0, 0] = p, 1
@@ -211,8 +213,9 @@ def test_rhom_relation_from_arrays_reaches_the_isqrt_fallback(monkeypatch, ctx7,
     monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
     sets = [full_plane(ctx7)] * 4
     rep = check_rhom_relation(ctx7, *sets, 1)
-    assert rep.holds is (step <= 0) and bool(roots) is (step == 0)
-    want = _rhom_relation_batch(7, [1], [direction_sums([(p, 1, 0)] + [(0, 0, 0)] * 7)],
+    assert roots[0] == 7 * 49**4
+    assert rep.holds is (step <= 0) and bool(roots[1:]) is (step == 0)
+    want = rhom_relation_batch(7, [1], [direction_sums([(p, 1, 0)] + [(0, 0, 0)] * 7)],
                                 [49] * 4).report(0)
     assert rep == want
 
@@ -290,7 +293,7 @@ def test_rhom_lower_empty(ctx5):
     (4, 0, True),   # prod < q^7: no hypothesis, so no verdict
 ])
 def test_rhom_lower_verdict_is_exact(e4_size, rhom, holds):
-    rep = _rhom_lower_batch(5, [1], [rhom], [25, 25, 25, e4_size]).report(0)
+    rep = rhom_lower_batch(5, [1], [rhom], [25, 25, 25, e4_size]).report(0)
     assert rep.extra["hypothesis"] is (e4_size == 5)
     assert rep.holds is holds
 
@@ -425,8 +428,8 @@ def test_unit_distance_verdict_is_exact(k):
     assert unit_distance_holds(q, edge, *sizes)
     assert unit_distance_holds(q, edge - 1, *sizes)
     assert not unit_distance_holds(q, edge + 1, *sizes)
-    assert _unit_distance_batch(q, [1], [edge], sizes).report(0).holds
-    assert not _unit_distance_batch(q, [1], [edge + 1], sizes).report(0).holds
+    assert unit_distance_batch(q, [1], [edge], sizes).report(0).holds
+    assert not unit_distance_batch(q, [1], [edge + 1], sizes).report(0).holds
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 2**30])
@@ -441,8 +444,8 @@ def test_par_mean_verdict_is_exact(k):
         assert par_mean_holds(q, edge, par_all, 3 * k * k)
         assert par_mean_holds(q, edge + inward, par_all, 3 * k * k)
         assert not par_mean_holds(q, edge - inward, par_all, 3 * k * k)
-        assert _par_mean_batch(q, [1], [edge], par_all, sizes).report(0).holds
-        rep = _par_mean_batch(q, [1], [edge - inward], par_all, sizes).report(0)
+        assert par_mean_batch(q, [1], [edge], par_all, sizes).report(0).holds
+        rep = par_mean_batch(q, [1], [edge - inward], par_all, sizes).report(0)
         assert not rep.holds
         if k == 2**30:
             # The float sides cannot tell the step past the edge from the
@@ -463,5 +466,217 @@ def test_par_pair_verdict_is_exact(k):
     assert par_pair_holds(q, base + 12 * k - 1, base, 3 * k * k)
     assert not par_pair_holds(q, base + 12 * k + 1, base, 3 * k * k)
     assert not par_pair_holds(q, base, base + 12 * k + 1, 3 * k * k)
-    assert _par_pair_batch(q, [(1, 2)], [base + 12 * k], [base], sizes).report(0).holds
-    assert not _par_pair_batch(q, [(1, 2)], [base + 12 * k + 1], [base], sizes).report(0).holds
+    assert par_pair_batch(q, [(1, 2)], [base + 12 * k], [base], sizes).report(0).holds
+    assert not par_pair_batch(q, [(1, 2)], [base + 12 * k + 1], [base], sizes).report(0).holds
+
+
+# -- block verdicts against the scalar deciders -------------------------------
+#
+# Each instance of a block is built from k (scale times a drawn integer) so
+# that its limit isqrt(N) is exact, N a square, and some count meets the
+# tie d^2 = N; rows hold the tie, one count either side of it, and drawn
+# counts.  At scale 1 every column is int64; at the larger scale some
+# integer a row formula forms is past 2^53, so the columns are Python ints.  The block's verdicts must equal the scalar *_holds
+# deciders' and the squared forms, row by row.
+
+_SCALES = st.sampled_from([1, 2**30])
+_SMALL_Q = st.sampled_from([3, 5, 7, 13])
+_DRAWN = st.lists(st.integers(1, 12), min_size=1, max_size=4)
+
+
+def _near(edge, extra):
+    """The tie, one count either side, and drawn counts, all >= 0."""
+    return [max(0, c) for c in [edge - 1, edge, edge + 1, *extra]]
+
+
+def _block(rows):
+    """A block's (T, R) counts as Python ints."""
+    return np.array(rows, dtype=object)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_SMALL_Q, ks=_DRAWN, scale=_SCALES, drawn=st.lists(st.integers(0, 10**6), max_size=3))
+def test_unit_distance_block_verdicts_agree(q, ks, scale, drawn):
+    # |U| = q k^2, |V| = 1: N = 4 q^3 |U||V| = (2 q^2 k)^2, tie at n = k^2 + 2 q k.
+    sizes = [[q * (k * scale) ** 2, 1] for k in ks]
+    counts = _block([_near(k * k * scale * scale + 2 * q * k * scale, drawn) for k in ks])
+    _, columns, _, _, holds = bounds._unit_distance_rows(q, sizes, counts)
+    assert (columns["count"].dtype == object) is (scale > 1)
+    for (su, sv), row, verdicts in zip(sizes, counts.tolist(), holds.tolist()):
+        for n, verdict in zip(row, verdicts):
+            assert verdict is unit_distance_holds(q, n, su, sv)
+            assert verdict is ((q * n - su * sv) ** 2 <= 4 * q**3 * su * sv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_SMALL_Q, ks=_DRAWN, scale=st.sampled_from([1, 2**50]), m=st.integers(1, 1000),
+       drawn=st.lists(st.integers(0, 10**6), max_size=3))
+def test_par_mean_block_verdicts_agree(q, ks, scale, m, drawn):
+    # prod = q k^2 and Par = q^2 m: the tie g^2 = 4 q^5 prod is at
+    # Par_t = m (1 + q) + 2 q k.
+    sizes = [[q * (k * scale) ** 2, 1, 1, 1] for k in ks]
+    par_all = [q * q * m * scale for _ in ks]
+    counts = _block([_near(m * scale * (1 + q) + 2 * q * k * scale, drawn) for k in ks])
+    _, columns, _, _, holds = bounds._par_mean_rows(q, sizes, counts, par_all)
+    assert (columns["par_t"].dtype == object) is (scale > 1)
+    for size, par, row, verdicts in zip(sizes, par_all, counts.tolist(), holds.tolist()):
+        prod = math.prod(size)
+        for p, verdict in zip(row, verdicts):
+            g = abs(q * q * p - q * par) - par
+            assert verdict is par_mean_holds(q, p, par, prod)
+            assert verdict is (g <= 0 or g * g <= 4 * q**5 * prod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_SMALL_Q, ks=_DRAWN, scale=st.sampled_from([1, 2**50]), base=st.integers(0, 10**6),
+       drawn=st.lists(st.integers(0, 10**6), max_size=3))
+def test_par_pair_block_verdicts_agree(q, ks, scale, base, drawn):
+    # prod = q k^2: 16 q prod = (4 q k)^2, tie at |Par_t - Par_t'| = 4 q k.
+    # This display's integers are the counts themselves, so the Python-int
+    # columns take a scale of 2^50.
+    sizes = [[q * (k * scale) ** 2, 1, 1, 1] for k in ks]
+    par_t = _block([_near(base * scale + 4 * q * k * scale, drawn) for k in ks])
+    par_t2 = np.full(par_t.shape, base * scale, dtype=object)
+    _, columns, gap, _, holds = bounds._par_pair_rows(q, sizes, par_t, par_t2)
+    assert (columns["par_t"].dtype == object) is (scale > 1)
+    for size, a_row, c_row, verdicts in zip(sizes, par_t.tolist(), par_t2.tolist(),
+                                            holds.tolist()):
+        prod = math.prod(size)
+        for a, c, verdict in zip(a_row, c_row, verdicts):
+            assert verdict is par_pair_holds(q, a, c, prod)
+            assert verdict is ((a - c) ** 2 <= 16 * q * prod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_SMALL_Q, ks=_DRAWN, scale=_SCALES, m=st.integers(0, 1000),
+       steps=st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+       far=st.integers(10, 1000))
+def test_rhom_block_verdicts_agree(q, ks, scale, m, steps, far):
+    # |E1||E2| = q k^2 and |E3||E4| = 1: q p12 p34 = (q k)^2, so the sharp
+    # tier ties at |q Rhom_t - sum p| = q k.  Each row is one direction with
+    # p = sum p = q Rhom_t + q k + step; rows with p = 4 q^3 + step meet the
+    # relation's own tie p = 2 q sqrt(q p) at Rhom_t = 0; and with
+    # n = 1 mod q^2 and q p = n^2 - 1, the gap 2 q n lies above
+    # 2 q sqrt(q p) by about q / n, for the Python-int columns' n > 2^30
+    # inside the float band of the right side, and one step of Rhom_t below
+    # it the relation holds.
+    sizes = [[q * (k * scale) ** 2, 1, 1, 1] for k in ks]
+    n = q * q * far * (1 if scale == 1 else 2**24) + 1
+    p_far = (n * n - 1) // q
+    terms = []
+    for k in ks:
+        rhom = m * scale
+        terms.append([(rhom, q * rhom + q * k * scale + s) for s in steps]
+                     + [(0, 4 * q**3 + s) for s in steps]
+                     + [((p_far + 2 * q * n) // q - d, p_far) for d in (0, 1)])
+    width = len(terms[0])
+    flat = [row for rows in terms for row in rows]
+    rows = np.arange(len(flat)).reshape(len(ks), width)
+    rhom = np.array([r for r, _ in flat], dtype=object)
+    prods = [[p] for _, p in flat]
+    par = np.array([p for _, p in flat], dtype=object)
+    roots = np.array([math.sqrt(p) for _, p in flat])
+    _, columns, _, rhs, holds = bounds._rhom_relation_rows(q, sizes, rows, rhom, par, roots,
+                                                          prods, [1] * len(flat))
+    assert (columns["rhom_t"].dtype == object) is (scale > 1)
+    for k, size in enumerate(sizes):
+        p12, p34 = size[0] * size[1], size[2] * size[3]
+        for r in range(width):
+            m_t, p = flat[rows[k, r]]
+            sharp = columns["sharp_holds"][k, r]
+            assert sharp == bounds.rhom_sharp_holds(q, m_t, p, p12, p34)
+            assert sharp == ((q * m_t - p) ** 2 <= q * p12 * p34)
+            assert holds[k, r] == rhom_relation_holds(q, m_t, [p], float(rhs[k, r]))
+            assert holds[k, r] == ((q * m_t - p) ** 2 <= 4 * q**3 * p)
+
+
+# -- sweep rows against the check_* reports ------------------------------------
+
+def _swept_sets(ctx, seed, trials, nsets, density):
+    """The sets of each trial of sweep(ctx, ..., trials, density, seed)."""
+    master = SplitMix64(seed)
+    out = []
+    for _ in range(trials):
+        rng = master.fork()
+        draws = [(rng.next_float() if density is None else density, rng.next_u64())
+                 for _ in range(nsets)]
+        out.append([gen_random_set(ctx, d, s) for d, s in draws])
+    return out
+
+
+def _check_reports(ctx, name, sets, radii) -> list:
+    """The check_* reports of one instance at the radii of a batch."""
+    return {
+        "unit-distance": lambda: [check_unit_distance(ctx, *sets[:2], t) for t in radii["t"]],
+        "par-vs-mean": lambda: [check_par_mean(ctx, *sets, t) for t in radii["t"]],
+        "par-pairs": lambda: [check_par_pair(ctx, *sets, t, t2)
+                              for t, t2 in zip(radii["t"], radii["t2"])],
+        "rhom-vs-par": lambda: [check_rhom_relation(ctx, *sets, t) for t in radii["t"]],
+        "rhom-lower": lambda: [check_rhom_lower(ctx, *sets, t) for t in radii["t"]],
+    }[name]()
+
+
+def _without_tags(rep):
+    inputs = {k: v for k, v in rep.inputs.items() if k not in ("trial", "seed")}
+    return dataclasses.replace(rep, inputs=inputs)
+
+
+@pytest.mark.parametrize("q", [5, 13, 31])
+@pytest.mark.parametrize("density,all_t", [(None, True), (None, False), (0.0, True),
+                                           (1.0, False)])
+def test_every_sweep_row_is_its_instances_check_report(q, density, all_t):
+    ctx = PrimeFieldCtx(q)
+    trials = 3 if q < 31 else 2
+    swept = sweep(ctx, CHECK_NAMES[:-1], trials, density, 11, all_t=all_t)
+    sets = _swept_sets(ctx, 11, trials, 4, density)
+    for name, batches in swept.groups:
+        batches = list(batches)
+        assert [b.inputs["trial"] for b in batches] == list(range(trials))
+        for batch, trial_sets in zip(batches, sets):
+            got = [_without_tags(rep) for rep in batch.reports()]
+            assert got == _check_reports(ctx, name, trial_sets, batch.row_inputs), name
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_block_rows_on_boundary_sets_are_check_reports(q):
+    # A block of the empty set, a singleton, the full plane and a circle,
+    # each in all four slots and mixed, through the sweep's count arrays
+    # and builders at every radius.
+    ctx = PrimeFieldCtx(q)
+    empty, point, plane, ring = (PointSet(q, []), PointSet(q, [(1, 2)]), full_plane(ctx),
+                                 geometry.circle(ctx, 1))
+    block = [[s] * 4 for s in (empty, point, plane, ring)] + [[plane, ring, point, empty],
+                                                              [ring, plane, ring, plane]]
+    pairs = bounds._radii(ctx, "par-pairs", True)
+    for name in CHECK_NAMES[:-1]:
+        radii = [{name: pairs if name == "par-pairs" else
+                  [1 + i % (q - 1)] if name == "unit-distance" else list(range(1, q))}
+                 for i in range(len(block))]
+        counts = bounds._counts(ctx, [name], block, radii)
+        sizes = [[len(s) for s in sets] for sets in block]
+        batches = bounds._block_batches(q, name, [{}] * len(block), sizes, radii, counts)
+        for batch, sets in zip(batches, block):
+            assert batch.reports() == _check_reports(ctx, name, sets, batch.row_inputs), name
+
+
+def test_sweep_builds_each_block_when_read_and_again_on_each_read(monkeypatch):
+    """A sweep holds count arrays only: its builders run when a group's
+    batches are read, block by block, and each read of the sweep builds
+    them anew with equal reports; len() builds nothing."""
+    ctx = PrimeFieldCtx(7)
+    built = []
+    real = bounds._block_batches
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", 4 * 49)     # one trial a block
+    monkeypatch.setattr(bounds, "_block_batches",
+                        lambda q, name, tags, *a: built.append((name, tags[0]["trial"]))
+                        or real(q, name, tags, *a))
+    swept = sweep(ctx, ["par-pairs", "rhom-vs-par"], 3, None, 2, all_t=True)
+    assert built == [] and len(swept) == 3 * (15 + 6) and built == []
+    groups = swept.groups
+    batches = groups[0][1]
+    next(batches)
+    assert built == [("par-pairs", 0)]
+    rest = list(batches)
+    assert len(rest) == 2 and built == [("par-pairs", t) for t in range(3)]
+    first = list(swept)
+    assert list(swept) == first and len(first) == len(swept)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import direction_sums
+from conftest import (direction_sums, par_mean_batch, par_pair_batch, rhom_lower_batch,
+                      rhom_relation_batch, unit_distance_batch)
 from ffplane import bounds, cli, fourier, geometry
 from ffplane.bounds import CHECK_NAMES
 from ffplane.cli import (
@@ -415,11 +416,32 @@ def test_bounds_builds_no_bound_report(capsys, monkeypatch, fmt):
     assert rc == 0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_bounds_builds_each_block_once(capsys, monkeypatch, fmt):
+    """The stream and its summaries come from one pass over each check's
+    batches: every block's batches of a check are built once."""
+    argv = ["bounds", "--q", "7", "--check", "all", "--all-t", "--trials", "3", "--format", fmt]
+    _, want, _ = run_cli(capsys, argv)
+    built = []
+    real = bounds._block_batches
+    monkeypatch.setattr(bounds, "_block_batches",
+                        lambda q, name, tags, *a: built.append((name, len(tags)))
+                        or real(q, name, tags, *a))
+    # Two trials' sets a block at q = 7: blocks of 2 and 1 trials.
+    monkeypatch.setattr(geometry, "INDEX_CHUNK", 2 * 4 * 49)
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0 and out == want
+    assert built == [(name, n) for name in CHECK_NAMES[:-1] for n in (2, 1)]
+
+
 def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
     profiles = bounds.par_and_n_t_profiles
 
     def inflated(ctx, quads):
-        return [({**profile, 1: 10**12}, n_t) for profile, n_t in profiles(ctx, quads)]
+        par, n_t = profiles(ctx, quads)
+        par = par.copy()
+        par[:, 1] = 10**12
+        return par, n_t
 
     monkeypatch.setattr(bounds, "par_and_n_t_profiles", inflated)
     argv = ["bounds", "--q", "7", "--check", "par-pairs", "--all-t",
@@ -441,17 +463,27 @@ def test_violated_asserted_check_exits_1_and_is_counted(capsys, monkeypatch):
 
 # check -> (module, the count its sweep reads at a pinned radius, that
 # count's stand-in built from the real one), making the check's report fail.
-# A par check's sweep reads its Par_t profile from par_and_n_t_profiles, and
-# a rhombus check's sweep its Rhom_t from rhombus_sums.
+# A par check's sweep reads its Par_t profiles from par_and_n_t_profiles, a
+# rhombus check's sweep its Rhom_t from rhombus_sums, and circle-decay its
+# maxima from fourier._decay_maxima, the cache that stands before the
+# transforms.
+def _inflated_profiles(real):
+    def stand_in(ctx, quads):
+        par, n_t = real(ctx, quads)
+        par = par.copy()
+        par[:, 1] += 10**12
+        return par, n_t
+    return stand_in
+
+
 _INFLATED_COUNTS = {
     "unit-distance": (bounds, "count_unit_distances", lambda real: lambda *a, **k:
                       SimpleNamespace(value=real(*a, **k).value + 10**9)),
-    "par-vs-mean": (bounds, "par_and_n_t_profiles", lambda real: lambda ctx, quads:
-                    [({**p, 1: p[1] + 10**12}, n_t) for p, n_t in real(ctx, quads)]),
+    "par-vs-mean": (bounds, "par_and_n_t_profiles", _inflated_profiles),
     "rhom-vs-par": (bounds, "rhombus_sums", lambda real: lambda *a:
-                    [{t: (m + 10**9, *rest) for t, (m, *rest) in sums.items()}
-                     for sums in real(*a)]),
-    "circle-decay": (fourier, "transform", lambda real: lambda *a, **k: 100 * real(*a, **k)),
+                    (lambda keys, rhom, *rest: (keys, rhom + 10**9, *rest))(*real(*a))),
+    "circle-decay": (fourier, "_decay_maxima", lambda real: lambda *a: tuple(
+        tuple(None if v is None else 100 * v for v in column) for column in real(*a))),
 }
 
 
@@ -482,8 +514,8 @@ def test_violated_recorded_check_exits_0(capsys, monkeypatch):
     rhombus_sums = bounds.rhombus_sums
 
     def no_rhombi(*args):
-        return [{t: (0, *rest) for t, (_, *rest) in sums.items()}
-                for sums in rhombus_sums(*args)]
+        keys, rhom, *rest = rhombus_sums(*args)
+        return (keys, 0 * rhom, *rest)
 
     monkeypatch.setattr(bounds, "rhombus_sums", no_rhombi)
     rc, out, _ = run_cli(capsys, ["bounds", "--q", "3", "--check", "rhom-lower",
@@ -800,18 +832,18 @@ _BIG = 2**53 + 1
 # One-row batches from builder inputs no sweep makes: ints past 2^53, empty
 # sets, a signed zero.  The par-pairs sizes multiply to 7 * 2^60.
 _EXTREMES = [
-    bounds._unit_distance_batch(7, [1], [2**60 + 1], [2**40, 2**40 + 3], **_TAG),
-    bounds._par_mean_batch(7, [3], [_BIG], 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
-    bounds._par_pair_batch(7, [(1, 6)], [2**62 + 3], [_BIG], [2**30, 1, 2**30, 7], **_TAG),
-    bounds._rhom_relation_batch(7, [2], [direction_sums([(2**40, 2**20, _BIG), (0, 5, 0)])],
+    unit_distance_batch(7, [1], [2**60 + 1], [2**40, 2**40 + 3], **_TAG),
+    par_mean_batch(7, [3], [_BIG], 3 * 2**62 + 5, [2**20, 3, 2**20, 1], **_TAG),
+    par_pair_batch(7, [(1, 6)], [2**62 + 3], [_BIG], [2**30, 1, 2**30, 7], **_TAG),
+    rhom_relation_batch(7, [2], [direction_sums([(2**40, 2**20, _BIG), (0, 5, 0)])],
                                 [2**30, 2**30, 1, 1], **_TAG),
-    bounds._rhom_lower_batch(7, [2], [_BIG], [2**20, 2**20, 2**20, 2**20], **_TAG),
-    bounds._unit_distance_batch(7, [1], [0], [0, 0], **_TAG),
-    bounds._rhom_lower_batch(7, [2], [0], [0, 0, 0, 0], **_TAG),
+    rhom_lower_batch(7, [2], [_BIG], [2**20, 2**20, 2**20, 2**20], **_TAG),
+    unit_distance_batch(7, [1], [0], [0, 0], **_TAG),
+    rhom_lower_batch(7, [2], [0], [0, 0, 0, 0], **_TAG),
     ReportBatch("circle-decay", {"q": 5}, {"strict_rhs": 0.125}, {"j": [0]},
                 {"holds_strict": [True], "isotropic_max": [-0.0],
                  "max_all_nonzero_modes": [0.5], "ratio_to_strict": [0.25]},
-                [0.5], 0.5, [True]),
+                [0.5], [0.5], [1.0], [0.0], [True]),
 ]
 
 
@@ -826,7 +858,7 @@ def test_report_writer_prints_the_encoded_line_of_any_report(batch):
 def test_report_writer_writes_an_infinite_ratio_as_null():
     """lhs > 0 = rhs, which no builder call makes, gives an infinite ratio;
     to_json_obj (the library's form) and the csv rows write it as null."""
-    batch = bounds._unit_distance_batch(7, [1], [3], [0, 5], **_TAG)
+    batch = unit_distance_batch(7, [1], [3], [0, 5], **_TAG)
     obj = batch.report(0).to_json_obj()
     assert obj["ratio"] is None and obj["lhs"] == 3.0 and obj["rhs"] == 0.0
     assert csv_lines(batch) == "unit-distance,3.0,0.0,false,null,-3.0\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import RHOMBUS_ROUTES, direction_sums, random_quadruple
+from conftest import RHOMBUS_ROUTES, direction_sums, random_quadruple, rhombus_sums_by_radius
 from ffplane import counting, geometry
 from ffplane.bounds import sweep
 from ffplane.counting import (
@@ -716,7 +716,7 @@ def test_rhombus_sums_match_per_quad_directions(q, chunk):
             radii = [r for _, r, _ in block]
             with pytest.MonkeyPatch.context() as spies:
                 pairs, bits = _route_spies(spies)
-                sums = rhombus_sums(ctx, quads, radii)
+                sums = rhombus_sums_by_radius(rhombus_sums(ctx, quads, radii))
             on_bits = [quad for quad, rs, rule in block if rs and
                        counting._takes_bits(ctx, *quad, [circle(ctx, t).points for t in rs])]
             assert [rule for _, rs, rule in block if rs and rule is not None] == \
@@ -739,6 +739,27 @@ def test_rhombus_sums_match_per_quad_directions(q, chunk):
                     assert by_radius[t] == direction_sums(terms[t]), (t, len(rs))
 
 
+def test_bit_stack_tiles_its_sets_once(monkeypatch):
+    """A stack on the bits asked for S_0 beside the other radii takes one
+    _bit_terms pass per circle size, all on one word_tiling of its sets,
+    and its terms are those of one radius alone."""
+    ctx = PrimeFieldCtx(13)
+    quads = [[gen_random_set(ctx, 0.3, 4 * j + k) for k in range(4)] for j in range(3)]
+    radii = list(range(13))
+    calls, passes = [], _spy(monkeypatch, "_bit_terms")
+    real = counting.word_tiling
+    monkeypatch.setattr(counting, "word_tiling",
+                        lambda arrs: calls.append(len(arrs)) or real(arrs))
+    keys, terms, sizes = counting._rhombus_terms(ctx, quads, [radii] * 3)
+    assert calls == [12] and len(passes) == 2
+    for key, quad in zip(keys, quads):
+        for t in radii:
+            (one,), alone, (n,) = counting._rhombus_terms(ctx, [quad], [[t]])
+            assert sizes[key[t]] == n
+            assert np.array_equal(terms[:, key[t], :n], alone[:, one[t], :n])
+    assert len(calls) == 1 + 3 * 13
+
+
 def test_rhombus_sums_add_roots_in_circle_order():
     """The roots of a row are added in circle order: at q = 61 over 60
     directions the sequential sum differs, on some radius, from NumPy's
@@ -747,7 +768,7 @@ def test_rhombus_sums_add_roots_in_circle_order():
     ctx = PrimeFieldCtx(61)
     quad = [gen_random_set(ctx, 0.5, 61 + k) for k in range(4)]
     radii = list(range(1, 61))
-    sums = rhombus_sums(ctx, [quad], [radii])[0]
+    sums = rhombus_sums_by_radius(rhombus_sums(ctx, [quad], [radii]))[0]
     other = 0
     for t in radii:
         _, _, root, prods = sums[t]
@@ -789,11 +810,11 @@ def test_bit_gathers_stay_within_the_chunk_budget(q, trials, radii, chunk):
     words = len(geometry.word_layout(ctx)[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_PAIRS_PER_WORD", 0)
-        want = rhombus_sums(ctx, quads, [radii] * trials)
+        want = rhombus_sums_by_radius(rhombus_sums(ctx, quads, [radii] * trials))
         if chunk is not None:
             mp.setattr(geometry, "INDEX_CHUNK", chunk)
         sizes = _bit_gathers(mp)
-        sums = rhombus_sums(ctx, quads, [radii] * trials)
+        sums = rhombus_sums_by_radius(rhombus_sums(ctx, quads, [radii] * trials))
         bound = max(geometry.INDEX_CHUNK // 4,
                     max(max(len(circle(ctx, t)), 2) for t in radii) * words)
     assert sizes and max(sizes) <= bound
@@ -1195,14 +1216,18 @@ def test_block_profiles_are_each_instances_profile(monkeypatch):
     quads.append(quads[lower][2:] + quads[lower][:2])
     want.append((par_t_profile(ctx, *quads[-1]), n_t_profile(ctx, *quads[-1][:2])))
     bounds.append(bounds[lower])
-    assert counting.par_and_n_t_profiles(ctx, quads) == want
+    assert _profile_dicts(*counting.par_and_n_t_profiles(ctx, quads)) == want
     monkeypatch.setattr(counting, "INT64_LIMIT", max(bounds))
     products = counting._products(ctx, quads)
     assert [p.dtype == object for p in products] == [b == max(bounds) for b in bounds]
     profiles = counting.par_and_n_t_profiles(ctx, quads)
-    assert profiles == want
-    assert all(type(v) is int for pair in profiles for profile in pair
-               for v in profile.values())
+    assert _profile_dicts(*profiles) == want
+    assert all(type(v) is int for array in profiles for v in array.ravel())
+
+
+def _profile_dicts(par, n_t) -> list:
+    """par_and_n_t_profiles' arrays as (par_t_profile, n_t_profile) pairs."""
+    return [(dict(enumerate(p)), dict(enumerate(n))) for p, n in zip(par.tolist(), n_t.tolist())]
 
 
 @pytest.mark.parametrize("route", _PAR_T_ROUTES)

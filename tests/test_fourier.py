@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ffplane import fourier
 from ffplane.field import PrimeFieldCtx
 from ffplane.fourier import (
     check_circle_decay,
@@ -198,3 +199,31 @@ def test_transform_of_stack_is_each_tables_transform(q):
             assert np.array_equal(spec[k], transform(ctx, tables[k]))
             oracle = transform(ctx, tables[k], method="oracle")
             assert np.abs(spec[k] - oracle).max() < TOL
+
+
+def _columns(batch):
+    return (batch.row_inputs, batch.row_extra, batch.lhs, batch.rhs, batch.ratio,
+            batch.slack, batch.holds)
+
+
+@pytest.mark.parametrize("js", [range(17), [3], [0, 5, 0, 22]])
+def test_decay_maxima_are_cached_per_field(monkeypatch, js):
+    """A second circle_decay_batch at one q, from a context of its own,
+    runs no transform and gives equal columns; a caller that mutates a
+    batch's lists leaves the next batch as it was."""
+    q = 17
+    fourier._decay_maxima.cache_clear()
+    calls = []
+    real = fourier.transform
+    monkeypatch.setattr(fourier, "transform",
+                        lambda *a, **k: calls.append(a[0].q) or real(*a, **k))
+    first = circle_decay_batch(PrimeFieldCtx(q), js)
+    assert calls == [q]
+    want = _columns(first)
+    want = [{k: list(v) for k, v in c.items()} if isinstance(c, dict) else list(c) for c in want]
+    for column in (first.lhs, first.row_extra["max_all_nonzero_modes"],
+                   first.row_extra["isotropic_max"]):
+        column[:] = [-1.0] * len(column)
+    second = circle_decay_batch(PrimeFieldCtx(q), js)
+    assert calls == [q]
+    assert list(_columns(second)) == want
