@@ -8,8 +8,8 @@ relation with its factor-2 constant, and circle decay) are asserted (a
 violation is a failure); order-of-magnitude statements are recorded as
 ratios with their hypothesis flags and never hard-asserted, because they
 hide unspecified constants.  One table, CHECKS, holds what defines each
-check apart from its builder: the sets a sweep trial reads, whether it is
-asserted, and its line layout, in stream order.
+check: the sets a sweep trial reads, whether it is asserted, its row
+builder and its line layout, in stream order.
 
 Checkers and sweeps share one path: a block of instances gets its count
 arrays from one call per counter (_counts), and each check's row builder
@@ -24,6 +24,7 @@ a sequence.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -252,25 +253,26 @@ def check_par_all_pairs(ctx, E1, E2, E3, E4) -> list:
                   _radii(ctx, "par-pairs", all_t=True)).reports()
 
 
-def _rhom_relation_rows(q, sizes, rows, rhom, par, roots, prods, widths) -> tuple:
-    """A row per radius t from rhombus_sums' arrays (Rhom_t, sum_x p_x,
-    sum_x sqrt(p_x), [p_x], |S_t|) read at ``rows``; the verdicts come from
-    rhom_relation_holds' float band, and the ones inside it from the call."""
+def _rhom_relation_rows(q, sizes, rhom, par, roots, prods, widths) -> tuple:
+    """A row per radius t from rhombus_sums' arrays: Rhom_t by (instance,
+    radius), and sum_x p_x, sum_x sqrt(p_x), [p_x] and |S_t| a row each,
+    instance after instance, so a flat (instance, radius) index is its row.
+    The verdicts come from rhom_relation_holds' float band, and the ones
+    inside it from the call."""
     p12 = [s[0] * s[1] for s in sizes]
     p34 = [s[2] * s[3] for s in sizes]
     limits = [_sharp_limit(q, a, b) for a, b in zip(p12, p34)]
-    m, s = rhom[rows], par[rows]
+    m, s = rhom, par.reshape(rhom.shape)
     m, s, limit = _exact(max(q * _top(m) + _top(s), max(limits)), m, s, limits)
     gap = abs(q * m - s)
-    rhs = 2.0 * math.sqrt(q) * roots[rows]
+    rhs = 2.0 * math.sqrt(q) * roots.reshape(m.shape)
     qr = q * rhs
-    band = qr * (np.asarray(widths)[rows] + 8) * 2.0**-50
+    band = qr * (np.reshape(widths, m.shape) + 8) * 2.0**-50
     holds = gap < qr - band
     holds |= gap == 0
-    for k, r in zip(*np.nonzero((gap <= qr + band) > holds)):
-        row = rows[k, r]
+    for row in np.flatnonzero((gap <= qr + band) > holds):
         row_prods = [int(p) for p in prods[row][:widths[row]]]
-        holds[k, r] = rhom_relation_holds(q, int(m[k, r]), row_prods, float(rhs[k, r]))
+        holds.flat[row] = rhom_relation_holds(q, int(m.flat[row]), row_prods, float(rhs.flat[row]))
     extra = [{"sharp_rhs": math.sqrt(q) * math.sqrt(a / q) * math.sqrt(b / q),
               "sharp_hypothesis": a >= q**3 and b >= q**3} for a, b in zip(p12, p34)]
     return (extra, {"rhom_t": m, "par_t": s, "sharp_holds": gap <= limit},
@@ -335,21 +337,20 @@ def check_rhom_lower(ctx, E1, E2, E3, E4, t: int) -> BoundReport:
     return _check(ctx, "rhom-lower", (E1, E2, E3, E4), [t]).report(0)
 
 
-# check name -> (sets a sweep trial reads, asserted, line layout), in
-# stream order.  A violation of an asserted check is a failure (the CLI
+# check name -> its sets a sweep trial reads, whether it is asserted, its
+# row builder (circle-decay's batch comes from fourier) and its line layout,
+# in stream order.  A violation of an asserted check is a failure (the CLI
 # exits 1); rhom-lower is recorded only.
+Check = namedtuple("Check", "sets asserted rows lines")
 CHECKS = {
-    "unit-distance": (2, True, _unit_distance_lines),
-    "par-vs-mean": (4, True, _par_mean_lines),
-    "par-pairs": (4, True, _par_pair_lines),
-    "rhom-vs-par": (4, True, _rhom_relation_lines),
-    "rhom-lower": (4, False, _rhom_lower_lines),
-    "circle-decay": (0, True, circle_decay_lines),
+    "unit-distance": Check(2, True, _unit_distance_rows, _unit_distance_lines),
+    "par-vs-mean": Check(4, True, _par_mean_rows, _par_mean_lines),
+    "par-pairs": Check(4, True, _par_pair_rows, _par_pair_lines),
+    "rhom-vs-par": Check(4, True, _rhom_relation_rows, _rhom_relation_lines),
+    "rhom-lower": Check(4, False, _rhom_lower_rows, _rhom_lower_lines),
+    "circle-decay": Check(0, True, None, circle_decay_lines),
 }
 CHECK_NAMES = tuple(CHECKS)
-_ROWS = {"unit-distance": _unit_distance_rows, "par-vs-mean": _par_mean_rows,
-         "par-pairs": _par_pair_rows, "rhom-vs-par": _rhom_relation_rows,
-         "rhom-lower": _rhom_lower_rows}
 
 
 def _counts(ctx, names, block, radii) -> dict:
@@ -357,7 +358,7 @@ def _counts(ctx, names, block, radii) -> dict:
     block[i] at the radii radii[i][name], one counter call each: the Par_t
     profiles (par_and_n_t_profiles), n_t at each unit-distance radius (from
     that call's n_t profiles, else count_unit_distances per instance) and
-    rhombus_sums at the rhombus checks' radii, with each instance's rows."""
+    rhombus_sums at the rhombus checks' radii, a row per instance and radius."""
     counts = {}
     if "par-vs-mean" in names or "par-pairs" in names:
         counts["par"], n_t = par_and_n_t_profiles(ctx, block)
@@ -369,21 +370,20 @@ def _counts(ctx, names, block, radii) -> dict:
     rhombic = [name for name in names if name in ("rhom-vs-par", "rhom-lower")]
     if rhombic:
         # Both rhombus checks draw their radii from the stream after E4.
-        radii = [r[rhombic[0]] for r in radii]
-        keys, *sums = rhombus_sums(ctx, block, radii)
-        rows = np.array([list(map(key.__getitem__, r)) for key, r in zip(keys, radii)])
-        counts["rhombi"] = (rows, *sums)
+        counts["rhombi"] = rhombus_sums(ctx, block, [r[rhombic[0]] for r in radii])
     return counts
 
 
 def _block_batches(q, name, tags, sizes, radii, counts):
     """Check name's ReportBatch of each instance of a block from its
     _counts, tags[i] (a sweep's trial and seed) joining instance i's inputs."""
-    sizes = [s[:CHECKS[name][0]] for s in sizes]
+    sizes = [s[:CHECKS[name].sets] for s in sizes]
     at = np.array([r[name] for r in radii])
     if name in ("rhom-vs-par", "rhom-lower"):
-        rows, rhom, *rest = counts["rhombi"]
-        args = (rows, rhom, *rest) if name == "rhom-vs-par" else (rhom[rows],)
+        # Every instance of a block has as many radii, a row each.
+        rhom, *rest = counts["rhombi"]
+        rhom = rhom.reshape(at.shape)
+        args = (rhom, *rest) if name == "rhom-vs-par" else (rhom,)
     elif name == "unit-distance":
         args = (counts["unit"],)
     else:
@@ -391,7 +391,7 @@ def _block_batches(q, name, tags, sizes, radii, counts):
         par_t = par[np.arange(len(at)).reshape((-1,) + (1,) * (at.ndim - 1)), at]
         args = ((par_t[..., 0], par_t[..., 1]) if name == "par-pairs" else
                 (par_t, par.sum(axis=1).tolist()))
-    return _batches(name, q, at, sizes, tags, *_ROWS[name](q, sizes, *args))
+    return _batches(name, q, at, sizes, tags, *CHECKS[name].rows(q, sizes, *args))
 
 
 def _batches(name, q, at, sizes, tags, extra, row_extra, lhs, rhs, holds):
@@ -506,12 +506,16 @@ def sweep(ctx: PrimeFieldCtx, check, trials: int, density,
     dropped.
     """
     names = [check] if isinstance(check, str) else list(check)
+    if not names:
+        raise ValueError(f"the check list is empty; pick one or more of {CHECK_NAMES}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; pick one of {CHECK_NAMES}")
     if t is not None:
         t = _radius(ctx, t, "pinned radius")
-    set_counts = [CHECKS[name][0] for name in names]
+    set_counts = [CHECKS[name].sets for name in names]
     nsets = max(set_counts)
     decay = (circle_decay_batch(ctx, range(ctx.q) if t is None else [t])
              if "circle-decay" in names else None)

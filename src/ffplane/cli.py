@@ -60,7 +60,7 @@ def _report_writer(config):
     prng = _ENCODER.encode(PRNG_ALGORITHM)
 
     def lines(batch) -> str:
-        return bounds_mod.CHECKS[batch.name][2](batch, head, prng)
+        return bounds_mod.CHECKS[batch.name].lines(batch, head, prng)
 
     return lines
 
@@ -196,7 +196,7 @@ def _cmd_bounds(args, ctx, config) -> int:
             instances += len(batch)
             violations += batch.holds.count(False)
             min_slack = min(min_slack, min(batch.slack))
-        if violations and bounds_mod.CHECKS[check][1]:
+        if violations and bounds_mod.CHECKS[check].asserted:
             exit_code = 1
         if args.format == "json":
             write(json_line({

@@ -229,15 +229,15 @@ def table_products(d12, d34) -> np.ndarray:
     return a * b
 
 
-def norm_class_sums(ctx, values: np.ndarray) -> list:
-    """[sum of values[..., v] over |v| = t for t in F_q] for a q x q array of
-    values, or the list of those for each q x q array of a stack, in the
-    dtype of values: one reduction whatever the stack's length, over the
+def norm_class_sums(ctx, values: np.ndarray) -> np.ndarray:
+    """The sums of values[..., v] over |v| = t for t in F_q, on the last
+    axis, of a q x q array of values or of each q x q array of a stack, in
+    the dtype of values: one reduction whatever the stack's length, over the
     cells sorted by norm class (norm_class_order)."""
     q = ctx.q
     order, starts = norm_class_order(ctx)
     sums = np.add.reduceat(values.reshape(-1, q * q)[:, order], starts, axis=1)
-    return sums.reshape(values.shape[:-2] + (q,)).tolist()
+    return sums.reshape(values.shape[:-2] + (q,))
 
 
 def _quad_tables(ctx, quads, on: PointSet | None = None) -> tuple:
@@ -265,7 +265,7 @@ def n_t_profile(ctx, U: PointSet, V: PointSet) -> dict:
     """Unit distances for every t at once: {t: n_t(U, V)} covering all t in
     F_q, from one whole table D_UV binned by norm class; the values sum to
     |U||V|."""
-    return dict(enumerate(norm_class_sums(ctx, difference_table(ctx, U, V).table)))
+    return dict(enumerate(norm_class_sums(ctx, difference_table(ctx, U, V).table).tolist()))
 
 
 def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
@@ -274,19 +274,18 @@ def par_t_profile(ctx, E1, E2, E3, E4) -> dict:
     Returns {t: Par_t} covering all t in F_q; the values sum to the
     all-parallelograms count.
     """
-    return dict(enumerate(norm_class_sums(ctx, _products(ctx, [(E1, E2, E3, E4)])[0])))
+    return dict(enumerate(norm_class_sums(ctx, _products(ctx, [(E1, E2, E3, E4)])[0]).tolist()))
 
 
 def par_and_n_t_profiles(ctx, quads) -> tuple:
     """(par, n_t): arrays whose row i is the par_t_profile of quads[i] =
     (E1, E2, E3, E4) and the n_t_profile of its (E1, E2), read from its own
-    D12; the tables and products are binned in one norm-class reduction.
+    D12; the tables and products are binned in one norm_class_sums call.
     Where any quad's products need Python ints, both arrays hold them."""
     tables, quad_pairs = _quad_tables(ctx, quads)
-    stack = np.stack([table_products(tables[i], tables[j]) for i, j in quad_pairs]
-                     + [tables[i].table for i, _ in quad_pairs])
-    order, starts = norm_class_order(ctx)
-    sums = np.add.reduceat(stack.reshape(len(stack), -1)[:, order], starts, axis=1)
+    sums = norm_class_sums(ctx, np.stack(
+        [table_products(tables[i], tables[j]) for i, j in quad_pairs]
+        + [tables[i].table for i, _ in quad_pairs]))
     return sums[:len(quads)], sums[len(quads):]
 
 
@@ -317,8 +316,7 @@ def count_rhom_t(ctx, E1, E2, E3, E4, t: int, method: str = "fast",
                     if (d1 * d1 + d2 * d2) % q == t:
                         total += 1
     elif method == "fast":
-        terms = rhombus_directions(ctx, E1, E2, E3, E4, [t])[t]
-        total = sum(r for _, _, r in terms)
+        total = int(_rhombus_terms(ctx, [(E1, E2, E3, E4)], [[t]])[0][2].sum())
         if exclude_degenerate:
             total -= count_degenerate_rhom(ctx, E1, E2, E3, E4, t).value
     else:
@@ -331,11 +329,10 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
 
     Returns {t: [(|E12^x|, |E34^x|, rhom_x) for x on S_t in circle order]}
     with E12^x = E1 n (E2 - x), E34^x = E3 n (E4 - x) and rhom_x the pairs
-    (u, v) in E12^x x E34^x with |u - v| = t.  The call is a stack of one
-    quad (_rhombus_terms, which reduces each radius mod q once); the
-    result keeps the caller's keys, and radii equal mod q share one list.
-    rhombus_sums takes many quads.  Each quad takes one of two exact
-    routes, each building what it reads once:
+    (u, v) in E12^x x E34^x with |u - v| = t, keyed by the radii as given.
+    The call is a stack of one quad (_rhombus_terms); rhombus_sums takes
+    many quads.  Each quad takes one of two exact routes, each building
+    what it reads once:
 
     * For q <= _BIT_MAX_Q, by popcounts of row words (_bit_terms): with
       w = u - v, rhom_x = sum over w on S_t of |E1 n (E2 - x) n (E3 + w) n
@@ -401,41 +398,41 @@ def rhombus_directions(ctx, E1, E2, E3, E4, radii) -> dict:
     probes still use the whole circle.
     """
     require_same_q(ctx, E1, E2, E3, E4)
-    (keys,), terms, sizes = _rhombus_terms(ctx, [(E1, E2, E3, E4)], [radii])
-    rows = [list(zip(a[:n], b[:n], r[:n])) for n, a, b, r in zip(sizes, *terms.tolist())]
-    return {t: rows[row] for t, row in keys.items()}
+    terms, sizes = _rhombus_terms(ctx, [(E1, E2, E3, E4)], [radii])
+    return {t: list(zip(a[:n], b[:n], r[:n]))
+            for t, n, a, b, r in zip(radii, sizes, *terms.tolist())}
 
 
 def rhombus_sums(ctx, quads, radii) -> tuple:
     """The per-radius sums of the rhombus relation for a stack of quads,
-    quads[i] at the radii radii[i]: (keys, rhom, par, roots, prods, sizes)
-    with keys and sizes _rhombus_terms', and arrays whose row k, at radius
-    t, is Rhom_t, sum_x p_x, sum_x sqrt(p_x) and the p_x (zero past
-    |S_t|), where p_x = |E12^x| |E34^x| and x runs over S_t in circle order
-    (rhombus_directions).  The roots are added one at a time, so their sum
-    is the sequential Python float sum bit for bit.
+    quads[i] at the radii radii[i]: (rhom, par, roots, prods, sizes) with
+    the rows and sizes of _rhombus_terms, one row per radius asked for, and
+    arrays whose row k, at radius t, is Rhom_t, sum_x p_x, sum_x sqrt(p_x)
+    and the p_x (zero past |S_t|), where p_x = |E12^x| |E34^x| and x runs
+    over S_t in circle order (rhombus_directions).  The roots are added one
+    at a time, so their sum is the sequential Python float sum bit for bit.
 
     Every quad's terms come from one _rhombus_terms call, so the quads the
     route rule sends to the bits share its bit passes, and the sums of
     every (quad, radius) row are taken in one array pass.
     """
     require_same_q(ctx, *(E for quad in quads for E in quad))
-    keys, (a, b, rhom), sizes = _rhombus_terms(ctx, quads, radii)
+    (a, b, rhom), sizes = _rhombus_terms(ctx, quads, radii)
     p = a * b
     # The last partial sum of an accumulation is the sequential sum, and the
     # zeros past a circle's end leave it as it is.
     roots = np.cumsum(np.sqrt(p), axis=1)[:, -1]
-    return keys, rhom.sum(axis=1), p.sum(axis=1), roots, p, sizes
+    return rhom.sum(axis=1), p.sum(axis=1), roots, p, sizes
 
 
 def _rhombus_terms(ctx, quads, radii) -> tuple:
-    """(keys, terms, sizes) of a stack of quads, quads[i] at the radii
-    radii[i].  Each radius is reduced mod q here, once: quad i's distinct
-    reduced radii are its rows, in first-seen order, and the quads' rows
-    follow one another.  keys[i] maps each of radii[i], as the caller gave
-    it, to its row, so radii equal mod q share one.  ``terms`` is an int64
-    array (3, rows, widest) holding |E12^x|, |E34^x| and rhom_x of each
-    row at x on S_t in circle order, zero past |S_t|, which is sizes[row].
+    """(terms, sizes) of a stack of quads, quads[i] at the radii radii[i]:
+    a row per radius asked for, quad after quad, each quad's in the order
+    given.  A radius is reduced mod q only to pick its circle, so an
+    unreduced one adds no entry to geometry's circle and pairing caches.
+    ``terms`` is an int64 array (3, rows, widest) holding |E12^x|, |E34^x|
+    and rhom_x of each row at x on S_t in circle order, zero past |S_t|,
+    which is sizes[row].
 
     ``terms`` is allocated once, and the routes write their rows into it.
     Each quad takes the route the rule of rhombus_directions gives it
@@ -444,33 +441,26 @@ def _rhombus_terms(ctx, quads, radii) -> tuple:
     per circle size among them, on one word_tiling.  That is one pass
     unless S_0 is asked for, as every other circle has q - eta(-1) points.
     """
-    q = ctx.q
-    keys, quad_rows, ts = [], [], []
-    for rs in radii:
-        # The quad's distinct reduced radii, first seen first, numbered on.
-        rows = dict(zip(dict.fromkeys([t % q for t in rs]), range(len(ts), len(ts) + len(rs))))
-        keys.append({t: rows[t % q] for t in rs})
-        quad_rows.append(rows)
-        ts += rows
+    radii = [[t % ctx.q for t in rs] for rs in radii]
+    ts = [t for rs in radii for t in rs]
     circles = {t: circle(ctx, t).points for t in dict.fromkeys(ts)}
     sizes = [len(circles[t]) for t in ts]
-    terms = np.zeros((3, len(ts), max(sizes, default=1)), dtype=np.int64)
+    terms = np.zeros((3, len(sizes), max(sizes, default=1)), dtype=np.int64)
     # The bit rows (stack index, t, row) by circle size.
     stack, bits, lo = [], {}, 0
-    for quad, rows in zip(quads, quad_rows):
-        quad_circles = {t: circles[t] for t in rows}
-        if rows and _takes_bits(ctx, *quad, quad_circles.values()):
-            for t, row in rows.items():
+    for quad, rs in zip(quads, radii):
+        if rs and _takes_bits(ctx, *quad, [circles[t] for t in rs]):
+            for row, t in enumerate(rs, lo):
                 bits.setdefault(sizes[row], []).append((len(stack), t, row))
             stack.append(quad)
-        elif rows:
-            _pair_terms(ctx, *quad, quad_circles, terms[:, lo:lo + len(rows)])
-        lo += len(rows)
+        elif rs:
+            _pair_terms(ctx, *quad, rs, terms[:, lo:lo + len(rs)])
+        lo += len(rs)
     if bits:
         words = word_tiling([E.indicator for E1, E2, E3, E4 in stack for E in (E2, E4, E1, E3)])
     for rows in bits.values():
         _bit_terms(ctx, stack, rows, circles, terms, words)
-    return keys, terms, sizes
+    return terms, sizes
 
 
 def _takes_bits(ctx, E1, E2, E3, E4, circles) -> bool:
@@ -556,10 +546,11 @@ def _bit_terms(ctx, quads, rows, circles, terms, words) -> None:
     terms[:, at, :n] = computed
 
 
-def _pair_terms(ctx, E1, E2, E3, E4, circles, out) -> None:
-    """Write the terms of one quad at each radius of ``circles`` ({t: S_t})
-    by pairs into ``out``, the view of the quad's rows of _rhombus_terms'
-    array: (3, len(circles), widest), row k that of the k-th radius.
+def _pair_terms(ctx, E1, E2, E3, E4, radii, out) -> None:
+    """Write the terms of one quad at each of its rows' reduced radii,
+    ``radii`` (a radius may repeat), by pairs into ``out``, the view of the
+    quad's rows of _rhombus_terms' array: (3, len(radii), widest), row k
+    that of radii[k].
 
     The quad is computed swapped as rhombus_directions says, and one of
     each pair +-x when E2 = E1 and E4 = E3.  The meets of every computed
@@ -577,13 +568,14 @@ def _pair_terms(ctx, E1, E2, E3, E4, circles, out) -> None:
     # The directions computed, and each circle position's source among
     # them; every position is computed unless the pairs repeat.
     paired = E2 == E1 and E4 == E3
+    sts = [circle(ctx, t).points for t in radii]
     mirrors = [mirrored_directions(ctx, t) if paired
                else (negated_points(st, q) if swapped else st, None)
-               for t, st in circles.items()]
+               for t, st in zip(radii, sts)]
     p1, p3 = E1.points, E3.points
     t2, t4 = flat_tiling(E2.indicator), flat_tiling(E4.indicator)
     marks = np.zeros_like(t2)
-    sts, kept = list(circles.values()), [x for x, _ in mirrors]
+    kept = [x for x, _ in mirrors]
     # Each computed direction's circle among sts, and that circle's size.
     owner = np.repeat(np.arange(len(kept)), [len(x) for x in kept])
     size = np.array([len(st) for st in sts])[owner]
@@ -610,7 +602,7 @@ def _pair_terms(ctx, E1, E2, E3, E4, circles, out) -> None:
         norms = tiled_norm_classes(ctx)
         rhom += _small_pair_counts(norms, np.concatenate(e12), a * small,
                                    negated_points(np.concatenate(e34), q), b * small,
-                                   np.array(list(circles), dtype=norms.dtype)[owner])
+                                   np.array(radii, dtype=norms.dtype)[owner])
     computed = np.stack([a, b, rhom])
     lo = 0
     for k, (x, source) in enumerate(mirrors):

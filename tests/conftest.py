@@ -79,21 +79,22 @@ def extreme_case_reports(ctx, t: int) -> list:
     return reports
 
 
-def rhombus_sums_by_radius(sums) -> list:
-    """counting.rhombus_sums' arrays as a dict per quad: {t: (Rhom_t,
-    sum_x p_x, sum_x sqrt(p_x), [p_x])} at each of the quad's radii, as
-    Python ints and floats."""
-    keys, rhom, par, roots, prods, sizes = sums
-    rows = list(zip(rhom.tolist(), par.tolist(), roots.tolist(),
+def rhombus_sums_by_radius(sums, radii) -> list:
+    """counting.rhombus_sums' arrays, taken at the radii ``radii`` (one
+    list a quad, a row each), as a dict per quad: {t: (Rhom_t, sum_x p_x,
+    sum_x sqrt(p_x), [p_x])} at each of the quad's radii, as Python ints
+    and floats."""
+    rhom, par, roots, prods, sizes = sums
+    rows = iter(zip(rhom.tolist(), par.tolist(), roots.tolist(),
                     [p[:n] for p, n in zip(prods.tolist(), sizes)]))
-    return [{t: rows[row] for t, row in key.items()} for key in keys]
+    return [{t: next(rows) for t in rs} for rs in radii]
 
 
 # One-instance batches of each check's row builder, from counts given as
 # Python ints of any size: the instance is a block of one.
 
 def _one_instance(name, q, radii, sizes, tag, *counts):
-    columns = bounds._ROWS[name](q, [sizes], *counts)
+    columns = bounds.CHECKS[name].rows(q, [sizes], *counts)
     return next(bounds._batches(name, q, np.array([radii]), [sizes], [tag], *columns))
 
 
@@ -116,8 +117,8 @@ def par_pair_batch(q, pairs, par_t, par_t2, sizes, **tag):
 def rhom_relation_batch(q, radii, sums, sizes, **tag):
     """sums: each radius's (Rhom_t, sum_x p_x, sum_x sqrt(p_x), [p_x])."""
     rhom, par, roots, prods = zip(*sums)
-    return _one_instance("rhom-vs-par", q, radii, sizes, tag, np.arange(len(sums))[None],
-                         _ints(rhom), _ints(par), np.array(roots), prods, list(map(len, prods)))
+    return _one_instance("rhom-vs-par", q, radii, sizes, tag, _ints([rhom]), _ints(par),
+                         np.array(roots), prods, list(map(len, prods)))
 
 
 def rhom_lower_batch(q, radii, rhoms, sizes, **tag):

@@ -207,7 +207,7 @@ def test_rhom_relation_from_arrays_reaches_the_isqrt_fallback(monkeypatch, ctx7,
     p = 4 * 7**3 + step
     terms = np.zeros((3, 1, 8), dtype=np.int64)
     terms[:2, 0, 0] = p, 1
-    monkeypatch.setattr(counting, "_rhombus_terms", lambda ctx, quads, radii: ([{1: 0}], terms, [8]))
+    monkeypatch.setattr(counting, "_rhombus_terms", lambda ctx, quads, radii: (terms, [8]))
     roots = []
     isqrt = math.isqrt
     monkeypatch.setattr(math, "isqrt", lambda n: roots.append(n) or isqrt(n))
@@ -333,6 +333,25 @@ def test_sweep_drawn_density_records_inputs(ctx5):
 def test_sweep_rejects_unknown_check(ctx5):
     with pytest.raises(ValueError):
         sweep(ctx5, "nonsense", 1, 0.5, 0)
+
+
+@pytest.mark.parametrize("check,trials,message", [
+    ([], 2, "the check list is empty"),
+    ("unit-distance", -1, "trials must be >= 0, got -1"),
+    (["rhom-vs-par", "circle-decay"], -1, "trials must be >= 0, got -1"),
+])
+def test_sweep_rejects_an_empty_check_list_and_negative_trials(ctx5, check, trials, message):
+    with pytest.raises(ValueError, match=message):
+        sweep(ctx5, check, trials, 0.5, 0)
+
+
+def test_sweep_of_no_trials_reports_circle_decay_alone(ctx5):
+    # circle-decay reports each j with no trial; a check on sets has none.
+    assert [rep.inputs["j"] for rep in sweep(ctx5, "circle-decay", 0, 0.5, 0)] == list(range(5))
+    swept = sweep(ctx5, ["unit-distance", "circle-decay", "rhom-lower"], 0, 0.5, 0)
+    assert [(name, len(list(batches))) for name, batches in swept.groups] == [
+        ("unit-distance", 0), ("circle-decay", 1), ("rhom-lower", 0)]
+    assert len(swept) == 5
 
 
 def test_sweep_pinned_radius(ctx7):
@@ -576,8 +595,8 @@ def test_rhom_block_verdicts_agree(q, ks, scale, m, steps, far):
     prods = [[p] for _, p in flat]
     par = np.array([p for _, p in flat], dtype=object)
     roots = np.array([math.sqrt(p) for _, p in flat])
-    _, columns, _, rhs, holds = bounds._rhom_relation_rows(q, sizes, rows, rhom, par, roots,
-                                                          prods, [1] * len(flat))
+    _, columns, _, rhs, holds = bounds._rhom_relation_rows(q, sizes, rhom.reshape(rows.shape),
+                                                          par, roots, prods, [1] * len(flat))
     assert (columns["rhom_t"].dtype == object) is (scale > 1)
     for k, size in enumerate(sizes):
         p12, p34 = size[0] * size[1], size[2] * size[3]

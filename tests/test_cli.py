@@ -481,7 +481,7 @@ _INFLATED_COUNTS = {
                       SimpleNamespace(value=real(*a, **k).value + 10**9)),
     "par-vs-mean": (bounds, "par_and_n_t_profiles", _inflated_profiles),
     "rhom-vs-par": (bounds, "rhombus_sums", lambda real: lambda *a:
-                    (lambda keys, rhom, *rest: (keys, rhom + 10**9, *rest))(*real(*a))),
+                    (lambda rhom, *rest: (rhom + 10**9, *rest))(*real(*a))),
     "circle-decay": (fourier, "_decay_maxima", lambda real: lambda *a: tuple(
         tuple(None if v is None else 100 * v for v in column) for column in real(*a))),
 }
@@ -503,9 +503,8 @@ def test_each_asserted_check_exits_1_on_a_violation(capsys, monkeypatch, check):
     radius = report["inputs"]["j" if check == "circle-decay" else "t"]
     assert (report["name"], report["holds"], radius) == (check, False, 1)
     assert (summary["check"], summary["instances"], summary["violations"]) == (check, 1, 1)
-    sets, asserted, layout = bounds.CHECKS[check]
-    assert asserted
-    monkeypatch.setitem(bounds.CHECKS, check, (sets, False, layout))
+    assert bounds.CHECKS[check].asserted
+    monkeypatch.setitem(bounds.CHECKS, check, bounds.CHECKS[check]._replace(asserted=False))
     rc, recorded, _ = run_cli(capsys, argv)
     assert rc == 0 and recorded == out
 
@@ -514,8 +513,8 @@ def test_violated_recorded_check_exits_0(capsys, monkeypatch):
     rhombus_sums = bounds.rhombus_sums
 
     def no_rhombi(*args):
-        keys, rhom, *rest = rhombus_sums(*args)
-        return (keys, 0 * rhom, *rest)
+        rhom, *rest = rhombus_sums(*args)
+        return (0 * rhom, *rest)
 
     monkeypatch.setattr(bounds, "rhombus_sums", no_rhombi)
     rc, out, _ = run_cli(capsys, ["bounds", "--q", "3", "--check", "rhom-lower",

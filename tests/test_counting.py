@@ -384,7 +384,7 @@ def test_table_products_sum_in_python_ints_past_int64():
             expected[int(norms[v1, v2])] += int(a[v1, v2]) * int(b[v1, v2])
     prod = table_products(d12, d34)
     assert int(prod.sum()) == sum(expected) >= INT64_LIMIT
-    profile = norm_class_sums(ctx, prod)
+    profile = norm_class_sums(ctx, prod).tolist()
     assert profile == expected
     assert all(type(v) is int for v in profile)
 
@@ -406,7 +406,7 @@ def test_norm_class_sums_match_literal_loop(q):
                 for v2 in range(q):
                     sums[int(norms[v1, v2])] += int(table[v1, v2])
             want.append(sums)
-        got = norm_class_sums(ctx, values)
+        got = norm_class_sums(ctx, values).tolist()
         assert got == (want if values.ndim == 3 else want[0])
         flat = [v for row in got for v in row] if values.ndim == 3 else got
         assert all(type(v) is int for v in flat)
@@ -716,14 +716,14 @@ def test_rhombus_sums_match_per_quad_directions(q, chunk):
             radii = [r for _, r, _ in block]
             with pytest.MonkeyPatch.context() as spies:
                 pairs, bits = _route_spies(spies)
-                sums = rhombus_sums_by_radius(rhombus_sums(ctx, quads, radii))
+                sums = rhombus_sums_by_radius(rhombus_sums(ctx, quads, radii), radii)
             on_bits = [quad for quad, rs, rule in block if rs and
                        counting._takes_bits(ctx, *quad, [circle(ctx, t).points for t in rs])]
             assert [rule for _, rs, rule in block if rs and rule is not None] == \
                 [any(quad is b for b in on_bits) for quad, rs, rule in block
                  if rs and rule is not None]
             # Each row's quad and reduced radius, rows quad-major.
-            rows = [(quad, t) for quad, rs, _ in block for t in dict.fromkeys(t % q for t in rs)]
+            rows = [(quad, t % q) for quad, rs, _ in block for t in rs]
             bit_rows = [row for row, (quad, _) in enumerate(rows) if quad in on_bits]
             assert len(bits) == len({len(circle(ctx, rows[row][1])) for row in bit_rows})
             for _, stack, triples, *_ in bits:
@@ -750,13 +750,14 @@ def test_bit_stack_tiles_its_sets_once(monkeypatch):
     real = counting.word_tiling
     monkeypatch.setattr(counting, "word_tiling",
                         lambda arrs: calls.append(len(arrs)) or real(arrs))
-    keys, terms, sizes = counting._rhombus_terms(ctx, quads, [radii] * 3)
+    terms, sizes = counting._rhombus_terms(ctx, quads, [radii] * 3)
     assert calls == [12] and len(passes) == 2
-    for key, quad in zip(keys, quads):
+    for j, quad in enumerate(quads):
         for t in radii:
-            (one,), alone, (n,) = counting._rhombus_terms(ctx, [quad], [[t]])
-            assert sizes[key[t]] == n
-            assert np.array_equal(terms[:, key[t], :n], alone[:, one[t], :n])
+            alone, (n,) = counting._rhombus_terms(ctx, [quad], [[t]])
+            row = len(radii) * j + t
+            assert sizes[row] == n
+            assert np.array_equal(terms[:, row, :n], alone[:, 0, :n])
     assert len(calls) == 1 + 3 * 13
 
 
@@ -768,7 +769,7 @@ def test_rhombus_sums_add_roots_in_circle_order():
     ctx = PrimeFieldCtx(61)
     quad = [gen_random_set(ctx, 0.5, 61 + k) for k in range(4)]
     radii = list(range(1, 61))
-    sums = rhombus_sums_by_radius(rhombus_sums(ctx, [quad], [radii]))[0]
+    sums = rhombus_sums_by_radius(rhombus_sums(ctx, [quad], [radii]), [radii])[0]
     other = 0
     for t in radii:
         _, _, root, prods = sums[t]
@@ -810,11 +811,13 @@ def test_bit_gathers_stay_within_the_chunk_budget(q, trials, radii, chunk):
     words = len(geometry.word_layout(ctx)[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "_PAIRS_PER_WORD", 0)
-        want = rhombus_sums_by_radius(rhombus_sums(ctx, quads, [radii] * trials))
+        want = rhombus_sums_by_radius(rhombus_sums(ctx, quads, [radii] * trials),
+                                      [radii] * trials)
         if chunk is not None:
             mp.setattr(geometry, "INDEX_CHUNK", chunk)
         sizes = _bit_gathers(mp)
-        sums = rhombus_sums_by_radius(rhombus_sums(ctx, quads, [radii] * trials))
+        sums = rhombus_sums_by_radius(rhombus_sums(ctx, quads, [radii] * trials),
+                                      [radii] * trials)
         bound = max(geometry.INDEX_CHUNK // 4,
                     max(max(len(circle(ctx, t)), 2) for t in radii) * words)
     assert sizes and max(sizes) <= bound
@@ -909,6 +912,37 @@ def test_unreduced_radii_share_one_circle_and_pairing(route, ctx13):
     assert by_radius[1] == by_radius[14] == _rhombus_direction_reference(ctx13, A, A, B, B, 1)
     assert geometry.circle.cache_info().currsize == 1
     assert geometry.mirrored_directions.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("route", RHOMBUS_ROUTES)
+def test_one_row_per_radius_asked_for(route, ctx13):
+    # _rhombus_terms and rhombus_sums give a row per radius asked for, in
+    # the order given, quad after quad: a repeated and an unreduced radius
+    # of one circle (1, 14 and 1 at q = 13) give equal rows, on a paired
+    # and a distinct quad, and rhombus_directions keys its lists by the
+    # radii as given.
+    A, B, C, D = random_quadruple(ctx13, 6, lo=0.2, hi=0.5)
+    quads = [(A, A, B, B), (A, B, C, D)]
+    radii = [[1, 14, 1], [2, 1, 15, 14]]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in RHOMBUS_ROUTES[route].items():
+            mp.setattr(counting, name, value)
+        terms, sizes = counting._rhombus_terms(ctx13, quads, radii)
+        rhom, par, roots, prods, widths = rhombus_sums(ctx13, quads, radii)
+        by_radius = [rhombus_directions(ctx13, *quad, rs) for quad, rs in zip(quads, radii)]
+    rows = [(quad, t % 13) for quad, rs in zip(quads, radii) for t in rs]
+    assert len(terms[0]) == len(rows) == 7
+    assert sizes == widths == [len(circle(ctx13, t)) for _, t in rows]
+    for row, (quad, t) in enumerate(rows):
+        want = _rhombus_direction_reference(ctx13, *quad, t)
+        n = sizes[row]
+        assert list(map(tuple, terms[:, row, :n].T.tolist())) == want
+        assert not terms[:, row, n:].any()
+        assert (rhom[row], par[row], roots[row], prods[row, :n].tolist()) == direction_sums(want)
+    assert [list(d) for d in by_radius] == [[1, 14], [2, 1, 15, 14]]
+    for d, quad in zip(by_radius, quads):
+        for t, terms_t in d.items():
+            assert terms_t == _rhombus_direction_reference(ctx13, *quad, t % 13)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -1223,6 +1257,10 @@ def test_block_profiles_are_each_instances_profile(monkeypatch):
     profiles = counting.par_and_n_t_profiles(ctx, quads)
     assert _profile_dicts(*profiles) == want
     assert all(type(v) is int for array in profiles for v in array.ravel())
+    # A table alone bins to Python ints too.
+    big = bounds.index(max(bounds))
+    profile = par_t_profile(ctx, *quads[big])
+    assert profile == want[big][0] and all(type(v) is int for v in profile.values())
 
 
 def _profile_dicts(par, n_t) -> list:
